@@ -18,10 +18,10 @@ from .assembly import (
     _enriched_point_terms,
     build_space,
     element_rules_1d,
+    element_rules_2d,
     evaluate_field_1d,
     evaluate_gradient_1d,
     triangle_geometry,
-    triangle_rule_points,
     assemble_standard,
     assemble_enriched,
 )
@@ -232,77 +232,60 @@ class ErrorReport:
     runtime: float = 0.0
 
 
-def _eval_on_points_2d(space, coeffs, tri_idx, bary, x, y, t, geom):
-    """Value and gradient of the discrete field at quadrature points whose
-    containing triangle and barycentric coordinates are already known."""
-    area, bx, by = geom
-    nd = space.node_to_dof
-    tris = space.mesh.triangles
-    vals = np.zeros(len(x))
-    grads = np.zeros((len(x), 2))
-    for a in range(3):
-        dof = nd[tris[tri_idx, a]]
-        good = dof >= 0
-        c = np.where(good, coeffs[np.clip(dof, 0, None)], 0.0)
-        vals += bary[:, a] * c
-        grads[:, 0] += bx[tri_idx, a] * c
-        grads[:, 1] += by[tri_idx, a] * c
+def _field_on_layout_2d(space, coeffs, layout, t):
+    """Value and gradient of the discrete field at the layout's points, whose
+    containing triangles and barycentric coordinates are already known."""
+    _, bx, by = triangle_geometry(space.mesh.nodes, space.mesh.triangles)
+    x, y = layout.points[:, 0], layout.points[:, 1]
+    tri = layout.element
+    dof = space.node_to_dof[space.mesh.triangles[tri]]
+    c = np.where(dof >= 0, coeffs[np.clip(dof, 0, None)], 0.0)
+    vals = np.sum(layout.bary * c, axis=1)
+    grads = np.stack([np.sum(bx[tri] * c, axis=1), np.sum(by[tri] * c, axis=1)], axis=1)
     if space.enrichment is not None:
-        r = np.hypot(x, y)
-        near = r >= 1.0 - space.enrichment.support - 1e-12
+        near = np.hypot(x, y) >= 1.0 - space.enrichment.support - 1e-12
         if np.any(near):
             cols, evals, egrads = _enriched_point_terms(space, x[near], y[near], t)
-            ec = coeffs[space.n_standard :]
-            vals[near] += np.sum(evals * ec[cols], axis=1)
-            grads[near] += np.sum(egrads * ec[cols][:, :, None], axis=1)
+            ec = coeffs[space.n_standard :][cols]
+            vals[near] += np.sum(evals * ec, axis=1)
+            grads[near] += np.sum(egrads * ec[:, :, None], axis=1)
     return vals, grads
 
 
-def _error_integrals_1d(space, coeffs, exact, t, epsilon, refine):
-    err2 = ex2 = h12 = 0.0
-    for i, j, pts, wts in element_rules_1d(space.mesh, epsilon, refine=refine):
-        uh = evaluate_field_1d(space, coeffs, pts, t)
-        ue = exact.u(pts, t)
-        duh = evaluate_gradient_1d(space, coeffs, pts, t)
-        due = exact.u_x(pts, t)
-        err2 += float(np.dot(wts, (uh - ue) ** 2))
-        ex2 += float(np.dot(wts, ue**2))
-        h12 += float(np.dot(wts, (duh - due) ** 2))
-    return err2, ex2, h12
+def _element_rules(mesh, epsilon, refine=1):
+    rules = element_rules_1d if mesh.dim == 1 else element_rules_2d
+    return rules(mesh, epsilon, refine=refine)
 
 
-def _error_integrals_2d(space, coeffs, exact, t, epsilon, refine):
-    mesh = space.mesh
-    geom = triangle_geometry(mesh.nodes, mesh.triangles)
-    bset = set(int(i) for i in mesh.boundary_nodes)
-    err2 = ex2 = h12 = 0.0
-    for k, tri in enumerate(mesh.triangles):
-        mask = [int(v) in bset for v in tri]
-        pts, wts, bary = triangle_rule_points(
-            mesh.nodes[tri], mask, epsilon, n_sub=6 * refine, n_gauss=4 * refine
-        )
-        tri_idx = np.full(len(wts), k)
-        uh, guh = _eval_on_points_2d(space, coeffs, tri_idx, bary, pts[:, 0], pts[:, 1], t, geom)
-        ue = exact.u(pts[:, 0], pts[:, 1], t)
-        gue = exact.grad(pts[:, 0], pts[:, 1], t)
-        err2 += float(np.dot(wts, (uh - ue) ** 2))
-        ex2 += float(np.dot(wts, ue**2))
-        h12 += float(np.dot(wts, np.sum((guh - gue) ** 2, axis=1)))
-    return err2, ex2, h12
+def _error_integrals(space, coeffs, exact, t, layout):
+    """Squared L2 error, squared L2 norm of the exact solution, and squared
+    H1-seminorm error over the layout."""
+    if space.mesh.dim == 1:
+        x = layout.points
+        uh = evaluate_field_1d(space, coeffs, x, t)
+        ue = exact.u(x, t)
+        sq_grad_err = (evaluate_gradient_1d(space, coeffs, x, t) - exact.u_x(x, t)) ** 2
+    else:
+        uh, guh = _field_on_layout_2d(space, coeffs, layout, t)
+        ue = exact.u(layout.points[:, 0], layout.points[:, 1], t)
+        gue = exact.grad(layout.points[:, 0], layout.points[:, 1], t)
+        sq_grad_err = np.sum((guh - gue) ** 2, axis=1)
+    w = layout.weights
+    return float(np.dot(w, (uh - ue) ** 2)), float(np.dot(w, ue**2)), float(np.dot(w, sq_grad_err))
 
 
 def relative_l2_error(space, coeffs, exact, t, epsilon, refine: int = 1) -> float:
     """Relative L2 error of the discrete field against the exact solution."""
-    if space.mesh.dim == 1:
-        err2, ex2, _ = _error_integrals_1d(space, coeffs, exact, t, epsilon, refine)
-    else:
-        err2, ex2, _ = _error_integrals_2d(space, coeffs, exact, t, epsilon, refine)
+    layout = _element_rules(space.mesh, epsilon, refine)
+    err2, ex2, _ = _error_integrals(space, coeffs, exact, t, layout)
     if np.sqrt(ex2) < 1e-300:
         raise ZeroDivisionError("exact solution vanishes in L2")
     return float(np.sqrt(err2 / ex2))
 
 
-def oscillation_index(space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP) -> float:
+def oscillation_index(
+    space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP, layout=None
+) -> float:
     """Maximum overshoot of the discrete solution beyond the exact
     solution's local range within the boundary strip, normalized by
     max |exact|.  Quantifies spurious boundary-layer oscillations.
@@ -311,69 +294,47 @@ def oscillation_index(space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_
     its values at the element vertices; for boundary elements those pin the
     bottom of the layer, so a discrete solution that merely descends
     through the layer at a slightly shifted position is not penalized while
-    genuine over/undershoot beyond the traversed range is."""
+    genuine over/undershoot beyond the traversed range is.  `layout` is the
+    unrefined layout over every element of the mesh, built here if not
+    given."""
     mesh = space.mesh
-    worst = 0.0
-    global_max = 0.0
+    if layout is None:
+        layout = _element_rules(mesh, epsilon)
     if mesh.dim == 1:
-        for i, j, pts, wts in element_rules_1d(mesh, epsilon):
-            ue = np.asarray(exact.u(pts, t), dtype=float)
-            uev = np.asarray(exact.u(mesh.nodes[[i, j]], t), dtype=float)
-            global_max = max(global_max, float(np.abs(ue).max()))
-            mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-            if not (mid < strip or mid > 1.0 - strip):
-                continue
-            uh = np.asarray(evaluate_field_1d(space, coeffs, pts, t), dtype=float)
-            lo = min(float(ue.min()), float(uev.min()))
-            hi = max(float(ue.max()), float(uev.max()))
-            over = max(0.0, float(uh.max()) - hi, lo - float(uh.min()))
-            worst = max(worst, over)
+        elems = mesh.elements
+        ue = np.asarray(exact.u(layout.points, t), dtype=float)
+        uev = np.asarray(exact.u(mesh.nodes, t), dtype=float)[elems]
+        mid = mesh.nodes[elems].mean(axis=1)
+        in_strip = (mid < strip) | (mid > 1.0 - strip)
+        uh = np.asarray(evaluate_field_1d(space, coeffs, layout.points, t), dtype=float)
     else:
-        geom = triangle_geometry(mesh.nodes, mesh.triangles)
-        bset = set(int(i) for i in mesh.boundary_nodes)
-        for k, tri in enumerate(mesh.triangles):
-            mask = [int(v) in bset for v in tri]
-            pts, wts, bary = triangle_rule_points(mesh.nodes[tri], mask, epsilon)
-            ue = np.asarray(exact.u(pts[:, 0], pts[:, 1], t), dtype=float)
-            verts = mesh.nodes[tri]
-            uev = np.asarray(exact.u(verts[:, 0], verts[:, 1], t), dtype=float)
-            global_max = max(global_max, float(np.abs(ue).max()))
-            centroid = mesh.nodes[tri].mean(axis=0)
-            if np.hypot(*centroid) < 1.0 - strip:
-                continue
-            uh, _ = _eval_on_points_2d(space, coeffs, np.full(len(pts), k), bary, pts[:, 0], pts[:, 1], t, geom)
-            lo = min(float(ue.min()), float(uev.min()))
-            hi = max(float(ue.max()), float(uev.max()))
-            over = max(0.0, float(uh.max()) - hi, lo - float(uh.min()))
-            worst = max(worst, over)
+        elems = mesh.triangles
+        ue = np.asarray(exact.u(layout.points[:, 0], layout.points[:, 1], t), dtype=float)
+        uev = np.asarray(exact.u(mesh.nodes[:, 0], mesh.nodes[:, 1], t), dtype=float)[elems]
+        in_strip = np.hypot(*mesh.nodes[elems].mean(axis=1).T) >= 1.0 - strip
+        uh, _ = _field_on_layout_2d(space, coeffs, layout, t)
+    global_max = float(np.abs(ue).max())
     if global_max < 1e-300:
         return 0.0
-    return worst / global_max
+    lo = np.minimum(np.minimum.reduceat(ue, layout.starts), uev.min(axis=1))
+    hi = np.maximum(np.maximum.reduceat(ue, layout.starts), uev.max(axis=1))
+    over = np.maximum(np.maximum.reduceat(uh, layout.starts) - hi, lo - np.minimum.reduceat(uh, layout.starts))
+    return max(0.0, float(over[in_strip].max(initial=0.0))) / global_max
 
 
 def compute_error_report(
     space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0,
     degenerate_ok: bool = False,
 ) -> ErrorReport:
-    if space.mesh.dim == 1:
-        err2, ex2, h12 = _error_integrals_1d(space, coeffs, exact, t, epsilon, refine)
-    else:
-        err2, ex2, h12 = _error_integrals_2d(space, coeffs, exact, t, epsilon, refine)
-    if np.sqrt(ex2) < 1e-300:
-        if not degenerate_ok:
-            raise ZeroDivisionError("exact solution vanishes in L2")
-        return ErrorReport(
-            rel_l2=float("nan"),
-            abs_l2=float(np.sqrt(err2)),
-            h1_seminorm_error=float(np.sqrt(h12)),
-            oscillation_index=oscillation_index(space, coeffs, exact, t, epsilon),
-            h=float(space.mesh.h),
-            dofs=int(space.total_dofs),
-            runtime=runtime,
-        )
-    osc = oscillation_index(space, coeffs, exact, t, epsilon)
+    layout = _element_rules(space.mesh, epsilon, refine)
+    err2, ex2, h12 = _error_integrals(space, coeffs, exact, t, layout)
+    vanishes = np.sqrt(ex2) < 1e-300
+    if vanishes and not degenerate_ok:
+        raise ZeroDivisionError("exact solution vanishes in L2")
+    # the oscillation index always reads the unrefined layout
+    osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout if refine == 1 else None)
     return ErrorReport(
-        rel_l2=float(np.sqrt(err2 / ex2)),
+        rel_l2=float("nan") if vanishes else float(np.sqrt(err2 / ex2)),
         abs_l2=float(np.sqrt(err2)),
         h1_seminorm_error=float(np.sqrt(h12)),
         oscillation_index=osc,

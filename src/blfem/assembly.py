@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from .corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
 from .mesh import Mesh1D, Mesh2D
 from .quadrature import (
+    QuadratureLayout,
     composite_interval,
     gauss_interval,
     gauss_triangle,
@@ -105,24 +106,36 @@ def _interval_points(a, b, eps, toward, n_sub=6, n_gauss=4):
     return a + rule.points, rule.weights
 
 
-def element_rules_1d(mesh: Mesh1D, eps: float, refine: int = 1):
+def _starts(counts):
+    """Offset of each element's first point, from per-element point counts."""
+    return np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+
+def element_rules_1d(mesh: Mesh1D, eps: float, refine: int = 1) -> QuadratureLayout:
     """Per-element quadrature resolving boundary layers of width sqrt(eps).
 
     Elements near either endpoint are graded toward it; interior elements
     get plain composite Gauss.  `refine` doubles panel counts (used by the
     norm self-consistency check)."""
-    out = []
-    for i, j in mesh.elements:
-        a, b = mesh.nodes[i], mesh.nodes[j]
+    pts, wts = [], []
+    for a, b in mesh.nodes[mesh.elements]:
         if a < 0.3:
             toward = "left"
         elif b > 0.7:
             toward = "right"
         else:
             toward = None
-        pts, wts = _interval_points(a, b, eps, toward, n_sub=6 * refine, n_gauss=4 * refine)
-        out.append((int(i), int(j), pts, wts))
-    return out
+        p, w = _interval_points(a, b, eps, toward, n_sub=6 * refine, n_gauss=4 * refine)
+        pts.append(p)
+        wts.append(w)
+    counts = np.array([len(w) for w in wts])
+    element = np.repeat(np.arange(len(mesh.elements)), counts)
+    points = np.concatenate(pts)
+    a, b = mesh.nodes[mesh.elements[element]].T
+    lam = (points - a) / (b - a)
+    return QuadratureLayout(
+        points, np.concatenate(wts), np.stack([1.0 - lam, lam], axis=1), element, _starts(counts)
+    )
 
 
 def _sym_geometric_panels(n_half, first_width):
@@ -141,49 +154,82 @@ def triangle_rule_points(tri_xy, bdy_mask, eps, n_sub=6, n_gauss=4):
     area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
     nb = int(np.sum(bdy_mask))
     ell = 4.0 * np.sqrt(eps)
-    if nb == 2:
-        # order vertices: A, B on the boundary, C interior
-        order = list(np.argsort(~np.asarray(bdy_mask)))  # boundary first
+    if nb in (1, 2):
+        # order vertices: boundary ones first
+        order = list(np.argsort(~np.asarray(bdy_mask)))
         A, B, C = (p0, p1, p2)[order[0]], (p0, p1, p2)[order[1]], (p0, p1, p2)[order[2]]
-        L = np.linalg.norm(B - A)
-        height = 2.0 * area / L
-        s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
-        u_breaks = _sym_geometric_panels(n_sub, max(2.0 * ell / L**2, 1e-8))
+        if nb == 2:
+            # A, B on the boundary, C interior
+            L = np.linalg.norm(B - A)
+            height = 2.0 * area / L
+            s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
+            u_breaks = _sym_geometric_panels(n_sub, max(2.0 * ell / L**2, 1e-8))
+        else:
+            height = 2.0 * area / np.linalg.norm(C - B)
+            s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
+            u_breaks = np.linspace(0.0, 1.0, 3)
         rs = composite_interval(s_breaks, n_gauss)
         ru = composite_interval(u_breaks, n_gauss)
         s, u = np.meshgrid(rs.points, ru.points, indexing="ij")
         ws, wu = np.meshgrid(rs.weights, ru.weights, indexing="ij")
-        lam = np.stack([((1 - s) * (1 - u)).ravel(), ((1 - s) * u).ravel(), s.ravel()], axis=1)
-        wts = (ws * wu * (1 - s)).ravel() * 2.0 * area
+        if nb == 2:
+            lam = np.stack([((1 - s) * (1 - u)).ravel(), ((1 - s) * u).ravel(), s.ravel()], axis=1)
+            wts = (ws * wu * (1 - s)).ravel() * 2.0 * area
+        else:
+            lam = np.stack([(1 - s).ravel(), (s * (1 - u)).ravel(), (s * u).ravel()], axis=1)
+            wts = (ws * wu * s).ravel() * 2.0 * area
         pts = lam @ np.vstack([A, B, C])
         bary = np.empty_like(lam)
-        bary[:, order[0]] = lam[:, 0]
-        bary[:, order[1]] = lam[:, 1]
-        bary[:, order[2]] = lam[:, 2]
+        bary[:, order] = lam
         return pts, wts, bary
-    if nb == 1:
-        order = list(np.argsort(~np.asarray(bdy_mask)))
-        A, B, C = (p0, p1, p2)[order[0]], (p0, p1, p2)[order[1]], (p0, p1, p2)[order[2]]
-        height = 2.0 * area / np.linalg.norm(C - B)
-        s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
-        rs = composite_interval(s_breaks, n_gauss)
-        ru = composite_interval(np.linspace(0.0, 1.0, 3), n_gauss)
-        s, u = np.meshgrid(rs.points, ru.points, indexing="ij")
-        ws, wu = np.meshgrid(rs.weights, ru.weights, indexing="ij")
-        lam = np.stack([(1 - s).ravel(), (s * (1 - u)).ravel(), (s * u).ravel()], axis=1)
-        wts = (ws * wu * s).ravel() * 2.0 * area
-        pts = lam @ np.vstack([A, B, C])
-        bary = np.empty_like(lam)
-        bary[:, order[0]] = lam[:, 0]
-        bary[:, order[1]] = lam[:, 1]
-        bary[:, order[2]] = lam[:, 2]
-        return pts, wts, bary
+    pts, wts, lam = _smooth_triangle_rule(np.vstack([p0, p1, p2])[None])
+    return pts[0], wts[0], lam
+
+
+def _smooth_triangle_rule(v):
+    """The fixed smooth rule on each triangle of v (t, 3, 2): points
+    (t, q, 2), weights (t, q), and the shared barycentric coordinates (q, 3)."""
     rule = gauss_triangle(SMOOTH_TRI_DEGREE)
     x, y = rule.points[:, 0], rule.points[:, 1]
     lam = np.stack([1.0 - x - y, x, y], axis=1)
-    pts = lam @ np.vstack([p0, p1, p2])
-    wts = rule.weights * 2.0 * area
-    return pts, wts, lam
+    area2 = np.abs(
+        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
+    )
+    return lam @ v, rule.weights * area2[:, None], lam
+
+
+def element_rules_2d(mesh: Mesh2D, eps: float, refine: int = 1, triangles=None) -> QuadratureLayout:
+    """triangle_rule_points over the listed triangles (default: all) as one
+    flat layout.  Triangles without a boundary vertex all take the fixed
+    smooth rule and are mapped in one batch; the graded ones, about two per
+    boundary node, are built one by one."""
+    tri_ids = np.arange(len(mesh.triangles)) if triangles is None else np.asarray(triangles)
+    tris = mesh.triangles[tri_ids]
+    verts = mesh.nodes[tris]
+    on_bdy = np.zeros(len(mesh.nodes), dtype=bool)
+    on_bdy[mesh.boundary_nodes] = True
+    masks = on_bdy[tris]
+    graded = masks.any(axis=1)
+    rules = {
+        k: triangle_rule_points(verts[k], masks[k], eps, n_sub=6 * refine, n_gauss=4 * refine)
+        for k in np.nonzero(graded)[0]
+    }
+    smooth = np.nonzero(~graded)[0]
+    smooth_pts, smooth_wts, lam = _smooth_triangle_rule(verts[smooth])
+    counts = np.full(len(tri_ids), len(lam))
+    counts[graded] = [len(w) for _, w, _ in rules.values()]
+    starts = _starts(counts)
+    n = int(counts.sum())
+    points, weights, bary = np.empty((n, 2)), np.empty(n), np.empty((n, 3))
+    at = (starts[smooth, None] + np.arange(len(lam))).ravel()
+    points[at] = smooth_pts.reshape(-1, 2)
+    weights[at] = smooth_wts.ravel()
+    bary[at] = np.tile(lam, (len(smooth), 1))
+    for k, (p, w, b) in rules.items():
+        sl = slice(starts[k], starts[k] + counts[k])
+        points[sl], weights[sl], bary[sl] = p, w, b
+    return QuadratureLayout(points, weights, bary, np.repeat(tri_ids, counts), starts)
 
 
 def triangle_geometry(nodes, tris):
@@ -250,49 +296,32 @@ def _load_layout(space, epsilon):
     the standard load vector; returns arrays usable for any time level.
 
     Standard loads use the smooth-term quadrature (plain Gauss), matching
-    the classical scheme; only enrichment integrals get layer rules."""
+    the classical scheme; only enrichment integrals get layer rules.
+    Contributions are ordered by element, then vertex, then point."""
     mesh = space.mesh
-    nd = space.node_to_dof
     if mesh.dim == 1:
         base = gauss_interval(4)
-        pts, wts, dofs, hats = [], [], [], []
-        for i, j in mesh.elements:
-            a, b = mesh.nodes[i], mesh.nodes[j]
-            p = a + (b - a) * base.points
-            w = (b - a) * base.weights
-            lam = base.points
-            for node, hat in ((i, 1.0 - lam), (j, lam)):
-                if nd[node] >= 0:
-                    pts.append(p)
-                    wts.append(w)
-                    dofs.append(np.full(len(p), nd[node]))
-                    hats.append(hat)
-        return (np.concatenate(pts),), np.concatenate(wts), np.concatenate(dofs), np.concatenate(hats)
+        a, b = mesh.nodes[mesh.elements].T
+        coords = (a[:, None] + (b - a)[:, None] * base.points,)
+        wts = (b - a)[:, None] * base.weights
+        hats = np.stack([1.0 - base.points, base.points])
+        elems = mesh.elements
+    else:
+        pts, wts, lam = _smooth_triangle_rule(mesh.nodes[mesh.triangles])
+        coords = (pts[..., 0], pts[..., 1])
+        hats = lam.T
+        elems = mesh.triangles
+    dofs = space.node_to_dof[elems]
+    keep = np.broadcast_to((dofs >= 0)[:, :, None], dofs.shape + hats.shape[-1:])
 
-    rule = gauss_triangle(SMOOTH_TRI_DEGREE)
-    rx, ry = rule.points[:, 0], rule.points[:, 1]
-    lam = np.stack([1.0 - rx - ry, rx, ry], axis=1)
-    xs, ys, wts, dofs, hats = [], [], [], [], []
-    for tri in mesh.triangles:
-        v = mesh.nodes[tri]
-        p = lam @ v
-        area2 = abs(
-            (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - (v[2, 0] - v[0, 0]) * (v[1, 1] - v[0, 1])
-        )
-        w = rule.weights * area2
-        for a in range(3):
-            d = nd[tri[a]]
-            if d >= 0:
-                xs.append(p[:, 0])
-                ys.append(p[:, 1])
-                wts.append(w)
-                dofs.append(np.full(len(w), d))
-                hats.append(lam[:, a])
+    def spread(vals):
+        return np.broadcast_to(vals, keep.shape)[keep]
+
     return (
-        (np.concatenate(xs), np.concatenate(ys)),
-        np.concatenate(wts),
-        np.concatenate(dofs),
-        np.concatenate(hats),
+        tuple(spread(c[:, None, :]) for c in coords),
+        spread(wts[:, None, :]),
+        spread(dofs[:, :, None]),
+        spread(hats),
     )
 
 
@@ -312,9 +341,7 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     def make_load(f):
         def load_fn(t):
             fvals = np.asarray(f(*coords, t), dtype=float)
-            vec = np.zeros(n)
-            np.add.at(vec, dofs, wts * hats * fvals)
-            return vec
+            return np.bincount(dofs, weights=wts * hats * fvals, minlength=n)
 
         return load_fn
 
@@ -348,11 +375,9 @@ class TriangleLocator:
         for lo, hi in zip(self.edges[:-1], self.edges[1:]):
             self.bins.append(np.nonzero((rmax >= lo - 1e-12) & (rmin <= hi + 1e-12))[0])
         # affine barycentric maps: lambda = B @ (1, x, y)
-        self.affine = np.empty((len(mesh.triangles), 3, 3))
-        for k, tri in enumerate(mesh.triangles):
-            v = mesh.nodes[tri]
-            mat = np.column_stack([np.ones(3), v])
-            self.affine[k] = np.linalg.inv(mat).T  # rows: (alpha, beta, gamma) per vertex
+        v = mesh.nodes[mesh.triangles]
+        mats = np.concatenate([np.ones(v.shape[:2] + (1,)), v], axis=2)
+        self.affine = np.linalg.inv(mats).transpose(0, 2, 1)  # rows: (alpha, beta, gamma) per vertex
 
     def locate(self, x, y):
         """Triangle index and barycentric coordinates for each point."""
@@ -433,8 +458,7 @@ class _CouplingLayout2D:
     le_rows: np.ndarray
     le_pt: np.ndarray
     le_coeff: np.ndarray
-    ee_rows: np.ndarray
-    ee_cols: np.ndarray
+    ee_index: np.ndarray   # row * M + col into the flattened (M, M) block
     ee_pt: np.ndarray
     ee_m_coeff: np.ndarray
     ee_ang_coeff: np.ndarray
@@ -450,24 +474,11 @@ def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout2D:
     # rules on boundary triangles (the profile varies on the sqrt(eps) scale
     # near the circle), the smooth rule elsewhere
     vert_r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    on_bdy = np.zeros(len(mesh.nodes), dtype=bool)
-    on_bdy[mesh.boundary_nodes] = True
     tri_r_max = vert_r[mesh.triangles].max(axis=1)
     support_tris = np.nonzero(tri_r_max > 1.0 - spec.support + 1e-12)[0]
 
-    pts_list, wts_list, bary_list, tri_list = [], [], [], []
-    for ti in support_tris:
-        tri = mesh.triangles[ti]
-        mask = on_bdy[tri]
-        pts_t, wts_t, bary_t = triangle_rule_points(mesh.nodes[tri], mask, spec.epsilon)
-        pts_list.append(pts_t)
-        wts_list.append(wts_t)
-        bary_list.append(bary_t)
-        tri_list.append(np.full(len(wts_t), ti))
-    pts = np.concatenate(pts_list)
-    w = np.concatenate(wts_list)
-    bary = np.concatenate(bary_list)
-    tri_idx = np.concatenate(tri_list)
+    quad = element_rules_2d(mesh, spec.epsilon, triangles=support_tris)
+    pts, w, bary, tri_idx = quad.points, quad.weights, quad.bary, quad.element
     x, y = pts[:, 0], pts[:, 1]
     eta, xi, r = fitted_arrays(x, y)
 
@@ -533,8 +544,7 @@ def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout2D:
         le_rows=le_rows,
         le_pt=le_pt,
         le_coeff=le_coeff,
-        ee_rows=np.concatenate(ee_rows),
-        ee_cols=np.concatenate(ee_cols),
+        ee_index=np.concatenate(ee_rows) * m + np.concatenate(ee_cols),
         ee_pt=np.concatenate(ee_pt),
         ee_m_coeff=np.concatenate(ee_m_coeff),
         ee_ang_coeff=np.concatenate(ee_ang_coeff),
@@ -545,6 +555,11 @@ def _check_gram(mee):
     vals = np.linalg.eigvalsh(mee)
     if vals[0] <= 0.0 or vals[-1] / vals[0] > 1e15:
         raise AssemblyError("enriched Gram block is numerically singular")
+
+
+def _block_sum(flat_index, values, m):
+    """(m, m) matrix of the values summed at their flattened positions."""
+    return np.bincount(flat_index, weights=values, minlength=m * m).reshape(m, m)
 
 
 def _enriched_blocks_2d(space, layout, epsilon, t):
@@ -564,16 +579,10 @@ def _enriched_blocks_2d(space, layout, epsilon, t):
         shape=(n, m),
     ).tocsr()
 
-    mee = np.zeros((m, m))
-    aee = np.zeros((m, m))
     phi2 = (phi**2)[layout.ee_pt]
     dphi2 = (dphi**2)[layout.ee_pt]
-    np.add.at(mee, (layout.ee_rows, layout.ee_cols), layout.ee_m_coeff * phi2)
-    np.add.at(
-        aee,
-        (layout.ee_rows, layout.ee_cols),
-        epsilon * (layout.ee_m_coeff * dphi2 + layout.ee_ang_coeff * phi2),
-    )
+    mee = _block_sum(layout.ee_index, layout.ee_m_coeff * phi2, m)
+    aee = _block_sum(layout.ee_index, epsilon * (layout.ee_m_coeff * dphi2 + layout.ee_ang_coeff * phi2), m)
     mee = 0.5 * (mee + mee.T)
     aee = 0.5 * (aee + aee.T)
     return msl, asl, mee, aee
@@ -670,12 +679,7 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
         def cross_radial(t_new, t_old):
             p_new = np.asarray(enrichment_profile(spec, layout.xi, t_new), dtype=float)
             p_old = np.asarray(enrichment_profile(spec, layout.xi, t_old), dtype=float)
-            cee = np.zeros((m, m))
-            np.add.at(
-                cee,
-                (layout.ee_rows, layout.ee_cols),
-                layout.ee_m_coeff * (p_new * p_old)[layout.ee_pt],
-            )
+            cee = _block_sum(layout.ee_index, layout.ee_m_coeff * (p_new * p_old)[layout.ee_pt], m)
             return 0.5 * (cee + cee.T)
 
         def make_load(f):
@@ -687,10 +691,8 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
                     et = enrich_t
                 phi_vals = np.asarray(enrichment_profile(spec, layout.xi, et), dtype=float)
                 fvals = np.asarray(f(layout.x, layout.y, tt), dtype=float)
-                vec = np.zeros(m)
                 contrib = layout.le_coeff * (phi_vals * fvals)[layout.le_pt]
-                np.add.at(vec, layout.le_rows, contrib)
-                return np.concatenate([std(tt), vec])
+                return np.concatenate([std(tt), np.bincount(layout.le_rows, weights=contrib, minlength=m)])
 
             return load_fn
 

@@ -6,6 +6,7 @@ the sqrt(eps) scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,12 +30,37 @@ class QuadratureRule:
         return float(np.dot(self.weights, vals))
 
 
+@dataclass(frozen=True)
+class QuadratureLayout:
+    """Quadrature over the elements of a mesh as flat arrays, the points of
+    one element contiguous and elements in mesh order.
+
+    points: (n,) on an interval mesh, (n, 2) on a triangle mesh.
+    weights: (n,) physical weights.
+    bary: (n, 2) or (n, 3) barycentric coordinates in the owning element.
+    element: (n,) mesh index of the owning element.
+    starts: offset of each covered element's first point, so that
+        `np.add.reduceat(values, starts)` gives per-element sums.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    bary: np.ndarray
+    element: np.ndarray
+    starts: np.ndarray
+
+
+@lru_cache(maxsize=None)
 def gauss_interval(n_points: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [0, 1], exact for degree 2n-1."""
+    """Gauss-Legendre rule on [0, 1], exact for degree 2n-1.  Rules are
+    shared between callers, so their arrays are read-only."""
     if not 1 <= n_points <= 64:
         raise ValueError("n_points must be in [1, 64]")
     x, w = np.polynomial.legendre.leggauss(n_points)
-    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, 2 * n_points - 1)
+    points, weights = 0.5 * (x + 1.0), 0.5 * w
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(points, weights, 2 * n_points - 1)
 
 
 # Symmetric positive-weight triangle rules (reference measure 1/2).
@@ -108,6 +134,8 @@ def geometric_panels(length: float, n_sub: int, first_width: float) -> np.ndarra
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # bracket down to adjacent floats: nothing moves any more
+            break
         if w0 * (mid**n_sub - 1.0) / (mid - 1.0) < length:
             lo = mid
         else:
@@ -122,11 +150,10 @@ def geometric_panels(length: float, n_sub: int, first_width: float) -> np.ndarra
 def composite_interval(breaks: np.ndarray, n_gauss: int) -> QuadratureRule:
     """Gauss rule of n_gauss points on each panel of `breaks`."""
     base = gauss_interval(n_gauss)
-    pts, wts = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        pts.append(a + (b - a) * base.points)
-        wts.append((b - a) * base.weights)
-    return QuadratureRule(np.concatenate(pts), np.concatenate(wts), 2 * n_gauss - 1)
+    breaks = np.asarray(breaks, dtype=float)
+    widths = np.diff(breaks)[:, None]
+    pts = breaks[:-1, None] + widths * base.points
+    return QuadratureRule(pts.ravel(), (widths * base.weights).ravel(), 2 * n_gauss - 1)
 
 
 def layer_strip_rule(epsilon: float, sigma: float, n_sub: int = 8, n_gauss: int = 5) -> QuadratureRule:

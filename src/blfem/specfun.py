@@ -8,42 +8,20 @@ Every layer formula in this package is written against this convention; the
 conversion to the standard kernel is confined to this module so that
 factor-of-sqrt(2) mistakes cannot spread.
 
-The scaled modified Bessel functions return exp(-x)*I_n(x), which keeps the
-ratio I_0(r/sqrt(eps))/I_0(1/sqrt(eps)) computable for eps down to 1e-8
+The scaled modified Bessel functions exp(-x)*I_n(x) are scipy's i0e/i1e,
+restricted to x >= 0; the scaling keeps the ratio
+I_0(r/sqrt(eps))/I_0(1/sqrt(eps)) computable for eps down to 1e-8
 (arguments up to 1e4) without overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class SpecialFunctionConfig:
-    """Tuning knobs for the Bessel evaluation.
-
-    series_tolerance: relative truncation tolerance of the power series.
-    asymptotic_switch: argument above which the scaled asymptotic expansion
-        replaces the power series.
-    """
-
-    series_tolerance: float = 1e-14
-    asymptotic_switch: float = 20.0
-
-    def __post_init__(self):
-        if self.series_tolerance <= 0.0:
-            raise ValueError("series_tolerance must be positive")
-        if self.asymptotic_switch <= 0.0:
-            raise ValueError("asymptotic_switch must be positive")
-
-
-DEFAULT_CONFIG = SpecialFunctionConfig()
 
 
 def erf_gauss(z):
@@ -56,74 +34,18 @@ def erfc_gauss(z):
     return _sp.erfc(np.asarray(z, dtype=float) / _SQRT2)[()]
 
 
-def _i0_series(x, tol):
-    # sum_k (x/2)^(2k) / (k!)^2 ; all terms positive, no cancellation
-    q = (0.5 * x) ** 2
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    k = 0
-    while True:
-        k += 1
-        term = term * q / (k * k)
-        total = total + term
-        if np.all(term <= tol * total) or k > 400:
-            return total
-
-
-def _i1_series(x, tol):
-    # I_1(x) = (x/2) * sum_k (x/2)^(2k) / (k! (k+1)!)
-    q = (0.5 * x) ** 2
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    k = 0
-    while True:
-        k += 1
-        term = term * q / (k * (k + 1))
-        total = total + term
-        if np.all(term <= tol * total) or k > 400:
-            return 0.5 * x * total
-
-
-def _ine_asymptotic(x, n):
-    # exp(-x) I_n(x) ~ (2 pi x)^(-1/2) sum_k t_k,  mu = 4 n^2,
-    # t_k = t_{k-1} * -(mu - (2k-1)^2) / (8 x k).  Truncated at the smallest
-    # term; the remainder is bounded by the first omitted term.
-    mu = 4.0 * n * n
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    active = np.ones(np.shape(x), dtype=bool)
-    for k in range(1, 60):
-        new = term * (-(mu - (2 * k - 1) ** 2)) / (8.0 * k * x)
-        active = active & (np.abs(new) < np.abs(term))
-        term = np.where(active, new, 0.0)
-        total = total + term
-        if not np.any(np.abs(term) > 1e-17 * np.abs(total)):
-            break
-    return total / np.sqrt(2.0 * np.pi * x)
-
-
-def _bessel_scaled(x, n, config):
+def _nonnegative(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("argument must be nonnegative")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr <= config.asymptotic_switch
-    if np.any(small):
-        xs = arr[small]
-        series = _i0_series(xs, config.series_tolerance) if n == 0 else _i1_series(xs, config.series_tolerance)
-        out[small] = np.exp(-xs) * series
-    if np.any(~small):
-        out[~small] = _ine_asymptotic(arr[~small], n)
-    return out[0] if scalar else out
+    return arr
 
 
-def bessel_i0_scaled(x, config: SpecialFunctionConfig = DEFAULT_CONFIG):
+def bessel_i0_scaled(x):
     """exp(-x) * I_0(x) for x >= 0; in (0, 1], decreasing in x."""
-    return _bessel_scaled(x, 0, config)
+    return _sp.i0e(_nonnegative(x))
 
 
-def bessel_i1_scaled(x, config: SpecialFunctionConfig = DEFAULT_CONFIG):
+def bessel_i1_scaled(x):
     """exp(-x) * I_1(x) for x >= 0 (needed for radial derivatives)."""
-    return _bessel_scaled(x, 1, config)
+    return _sp.i1e(_nonnegative(x))

@@ -1,0 +1,180 @@
+"""Flat quadrature layouts: the batched builders against per-element rules,
+and the vectorized error report against a per-element reference loop."""
+
+import numpy as np
+import pytest
+
+from blfem.analysis import compute_error_report, solve_scenario
+from blfem.assembly import (
+    TriangleLocator,
+    _interval_points,
+    element_rules_1d,
+    element_rules_2d,
+    evaluate_field_1d,
+    evaluate_field_2d,
+    evaluate_gradient_1d,
+    evaluate_gradient_2d,
+    triangle_rule_points,
+)
+from blfem.mesh import build_disk_mesh, build_interval_mesh
+from blfem.quadrature import gauss_interval
+
+
+def _boundary_masks(mesh):
+    on_bdy = np.zeros(len(mesh.nodes), dtype=bool)
+    on_bdy[mesh.boundary_nodes] = True
+    return on_bdy[mesh.triangles]
+
+
+def _triangle_rules(mesh, eps, refine=1, triangles=None):
+    """Per-triangle triangle_rule_points, in triangle order."""
+    masks = _boundary_masks(mesh)
+    ids = range(len(mesh.triangles)) if triangles is None else triangles
+    return [
+        (k, *triangle_rule_points(mesh.nodes[mesh.triangles[k]], masks[k], eps, n_sub=6 * refine, n_gauss=4 * refine))
+        for k in ids
+    ]
+
+
+def _element_rules_1d(mesh, eps, refine=1):
+    """Per-element graded interval rules, in element order."""
+    out = []
+    for k, (a, b) in enumerate(mesh.nodes[mesh.elements]):
+        toward = "left" if a < 0.3 else "right" if b > 0.7 else None
+        out.append((k, *_interval_points(a, b, eps, toward, n_sub=6 * refine, n_gauss=4 * refine)))
+    return out
+
+
+class TestLayout2D:
+    @pytest.mark.parametrize("b", [16, 52])
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    def test_matches_per_triangle_rules(self, b, refine, eps):
+        mesh = build_disk_mesh(b)
+        layout = element_rules_2d(mesh, eps, refine=refine)
+        ref = _triangle_rules(mesh, eps, refine)
+        counts = [len(w) for _, _, w, _ in ref]
+        assert np.array_equal(layout.starts, np.concatenate([[0], np.cumsum(counts)[:-1]]))
+        assert np.array_equal(layout.element, np.repeat(np.arange(len(mesh.triangles)), counts))
+        # points and barycentric coordinates are O(1); weights are compared
+        # relative to their own size
+        for got, idx, rtol, atol in (
+            (layout.points, 1, 0.0, 1e-15),
+            (layout.weights, 2, 1e-15, 0.0),
+            (layout.bary, 3, 0.0, 1e-15),
+        ):
+            want = np.concatenate([r[idx] for r in ref])
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=rtol, atol=atol)
+
+    def test_triangle_subset(self):
+        mesh = build_disk_mesh(16)
+        subset = np.array([3, 0, len(mesh.triangles) - 1, 7])
+        subset.sort()
+        layout = element_rules_2d(mesh, 1e-6, triangles=subset)
+        ref = _triangle_rules(mesh, 1e-6, triangles=subset)
+        assert np.array_equal(np.unique(layout.element), subset)
+        assert np.allclose(layout.points, np.concatenate([r[1] for r in ref]), rtol=0.0, atol=1e-15)
+        assert np.allclose(layout.weights, np.concatenate([r[2] for r in ref]), rtol=1e-15, atol=0.0)
+
+    def test_weights_sum_to_polygon_area(self):
+        mesh = build_disk_mesh(52)
+        layout = element_rules_2d(mesh, 1e-8)
+        b = len(mesh.boundary_nodes)
+        assert layout.weights.sum() == pytest.approx(0.5 * b * np.sin(2.0 * np.pi / b), rel=1e-12)
+
+
+class TestLayout1D:
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    def test_matches_per_element_rules(self, refine, eps):
+        mesh = build_interval_mesh(50)
+        layout = element_rules_1d(mesh, eps, refine=refine)
+        ref = _element_rules_1d(mesh, eps, refine)
+        assert np.array_equal(layout.points, np.concatenate([r[1] for r in ref]))
+        assert np.array_equal(layout.weights, np.concatenate([r[2] for r in ref]))
+        assert np.array_equal(layout.element, np.concatenate([np.full(len(r[1]), r[0]) for r in ref]))
+        a, b = mesh.nodes[mesh.elements[layout.element]].T
+        assert np.allclose(layout.bary @ np.array([1.0, 1.0]), 1.0, atol=1e-15)
+        assert np.allclose(layout.bary[:, 0] * a + layout.bary[:, 1] * b, layout.points, atol=1e-15)
+
+
+class TestGaussIntervalSharing:
+    def test_rule_is_shared_and_read_only(self):
+        rule = gauss_interval(5)
+        assert gauss_interval(5) is rule
+        with pytest.raises(ValueError):
+            rule.points[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the error report against a per-element reference loop
+
+
+def _reference_report_2d(space, coeffs, exact, t, eps, strip=0.25):
+    mesh = space.mesh
+    loc = TriangleLocator(mesh)
+    err2 = ex2 = h12 = 0.0
+    worst = global_max = 0.0
+    for k, pts, wts, _ in _triangle_rules(mesh, eps):
+        x, y = pts[:, 0], pts[:, 1]
+        uh = evaluate_field_2d(space, coeffs, x, y, t, locator=loc)
+        guh = evaluate_gradient_2d(space, coeffs, x, y, t, locator=loc)
+        ue = exact.u(x, y, t)
+        gue = exact.grad(x, y, t)
+        err2 += float(np.dot(wts, (uh - ue) ** 2))
+        ex2 += float(np.dot(wts, ue**2))
+        h12 += float(np.dot(wts, np.sum((guh - gue) ** 2, axis=1)))
+        verts = mesh.nodes[mesh.triangles[k]]
+        uev = exact.u(verts[:, 0], verts[:, 1], t)
+        global_max = max(global_max, float(np.abs(ue).max()))
+        if np.hypot(*verts.mean(axis=0)) >= 1.0 - strip:
+            lo, hi = min(ue.min(), uev.min()), max(ue.max(), uev.max())
+            worst = max(worst, float(uh.max()) - hi, lo - float(uh.min()))
+    return np.sqrt(err2 / ex2), np.sqrt(h12), worst / global_max
+
+
+def _reference_report_1d(space, coeffs, exact, t, eps, strip=0.25):
+    mesh = space.mesh
+    err2 = ex2 = h12 = 0.0
+    worst = global_max = 0.0
+    for k, pts, wts in _element_rules_1d(mesh, eps):
+        uh = evaluate_field_1d(space, coeffs, pts, t)
+        ue = exact.u(pts, t)
+        err2 += float(np.dot(wts, (uh - ue) ** 2))
+        ex2 += float(np.dot(wts, ue**2))
+        h12 += float(np.dot(wts, (evaluate_gradient_1d(space, coeffs, pts, t) - exact.u_x(pts, t)) ** 2))
+        ends = mesh.nodes[mesh.elements[k]]
+        uev = exact.u(ends, t)
+        global_max = max(global_max, float(np.abs(ue).max()))
+        mid = ends.mean()
+        if mid < strip or mid > 1.0 - strip:
+            lo, hi = min(ue.min(), uev.min()), max(ue.max(), uev.max())
+            worst = max(worst, float(uh.max()) - hi, lo - float(uh.min()))
+    return np.sqrt(err2 / ex2), np.sqrt(h12), worst / global_max
+
+
+@pytest.mark.filterwarnings("ignore:source does not vanish")
+@pytest.mark.parametrize(
+    "dim, level, eps, scheme, kind",
+    [
+        (2, 16, 1e-8, "sfem", None),
+        (2, 16, 1e-8, "nfem", "phi_m1_lin"),
+        (2, 16, 1e-5, "nfem", "phi0_tilde"),
+        (1, 50, 1e-8, "sfem", None),
+        (1, 50, 1e-5, "nfem", "phi_m1_lin"),
+    ],
+)
+def test_error_report_matches_per_element_loop(dim, level, eps, scheme, kind):
+    T = 1.0
+    _, fieldsol, space, exact = solve_scenario(
+        dim, eps, level, T, 0.1, scheme, enrichment_kind=kind or "phi_m1_lin"
+    )
+    report = compute_error_report(space, fieldsol.final, exact, T, eps)
+    reference = _reference_report_1d if dim == 1 else _reference_report_2d
+    rel_l2, h1, osc = reference(space, fieldsol.final, exact, T, eps)
+    assert report.rel_l2 == pytest.approx(rel_l2, rel=1e-12)
+    assert report.h1_seminorm_error == pytest.approx(h1, rel=1e-12)
+    assert report.oscillation_index == pytest.approx(max(osc, 0.0), rel=1e-12, abs=1e-15)
