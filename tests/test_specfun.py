@@ -48,6 +48,16 @@ class TestErfGauss:
 
 
 class TestBesselScaled:
+    def test_matches_scipy_small_arguments(self):
+        x = np.linspace(0.0, 30.0, 301)
+        assert np.allclose(bessel_i0_scaled(x), sp_special.i0e(x), rtol=1e-13, atol=1e-15)
+        assert np.allclose(bessel_i1_scaled(x), sp_special.i1e(x), rtol=1e-13, atol=1e-15)
+
+    def test_matches_scipy_large_arguments(self):
+        x = np.array([50.0, 1e2, 1e3, 1e4])
+        assert np.allclose(bessel_i0_scaled(x), sp_special.i0e(x), rtol=1e-12)
+        assert np.allclose(bessel_i1_scaled(x), sp_special.i1e(x), rtol=1e-12)
+
     def test_scaled_wronskian_identity(self):
         # I0 K1 + I1 K0 = 1/x; the exp(-x) and exp(x) scalings cancel
         x = np.geomspace(1e-3, 1e4, 401)
