@@ -79,7 +79,6 @@ class AssembledSystem:
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     load: callable                  # t -> vector over all DOFs
-    assembled_at: float = None      # enrichment evaluation time, if any
     parts: dict = field(default_factory=dict)
 
 
@@ -562,6 +561,19 @@ def _block_sum(flat_index, values, m):
     return np.bincount(flat_index, weights=values, minlength=m * m).reshape(m, m)
 
 
+@dataclass(frozen=True)
+class EnrichedLevel:
+    """The enriched blocks at one time level, and the profile values phi at
+    the quadrature points they were integrated with (phi and its derivative
+    are evaluated once per level)."""
+
+    msl: sp.csr_matrix
+    asl: sp.csr_matrix
+    mee: np.ndarray
+    aee: np.ndarray
+    phi: np.ndarray
+
+
 def _enriched_blocks_2d(space, layout, epsilon, t):
     spec = space.enrichment
     m = space.n_enriched
@@ -585,14 +597,13 @@ def _enriched_blocks_2d(space, layout, epsilon, t):
     aee = _block_sum(layout.ee_index, epsilon * (layout.ee_m_coeff * dphi2 + layout.ee_ang_coeff * phi2), m)
     mee = 0.5 * (mee + mee.T)
     aee = 0.5 * (aee + aee.T)
-    return msl, asl, mee, aee
+    return EnrichedLevel(msl, asl, mee, aee, phi)
 
 
-def _enriched_blocks_1d(space, epsilon, t):
+def _enriched_blocks_1d(space, rule, epsilon, t):
     mesh = space.mesh
     spec = space.enrichment
     nd = space.node_to_dof
-    rule = layer_strip_rule(spec.epsilon, spec.support, n_sub=RAD_N_SUB, n_gauss=RAD_N_GAUSS)
     phi = np.asarray(enrichment_profile(spec, rule.points, t), dtype=float)
     dphi = np.asarray(enrichment_profile_dxi(spec, rule.points, t), dtype=float)
     n = space.n_standard
@@ -614,7 +625,7 @@ def _enriched_blocks_1d(space, epsilon, t):
     aa = float(np.dot(rule.weights, dphi**2))
     mee = mm * np.eye(2)
     aee = epsilon * aa * np.eye(2)
-    return sp.csr_matrix(msl), sp.csr_matrix(asl), mee, aee, rule, phi
+    return EnrichedLevel(sp.csr_matrix(msl), sp.csr_matrix(asl), mee, aee, phi)
 
 
 def _stack_blocks(mss, ass, msl, asl, mee, aee):
@@ -626,29 +637,29 @@ def _stack_blocks(mss, ass, msl, asl, mee, aee):
 def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> AssembledSystem:
     """Full block system for the enriched space at enrichment time t.
 
-    parts['rebuild'](t) returns fresh (Msl, Asl, Mee, Aee) blocks and
-    parts['cross_mass'](t_new, t_old) the mixed mass matrix needed when the
-    profile changes between time levels.
+    A time-dependent profile changes the blocks at every time level:
+    parts['rebuild'](t) returns the EnrichedLevel at t, parts['restack'](level)
+    its (mass, stiffness) pair, and parts['cross_mass'](new, old) the mixed
+    mass matrix between two levels.  parts['make_load'](f) returns
+    load(t, phi_vals), where phi_vals are the profile values of the level the
+    load is taken at (default: the level assembled at t);
+    parts['make_standard_load'](f) the load of the standard block alone.
     """
     if space.enrichment is None:
         raise AssemblyError("space carries no enrichment")
     base = assemble_standard(space, epsilon)
     mss, ass = base.parts["Mss"], base.parts["Ass"]
-    n = space.n_standard
     m = space.n_enriched
     spec = space.enrichment
 
     if space.mesh.dim == 1:
-        msl, asl, mee, aee, rule, phi = _enriched_blocks_1d(space, epsilon, t)
+        rule = layer_strip_rule(spec.epsilon, spec.support, n_sub=RAD_N_SUB, n_gauss=RAD_N_GAUSS)
 
         def rebuild(tt):
-            a, b, c, d, _, _ = _enriched_blocks_1d(space, epsilon, tt)
-            return a, b, c, d
+            return _enriched_blocks_1d(space, rule, epsilon, tt)
 
-        def cross_radial(t_new, t_old):
-            p_new = np.asarray(enrichment_profile(spec, rule.points, t_new), dtype=float)
-            p_old = np.asarray(enrichment_profile(spec, rule.points, t_old), dtype=float)
-            return float(np.dot(rule.weights, p_new * p_old)) * np.eye(2)
+        def cross_radial(phi_new, phi_old):
+            return float(np.dot(rule.weights, phi_new * phi_old)) * np.eye(2)
 
         def enriched_load(f, tt, phi_vals):
             xl = rule.points
@@ -657,70 +668,55 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
             vec[1] = float(np.dot(rule.weights, phi_vals * np.asarray(f(1.0 - xl, tt), dtype=float)))
             return vec
 
-        def make_load(f):
-            std = base.parts["make_load"](f)
-
-            def load_fn(tt, enrich_t=None):
-                et = tt if spec.time_dependent else t
-                if enrich_t is not None:
-                    et = enrich_t
-                phi_vals = np.asarray(enrichment_profile(spec, rule.points, et), dtype=float)
-                return np.concatenate([std(tt), enriched_load(f, tt, phi_vals)])
-
-            return load_fn
-
     else:
         layout = _coupling_layout_2d(space)
-        msl, asl, mee, aee = _enriched_blocks_2d(space, layout, epsilon, t)
 
         def rebuild(tt):
             return _enriched_blocks_2d(space, layout, epsilon, tt)
 
-        def cross_radial(t_new, t_old):
-            p_new = np.asarray(enrichment_profile(spec, layout.xi, t_new), dtype=float)
-            p_old = np.asarray(enrichment_profile(spec, layout.xi, t_old), dtype=float)
-            cee = _block_sum(layout.ee_index, layout.ee_m_coeff * (p_new * p_old)[layout.ee_pt], m)
+        def cross_radial(phi_new, phi_old):
+            cee = _block_sum(layout.ee_index, layout.ee_m_coeff * (phi_new * phi_old)[layout.ee_pt], m)
             return 0.5 * (cee + cee.T)
 
-        def make_load(f):
-            std = base.parts["make_load"](f)
+        def enriched_load(f, tt, phi_vals):
+            fvals = np.asarray(f(layout.x, layout.y, tt), dtype=float)
+            contrib = layout.le_coeff * (phi_vals * fvals)[layout.le_pt]
+            return np.bincount(layout.le_rows, weights=contrib, minlength=m)
 
-            def load_fn(tt, enrich_t=None):
-                et = tt if spec.time_dependent else t
-                if enrich_t is not None:
-                    et = enrich_t
-                phi_vals = np.asarray(enrichment_profile(spec, layout.xi, et), dtype=float)
-                fvals = np.asarray(f(layout.x, layout.y, tt), dtype=float)
-                contrib = layout.le_coeff * (phi_vals * fvals)[layout.le_pt]
-                return np.concatenate([std(tt), np.bincount(layout.le_rows, weights=contrib, minlength=m)])
+    def restack(level):
+        return _stack_blocks(mss, ass, level.msl, level.asl, level.mee, level.aee)
 
-            return load_fn
-
-    _check_gram(np.asarray(mee))
-    mass, stiff = _stack_blocks(mss, ass, msl, asl, mee, aee)
-
-    def cross_mass(t_new, t_old):
+    def cross_mass(new, old):
         """Mass-type matrix <Phi_i(t_new), Phi_j(t_old)> for the Rothe step
-        with a time-dependent profile: rows at t_new, columns at t_old."""
-        msl_new, _, _, _ = rebuild(t_new)
-        msl_old, _, _, _ = rebuild(t_old)
-        cee = cross_radial(t_new, t_old)
-        return sp.bmat(
-            [[mss, msl_old], [msl_new.T, sp.csr_matrix(cee)]], format="csr"
-        )
+        with a time-dependent profile: rows at the new level, columns at the old."""
+        cee = cross_radial(new.phi, old.phi)
+        return sp.bmat([[mss, old.msl], [new.msl.T, sp.csr_matrix(cee)]], format="csr")
 
-    sysm = AssembledSystem(mass=mass, stiffness=stiff, load=None, assembled_at=t)
+    level = rebuild(t)
+    _check_gram(level.mee)
+    mass, stiff = restack(level)
+
+    def make_load(f):
+        std = base.parts["make_load"](f)
+
+        def load_fn(tt, phi_vals=level.phi):
+            return np.concatenate([std(tt), enriched_load(f, tt, phi_vals)])
+
+        return load_fn
+
+    sysm = AssembledSystem(mass=mass, stiffness=stiff, load=None)
     sysm.parts.update(
         Mss=mss,
         Ass=ass,
-        Msl=msl,
-        Asl=asl,
-        Mee=np.asarray(mee),
-        Aee=np.asarray(aee),
+        Msl=level.msl,
+        Asl=level.asl,
+        Mee=level.mee,
+        Aee=level.aee,
         make_load=make_load,
+        make_standard_load=base.parts["make_load"],
         rebuild=rebuild,
         cross_mass=cross_mass,
-        restack=lambda blocks: _stack_blocks(mss, ass, *blocks),
+        restack=restack,
     )
     return sysm
 
@@ -744,17 +740,12 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
         def f_like(xx, yy, tt):
             return u0(xx, yy)
 
-    if space.enrichment is None:
-        rhs = system.parts["make_load"](f_like)(0.0)
-        return solve_spd(system.mass, rhs, cfg)
-    full_rhs = system.parts["make_load"](f_like)(0.0, enrich_t=system.assembled_at)
-    if space.enrichment.time_dependent:
+    if space.enrichment is not None and space.enrichment.time_dependent:
         coeffs = np.zeros(space.total_dofs)
-        coeffs[: space.n_standard] = solve_spd(
-            system.parts["Mss"], full_rhs[: space.n_standard], cfg
-        )
+        rhs = system.parts["make_standard_load"](f_like)(0.0)
+        coeffs[: space.n_standard] = solve_spd(system.parts["Mss"], rhs, cfg)
         return coeffs
-    return solve_spd(system.mass, full_rhs, cfg)
+    return solve_spd(system.mass, system.parts["make_load"](f_like)(0.0), cfg)
 
 
 def _nodal_values_1d(space, coeffs):

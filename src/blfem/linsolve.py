@@ -1,8 +1,9 @@
 """SPD solvers for the implicit-Euler and projection systems.
 
-Desk-scale systems go through a dense Cholesky factorization (robust when
-the enriched Gram block is ill conditioned at sqrt(eps) ~ h); larger ones
-fall back to Jacobi-preconditioned conjugate gradients.
+`SolverConfig.method` picks the solver for every system, whatever its size:
+`direct_cholesky` (the default) is a sparse LDL^T factorization, robust when
+the enriched Gram block is ill conditioned at sqrt(eps) ~ h; `cg_jacobi` is
+Jacobi-preconditioned conjugate gradients.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 
 class NotPositiveDefinite(Exception):
-    """Cholesky hit a nonpositive pivot."""
+    """The LDL^T factorization hit a nonpositive or off-diagonal pivot."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -46,9 +46,13 @@ class SolverConfig:
 class SpdSolver:
     """Factorize once, solve many right-hand sides.
 
-    Exposes `condition_proxy`: the ratio of extreme diagonal entries of the
-    Cholesky factor, a cheap indicator of near-linear-dependence between
-    enrichment and hat functions.
+    The direct path factors A = P L D L^T P^T with SuperLU in symmetric mode:
+    one fill-reducing ordering for rows and columns and no row pivoting, so
+    the pivots d (the diagonal of U) are those of D.  A is positive definite
+    exactly when no row pivot was taken and every d is positive.  Exposes
+    `condition_proxy` = sqrt(max d / min d), the ratio of extreme diagonal
+    entries of the Cholesky factor: a cheap indicator of near-linear
+    dependence between enrichment and hat functions.
     """
 
     def __init__(self, matrix, config: SolverConfig = SolverConfig()):
@@ -57,12 +61,21 @@ class SpdSolver:
         self.n = self.matrix.shape[0]
         self.condition_proxy = None
         if config.method == "direct_cholesky":
+            from scipy.sparse.linalg import splu
+
             try:
-                self._chol = sla.cho_factor(self.matrix.toarray(), lower=True, check_finite=False)
-            except sla.LinAlgError as exc:
+                self._lu = splu(
+                    self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:  # an exactly singular pivot
                 raise NotPositiveDefinite(str(exc)) from exc
-            d = np.abs(np.diag(self._chol[0]))
-            self.condition_proxy = float(d.max() / d.min())
+            d = self._lu.U.diagonal()
+            if np.any(self._lu.perm_r != self._lu.perm_c):
+                raise NotPositiveDefinite("a zero diagonal pivot forced a row exchange")
+            if not np.all(d > 0.0):
+                raise NotPositiveDefinite(f"nonpositive pivot {d.min():.3e}")
+            self.condition_proxy = float(np.sqrt(d.max() / d.min()))
         else:
             self._jacobi = 1.0 / self.matrix.diagonal()
 
@@ -74,7 +87,7 @@ class SpdSolver:
         if nb == 0.0:
             return np.zeros(self.n)
         if self.config.method == "direct_cholesky":
-            return sla.cho_solve(self._chol, rhs, check_finite=False)
+            return self._lu.solve(rhs)
         return self._pcg(rhs, nb)
 
     def _pcg(self, b, nb):

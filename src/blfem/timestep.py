@@ -2,8 +2,10 @@
 
 With a time-independent enrichment (or none) the matrix M + dt*A is
 factorized once.  Time-dependent profiles change the trial space between
-levels, so each step re-contracts the enriched blocks and uses the mixed
-mass matrix <Phi_i(t_{n+1}), Phi_j(t_n)> on the right-hand side.
+levels, so each step builds the enriched blocks of the new level once (one
+profile evaluation), refactors, and uses the mixed mass matrix
+<Phi_i(t_{n+1}), Phi_j(t_n)> between the new and the previous level on the
+right-hand side.
 """
 
 from __future__ import annotations
@@ -95,14 +97,15 @@ def advance(
     restack = system.parts["restack"]
     rebuild = system.parts["rebuild"]
     cross_mass = system.parts["cross_mass"]
+    old = rebuild(grid.times[0])
     for n, t_new in enumerate(grid.times[1:], start=1):
-        t_old = grid.times[n - 1]
-        mass_new, stiff_new = restack(rebuild(t_new))
-        cross = cross_mass(t_new, t_old)
-        rhs = cross @ u + dt * load_fn(t_new, enrich_t=t_new)
+        new = rebuild(t_new)
+        mass_new, stiff_new = restack(new)
+        rhs = cross_mass(new, old) @ u + dt * load_fn(t_new, phi_vals=new.phi)
         try:
             u = SpdSolver(mass_new + dt * stiff_new, cfg).solve(rhs)
         except (NotPositiveDefinite, NoConvergence) as exc:
             _reraise_with_step(exc, n)
         history[n] = u
+        old = new
     return SolutionField(space=space, grid=grid, history=history)

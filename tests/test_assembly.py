@@ -351,6 +351,58 @@ class TestEnriched2D:
         assert errs[1] < errs[0] / 2.0  # at least first order in the angle
 
 
+def _moving_space(dim, kind, eps):
+    mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
+    return build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps))
+
+
+def _max_diff(a, b):
+    return abs(a - b).max() if (a - b).nnz else 0.0
+
+
+class TestTimeLevels:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["phi0_tilde", "phi0"])
+    def test_restacked_level_matches_fresh_assembly(self, dim, kind):
+        eps = 1e-4
+        space = _moving_space(dim, kind, eps)
+        parts = assemble_enriched(space, eps, t=0.0).parts
+        for t in (0.3, 0.5):
+            fresh = assemble_enriched(space, eps, t=t)
+            level = parts["rebuild"](t)
+            mass, stiff = parts["restack"](level)
+            scale = abs(fresh.mass).max()
+            assert _max_diff(mass, fresh.mass) <= 1e-14 * scale
+            assert _max_diff(stiff, fresh.stiffness) <= 1e-14 * abs(fresh.stiffness).max()
+            assert _max_diff(parts["cross_mass"](level, level), fresh.mass) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cross_mass_rows_at_new_level_columns_at_old(self, dim):
+        eps = 1e-4
+        space = _moving_space(dim, "phi0", eps)
+        parts = assemble_enriched(space, eps, t=0.0).parts
+        n = space.n_standard
+        new, old = parts["rebuild"](0.5), parts["rebuild"](0.3)
+        cross = parts["cross_mass"](new, old).toarray()
+        mass_new = assemble_enriched(space, eps, t=0.5).mass.toarray()
+        mass_old = assemble_enriched(space, eps, t=0.3).mass.toarray()
+        assert np.array_equal(cross[:n, :n], mass_new[:n, :n])
+        assert np.allclose(cross[:n, n:], mass_old[:n, n:], rtol=0.0, atol=1e-16)
+        assert np.allclose(cross[n:, :n], mass_new[n:, :n], rtol=0.0, atol=1e-16)
+        swapped = parts["cross_mass"](old, new).toarray()
+        assert np.allclose(cross[n:, n:], swapped[n:, n:].T, rtol=0.0, atol=1e-16)
+        if dim == 1:
+            spec = space.enrichment
+            want, _ = sp_integrate.quad(
+                lambda x: float(enrichment_profile(spec, x, 0.5)) * float(enrichment_profile(spec, x, 0.3)),
+                0.0, spec.support, epsabs=1e-14, limit=200, points=[math.sqrt(eps)],
+            )
+            # the strip rule matches quad to ~4e-8 for phi0; the profiles at
+            # t = 0.3 and 0.5 differ by ~3e-3 in this integral
+            assert cross[n, n] == pytest.approx(want, rel=1e-6)
+            assert cross[n + 1, n + 1] == pytest.approx(want, rel=1e-6)
+
+
 class TestProjectionAndEvaluation:
     def test_projection_reproduces_p1_function_1d(self):
         n = 16

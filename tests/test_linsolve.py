@@ -3,6 +3,7 @@ agreement, failure modes with residual reporting."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, seed
 from hypothesis import strategies as st
@@ -54,6 +55,26 @@ class TestDirectCholesky:
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(NotPositiveDefinite):
             SpdSolver(a)
+
+    def test_zero_diagonal_forces_row_pivot(self):
+        with pytest.raises(NotPositiveDefinite, match="row exchange"):
+            SpdSolver(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_indefinite_with_positive_diagonal(self):
+        # shifted between the two smallest eigenvalues: exactly one negative
+        # eigenvalue, while every diagonal entry stays near 2n, so only the
+        # sign of the LDL^T pivots can tell
+        a = _poisson_fd(64)
+        lam = np.linalg.eigvalsh(a.toarray())
+        shift = 0.5 * (lam[0] + lam[1])
+        b = (a - shift * sp.eye(63)).tocsr()
+        assert np.all(b.diagonal() > 0.0)
+        with pytest.raises(NotPositiveDefinite, match="nonpositive pivot"):
+            SpdSolver(b)
+
+    def test_singular_matrix(self):
+        with pytest.raises(NotPositiveDefinite):
+            SpdSolver(np.ones((2, 2)))
 
     def test_condition_proxy_exposed(self):
         solver = SpdSolver(np.diag([1.0, 1e8]))
@@ -117,3 +138,40 @@ class TestEnrichedSystems:
         b = rng.standard_normal(a.shape[0])
         x = solve_spd(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _dense_cholesky_solve(a, b):
+    """Reference: dense Cholesky of the full matrix."""
+    return sla.cho_solve(sla.cho_factor(a.toarray(), lower=True), b)
+
+
+def _scenario_system(name):
+    """M and dt of a real implicit-Euler system, by scenario name."""
+    from blfem.assembly import assemble_enriched, assemble_standard, build_space
+    from blfem.corrector import EnrichmentSpec
+    from blfem.mesh import build_disk_mesh, build_interval_mesh
+
+    eps = 1e-8
+    if name == "1d-phi_m1_lin":
+        spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=0.02)
+        return assemble_enriched(build_space(build_interval_mesh(50), spec), eps), 0.01
+    mesh = build_disk_mesh(16)
+    kind = name.split("-", 1)[1]
+    if kind == "sfem":
+        return assemble_standard(build_space(mesh), eps), 0.05
+    sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
+    spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma)
+    t = 0.5 if spec.time_dependent else 1.0
+    return assemble_enriched(build_space(mesh, spec), eps, t=t), 0.05
+
+
+class TestSparseFactorAgainstDense:
+    @pytest.mark.parametrize("name", ["2d-sfem", "2d-phi_m1_lin", "2d-phi0_tilde", "2d-phi0", "1d-phi_m1_lin"])
+    def test_agrees_with_dense_cholesky(self, name):
+        system, dt = _scenario_system(name)
+        rng = np.random.default_rng(11)
+        for a in (system.mass, system.mass + dt * system.stiffness):
+            b = rng.standard_normal(a.shape[0])
+            want = _dense_cholesky_solve(a, b)
+            got = SpdSolver(a).solve(b)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

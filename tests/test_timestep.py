@@ -4,11 +4,12 @@ temporal order, determinism, and tagged solver failures."""
 import numpy as np
 import pytest
 
-from blfem.analysis import exact_solution_1d
+import blfem.assembly
+from blfem.analysis import exact_solution_1d, exact_solution_2d
 from blfem.assembly import assemble_enriched, assemble_standard, build_space
 from blfem.corrector import EnrichmentSpec, ProblemData
 from blfem.linsolve import NoConvergence, SolverConfig
-from blfem.mesh import build_interval_mesh
+from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import SolutionField, TimeGrid, advance
 
 
@@ -151,3 +152,24 @@ class TestTimeDependentEnrichment:
         exact = exact_solution_1d(eps)
         sol = advance(space, system, exact.problem(0.2), TimeGrid(T=0.2, n_steps=2))
         assert np.all(sol.history[0, space.n_standard :] == 0.0)
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["phi0_tilde", "phi0"])
+    def test_one_profile_evaluation_per_time_level(self, kind, dim, monkeypatch):
+        eps, n_steps = 1e-4, 4
+        spec = EnrichmentSpec(kind=kind, epsilon=eps)
+        mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
+        space = build_space(mesh, spec)
+        system = assemble_enriched(space, eps, t=0.0)
+        data = exact_solution_1d(eps).problem(1.0) if dim == 1 else exact_solution_2d(eps).problem(1.0)
+        calls = {}
+        for name in ("enrichment_profile", "enrichment_profile_dxi"):
+            def counted(*args, _fn=getattr(blfem.assembly, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(blfem.assembly, name, counted)
+        advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
+        assert 0 < calls["enrichment_profile"] <= n_steps + 2
+        assert 0 < calls["enrichment_profile_dxi"] <= n_steps + 2
