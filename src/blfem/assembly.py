@@ -435,9 +435,19 @@ RAD_N_GAUSS = 5
 
 @dataclass
 class _CouplingLayout2D:
-    """Precomputed geometry for the enriched-space integrals over the
-    triangulated (polygonal) domain, so a time-dependent profile only needs
-    new radial profile values, not new geometry.
+    """The enriched-space integrals over the triangulated (polygonal) domain
+    as linear maps from values at the quadrature points, so a time level only
+    needs new radial profile values, not new geometry.
+
+    Each operator is a CSR matrix with one column per quadrature point that
+    holds the geometry (weights, hats, angular hats, gradients), so one
+    mat-vec sums the point values into the stored entries of a block:
+    - sl_m @ phi and sl_a1 @ dphi + sl_a2 @ phi (times eps) are the data of
+      the coupling blocks msl and asl on the fixed (n, m) CSR pattern
+      (sl_indices, sl_indptr);
+    - ee_m and ee_ang map phi**2, dphi**2 or phi_new * phi_old to the
+      flattened (m, m) enriched blocks;
+    - le @ (phi * f) is the enriched load.
 
     Integrating these blocks over the same polygon as the standard blocks is
     essential: extending them to the curved annulus would make the layer
@@ -447,25 +457,20 @@ class _CouplingLayout2D:
     xi: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    w: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    pt: np.ndarray
-    m_coeff: np.ndarray
-    a1_coeff: np.ndarray
-    a2_coeff: np.ndarray
-    le_rows: np.ndarray
-    le_pt: np.ndarray
-    le_coeff: np.ndarray
-    ee_index: np.ndarray   # row * M + col into the flattened (M, M) block
-    ee_pt: np.ndarray
-    ee_m_coeff: np.ndarray
-    ee_ang_coeff: np.ndarray
+    sl_indices: np.ndarray
+    sl_indptr: np.ndarray
+    sl_m: sp.csr_matrix
+    sl_a1: sp.csr_matrix
+    sl_a2: sp.csr_matrix
+    ee_m: sp.csr_matrix
+    ee_ang: sp.csr_matrix
+    le: sp.csr_matrix
 
 
 def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout2D:
     mesh = space.mesh
     spec = space.enrichment
+    n = space.n_standard
     m = space.n_enriched
     deta = 2.0 * np.pi / m
 
@@ -480,73 +485,58 @@ def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout2D:
     pts, w, bary, tri_idx = quad.points, quad.weights, quad.bary, quad.element
     x, y = pts[:, 0], pts[:, 1]
     eta, xi, r = fitted_arrays(x, y)
+    n_pts = len(xi)
 
     panel = np.minimum((eta / deta).astype(int), m - 1)
     frac = eta / deta - panel
-    psi_l = 1.0 - frac
-    psi_r = frac
+    # the two angular hats alive at each point: columns, values, derivatives
+    cols = np.stack([panel, (panel + 1) % m], axis=1)
+    psi = np.stack([1.0 - frac, frac], axis=1)
+    dpsi = np.array([-1.0, 1.0]) / deta
 
-    area, bx, by = triangle_geometry(mesh.nodes, mesh.triangles)
-    nd = space.node_to_dof
-    n_pts = len(xi)
+    # the three standard hats of each point's triangle: dofs, values (bary)
+    # and the components of their gradients along grad(xi) and grad(eta)
+    _, bx, by = triangle_geometry(mesh.nodes, mesh.triangles)
+    dof = space.node_to_dof[mesh.triangles[tri_idx]]
+    bx, by = bx[tri_idx], by[tri_idx]
+    g_xi = bx * (-x / r)[:, None] + by * (-y / r)[:, None]
+    g_eta = bx * (-y / r**2)[:, None] + by * (x / r**2)[:, None]
+    wb = w[:, None]
 
-    grad_xi = np.stack([-x / r, -y / r], axis=1)
-    grad_eta = np.stack([-y / r**2, x / r**2], axis=1)
+    # Contributions are listed point by point, which is the CSC order of an
+    # operator.  One linear-time conversion gives a family's CSR pattern, with
+    # the flat position of each stored entry's coefficient as its data.
+    def pattern(rows, per_point, n_rows, positions):
+        indptr = np.concatenate([[0], np.cumsum(per_point)])
+        return sp.csc_matrix((positions, rows, indptr), shape=(n_rows, n_pts)).tocsr()
 
-    rows, cols, pt_idx, m_coeff, a1_coeff, a2_coeff = [], [], [], [], [], []
-    pts_range = np.arange(n_pts)
-    for a in range(3):
-        node = mesh.triangles[tri_idx, a]
-        dof = nd[node]
-        hat = bary[:, a]
-        ghat = np.stack([bx[tri_idx, a], by[tri_idx, a]], axis=1)
-        g_xi = np.einsum("pd,pd->p", ghat, grad_xi)
-        g_eta = np.einsum("pd,pd->p", ghat, grad_eta)
-        for col, psi, dpsi in (
-            (panel, psi_l, -1.0 / deta),
-            ((panel + 1) % m, psi_r, 1.0 / deta),
-        ):
-            keep = dof >= 0
-            rows.append(dof[keep])
-            cols.append(col[keep])
-            pt_idx.append(pts_range[keep])
-            m_coeff.append((w * hat * psi)[keep])
-            a1_coeff.append((w * g_xi * psi)[keep])
-            a2_coeff.append((w * g_eta * dpsi)[keep])
+    def operator(pat, coeff):
+        return sp.csr_matrix((coeff.ravel()[pat.data], pat.indices, pat.indptr), shape=pat.shape)
 
-    le_rows = np.concatenate([panel, (panel + 1) % m])
-    le_pt = np.concatenate([pts_range, pts_range])
-    le_coeff = np.concatenate([w * psi_l, w * psi_r])
+    # standard-enriched coupling: (point, standard hat, angular hat), stored
+    # entries numbered in CSR order of the (n, m) pattern
+    keep = (dof >= 0)[:, :, None].repeat(2, axis=2)
+    key = (dof[:, :, None] * m + cols[:, None, :])[keep]
+    keys = np.unique(key)
+    sl = pattern(np.searchsorted(keys, key), keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep))
 
     # enriched-enriched products: each point couples its panel's two hats
-    ee_rows, ee_cols, ee_pt, ee_m_coeff, ee_ang_coeff = [], [], [], [], []
-    inv_r2 = 1.0 / r**2
-    for row, psi_i, dpsi_i in ((panel, psi_l, -1.0 / deta), ((panel + 1) % m, psi_r, 1.0 / deta)):
-        for col, psi_j, dpsi_j in ((panel, psi_l, -1.0 / deta), ((panel + 1) % m, psi_r, 1.0 / deta)):
-            ee_rows.append(row)
-            ee_cols.append(col)
-            ee_pt.append(pts_range)
-            ee_m_coeff.append(w * psi_i * psi_j)
-            ee_ang_coeff.append(w * dpsi_i * dpsi_j * inv_r2)
+    ee_rows = (cols[:, :, None] * m + cols[:, None, :]).ravel()
+    ee = pattern(ee_rows, np.full(n_pts, 4), m * m, np.arange(4 * n_pts))
+    ang = (w[:, None, None] * dpsi[:, None] * dpsi) / (r**2)[:, None, None]
 
     return _CouplingLayout2D(
         xi=xi,
         x=x,
         y=y,
-        w=w,
-        rows=np.concatenate(rows),
-        cols=np.concatenate(cols),
-        pt=np.concatenate(pt_idx),
-        m_coeff=np.concatenate(m_coeff),
-        a1_coeff=np.concatenate(a1_coeff),
-        a2_coeff=np.concatenate(a2_coeff),
-        le_rows=le_rows,
-        le_pt=le_pt,
-        le_coeff=le_coeff,
-        ee_index=np.concatenate(ee_rows) * m + np.concatenate(ee_cols),
-        ee_pt=np.concatenate(ee_pt),
-        ee_m_coeff=np.concatenate(ee_m_coeff),
-        ee_ang_coeff=np.concatenate(ee_ang_coeff),
+        sl_indices=keys % m,
+        sl_indptr=np.searchsorted(keys // m, np.arange(n + 1)),
+        sl_m=operator(sl, (wb * bary)[:, :, None] * psi[:, None, :]),
+        sl_a1=operator(sl, (wb * g_xi)[:, :, None] * psi[:, None, :]),
+        sl_a2=operator(sl, (wb * g_eta)[:, :, None] * dpsi),
+        ee_m=operator(ee, (wb * psi)[:, :, None] * psi[:, None, :]),
+        ee_ang=operator(ee, ang),
+        le=operator(pattern(cols.ravel(), np.full(n_pts, 2), m, np.arange(2 * n_pts)), wb * psi),
     )
 
 
@@ -554,11 +544,6 @@ def _check_gram(mee):
     vals = np.linalg.eigvalsh(mee)
     if vals[0] <= 0.0 or vals[-1] / vals[0] > 1e15:
         raise AssemblyError("enriched Gram block is numerically singular")
-
-
-def _block_sum(flat_index, values, m):
-    """(m, m) matrix of the values summed at their flattened positions."""
-    return np.bincount(flat_index, weights=values, minlength=m * m).reshape(m, m)
 
 
 @dataclass(frozen=True)
@@ -577,24 +562,17 @@ class EnrichedLevel:
 def _enriched_blocks_2d(space, layout, epsilon, t):
     spec = space.enrichment
     m = space.n_enriched
-    n = space.n_standard
     phi = np.asarray(enrichment_profile(spec, layout.xi, t), dtype=float)
     dphi = np.asarray(enrichment_profile_dxi(spec, layout.xi, t), dtype=float)
-    msl = sp.coo_matrix(
-        (layout.m_coeff * phi[layout.pt], (layout.rows, layout.cols)), shape=(n, m)
-    ).tocsr()
-    asl = sp.coo_matrix(
-        (
-            epsilon * (layout.a1_coeff * dphi[layout.pt] + layout.a2_coeff * phi[layout.pt]),
-            (layout.rows, layout.cols),
-        ),
-        shape=(n, m),
-    ).tocsr()
 
-    phi2 = (phi**2)[layout.ee_pt]
-    dphi2 = (dphi**2)[layout.ee_pt]
-    mee = _block_sum(layout.ee_index, layout.ee_m_coeff * phi2, m)
-    aee = _block_sum(layout.ee_index, epsilon * (layout.ee_m_coeff * dphi2 + layout.ee_ang_coeff * phi2), m)
+    def coupling(data):
+        return sp.csr_matrix((data, layout.sl_indices, layout.sl_indptr), shape=(space.n_standard, m))
+
+    msl = coupling(layout.sl_m @ phi)
+    asl = coupling(epsilon * (layout.sl_a1 @ dphi + layout.sl_a2 @ phi))
+    phi2 = phi**2
+    mee = (layout.ee_m @ phi2).reshape(m, m)
+    aee = (epsilon * (layout.ee_m @ dphi**2 + layout.ee_ang @ phi2)).reshape(m, m)
     mee = 0.5 * (mee + mee.T)
     aee = 0.5 * (aee + aee.T)
     return EnrichedLevel(msl, asl, mee, aee, phi)
@@ -675,13 +653,11 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
             return _enriched_blocks_2d(space, layout, epsilon, tt)
 
         def cross_radial(phi_new, phi_old):
-            cee = _block_sum(layout.ee_index, layout.ee_m_coeff * (phi_new * phi_old)[layout.ee_pt], m)
+            cee = (layout.ee_m @ (phi_new * phi_old)).reshape(m, m)
             return 0.5 * (cee + cee.T)
 
         def enriched_load(f, tt, phi_vals):
-            fvals = np.asarray(f(layout.x, layout.y, tt), dtype=float)
-            contrib = layout.le_coeff * (phi_vals * fvals)[layout.le_pt]
-            return np.bincount(layout.le_rows, weights=contrib, minlength=m)
+            return layout.le @ (phi_vals * np.asarray(f(layout.x, layout.y, tt), dtype=float))
 
     def restack(level):
         return _stack_blocks(mss, ass, level.msl, level.asl, level.mee, level.aee)

@@ -143,12 +143,15 @@ class CutoffSpec:
 def cutoff_delta(spec: CutoffSpec, xi):
     """Cutoff value; monotone non-increasing, C^(degree-1)/2-smooth."""
     s = (np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner)
-    s = np.clip(s, 0.0, 1.0)
+    # off the ramp s would clip to 0 or 1, where the polynomial is 0 or 1
+    val = np.where(s <= 0.0, 1.0, 0.0)
+    ramp = (s > 0.0) & (s < 1.0)
+    s = s[ramp]
     if spec.degree == 3:
-        ramp = s * s * (3.0 - 2.0 * s)
+        val[ramp] = 1.0 - s * s * (3.0 - 2.0 * s)
     else:
-        ramp = s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
-    return (1.0 - ramp)[()]
+        val[ramp] = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
+    return val[()]
 
 
 def cutoff_delta_dxi(spec: CutoffSpec, xi):
@@ -189,6 +192,9 @@ class EnrichmentSpec:
                 raise ValueError("phi_m1_lin requires sigma > 0")
             if self.sigma > self.cutoff.outer:
                 raise ValueError("sigma must not exceed the cutoff support")
+        n = self.time_quadrature_points
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= 64:
+            raise ValueError("time_quadrature_points must be an integer in [1, 64]")
 
     @property
     def time_dependent(self):
@@ -200,26 +206,41 @@ class EnrichmentSpec:
         return self.sigma if self.kind == "phi_m1_lin" else self.cutoff.outer
 
 
+# erfc_gauss(z) == 0 for z >= 37.68 and exp(-a) == 0 for a >= 745.14: both
+# underflow in double precision
+_ERFC_GAUSS_ZERO = 37.68
+_EXP_ZERO = 745.14
+
+
 def _kernel_time_integral(spec, xi, t):
-    # int_0^t I(xi, tau) dtau via tau = v^2, removing the sqrt scale at 0
+    # int_0^t I(xi, tau) dtau via tau = v^2, removing the sqrt scale at 0.
+    # z falls as v grows, so a point whose z at the largest node is past the
+    # erfc underflow sums a row of exact zeros; only the other rows are
+    # evaluated, each over all nodes, so every sum is unchanged
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros_like(xi)
     if t == 0.0:
-        return np.zeros_like(np.asarray(xi, dtype=float))
+        return out
     rule = gauss_interval(spec.time_quadrature_points)
     v = np.sqrt(t) * rule.points
     w = np.sqrt(t) * rule.weights * 2.0 * v
-    xi = np.asarray(xi, dtype=float)
-    z = xi[..., None] / np.sqrt(2.0 * spec.epsilon) / v
-    return np.sum(erfc_gauss(z) * w, axis=-1)
+    scaled = xi / np.sqrt(2.0 * spec.epsilon)
+    live = scaled / v.max() < _ERFC_GAUSS_ZERO
+    out[live] = np.sum(erfc_gauss(scaled[live][:, None] / v) * w, axis=-1)
+    return out
 
 
 def _kernel_time_integral_dxi(spec, xi, t):
-    # d/dxi int_0^t I dtau = -(2/sqrt(pi eps)) int_0^sqrt(t) exp(-xi^2/(4 eps v^2)) dv
+    # d/dxi int_0^t I dtau = -(2/sqrt(pi eps)) int_0^sqrt(t) exp(-xi^2/(4 eps v^2)) dv,
+    # skipping the rows whose exponent underflows at the largest node
     rule = gauss_interval(spec.time_quadrature_points)
     v = np.sqrt(t) * rule.points
     w = np.sqrt(t) * rule.weights
-    xi = np.asarray(xi, dtype=float)
-    g = np.exp(-(xi[..., None] ** 2) / (4.0 * spec.epsilon * v**2))
-    return -2.0 / np.sqrt(np.pi * spec.epsilon) * np.sum(g * w, axis=-1)
+    xi2 = np.asarray(xi, dtype=float) ** 2
+    live = xi2 / (4.0 * spec.epsilon * v.max() ** 2) < _EXP_ZERO
+    out = np.zeros_like(xi2)
+    out[live] = np.sum(np.exp(-xi2[live][:, None] / (4.0 * spec.epsilon * v**2)) * w, axis=-1)
+    return -2.0 / np.sqrt(np.pi * spec.epsilon) * out
 
 
 def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None):
@@ -232,8 +253,8 @@ def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None):
         ramp = (1.0 - math.exp(-(s**2) / (4.0 * spec.epsilon))) * xi / s
         val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon)) - ramp) * (xi <= s)
     elif spec.kind == "phi0_tilde":
-        if t is None:
-            raise ValueError("phi0_tilde requires a time")
+        if t is None or t < 0.0:
+            raise ValueError("phi0_tilde requires t >= 0")
         if t == 0.0:
             # pointwise t -> 0+ limit: the Gaussian factor tends to 1 away
             # from xi = 0 and to 0 at xi = 0
@@ -241,8 +262,8 @@ def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None):
         else:
             val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(spec.cutoff, xi)
     else:  # phi0
-        if t is None:
-            raise ValueError("phi0 requires a time")
+        if t is None or t < 0.0:
+            raise ValueError("phi0 requires t >= 0")
         val = (1.0 - _kernel_time_integral(spec, xi, t)) * cutoff_delta(spec.cutoff, xi)
     return val[()]
 
@@ -278,7 +299,10 @@ def enrichment_profile_dxi(spec: EnrichmentSpec, xi, t: float = None):
         if t == 0.0:
             # the time integral and its derivative vanish at t = 0
             return cutoff_delta_dxi(spec.cutoff, xi)[()]
-        val = -_kernel_time_integral_dxi(spec, xi, t) * cutoff_delta(spec.cutoff, xi) + (
-            1.0 - _kernel_time_integral(spec, xi, t)
-        ) * cutoff_delta_dxi(spec.cutoff, xi)
+        # the kernel integral itself only matters where the cutoff slopes
+        slope = cutoff_delta_dxi(spec.cutoff, xi)
+        ramp = slope != 0.0
+        kernel = np.zeros_like(xi)
+        kernel[ramp] = _kernel_time_integral(spec, xi[ramp], t)
+        val = -_kernel_time_integral_dxi(spec, xi, t) * cutoff_delta(spec.cutoff, xi) + (1.0 - kernel) * slope
     return val[()]

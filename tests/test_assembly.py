@@ -15,6 +15,7 @@ from blfem.assembly import (
     assemble_enriched,
     assemble_standard,
     build_space,
+    element_rules_2d,
     evaluate_field_1d,
     evaluate_field_2d,
     evaluate_gradient_1d,
@@ -401,6 +402,89 @@ class TestTimeLevels:
             # t = 0.3 and 0.5 differ by ~3e-3 in this integral
             assert cross[n, n] == pytest.approx(want, rel=1e-6)
             assert cross[n + 1, n + 1] == pytest.approx(want, rel=1e-6)
+
+
+def _reference_blocks_2d(space, eps, t, t_old, f):
+    """The enriched 2D blocks at t by one COO / bincount contribution per
+    (point, hat, angular hat): msl, asl, mee, aee, the cross Gram block
+    between t and t_old, and the enriched load of f at t (all dense)."""
+    mesh, spec = space.mesh, space.enrichment
+    n, m = space.n_standard, space.n_enriched
+    deta = 2.0 * np.pi / m
+    r_max = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])[mesh.triangles].max(axis=1)
+    quad = element_rules_2d(mesh, spec.epsilon, triangles=np.nonzero(r_max > 1.0 - spec.support + 1e-12)[0])
+    x, y = quad.points[:, 0], quad.points[:, 1]
+    w, tri = quad.weights, quad.element
+    eta, xi, r = fitted_arrays(x, y)
+    phi = enrichment_profile(spec, xi, t)
+    dphi = enrichment_profile_dxi(spec, xi, t)
+    phi_old = enrichment_profile(spec, xi, t_old)
+    panel = np.minimum((eta / deta).astype(int), m - 1)
+    frac = eta / deta - panel
+    hats = ((panel, 1.0 - frac, -1.0 / deta), ((panel + 1) % m, frac, 1.0 / deta))
+    _, bx, by = triangle_geometry(mesh.nodes, mesh.triangles)
+
+    rows, cols, mvals, avals = [], [], [], []
+    for a in range(3):
+        dof = space.node_to_dof[mesh.triangles[tri, a]]
+        keep = dof >= 0
+        g_xi = -(bx[tri, a] * x + by[tri, a] * y) / r
+        g_eta = (by[tri, a] * x - bx[tri, a] * y) / r**2
+        for col, psi, dpsi in hats:
+            rows.append(dof[keep])
+            cols.append(col[keep])
+            mvals.append((w * quad.bary[:, a] * psi * phi)[keep])
+            avals.append((eps * w * (g_xi * psi * dphi + g_eta * dpsi * phi))[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+
+    def coupling(vals):
+        return sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(n, m)).toarray()
+
+    def gram(vals):
+        g = sum(np.bincount(ri * m + ci, weights=w * v, minlength=m * m) for ri, ci, v in vals).reshape(m, m)
+        return 0.5 * (g + g.T)
+
+    pairs = [(ri, ci, pi * pj, di * dj) for ri, pi, di in hats for ci, pj, dj in hats]
+    return dict(
+        msl=coupling(mvals),
+        asl=coupling(avals),
+        mee=gram([(ri, ci, pp * phi**2) for ri, ci, pp, _ in pairs]),
+        aee=gram([(ri, ci, eps * (pp * dphi**2 + dd * phi**2 / r**2)) for ri, ci, pp, dd in pairs]),
+        cee=gram([(ri, ci, pp * phi * phi_old) for ri, ci, pp, _ in pairs]),
+        load=sum(np.bincount(col, weights=w * psi * phi * f(x, y, t), minlength=m) for col, psi, _ in hats),
+    )
+
+
+def _source(x, y, t):
+    return (1.0 + x - 2.0 * y) * (1.0 + t)
+
+
+class TestOperatorAssembly2D:
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde", "phi_m1", "phi_m1_lin"])
+    def test_level_matches_contribution_assembly(self, kind):
+        eps = 1e-5
+        mesh = build_disk_mesh(16)
+        sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+        parts = assemble_enriched(space, eps, t=0.0).parts
+        n = space.n_standard
+        new, old = parts["rebuild"](0.5), parts["rebuild"](0.3)
+        ref = _reference_blocks_2d(space, eps, 0.5, 0.3, _source)
+        cross = parts["cross_mass"](new, old).toarray()
+        got = dict(
+            msl=new.msl.toarray(),
+            asl=new.asl.toarray(),
+            mee=new.mee,
+            aee=new.aee,
+            cee=cross[n:, n:],
+            load=parts["make_load"](_source)(0.5, phi_vals=new.phi)[n:],
+        )
+        for name, want in ref.items():
+            scale = np.max(np.abs(want))
+            assert scale > 0.0, name
+            assert np.max(np.abs(got[name] - want)) <= 1e-14 * scale, name
+        assert np.array_equal(new.msl.indices, old.msl.indices)
+        assert np.array_equal(new.msl.indptr, old.msl.indptr)
 
 
 class TestProjectionAndEvaluation:

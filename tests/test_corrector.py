@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from blfem.assembly import element_rules_2d, fitted_arrays
 from blfem.corrector import (
     ENRICHMENT_KINDS,
     CutoffSpec,
     EnrichmentSpec,
     ProblemData,
+    _kernel_time_integral,
+    _kernel_time_integral_dxi,
     cutoff_delta,
     cutoff_delta_dxi,
     enrichment_profile,
@@ -20,6 +23,9 @@ from blfem.corrector import (
     limit_solution,
     theta0,
 )
+from blfem.mesh import build_disk_mesh
+from blfem.quadrature import gauss_interval
+from blfem.specfun import erfc_gauss
 
 
 def _data_1d(epsilon=1e-3, f=None, u0=None, T=1.0):
@@ -265,7 +271,143 @@ class TestEnrichmentProfiles:
         spec_t = EnrichmentSpec(kind="phi0_tilde", epsilon=1e-4)
         assert enrichment_profile_dxi(spec_t, 0.0, t=0.0) == 0.0
 
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    def test_negative_time_rejected(self, kind):
+        spec = EnrichmentSpec(kind=kind, epsilon=1e-4)
+        xi = np.linspace(0.0, 0.6, 7)
+        with pytest.raises(ValueError, match="t >= 0"):
+            enrichment_profile(spec, xi, t=-0.1)
+        with pytest.raises(ValueError, match="t >= 0"):
+            enrichment_profile_dxi(spec, xi, t=-0.1)
+
+    @pytest.mark.parametrize("n", [0, 65, 2.5, 48.0, True, "48", None])
+    def test_time_quadrature_points_validated(self, n):
+        with pytest.raises(ValueError, match="time_quadrature_points"):
+            EnrichmentSpec(kind="phi0", epsilon=1e-4, time_quadrature_points=n)
+
+    @pytest.mark.parametrize("n", [1, 64, np.int64(12)])
+    def test_time_quadrature_points_accepted(self, n):
+        spec = EnrichmentSpec(kind="phi0", epsilon=1e-4, time_quadrature_points=n)
+        assert np.isfinite(enrichment_profile(spec, 0.01, t=0.5))
+
     def test_phi0_tilde_time_zero_limit(self):
         spec = EnrichmentSpec(kind="phi0_tilde", epsilon=1e-4)
         assert enrichment_profile(spec, 0.0, t=0.0) == 0.0
         assert enrichment_profile(spec, 0.1, t=0.0) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# dense all-pairs references for the phi0 kernel integrals and the cutoff: the
+# library skips rows and points whose terms are exactly zero, and must agree
+# with these to the bit
+
+
+def _ref_cutoff_delta(spec, xi):
+    s = np.clip((np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner), 0.0, 1.0)
+    if spec.degree == 3:
+        ramp = s * s * (3.0 - 2.0 * s)
+    else:
+        ramp = s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
+    return (1.0 - ramp)[()]
+
+
+def _ref_kernel_time_integral(spec, xi, t):
+    rule = gauss_interval(spec.time_quadrature_points)
+    v = np.sqrt(t) * rule.points
+    w = np.sqrt(t) * rule.weights * 2.0 * v
+    z = np.asarray(xi, dtype=float)[..., None] / np.sqrt(2.0 * spec.epsilon) / v
+    return np.sum(erfc_gauss(z) * w, axis=-1)
+
+
+def _ref_kernel_time_integral_dxi(spec, xi, t):
+    rule = gauss_interval(spec.time_quadrature_points)
+    v = np.sqrt(t) * rule.points
+    w = np.sqrt(t) * rule.weights
+    g = np.exp(-(np.asarray(xi, dtype=float)[..., None] ** 2) / (4.0 * spec.epsilon * v**2))
+    return -2.0 / np.sqrt(np.pi * spec.epsilon) * np.sum(g * w, axis=-1)
+
+
+def _ref_phi0(spec, xi, t):
+    return (1.0 - _ref_kernel_time_integral(spec, xi, t)) * _ref_cutoff_delta(spec.cutoff, xi)
+
+
+def _ref_phi0_dxi(spec, xi, t):
+    return -_ref_kernel_time_integral_dxi(spec, xi, t) * _ref_cutoff_delta(spec.cutoff, xi) + (
+        1.0 - _ref_kernel_time_integral(spec, xi, t)
+    ) * cutoff_delta_dxi(spec.cutoff, xi)
+
+
+@pytest.fixture(scope="module", params=[1e-3, 1e-5, 1e-8])
+def layer_xi(request):
+    """eps, and xi on [0, 0.6] plus at every quadrature point of a B = 52 disk
+    layout.  At eps = 1e-3 the kernel integral is still nonzero on the cutoff
+    ramp; at the smaller eps it vanishes there."""
+    eps = request.param
+    pts = element_rules_2d(build_disk_mesh(52), eps).points
+    return eps, np.concatenate([np.linspace(0.0, 0.6, 3001), fitted_arrays(pts[:, 0], pts[:, 1])[1]])
+
+
+class TestKernelRowSkip:
+    def test_underflow_facts(self):
+        # the row skip relies on these values being exact zeros
+        assert erfc_gauss(38.0) == 0.0
+        assert erfc_gauss(37.68) == 0.0
+        assert np.exp(-746.0) == 0.0
+        assert np.exp(-745.14) == 0.0
+
+    @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0])
+    def test_phi0_profile_bit_identical_to_dense_reference(self, layer_xi, t):
+        eps, xi = layer_xi
+        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
+        got = np.asarray(enrichment_profile(spec, xi, t=t))
+        want = _ref_phi0(spec, xi, t)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0])
+    def test_phi0_derivative_equal_to_dense_reference(self, layer_xi, t):
+        # skipped rows may carry +0.0 where the reference has -0.0
+        eps, xi = layer_xi
+        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
+        assert np.array_equal(enrichment_profile_dxi(spec, xi, t=t), _ref_phi0_dxi(spec, xi, t))
+
+    @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0])
+    def test_kernel_integrals_bit_identical_to_dense_reference(self, layer_xi, t):
+        # the profile hides rows whose integral is tiny but not zero (1 - K
+        # rounds to 1), so the integrals are compared on their own
+        eps, xi = layer_xi
+        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
+        for got, ref in (
+            (_kernel_time_integral, _ref_kernel_time_integral),
+            (_kernel_time_integral_dxi, _ref_kernel_time_integral_dxi),
+        ):
+            assert got(spec, xi, t).tobytes() == ref(spec, xi, t).tobytes()
+
+    def test_inputs_have_live_and_skipped_rows(self, layer_xi):
+        # both sides of each skip are exercised by the comparisons above
+        eps, xi = layer_xi
+        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
+        for kernel in (_ref_kernel_time_integral, _ref_kernel_time_integral_dxi):
+            assert 0 < np.count_nonzero(kernel(spec, xi, 0.2)) < len(xi)
+
+    def test_phi0_scalar_input(self):
+        spec = EnrichmentSpec(kind="phi0", epsilon=1e-5)
+        for xi in (0.0, 1e-3, 0.3, 0.6):
+            got = enrichment_profile(spec, xi, t=0.2)
+            assert np.ndim(got) == 0
+            assert np.asarray(got).tobytes() == np.asarray(_ref_phi0(spec, xi, 0.2)).tobytes()
+            assert enrichment_profile_dxi(spec, xi, t=0.2) == _ref_phi0_dxi(spec, xi, 0.2)
+
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_cutoff_bit_identical_to_clipped_polynomial(self, degree):
+        spec = CutoffSpec(degree=degree)
+        ends = [spec.inner, spec.outer, np.nextafter(spec.inner, 1.0), np.nextafter(spec.outer, 0.0)]
+        xi = np.concatenate([np.linspace(-0.1, 1.0, 4001), ends])
+        got = np.asarray(cutoff_delta(spec, xi))
+        assert got.tobytes() == _ref_cutoff_delta(spec, xi).tobytes()
+        for x in (0.0, spec.inner, 0.3, spec.outer, 0.9):
+            val = cutoff_delta(spec, x)
+            assert np.ndim(val) == 0
+            assert np.asarray(val).tobytes() == np.asarray(_ref_cutoff_delta(spec, x)).tobytes()
+        grid = xi.reshape(-1, 1)
+        assert np.asarray(cutoff_delta(spec, grid)).tobytes() == _ref_cutoff_delta(spec, grid).tobytes()
