@@ -45,39 +45,29 @@ class ExactSolution1D:
 
     epsilon: float
 
-    @staticmethod
-    def _g(s):
-        return 1.0 - np.exp(-s) * np.cos(s)
-
-    @staticmethod
-    def _g1(s):
-        return np.exp(-s) * (np.cos(s) + np.sin(s))
-
-    @staticmethod
-    def _g2(s):
-        return -2.0 * np.exp(-s) * np.sin(s)
+    def _layers(self, x):
+        """g, g' and g'' at s = x/sqrt(eps) and at s = (1-x)/sqrt(eps), each
+        from one exp(-s), cos(s) and sin(s)."""
+        rt = np.sqrt(self.epsilon)
+        out = []
+        for s in (np.asarray(x) / rt, (1.0 - np.asarray(x)) / rt):
+            e, c, sn = np.exp(-s), np.cos(s), np.sin(s)
+            out.append((1.0 - e * c, e * (c + sn), -2.0 * e * sn))
+        return out
 
     def u(self, x, t):
-        rt = np.sqrt(self.epsilon)
-        return t * self._g(np.asarray(x) / rt) * self._g((1.0 - np.asarray(x)) / rt)
+        (ga, _, _), (gb, _, _) = self._layers(x)
+        return t * ga * gb
 
     def u_x(self, x, t):
-        rt = np.sqrt(self.epsilon)
-        a = np.asarray(x) / rt
-        b = (1.0 - np.asarray(x)) / rt
-        return t / rt * (self._g1(a) * self._g(b) - self._g(a) * self._g1(b))
+        (ga, g1a, _), (gb, g1b, _) = self._layers(x)
+        return t / np.sqrt(self.epsilon) * (g1a * gb - ga * g1b)
 
     def f(self, x, t):
         """Source u_t - eps * u_xx from the closed-form derivatives."""
-        rt = np.sqrt(self.epsilon)
-        a = np.asarray(x) / rt
-        b = (1.0 - np.asarray(x)) / rt
-        lap = (
-            self._g2(a) * self._g(b)
-            - 2.0 * self._g1(a) * self._g1(b)
-            + self._g(a) * self._g2(b)
-        ) / self.epsilon
-        return self._g(a) * self._g(b) - t * self.epsilon * lap
+        (ga, g1a, g2a), (gb, g1b, g2b) = self._layers(x)
+        lap = (g2a * gb - 2.0 * g1a * g1b + ga * g2b) / self.epsilon
+        return ga * gb - t * self.epsilon * lap
 
     def u0(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -257,16 +247,22 @@ def _element_rules(mesh, epsilon, refine=1):
     return rules(mesh, epsilon, refine=refine)
 
 
-def _error_integrals(space, coeffs, exact, t, layout):
-    """Squared L2 error, squared L2 norm of the exact solution, and squared
-    H1-seminorm error over the layout."""
+def _discrete_field(space, coeffs, layout, t):
+    """Value and gradient of the discrete field at the layout's points."""
     if space.mesh.dim == 1:
         x = layout.points
-        uh = evaluate_field_1d(space, coeffs, x, t)
-        ue = exact.u(x, t)
-        sq_grad_err = (evaluate_gradient_1d(space, coeffs, x, t) - exact.u_x(x, t)) ** 2
+        return evaluate_field_1d(space, coeffs, x, t), evaluate_gradient_1d(space, coeffs, x, t)
+    return _field_on_layout_2d(space, coeffs, layout, t)
+
+
+def _error_integrals(exact, t, layout, field):
+    """Squared L2 error, squared L2 norm of the exact solution, and squared
+    H1-seminorm error over the layout, given the discrete field there."""
+    uh, guh = field
+    if layout.points.ndim == 1:
+        ue = exact.u(layout.points, t)
+        sq_grad_err = (guh - exact.u_x(layout.points, t)) ** 2
     else:
-        uh, guh = _field_on_layout_2d(space, coeffs, layout, t)
         ue = exact.u(layout.points[:, 0], layout.points[:, 1], t)
         gue = exact.grad(layout.points[:, 0], layout.points[:, 1], t)
         sq_grad_err = np.sum((guh - gue) ** 2, axis=1)
@@ -277,14 +273,14 @@ def _error_integrals(space, coeffs, exact, t, layout):
 def relative_l2_error(space, coeffs, exact, t, epsilon, refine: int = 1) -> float:
     """Relative L2 error of the discrete field against the exact solution."""
     layout = _element_rules(space.mesh, epsilon, refine)
-    err2, ex2, _ = _error_integrals(space, coeffs, exact, t, layout)
+    err2, ex2, _ = _error_integrals(exact, t, layout, _discrete_field(space, coeffs, layout, t))
     if np.sqrt(ex2) < 1e-300:
         raise ZeroDivisionError("exact solution vanishes in L2")
     return float(np.sqrt(err2 / ex2))
 
 
 def oscillation_index(
-    space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP, layout=None
+    space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP, layout=None, uh=None
 ) -> float:
     """Maximum overshoot of the discrete solution beyond the exact
     solution's local range within the boundary strip, normalized by
@@ -296,6 +292,7 @@ def oscillation_index(
     through the layer at a slightly shifted position is not penalized while
     genuine over/undershoot beyond the traversed range is.  `layout` is the
     unrefined layout over every element of the mesh, built here if not
+    given, and `uh` the discrete field at its points, evaluated here if not
     given."""
     mesh = space.mesh
     if layout is None:
@@ -306,13 +303,16 @@ def oscillation_index(
         uev = np.asarray(exact.u(mesh.nodes, t), dtype=float)[elems]
         mid = mesh.nodes[elems].mean(axis=1)
         in_strip = (mid < strip) | (mid > 1.0 - strip)
-        uh = np.asarray(evaluate_field_1d(space, coeffs, layout.points, t), dtype=float)
+        if uh is None:
+            uh = evaluate_field_1d(space, coeffs, layout.points, t)
     else:
         elems = mesh.triangles
         ue = np.asarray(exact.u(layout.points[:, 0], layout.points[:, 1], t), dtype=float)
         uev = np.asarray(exact.u(mesh.nodes[:, 0], mesh.nodes[:, 1], t), dtype=float)[elems]
         in_strip = np.hypot(*mesh.nodes[elems].mean(axis=1).T) >= 1.0 - strip
-        uh, _ = _field_on_layout_2d(space, coeffs, layout, t)
+        if uh is None:
+            uh, _ = _field_on_layout_2d(space, coeffs, layout, t)
+    uh = np.asarray(uh, dtype=float)
     global_max = float(np.abs(ue).max())
     if global_max < 1e-300:
         return 0.0
@@ -327,12 +327,16 @@ def compute_error_report(
     degenerate_ok: bool = False,
 ) -> ErrorReport:
     layout = _element_rules(space.mesh, epsilon, refine)
-    err2, ex2, h12 = _error_integrals(space, coeffs, exact, t, layout)
+    field = _discrete_field(space, coeffs, layout, t)
+    err2, ex2, h12 = _error_integrals(exact, t, layout, field)
     vanishes = np.sqrt(ex2) < 1e-300
     if vanishes and not degenerate_ok:
         raise ZeroDivisionError("exact solution vanishes in L2")
     # the oscillation index always reads the unrefined layout
-    osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout if refine == 1 else None)
+    if refine == 1:
+        osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout, uh=field[0])
+    else:
+        osc = oscillation_index(space, coeffs, exact, t, epsilon)
     return ErrorReport(
         rel_l2=float("nan") if vanishes else float(np.sqrt(err2 / ex2)),
         abs_l2=float(np.sqrt(err2)),

@@ -25,7 +25,6 @@ from .quadrature import (
     gauss_interval,
     gauss_triangle,
     geometric_panels,
-    layer_strip_rule,
 )
 
 SMOOTH_TRI_DEGREE = 4
@@ -91,20 +90,6 @@ def _symmetrize(a):
 # quadrature layouts for loads and error integration
 
 
-def _interval_points(a, b, eps, toward, n_sub=6, n_gauss=4):
-    """Composite Gauss points on [a, b], geometrically graded toward one end
-    ('left'/'right'/None) with first panel width ~2 sqrt(eps)."""
-    length = b - a
-    if toward is None:
-        breaks = np.linspace(0.0, length, 3)
-    else:
-        breaks = geometric_panels(length, n_sub, 2.0 * np.sqrt(eps))
-    rule = composite_interval(breaks, n_gauss)
-    if toward == "right":
-        return b - rule.points[::-1], rule.weights[::-1]
-    return a + rule.points, rule.weights
-
-
 def _starts(counts):
     """Offset of each element's first point, from per-element point counts."""
     return np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -113,28 +98,36 @@ def _starts(counts):
 def element_rules_1d(mesh: Mesh1D, eps: float, refine: int = 1) -> QuadratureLayout:
     """Per-element quadrature resolving boundary layers of width sqrt(eps).
 
-    Elements near either endpoint are graded toward it; interior elements
-    get plain composite Gauss.  `refine` doubles panel counts (used by the
-    norm self-consistency check)."""
-    pts, wts = [], []
-    for a, b in mesh.nodes[mesh.elements]:
-        if a < 0.3:
-            toward = "left"
-        elif b > 0.7:
-            toward = "right"
+    Elements with a < 0.3 are graded toward the left end and those with
+    b > 0.7 toward the right one: n_sub geometric panels whose first width is
+    ~2 sqrt(eps), with n_gauss points each.  Interior elements get two plain
+    Gauss panels.  One composite rule is built per distinct (length, graded)
+    pair and shifted onto its elements (a + p, or b - p reversed toward the
+    right end).  `refine` doubles panel counts (used by the norm
+    self-consistency check)."""
+    n_sub, n_gauss = 6 * refine, 4 * refine
+    a, b = mesh.nodes[mesh.elements].T
+    right = (a >= 0.3) & (b > 0.7)
+    graded = (a < 0.3) | right
+    counts = np.where(graded, n_sub, 2) * n_gauss
+    starts = _starts(counts)
+    points, weights = np.empty(counts.sum()), np.empty(counts.sum())
+    keys, inverse = np.unique(np.stack([b - a, graded]), axis=1, return_inverse=True)
+    for k, (length, grade) in enumerate(keys.T):
+        if grade:
+            breaks = geometric_panels(length, n_sub, 2.0 * np.sqrt(eps))
         else:
-            toward = None
-        p, w = _interval_points(a, b, eps, toward, n_sub=6 * refine, n_gauss=4 * refine)
-        pts.append(p)
-        wts.append(w)
-    counts = np.array([len(w) for w in wts])
+            breaks = np.linspace(0.0, length, 3)
+        rule = composite_interval(breaks, n_gauss)
+        at = starts[:, None] + np.arange(len(rule.weights))
+        sel = (inverse == k) & ~right
+        points[at[sel]], weights[at[sel]] = a[sel, None] + rule.points, rule.weights
+        sel = (inverse == k) & right
+        points[at[sel]], weights[at[sel]] = b[sel, None] - rule.points[::-1], rule.weights[::-1]
     element = np.repeat(np.arange(len(mesh.elements)), counts)
-    points = np.concatenate(pts)
-    a, b = mesh.nodes[mesh.elements[element]].T
+    a, b = a[element], b[element]
     lam = (points - a) / (b - a)
-    return QuadratureLayout(
-        points, np.concatenate(wts), np.stack([1.0 - lam, lam], axis=1), element, _starts(counts)
-    )
+    return QuadratureLayout(points, weights, np.stack([1.0 - lam, lam], axis=1), element, starts)
 
 
 def _sym_geometric_panels(n_half, first_width):
@@ -249,25 +242,12 @@ def triangle_geometry(nodes, tris):
 def _assemble_standard_1d(space, epsilon):
     mesh = space.mesh
     nd = space.node_to_dof
-    rows, cols, mvals, avals = [], [], [], []
-    for i, j in mesh.elements:
-        h = mesh.nodes[j] - mesh.nodes[i]
-        if h <= 0.0:
-            raise AssemblyError("degenerate element")
-        local_m = np.array([[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]])
-        local_a = epsilon / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        dofs = [nd[i], nd[j]]
-        for a in range(2):
-            for b in range(2):
-                if dofs[a] >= 0 and dofs[b] >= 0:
-                    rows.append(dofs[a])
-                    cols.append(dofs[b])
-                    mvals.append(local_m[a, b])
-                    avals.append(local_a[a, b])
-    n = space.n_standard
-    mass = sp.csr_matrix((mvals, (rows, cols)), shape=(n, n))
-    stiff = sp.csr_matrix((avals, (rows, cols)), shape=(n, n))
-    return mass, stiff
+    h = mesh.nodes[mesh.elements[:, 1]] - mesh.nodes[mesh.elements[:, 0]]
+    if np.any(h <= 0.0):
+        raise AssemblyError("degenerate element")
+    local_m = h[:, None, None] / np.array([[3.0, 6.0], [6.0, 3.0]])
+    local_a = (epsilon / h)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return _p1_matrices(space, nd[mesh.elements], local_m, local_a)
 
 
 def _assemble_standard_2d(space, epsilon):
@@ -277,12 +257,18 @@ def _assemble_standard_2d(space, epsilon):
     if np.any(area <= 0.0):
         raise AssemblyError("degenerate or misoriented triangle")
     tris = mesh.triangles
-    nt = len(tris)
     local_m = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
     grads = np.stack([bx, by], axis=2)  # (nt, 3, 2)
     local_a = epsilon * area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-    rows = np.repeat(nd[tris], 3, axis=1).ravel()
-    cols = np.tile(nd[tris], (1, 3)).ravel()
+    return _p1_matrices(space, nd[tris], local_m, local_a)
+
+
+def _p1_matrices(space, dofs, local_m, local_a):
+    """Mass and stiffness from element matrices (elements, k, k) over the
+    element DOFs (elements, k); boundary DOFs (-1) are dropped."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
     keep = (rows >= 0) & (cols >= 0)
     n = space.n_standard
     mass = sp.csr_matrix((local_m.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n))
@@ -291,12 +277,15 @@ def _assemble_standard_2d(space, epsilon):
 
 
 def _load_layout(space, epsilon):
-    """Precompute quadrature points, weights, DOF targets and hat values for
-    the standard load vector; returns arrays usable for any time level.
+    """The standard load vector as a linear map from source values: returns
+    the quadrature points, each stored once as flat (elements * points,)
+    coordinate arrays, and the CSR operator (DOFs, points) with entries
+    weight * hat, so that load = op @ f(*coords, t) at any time level.
 
     Standard loads use the smooth-term quadrature (plain Gauss), matching
-    the classical scheme; only enrichment integrals get layer rules.
-    Contributions are ordered by element, then vertex, then point."""
+    the classical scheme; only enrichment integrals get layer rules.  The
+    entries are listed by element, then vertex, then point, so each row's
+    points increase and the mat-vec sums them in that order."""
     mesh = space.mesh
     if mesh.dim == 1:
         base = gauss_interval(4)
@@ -311,17 +300,14 @@ def _load_layout(space, epsilon):
         hats = lam.T
         elems = mesh.triangles
     dofs = space.node_to_dof[elems]
-    keep = np.broadcast_to((dofs >= 0)[:, :, None], dofs.shape + hats.shape[-1:])
-
-    def spread(vals):
-        return np.broadcast_to(vals, keep.shape)[keep]
-
-    return (
-        tuple(spread(c[:, None, :]) for c in coords),
-        spread(wts[:, None, :]),
-        spread(dofs[:, :, None]),
-        spread(hats),
-    )
+    shape = dofs.shape + hats.shape[-1:]  # (element, vertex, point)
+    keep = np.broadcast_to((dofs >= 0)[:, :, None], shape)
+    point = np.broadcast_to(np.arange(wts.size).reshape(len(elems), 1, -1), shape)
+    op = sp.coo_matrix(
+        ((wts[:, None, :] * hats)[keep], (np.broadcast_to(dofs[:, :, None], shape)[keep], point[keep])),
+        shape=(space.n_standard, wts.size),
+    ).tocsr()
+    return tuple(c.ravel() for c in coords), op
 
 
 def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
@@ -332,15 +318,13 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
         mass, stiff = _assemble_standard_2d(space, epsilon)
     mass = _symmetrize(mass)
     stiff = _symmetrize(stiff)
-    coords, wts, dofs, hats = _load_layout(space, epsilon)
-    n = space.n_standard
+    coords, op = _load_layout(space, epsilon)
 
     # the load needs the problem source; expose a factory so the same
     # assembled system serves any ProblemData
     def make_load(f):
         def load_fn(t):
-            fvals = np.asarray(f(*coords, t), dtype=float)
-            return np.bincount(dofs, weights=wts * hats * fvals, minlength=n)
+            return op @ np.broadcast_to(np.asarray(f(*coords, t), dtype=float), coords[0].shape)
 
         return load_fn
 
@@ -413,20 +397,6 @@ def fitted_arrays(x, y):
 
 # ---------------------------------------------------------------------------
 # enriched assembly
-
-
-def _angular_gram(m):
-    """Mass and stiffness Gram matrices of the M periodic angular hats."""
-    deta = 2.0 * np.pi / m
-    mass = np.zeros((m, m))
-    stiff = np.zeros((m, m))
-    for j in range(m):
-        mass[j, j] = 2.0 * deta / 3.0
-        stiff[j, j] = 2.0 / deta
-        for k in ((j + 1) % m, (j - 1) % m):
-            mass[j, k] += deta / 6.0
-            stiff[j, k] += -1.0 / deta
-    return mass, stiff
 
 
 RAD_N_SUB = 10
@@ -631,7 +601,14 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
     spec = space.enrichment
 
     if space.mesh.dim == 1:
-        rule = layer_strip_rule(spec.epsilon, spec.support, n_sub=RAD_N_SUB, n_gauss=RAD_N_GAUSS)
+        # layer panels on [0, support] split at every mesh node x and 1 - x,
+        # so that no hat kink of either enriched DOF falls inside a panel
+        nodes = np.concatenate([space.mesh.nodes, 1.0 - space.mesh.nodes])
+        breaks = np.union1d(
+            geometric_panels(spec.support, RAD_N_SUB, np.sqrt(4.0 * spec.epsilon)),
+            nodes[(nodes > 0.0) & (nodes < spec.support)],
+        )
+        rule = composite_interval(breaks, RAD_N_GAUSS)
 
         def rebuild(tt):
             return _enriched_blocks_1d(space, rule, epsilon, tt)

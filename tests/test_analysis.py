@@ -65,6 +65,42 @@ class TestManufacturedSolution1D:
         assert np.all(exact.u0(np.linspace(0, 1, 11)) == 0.0)
 
 
+def _unfused_1d(eps, x, t):
+    """u, u_x and f of exact1d from separate g, g' and g'' evaluations."""
+    def g(s):
+        return 1.0 - np.exp(-s) * np.cos(s)
+
+    def g1(s):
+        return np.exp(-s) * (np.cos(s) + np.sin(s))
+
+    def g2(s):
+        return -2.0 * np.exp(-s) * np.sin(s)
+
+    rt = np.sqrt(eps)
+    a = np.asarray(x) / rt
+    b = (1.0 - np.asarray(x)) / rt
+    u = t * g(a) * g(b)
+    u_x = t / rt * (g1(a) * g(b) - g(a) * g1(b))
+    lap = (g2(a) * g(b) - 2.0 * g1(a) * g1(b) + g(a) * g2(b)) / eps
+    return u, u_x, g(a) * g(b) - t * eps * lap
+
+
+class TestManufacturedSolution1DFused:
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    def test_bit_identical_to_unfused_formulas(self, eps):
+        exact = exact_solution_1d(eps)
+        rng = np.random.default_rng(7)
+        near = np.sqrt(eps) * rng.uniform(0.0, 40.0, 500)
+        x = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 2000), near, 1.0 - near])
+        for t in (0.0, 0.3, 1.0):
+            want = _unfused_1d(eps, x, t)
+            for got, ref in zip((exact.u(x, t), exact.u_x(x, t), exact.f(x, t)), want):
+                assert got.tobytes() == ref.tobytes()
+        # scalar input
+        for got, ref in zip((exact.u(0.25, 0.5), exact.u_x(0.25, 0.5), exact.f(0.25, 0.5)), _unfused_1d(eps, 0.25, 0.5)):
+            assert float(got) == float(ref)
+
+
 class TestManufacturedSolution2D:
     def test_pde_residual_radial(self):
         # u_t - eps (u_rr + u_r / r) = f via finite differences on the
@@ -144,6 +180,34 @@ class TestErrorNorms:
         space = build_space(build_interval_mesh(20))
         rel = relative_l2_error(space, np.zeros(space.n_standard), exact, 1.0, eps)
         assert rel == pytest.approx(1.0, rel=1e-10)
+
+
+class TestErrorReportFieldOnce:
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_field_evaluated_once_and_errors_unchanged(self, dim, monkeypatch):
+        import blfem.analysis as analysis
+
+        if dim == 1:
+            _, sol, space, exact = solve_scenario(1, 1e-5, 50, 1.0, 0.25, "nfem", "phi0_tilde")
+        else:
+            _, sol, space, exact = solve_scenario(2, 1e-5, 16, 1.0, 0.25, "nfem", "phi0_tilde")
+        coeffs, eps = sol.final, 1e-5
+        # references: each quantity from its own evaluation of the field
+        rel = relative_l2_error(space, coeffs, exact, 1.0, eps)
+        osc = oscillation_index(space, coeffs, exact, 1.0, eps)
+        calls = []
+        profile = analysis.evaluate_field_1d if dim == 1 else analysis._enriched_point_terms
+        name = "evaluate_field_1d" if dim == 1 else "_enriched_point_terms"
+        monkeypatch.setattr(analysis, name, lambda *a, **k: calls.append(1) or profile(*a, **k))
+        report = compute_error_report(space, coeffs, exact, 1.0, eps)
+        assert len(calls) == 1
+        assert report.rel_l2 == rel
+        assert report.oscillation_index == osc
+        calls.clear()
+        refined = compute_error_report(space, coeffs, exact, 1.0, eps, refine=2)
+        assert refined.oscillation_index == osc  # read on the unrefined layout
+        assert len(calls) == 2
 
 
 class TestOscillationIndex:

@@ -8,9 +8,13 @@ import pytest
 import scipy.sparse as sp
 from scipy import integrate as sp_integrate
 
+from blfem.analysis import exact_solution_1d, exact_solution_2d
 from blfem.assembly import (
+    RAD_N_GAUSS,
+    RAD_N_SUB,
     AssemblyError,
     TriangleLocator,
+    _assemble_standard_1d,
     _check_gram,
     assemble_enriched,
     assemble_standard,
@@ -27,6 +31,7 @@ from blfem.assembly import (
 )
 from blfem.corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
 from blfem.mesh import build_disk_mesh, build_interval_mesh
+from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 
 
 def _space_1d(n=10, spec=None):
@@ -577,3 +582,181 @@ class TestTriangleGeometry:
         gy = np.sum(by * f[mesh.triangles], axis=1)
         assert np.allclose(gx, 2.0, atol=1e-12)
         assert np.allclose(gy, -1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the standard load and the 1D standard blocks against contribution-list
+# references
+
+
+def _reference_standard_load(space, f, t):
+    """The standard load from one (element, vertex, point) contribution per
+    DOF, source value and weight spread out per vertex, summed by bincount."""
+    mesh = space.mesh
+    if mesh.dim == 1:
+        base = gauss_interval(4)
+        a, b = mesh.nodes[mesh.elements].T
+        coords = (a[:, None] + (b - a)[:, None] * base.points,)
+        wts = (b - a)[:, None] * base.weights
+        hats = np.stack([1.0 - base.points, base.points])
+        elems = mesh.elements
+    else:
+        rule = gauss_triangle(4)
+        lam = np.stack([1.0 - rule.points[:, 0] - rule.points[:, 1], rule.points[:, 0], rule.points[:, 1]], axis=1)
+        v = mesh.nodes[mesh.triangles]
+        area2 = np.abs(
+            (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+            - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
+        )
+        pts = lam @ v
+        coords = (pts[..., 0], pts[..., 1])
+        wts = rule.weights * area2[:, None]
+        hats = lam.T
+        elems = mesh.triangles
+    dofs = space.node_to_dof[elems]
+    keep = np.broadcast_to((dofs >= 0)[:, :, None], dofs.shape + hats.shape[-1:])
+
+    def spread(vals):
+        return np.broadcast_to(vals, keep.shape)[keep]
+
+    fvals = np.asarray(f(*(spread(c[:, None, :]) for c in coords), t), dtype=float)
+    weights = spread(wts[:, None, :]) * spread(hats) * fvals
+    return np.bincount(spread(dofs[:, :, None]), weights=weights, minlength=space.n_standard)
+
+
+def _wavy_source(x, y, t):
+    return np.sin(3.0 * x) * np.cos(y + t) + x * y
+
+
+class TestStandardLoadOperator:
+    @pytest.mark.parametrize("n", [50, 800])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    def test_1d_bit_identical_to_contribution_sum(self, n, eps):
+        space = _space_1d(n)
+        f = exact_solution_1d(eps).f
+        load = assemble_standard(space, eps).parts["make_load"](f)
+        for t in (0.0, 0.37, 1.0):
+            assert load(t).tobytes() == _reference_standard_load(space, f, t).tobytes()
+
+    @pytest.mark.parametrize("b", [16, 104])
+    @pytest.mark.parametrize("source", ["exact2d", "wavy"])
+    def test_2d_bit_identical_to_contribution_sum(self, b, source):
+        eps = 1e-8
+        space = build_space(build_disk_mesh(b))
+        f = exact_solution_2d(eps).f if source == "exact2d" else _wavy_source
+        load = assemble_standard(space, eps).parts["make_load"](f)
+        for t in (0.0, 0.37, 1.0):
+            got, want = load(t), _reference_standard_load(space, f, t)
+            assert np.any(want != 0.0)
+            assert got.tobytes() == want.tobytes()
+
+    def test_constant_source_broadcasts(self):
+        space = _space_1d(10)
+        load = assemble_standard(space, 1e-3).parts["make_load"](lambda x, t: 2.0)
+        assert np.allclose(load(0.0), 2.0 * 0.1, rtol=1e-14)
+
+
+def _reference_standard_1d(space, epsilon):
+    """P1 mass and stiffness on an interval mesh, element by element."""
+    nd = space.node_to_dof
+    rows, cols, mvals, avals = [], [], [], []
+    for i, j in space.mesh.elements:
+        h = space.mesh.nodes[j] - space.mesh.nodes[i]
+        local_m = np.array([[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]])
+        local_a = epsilon / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        dofs = [nd[i], nd[j]]
+        for a in range(2):
+            for b in range(2):
+                if dofs[a] >= 0 and dofs[b] >= 0:
+                    rows.append(dofs[a])
+                    cols.append(dofs[b])
+                    mvals.append(local_m[a, b])
+                    avals.append(local_a[a, b])
+    n = space.n_standard
+    return (
+        sp.csr_matrix((mvals, (rows, cols)), shape=(n, n)),
+        sp.csr_matrix((avals, (rows, cols)), shape=(n, n)),
+    )
+
+
+class TestStandard1DBatched:
+    @pytest.mark.parametrize("n", [2, 50, 800])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-8])
+    def test_matches_per_element_loop(self, n, eps):
+        space = _space_1d(n)
+        for got, want in zip(_assemble_standard_1d(space, eps), _reference_standard_1d(space, eps)):
+            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)
+
+    def test_degenerate_element_rejected(self):
+        space = _space_1d(4)
+        space.mesh.nodes[2] = space.mesh.nodes[1]
+        with pytest.raises(AssemblyError, match="degenerate element"):
+            _assemble_standard_1d(space, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the 1D enriched mass matrix: SPD for every kind, and equal to an
+# element-by-element assembly
+
+
+KINDS = ["phi_m1_lin", "phi_m1", "phi0", "phi0_tilde"]
+
+
+def _spec_1d(kind, eps, n):
+    # the solver's default taper width for phi_m1_lin is one element
+    return EnrichmentSpec(kind=kind, epsilon=eps, sigma=1.0 / n if kind == "phi_m1_lin" else None)
+
+
+def _aligned_mass_1d(space, t):
+    """The enriched 1D mass matrix element by element: on each element the
+    hat, phi(x) and phi(1 - x) products are integrated with Gauss panels
+    split at the layer breakpoints that fall inside it."""
+    spec, mesh = space.enrichment, space.mesh
+    n = space.n_standard
+    layer = geometric_panels(spec.support, RAD_N_SUB, np.sqrt(4.0 * spec.epsilon))
+    layer = np.concatenate([layer, 1.0 - layer])
+    mass = np.zeros((n + 2, n + 2))
+    for i, j in mesh.elements:
+        a, b = mesh.nodes[i], mesh.nodes[j]
+        h = b - a
+        dofs = [space.node_to_dof[i], space.node_to_dof[j]]
+        rule = composite_interval(np.concatenate([[a], np.sort(layer[(layer > a) & (layer < b)]), [b]]), RAD_N_GAUSS)
+        x, w = rule.points, rule.weights
+        hats = [(b - x) / h, (x - a) / h]
+        phis = [enrichment_profile(spec, x, t), enrichment_profile(spec, 1.0 - x, t)]
+        for r in range(2):
+            for c in range(2):
+                if dofs[r] >= 0 and dofs[c] >= 0:
+                    mass[dofs[r], dofs[c]] += h / 3.0 if r == c else h / 6.0
+                mass[n + r, n + c] += np.dot(w, phis[r] * phis[c])
+            for k, phi in enumerate(phis):
+                if dofs[r] >= 0:
+                    mass[dofs[r], n + k] += np.dot(w, hats[r] * phi)
+                    mass[n + k, dofs[r]] += np.dot(w, hats[r] * phi)
+    return mass
+
+
+class TestEnrichedMass1D:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_symmetric_positive_definite(self, kind, eps, n):
+        space = _space_1d(n, _spec_1d(kind, eps, n))
+        parts = assemble_enriched(space, eps, t=1.0).parts
+        times = (0.1, 0.5, 1.0) if space.enrichment.time_dependent else (1.0,)
+        for t in times:
+            mass = parts["restack"](parts["rebuild"](t))[0].toarray()
+            assert np.array_equal(mass, mass.T)
+            assert np.linalg.eigvalsh(mass)[0] > 0.0, (kind, eps, n, t)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_matches_element_aligned_reference(self, kind, eps, n):
+        space = _space_1d(n, _spec_1d(kind, eps, n))
+        for t in (0.5, 1.0):
+            mass = assemble_enriched(space, eps, t=t).mass.toarray()
+            want = _aligned_mass_1d(space, t)
+            assert np.max(np.abs(mass - want)) <= 1e-12 * np.max(np.abs(want)), (kind, eps, n, t)

@@ -127,16 +127,32 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert "undefined" in capsys.readouterr().out
 
-    def test_near_dependent_enrichment_exit_3(self, tmp_path, monkeypatch, capsys):
-        # phi_m1 has full cutoff support; at eps = 1e-5 on a fine mesh its
-        # two copies plus the hats become numerically dependent
+    def test_cg_no_convergence_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a relative tolerance of 1e-300 lies below what double precision can
+        # resolve, so CG exhausts its 4 * n iterations (n = 49 + 2 dofs)
         code = run_cli(
             ["solve", "--problem", "exact1d", "--epsilon", "1e-5", "--n", "50",
-             "--dt", "0.1", "--T", "1.0", "--scheme", "nfem", "--kind", "phi_m1"],
+             "--dt", "0.1", "--T", "1.0", "--scheme", "nfem", "--kind", "phi_m1",
+             "--solver", "cg_jacobi", "--tol", "1e-300"],
             tmp_path, monkeypatch,
         )
         assert code == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "CG did not reach 1e-300 in 204 iterations" in err
+
+    @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi_m1", "phi0", "phi0_tilde"])
+    @pytest.mark.parametrize("eps", ["1e-3", "1e-5", "1e-8"])
+    @pytest.mark.parametrize("n", ["50", "200"])
+    def test_every_1d_kind_solves(self, tmp_path, monkeypatch, capsys, kind, eps, n):
+        code = run_cli(
+            ["solve", "--problem", "exact1d", "--epsilon", eps, "--n", n,
+             "--dt", "0.1", "--T", "1.0", "--scheme", "nfem", "--kind", kind],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK, capsys.readouterr().err
+        rel = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("rel_l2")]
+        assert np.isfinite(float(rel[0].split(":")[1]))
 
     def test_config_file_with_flag_override(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"

@@ -7,7 +7,6 @@ import pytest
 from blfem.analysis import compute_error_report, solve_scenario
 from blfem.assembly import (
     TriangleLocator,
-    _interval_points,
     element_rules_1d,
     element_rules_2d,
     evaluate_field_1d,
@@ -17,7 +16,7 @@ from blfem.assembly import (
     triangle_rule_points,
 )
 from blfem.mesh import build_disk_mesh, build_interval_mesh
-from blfem.quadrature import gauss_interval
+from blfem.quadrature import composite_interval, gauss_interval, geometric_panels
 
 
 def _boundary_masks(mesh):
@@ -34,6 +33,20 @@ def _triangle_rules(mesh, eps, refine=1, triangles=None):
         (k, *triangle_rule_points(mesh.nodes[mesh.triangles[k]], masks[k], eps, n_sub=6 * refine, n_gauss=4 * refine))
         for k in ids
     ]
+
+
+def _interval_points(a, b, eps, toward, n_sub=6, n_gauss=4):
+    """Composite Gauss points on [a, b], geometrically graded toward one end
+    ('left'/'right'/None) with first panel width ~2 sqrt(eps)."""
+    length = b - a
+    if toward is None:
+        breaks = np.linspace(0.0, length, 3)
+    else:
+        breaks = geometric_panels(length, n_sub, 2.0 * np.sqrt(eps))
+    rule = composite_interval(breaks, n_gauss)
+    if toward == "right":
+        return b - rule.points[::-1], rule.weights[::-1]
+    return a + rule.points, rule.weights
 
 
 def _element_rules_1d(mesh, eps, refine=1):
@@ -85,15 +98,18 @@ class TestLayout2D:
 
 
 class TestLayout1D:
+    @pytest.mark.parametrize("n", [50, 200, 800])
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
-    def test_matches_per_element_rules(self, refine, eps):
-        mesh = build_interval_mesh(50)
+    def test_matches_per_element_rules(self, refine, eps, n):
+        mesh = build_interval_mesh(n)
         layout = element_rules_1d(mesh, eps, refine=refine)
         ref = _element_rules_1d(mesh, eps, refine)
-        assert np.array_equal(layout.points, np.concatenate([r[1] for r in ref]))
-        assert np.array_equal(layout.weights, np.concatenate([r[2] for r in ref]))
+        assert layout.points.tobytes() == np.concatenate([r[1] for r in ref]).tobytes()
+        assert layout.weights.tobytes() == np.concatenate([r[2] for r in ref]).tobytes()
         assert np.array_equal(layout.element, np.concatenate([np.full(len(r[1]), r[0]) for r in ref]))
+        counts = [len(r[1]) for r in ref]
+        assert np.array_equal(layout.starts, np.concatenate([[0], np.cumsum(counts)[:-1]]))
         a, b = mesh.nodes[mesh.elements[layout.element]].T
         assert np.allclose(layout.bary @ np.array([1.0, 1.0]), 1.0, atol=1e-15)
         assert np.allclose(layout.bary[:, 0] * a + layout.bary[:, 1] * b, layout.points, atol=1e-15)
