@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mesh-refinement study on the unit disk, SFEM vs NFEM, written to CSV."""
+"""Mesh-refinement study on the unit disk, SFEM vs NFEM, written to CSV
+(with one `# error:` line per level that failed numerically)."""
 
 import argparse
 
@@ -25,6 +26,8 @@ def main():
         args.output,
         header_comments=[f"epsilon = {args.epsilon}", f"levels = {args.levels}"],
     )
+    for failure in table.failures:
+        print(f"failed: {failure}")
     for scheme, (slope, resid) in sorted(table.slopes.items()):
         print(f"{scheme}: L2 slope {slope:.4f} (fit residual {resid:.3g})")
     print(f"wrote {args.output}")

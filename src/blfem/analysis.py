@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import (
+    AssemblyError,
     _enriched_point_terms,
     build_space,
     element_rules_1d,
@@ -26,6 +27,7 @@ from .assembly import (
     assemble_enriched,
 )
 from .corrector import EnrichmentSpec, ProblemData
+from .linsolve import NoConvergence, NotPositiveDefinite
 from .mesh import build_disk_mesh, build_interval_mesh
 from .quadrature import geometric_panels
 from .specfun import bessel_i0_scaled, bessel_i1_scaled
@@ -128,14 +130,6 @@ class ExactSolution2D:
 
     def problem(self, T):
         return ProblemData(dim=2, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
-
-
-def exact_solution_1d(epsilon: float) -> ExactSolution1D:
-    return ExactSolution1D(epsilon=epsilon)
-
-
-def exact_solution_2d(epsilon: float) -> ExactSolution2D:
-    return ExactSolution2D(epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -270,15 +264,6 @@ def _error_integrals(exact, t, layout, field):
     return float(np.dot(w, (uh - ue) ** 2)), float(np.dot(w, ue**2)), float(np.dot(w, sq_grad_err))
 
 
-def relative_l2_error(space, coeffs, exact, t, epsilon, refine: int = 1) -> float:
-    """Relative L2 error of the discrete field against the exact solution."""
-    layout = _element_rules(space.mesh, epsilon, refine)
-    err2, ex2, _ = _error_integrals(exact, t, layout, _discrete_field(space, coeffs, layout, t))
-    if np.sqrt(ex2) < 1e-300:
-        raise ZeroDivisionError("exact solution vanishes in L2")
-    return float(np.sqrt(err2 / ex2))
-
-
 def oscillation_index(
     space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP, layout=None, uh=None
 ) -> float:
@@ -365,12 +350,14 @@ def fit_loglog(xs, ys):
 
 @dataclass
 class ConvergenceTable:
-    """Per-scheme error rows (sorted by decreasing h) and fitted slopes."""
+    """Error rows (by scheme, then decreasing h), fitted slopes, and the
+    levels that failed numerically."""
 
     epsilon: float
     T: float
     rows: list = field(default_factory=list)  # dicts following the CSV schema
     slopes: dict = field(default_factory=dict)  # scheme -> (slope, residual)
+    failures: list = field(default_factory=list)  # "scheme=<s> level=<n>: <message>"
 
     def scheme_rows(self, scheme):
         return [r for r in self.rows if r["scheme"] == scheme]
@@ -405,12 +392,39 @@ def format_csv_row(r):
 
 def write_convergence_csv(table: ConvergenceTable, path, header_comments=()):
     """CSV per the documented schema: UTF-8, LF endings, 10 significant
-    digits, optional `#` provenance comments before the header."""
+    digits, optional `#` provenance comments and then one `# error:` line
+    per failed level before the header."""
     lines = [f"# {c}" for c in header_comments]
+    lines.extend(f"# error: {f}" for f in table.failures)
     lines.append(CSV_HEADER)
     lines.extend(format_csv_row(r) for r in table.rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# named built-in data sets: name -> (dimension, exact solution class)
+PROBLEMS = {
+    "exact1d": (1, ExactSolution1D),
+    "zero1d": (1, ZeroSolution1D),
+    "smooth1d": (1, SmoothSolution1D),
+    "exact2d": (2, ExactSolution2D),
+    "zero2d": (2, ZeroSolution2D),
+}
+SCHEMES = ("sfem", "nfem")
+MIN_LEVEL = {1: 2, 2: 8}  # elements (1D), boundary nodes (2D)
+# a study level that raises one of these is recorded as failed, not fatal
+LEVEL_FAILURES = (AssemblyError, NotPositiveDefinite, NoConvergence, ZeroDivisionError)
+
+
+def _problem_class(dim, problem):
+    """The exact solution class of a named problem (None: the dimension's
+    layered benchmark), checked against dim."""
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2")
+    name = ("exact1d" if dim == 1 else "exact2d") if problem is None else problem
+    if PROBLEMS.get(name, (None,))[0] != dim:
+        raise ValueError(f"unknown {dim}D problem {problem!r}")
+    return PROBLEMS[name][1]
 
 
 def solve_scenario(
@@ -422,7 +436,6 @@ def solve_scenario(
     scheme,
     enrichment_kind="phi_m1_lin",
     sigma=None,
-    cutoff=None,
     solver_config=None,
     refine=1,
     problem=None,
@@ -432,48 +445,37 @@ def solve_scenario(
 
     level is n_elements (1D) or the boundary node count (2D).  problem
     selects a named built-in data set (default: the dimension's layered
-    benchmark).  Returns (ErrorReport, SolutionField, BasisSpace, exact)."""
-    problems_1d = {
-        None: exact_solution_1d,
-        "exact1d": exact_solution_1d,
-        "zero1d": ZeroSolution1D,
-        "smooth1d": SmoothSolution1D,
-    }
-    problems_2d = {
-        None: exact_solution_2d,
-        "exact2d": exact_solution_2d,
-        "zero2d": ZeroSolution2D,
-    }
+    benchmark); sigma (default: mesh-derived) is the phi_m1_lin taper width.
+    Every input is checked before the mesh is built; a bad one raises
+    ValueError.  Returns (ErrorReport, SolutionField, BasisSpace, exact)."""
+    for name, value in (("epsilon", epsilon), ("T", T), ("dt", dt)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+    exact = _problem_class(dim, problem)(epsilon)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if refine < 1:
+        raise ValueError("quadrature refine must be >= 1")
+    if sigma is not None and not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-12 or n_steps < 1:
+        raise ValueError(f"dt = {dt} does not tile [0, T = {T}]")
+
     if dim == 1:
-        if problem not in problems_1d:
-            raise ValueError(f"unknown 1D problem {problem!r}")
         mesh = build_interval_mesh(level)
-        exact = problems_1d[problem](epsilon)
         default_sigma = mesh.h
     else:
-        if problem not in problems_2d:
-            raise ValueError(f"unknown 2D problem {problem!r}")
         mesh = build_disk_mesh(level)
-        exact = problems_2d[problem](epsilon)
         # several ring widths: the taper must dominate the chord sagitta of
         # the polygonal boundary, else its end-point fit near the mid-edge
         # chords drags the layer coefficients above the interior plateau
         default_sigma = min(3.0 * mesh.outer_ring_width, 0.5)
+    spec = None
     if scheme == "nfem":
-        kwargs = {"kind": enrichment_kind, "epsilon": epsilon}
-        if cutoff is not None:
-            kwargs["cutoff"] = cutoff
-        if enrichment_kind == "phi_m1_lin":
-            kwargs["sigma"] = sigma or default_sigma
-        spec = EnrichmentSpec(**kwargs)
-    elif scheme == "sfem":
-        spec = None
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        taper = (sigma or default_sigma) if enrichment_kind == "phi_m1_lin" else None
+        spec = EnrichmentSpec(kind=enrichment_kind, epsilon=epsilon, sigma=taper)
 
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-12 or n_steps < 1:
-        raise ValueError("dt does not tile [0, T]")
     grid = TimeGrid(T=T, n_steps=n_steps)
     data = exact.problem(T)
 
@@ -503,22 +505,36 @@ def run_convergence_study(
     sigma=None,
     timing=True,
     dt_per_level=None,
+    problem=None,
 ) -> ConvergenceTable:
     """Error tables over mesh levels for the requested schemes.
 
+    Level counts and sizes, scheme names and the problem are checked before
+    the first solve (ValueError).  A level that fails numerically is
+    recorded in the table's `failures` and the study moves on.
     dt_per_level, if given, maps a level to its time step (used to keep the
     time error subdominant in space-rate studies).  With timing=False the
     runtime column is zeroed so rerun outputs are byte-identical.
     """
+    _problem_class(dim, problem)
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
+    if min(levels) < MIN_LEVEL[dim]:
+        raise ValueError(f"{dim}D mesh levels must be >= {MIN_LEVEL[dim]}")
+    if not schemes or any(s not in SCHEMES for s in schemes):
+        raise ValueError(f"schemes must be drawn from sfem,nfem, got {','.join(schemes)!r}")
     table = ConvergenceTable(epsilon=epsilon, T=T)
     for scheme in schemes:
         for level in levels:
             dt_l = dt_per_level(level) if dt_per_level else dt
-            report, _, _, _ = solve_scenario(
-                dim, epsilon, level, T, dt_l, scheme, enrichment_kind=enrichment_kind, sigma=sigma
-            )
+            try:
+                report, _, _, _ = solve_scenario(
+                    dim, epsilon, level, T, dt_l, scheme, enrichment_kind=enrichment_kind, sigma=sigma,
+                    problem=problem,
+                )
+            except LEVEL_FAILURES as exc:
+                table.failures.append(f"scheme={scheme} level={level}: {exc}")
+                continue
             table.rows.append(
                 {
                     "scheme": scheme,
@@ -533,8 +549,9 @@ def run_convergence_study(
                     "runtime_s": report.runtime if timing else 0.0,
                 }
             )
+    table.rows.sort(key=lambda r: (r["scheme"], -r["h"]))
+    for scheme in schemes:
         rows = table.scheme_rows(scheme)
-        rows.sort(key=lambda r: -r["h"])
         if len(rows) >= 3:
             table.slopes[scheme] = fit_loglog([r["h"] for r in rows], [r["rel_l2"] for r in rows])
     return table

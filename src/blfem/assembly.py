@@ -77,7 +77,6 @@ def build_space(mesh, enrichment: EnrichmentSpec = None) -> BasisSpace:
 class AssembledSystem:
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    load: callable                  # t -> vector over all DOFs
     parts: dict = field(default_factory=dict)
 
 
@@ -328,7 +327,7 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
 
         return load_fn
 
-    sysm = AssembledSystem(mass=mass, stiffness=stiff, load=None)
+    sysm = AssembledSystem(mass=mass, stiffness=stiff)
     sysm.parts["make_load"] = make_load
     sysm.parts["Mss"] = mass
     sysm.parts["Ass"] = stiff
@@ -336,53 +335,7 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
 
 
 # ---------------------------------------------------------------------------
-# point location on disk meshes
-
-
-class TriangleLocator:
-    """Radius-binned point location with graceful extrapolation.
-
-    Points in the sliver between the polygonal mesh boundary and the unit
-    circle get the nearest triangle (largest minimal barycentric value), so
-    P1 fields extend linearly there.
-    """
-
-    def __init__(self, mesh: Mesh2D):
-        self.mesh = mesh
-        p = mesh.nodes[mesh.triangles]
-        r = np.linalg.norm(p, axis=2)
-        rmin, rmax = r.min(axis=1), r.max(axis=1)
-        n_bins = max(4, int(np.ceil(1.5 / max(mesh.h, 1e-6))))
-        self.edges = np.linspace(0.0, 1.0, n_bins + 1)
-        self.bins = []
-        for lo, hi in zip(self.edges[:-1], self.edges[1:]):
-            self.bins.append(np.nonzero((rmax >= lo - 1e-12) & (rmin <= hi + 1e-12))[0])
-        # affine barycentric maps: lambda = B @ (1, x, y)
-        v = mesh.nodes[mesh.triangles]
-        mats = np.concatenate([np.ones(v.shape[:2] + (1,)), v], axis=2)
-        self.affine = np.linalg.inv(mats).transpose(0, 2, 1)  # rows: (alpha, beta, gamma) per vertex
-
-    def locate(self, x, y):
-        """Triangle index and barycentric coordinates for each point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        r = np.hypot(x, y)
-        idx = np.clip(np.searchsorted(self.edges, r, side="right") - 1, 0, len(self.bins) - 1)
-        tri_out = np.full(len(x), -1, dtype=int)
-        bary_out = np.zeros((len(x), 3))
-        ones = np.ones(len(x))
-        pmat = np.stack([ones, x, y], axis=1)
-        for b in np.unique(idx):
-            sel = np.nonzero(idx == b)[0]
-            cand = self.bins[b]
-            if len(cand) == 0:
-                cand = np.arange(len(self.mesh.triangles))
-            lam = np.einsum("kij,pj->pki", self.affine[cand], pmat[sel])  # (pts, cand, 3)
-            score = lam.min(axis=2)
-            best = score.argmax(axis=1)
-            tri_out[sel] = cand[best]
-            bary_out[sel] = lam[np.arange(len(sel)), best]
-        return tri_out, bary_out
+# enriched assembly
 
 
 def fitted_arrays(x, y):
@@ -393,10 +346,6 @@ def fitted_arrays(x, y):
     xi = np.clip(1.0 - r, 0.0, 1.0)
     eta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
     return eta, xi, r
-
-
-# ---------------------------------------------------------------------------
-# enriched assembly
 
 
 RAD_N_SUB = 10
@@ -602,12 +551,14 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
 
     if space.mesh.dim == 1:
         # layer panels on [0, support] split at every mesh node x and 1 - x,
-        # so that no hat kink of either enriched DOF falls inside a panel
+        # so that no hat kink of either enriched DOF falls inside a panel; a
+        # node and a mirror an ulp apart make one break, not a sliver panel
         nodes = np.concatenate([space.mesh.nodes, 1.0 - space.mesh.nodes])
         breaks = np.union1d(
             geometric_panels(spec.support, RAD_N_SUB, np.sqrt(4.0 * spec.epsilon)),
             nodes[(nodes > 0.0) & (nodes < spec.support)],
         )
+        breaks = breaks[np.append(np.diff(breaks) > 1e-12, True)]
         rule = composite_interval(breaks, RAD_N_GAUSS)
 
         def rebuild(tt):
@@ -657,7 +608,7 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
 
         return load_fn
 
-    sysm = AssembledSystem(mass=mass, stiffness=stiff, load=None)
+    sysm = AssembledSystem(mass=mass, stiffness=stiff)
     sysm.parts.update(
         Mss=mss,
         Ass=ass,
@@ -701,7 +652,7 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
     return solve_spd(system.mass, system.parts["make_load"](f_like)(0.0), cfg)
 
 
-def _nodal_values_1d(space, coeffs):
+def _nodal_values(space, coeffs):
     vals = np.zeros(len(space.mesh.nodes))
     vals[space.interior_nodes] = coeffs[: space.n_standard]
     return vals
@@ -710,7 +661,7 @@ def _nodal_values_1d(space, coeffs):
 def evaluate_field_1d(space: BasisSpace, coeffs, x, t: float = None):
     """Discrete solution values at points x (vectorized)."""
     x = np.asarray(x, dtype=float)
-    vals = np.interp(x, space.mesh.nodes, _nodal_values_1d(space, coeffs))
+    vals = np.interp(x, space.mesh.nodes, _nodal_values(space, coeffs))
     spec = space.enrichment
     if spec is not None:
         cl, cr = coeffs[space.n_standard], coeffs[space.n_standard + 1]
@@ -722,7 +673,7 @@ def evaluate_gradient_1d(space: BasisSpace, coeffs, x, t: float = None):
     """Spatial derivative of the discrete solution at points x."""
     x = np.asarray(x, dtype=float)
     nodes = space.mesh.nodes
-    nodal = _nodal_values_1d(space, coeffs)
+    nodal = _nodal_values(space, coeffs)
     elem = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
     grad = (nodal[elem + 1] - nodal[elem]) / (nodes[elem + 1] - nodes[elem])
     spec = space.enrichment
@@ -757,43 +708,3 @@ def _enriched_point_terms(space, x, y, t):
         + phi[:, None, None] * dpsis[:, :, None] * grad_eta[:, None, :]
     )
     return cols, vals, grads
-
-
-def evaluate_field_2d(space: BasisSpace, coeffs, x, y, t: float = None, locator: TriangleLocator = None):
-    """Discrete solution values at scattered points of the closed disk."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    loc = locator or TriangleLocator(space.mesh)
-    tri_idx, bary = loc.locate(x, y)
-    nd = space.node_to_dof
-    vals = np.zeros(len(x))
-    for a in range(3):
-        dof = nd[space.mesh.triangles[tri_idx, a]]
-        good = dof >= 0
-        vals[good] += bary[good, a] * coeffs[dof[good]]
-    if space.enrichment is not None:
-        cols, evals, _ = _enriched_point_terms(space, x, y, t)
-        ecoef = coeffs[space.n_standard :]
-        vals += np.sum(evals * ecoef[cols], axis=1)
-    return vals
-
-
-def evaluate_gradient_2d(space: BasisSpace, coeffs, x, y, t: float = None, locator: TriangleLocator = None):
-    """Gradient (n, 2) of the discrete solution at scattered points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    loc = locator or TriangleLocator(space.mesh)
-    tri_idx, _ = loc.locate(x, y)
-    area, bx, by = triangle_geometry(space.mesh.nodes, space.mesh.triangles)
-    nd = space.node_to_dof
-    grad = np.zeros((len(x), 2))
-    for a in range(3):
-        dof = nd[space.mesh.triangles[tri_idx, a]]
-        good = dof >= 0
-        grad[good, 0] += bx[tri_idx, a][good] * coeffs[dof[good]]
-        grad[good, 1] += by[tri_idx, a][good] * coeffs[dof[good]]
-    if space.enrichment is not None:
-        cols, _, egrads = _enriched_point_terms(space, x, y, t)
-        ecoef = coeffs[space.n_standard :]
-        grad += np.sum(egrads * ecoef[cols][:, :, None], axis=1)
-    return grad

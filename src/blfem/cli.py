@@ -1,5 +1,7 @@
-"""Command-line interface: mesh generation, single solves, convergence
-studies, and layer-profile sampling, all emitting plain-text artifacts.
+"""Command-line interface: single solves, convergence studies, and
+layer-profile sampling, all emitting plain-text artifacts.  Each subcommand
+parses its flags and config, then hands the run to the library
+(`solve_scenario`, `run_convergence_study`, `enrichment_profile`).
 
 Config precedence is flags > config file > defaults; the merged effective
 configuration is echoed as `# key = value` header comments into every
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -100,55 +101,6 @@ def config_header_lines(config):
 
 
 # ---------------------------------------------------------------------------
-# scenario
-
-
-@dataclass
-class Scenario:
-    """A fully resolved solver run (problem, discretization, outputs)."""
-
-    problem: str
-    epsilon: float
-    T: float
-    dt: float
-    scheme: str
-    level: int
-    enrichment_kind: str = "phi_m1_lin"
-    sigma: float = None
-    quad_refine: int = 1
-    solver_method: str = "direct_cholesky"
-    solver_tolerance: float = 1e-10
-    output: str = None
-    timing: bool = True
-    random_seed: int = 0  # reserved; default paths are deterministic
-    warnings: list = field(default_factory=list)
-
-    @property
-    def dim(self):
-        return 1 if self.problem in PROBLEMS_1D else 2
-
-    def validate(self):
-        if self.problem not in PROBLEMS_1D + PROBLEMS_2D:
-            raise CliError(f"unknown problem {self.problem!r}")
-        if self.scheme not in ("sfem", "nfem"):
-            raise CliError(f"unknown scheme {self.scheme!r}")
-        for name in ("epsilon", "T", "dt"):
-            if getattr(self, name) <= 0.0:
-                raise CliError(f"{name} must be positive")
-        n_steps = round(self.T / self.dt)
-        if n_steps < 1 or abs(n_steps * self.dt - self.T) > 1e-12:
-            raise CliError(f"dt = {self.dt} does not tile [0, T = {self.T}]")
-        if self.dim == 1 and self.level < 2:
-            raise CliError("1D meshes need at least 2 elements")
-        if self.dim == 2 and self.level < 8:
-            raise CliError("2D meshes need at least 8 boundary nodes")
-        if self.quad_refine < 1:
-            raise CliError("quad-refine must be >= 1")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise CliError("sigma must be positive")
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -160,37 +112,6 @@ def _collect(args, defaults):
     file_values = read_config_file(args.config) if args.config else {}
     flag_values = {k: getattr(args, k) for k in defaults}
     return merge_config(defaults, file_values, flag_values)
-
-
-MESH_DEFAULTS = {"dim": 2, "n": 50, "boundary_nodes": 52, "output": "mesh.txt"}
-
-
-def cmd_mesh(args):
-    from .mesh import build_disk_mesh, build_interval_mesh, write_mesh
-
-    cfg = _collect(args, MESH_DEFAULTS)
-    if cfg["dim"] == 1:
-        if cfg["n"] < 2:
-            raise CliError("1D meshes need at least 2 elements")
-        mesh = build_interval_mesh(cfg["n"])
-        print(f"1D mesh: {len(mesh.nodes)} nodes, h = {mesh.h:.6g}")
-    elif cfg["dim"] == 2:
-        if cfg["boundary_nodes"] < 8:
-            raise CliError("2D meshes need at least 8 boundary nodes")
-        mesh = build_disk_mesh(cfg["boundary_nodes"])
-        print(
-            f"2D mesh: {len(mesh.nodes)} nodes, {len(mesh.triangles)} triangles, "
-            f"{len(mesh.boundary_nodes)} boundary nodes"
-        )
-        print(
-            f"quality: h = {mesh.h:.6g}, min angle = {mesh.min_angle_deg:.2f} deg, "
-            f"quasi-uniformity = {mesh.quasi_uniformity:.3f}"
-        )
-    else:
-        raise CliError("dim must be 1 or 2")
-    write_mesh(mesh, cfg["output"], header_comments=config_header_lines(cfg))
-    print(f"wrote {cfg['output']}")
-    return EXIT_OK
 
 
 SOLVE_DEFAULTS = {
@@ -213,27 +134,6 @@ SOLVE_DEFAULTS = {
 }
 
 
-def _scenario_from_config(cfg):
-    scn = Scenario(
-        problem=cfg["problem"],
-        epsilon=cfg["epsilon"],
-        T=cfg["T"],
-        dt=cfg["dt"],
-        scheme=cfg["scheme"],
-        level=cfg["n"],
-        enrichment_kind=cfg["kind"],
-        sigma=cfg["sigma"] or None,
-        quad_refine=cfg["quad_refine"],
-        solver_method=cfg["solver"],
-        solver_tolerance=cfg["tol"],
-        output=cfg["output"] or None,
-        timing=not cfg["no_timing"],
-        random_seed=cfg["seed"],
-    )
-    scn.validate()
-    return scn
-
-
 def _dump_matrix(matrix, path):
     import scipy.sparse as sp
 
@@ -244,31 +144,30 @@ def _dump_matrix(matrix, path):
 
 
 def cmd_solve(args):
+    import math
+
     from .analysis import CSV_HEADER, format_csv_row, solve_scenario
     from .linsolve import SolverConfig
 
     cfg = _collect(args, SOLVE_DEFAULTS)
-    scn = _scenario_from_config(cfg)
-    solver_config = SolverConfig(method=scn.solver_method, rel_tolerance=scn.solver_tolerance)
-    for line in config_header_lines(cfg):
-        print(f"# {line}")
-    report, fieldsol, space, exact = solve_scenario(
-        scn.dim,
-        scn.epsilon,
-        scn.level,
-        scn.T,
-        scn.dt,
-        scn.scheme,
-        enrichment_kind=scn.enrichment_kind,
-        sigma=scn.sigma,
-        solver_config=solver_config,
-        refine=scn.quad_refine,
-        problem=scn.problem,
+    report, fieldsol, space, _ = solve_scenario(
+        1 if cfg["problem"] in PROBLEMS_1D else 2,
+        cfg["epsilon"],
+        cfg["n"],
+        cfg["T"],
+        cfg["dt"],
+        cfg["scheme"],
+        enrichment_kind=cfg["kind"],
+        sigma=cfg["sigma"] or None,
+        solver_config=SolverConfig(method=cfg["solver"], rel_tolerance=cfg["tol"]),
+        refine=cfg["quad_refine"],
+        problem=cfg["problem"],
         degenerate_ok=True,
     )
-    import math
-
-    print(f"scheme      : {scn.scheme}")
+    timing = not cfg["no_timing"]
+    for line in config_header_lines(cfg):
+        print(f"# {line}")
+    print(f"scheme      : {cfg['scheme']}")
     print(f"dofs        : {report.dofs}")
     print(f"h           : {report.h:.10g}")
     if math.isnan(report.rel_l2):
@@ -279,22 +178,22 @@ def cmd_solve(args):
         print(f"abs_l2      : {report.abs_l2:.10g}")
     print(f"h1_err      : {report.h1_seminorm_error:.10g}")
     print(f"osc_index   : {report.oscillation_index:.10g}")
-    if scn.timing:
+    if timing:
         print(f"runtime_s   : {report.runtime:.3f}")
-    print(f"T*epsilon   : {scn.T * scn.epsilon:.3g}  (time-independent profile heuristic window)")
+    print(f"T*epsilon   : {cfg['T'] * cfg['epsilon']:.3g}  (time-independent profile heuristic window)")
 
     if cfg["output"]:
         row = {
-            "scheme": scn.scheme,
-            "epsilon": scn.epsilon,
+            "scheme": cfg["scheme"],
+            "epsilon": cfg["epsilon"],
             "h": report.h,
             "dofs": report.dofs,
-            "dt": scn.dt,
-            "T": scn.T,
+            "dt": cfg["dt"],
+            "T": cfg["T"],
             "rel_l2": report.rel_l2,
             "h1_err": report.h1_seminorm_error,
             "osc_index": report.oscillation_index,
-            "runtime_s": report.runtime if scn.timing else 0.0,
+            "runtime_s": report.runtime if timing else 0.0,
         }
         with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(f"# {line}" for line in config_header_lines(cfg)) + "\n")
@@ -303,16 +202,16 @@ def cmd_solve(args):
         print(f"wrote {cfg['output']}")
 
     if cfg["dump_field"]:
-        _dump_field(space, fieldsol, scn, cfg)
+        _dump_field(space, fieldsol.final, cfg)
         print(f"wrote {cfg['dump_field']}")
 
     if cfg["dump_matrices"]:
         from .assembly import assemble_enriched, assemble_standard
 
         system = (
-            assemble_standard(space, scn.epsilon)
+            assemble_standard(space, cfg["epsilon"])
             if space.enrichment is None
-            else assemble_enriched(space, scn.epsilon, t=scn.T)
+            else assemble_enriched(space, cfg["epsilon"], t=cfg["T"])
         )
         _dump_matrix(system.mass, cfg["dump_matrices"] + ".mass")
         _dump_matrix(system.stiffness, cfg["dump_matrices"] + ".stiffness")
@@ -320,24 +219,27 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _dump_field(space, fieldsol, scn, cfg):
+def _dump_field(space, coeffs, cfg):
+    """1D: the field at 4n + 1 equispaced points.  2D: the field at the mesh
+    nodes, i.e. the P1 coefficient (0 on the boundary) plus the enrichment."""
     import numpy as np
 
-    from .assembly import evaluate_field_1d, evaluate_field_2d
+    from .assembly import _enriched_point_terms, _nodal_values, evaluate_field_1d
 
     with open(cfg["dump_field"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(f"# {line}" for line in config_header_lines(cfg)) + "\n")
         if space.mesh.dim == 1:
-            xs = np.linspace(0.0, 1.0, 4 * scn.level + 1)
-            vals = evaluate_field_1d(space, fieldsol.final, xs, t=scn.T)
+            xs = np.linspace(0.0, 1.0, 4 * cfg["n"] + 1)
+            vals = evaluate_field_1d(space, coeffs, xs, t=cfg["T"])
             fh.write("x,u\n")
             for x, v in zip(xs, vals):
                 fh.write(f"{x:.10g},{v:.10g}\n")
         else:
             nodes = space.mesh.nodes
-            vals = evaluate_field_2d(
-                space, fieldsol.final, nodes[:, 0], nodes[:, 1], t=scn.T
-            )
+            vals = _nodal_values(space, coeffs)
+            if space.enrichment is not None:
+                cols, evals, _ = _enriched_point_terms(space, nodes[:, 0], nodes[:, 1], cfg["T"])
+                vals += np.sum(evals * coeffs[space.n_standard :][cols], axis=1)
             fh.write("x,y,u\n")
             for (x, y), v in zip(nodes, vals):
                 fh.write(f"{x:.10g},{y:.10g},{v:.10g}\n")
@@ -360,85 +262,35 @@ CONVERGE_DEFAULTS = {
 
 
 def cmd_converge(args):
-    from .analysis import ConvergenceTable, fit_loglog, solve_scenario, write_convergence_csv
+    from .analysis import run_convergence_study, write_convergence_csv
 
     cfg = _collect(args, CONVERGE_DEFAULTS)
-    if cfg["dim"] not in (1, 2):
-        raise CliError("dim must be 1 or 2")
     try:
         levels = [int(tok) for tok in cfg["levels"].split(",") if tok.strip()]
     except ValueError:
         raise CliError(f"cannot parse levels {cfg['levels']!r}")
-    if len(levels) < 3:
-        raise CliError("need at least 3 mesh levels")
-    schemes = [tok.strip() for tok in cfg["schemes"].split(",") if tok.strip()]
-    if not schemes or any(s not in ("sfem", "nfem") for s in schemes):
-        raise CliError(f"schemes must be a comma list drawn from sfem,nfem, got {cfg['schemes']!r}")
     if cfg["dt_rule"] not in ("fixed", "h-squared"):
         raise CliError("dt-rule must be 'fixed' or 'h-squared'")
-    problem = cfg["problem"] or ("exact1d" if cfg["dim"] == 1 else "exact2d")
-
-    table = ConvergenceTable(epsilon=cfg["epsilon"], T=cfg["T"])
-    failures = []
-    for scheme in schemes:
-        for level in levels:
-            dt_l = cfg["dt"] if cfg["dt_rule"] == "fixed" else cfg["T"] / level**2
-            scn = Scenario(
-                problem=problem,
-                epsilon=cfg["epsilon"],
-                T=cfg["T"],
-                dt=dt_l,
-                scheme=scheme,
-                level=level,
-                enrichment_kind=cfg["kind"],
-                sigma=cfg["sigma"] or None,
-                timing=not cfg["no_timing"],
-            )
-            scn.validate()
-            try:
-                report, _, _, _ = solve_scenario(
-                    scn.dim,
-                    scn.epsilon,
-                    scn.level,
-                    scn.T,
-                    scn.dt,
-                    scn.scheme,
-                    enrichment_kind=scn.enrichment_kind,
-                    sigma=scn.sigma,
-                    problem=problem,
-                )
-            except Exception as exc:  # record, keep going
-                failures.append(f"error: scheme={scheme} level={level}: {exc}")
-                continue
-            table.rows.append(
-                {
-                    "scheme": scheme,
-                    "epsilon": cfg["epsilon"],
-                    "h": report.h,
-                    "dofs": report.dofs,
-                    "dt": dt_l,
-                    "T": cfg["T"],
-                    "rel_l2": report.rel_l2,
-                    "h1_err": report.h1_seminorm_error,
-                    "osc_index": report.oscillation_index,
-                    "runtime_s": report.runtime if scn.timing else 0.0,
-                }
-            )
-        rows = table.scheme_rows(scheme)
-        rows.sort(key=lambda r: -r["h"])
-        if len(rows) >= 3:
-            table.slopes[scheme] = fit_loglog(
-                [r["h"] for r in rows], [r["rel_l2"] for r in rows]
-            )
-    table.rows.sort(key=lambda r: (r["scheme"], -r["h"]))
+    table = run_convergence_study(
+        cfg["dim"],
+        cfg["epsilon"],
+        levels,
+        T=cfg["T"],
+        dt=cfg["dt"],
+        schemes=[tok.strip() for tok in cfg["schemes"].split(",") if tok.strip()],
+        enrichment_kind=cfg["kind"],
+        sigma=cfg["sigma"] or None,
+        timing=not cfg["no_timing"],
+        dt_per_level=(lambda level: cfg["T"] / level**2) if cfg["dt_rule"] == "h-squared" else None,
+        problem=cfg["problem"] or None,
+    )
     header = config_header_lines(cfg)
     header += [f"slope[{s}] = {table.slopes[s][0]:.6g}" for s in sorted(table.slopes)]
-    header += failures
     write_convergence_csv(table, cfg["output"], header_comments=header)
-    for line in failures:
-        print(f"# {line}", file=sys.stderr)
+    for failure in table.failures:
+        print(f"# error: {failure}", file=sys.stderr)
     print(f"wrote {cfg['output']} ({len(table.rows)} rows)")
-    return EXIT_NUMERICAL if failures and not table.rows else EXIT_OK
+    return EXIT_NUMERICAL if table.failures and not table.rows else EXIT_OK
 
 
 CORRECTOR_DEFAULTS = {
@@ -499,14 +351,6 @@ def build_parser():
         description="Boundary-layer-enriched P1 finite elements for u_t - eps*Lap(u) = f",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mesh", help="generate and write a mesh file")
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--n", type=int, help="1D element count")
-    p.add_argument("--boundary-nodes", dest="boundary_nodes", type=int, help="2D boundary node count")
-    p.add_argument("-o", "--output", dest="output")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("solve", help="run one scenario and report errors")
     p.add_argument("--problem", choices=PROBLEMS_1D + PROBLEMS_2D)

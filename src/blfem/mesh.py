@@ -1,17 +1,14 @@
 """Deterministic interval meshes and quasi-uniform triangulations of the
-unit disk built from concentric node rings, plus the boundary-fitted
-(eta, xi) = (polar angle, 1 - r) coordinates and mesh file I/O.
+unit disk built from concentric node rings.  The rings are what enriched
+2D assembly ties its angular hats to; boundary-fitted coordinates live in
+`assembly.fitted_arrays`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_CENTER_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Mesh1D:
@@ -42,12 +39,6 @@ class Mesh2D:
     @property
     def dim(self):
         return 2
-
-
-@dataclass(frozen=True)
-class FittedCoords:
-    eta: float   # polar angle in [0, 2 pi)
-    xi: float    # 1 - r, distance from the boundary
 
 
 def build_interval_mesh(n_elements: int) -> Mesh1D:
@@ -163,94 +154,4 @@ def build_disk_mesh(boundary_node_count: int, radial_factor: float = RADIAL_FACT
         min_angle_deg=min_angle,
         quasi_uniformity=quality,
         outer_ring_width=dr,
-    )
-
-
-def to_fitted(x: float, y: float) -> FittedCoords:
-    """Boundary-fitted coordinates of a point of the closed unit disk."""
-    r = math.hypot(x, y)
-    if r > 1.0 + 1e-9:
-        raise ValueError("point outside the unit disk")
-    xi = min(max(1.0 - r, 0.0), 1.0)
-    if r <= _CENTER_TOL:
-        return FittedCoords(eta=0.0, xi=1.0)
-    eta = math.atan2(y, x)
-    if eta < 0.0:
-        eta += 2.0 * math.pi
-    if eta >= 2.0 * math.pi:
-        eta = 0.0
-    return FittedCoords(eta=eta, xi=xi)
-
-
-def gradient_transform(coords: FittedCoords) -> np.ndarray:
-    """Matrix J with (d/dx, d/dy) = J @ (d/dxi, d/deta).
-
-    Row 1: d/dx = -cos(eta) d/dxi - sin(eta)/(1-xi) d/deta
-    Row 2: d/dy = -sin(eta) d/dxi + cos(eta)/(1-xi) d/deta
-    """
-    if coords.xi >= 1.0 - _CENTER_TOL:
-        raise ValueError("gradient transform is singular at the center")
-    c, s = math.cos(coords.eta), math.sin(coords.eta)
-    rinv = 1.0 / (1.0 - coords.xi)
-    return np.array([[-c, -s * rinv], [-s, c * rinv]])
-
-
-def write_mesh(mesh, path, header_comments=()):
-    """Line-oriented text format:
-    header `blfem-mesh v1 <dim> <n_nodes> <n_elements> <n_boundary>`,
-    optional `#` comment lines, then `v`, `t`, `b` records (0-based)."""
-    lines = []
-    if mesh.dim == 1:
-        lines.append(f"blfem-mesh v1 1 {len(mesh.nodes)} {len(mesh.elements)} 2")
-        lines.extend(f"# {c}" for c in header_comments)
-        lines.extend(f"v {x:.17g} 0" for x in mesh.nodes)
-        lines.extend(f"t {i} {j}" for i, j in mesh.elements)
-        lines.extend(f"b {i}" for i in (0, len(mesh.nodes) - 1))
-    else:
-        lines.append(
-            f"blfem-mesh v1 2 {len(mesh.nodes)} {len(mesh.triangles)} {len(mesh.boundary_nodes)}"
-        )
-        lines.extend(f"# {c}" for c in header_comments)
-        lines.extend(f"v {x:.17g} {y:.17g}" for x, y in mesh.nodes)
-        lines.extend(f"t {i} {j} {k}" for i, j, k in mesh.triangles)
-        lines.extend(f"b {i}" for i in mesh.boundary_nodes)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_mesh(path):
-    """Read the `blfem-mesh v1` format back into a mesh object.
-
-    Ring structure is not part of the format; 2D meshes read from file carry
-    empty `rings` and a zero `outer_ring_width`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[:2] != ["blfem-mesh", "v1"]:
-        raise ValueError("not a blfem-mesh v1 file")
-    dim = int(head[2])
-    verts, elems, bnd = [], [], []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if parts[0] == "v":
-            verts.append((float(parts[1]), float(parts[2])))
-        elif parts[0] == "t":
-            elems.append(tuple(int(p) for p in parts[1:]))
-        elif parts[0] == "b":
-            bnd.append(int(parts[1]))
-    verts = np.array(verts)
-    elems = np.array(elems, dtype=int)
-    if dim == 1:
-        nodes = verts[:, 0]
-        return Mesh1D(nodes=nodes, elements=elems, h=float(np.diff(nodes).max()))
-    h, min_angle, quality = _triangle_stats(verts, elems)
-    return Mesh2D(
-        nodes=verts,
-        triangles=elems,
-        boundary_nodes=np.array(bnd, dtype=int),
-        h=h,
-        min_angle_deg=min_angle,
-        quasi_uniformity=quality,
     )

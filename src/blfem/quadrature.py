@@ -156,19 +156,6 @@ def composite_interval(breaks: np.ndarray, n_gauss: int) -> QuadratureRule:
     return QuadratureRule(pts.ravel(), (widths * base.weights).ravel(), 2 * n_gauss - 1)
 
 
-def layer_strip_rule(epsilon: float, sigma: float, n_sub: int = 8, n_gauss: int = 5) -> QuadratureRule:
-    """Composite rule on [0, sigma] graded toward 0, resolving integrands
-    that vary on the sqrt(eps) scale near the boundary."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if n_sub < 2:
-        raise ValueError("n_sub must be >= 2")
-    breaks = geometric_panels(sigma, n_sub, np.sqrt(4.0 * epsilon))
-    return composite_interval(breaks, n_gauss)
-
-
 def adaptive_gauss(f, a: float, b: float, abs_tol: float, max_depth: int = 50) -> float:
     """Adaptive Gauss-Legendre integration of a vectorized scalar function.
 

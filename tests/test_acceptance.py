@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from blfem.analysis import (
+    ExactSolution1D,
+    ExactSolution2D,
     epsilon_rate_study,
-    exact_solution_1d,
-    exact_solution_2d,
     run_convergence_study,
     solve_scenario,
 )
@@ -140,7 +140,7 @@ def test_criterion_4_manufactured_solutions_satisfy_pde():
     rng = np.random.default_rng(2024)
 
     eps1 = 1e-3
-    ex1 = exact_solution_1d(eps1)
+    ex1 = ExactSolution1D(eps1)
     x = rng.uniform(0.02, 0.98, 200)
     t = rng.uniform(0.2, 1.0, 200)
     h = math.sqrt(eps1) / 50.0
@@ -152,7 +152,7 @@ def test_criterion_4_manufactured_solutions_satisfy_pde():
     res1 = np.max(np.abs(ut - eps1 * uxx - ex1.f(x, t))) / np.max(np.abs(ex1.f(x, t)))
 
     eps2 = 1e-4
-    ex2 = exact_solution_2d(eps2)
+    ex2 = ExactSolution2D(eps2)
     r = rng.uniform(0.3, 0.995, 200)
     t = rng.uniform(0.2, 1.0, 200)
     h = math.sqrt(eps2) / 50.0

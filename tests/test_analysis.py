@@ -9,17 +9,16 @@ import pytest
 from blfem.analysis import (
     CSV_HEADER,
     ConvergenceTable,
+    ExactSolution1D,
+    ExactSolution2D,
     SmoothSolution1D,
     ZeroSolution1D,
     _graded_grid,
     compute_error_report,
     epsilon_rate_study,
-    exact_solution_1d,
-    exact_solution_2d,
     fit_loglog,
     format_csv_row,
     oscillation_index,
-    relative_l2_error,
     remainder_reference_1d,
     run_convergence_study,
     solve_scenario,
@@ -33,7 +32,7 @@ class TestManufacturedSolution1D:
     def test_pde_residual_by_finite_differences(self):
         # u_t - eps u_xx = f at random points, 4th-order central differences
         eps = 1e-3
-        exact = exact_solution_1d(eps)
+        exact = ExactSolution1D(eps)
         rng = np.random.default_rng(42)
         x = rng.uniform(0.02, 0.98, 200)
         t = rng.uniform(0.2, 1.0, 200)
@@ -52,14 +51,14 @@ class TestManufacturedSolution1D:
 
     def test_derivative_consistency(self):
         eps = 1e-3
-        exact = exact_solution_1d(eps)
+        exact = ExactSolution1D(eps)
         x = np.linspace(0.01, 0.99, 97)
         h = 1e-6
         fd = (exact.u(x + h, 0.7) - exact.u(x - h, 0.7)) / (2.0 * h)
         assert np.allclose(exact.u_x(x, 0.7), fd, rtol=1e-6, atol=1e-8)
 
     def test_boundary_and_initial_conditions(self):
-        exact = exact_solution_1d(1e-5)
+        exact = ExactSolution1D(1e-5)
         assert exact.u(0.0, 0.7) == 0.0
         assert exact.u(1.0, 0.7) == pytest.approx(0.0, abs=1e-14)
         assert np.all(exact.u0(np.linspace(0, 1, 11)) == 0.0)
@@ -88,7 +87,7 @@ def _unfused_1d(eps, x, t):
 class TestManufacturedSolution1DFused:
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     def test_bit_identical_to_unfused_formulas(self, eps):
-        exact = exact_solution_1d(eps)
+        exact = ExactSolution1D(eps)
         rng = np.random.default_rng(7)
         near = np.sqrt(eps) * rng.uniform(0.0, 40.0, 500)
         x = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 2000), near, 1.0 - near])
@@ -106,7 +105,7 @@ class TestManufacturedSolution2D:
         # u_t - eps (u_rr + u_r / r) = f via finite differences on the
         # radial section
         eps = 1e-4
-        exact = exact_solution_2d(eps)
+        exact = ExactSolution2D(eps)
         rng = np.random.default_rng(3)
         r = rng.uniform(0.3, 0.995, 200)
         t = rng.uniform(0.2, 1.0, 200)
@@ -124,12 +123,12 @@ class TestManufacturedSolution2D:
         assert np.max(np.abs(resid)) < 1e-5 * math.e
 
     def test_boundary_condition_on_circle(self):
-        exact = exact_solution_2d(1e-8)
+        exact = ExactSolution2D(1e-8)
         ang = np.linspace(0.0, 2.0 * np.pi, 17)
         assert np.max(np.abs(exact.u(np.cos(ang), np.sin(ang), 0.9))) < 1e-14
 
     def test_gradient_is_radial(self):
-        exact = exact_solution_2d(1e-4)
+        exact = ExactSolution2D(1e-4)
         g = exact.grad(0.6, 0.0, 0.5)
         assert g[1] == 0.0
         h = 1e-7
@@ -138,7 +137,7 @@ class TestManufacturedSolution2D:
 
     def test_interior_plateau(self):
         # away from the layer the solution is exp(t) to exponential accuracy
-        exact = exact_solution_2d(1e-8)
+        exact = ExactSolution2D(1e-8)
         assert exact.u(0.5, 0.0, 1.0) == pytest.approx(math.e, rel=1e-12)
 
 
@@ -149,17 +148,17 @@ class TestErrorNorms:
         exact = SmoothSolution1D(eps)
         space = build_space(build_interval_mesh(64))
         coeffs = exact.u(space.mesh.nodes[space.interior_nodes], 1.0)
-        rel = relative_l2_error(space, coeffs, exact, 1.0, eps)
+        rel = compute_error_report(space, coeffs, exact, 1.0, eps).rel_l2
         assert rel < 1e-3
 
     def test_norm_quadrature_self_consistency(self):
         eps = 1e-5
-        exact = exact_solution_1d(eps)
+        exact = ExactSolution1D(eps)
         space = build_space(build_interval_mesh(20))
         coeffs = exact.u(space.mesh.nodes[space.interior_nodes], 1.0)
-        r1 = relative_l2_error(space, coeffs, exact, 1.0, eps, refine=1)
-        r2 = relative_l2_error(space, coeffs, exact, 1.0, eps, refine=2)
-        r3 = relative_l2_error(space, coeffs, exact, 1.0, eps, refine=3)
+        r1 = compute_error_report(space, coeffs, exact, 1.0, eps, refine=1).rel_l2
+        r2 = compute_error_report(space, coeffs, exact, 1.0, eps, refine=2).rel_l2
+        r3 = compute_error_report(space, coeffs, exact, 1.0, eps, refine=3).rel_l2
         assert abs(r1 - r2) < 1e-5 * max(r1, r2)  # default rule accuracy
         assert abs(r2 - r3) < 1e-10 * max(r2, r3)  # converged thereafter
 
@@ -169,7 +168,7 @@ class TestErrorNorms:
         space = build_space(build_interval_mesh(10))
         coeffs = np.zeros(space.n_standard)
         with pytest.raises(ZeroDivisionError):
-            relative_l2_error(space, coeffs, exact, 1.0, eps)
+            compute_error_report(space, coeffs, exact, 1.0, eps)
         report = compute_error_report(space, coeffs, exact, 1.0, eps, degenerate_ok=True)
         assert math.isnan(report.rel_l2)
         assert report.abs_l2 == 0.0
@@ -178,7 +177,7 @@ class TestErrorNorms:
         eps = 1e-3
         exact = SmoothSolution1D(eps)
         space = build_space(build_interval_mesh(20))
-        rel = relative_l2_error(space, np.zeros(space.n_standard), exact, 1.0, eps)
+        rel = compute_error_report(space, np.zeros(space.n_standard), exact, 1.0, eps).rel_l2
         assert rel == pytest.approx(1.0, rel=1e-10)
 
 
@@ -194,7 +193,10 @@ class TestErrorReportFieldOnce:
             _, sol, space, exact = solve_scenario(2, 1e-5, 16, 1.0, 0.25, "nfem", "phi0_tilde")
         coeffs, eps = sol.final, 1e-5
         # references: each quantity from its own evaluation of the field
-        rel = relative_l2_error(space, coeffs, exact, 1.0, eps)
+        layout = analysis._element_rules(space.mesh, eps)
+        field = analysis._discrete_field(space, coeffs, layout, 1.0)
+        err2, ex2, _ = analysis._error_integrals(exact, 1.0, layout, field)
+        rel = float(np.sqrt(err2 / ex2))
         osc = oscillation_index(space, coeffs, exact, 1.0, eps)
         calls = []
         profile = analysis.evaluate_field_1d if dim == 1 else analysis._enriched_point_terms
@@ -313,6 +315,58 @@ class TestSolveScenario:
         rn, fieldsol, space, _ = solve_scenario(1, 1e-2, 16, 0.5, 0.05, "nfem", problem="smooth1d")
         assert rn.rel_l2 < 2.0 * rs.rel_l2
         assert np.max(np.abs(fieldsol.final[space.n_standard :])) < 0.05
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(dt=0.0), dict(T=0.0), dict(epsilon=-1e-3), dict(refine=0), dict(sigma=-1.0), dict(sigma=0.0)],
+    )
+    def test_invalid_inputs_rejected_before_meshing(self, kwargs, monkeypatch):
+        import blfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "build_interval_mesh", None)  # never reached
+        args = dict(dim=1, epsilon=1e-2, level=8, T=0.5, dt=0.1, scheme="sfem") | kwargs
+        with pytest.raises(ValueError):
+            solve_scenario(**args)
+
+    def test_problem_must_match_dimension(self):
+        with pytest.raises(ValueError, match="unknown 1D problem"):
+            solve_scenario(1, 1e-2, 8, 0.5, 0.1, "sfem", problem="exact2d")
+        with pytest.raises(ValueError, match="dim must be 1 or 2"):
+            run_convergence_study(3, 1e-2, [4, 8, 16])
+
+    def test_study_validates_before_first_solve(self, monkeypatch):
+        import blfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "solve_scenario", None)  # never reached
+        for kwargs in (
+            dict(dim=1, levels=[4, 8]),
+            dict(dim=1, levels=[4, 8, 1]),
+            dict(dim=2, levels=[16, 7, 26]),
+            dict(dim=1, levels=[4, 8, 16], schemes=("sfem", "magic")),
+            dict(dim=1, levels=[4, 8, 16], schemes=()),
+            dict(dim=1, levels=[4, 8, 16], problem="zero2d"),
+        ):
+            with pytest.raises(ValueError):
+                run_convergence_study(epsilon=1e-2, **kwargs)
+
+    def test_numerical_failure_recorded_and_study_continues(self, monkeypatch):
+        import blfem.analysis as analysis
+        from blfem.linsolve import NotPositiveDefinite
+
+        real = analysis.solve_scenario
+
+        def flaky(dim, epsilon, level, *args, **kwargs):
+            if level == 8 and args[2] == "sfem":
+                raise NotPositiveDefinite("pivot 3 is not positive")
+            return real(dim, epsilon, level, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_scenario", flaky)
+        table = run_convergence_study(1, 1e-2, [4, 8, 16], T=0.5, dt=0.05, timing=False)
+        assert table.failures == ["scheme=sfem level=8: pivot 3 is not positive"]
+        assert [(r["scheme"], r["h"]) for r in table.rows] == [
+            ("nfem", 0.25), ("nfem", 0.125), ("nfem", 0.0625), ("sfem", 0.25), ("sfem", 0.0625),
+        ]
+        assert list(table.slopes) == ["nfem"]
 
     def test_run_convergence_study_structure(self):
         table = run_convergence_study(

@@ -1,6 +1,7 @@
 """Galerkin assembly: standard P1 blocks against closed forms, enriched
 blocks against independent quadrature oracles, projection and evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,22 +9,20 @@ import pytest
 import scipy.sparse as sp
 from scipy import integrate as sp_integrate
 
-from blfem.analysis import exact_solution_1d, exact_solution_2d
+from blfem.analysis import ExactSolution1D, ExactSolution2D, _discrete_field
 from blfem.assembly import (
     RAD_N_GAUSS,
     RAD_N_SUB,
     AssemblyError,
-    TriangleLocator,
     _assemble_standard_1d,
     _check_gram,
+    _enriched_point_terms,
     assemble_enriched,
     assemble_standard,
     build_space,
     element_rules_2d,
     evaluate_field_1d,
-    evaluate_field_2d,
     evaluate_gradient_1d,
-    evaluate_gradient_2d,
     fitted_arrays,
     project_initial,
     triangle_geometry,
@@ -136,11 +135,11 @@ class TestStandard2D:
         system = assemble_standard(space, 1.0)
         ones = np.ones(space.n_standard)
         total = float(ones @ (system.mass @ ones))
-        # oracle through the independent load quadrature
-        load = system.parts["make_load"](
-            lambda x, y, t: evaluate_field_2d(space, ones, x, y)
-        )(0.0)
-        assert total == pytest.approx(float(load @ ones), rel=1e-10)
+        # oracle through the independent error-report quadrature, which is
+        # exact for the piecewise quadratic (sum_i hat_i)^2
+        layout = element_rules_2d(space.mesh, 1e-4)
+        hat_sum, _ = _discrete_field(space, ones, layout, 0.0)
+        assert total == pytest.approx(float(np.dot(layout.weights, hat_sum**2)), rel=1e-10)
 
     def test_misoriented_triangle_rejected(self):
         mesh = build_disk_mesh(26)
@@ -323,13 +322,8 @@ class TestEnriched2D:
         assert np.linalg.eigvalsh(mass).min() > 0.0
         assert np.linalg.eigvalsh(stiff).min() > 0.0
 
-    def test_enrichment_requires_ring_structure(self, tmp_path):
-        from blfem.mesh import read_mesh, write_mesh
-
-        mesh = build_disk_mesh(26)
-        path = tmp_path / "m.txt"
-        write_mesh(mesh, path)
-        flat = read_mesh(path)  # ring structure lost
+    def test_enrichment_requires_ring_structure(self):
+        flat = dataclasses.replace(build_disk_mesh(26), rings=())
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=1e-4, sigma=0.1)
         with pytest.raises(AssemblyError):
             build_space(flat, spec)
@@ -351,7 +345,9 @@ class TestEnriched2D:
             r = 1.0 - 0.3 * sigma
             eta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
             x, y = r * np.cos(eta), r * np.sin(eta)
-            got = evaluate_field_2d(space, coeffs, x, y, t=1.0)
+            # the standard part is zero, so the field is the enrichment alone
+            cols, vals, _ = _enriched_point_terms(space, x, y, 1.0)
+            got = np.sum(vals * coeffs[space.n_standard :][cols], axis=1)
             want = g(eta) * float(enrichment_profile(spec, 1.0 - r, 1.0))
             errs.append(np.max(np.abs(got - want)))
         assert errs[1] < errs[0] / 2.0  # at least first order in the angle
@@ -524,17 +520,17 @@ class TestProjectionAndEvaluation:
         assert np.all(got[space.n_standard :] == 0.0)
 
     def test_field_evaluation_reproduces_linear_2d(self):
+        # on the triangles without a boundary vertex the interior nodal
+        # values of a linear function reproduce it and its gradient
         mesh = build_disk_mesh(26)
         space = build_space(mesh)
         nodes = mesh.nodes[space.interior_nodes]
         coeffs = 0.3 * nodes[:, 0] + 0.9 * nodes[:, 1]
-        rng = np.random.default_rng(11)
-        ang = rng.uniform(0.0, 2.0 * np.pi, 50)
-        rad = rng.uniform(0.0, 0.85, 50)
-        x, y = rad * np.cos(ang), rad * np.sin(ang)
-        got = evaluate_field_2d(space, coeffs, x, y)
+        on_bdy = np.isin(mesh.triangles, mesh.boundary_nodes).any(axis=1)
+        layout = element_rules_2d(mesh, 1e-6, triangles=np.nonzero(~on_bdy)[0])
+        got, grads = _discrete_field(space, coeffs, layout, 0.0)
+        x, y = layout.points.T
         assert np.allclose(got, 0.3 * x + 0.9 * y, atol=1e-12)
-        grads = evaluate_gradient_2d(space, coeffs, x, y)
         assert np.allclose(grads, [0.3, 0.9], atol=1e-12)
 
     def test_field_evaluation_1d_with_enrichment(self):
@@ -548,27 +544,6 @@ class TestProjectionAndEvaluation:
         assert np.allclose(evaluate_field_1d(space, coeffs, xs), want, atol=1e-14)
         wantg = 2.0 * np.asarray(enrichment_profile_dxi(spec, xs))
         assert np.allclose(evaluate_gradient_1d(space, coeffs, xs), wantg, atol=1e-12)
-
-
-class TestTriangleLocator:
-    def test_centroids_found_exactly(self):
-        mesh = build_disk_mesh(26)
-        loc = TriangleLocator(mesh)
-        centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-        tri_idx, bary = loc.locate(centroids[:, 0], centroids[:, 1])
-        assert np.array_equal(tri_idx, np.arange(len(mesh.triangles)))
-        assert np.allclose(bary, 1.0 / 3.0, atol=1e-10)
-
-    def test_sliver_points_extrapolate(self):
-        # mid-edge boundary points at radius 1 lie outside the polygon; the
-        # locator must return the adjacent triangle with bary summing to 1
-        mesh = build_disk_mesh(26)
-        loc = TriangleLocator(mesh)
-        ang = np.pi / 26.0  # between boundary nodes 0 and 1
-        tri_idx, bary = loc.locate(np.array([np.cos(ang)]), np.array([np.sin(ang)]))
-        assert tri_idx[0] >= 0
-        assert bary.sum() == pytest.approx(1.0, abs=1e-10)
-        assert bary.min() > -0.2  # mild extrapolation just outside the chord
 
 
 class TestTriangleGeometry:
@@ -633,7 +608,7 @@ class TestStandardLoadOperator:
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     def test_1d_bit_identical_to_contribution_sum(self, n, eps):
         space = _space_1d(n)
-        f = exact_solution_1d(eps).f
+        f = ExactSolution1D(eps).f
         load = assemble_standard(space, eps).parts["make_load"](f)
         for t in (0.0, 0.37, 1.0):
             assert load(t).tobytes() == _reference_standard_load(space, f, t).tobytes()
@@ -643,7 +618,7 @@ class TestStandardLoadOperator:
     def test_2d_bit_identical_to_contribution_sum(self, b, source):
         eps = 1e-8
         space = build_space(build_disk_mesh(b))
-        f = exact_solution_2d(eps).f if source == "exact2d" else _wavy_source
+        f = ExactSolution2D(eps).f if source == "exact2d" else _wavy_source
         load = assemble_standard(space, eps).parts["make_load"](f)
         for t in (0.0, 0.37, 1.0):
             got, want = load(t), _reference_standard_load(space, f, t)
@@ -760,3 +735,40 @@ class TestEnrichedMass1D:
             mass = assemble_enriched(space, eps, t=t).mass.toarray()
             want = _aligned_mass_1d(space, t)
             assert np.max(np.abs(mass - want)) <= 1e-12 * np.max(np.abs(want)), (kind, eps, n, t)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    @pytest.mark.parametrize("n", [50, 200, 800])
+    def test_no_sliver_panels(self, eps, n, monkeypatch):
+        # a node x and the mirror 1 - x of another one an ulp away make one
+        # break: every panel is wider than 1e-12, and every node and mirror
+        # inside the support still lies on a break
+        import blfem.assembly as assembly
+
+        seen = []
+        monkeypatch.setattr(assembly, "composite_interval", lambda b, g: seen.append(b) or composite_interval(b, g))
+        space = _space_1d(n, _spec_1d("phi_m1", eps, n))
+        assemble_enriched(space, eps, t=1.0)
+        (breaks,) = seen
+        assert breaks[0] == 0.0 and breaks[-1] == space.enrichment.support
+        assert np.diff(breaks).min() > 1e-12
+        kinks = np.concatenate([space.mesh.nodes, 1.0 - space.mesh.nodes])
+        kinks = kinks[(kinks > 0.0) & (kinks < space.enrichment.support)]
+        assert np.abs(kinks[:, None] - breaks[None, :]).min(axis=1).max() <= 1e-12
+
+
+class TestEnrichedSpd2D:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    @pytest.mark.parametrize("b", [16, 52])
+    def test_symmetric_positive_definite(self, kind, eps, b):
+        mesh = build_disk_mesh(b)
+        # the solver's default taper width for phi_m1_lin: three ring widths
+        sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+        parts = assemble_enriched(space, eps, t=1.0).parts
+        times = (0.1, 0.5, 1.0) if space.enrichment.time_dependent else (1.0,)
+        for t in times:
+            for matrix in parts["restack"](parts["rebuild"](t)):
+                dense = matrix.toarray()
+                assert np.array_equal(dense, dense.T)
+                assert np.linalg.eigvalsh(dense)[0] > 0.0, (kind, eps, b, t)

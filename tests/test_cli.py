@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from blfem.analysis import solve_scenario
+from blfem.assembly import _enriched_point_terms
 from blfem.cli import (
     EXIT_INVALID,
     EXIT_NUMERICAL,
@@ -15,6 +17,7 @@ from blfem.cli import (
     merge_config,
     read_config_file,
 )
+from blfem.linsolve import NotPositiveDefinite
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -57,30 +60,6 @@ class TestConfigHandling:
         assert lines == ["a = 1", "b = 2"]
 
 
-class TestMeshCommand:
-    def test_mesh_1d(self, tmp_path, monkeypatch, capsys):
-        code = run_cli(["mesh", "--dim", "1", "--n", "10", "-o", "m.txt"], tmp_path, monkeypatch)
-        assert code == EXIT_OK
-        text = (tmp_path / "m.txt").read_text()
-        assert text.startswith("blfem-mesh v1 1 11 10 2")
-        assert "# dim = 1" in text
-
-    def test_mesh_2d_round_trip(self, tmp_path, monkeypatch):
-        from blfem.mesh import read_mesh
-
-        code = run_cli(
-            ["mesh", "--dim", "2", "--boundary-nodes", "26", "-o", "m2.txt"],
-            tmp_path, monkeypatch,
-        )
-        assert code == EXIT_OK
-        mesh = read_mesh(tmp_path / "m2.txt")
-        assert len(mesh.boundary_nodes) == 26
-
-    def test_too_few_boundary_nodes(self, tmp_path, monkeypatch):
-        code = run_cli(["mesh", "--dim", "2", "--boundary-nodes", "7"], tmp_path, monkeypatch)
-        assert code == EXIT_INVALID
-
-
 class TestSolveCommand:
     def test_basic_solve_and_report(self, tmp_path, monkeypatch, capsys):
         code = run_cli(
@@ -117,6 +96,23 @@ class TestSolveCommand:
             tmp_path, monkeypatch,
         )
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dt", "0"], ["--quad-refine", "0"], ["--sigma", "-1", "--kind", "phi0"], ["--epsilon", "0"]],
+    )
+    def test_invalid_parameter_exit_2(self, tmp_path, monkeypatch, capsys, flags):
+        code = run_cli(["solve", "--problem", "exact1d", "--n", "8", "--T", "0.5"] + flags, tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""  # rejected before any output
+
+    def test_unknown_problem_in_config_exit_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "run.cfg").write_text("problem = exact3d\n")
+        code = run_cli(["solve", "--config", "run.cfg", "--n", "8", "--T", "0.5"], tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        assert "exact3d" in capsys.readouterr().err
 
     def test_zero_problem_reports_undefined(self, tmp_path, monkeypatch, capsys):
         code = run_cli(
@@ -193,6 +189,43 @@ class TestSolveCommand:
         assert len(lines) == 1 + 33  # 4n + 1 samples
 
 
+def _disk_field_reference(space, coeffs, t):
+    """The discrete field at each disk mesh node, evaluated inside the first
+    triangle that holds the node with barycentric coordinates solved from
+    its vertices, plus the enrichment terms."""
+    mesh = space.mesh
+    vals = np.empty(len(mesh.nodes))
+    for node in range(len(mesh.nodes)):
+        tri = mesh.triangles[np.nonzero(mesh.triangles == node)[0][0]]
+        lam = np.linalg.solve(np.vstack([np.ones(3), mesh.nodes[tri].T]), np.array([1.0, *mesh.nodes[node]]))
+        dof = space.node_to_dof[tri]
+        vals[node] = np.dot(lam, np.where(dof >= 0, coeffs[np.clip(dof, 0, None)], 0.0))
+    if space.enrichment is not None:
+        cols, evals, _ = _enriched_point_terms(space, mesh.nodes[:, 0], mesh.nodes[:, 1], t)
+        vals += np.sum(evals * coeffs[space.n_standard :][cols], axis=1)
+    return vals
+
+
+class TestDumpField2D:
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("scheme", ["sfem", "nfem"])
+    def test_nodal_values(self, tmp_path, monkeypatch, scheme):
+        code = run_cli(
+            ["solve", "--problem", "exact2d", "--epsilon", "1e-3", "--n", "16", "--dt", "0.25",
+             "--T", "0.5", "--scheme", scheme, "--dump-field", "f.csv"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        lines = [ln for ln in (tmp_path / "f.csv").read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0] == "x,y,u"
+        got = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        _, fieldsol, space, _ = solve_scenario(2, 1e-3, 16, 0.5, 0.25, scheme)
+        want = _disk_field_reference(space, fieldsol.final, 0.5)
+        assert np.array_equal(got[:, :2], np.array([[float(f"{c:.10g}") for c in xy] for xy in space.mesh.nodes]))
+        assert np.allclose(got[:, 2], [float(f"{v:.10g}") for v in want], rtol=0.0, atol=1e-12)
+        assert np.all(got[space.mesh.boundary_nodes, 2] == 0.0)
+
+
 class TestConvergeCommand:
     def test_csv_rows_and_slopes(self, tmp_path, monkeypatch, capsys):
         code = run_cli(
@@ -229,6 +262,50 @@ class TestConvergeCommand:
             tmp_path, monkeypatch,
         )
         assert code == EXIT_INVALID
+
+    def test_problem_of_other_dimension_exit_2(self, tmp_path, monkeypatch, capsys):
+        code = run_cli(
+            ["converge", "--dim", "1", "--problem", "exact2d", "--levels", "16,20,26", "--dt", "0.5",
+             "--T", "0.5", "-o", "conv.csv"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_INVALID
+        assert "unknown 1D problem 'exact2d'" in capsys.readouterr().err
+        assert not (tmp_path / "conv.csv").exists()
+
+    def test_too_small_level_rejected_before_solving(self, tmp_path, monkeypatch):
+        import blfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "solve_scenario", None)  # never reached
+        code = run_cli(["converge", "--dim", "2", "--levels", "16,20,4"], tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+
+    def test_failed_level_recorded_and_rest_written(self, tmp_path, monkeypatch, capsys):
+        import blfem.analysis as analysis
+
+        real = analysis.solve_scenario
+
+        def flaky(dim, epsilon, level, *args, **kwargs):
+            if level == 8 and args[2] == "nfem":
+                raise NotPositiveDefinite("pivot 3 is not positive")
+            return real(dim, epsilon, level, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_scenario", flaky)
+        code = run_cli(
+            ["converge", "--dim", "1", "--epsilon", "1e-2", "--levels", "4,8,16", "--dt", "0.1",
+             "--T", "0.5", "--no-timing", "-o", "conv.csv"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / "conv.csv").read_text().splitlines()
+        assert "# error: scheme=nfem level=8: pivot 3 is not positive" in lines
+        data = [ln for ln in lines if not ln.startswith("#")][1:]
+        assert [ln.split(",")[:3] for ln in data] == [
+            ["nfem", "0.01", "0.25"], ["nfem", "0.01", "0.0625"],
+            ["sfem", "0.01", "0.25"], ["sfem", "0.01", "0.125"], ["sfem", "0.01", "0.0625"],
+        ]
+        assert "slope[nfem]" not in "\n".join(lines)  # two rows fit no slope
+        assert "level=8" in capsys.readouterr().err
 
 
 class TestCorrectorCommand:
@@ -278,11 +355,14 @@ class TestThreadCap:
         monkeypatch.setenv("BLFEM_THREADS", "2")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
-        run_cli(["mesh", "--dim", "1", "--n", "4", "-o", "m.txt"], tmp_path, monkeypatch)
+        code = run_cli(["corrector", "--points", "4", "-o", "p.csv"], tmp_path, monkeypatch)
+        assert code == EXIT_OK
         assert os.environ["OMP_NUM_THREADS"] == "2"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
-    def test_invalid_thread_count(self, tmp_path, monkeypatch):
+    def test_invalid_thread_count(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BLFEM_THREADS", "many")
-        code = run_cli(["mesh", "--dim", "1", "--n", "4"], tmp_path, monkeypatch)
+        code = run_cli(["corrector", "--points", "4", "-o", "p.csv"], tmp_path, monkeypatch)
         assert code == EXIT_INVALID
+        assert "BLFEM_THREADS must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()

@@ -1,4 +1,5 @@
-"""Mesh generators, quality statistics, boundary-fitted coordinates, I/O."""
+"""Mesh generators, quality statistics, and the boundary-fitted
+coordinates (eta, xi) = (polar angle, 1 - r) with their chain rule."""
 
 import math
 
@@ -7,15 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blfem.mesh import (
-    Mesh2D,
-    build_disk_mesh,
-    build_interval_mesh,
-    gradient_transform,
-    read_mesh,
-    to_fitted,
-    write_mesh,
-)
+from blfem.assembly import _enriched_point_terms, build_space, fitted_arrays
+from blfem.corrector import EnrichmentSpec
+from blfem.mesh import build_disk_mesh, build_interval_mesh
 
 
 class TestIntervalMesh:
@@ -112,89 +107,65 @@ class TestDiskMesh:
             build_disk_mesh(7)
 
 
+def _enriched_disk(b=16, eps=1e-3):
+    return build_space(build_disk_mesh(b), EnrichmentSpec(kind="phi_m1", epsilon=eps))
+
+
 class TestFittedCoordinates:
     def test_examples(self):
-        c = to_fitted(1.0, 0.0)
-        assert c.eta == 0.0 and c.xi == 0.0
-        c = to_fitted(0.0, 0.5)
-        assert c.eta == pytest.approx(math.pi / 2.0)
-        assert c.xi == pytest.approx(0.5)
-        c = to_fitted(0.0, 0.0)
-        assert c.xi == 1.0
-
-    def test_outside_disk_rejected(self):
-        with pytest.raises(ValueError):
-            to_fitted(1.1, 0.0)
+        eta, xi, r = fitted_arrays([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
+        assert eta[0] == 0.0 and xi[0] == 0.0
+        assert eta[1] == pytest.approx(math.pi / 2.0)
+        assert xi[1] == pytest.approx(0.5)
+        assert xi[2] == 1.0 and r[2] == 0.0
 
     @given(
         st.floats(min_value=0.0, max_value=2.0 * math.pi - 1e-9),
         st.floats(min_value=1e-6, max_value=1.0),
     )
     def test_round_trip(self, eta, r):
-        c = to_fitted(r * math.cos(eta), r * math.sin(eta))
-        assert c.xi == pytest.approx(1.0 - r, abs=1e-12)
-        d = abs((c.eta - eta + math.pi) % (2.0 * math.pi) - math.pi)
+        got_eta, xi, got_r = fitted_arrays(r * math.cos(eta), r * math.sin(eta))
+        assert float(xi) == pytest.approx(1.0 - r, abs=1e-12)
+        assert float(got_r) == pytest.approx(r, abs=1e-15)
+        assert 0.0 <= float(got_eta) <= 2.0 * math.pi
+        d = abs((float(got_eta) - eta + math.pi) % (2.0 * math.pi) - math.pi)
         assert d < 1e-9 / r
 
     def test_gradient_transform_chain_rule(self):
-        # apply the transform to F(xi, eta) = (1 - xi)^2 = r^2 = x^2 + y^2:
-        # dF/dxi = -2(1-xi), dF/deta = 0, so grad F must be (2x, 2y)
-        for x, y in ((0.3, 0.4), (-0.5, 0.1), (0.0, 0.9)):
-            c = to_fitted(x, y)
-            jac = gradient_transform(c)
-            grad = jac @ np.array([-2.0 * (1.0 - c.xi), 0.0])
-            assert grad == pytest.approx([2.0 * x, 2.0 * y], abs=1e-12)
+        # the gradients of phi(xi) psi_j(eta) that _enriched_point_terms maps
+        # to (x, y) against central differences of its values, inside the
+        # layer and away from the angular hat kinks
+        space = _enriched_disk()
+        deta = 2.0 * np.pi / space.n_enriched
+        rng = np.random.default_rng(5)
+        eta = deta * (rng.integers(0, space.n_enriched, 40) + rng.uniform(0.1, 0.9, 40))
+        r = rng.uniform(0.9, 0.995, 40)
+        x, y = r * np.cos(eta), r * np.sin(eta)
+        cols, _, grads = _enriched_point_terms(space, x, y, 1.0)
+        h = 1e-6
+        for axis in (0, 1):
+            dx, dy = (h, 0.0) if axis == 0 else (0.0, h)
+            cp, vp, _ = _enriched_point_terms(space, x + dx, y + dy, 1.0)
+            cm, vm, _ = _enriched_point_terms(space, x - dx, y - dy, 1.0)
+            assert np.array_equal(cp, cols) and np.array_equal(cm, cols)
+            fd = (vp - vm) / (2.0 * h)
+            assert np.allclose(grads[:, :, axis], fd, rtol=1e-6, atol=1e-6 * np.abs(grads).max())
 
     def test_gradient_transform_angular(self):
-        # F(xi, eta) = eta has gradient (-y, x)/r^2
-        x, y = 0.6, -0.3
-        c = to_fitted(x, y)
-        jac = gradient_transform(c)
-        grad = jac @ np.array([0.0, 1.0])
+        # on the cutoff plateau phi = 1 - exp(-xi^2 / (4 eps)) = 1 to double
+        # precision, so the gradient is the angular term alone:
+        # phi * dpsi/deta * grad(eta) with grad(eta) = (-y, x) / r^2
+        space = _enriched_disk(eps=1e-8)
+        deta = 2.0 * np.pi / space.n_enriched
+        x, y = 0.8, -0.4  # xi = 0.106, inside the plateau [0, 0.25]
+        _, vals, grads = _enriched_point_terms(space, np.array([x]), np.array([y]), 1.0)
         r2 = x * x + y * y
-        assert grad == pytest.approx([-y / r2, x / r2], abs=1e-12)
+        assert vals[0].sum() == pytest.approx(1.0, abs=1e-15)
+        for k, sign in enumerate((-1.0, 1.0)):
+            assert grads[0, k] == pytest.approx(sign / deta * np.array([-y / r2, x / r2]), abs=1e-12)
 
     def test_gradient_transform_singular_center(self):
-        with pytest.raises(ValueError):
-            gradient_transform(to_fitted(0.0, 0.0))
-
-
-class TestMeshIO:
-    def test_round_trip_1d(self, tmp_path):
-        mesh = build_interval_mesh(17)
-        path = tmp_path / "m1.txt"
-        write_mesh(mesh, path, header_comments=["n = 17"])
-        back = read_mesh(path)
-        assert back.dim == 1
-        assert np.allclose(back.nodes, mesh.nodes)
-        assert np.array_equal(back.elements, mesh.elements)
-        assert back.h == pytest.approx(mesh.h)
-
-    def test_round_trip_2d(self, tmp_path):
-        mesh = build_disk_mesh(26)
-        path = tmp_path / "m2.txt"
-        write_mesh(mesh, path)
-        back = read_mesh(path)
-        assert isinstance(back, Mesh2D)
-        assert np.allclose(back.nodes, mesh.nodes)
-        assert np.array_equal(back.triangles, mesh.triangles)
-        assert np.array_equal(back.boundary_nodes, mesh.boundary_nodes)
-        assert back.h == pytest.approx(mesh.h, rel=1e-12)
-        assert back.min_angle_deg == pytest.approx(mesh.min_angle_deg, rel=1e-12)
-
-    def test_header_and_comments(self, tmp_path):
-        mesh = build_interval_mesh(4)
-        path = tmp_path / "m.txt"
-        write_mesh(mesh, path, header_comments=["alpha = 1", "beta = two"])
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        assert lines[0] == "blfem-mesh v1 1 5 4 2"
-        assert lines[1] == "# alpha = 1"
-        assert lines[2] == "# beta = two"
-        assert "\r" not in text
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not-a-mesh v1 1 0 0 0\n")
-        with pytest.raises(ValueError):
-            read_mesh(path)
+        # 1/r in grad(eta) is guarded: the center lies outside every profile
+        # support, so values and gradients there are exactly zero
+        _, vals, grads = _enriched_point_terms(_enriched_disk(), np.zeros(1), np.zeros(1), 1.0)
+        assert np.all(vals == 0.0) and np.all(grads == 0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import blfem.assembly
-from blfem.analysis import exact_solution_1d, exact_solution_2d
+from blfem.analysis import ExactSolution1D, ExactSolution2D
 from blfem.assembly import assemble_enriched, assemble_standard, build_space
 from blfem.corrector import EnrichmentSpec, ProblemData
 from blfem.linsolve import NoConvergence, SolverConfig
@@ -115,7 +115,7 @@ class TestAdvance:
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=0.02)
         space = build_space(build_interval_mesh(30), spec)
         system = assemble_enriched(space, eps)
-        exact = exact_solution_1d(eps)
+        exact = ExactSolution1D(eps)
         runs = []
         for _ in range(2):
             sol = advance(space, system, exact.problem(1.0), TimeGrid(T=1.0, n_steps=10))
@@ -125,7 +125,7 @@ class TestAdvance:
     def test_solver_failure_tagged_with_step(self):
         space = build_space(build_interval_mesh(20))
         system = assemble_standard(space, 1e-2)
-        exact = exact_solution_1d(1e-2)
+        exact = ExactSolution1D(1e-2)
         cfg = SolverConfig(method="cg_jacobi", rel_tolerance=1e-10, max_iterations=1)
         with pytest.raises(NoConvergence) as exc_info:
             advance(space, system, exact.problem(1.0), TimeGrid(T=1.0, n_steps=4), cfg)
@@ -139,7 +139,7 @@ class TestTimeDependentEnrichment:
         spec = EnrichmentSpec(kind="phi0_tilde", epsilon=eps)
         space = build_space(build_interval_mesh(20), spec)
         system = assemble_enriched(space, eps, t=0.0)
-        exact = exact_solution_1d(eps)
+        exact = ExactSolution1D(eps)
         sol = advance(space, system, exact.problem(0.5), TimeGrid(T=0.5, n_steps=5))
         assert np.all(np.isfinite(sol.history))
         assert np.linalg.norm(sol.final) > 0.0
@@ -149,7 +149,7 @@ class TestTimeDependentEnrichment:
         spec = EnrichmentSpec(kind="phi0", epsilon=eps)
         space = build_space(build_interval_mesh(20), spec)
         system = assemble_enriched(space, eps, t=0.0)
-        exact = exact_solution_1d(eps)
+        exact = ExactSolution1D(eps)
         sol = advance(space, system, exact.problem(0.2), TimeGrid(T=0.2, n_steps=2))
         assert np.all(sol.history[0, space.n_standard :] == 0.0)
 
@@ -162,7 +162,7 @@ class TestTimeDependentEnrichment:
         mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
         space = build_space(mesh, spec)
         system = assemble_enriched(space, eps, t=0.0)
-        data = exact_solution_1d(eps).problem(1.0) if dim == 1 else exact_solution_2d(eps).problem(1.0)
+        data = ExactSolution1D(eps).problem(1.0) if dim == 1 else ExactSolution2D(eps).problem(1.0)
         calls = {}
         for name in ("enrichment_profile", "enrichment_profile_dxi"):
             def counted(*args, _fn=getattr(blfem.assembly, name), _name=name, **kwargs):
