@@ -251,7 +251,8 @@ def _discrete_field(space, coeffs, layout, t):
 
 def _error_integrals(exact, t, layout, field):
     """Squared L2 error, squared L2 norm of the exact solution, and squared
-    H1-seminorm error over the layout, given the discrete field there."""
+    H1-seminorm error over the layout, given the discrete field there, and
+    the exact solution at the layout's points."""
     uh, guh = field
     if layout.points.ndim == 1:
         ue = exact.u(layout.points, t)
@@ -261,11 +262,11 @@ def _error_integrals(exact, t, layout, field):
         gue = exact.grad(layout.points[:, 0], layout.points[:, 1], t)
         sq_grad_err = np.sum((guh - gue) ** 2, axis=1)
     w = layout.weights
-    return float(np.dot(w, (uh - ue) ** 2)), float(np.dot(w, ue**2)), float(np.dot(w, sq_grad_err))
+    return float(np.dot(w, (uh - ue) ** 2)), float(np.dot(w, ue**2)), float(np.dot(w, sq_grad_err)), ue
 
 
 def oscillation_index(
-    space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP, layout=None, uh=None
+    space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP, layout=None, uh=None, ue=None
 ) -> float:
     """Maximum overshoot of the discrete solution beyond the exact
     solution's local range within the boundary strip, normalized by
@@ -277,14 +278,13 @@ def oscillation_index(
     through the layer at a slightly shifted position is not penalized while
     genuine over/undershoot beyond the traversed range is.  `layout` is the
     unrefined layout over every element of the mesh, built here if not
-    given, and `uh` the discrete field at its points, evaluated here if not
-    given."""
+    given, and `uh` and `ue` the discrete field and the exact solution at
+    its points, evaluated here if not given."""
     mesh = space.mesh
     if layout is None:
         layout = _element_rules(mesh, epsilon)
     if mesh.dim == 1:
         elems = mesh.elements
-        ue = np.asarray(exact.u(layout.points, t), dtype=float)
         uev = np.asarray(exact.u(mesh.nodes, t), dtype=float)[elems]
         mid = mesh.nodes[elems].mean(axis=1)
         in_strip = (mid < strip) | (mid > 1.0 - strip)
@@ -292,12 +292,13 @@ def oscillation_index(
             uh = evaluate_field_1d(space, coeffs, layout.points, t)
     else:
         elems = mesh.triangles
-        ue = np.asarray(exact.u(layout.points[:, 0], layout.points[:, 1], t), dtype=float)
         uev = np.asarray(exact.u(mesh.nodes[:, 0], mesh.nodes[:, 1], t), dtype=float)[elems]
         in_strip = np.hypot(*mesh.nodes[elems].mean(axis=1).T) >= 1.0 - strip
         if uh is None:
             uh, _ = _field_on_layout_2d(space, coeffs, layout, t)
-    uh = np.asarray(uh, dtype=float)
+    if ue is None:  # one coordinate array per dimension
+        ue = exact.u(*np.atleast_2d(layout.points.T), t)
+    uh, ue = np.asarray(uh, dtype=float), np.asarray(ue, dtype=float)
     global_max = float(np.abs(ue).max())
     if global_max < 1e-300:
         return 0.0
@@ -313,13 +314,13 @@ def compute_error_report(
 ) -> ErrorReport:
     layout = _element_rules(space.mesh, epsilon, refine)
     field = _discrete_field(space, coeffs, layout, t)
-    err2, ex2, h12 = _error_integrals(exact, t, layout, field)
+    err2, ex2, h12, ue = _error_integrals(exact, t, layout, field)
     vanishes = np.sqrt(ex2) < 1e-300
     if vanishes and not degenerate_ok:
         raise ZeroDivisionError("exact solution vanishes in L2")
     # the oscillation index always reads the unrefined layout
     if refine == 1:
-        osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout, uh=field[0])
+        osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout, uh=field[0], ue=ue)
     else:
         osc = oscillation_index(space, coeffs, exact, t, epsilon)
     return ErrorReport(
@@ -413,7 +414,7 @@ PROBLEMS = {
 SCHEMES = ("sfem", "nfem")
 MIN_LEVEL = {1: 2, 2: 8}  # elements (1D), boundary nodes (2D)
 # a study level that raises one of these is recorded as failed, not fatal
-LEVEL_FAILURES = (AssemblyError, NotPositiveDefinite, NoConvergence, ZeroDivisionError)
+LEVEL_FAILURES = (AssemblyError, NotPositiveDefinite, NoConvergence)
 
 
 def _problem_class(dim, problem):
@@ -509,14 +510,16 @@ def run_convergence_study(
 ) -> ConvergenceTable:
     """Error tables over mesh levels for the requested schemes.
 
-    Level counts and sizes, scheme names and the problem are checked before
-    the first solve (ValueError).  A level that fails numerically is
-    recorded in the table's `failures` and the study moves on.
+    Level counts and sizes, scheme names and the problem (whose exact
+    solution must not vanish) are checked before the first solve
+    (ValueError).  A level that fails numerically is recorded in the
+    table's `failures` and the study moves on.
     dt_per_level, if given, maps a level to its time step (used to keep the
     time error subdominant in space-rate studies).  With timing=False the
     runtime column is zeroed so rerun outputs are byte-identical.
     """
-    _problem_class(dim, problem)
+    if _problem_class(dim, problem) in (ZeroSolution1D, ZeroSolution2D):
+        raise ValueError(f"problem {problem!r} has a zero exact solution, so relative errors are undefined")
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
     if min(levels) < MIN_LEVEL[dim]:

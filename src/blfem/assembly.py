@@ -80,11 +80,6 @@ class AssembledSystem:
     parts: dict = field(default_factory=dict)
 
 
-def _symmetrize(a):
-    a = sp.csr_matrix(a)
-    return (a + a.T) * 0.5
-
-
 # ---------------------------------------------------------------------------
 # quadrature layouts for loads and error integration
 
@@ -315,8 +310,6 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
         mass, stiff = _assemble_standard_1d(space, epsilon)
     else:
         mass, stiff = _assemble_standard_2d(space, epsilon)
-    mass = _symmetrize(mass)
-    stiff = _symmetrize(stiff)
     coords, op = _load_layout(space, epsilon)
 
     # the load needs the problem source; expose a factory so the same
@@ -353,31 +346,30 @@ RAD_N_GAUSS = 5
 
 
 @dataclass
-class _CouplingLayout2D:
-    """The enriched-space integrals over the triangulated (polygonal) domain
-    as linear maps from values at the quadrature points, so a time level only
-    needs new radial profile values, not new geometry.
+class _CouplingLayout:
+    """The enriched-space integrals as linear maps from values at the
+    quadrature points, so a time level only needs new radial profile values,
+    not new geometry.
 
     Each operator is a CSR matrix with one column per quadrature point that
     holds the geometry (weights, hats, angular hats, gradients), so one
     mat-vec sums the point values into the stored entries of a block:
     - sl_m @ phi and sl_a1 @ dphi + sl_a2 @ phi (times eps) are the data of
-      the coupling blocks msl and asl on the fixed (n, m) CSR pattern
-      (sl_indices, sl_indptr);
+      the coupling blocks msl and asl on the fixed (n, m) CSR pattern of
+      sl_block;
     - ee_m and ee_ang map phi**2, dphi**2 or phi_new * phi_old to the
       flattened (m, m) enriched blocks;
-    - le @ (phi * f) is the enriched load.
+    - le @ (phi * f(*coords, t)).ravel() is the enriched load, with one
+      row of load points in coords per enriched copy of the points.
 
-    Integrating these blocks over the same polygon as the standard blocks is
+    In 2D, integrating over the same polygon as the standard blocks is
     essential: extending them to the curved annulus would make the layer
     functions answer for the sliver between the chords and the circle, where
     no hat function lives, and bias the enriched coefficients upward."""
 
     xi: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    sl_indices: np.ndarray
-    sl_indptr: np.ndarray
+    coords: tuple
+    sl_block: sp.csr_matrix
     sl_m: sp.csr_matrix
     sl_a1: sp.csr_matrix
     sl_a2: sp.csr_matrix
@@ -386,10 +378,89 @@ class _CouplingLayout2D:
     le: sp.csr_matrix
 
 
-def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout2D:
+def _pattern(rows, per_point, n_rows, positions):
+    """The CSR pattern of an operator from point values, from the rows and
+    flat coefficient positions of per_point[i] contributions of each point
+    i, listed point by point: the operator's CSC order, so one linear-time
+    conversion gives the pattern, with coefficient positions as its data."""
+    indptr = np.concatenate([[0], np.cumsum(per_point)])
+    return sp.csc_matrix((positions, rows, indptr), shape=(n_rows, len(per_point))).tocsr()
+
+
+def _operator(pat, coeff):
+    return sp.csr_matrix((coeff.ravel()[pat.data], pat.indices, pat.indptr), shape=pat.shape)
+
+
+def _coupling_pattern(space, dof, col):
+    """The pattern that sums the contributions (point, a, b) of standard DOF
+    dof (-1: boundary, dropped) to enriched DOF col (broadcast together)
+    into the stored entries of the (n, m) coupling blocks, and a block with
+    those entries (its data are their keys)."""
+    n, m = space.n_standard, space.n_enriched
+    key = dof * m + col
+    keep = np.broadcast_to(dof >= 0, key.shape).copy()
+    key = key[keep]
+    keys = np.unique(key)
+    block = sp.csr_matrix((keys, keys % m, np.searchsorted(keys // m, np.arange(n + 1))), shape=(n, m))
+    rows = np.searchsorted(keys, key)
+    return _pattern(rows, keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep)), block
+
+
+def _layer_rule_1d(space: BasisSpace):
+    """Layer panels on [0, support] split at every mesh node x and 1 - x,
+    so that no hat kink of either enriched DOF falls inside a panel; a node
+    and a mirror an ulp apart make one break, not a sliver panel."""
+    spec = space.enrichment
+    nodes = np.concatenate([space.mesh.nodes, 1.0 - space.mesh.nodes])
+    breaks = np.union1d(
+        geometric_panels(spec.support, RAD_N_SUB, np.sqrt(4.0 * spec.epsilon)),
+        nodes[(nodes > 0.0) & (nodes < spec.support)],
+    )
+    return composite_interval(breaks[np.append(np.diff(breaks) > 1e-12, True)], RAD_N_GAUSS)
+
+
+def _coupling_layout_1d(space: BasisSpace) -> _CouplingLayout:
+    """Enriched DOF 0 is phi(x) and DOF 1 its mirror phi(1 - x), so each
+    point p of the layer rule carries DOF 0 at x = p and DOF 1 at x = 1 - p,
+    where d/dx = -d/dxi."""
+    nodes = space.mesh.nodes
+    rule = _layer_rule_1d(space)
+    p, w = rule.points, rule.weights
+    n_pts = len(p)
+
+    # (point, enriched DOF, standard hat): the two hats of the element
+    # holding x, their values and x-slopes, the latter signed by dxi/dx
+    x = np.stack([p, 1.0 - p], axis=1)
+    elem = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    h = nodes[elem + 1] - nodes[elem]
+    lam = (x - nodes[elem]) / h
+    dof = space.node_to_dof[np.stack([elem, elem + 1], axis=2)]
+    hat = np.stack([1.0 - lam, lam], axis=2)
+    slope = np.stack([-1.0 / h, 1.0 / h], axis=2) * np.array([1.0, -1.0])[:, None]
+    wb = w[:, None, None]
+    sl, sl_block = _coupling_pattern(space, dof, np.arange(2)[:, None])
+
+    # each point adds to both diagonal entries (0 and 3) of the flattened
+    # (2, 2) blocks; the load points are p for DOF 0, then 1 - p for DOF 1
+    two = np.arange(2 * n_pts)
+    ee = _pattern(np.tile([0, 3], n_pts), np.full(n_pts, 2), 4, two)
+    le = _pattern(np.repeat([0, 1], n_pts), np.ones(2 * n_pts, int), 2, two)
+    return _CouplingLayout(
+        xi=p,
+        coords=(x.T,),
+        sl_block=sl_block,
+        sl_m=_operator(sl, wb * hat),
+        sl_a1=_operator(sl, wb * slope),
+        sl_a2=sp.csr_matrix(sl.shape),
+        ee_m=_operator(ee, np.repeat(w, 2)),
+        ee_ang=sp.csr_matrix(ee.shape),
+        le=_operator(le, np.tile(w, 2)),
+    )
+
+
+def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout:
     mesh = space.mesh
     spec = space.enrichment
-    n = space.n_standard
     m = space.n_enriched
     deta = 2.0 * np.pi / m
 
@@ -422,40 +493,24 @@ def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout2D:
     g_eta = bx * (-y / r**2)[:, None] + by * (x / r**2)[:, None]
     wb = w[:, None]
 
-    # Contributions are listed point by point, which is the CSC order of an
-    # operator.  One linear-time conversion gives a family's CSR pattern, with
-    # the flat position of each stored entry's coefficient as its data.
-    def pattern(rows, per_point, n_rows, positions):
-        indptr = np.concatenate([[0], np.cumsum(per_point)])
-        return sp.csc_matrix((positions, rows, indptr), shape=(n_rows, n_pts)).tocsr()
-
-    def operator(pat, coeff):
-        return sp.csr_matrix((coeff.ravel()[pat.data], pat.indices, pat.indptr), shape=pat.shape)
-
-    # standard-enriched coupling: (point, standard hat, angular hat), stored
-    # entries numbered in CSR order of the (n, m) pattern
-    keep = (dof >= 0)[:, :, None].repeat(2, axis=2)
-    key = (dof[:, :, None] * m + cols[:, None, :])[keep]
-    keys = np.unique(key)
-    sl = pattern(np.searchsorted(keys, key), keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep))
+    # standard-enriched coupling: (point, standard hat, angular hat)
+    sl, sl_block = _coupling_pattern(space, dof[:, :, None], cols[:, None, :])
 
     # enriched-enriched products: each point couples its panel's two hats
     ee_rows = (cols[:, :, None] * m + cols[:, None, :]).ravel()
-    ee = pattern(ee_rows, np.full(n_pts, 4), m * m, np.arange(4 * n_pts))
+    ee = _pattern(ee_rows, np.full(n_pts, 4), m * m, np.arange(4 * n_pts))
     ang = (w[:, None, None] * dpsi[:, None] * dpsi) / (r**2)[:, None, None]
 
-    return _CouplingLayout2D(
+    return _CouplingLayout(
         xi=xi,
-        x=x,
-        y=y,
-        sl_indices=keys % m,
-        sl_indptr=np.searchsorted(keys // m, np.arange(n + 1)),
-        sl_m=operator(sl, (wb * bary)[:, :, None] * psi[:, None, :]),
-        sl_a1=operator(sl, (wb * g_xi)[:, :, None] * psi[:, None, :]),
-        sl_a2=operator(sl, (wb * g_eta)[:, :, None] * dpsi),
-        ee_m=operator(ee, (wb * psi)[:, :, None] * psi[:, None, :]),
-        ee_ang=operator(ee, ang),
-        le=operator(pattern(cols.ravel(), np.full(n_pts, 2), m, np.arange(2 * n_pts)), wb * psi),
+        coords=(x, y),
+        sl_block=sl_block,
+        sl_m=_operator(sl, (wb * bary)[:, :, None] * psi[:, None, :]),
+        sl_a1=_operator(sl, (wb * g_xi)[:, :, None] * psi[:, None, :]),
+        sl_a2=_operator(sl, (wb * g_eta)[:, :, None] * dpsi),
+        ee_m=_operator(ee, (wb * psi)[:, :, None] * psi[:, None, :]),
+        ee_ang=_operator(ee, ang),
+        le=_operator(_pattern(cols.ravel(), np.full(n_pts, 2), m, np.arange(2 * n_pts)), wb * psi),
     )
 
 
@@ -478,14 +533,15 @@ class EnrichedLevel:
     phi: np.ndarray
 
 
-def _enriched_blocks_2d(space, layout, epsilon, t):
+def _enriched_blocks(space, layout, epsilon, t):
     spec = space.enrichment
     m = space.n_enriched
     phi = np.asarray(enrichment_profile(spec, layout.xi, t), dtype=float)
     dphi = np.asarray(enrichment_profile_dxi(spec, layout.xi, t), dtype=float)
 
     def coupling(data):
-        return sp.csr_matrix((data, layout.sl_indices, layout.sl_indptr), shape=(space.n_standard, m))
+        block = layout.sl_block
+        return sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
 
     msl = coupling(layout.sl_m @ phi)
     asl = coupling(epsilon * (layout.sl_a1 @ dphi + layout.sl_a2 @ phi))
@@ -497,44 +553,22 @@ def _enriched_blocks_2d(space, layout, epsilon, t):
     return EnrichedLevel(msl, asl, mee, aee, phi)
 
 
-def _enriched_blocks_1d(space, rule, epsilon, t):
-    mesh = space.mesh
-    spec = space.enrichment
-    nd = space.node_to_dof
-    phi = np.asarray(enrichment_profile(spec, rule.points, t), dtype=float)
-    dphi = np.asarray(enrichment_profile_dxi(spec, rule.points, t), dtype=float)
-    n = space.n_standard
-    msl = np.zeros((n, 2))
-    asl = np.zeros((n, 2))
-    nodes = mesh.nodes
-    # enriched dof 0 lives at the left endpoint, dof 1 mirrored at the right
-    for col, sign in ((0, 1.0), (1, -1.0)):
-        xpts = rule.points if col == 0 else 1.0 - rule.points
-        elem = np.clip(np.searchsorted(nodes, xpts, side="right") - 1, 0, len(nodes) - 2)
-        hl = nodes[elem + 1] - nodes[elem]
-        lam = (xpts - nodes[elem]) / hl
-        for node, hat, slope in ((elem, 1.0 - lam, -1.0 / hl), (elem + 1, lam, 1.0 / hl)):
-            dof = nd[node]
-            keep = dof >= 0
-            np.add.at(msl[:, col], dof[keep], (rule.weights * hat * phi)[keep])
-            np.add.at(asl[:, col], dof[keep], (epsilon * rule.weights * slope * sign * dphi)[keep])
-    mm = float(np.dot(rule.weights, phi**2))
-    aa = float(np.dot(rule.weights, dphi**2))
-    mee = mm * np.eye(2)
-    aee = epsilon * aa * np.eye(2)
-    return EnrichedLevel(sp.csr_matrix(msl), sp.csr_matrix(asl), mee, aee, phi)
-
-
 def _stack_blocks(mss, ass, msl, asl, mee, aee):
     mass = sp.bmat([[mss, msl], [msl.T, sp.csr_matrix(mee)]], format="csr")
     stiff = sp.bmat([[ass, asl], [asl.T, sp.csr_matrix(aee)]], format="csr")
-    return _symmetrize(mass), _symmetrize(stiff)
+    # coupling entries whose profile values all underflowed are stored zeros
+    mass.eliminate_zeros()
+    stiff.eliminate_zeros()
+    return mass, stiff
 
 
 def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> AssembledSystem:
     """Full block system for the enriched space at enrichment time t.
 
-    A time-dependent profile changes the blocks at every time level:
+    In both dimensions the enriched blocks of a level are sparse mat-vecs of
+    the profile values at fixed quadrature points (see _CouplingLayout); only
+    the layout builder depends on the dimension.  A time-dependent profile
+    changes the blocks at every time level:
     parts['rebuild'](t) returns the EnrichedLevel at t, parts['restack'](level)
     its (mass, stiffness) pair, and parts['cross_mass'](new, old) the mixed
     mass matrix between two levels.  parts['make_load'](f) returns
@@ -547,45 +581,10 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
     base = assemble_standard(space, epsilon)
     mss, ass = base.parts["Mss"], base.parts["Ass"]
     m = space.n_enriched
-    spec = space.enrichment
+    layout = (_coupling_layout_1d if space.mesh.dim == 1 else _coupling_layout_2d)(space)
 
-    if space.mesh.dim == 1:
-        # layer panels on [0, support] split at every mesh node x and 1 - x,
-        # so that no hat kink of either enriched DOF falls inside a panel; a
-        # node and a mirror an ulp apart make one break, not a sliver panel
-        nodes = np.concatenate([space.mesh.nodes, 1.0 - space.mesh.nodes])
-        breaks = np.union1d(
-            geometric_panels(spec.support, RAD_N_SUB, np.sqrt(4.0 * spec.epsilon)),
-            nodes[(nodes > 0.0) & (nodes < spec.support)],
-        )
-        breaks = breaks[np.append(np.diff(breaks) > 1e-12, True)]
-        rule = composite_interval(breaks, RAD_N_GAUSS)
-
-        def rebuild(tt):
-            return _enriched_blocks_1d(space, rule, epsilon, tt)
-
-        def cross_radial(phi_new, phi_old):
-            return float(np.dot(rule.weights, phi_new * phi_old)) * np.eye(2)
-
-        def enriched_load(f, tt, phi_vals):
-            xl = rule.points
-            vec = np.empty(2)
-            vec[0] = float(np.dot(rule.weights, phi_vals * np.asarray(f(xl, tt), dtype=float)))
-            vec[1] = float(np.dot(rule.weights, phi_vals * np.asarray(f(1.0 - xl, tt), dtype=float)))
-            return vec
-
-    else:
-        layout = _coupling_layout_2d(space)
-
-        def rebuild(tt):
-            return _enriched_blocks_2d(space, layout, epsilon, tt)
-
-        def cross_radial(phi_new, phi_old):
-            cee = (layout.ee_m @ (phi_new * phi_old)).reshape(m, m)
-            return 0.5 * (cee + cee.T)
-
-        def enriched_load(f, tt, phi_vals):
-            return layout.le @ (phi_vals * np.asarray(f(layout.x, layout.y, tt), dtype=float))
+    def rebuild(tt):
+        return _enriched_blocks(space, layout, epsilon, tt)
 
     def restack(level):
         return _stack_blocks(mss, ass, level.msl, level.asl, level.mee, level.aee)
@@ -593,7 +592,8 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
     def cross_mass(new, old):
         """Mass-type matrix <Phi_i(t_new), Phi_j(t_old)> for the Rothe step
         with a time-dependent profile: rows at the new level, columns at the old."""
-        cee = cross_radial(new.phi, old.phi)
+        cee = (layout.ee_m @ (new.phi * old.phi)).reshape(m, m)
+        cee = 0.5 * (cee + cee.T)
         return sp.bmat([[mss, old.msl], [new.msl.T, sp.csr_matrix(cee)]], format="csr")
 
     level = rebuild(t)
@@ -604,7 +604,8 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
         std = base.parts["make_load"](f)
 
         def load_fn(tt, phi_vals=level.phi):
-            return np.concatenate([std(tt), enriched_load(f, tt, phi_vals)])
+            fv = np.broadcast_to(np.asarray(f(*layout.coords, tt), dtype=float), layout.coords[0].shape)
+            return np.concatenate([std(tt), layout.le @ (phi_vals * fv).ravel()])
 
         return load_fn
 

@@ -127,30 +127,24 @@ def theta0(data: ProblemData, eta: float, xi: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Smoothstep cutoff: 1 on [0, inner], 0 on [outer, 1]."""
+    """Quintic (C2) smoothstep cutoff: 1 on [0, inner], 0 on [outer, 1]."""
 
     inner: float = 0.25
     outer: float = 0.5
-    degree: int = 5  # 3 = cubic (C1), 5 = quintic (C2)
 
     def __post_init__(self):
         if not 0.0 < self.inner < self.outer <= 1.0:
             raise ValueError("need 0 < inner < outer <= 1")
-        if self.degree not in (3, 5):
-            raise ValueError("cutoff degree must be 3 or 5")
 
 
 def cutoff_delta(spec: CutoffSpec, xi):
-    """Cutoff value; monotone non-increasing, C^(degree-1)/2-smooth."""
+    """Cutoff value; monotone non-increasing, C2-smooth."""
     s = (np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner)
     # off the ramp s would clip to 0 or 1, where the polynomial is 0 or 1
     val = np.where(s <= 0.0, 1.0, 0.0)
     ramp = (s > 0.0) & (s < 1.0)
     s = s[ramp]
-    if spec.degree == 3:
-        val[ramp] = 1.0 - s * s * (3.0 - 2.0 * s)
-    else:
-        val[ramp] = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
+    val[ramp] = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
     return val[()]
 
 
@@ -158,10 +152,7 @@ def cutoff_delta_dxi(spec: CutoffSpec, xi):
     s = (np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner)
     inside = (s > 0.0) & (s < 1.0)
     s = np.clip(s, 0.0, 1.0)
-    if spec.degree == 3:
-        d = 6.0 * s * (1.0 - s)
-    else:
-        d = 30.0 * s * s * (1.0 - s) ** 2
+    d = 30.0 * s * s * (1.0 - s) ** 2
     return (-d * inside / (spec.outer - spec.inner))[()]
 
 

@@ -195,15 +195,26 @@ class TestErrorReportFieldOnce:
         # references: each quantity from its own evaluation of the field
         layout = analysis._element_rules(space.mesh, eps)
         field = analysis._discrete_field(space, coeffs, layout, 1.0)
-        err2, ex2, _ = analysis._error_integrals(exact, 1.0, layout, field)
+        err2, ex2, _, _ = analysis._error_integrals(exact, 1.0, layout, field)
         rel = float(np.sqrt(err2 / ex2))
         osc = oscillation_index(space, coeffs, exact, 1.0, eps)
         calls = []
         profile = analysis.evaluate_field_1d if dim == 1 else analysis._enriched_point_terms
         name = "evaluate_field_1d" if dim == 1 else "_enriched_point_terms"
         monkeypatch.setattr(analysis, name, lambda *a, **k: calls.append(1) or profile(*a, **k))
-        report = compute_error_report(space, coeffs, exact, 1.0, eps)
+        sizes = []
+
+        class CountingExact:
+            def __getattr__(self, attr):
+                return getattr(exact, attr)
+
+            def u(self, *args):
+                sizes.append(np.size(args[0]))
+                return exact.u(*args)
+
+        report = compute_error_report(space, coeffs, CountingExact(), 1.0, eps)
         assert len(calls) == 1
+        assert sizes.count(layout.weights.size) == 1  # the exact solution too
         assert report.rel_l2 == rel
         assert report.oscillation_index == osc
         calls.clear()
@@ -345,6 +356,8 @@ class TestSolveScenario:
             dict(dim=1, levels=[4, 8, 16], schemes=("sfem", "magic")),
             dict(dim=1, levels=[4, 8, 16], schemes=()),
             dict(dim=1, levels=[4, 8, 16], problem="zero2d"),
+            dict(dim=1, levels=[4, 8, 16], problem="zero1d"),
+            dict(dim=2, levels=[16, 20, 26], problem="zero2d"),
         ):
             with pytest.raises(ValueError):
                 run_convergence_study(epsilon=1e-2, **kwargs)

@@ -17,6 +17,7 @@ from blfem.assembly import (
     _assemble_standard_1d,
     _check_gram,
     _enriched_point_terms,
+    _layer_rule_1d,
     assemble_enriched,
     assemble_standard,
     build_space,
@@ -456,8 +457,67 @@ def _reference_blocks_2d(space, eps, t, t_old, f):
     )
 
 
+def _reference_blocks_1d(space, eps, t, t_old, f):
+    """The enriched 1D blocks at t by np.add.at over the layer rule, one
+    pass per (enriched DOF, hat): msl, asl, mee, aee, the cross Gram block
+    between t and t_old, and the enriched load of f at t (all dense)."""
+    spec, nodes = space.enrichment, space.mesh.nodes
+    rule = _layer_rule_1d(space)
+    w = rule.weights
+    phi = enrichment_profile(spec, rule.points, t)
+    dphi = enrichment_profile_dxi(spec, rule.points, t)
+    phi_old = enrichment_profile(spec, rule.points, t_old)
+    msl = np.zeros((space.n_standard, 2))
+    asl = np.zeros((space.n_standard, 2))
+    # enriched dof 0 lives at the left endpoint, dof 1 mirrored at the right
+    for col, sign in ((0, 1.0), (1, -1.0)):
+        xpts = rule.points if col == 0 else 1.0 - rule.points
+        elem = np.clip(np.searchsorted(nodes, xpts, side="right") - 1, 0, len(nodes) - 2)
+        hl = nodes[elem + 1] - nodes[elem]
+        lam = (xpts - nodes[elem]) / hl
+        for node, hat, slope in ((elem, 1.0 - lam, -1.0 / hl), (elem + 1, lam, 1.0 / hl)):
+            dof = space.node_to_dof[node]
+            keep = dof >= 0
+            np.add.at(msl[:, col], dof[keep], (w * hat * phi)[keep])
+            np.add.at(asl[:, col], dof[keep], (eps * w * slope * sign * dphi)[keep])
+    return dict(
+        msl=msl,
+        asl=asl,
+        mee=np.dot(w, phi**2) * np.eye(2),
+        aee=eps * np.dot(w, dphi**2) * np.eye(2),
+        cee=np.dot(w, phi * phi_old) * np.eye(2),
+        load=np.array([np.dot(w, phi * f(rule.points, t)), np.dot(w, phi * f(1.0 - rule.points, t))]),
+    )
+
+
 def _source(x, y, t):
     return (1.0 + x - 2.0 * y) * (1.0 + t)
+
+
+def _source_1d(x, t):
+    return (1.0 + 3.0 * x) * (1.0 + t)
+
+
+def _assert_level_matches(space, eps, reference, source):
+    parts = assemble_enriched(space, eps, t=0.0).parts
+    n = space.n_standard
+    new, old = parts["rebuild"](0.5), parts["rebuild"](0.3)
+    ref = reference(space, eps, 0.5, 0.3, source)
+    cross = parts["cross_mass"](new, old).toarray()
+    got = dict(
+        msl=new.msl.toarray(),
+        asl=new.asl.toarray(),
+        mee=new.mee,
+        aee=new.aee,
+        cee=cross[n:, n:],
+        load=parts["make_load"](source)(0.5, phi_vals=new.phi)[n:],
+    )
+    for name, want in ref.items():
+        scale = np.max(np.abs(want))
+        assert scale > 0.0, name
+        assert np.max(np.abs(got[name] - want)) <= 1e-14 * scale, name
+    assert np.array_equal(new.msl.indices, old.msl.indices)
+    assert np.array_equal(new.msl.indptr, old.msl.indptr)
 
 
 class TestOperatorAssembly2D:
@@ -467,25 +527,18 @@ class TestOperatorAssembly2D:
         mesh = build_disk_mesh(16)
         sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
-        parts = assemble_enriched(space, eps, t=0.0).parts
-        n = space.n_standard
-        new, old = parts["rebuild"](0.5), parts["rebuild"](0.3)
-        ref = _reference_blocks_2d(space, eps, 0.5, 0.3, _source)
-        cross = parts["cross_mass"](new, old).toarray()
-        got = dict(
-            msl=new.msl.toarray(),
-            asl=new.asl.toarray(),
-            mee=new.mee,
-            aee=new.aee,
-            cee=cross[n:, n:],
-            load=parts["make_load"](_source)(0.5, phi_vals=new.phi)[n:],
-        )
-        for name, want in ref.items():
-            scale = np.max(np.abs(want))
-            assert scale > 0.0, name
-            assert np.max(np.abs(got[name] - want)) <= 1e-14 * scale, name
-        assert np.array_equal(new.msl.indices, old.msl.indices)
-        assert np.array_equal(new.msl.indptr, old.msl.indptr)
+        _assert_level_matches(space, eps, _reference_blocks_2d, _source)
+
+
+class TestOperatorAssembly1D:
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde", "phi_m1", "phi_m1_lin"])
+    def test_level_matches_contribution_assembly(self, kind):
+        # a taper of one element (the solver's default) would make every asl
+        # entry an integral of phi' that cancels to rounding
+        eps = 1e-5
+        sigma = 0.1 if kind == "phi_m1_lin" else None
+        space = _space_1d(20, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+        _assert_level_matches(space, eps, _reference_blocks_1d, _source_1d)
 
 
 class TestProjectionAndEvaluation:

@@ -176,6 +176,20 @@ class TestSolveCommand:
         entries = {(int(a), int(b)): float(c) for a, b, c in (ln.split() for ln in lines)}
         assert entries[(0, 1)] == pytest.approx(1.0 / 48.0)
 
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    def test_dump_matrices_store_no_zeros_2d(self, tmp_path, monkeypatch):
+        # at B = 20 the phi0 profile underflows to 0 at every quadrature
+        # point of some coupling entries; those entries are not stored
+        code = run_cli(
+            ["solve", "--problem", "exact2d", "--kind", "phi0", "--epsilon", "1e-5", "--n", "20",
+             "--dt", "0.5", "--T", "1", "--dump-matrices", "sys"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        for suffix in ("mass", "stiffness"):
+            values = [float(ln.split()[2]) for ln in (tmp_path / f"sys.{suffix}").read_text().splitlines()]
+            assert values and 0.0 not in values, suffix
+
     def test_dump_field(self, tmp_path, monkeypatch):
         code = run_cli(
             ["solve", "--problem", "exact1d", "--epsilon", "1e-3", "--n", "8",
@@ -271,6 +285,20 @@ class TestConvergeCommand:
         )
         assert code == EXIT_INVALID
         assert "unknown 1D problem 'exact2d'" in capsys.readouterr().err
+        assert not (tmp_path / "conv.csv").exists()
+
+    @pytest.mark.parametrize("dim, problem", [(1, "zero1d"), (2, "zero2d")])
+    def test_zero_problem_rejected_before_solving(self, tmp_path, monkeypatch, capsys, dim, problem):
+        import blfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "solve_scenario", None)  # never reached
+        code = run_cli(
+            ["converge", "--dim", str(dim), "--problem", problem, "--levels", "16,20,26", "--dt", "0.5",
+             "--T", "0.5", "-o", "conv.csv"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_INVALID
+        assert "relative errors are undefined" in capsys.readouterr().err
         assert not (tmp_path / "conv.csv").exists()
 
     def test_too_small_level_rejected_before_solving(self, tmp_path, monkeypatch):

@@ -160,9 +160,8 @@ class TestCutoff:
         assert cutoff_delta(spec, 0.9) == 0.0
         assert cutoff_delta(spec, 0.375) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("degree", [3, 5])
-    def test_monotone_and_smooth(self, degree):
-        spec = CutoffSpec(degree=degree)
+    def test_monotone_and_smooth(self):
+        spec = CutoffSpec()
         xi = np.linspace(0.0, 1.0, 400)
         v = cutoff_delta(spec, xi)
         assert np.all(np.diff(v) <= 1e-14)
@@ -175,8 +174,6 @@ class TestCutoff:
     def test_validation(self):
         with pytest.raises(ValueError):
             CutoffSpec(inner=0.5, outer=0.25)
-        with pytest.raises(ValueError):
-            CutoffSpec(degree=4)
 
 
 class TestEnrichmentProfiles:
@@ -304,11 +301,7 @@ class TestEnrichmentProfiles:
 
 def _ref_cutoff_delta(spec, xi):
     s = np.clip((np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner), 0.0, 1.0)
-    if spec.degree == 3:
-        ramp = s * s * (3.0 - 2.0 * s)
-    else:
-        ramp = s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
-    return (1.0 - ramp)[()]
+    return (1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s))[()]
 
 
 def _ref_kernel_time_integral(spec, xi, t):
@@ -398,9 +391,8 @@ class TestKernelRowSkip:
             assert np.asarray(got).tobytes() == np.asarray(_ref_phi0(spec, xi, 0.2)).tobytes()
             assert enrichment_profile_dxi(spec, xi, t=0.2) == _ref_phi0_dxi(spec, xi, 0.2)
 
-    @pytest.mark.parametrize("degree", [3, 5])
-    def test_cutoff_bit_identical_to_clipped_polynomial(self, degree):
-        spec = CutoffSpec(degree=degree)
+    def test_cutoff_bit_identical_to_clipped_polynomial(self):
+        spec = CutoffSpec()
         ends = [spec.inner, spec.outer, np.nextafter(spec.inner, 1.0), np.nextafter(spec.outer, 0.0)]
         xi = np.concatenate([np.linspace(-0.1, 1.0, 4001), ends])
         got = np.asarray(cutoff_delta(spec, xi))
