@@ -21,11 +21,8 @@ def main():
     table = run_convergence_study(
         2, args.epsilon, levels, T=args.T, dt=args.dt, enrichment_kind=args.kind
     )
-    write_convergence_csv(
-        table,
-        args.output,
-        header_comments=[f"epsilon = {args.epsilon}", f"levels = {args.levels}"],
-    )
+    # every argument, so the file records how to reproduce itself
+    write_convergence_csv(table, args.output, header_comments=[f"{k} = {v}" for k, v in sorted(vars(args).items())])
     for failure in table.failures:
         print(f"failed: {failure}")
     for scheme, (slope, resid) in sorted(table.slopes.items()):

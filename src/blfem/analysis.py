@@ -16,13 +16,10 @@ import scipy.linalg as sla
 
 from .assembly import (
     AssemblyError,
-    _enriched_point_terms,
+    _discrete_field,
     build_space,
     element_rules_1d,
     element_rules_2d,
-    evaluate_field_1d,
-    evaluate_gradient_1d,
-    triangle_geometry,
     assemble_standard,
     assemble_enriched,
 )
@@ -61,9 +58,9 @@ class ExactSolution1D:
         (ga, _, _), (gb, _, _) = self._layers(x)
         return t * ga * gb
 
-    def u_x(self, x, t):
+    def grad(self, x, t):
         (ga, g1a, _), (gb, g1b, _) = self._layers(x)
-        return t / np.sqrt(self.epsilon) * (g1a * gb - ga * g1b)
+        return (t / np.sqrt(self.epsilon) * (g1a * gb - ga * g1b))[..., None]
 
     def f(self, x, t):
         """Source u_t - eps * u_xx from the closed-form derivatives."""
@@ -141,8 +138,8 @@ class ZeroSolution1D:
     def u(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def u_x(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def grad(self, x, t):
+        return np.zeros(np.shape(x) + (1,))
 
     def f(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -187,8 +184,8 @@ class SmoothSolution1D:
     def u(self, x, t):
         return (1.0 + t) * np.sin(np.pi * np.asarray(x, dtype=float))
 
-    def u_x(self, x, t):
-        return (1.0 + t) * np.pi * np.cos(np.pi * np.asarray(x, dtype=float))
+    def grad(self, x, t):
+        return ((1.0 + t) * np.pi * np.cos(np.pi * np.asarray(x, dtype=float)))[..., None]
 
     def f(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -216,37 +213,9 @@ class ErrorReport:
     runtime: float = 0.0
 
 
-def _field_on_layout_2d(space, coeffs, layout, t):
-    """Value and gradient of the discrete field at the layout's points, whose
-    containing triangles and barycentric coordinates are already known."""
-    _, bx, by = triangle_geometry(space.mesh.nodes, space.mesh.triangles)
-    x, y = layout.points[:, 0], layout.points[:, 1]
-    tri = layout.element
-    dof = space.node_to_dof[space.mesh.triangles[tri]]
-    c = np.where(dof >= 0, coeffs[np.clip(dof, 0, None)], 0.0)
-    vals = np.sum(layout.bary * c, axis=1)
-    grads = np.stack([np.sum(bx[tri] * c, axis=1), np.sum(by[tri] * c, axis=1)], axis=1)
-    if space.enrichment is not None:
-        near = np.hypot(x, y) >= 1.0 - space.enrichment.support - 1e-12
-        if np.any(near):
-            cols, evals, egrads = _enriched_point_terms(space, x[near], y[near], t)
-            ec = coeffs[space.n_standard :][cols]
-            vals[near] += np.sum(evals * ec, axis=1)
-            grads[near] += np.sum(egrads * ec[:, :, None], axis=1)
-    return vals, grads
-
-
 def _element_rules(mesh, epsilon, refine=1):
     rules = element_rules_1d if mesh.dim == 1 else element_rules_2d
     return rules(mesh, epsilon, refine=refine)
-
-
-def _discrete_field(space, coeffs, layout, t):
-    """Value and gradient of the discrete field at the layout's points."""
-    if space.mesh.dim == 1:
-        x = layout.points
-        return evaluate_field_1d(space, coeffs, x, t), evaluate_gradient_1d(space, coeffs, x, t)
-    return _field_on_layout_2d(space, coeffs, layout, t)
 
 
 def _error_integrals(exact, t, layout, field):
@@ -254,13 +223,9 @@ def _error_integrals(exact, t, layout, field):
     H1-seminorm error over the layout, given the discrete field there, and
     the exact solution at the layout's points."""
     uh, guh = field
-    if layout.points.ndim == 1:
-        ue = exact.u(layout.points, t)
-        sq_grad_err = (guh - exact.u_x(layout.points, t)) ** 2
-    else:
-        ue = exact.u(layout.points[:, 0], layout.points[:, 1], t)
-        gue = exact.grad(layout.points[:, 0], layout.points[:, 1], t)
-        sq_grad_err = np.sum((guh - gue) ** 2, axis=1)
+    coords = np.atleast_2d(layout.points.T)  # one coordinate array per dimension
+    ue = exact.u(*coords, t)
+    sq_grad_err = np.sum((guh - exact.grad(*coords, t)) ** 2, axis=1)
     w = layout.weights
     return float(np.dot(w, (uh - ue) ** 2)), float(np.dot(w, ue**2)), float(np.dot(w, sq_grad_err)), ue
 
@@ -283,20 +248,17 @@ def oscillation_index(
     mesh = space.mesh
     if layout is None:
         layout = _element_rules(mesh, epsilon)
+    elems = mesh.elements
+    mid = mesh.nodes[elems].mean(axis=1)
     if mesh.dim == 1:
-        elems = mesh.elements
-        uev = np.asarray(exact.u(mesh.nodes, t), dtype=float)[elems]
-        mid = mesh.nodes[elems].mean(axis=1)
         in_strip = (mid < strip) | (mid > 1.0 - strip)
-        if uh is None:
-            uh = evaluate_field_1d(space, coeffs, layout.points, t)
     else:
-        elems = mesh.triangles
-        uev = np.asarray(exact.u(mesh.nodes[:, 0], mesh.nodes[:, 1], t), dtype=float)[elems]
-        in_strip = np.hypot(*mesh.nodes[elems].mean(axis=1).T) >= 1.0 - strip
-        if uh is None:
-            uh, _ = _field_on_layout_2d(space, coeffs, layout, t)
-    if ue is None:  # one coordinate array per dimension
+        in_strip = np.hypot(*mid.T) >= 1.0 - strip
+    # one coordinate array per dimension
+    uev = np.asarray(exact.u(*np.atleast_2d(mesh.nodes.T), t), dtype=float)[elems]
+    if uh is None:
+        uh, _ = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t)
+    if ue is None:
         ue = exact.u(*np.atleast_2d(layout.points.T), t)
     uh, ue = np.asarray(uh, dtype=float), np.asarray(ue, dtype=float)
     global_max = float(np.abs(ue).max())
@@ -308,16 +270,13 @@ def oscillation_index(
     return max(0.0, float(over[in_strip].max(initial=0.0))) / global_max
 
 
-def compute_error_report(
-    space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0,
-    degenerate_ok: bool = False,
-) -> ErrorReport:
+def compute_error_report(space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0) -> ErrorReport:
+    """Errors of the discrete solution against the exact one at time t;
+    rel_l2 is NaN when the exact solution vanishes in L2."""
     layout = _element_rules(space.mesh, epsilon, refine)
-    field = _discrete_field(space, coeffs, layout, t)
+    field = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t)
     err2, ex2, h12, ue = _error_integrals(exact, t, layout, field)
     vanishes = np.sqrt(ex2) < 1e-300
-    if vanishes and not degenerate_ok:
-        raise ZeroDivisionError("exact solution vanishes in L2")
     # the oscillation index always reads the unrefined layout
     if refine == 1:
         osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout, uh=field[0], ue=ue)
@@ -371,6 +330,23 @@ def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.10g}"
+
+
+def report_row(scheme, epsilon, dt, T, report: ErrorReport, timing=True):
+    """The CSV row of one error report, as a dict following CSV_HEADER;
+    timing=False zeroes the runtime column."""
+    return {
+        "scheme": scheme,
+        "epsilon": epsilon,
+        "h": report.h,
+        "dofs": report.dofs,
+        "dt": dt,
+        "T": T,
+        "rel_l2": report.rel_l2,
+        "h1_err": report.h1_seminorm_error,
+        "osc_index": report.oscillation_index,
+        "runtime_s": report.runtime if timing else 0.0,
+    }
 
 
 def format_csv_row(r):
@@ -440,7 +416,6 @@ def solve_scenario(
     solver_config=None,
     refine=1,
     problem=None,
-    degenerate_ok=False,
 ):
     """Build mesh + space, march to T, and report errors for one scheme.
 
@@ -488,10 +463,7 @@ def solve_scenario(
         system = assemble_enriched(space, epsilon, t=T if not spec.time_dependent else 0.0)
     fieldsol = advance(space, system, data, grid, solver_config)
     runtime = time.perf_counter() - t0
-    report = compute_error_report(
-        space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime,
-        degenerate_ok=degenerate_ok,
-    )
+    report = compute_error_report(space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime)
     return report, fieldsol, space, exact
 
 
@@ -538,20 +510,7 @@ def run_convergence_study(
             except LEVEL_FAILURES as exc:
                 table.failures.append(f"scheme={scheme} level={level}: {exc}")
                 continue
-            table.rows.append(
-                {
-                    "scheme": scheme,
-                    "epsilon": epsilon,
-                    "h": report.h,
-                    "dofs": report.dofs,
-                    "dt": dt_l,
-                    "T": T,
-                    "rel_l2": report.rel_l2,
-                    "h1_err": report.h1_seminorm_error,
-                    "osc_index": report.oscillation_index,
-                    "runtime_s": report.runtime if timing else 0.0,
-                }
-            )
+            table.rows.append(report_row(scheme, epsilon, dt_l, T, report, timing))
     table.rows.sort(key=lambda r: (r["scheme"], -r["h"]))
     for scheme in schemes:
         rows = table.scheme_rows(scheme)

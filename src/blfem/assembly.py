@@ -229,6 +229,23 @@ def triangle_geometry(nodes, tris):
     return area, bx, by
 
 
+def _hat_gradients(mesh):
+    """Gradients of the P1 hats of every element, (elements, vertices, dim)."""
+    if mesh.dim == 1:
+        h = np.diff(mesh.nodes[mesh.elements], axis=1)
+        return np.stack([-1.0 / h, 1.0 / h], axis=1)
+    _, bx, by = triangle_geometry(mesh.nodes, mesh.triangles)
+    return np.stack([bx, by], axis=2)
+
+
+def _locate_1d(nodes, x):
+    """The element holding each point x of the interval mesh (the right one
+    at a node), and the point's barycentric coordinates (x.shape + (2,))."""
+    elem = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    lam = (x - nodes[elem]) / (nodes[elem + 1] - nodes[elem])
+    return elem, np.stack([1.0 - lam, lam], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # standard P1 assembly
 
@@ -287,16 +304,14 @@ def _load_layout(space, epsilon):
         coords = (a[:, None] + (b - a)[:, None] * base.points,)
         wts = (b - a)[:, None] * base.weights
         hats = np.stack([1.0 - base.points, base.points])
-        elems = mesh.elements
     else:
         pts, wts, lam = _smooth_triangle_rule(mesh.nodes[mesh.triangles])
         coords = (pts[..., 0], pts[..., 1])
         hats = lam.T
-        elems = mesh.triangles
-    dofs = space.node_to_dof[elems]
+    dofs = space.node_to_dof[mesh.elements]
     shape = dofs.shape + hats.shape[-1:]  # (element, vertex, point)
     keep = np.broadcast_to((dofs >= 0)[:, :, None], shape)
-    point = np.broadcast_to(np.arange(wts.size).reshape(len(elems), 1, -1), shape)
+    point = np.broadcast_to(np.arange(wts.size).reshape(len(dofs), 1, -1), shape)
     op = sp.coo_matrix(
         ((wts[:, None, :] * hats)[keep], (np.broadcast_to(dofs[:, :, None], shape)[keep], point[keep])),
         shape=(space.n_standard, wts.size),
@@ -338,7 +353,25 @@ def fitted_arrays(x, y):
     r = np.hypot(x, y)
     xi = np.clip(1.0 - r, 0.0, 1.0)
     eta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    return eta, xi, r
+    # the mod rounds angles a hair below 0 up to exactly 2 pi
+    return np.where(eta == 2.0 * np.pi, 0.0, eta), xi, r
+
+
+def _angular_hats(m, x, y):
+    """Boundary-fitted coordinates of points (x, y) and the two of the m
+    angular hats alive at each: xi, r (guarded at the center), the hat
+    columns and values psi (points, 2), their slopes dpsi/deta (2,), and
+    the gradients of xi and eta (points, 2)."""
+    deta = 2.0 * np.pi / m
+    eta, xi, r = fitted_arrays(x, y)
+    r = np.maximum(r, 1e-12)
+    panel = np.minimum((eta / deta).astype(int), m - 1)
+    frac = eta / deta - panel
+    cols = np.stack([panel, (panel + 1) % m], axis=1)
+    psi = np.stack([1.0 - frac, frac], axis=1)
+    grad_xi = np.stack([-x / r, -y / r], axis=1)
+    grad_eta = np.stack([-y / r**2, x / r**2], axis=1)
+    return xi, r, cols, psi, np.array([-1.0, 1.0]) / deta, grad_xi, grad_eta
 
 
 RAD_N_SUB = 10
@@ -423,7 +456,6 @@ def _coupling_layout_1d(space: BasisSpace) -> _CouplingLayout:
     """Enriched DOF 0 is phi(x) and DOF 1 its mirror phi(1 - x), so each
     point p of the layer rule carries DOF 0 at x = p and DOF 1 at x = 1 - p,
     where d/dx = -d/dxi."""
-    nodes = space.mesh.nodes
     rule = _layer_rule_1d(space)
     p, w = rule.points, rule.weights
     n_pts = len(p)
@@ -431,12 +463,9 @@ def _coupling_layout_1d(space: BasisSpace) -> _CouplingLayout:
     # (point, enriched DOF, standard hat): the two hats of the element
     # holding x, their values and x-slopes, the latter signed by dxi/dx
     x = np.stack([p, 1.0 - p], axis=1)
-    elem = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-    h = nodes[elem + 1] - nodes[elem]
-    lam = (x - nodes[elem]) / h
-    dof = space.node_to_dof[np.stack([elem, elem + 1], axis=2)]
-    hat = np.stack([1.0 - lam, lam], axis=2)
-    slope = np.stack([-1.0 / h, 1.0 / h], axis=2) * np.array([1.0, -1.0])[:, None]
+    elem, hat = _locate_1d(space.mesh.nodes, x)
+    dof = space.node_to_dof[space.mesh.elements[elem]]
+    slope = _hat_gradients(space.mesh)[elem][..., 0] * np.array([1.0, -1.0])[:, None]
     wb = w[:, None, None]
     sl, sl_block = _coupling_pattern(space, dof, np.arange(2)[:, None])
 
@@ -462,7 +491,6 @@ def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout:
     mesh = space.mesh
     spec = space.enrichment
     m = space.n_enriched
-    deta = 2.0 * np.pi / m
 
     # quadrature over every triangle meeting the profile support: graded
     # rules on boundary triangles (the profile varies on the sqrt(eps) scale
@@ -472,25 +500,16 @@ def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout:
     support_tris = np.nonzero(tri_r_max > 1.0 - spec.support + 1e-12)[0]
 
     quad = element_rules_2d(mesh, spec.epsilon, triangles=support_tris)
-    pts, w, bary, tri_idx = quad.points, quad.weights, quad.bary, quad.element
-    x, y = pts[:, 0], pts[:, 1]
-    eta, xi, r = fitted_arrays(x, y)
+    w, bary, tri_idx = quad.weights, quad.bary, quad.element
+    x, y = quad.points[:, 0], quad.points[:, 1]
+    xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, x, y)
     n_pts = len(xi)
-
-    panel = np.minimum((eta / deta).astype(int), m - 1)
-    frac = eta / deta - panel
-    # the two angular hats alive at each point: columns, values, derivatives
-    cols = np.stack([panel, (panel + 1) % m], axis=1)
-    psi = np.stack([1.0 - frac, frac], axis=1)
-    dpsi = np.array([-1.0, 1.0]) / deta
 
     # the three standard hats of each point's triangle: dofs, values (bary)
     # and the components of their gradients along grad(xi) and grad(eta)
-    _, bx, by = triangle_geometry(mesh.nodes, mesh.triangles)
     dof = space.node_to_dof[mesh.triangles[tri_idx]]
-    bx, by = bx[tri_idx], by[tri_idx]
-    g_xi = bx * (-x / r)[:, None] + by * (-y / r)[:, None]
-    g_eta = bx * (-y / r**2)[:, None] + by * (x / r**2)[:, None]
+    hat_grads = _hat_gradients(mesh)[tri_idx]
+    g_xi, g_eta = (np.sum(hat_grads * g[:, None, :], axis=2) for g in (grad_xi, grad_eta))
     wb = w[:, None]
 
     # standard-enriched coupling: (point, standard hat, angular hat)
@@ -638,12 +657,9 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
     from .linsolve import SolverConfig, solve_spd
 
     cfg = solver_config or SolverConfig()
-    if space.mesh.dim == 1:
-        def f_like(xx, tt):
-            return u0(xx)
-    else:
-        def f_like(xx, yy, tt):
-            return u0(xx, yy)
+
+    def f_like(*coords_t):
+        return u0(*coords_t[:-1])
 
     if space.enrichment is not None and space.enrichment.time_dependent:
         coeffs = np.zeros(space.total_dofs)
@@ -659,53 +675,50 @@ def _nodal_values(space, coeffs):
     return vals
 
 
-def evaluate_field_1d(space: BasisSpace, coeffs, x, t: float = None):
-    """Discrete solution values at points x (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    vals = np.interp(x, space.mesh.nodes, _nodal_values(space, coeffs))
+def _enriched_point_terms(space, points, t):
+    """The enriched DOF columns alive at each point, (points, 2), with the
+    values phi * psi_j there, (points, 2), and their gradients, (points, 2,
+    dim).  1D: columns 0 and 1 are phi(x) and phi(1 - x), so xi = (x, 1 - x)
+    and d/dx = (d/dxi, -d/dxi).  2D: phi(xi) times the two angular hats
+    alive at eta; points is (points, 2)."""
     spec = space.enrichment
-    if spec is not None:
-        cl, cr = coeffs[space.n_standard], coeffs[space.n_standard + 1]
-        vals = vals + cl * enrichment_profile(spec, x, t) + cr * enrichment_profile(spec, 1.0 - x, t)
-    return vals
-
-
-def evaluate_gradient_1d(space: BasisSpace, coeffs, x, t: float = None):
-    """Spatial derivative of the discrete solution at points x."""
-    x = np.asarray(x, dtype=float)
-    nodes = space.mesh.nodes
-    nodal = _nodal_values(space, coeffs)
-    elem = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-    grad = (nodal[elem + 1] - nodal[elem]) / (nodes[elem + 1] - nodes[elem])
-    spec = space.enrichment
-    if spec is not None:
-        cl, cr = coeffs[space.n_standard], coeffs[space.n_standard + 1]
-        grad = grad + cl * enrichment_profile_dxi(spec, x, t) - cr * enrichment_profile_dxi(
-            spec, 1.0 - x, t
-        )
-    return grad
-
-
-def _enriched_point_terms(space, x, y, t):
-    """phi * psi_j values and gradients at scattered points; returns the two
-    active enriched DOF columns per point."""
-    spec = space.enrichment
-    m = space.n_enriched
-    deta = 2.0 * np.pi / m
-    eta, xi, r = fitted_arrays(x, y)
-    panel = np.clip((eta // deta).astype(int), 0, m - 1)
-    frac = eta / deta - panel
+    if space.mesh.dim == 1:
+        xi = np.stack([points, 1.0 - points])
+        phi = np.asarray(enrichment_profile(spec, xi, t), dtype=float)
+        dphi = np.asarray(enrichment_profile_dxi(spec, xi, t), dtype=float)
+        cols = np.broadcast_to(np.arange(2), phi.T.shape)
+        return cols, phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
+    xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, points[:, 0], points[:, 1])
     phi = np.asarray(enrichment_profile(spec, xi, t), dtype=float)
     dphi = np.asarray(enrichment_profile_dxi(spec, xi, t), dtype=float)
-    rsafe = np.maximum(r, 1e-12)
-    grad_xi = np.stack([-x / rsafe, -y / rsafe], axis=1)
-    grad_eta = np.stack([-y / rsafe**2, x / rsafe**2], axis=1)
-    cols = np.stack([panel, (panel + 1) % m], axis=1)
-    psis = np.stack([1.0 - frac, frac], axis=1)
-    dpsis = np.stack([np.full_like(frac, -1.0 / deta), np.full_like(frac, 1.0 / deta)], axis=1)
-    vals = phi[:, None] * psis
     grads = (
-        dphi[:, None, None] * psis[:, :, None] * grad_xi[:, None, :]
-        + phi[:, None, None] * dpsis[:, :, None] * grad_eta[:, None, :]
+        dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
+        + phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]
     )
-    return cols, vals, grads
+    return cols, phi[:, None] * psi, grads
+
+
+def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t):
+    """Value (points,) and gradient (points, dim) of the discrete solution at
+    points (1D: (n,), 2D: (n, 2)) lying in the given mesh elements at the
+    given barycentric coordinates.  In 2D the enrichment is evaluated only
+    at points within its support, 1 - r <= support."""
+    mesh = space.mesh
+    c = _nodal_values(space, coeffs)[mesh.elements[element]]
+    vals = np.sum(bary * c, axis=1)
+    grads = np.einsum("pk,pkd->pd", c, _hat_gradients(mesh)[element])
+    if space.enrichment is not None:
+        near = slice(None)
+        if mesh.dim == 2:
+            near = np.hypot(points[:, 0], points[:, 1]) >= 1.0 - space.enrichment.support - 1e-12
+        cols, evals, egrads = _enriched_point_terms(space, points[near], t)
+        ec = coeffs[space.n_standard :][cols]
+        vals[near] += np.einsum("pj,pj->p", ec, evals)
+        grads[near] += np.einsum("pj,pjd->pd", ec, egrads)
+    return vals, grads
+
+
+def evaluate_field_1d(space: BasisSpace, coeffs, x, t: float = None):
+    """Discrete solution values at points x of the interval (vectorized)."""
+    x = np.asarray(x, dtype=float)
+    return _discrete_field(space, coeffs, x, *_locate_1d(space.mesh.nodes, x), t)[0]

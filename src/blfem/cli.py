@@ -146,7 +146,7 @@ def _dump_matrix(matrix, path):
 def cmd_solve(args):
     import math
 
-    from .analysis import CSV_HEADER, format_csv_row, solve_scenario
+    from .analysis import ConvergenceTable, report_row, solve_scenario, write_convergence_csv
     from .linsolve import SolverConfig
 
     cfg = _collect(args, SOLVE_DEFAULTS)
@@ -162,7 +162,6 @@ def cmd_solve(args):
         solver_config=SolverConfig(method=cfg["solver"], rel_tolerance=cfg["tol"]),
         refine=cfg["quad_refine"],
         problem=cfg["problem"],
-        degenerate_ok=True,
     )
     timing = not cfg["no_timing"]
     for line in config_header_lines(cfg):
@@ -183,22 +182,9 @@ def cmd_solve(args):
     print(f"T*epsilon   : {cfg['T'] * cfg['epsilon']:.3g}  (time-independent profile heuristic window)")
 
     if cfg["output"]:
-        row = {
-            "scheme": cfg["scheme"],
-            "epsilon": cfg["epsilon"],
-            "h": report.h,
-            "dofs": report.dofs,
-            "dt": cfg["dt"],
-            "T": cfg["T"],
-            "rel_l2": report.rel_l2,
-            "h1_err": report.h1_seminorm_error,
-            "osc_index": report.oscillation_index,
-            "runtime_s": report.runtime if timing else 0.0,
-        }
-        with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(f"# {line}" for line in config_header_lines(cfg)) + "\n")
-            fh.write(CSV_HEADER + "\n")
-            fh.write(format_csv_row(row) + "\n")
+        table = ConvergenceTable(epsilon=cfg["epsilon"], T=cfg["T"])
+        table.rows.append(report_row(cfg["scheme"], cfg["epsilon"], cfg["dt"], cfg["T"], report, timing))
+        write_convergence_csv(table, cfg["output"], header_comments=config_header_lines(cfg))
         print(f"wrote {cfg['output']}")
 
     if cfg["dump_field"]:
@@ -238,7 +224,7 @@ def _dump_field(space, coeffs, cfg):
             nodes = space.mesh.nodes
             vals = _nodal_values(space, coeffs)
             if space.enrichment is not None:
-                cols, evals, _ = _enriched_point_terms(space, nodes[:, 0], nodes[:, 1], cfg["T"])
+                cols, evals, _ = _enriched_point_terms(space, nodes, cfg["T"])
                 vals += np.sum(evals * coeffs[space.n_standard :][cols], axis=1)
             fh.write("x,y,u\n")
             for (x, y), v in zip(nodes, vals):

@@ -125,21 +125,16 @@ def theta0(data: ProblemData, eta: float, xi: float, t: float) -> float:
     return -sum(adaptive_gauss(integrand, a, b, 1e-10 / (len(cuts) - 1)) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Quintic (C2) smoothstep cutoff: 1 on [0, inner], 0 on [outer, 1]."""
-
-    inner: float = 0.25
-    outer: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.inner < self.outer <= 1.0:
-            raise ValueError("need 0 < inner < outer <= 1")
+# the quintic (C2) smoothstep cutoff is 1 on [0, CUTOFF_INNER] and 0 on
+# [CUTOFF_OUTER, 1]; the inner time integral of phi0 takes
+# TIME_QUADRATURE_POINTS Gauss points
+CUTOFF_INNER, CUTOFF_OUTER = 0.25, 0.5
+TIME_QUADRATURE_POINTS = 48
 
 
-def cutoff_delta(spec: CutoffSpec, xi):
+def cutoff_delta(xi):
     """Cutoff value; monotone non-increasing, C2-smooth."""
-    s = (np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner)
+    s = (np.asarray(xi, dtype=float) - CUTOFF_INNER) / (CUTOFF_OUTER - CUTOFF_INNER)
     # off the ramp s would clip to 0 or 1, where the polynomial is 0 or 1
     val = np.where(s <= 0.0, 1.0, 0.0)
     ramp = (s > 0.0) & (s < 1.0)
@@ -148,12 +143,12 @@ def cutoff_delta(spec: CutoffSpec, xi):
     return val[()]
 
 
-def cutoff_delta_dxi(spec: CutoffSpec, xi):
-    s = (np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner)
+def cutoff_delta_dxi(xi):
+    s = (np.asarray(xi, dtype=float) - CUTOFF_INNER) / (CUTOFF_OUTER - CUTOFF_INNER)
     inside = (s > 0.0) & (s < 1.0)
     s = np.clip(s, 0.0, 1.0)
     d = 30.0 * s * s * (1.0 - s) ** 2
-    return (-d * inside / (spec.outer - spec.inner))[()]
+    return (-d * inside / (CUTOFF_OUTER - CUTOFF_INNER))[()]
 
 
 @dataclass(frozen=True)
@@ -164,14 +159,11 @@ class EnrichmentSpec:
         dependent), 'phi_m1' (Gaussian, frozen time), 'phi_m1_lin'
         (Gaussian with a linear taper on [0, sigma] instead of the cutoff).
     sigma: support width of the linearized variant.
-    time_quadrature_points: Gauss points for the inner time integral of phi0.
     """
 
     kind: str
     epsilon: float
     sigma: float = None
-    cutoff: CutoffSpec = CutoffSpec()
-    time_quadrature_points: int = 48
 
     def __post_init__(self):
         if self.kind not in ENRICHMENT_KINDS:
@@ -181,11 +173,8 @@ class EnrichmentSpec:
         if self.kind == "phi_m1_lin":
             if self.sigma is None or self.sigma <= 0.0:
                 raise ValueError("phi_m1_lin requires sigma > 0")
-            if self.sigma > self.cutoff.outer:
+            if self.sigma > CUTOFF_OUTER:
                 raise ValueError("sigma must not exceed the cutoff support")
-        n = self.time_quadrature_points
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= 64:
-            raise ValueError("time_quadrature_points must be an integer in [1, 64]")
 
     @property
     def time_dependent(self):
@@ -194,7 +183,7 @@ class EnrichmentSpec:
     @property
     def support(self):
         """xi-extent outside of which the profile vanishes."""
-        return self.sigma if self.kind == "phi_m1_lin" else self.cutoff.outer
+        return self.sigma if self.kind == "phi_m1_lin" else CUTOFF_OUTER
 
 
 # erfc_gauss(z) == 0 for z >= 37.68 and exp(-a) == 0 for a >= 745.14: both
@@ -212,7 +201,7 @@ def _kernel_time_integral(spec, xi, t):
     out = np.zeros_like(xi)
     if t == 0.0:
         return out
-    rule = gauss_interval(spec.time_quadrature_points)
+    rule = gauss_interval(TIME_QUADRATURE_POINTS)
     v = np.sqrt(t) * rule.points
     w = np.sqrt(t) * rule.weights * 2.0 * v
     scaled = xi / np.sqrt(2.0 * spec.epsilon)
@@ -224,7 +213,7 @@ def _kernel_time_integral(spec, xi, t):
 def _kernel_time_integral_dxi(spec, xi, t):
     # d/dxi int_0^t I dtau = -(2/sqrt(pi eps)) int_0^sqrt(t) exp(-xi^2/(4 eps v^2)) dv,
     # skipping the rows whose exponent underflows at the largest node
-    rule = gauss_interval(spec.time_quadrature_points)
+    rule = gauss_interval(TIME_QUADRATURE_POINTS)
     v = np.sqrt(t) * rule.points
     w = np.sqrt(t) * rule.weights
     xi2 = np.asarray(xi, dtype=float) ** 2
@@ -238,7 +227,7 @@ def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None):
     """Value of the selected layer profile at xi (vectorized)."""
     xi = np.asarray(xi, dtype=float)
     if spec.kind == "phi_m1":
-        val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon))) * cutoff_delta(spec.cutoff, xi)
+        val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon))) * cutoff_delta(xi)
     elif spec.kind == "phi_m1_lin":
         s = spec.sigma
         ramp = (1.0 - math.exp(-(s**2) / (4.0 * spec.epsilon))) * xi / s
@@ -249,13 +238,13 @@ def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None):
         if t == 0.0:
             # pointwise t -> 0+ limit: the Gaussian factor tends to 1 away
             # from xi = 0 and to 0 at xi = 0
-            val = np.where(xi > 0.0, cutoff_delta(spec.cutoff, xi), 0.0)
+            val = np.where(xi > 0.0, cutoff_delta(xi), 0.0)
         else:
-            val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(spec.cutoff, xi)
+            val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(xi)
     else:  # phi0
         if t is None or t < 0.0:
             raise ValueError("phi0 requires t >= 0")
-        val = (1.0 - _kernel_time_integral(spec, xi, t)) * cutoff_delta(spec.cutoff, xi)
+        val = (1.0 - _kernel_time_integral(spec, xi, t)) * cutoff_delta(xi)
     return val[()]
 
 
@@ -265,9 +254,7 @@ def enrichment_profile_dxi(spec: EnrichmentSpec, xi, t: float = None):
     eps = spec.epsilon
     if spec.kind == "phi_m1":
         e = np.exp(-(xi**2) / (4.0 * eps))
-        val = (xi / (2.0 * eps)) * e * cutoff_delta(spec.cutoff, xi) + (1.0 - e) * cutoff_delta_dxi(
-            spec.cutoff, xi
-        )
+        val = (xi / (2.0 * eps)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
     elif spec.kind == "phi_m1_lin":
         s = spec.sigma
         e = np.exp(-(xi**2) / (4.0 * eps))
@@ -279,21 +266,19 @@ def enrichment_profile_dxi(spec: EnrichmentSpec, xi, t: float = None):
         if t == 0.0:
             # pointwise t -> 0+ limit: the Gaussian factor and its xi-scaled
             # derivative vanish away from xi = 0, leaving the cutoff slope
-            return np.where(xi > 0.0, cutoff_delta_dxi(spec.cutoff, xi), 0.0)[()]
+            return np.where(xi > 0.0, cutoff_delta_dxi(xi), 0.0)[()]
         e = np.exp(-(xi**2) / (4.0 * eps * t))
-        val = (xi / (2.0 * eps * t)) * e * cutoff_delta(spec.cutoff, xi) + (1.0 - e) * cutoff_delta_dxi(
-            spec.cutoff, xi
-        )
+        val = (xi / (2.0 * eps * t)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
     else:  # phi0
         if t is None or t < 0.0:
             raise ValueError("phi0 derivative requires t >= 0")
         if t == 0.0:
             # the time integral and its derivative vanish at t = 0
-            return cutoff_delta_dxi(spec.cutoff, xi)[()]
+            return cutoff_delta_dxi(xi)[()]
         # the kernel integral itself only matters where the cutoff slopes
-        slope = cutoff_delta_dxi(spec.cutoff, xi)
+        slope = cutoff_delta_dxi(xi)
         ramp = slope != 0.0
         kernel = np.zeros_like(xi)
         kernel[ramp] = _kernel_time_integral(spec, xi[ramp], t)
-        val = -_kernel_time_integral_dxi(spec, xi, t) * cutoff_delta(spec.cutoff, xi) + (1.0 - kernel) * slope
+        val = -_kernel_time_integral_dxi(spec, xi, t) * cutoff_delta(xi) + (1.0 - kernel) * slope
     return val[()]

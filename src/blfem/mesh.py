@@ -37,6 +37,10 @@ class Mesh2D:
     outer_ring_width: float = 0.0  # radial width of the outermost ring
 
     @property
+    def elements(self):
+        return self.triangles
+
+    @property
     def dim(self):
         return 2
 

@@ -9,21 +9,22 @@ import pytest
 import scipy.sparse as sp
 from scipy import integrate as sp_integrate
 
-from blfem.analysis import ExactSolution1D, ExactSolution2D, _discrete_field
+from blfem.analysis import ExactSolution1D, ExactSolution2D
 from blfem.assembly import (
     RAD_N_GAUSS,
     RAD_N_SUB,
     AssemblyError,
     _assemble_standard_1d,
     _check_gram,
+    _discrete_field,
     _enriched_point_terms,
     _layer_rule_1d,
+    _locate_1d,
     assemble_enriched,
     assemble_standard,
     build_space,
     element_rules_2d,
     evaluate_field_1d,
-    evaluate_gradient_1d,
     fitted_arrays,
     project_initial,
     triangle_geometry,
@@ -139,7 +140,7 @@ class TestStandard2D:
         # oracle through the independent error-report quadrature, which is
         # exact for the piecewise quadratic (sum_i hat_i)^2
         layout = element_rules_2d(space.mesh, 1e-4)
-        hat_sum, _ = _discrete_field(space, ones, layout, 0.0)
+        hat_sum, _ = _discrete_field(space, ones, layout.points, layout.element, layout.bary, 0.0)
         assert total == pytest.approx(float(np.dot(layout.weights, hat_sum**2)), rel=1e-10)
 
     def test_misoriented_triangle_rejected(self):
@@ -347,7 +348,7 @@ class TestEnriched2D:
             eta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
             x, y = r * np.cos(eta), r * np.sin(eta)
             # the standard part is zero, so the field is the enrichment alone
-            cols, vals, _ = _enriched_point_terms(space, x, y, 1.0)
+            cols, vals, _ = _enriched_point_terms(space, np.stack([x, y], axis=1), 1.0)
             got = np.sum(vals * coeffs[space.n_standard :][cols], axis=1)
             want = g(eta) * float(enrichment_profile(spec, 1.0 - r, 1.0))
             errs.append(np.max(np.abs(got - want)))
@@ -581,22 +582,35 @@ class TestProjectionAndEvaluation:
         coeffs = 0.3 * nodes[:, 0] + 0.9 * nodes[:, 1]
         on_bdy = np.isin(mesh.triangles, mesh.boundary_nodes).any(axis=1)
         layout = element_rules_2d(mesh, 1e-6, triangles=np.nonzero(~on_bdy)[0])
-        got, grads = _discrete_field(space, coeffs, layout, 0.0)
+        got, grads = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, 0.0)
         x, y = layout.points.T
         assert np.allclose(got, 0.3 * x + 0.9 * y, atol=1e-12)
         assert np.allclose(grads, [0.3, 0.9], atol=1e-12)
 
     def test_field_evaluation_1d_with_enrichment(self):
+        # the standard part is zero, so the field is c_0 phi(x) + c_1 phi(1 - x)
+        # and its x-derivative c_0 phi'(x) - c_1 phi'(1 - x)
         eps = 1e-4
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=0.1)
         space = _space_1d(10, spec)
         coeffs = np.zeros(space.total_dofs)
-        coeffs[space.n_standard] = 2.0  # left enrichment only
-        xs = np.array([0.0, 0.01, 0.05, 0.5, 0.99])
-        want = 2.0 * np.asarray(enrichment_profile(spec, xs))
+        coeffs[space.n_standard :] = 2.0, -0.5
+        xs = np.array([0.0, 0.01, 0.05, 0.5, 0.97, 0.99, 1.0])
+        want = 2.0 * np.asarray(enrichment_profile(spec, xs)) - 0.5 * np.asarray(enrichment_profile(spec, 1.0 - xs))
         assert np.allclose(evaluate_field_1d(space, coeffs, xs), want, atol=1e-14)
-        wantg = 2.0 * np.asarray(enrichment_profile_dxi(spec, xs))
-        assert np.allclose(evaluate_gradient_1d(space, coeffs, xs), wantg, atol=1e-12)
+        wantg = 2.0 * np.asarray(enrichment_profile_dxi(spec, xs)) + 0.5 * np.asarray(
+            enrichment_profile_dxi(spec, 1.0 - xs)
+        )
+        _, grads = _discrete_field(space, coeffs, xs, *_locate_1d(space.mesh.nodes, xs), None)
+        assert grads.shape == (len(xs), 1)
+        assert np.allclose(grads[:, 0], wantg, atol=1e-12)
+
+    def test_locate_1d(self):
+        # a point takes the element to its right, the last node the last element
+        nodes = build_interval_mesh(4).nodes
+        elem, bary = _locate_1d(nodes, np.array([0.0, 0.1, 0.25, 0.6, 1.0]))
+        assert np.array_equal(elem, [0, 0, 1, 2, 3])
+        assert np.allclose(bary, [[1.0, 0.0], [0.6, 0.4], [1.0, 0.0], [0.6, 0.4], [0.0, 1.0]], atol=1e-15)
 
 
 class TestTriangleGeometry:

@@ -215,7 +215,7 @@ def _disk_field_reference(space, coeffs, t):
         dof = space.node_to_dof[tri]
         vals[node] = np.dot(lam, np.where(dof >= 0, coeffs[np.clip(dof, 0, None)], 0.0))
     if space.enrichment is not None:
-        cols, evals, _ = _enriched_point_terms(space, mesh.nodes[:, 0], mesh.nodes[:, 1], t)
+        cols, evals, _ = _enriched_point_terms(space, mesh.nodes, t)
         vals += np.sum(evals * coeffs[space.n_standard :][cols], axis=1)
     return vals
 
@@ -394,3 +394,30 @@ class TestThreadCap:
         assert code == EXIT_INVALID
         assert "BLFEM_THREADS must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+
+class TestStudyScripts:
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize(
+        "script, levels",
+        [("run_1d_convergence.py", "4,8,16"), ("run_2d_convergence.py", "8,10,12")],
+    )
+    def test_header_echoes_every_argument(self, tmp_path, monkeypatch, script, levels):
+        import runpy
+        import sys
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+        argv = [script, "--epsilon", "1e-3", "--levels", levels, "--dt", "0.25", "--T", "0.5",
+                "--kind", "phi_m1", "-o", "out.csv"]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", argv)
+        runpy.run_path(path, run_name="__main__")
+        header = [ln for ln in (tmp_path / "out.csv").read_text().splitlines() if ln.startswith("# ")]
+        assert header == [
+            "# T = 0.5",
+            "# dt = 0.25",
+            "# epsilon = 0.001",
+            "# kind = phi_m1",
+            f"# levels = {levels}",
+            "# output = out.csv",
+        ]

@@ -9,8 +9,10 @@ from scipy import integrate as sp_integrate
 
 from blfem.assembly import element_rules_2d, fitted_arrays
 from blfem.corrector import (
+    CUTOFF_INNER,
+    CUTOFF_OUTER,
     ENRICHMENT_KINDS,
-    CutoffSpec,
+    TIME_QUADRATURE_POINTS,
     EnrichmentSpec,
     ProblemData,
     _kernel_time_integral,
@@ -153,27 +155,21 @@ class TestTheta0:
 
 class TestCutoff:
     def test_plateau_and_decay(self):
-        spec = CutoffSpec()
-        assert cutoff_delta(spec, 0.0) == 1.0
-        assert cutoff_delta(spec, 0.25) == 1.0
-        assert cutoff_delta(spec, 0.5) == 0.0
-        assert cutoff_delta(spec, 0.9) == 0.0
-        assert cutoff_delta(spec, 0.375) == pytest.approx(0.5)
+        assert cutoff_delta(0.0) == 1.0
+        assert cutoff_delta(0.25) == 1.0
+        assert cutoff_delta(0.5) == 0.0
+        assert cutoff_delta(0.9) == 0.0
+        assert cutoff_delta(0.375) == pytest.approx(0.5)
 
     def test_monotone_and_smooth(self):
-        spec = CutoffSpec()
         xi = np.linspace(0.0, 1.0, 400)
-        v = cutoff_delta(spec, xi)
+        v = cutoff_delta(xi)
         assert np.all(np.diff(v) <= 1e-14)
         # derivative consistency by central differences
         h = 1e-6
         xs = np.linspace(0.26, 0.49, 20)
-        fd = (cutoff_delta(spec, xs + h) - cutoff_delta(spec, xs - h)) / (2.0 * h)
-        assert np.allclose(cutoff_delta_dxi(spec, xs), fd, atol=1e-7)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CutoffSpec(inner=0.5, outer=0.25)
+        fd = (cutoff_delta(xs + h) - cutoff_delta(xs - h)) / (2.0 * h)
+        assert np.allclose(cutoff_delta_dxi(xs), fd, atol=1e-7)
 
 
 class TestEnrichmentProfiles:
@@ -255,7 +251,7 @@ class TestEnrichmentProfiles:
                 lambda tau: float(heat_kernel_I(xi, tau, eps)), 0.0, 1.0, epsabs=1e-13
             )
             got = float(enrichment_profile(spec, xi, t=1.0))
-            assert got == pytest.approx((1.0 - integral) * cutoff_delta(spec.cutoff, xi), abs=1e-9)
+            assert got == pytest.approx((1.0 - integral) * cutoff_delta(xi), abs=1e-9)
 
     def test_time_dependent_profiles_need_time(self):
         spec = EnrichmentSpec(kind="phi0", epsilon=1e-4)
@@ -277,16 +273,6 @@ class TestEnrichmentProfiles:
         with pytest.raises(ValueError, match="t >= 0"):
             enrichment_profile_dxi(spec, xi, t=-0.1)
 
-    @pytest.mark.parametrize("n", [0, 65, 2.5, 48.0, True, "48", None])
-    def test_time_quadrature_points_validated(self, n):
-        with pytest.raises(ValueError, match="time_quadrature_points"):
-            EnrichmentSpec(kind="phi0", epsilon=1e-4, time_quadrature_points=n)
-
-    @pytest.mark.parametrize("n", [1, 64, np.int64(12)])
-    def test_time_quadrature_points_accepted(self, n):
-        spec = EnrichmentSpec(kind="phi0", epsilon=1e-4, time_quadrature_points=n)
-        assert np.isfinite(enrichment_profile(spec, 0.01, t=0.5))
-
     def test_phi0_tilde_time_zero_limit(self):
         spec = EnrichmentSpec(kind="phi0_tilde", epsilon=1e-4)
         assert enrichment_profile(spec, 0.0, t=0.0) == 0.0
@@ -299,13 +285,13 @@ class TestEnrichmentProfiles:
 # with these to the bit
 
 
-def _ref_cutoff_delta(spec, xi):
-    s = np.clip((np.asarray(xi, dtype=float) - spec.inner) / (spec.outer - spec.inner), 0.0, 1.0)
+def _ref_cutoff_delta(xi):
+    s = np.clip((np.asarray(xi, dtype=float) - CUTOFF_INNER) / (CUTOFF_OUTER - CUTOFF_INNER), 0.0, 1.0)
     return (1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s))[()]
 
 
 def _ref_kernel_time_integral(spec, xi, t):
-    rule = gauss_interval(spec.time_quadrature_points)
+    rule = gauss_interval(TIME_QUADRATURE_POINTS)
     v = np.sqrt(t) * rule.points
     w = np.sqrt(t) * rule.weights * 2.0 * v
     z = np.asarray(xi, dtype=float)[..., None] / np.sqrt(2.0 * spec.epsilon) / v
@@ -313,7 +299,7 @@ def _ref_kernel_time_integral(spec, xi, t):
 
 
 def _ref_kernel_time_integral_dxi(spec, xi, t):
-    rule = gauss_interval(spec.time_quadrature_points)
+    rule = gauss_interval(TIME_QUADRATURE_POINTS)
     v = np.sqrt(t) * rule.points
     w = np.sqrt(t) * rule.weights
     g = np.exp(-(np.asarray(xi, dtype=float)[..., None] ** 2) / (4.0 * spec.epsilon * v**2))
@@ -321,13 +307,13 @@ def _ref_kernel_time_integral_dxi(spec, xi, t):
 
 
 def _ref_phi0(spec, xi, t):
-    return (1.0 - _ref_kernel_time_integral(spec, xi, t)) * _ref_cutoff_delta(spec.cutoff, xi)
+    return (1.0 - _ref_kernel_time_integral(spec, xi, t)) * _ref_cutoff_delta(xi)
 
 
 def _ref_phi0_dxi(spec, xi, t):
-    return -_ref_kernel_time_integral_dxi(spec, xi, t) * _ref_cutoff_delta(spec.cutoff, xi) + (
+    return -_ref_kernel_time_integral_dxi(spec, xi, t) * _ref_cutoff_delta(xi) + (
         1.0 - _ref_kernel_time_integral(spec, xi, t)
-    ) * cutoff_delta_dxi(spec.cutoff, xi)
+    ) * cutoff_delta_dxi(xi)
 
 
 @pytest.fixture(scope="module", params=[1e-3, 1e-5, 1e-8])
@@ -392,14 +378,13 @@ class TestKernelRowSkip:
             assert enrichment_profile_dxi(spec, xi, t=0.2) == _ref_phi0_dxi(spec, xi, 0.2)
 
     def test_cutoff_bit_identical_to_clipped_polynomial(self):
-        spec = CutoffSpec()
-        ends = [spec.inner, spec.outer, np.nextafter(spec.inner, 1.0), np.nextafter(spec.outer, 0.0)]
+        ends = [CUTOFF_INNER, CUTOFF_OUTER, np.nextafter(CUTOFF_INNER, 1.0), np.nextafter(CUTOFF_OUTER, 0.0)]
         xi = np.concatenate([np.linspace(-0.1, 1.0, 4001), ends])
-        got = np.asarray(cutoff_delta(spec, xi))
-        assert got.tobytes() == _ref_cutoff_delta(spec, xi).tobytes()
-        for x in (0.0, spec.inner, 0.3, spec.outer, 0.9):
-            val = cutoff_delta(spec, x)
+        got = np.asarray(cutoff_delta(xi))
+        assert got.tobytes() == _ref_cutoff_delta(xi).tobytes()
+        for x in (0.0, CUTOFF_INNER, 0.3, CUTOFF_OUTER, 0.9):
+            val = cutoff_delta(x)
             assert np.ndim(val) == 0
-            assert np.asarray(val).tobytes() == np.asarray(_ref_cutoff_delta(spec, x)).tobytes()
+            assert np.asarray(val).tobytes() == np.asarray(_ref_cutoff_delta(x)).tobytes()
         grid = xi.reshape(-1, 1)
-        assert np.asarray(cutoff_delta(spec, grid)).tobytes() == _ref_cutoff_delta(spec, grid).tobytes()
+        assert np.asarray(cutoff_delta(grid)).tobytes() == _ref_cutoff_delta(grid).tobytes()

@@ -119,6 +119,14 @@ class TestFittedCoordinates:
         assert xi[1] == pytest.approx(0.5)
         assert xi[2] == 1.0 and r[2] == 0.0
 
+    def test_eta_just_below_positive_axis(self):
+        # arctan2 gives -1e-20 there, which the mod by 2 pi rounds up to
+        # exactly 2 pi; the angle is mapped to 0, inside [0, 2 pi)
+        assert float(fitted_arrays(1.0, -1e-20)[0]) == 0.0
+        eta, _, _ = fitted_arrays(np.array([1.0, 1.0, 1.0]), np.array([-1e-20, -1e-9, 0.0]))
+        assert eta[0] == 0.0 and eta[2] == 0.0
+        assert eta[1] == pytest.approx(2.0 * math.pi - 1e-9, abs=1e-15) and eta[1] < 2.0 * math.pi
+
     @given(
         st.floats(min_value=0.0, max_value=2.0 * math.pi - 1e-9),
         st.floats(min_value=1e-6, max_value=1.0),
@@ -127,29 +135,46 @@ class TestFittedCoordinates:
         got_eta, xi, got_r = fitted_arrays(r * math.cos(eta), r * math.sin(eta))
         assert float(xi) == pytest.approx(1.0 - r, abs=1e-12)
         assert float(got_r) == pytest.approx(r, abs=1e-15)
-        assert 0.0 <= float(got_eta) <= 2.0 * math.pi
+        assert 0.0 <= float(got_eta) < 2.0 * math.pi
         d = abs((float(got_eta) - eta + math.pi) % (2.0 * math.pi) - math.pi)
         assert d < 1e-9 / r
 
-    def test_gradient_transform_chain_rule(self):
-        # the gradients of phi(xi) psi_j(eta) that _enriched_point_terms maps
-        # to (x, y) against central differences of its values, inside the
-        # layer and away from the angular hat kinks
+    @staticmethod
+    def _chain_rule_points(dim, rng):
+        """A 1D or 2D enriched space and 40 points inside its layer, away
+        from the angular hat kinks."""
+        if dim == 1:
+            space = build_space(build_interval_mesh(10), EnrichmentSpec(kind="phi_m1", epsilon=1e-3))
+            near = rng.uniform(0.005, 0.2, 20)  # on the cutoff plateau
+            return space, np.concatenate([near, 1.0 - near])
         space = _enriched_disk()
         deta = 2.0 * np.pi / space.n_enriched
-        rng = np.random.default_rng(5)
         eta = deta * (rng.integers(0, space.n_enriched, 40) + rng.uniform(0.1, 0.9, 40))
         r = rng.uniform(0.9, 0.995, 40)
-        x, y = r * np.cos(eta), r * np.sin(eta)
-        cols, _, grads = _enriched_point_terms(space, x, y, 1.0)
+        return space, np.stack([r * np.cos(eta), r * np.sin(eta)], axis=1)
+
+    def test_gradient_transform_chain_rule(self):
+        # the gradients of the enriched terms that _enriched_point_terms maps
+        # to x against central differences of its values, in both
+        # dimensions.  1D: phi(x) and phi(1 - x), whose x-derivative is
+        # -phi'(1 - x); 2D: phi(xi) psi_j(eta)
+        rng = np.random.default_rng(5)
         h = 1e-6
-        for axis in (0, 1):
-            dx, dy = (h, 0.0) if axis == 0 else (0.0, h)
-            cp, vp, _ = _enriched_point_terms(space, x + dx, y + dy, 1.0)
-            cm, vm, _ = _enriched_point_terms(space, x - dx, y - dy, 1.0)
-            assert np.array_equal(cp, cols) and np.array_equal(cm, cols)
-            fd = (vp - vm) / (2.0 * h)
-            assert np.allclose(grads[:, :, axis], fd, rtol=1e-6, atol=1e-6 * np.abs(grads).max())
+        for dim in (1, 2):
+            space, points = self._chain_rule_points(dim, rng)
+            cols, _, grads = _enriched_point_terms(space, points, 1.0)
+            assert grads.shape == (40, 2, dim)
+            for axis in range(dim):
+                step = h * np.eye(dim)[axis] if dim == 2 else h
+                cp, vp, _ = _enriched_point_terms(space, points + step, 1.0)
+                cm, vm, _ = _enriched_point_terms(space, points - step, 1.0)
+                assert np.array_equal(cp, cols) and np.array_equal(cm, cols)
+                fd = (vp - vm) / (2.0 * h)
+                assert np.allclose(grads[:, :, axis], fd, rtol=1e-6, atol=1e-6 * np.abs(grads).max())
+        # 1D: phi rises into the plateau, and the mirror term falls
+        space, points = self._chain_rule_points(1, rng)
+        _, _, grads = _enriched_point_terms(space, points, 1.0)
+        assert np.all(grads[:20, 0, 0] > 0.0) and np.all(grads[:20, 1, 0] == -grads[20:, 0, 0])
 
     def test_gradient_transform_angular(self):
         # on the cutoff plateau phi = 1 - exp(-xi^2 / (4 eps)) = 1 to double
@@ -158,7 +183,7 @@ class TestFittedCoordinates:
         space = _enriched_disk(eps=1e-8)
         deta = 2.0 * np.pi / space.n_enriched
         x, y = 0.8, -0.4  # xi = 0.106, inside the plateau [0, 0.25]
-        _, vals, grads = _enriched_point_terms(space, np.array([x]), np.array([y]), 1.0)
+        _, vals, grads = _enriched_point_terms(space, np.array([[x, y]]), 1.0)
         r2 = x * x + y * y
         assert vals[0].sum() == pytest.approx(1.0, abs=1e-15)
         for k, sign in enumerate((-1.0, 1.0)):
@@ -167,5 +192,5 @@ class TestFittedCoordinates:
     def test_gradient_transform_singular_center(self):
         # 1/r in grad(eta) is guarded: the center lies outside every profile
         # support, so values and gradients there are exactly zero
-        _, vals, grads = _enriched_point_terms(_enriched_disk(), np.zeros(1), np.zeros(1), 1.0)
+        _, vals, grads = _enriched_point_terms(_enriched_disk(), np.zeros((1, 2)), 1.0)
         assert np.all(vals == 0.0) and np.all(grads == 0.0)
