@@ -24,7 +24,8 @@ def main():
 
     from blfem.assembly import evaluate_field_1d
 
-    print(f"# 1D comparison: epsilon={args.epsilon} n={args.n} dt={args.dt} T={args.T}")
+    for key, value in sorted(vars(args).items()):
+        print(f"# {key} = {value}")
     print(f"{'scheme':8s} {'dofs':>6s} {'rel_l2':>12s} {'h1_err':>12s} {'osc_index':>12s} {'runtime_s':>10s}")
     for scheme in ("sfem", "nfem"):
         report, fieldsol, space, exact = solve_scenario(

@@ -20,7 +20,8 @@ def main():
     args = ap.parse_args()
 
     levels = [int(tok) for tok in args.levels.split(",")]
-    print(f"# 2D comparison: epsilon={args.epsilon} dt={args.dt} T={args.T}")
+    for key, value in sorted(vars(args).items()):
+        print(f"# {key} = {value}")
     print(
         f"{'B':>5s} {'scheme':8s} {'dofs':>6s} {'rel_l2':>12s} "
         f"{'h1_err':>12s} {'osc_index':>12s} {'runtime_s':>10s}"

@@ -27,8 +27,6 @@ from .quadrature import (
     geometric_panels,
 )
 
-SMOOTH_TRI_DEGREE = 4
-
 
 class AssemblyError(Exception):
     pass
@@ -175,7 +173,7 @@ def triangle_rule_points(tri_xy, bdy_mask, eps, n_sub=6, n_gauss=4):
 def _smooth_triangle_rule(v):
     """The fixed smooth rule on each triangle of v (t, 3, 2): points
     (t, q, 2), weights (t, q), and the shared barycentric coordinates (q, 3)."""
-    rule = gauss_triangle(SMOOTH_TRI_DEGREE)
+    rule = gauss_triangle()
     x, y = rule.points[:, 0], rule.points[:, 1]
     lam = np.stack([1.0 - x - y, x, y], axis=1)
     area2 = np.abs(
@@ -701,16 +699,19 @@ def _enriched_point_terms(space, points, t):
 def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t):
     """Value (points,) and gradient (points, dim) of the discrete solution at
     points (1D: (n,), 2D: (n, 2)) lying in the given mesh elements at the
-    given barycentric coordinates.  In 2D the enrichment is evaluated only
-    at points within its support, 1 - r <= support."""
+    given barycentric coordinates.  The enrichment is evaluated only at
+    points within its support of the boundary: min(x, 1 - x) <= support in
+    1D, 1 - r <= support in 2D."""
     mesh = space.mesh
     c = _nodal_values(space, coeffs)[mesh.elements[element]]
     vals = np.sum(bary * c, axis=1)
     grads = np.einsum("pk,pkd->pd", c, _hat_gradients(mesh)[element])
     if space.enrichment is not None:
-        near = slice(None)
-        if mesh.dim == 2:
-            near = np.hypot(points[:, 0], points[:, 1]) >= 1.0 - space.enrichment.support - 1e-12
+        support = space.enrichment.support + 1e-12
+        if mesh.dim == 1:
+            near = np.minimum(points, 1.0 - points) <= support
+        else:
+            near = np.hypot(points[:, 0], points[:, 1]) >= 1.0 - support
         cols, evals, egrads = _enriched_point_terms(space, points[near], t)
         ec = coeffs[space.n_standard :][cols]
         vals[near] += np.einsum("pj,pj->p", ec, evals)

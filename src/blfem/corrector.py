@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import adaptive_gauss, gauss_interval
+from .quadrature import gauss_interval
 from .specfun import erfc_gauss
 
 ENRICHMENT_KINDS = ("phi0", "phi0_tilde", "phi_m1", "phi_m1_lin")
@@ -89,7 +89,9 @@ def limit_solution(data: ProblemData, point, t: float) -> float:
         return u0 + float(data.f_antiderivative(*point, t))
     if t == 0.0:
         return u0
-    return u0 + adaptive_gauss(lambda s: data.f(*point, s), 0.0, t, 1e-12)
+    from scipy.integrate import quad
+
+    return u0 + quad(lambda s: float(data.f(*point, s)), 0.0, t, epsabs=1e-12, epsrel=0.0)[0]
 
 
 def heat_kernel_I(xi, t, epsilon: float):
@@ -110,19 +112,18 @@ def theta0(data: ProblemData, eta: float, xi: float, t: float) -> float:
     if t == 0.0:
         return 0.0
 
-    def integrand(s):
-        return heat_kernel_I(xi, t - s, data.epsilon) * np.asarray(data.f_on_boundary(eta, s), dtype=float)
+    from scipy.integrate import quad_vec
 
-    # The kernel is negligible for t - s << xi^2 / eps; pre-split there so the
-    # adaptive rule starts with panels matched to the moving scale.
-    cuts = [0.0]
-    if xi > 0.0:
-        for c in (t - xi**2 / data.epsilon, t - xi**2 / (100.0 * data.epsilon)):
-            if 0.0 < c < t:
-                cuts.append(c)
-    cuts.append(t)
-    cuts = sorted(set(cuts))
-    return -sum(adaptive_gauss(integrand, a, b, 1e-10 / (len(cuts) - 1)) for a, b in zip(cuts[:-1], cuts[1:]))
+    def integrand(s):
+        return float(heat_kernel_I(xi, t - s, data.epsilon) * data.f_on_boundary(eta, s))
+
+    # The kernel is negligible for t - s << xi^2 / eps; split there so the
+    # adaptive rule starts with panels matched to the moving scale.  quad_vec
+    # rather than quad: for small xi the integrand looks like 1/sqrt(t - s)
+    # down to t - s ~ xi^2 / eps, and quad's extrapolation then misses by 1e-8
+    # while reporting 4e-12.
+    cuts = [t - xi**2 / data.epsilon, t - xi**2 / (100.0 * data.epsilon)] if xi > 0.0 else None
+    return -quad_vec(integrand, 0.0, t, epsabs=1e-10, epsrel=0.0, points=cuts)[0]
 
 
 # the quintic (C2) smoothstep cutoff is 1 on [0, CUTOFF_INNER] and 0 on

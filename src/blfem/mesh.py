@@ -102,7 +102,7 @@ def _triangle_stats(nodes, tris):
 RADIAL_FACTOR = 0.48
 
 
-def build_disk_mesh(boundary_node_count: int, radial_factor: float = RADIAL_FACTOR) -> Mesh2D:
+def build_disk_mesh(boundary_node_count: int) -> Mesh2D:
     """Ring-structured quasi-uniform triangulation of the unit disk.
 
     Ring k sits at radius 1 - k*dr and holds round(boundary_node_count * r_k)
@@ -112,7 +112,7 @@ def build_disk_mesh(boundary_node_count: int, radial_factor: float = RADIAL_FACT
     if boundary_node_count < 8:
         raise ValueError("boundary_node_count must be >= 8")
     b = boundary_node_count
-    dr = radial_factor * 2.0 * np.pi / b
+    dr = RADIAL_FACTOR * 2.0 * np.pi / b
 
     nodes = []
     rings = []

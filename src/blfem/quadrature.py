@@ -1,6 +1,7 @@
-"""Quadrature rules: Gauss-Legendre on intervals and triangles, plus
-composite layer-resolving rules for boundary-strip integrands that vary on
-the sqrt(eps) scale.
+"""Quadrature rules: Gauss-Legendre on intervals, the degree-4 triangle
+rule, and composite layer-resolving rules for boundary-strip integrands that
+vary on the sqrt(eps) scale.  The corrector's adaptive time integrals are
+left to `scipy.integrate`.
 """
 
 from __future__ import annotations
@@ -63,61 +64,14 @@ def gauss_interval(n_points: int) -> QuadratureRule:
     return QuadratureRule(points, weights, 2 * n_points - 1)
 
 
-# Symmetric positive-weight triangle rules (reference measure 1/2).
-# Barycentric generators; weights are fractions of the triangle area.
-_TRI_TABLE = {
-    1: [((1 / 3, 1 / 3, 1 / 3), 1.0)],
-    2: [((2 / 3, 1 / 6, 1 / 6), 1 / 3)],
-    4: [
-        ((0.108103018168070, 0.445948490915965, 0.445948490915965), 0.223381589678011),
-        ((0.816847572980459, 0.091576213509771, 0.091576213509771), 0.109951743655322),
-    ],
-    5: [
-        ((1 / 3, 1 / 3, 1 / 3), 0.225),
-        ((0.059715871789770, 0.470142064105115, 0.470142064105115), 0.132394152788506),
-        ((0.797426985353087, 0.101286507323456, 0.101286507323456), 0.125939180544827),
-    ],
-}
-
-
-def _tabulated_triangle(degree):
-    pts, wts = [], []
-    for bary, w in _TRI_TABLE[degree]:
-        orbit = {bary, (bary[1], bary[2], bary[0]), (bary[2], bary[0], bary[1])}
-        for b in sorted(orbit):
-            pts.append((b[0], b[1]))
-            wts.append(0.5 * w)
-    return np.array(pts), np.array(wts)
-
-
-def _collapsed_triangle(degree):
-    # Duffy-type collapse of a tensor Gauss rule: x = s, y = (1-s) v with
-    # Jacobian (1-s).  A total-degree-d polynomial needs degree d+1 in s
-    # (Jacobian included) and degree d in v.
-    ns = (degree + 3) // 2
-    nv = (degree + 2) // 2
-    rs = gauss_interval(ns)
-    rv = gauss_interval(nv)
-    s, v = np.meshgrid(rs.points, rv.points, indexing="ij")
-    ws, wv = np.meshgrid(rs.weights, rv.weights, indexing="ij")
-    pts = np.column_stack([s.ravel(), ((1.0 - s) * v).ravel()])
-    wts = (ws * wv * (1.0 - s)).ravel()
-    return pts, wts
-
-
-def gauss_triangle(degree: int) -> QuadratureRule:
-    """Positive-weight rule on the reference triangle, exact to `degree`."""
-    if not 1 <= degree <= 10:
-        raise ValueError("degree must be in [1, 10]")
-    if degree in (3,):
-        degree_use = 4
-    else:
-        degree_use = degree
-    if degree_use in _TRI_TABLE:
-        pts, wts = _tabulated_triangle(degree_use)
-    else:
-        pts, wts = _collapsed_triangle(degree_use)
-    return QuadratureRule(pts, wts, degree)
+def gauss_triangle() -> QuadratureRule:
+    """The symmetric 6-point positive-weight rule on the reference triangle
+    (measure 1/2), exact to degree 4: two barycentric orbits (a, b, b)."""
+    a1, b1, w1 = 0.108103018168070, 0.445948490915965, 0.223381589678011
+    a2, b2, w2 = 0.816847572980459, 0.091576213509771, 0.109951743655322
+    points = np.array([(a1, b1), (b1, a1), (b1, b1), (b2, b2), (b2, a2), (a2, b2)])
+    weights = 0.5 * np.array([w1, w1, w1, w2, w2, w2])
+    return QuadratureRule(points, weights, 4)
 
 
 def geometric_panels(length: float, n_sub: int, first_width: float) -> np.ndarray:
@@ -154,27 +108,3 @@ def composite_interval(breaks: np.ndarray, n_gauss: int) -> QuadratureRule:
     widths = np.diff(breaks)[:, None]
     pts = breaks[:-1, None] + widths * base.points
     return QuadratureRule(pts.ravel(), (widths * base.weights).ravel(), 2 * n_gauss - 1)
-
-
-def adaptive_gauss(f, a: float, b: float, abs_tol: float, max_depth: int = 50) -> float:
-    """Adaptive Gauss-Legendre integration of a vectorized scalar function.
-
-    Interval bisection keyed on the disagreement between a 10-point estimate
-    of the whole interval and the sum over its halves.
-    """
-    base = gauss_interval(10)
-
-    def panel(lo, hi):
-        return float(np.dot((hi - lo) * base.weights, f(lo + (hi - lo) * base.points)))
-
-    def recurse(lo, hi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if abs(left + right - whole) <= tol or depth >= max_depth:
-            return left + right
-        return recurse(lo, mid, left, 0.5 * tol, depth + 1) + recurse(mid, hi, right, 0.5 * tol, depth + 1)
-
-    if a == b:
-        return 0.0
-    return recurse(a, b, panel(a, b), abs_tol, 0)

@@ -287,7 +287,7 @@ def test_criterion_8_exactness_residuals_determinism(tmp_path, monkeypatch):
         rule = gauss_interval(np_)
         for k in range(2 * np_):
             quad_err = max(quad_err, abs(rule.integrate(lambda x: x**k) - 1.0 / (k + 1)))
-    tri = gauss_triangle(4)
+    tri = gauss_triangle()
     quad_err = max(quad_err, abs(tri.integrate(lambda x, y: x * y) - 1.0 / 24.0))
 
     # solver residual on the ill-conditioned enriched system

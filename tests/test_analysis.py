@@ -221,6 +221,35 @@ class TestErrorReportFieldOnce:
         assert refined.oscillation_index == osc  # read on the unrefined layout
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0"])
+    def test_1d_enrichment_read_only_within_support(self, kind, monkeypatch):
+        import blfem.analysis as analysis
+        import blfem.assembly as assembly
+
+        eps = 1e-5
+        _, sol, space, exact = solve_scenario(1, eps, 50, 1.0, 0.25, "nfem", kind)
+        layout = analysis._element_rules(space.mesh, eps)
+        x = layout.points
+        inside = np.minimum(x, 1.0 - x) <= space.enrichment.support
+        # reference: the enriched terms at every point, masked or not
+        c = assembly._nodal_values(space, sol.final)[space.mesh.elements[layout.element]]
+        cols, evals, egrads = assembly._enriched_point_terms(space, x, 1.0)
+        ec = sol.final[space.n_standard :][cols]
+        ref_vals = np.sum(layout.bary * c, axis=1) + np.einsum("pj,pj->p", ec, evals)
+        ref_grads = np.einsum("pk,pkd->pd", c, assembly._hat_gradients(space.mesh)[layout.element])
+        ref_grads += np.einsum("pj,pjd->pd", ec, egrads)
+        vals, grads = assembly._discrete_field(space, sol.final, x, layout.element, layout.bary, 1.0)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(grads, ref_grads)
+        sizes = []
+        profile = assembly.enrichment_profile
+        counting = lambda spec, xi, t=None: sizes.append(np.size(xi)) or profile(spec, xi, t)
+        monkeypatch.setattr(assembly, "enrichment_profile", counting)
+        compute_error_report(space, sol.final, exact, 1.0, eps)
+        assert sizes == [2 * np.count_nonzero(inside)]  # (x, 1 - x) at each point within the support
+        if kind == "phi_m1_lin":  # sigma = h: 48 of the 896 points, not all 896
+            assert sizes == [96] and x.size == 896
+
 
 class TestOscillationIndex:
     def test_interpolant_of_smooth_solution_has_zero_index(self):

@@ -643,7 +643,7 @@ def _reference_standard_load(space, f, t):
         hats = np.stack([1.0 - base.points, base.points])
         elems = mesh.elements
     else:
-        rule = gauss_triangle(4)
+        rule = gauss_triangle()
         lam = np.stack([1.0 - rule.points[:, 0] - rule.points[:, 1], rule.points[:, 0], rule.points[:, 1]], axis=1)
         v = mesh.nodes[mesh.triangles]
         area2 = np.abs(

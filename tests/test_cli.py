@@ -137,6 +137,22 @@ class TestSolveCommand:
         assert "numerical failure" in err
         assert "CG did not reach 1e-300 in 204 iterations" in err
 
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("problem, n", [("exact1d", "50"), ("exact2d", "16")])
+    def test_cg_solve_matches_direct(self, tmp_path, monkeypatch, capsys, problem, n):
+        rel = {}
+        for solver in ("direct_cholesky", "cg_jacobi"):
+            code = run_cli(
+                ["solve", "--problem", problem, "--epsilon", "1e-5", "--n", n, "--dt", "0.1",
+                 "--T", "1.0", "--scheme", "nfem", "--solver", solver],
+                tmp_path, monkeypatch,
+            )
+            out = capsys.readouterr()
+            assert code == EXIT_OK, out.err
+            line = [ln for ln in out.out.splitlines() if ln.startswith("rel_l2")]
+            rel[solver] = float(line[0].split(":")[1])
+        assert rel["cg_jacobi"] == pytest.approx(rel["direct_cholesky"], rel=1e-6)
+
     @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi_m1", "phi0", "phi0_tilde"])
     @pytest.mark.parametrize("eps", ["1e-3", "1e-5", "1e-8"])
     @pytest.mark.parametrize("n", ["50", "200"])
@@ -400,24 +416,25 @@ class TestStudyScripts:
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize(
         "script, levels",
-        [("run_1d_convergence.py", "4,8,16"), ("run_2d_convergence.py", "8,10,12")],
+        [("run_1d_convergence.py", "4,8,16"), ("run_2d_convergence.py", "8,10,12"),
+         ("run_1d_comparison.py", "8"), ("run_2d_comparison.py", "8")],
     )
-    def test_header_echoes_every_argument(self, tmp_path, monkeypatch, script, levels):
+    def test_header_echoes_every_argument(self, tmp_path, monkeypatch, capsys, script, levels):
         import runpy
         import sys
 
         path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
-        argv = [script, "--epsilon", "1e-3", "--levels", levels, "--dt", "0.25", "--T", "0.5",
-                "--kind", "phi_m1", "-o", "out.csv"]
+        expected = {"T": "0.5", "dt": "0.25", "epsilon": "0.001", "kind": "phi_m1", "levels": levels}
+        if script == "run_1d_comparison.py":  # one mesh, and field dumps instead of a CSV
+            expected.update(n=expected.pop("levels"), dump_prefix="")
+        if "convergence" in script:
+            expected["output"] = "out.csv"
+        argv = [script, "--epsilon", "1e-3", "--dt", "0.25", "--T", "0.5", "--kind", "phi_m1"]
+        argv += ["--n", levels] if "n" in expected else ["--levels", levels]
+        argv += ["-o", "out.csv"] if "output" in expected else []
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", argv)
         runpy.run_path(path, run_name="__main__")
-        header = [ln for ln in (tmp_path / "out.csv").read_text().splitlines() if ln.startswith("# ")]
-        assert header == [
-            "# T = 0.5",
-            "# dt = 0.25",
-            "# epsilon = 0.001",
-            "# kind = phi_m1",
-            f"# levels = {levels}",
-            "# output = out.csv",
-        ]
+        text = (tmp_path / "out.csv").read_text() if "output" in expected else capsys.readouterr().out
+        header = [ln for ln in text.splitlines() if ln.startswith("# ")]
+        assert header == [f"# {key} = {value}" for key, value in sorted(expected.items())]

@@ -152,6 +152,22 @@ class TestTheta0:
     def test_zero_at_time_zero(self):
         assert theta0(_data_1d(), 0.0, 0.01, 0.0) == 0.0
 
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    def test_matches_closed_form_for_unit_source(self):
+        # f = 1: theta0 = -int_0^t erfc(a / sqrt(u)) du with a = xi / (2 sqrt(eps)),
+        # which is -[(t + 2 a^2) erfc(a / sqrt(t)) - 2 a sqrt(t / pi) exp(-a^2 / t)].
+        # For small xi the integrand behaves like 1/sqrt(t - s) down to
+        # t - s ~ xi^2 / eps, which an extrapolating rule can misjudge
+        for eps in (1e-2, 1e-5):
+            data = _data_1d(epsilon=eps, f=lambda x, t: np.ones_like(np.asarray(x, dtype=float)))
+            for xi in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                for t in (0.3, 1.0):
+                    a = xi / (2.0 * math.sqrt(eps))
+                    exact = (t + 2.0 * a * a) * math.erfc(a / math.sqrt(t)) - 2.0 * a * math.sqrt(
+                        t / math.pi
+                    ) * math.exp(-a * a / t)
+                    assert theta0(data, 0.0, xi, t) == pytest.approx(-exact, abs=1e-10), (eps, xi, t)
+
 
 class TestCutoff:
     def test_plateau_and_decay(self):

@@ -112,13 +112,17 @@ class TestConjugateGradients:
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_no_convergence_carries_residual(self):
+        # 1e-300 is below what double precision resolves; b = ones would not
+        # do, because on this exactly representable system CG reaches a zero
+        # residual
         a = _poisson_fd(64)
-        b = np.ones(63)
-        cfg = SolverConfig(method="cg_jacobi", rel_tolerance=1e-10, max_iterations=2)
+        b = np.sin(np.linspace(0.0, 3.0, 63))
+        cfg = SolverConfig(method="cg_jacobi", rel_tolerance=1e-300)
         with pytest.raises(NoConvergence) as exc_info:
             solve_spd(a, b, cfg)
+        assert "CG did not reach 1e-300 in 252 iterations" in str(exc_info.value)  # 4 n
         assert exc_info.value.residual is not None
-        assert 0.0 < exc_info.value.residual
+        assert 0.0 < exc_info.value.residual < 1e-10
 
 
 class TestEnrichedSystems:

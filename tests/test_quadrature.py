@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 
 from blfem.quadrature import (
-    adaptive_gauss,
     composite_interval,
     gauss_interval,
     gauss_triangle,
@@ -47,39 +46,29 @@ class TestGaussInterval:
 
 class TestGaussTriangle:
     def test_weights_sum_to_area(self):
-        for deg in range(1, 11):
-            rule = gauss_triangle(deg)
-            assert np.sum(rule.weights) == pytest.approx(0.5, abs=1e-14)
-            assert np.all(rule.weights > 0.0)
+        rule = gauss_triangle()
+        assert np.sum(rule.weights) == pytest.approx(0.5, abs=1e-14)
+        assert np.all(rule.weights > 0.0)
 
     def test_monomial_exactness(self):
         # int over reference triangle of x^p y^q = p! q! / (p + q + 2)!
-        for deg in range(1, 11):
-            rule = gauss_triangle(deg)
-            for p in range(deg + 1):
-                for q in range(deg + 1 - p):
-                    exact = (
-                        math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
-                    )
-                    got = rule.integrate(lambda x, y: x**p * y**q)
-                    assert got == pytest.approx(exact, abs=1e-13), (deg, p, q)
+        rule = gauss_triangle()
+        assert rule.exactness_degree == 4
+        for p in range(5):
+            for q in range(5 - p):
+                exact = math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
+                got = rule.integrate(lambda x, y: x**p * y**q)
+                assert got == pytest.approx(exact, abs=1e-13), (p, q)
 
     def test_xy_moment(self):
-        assert gauss_triangle(2).integrate(lambda x, y: x * y) == pytest.approx(1.0 / 24.0, abs=1e-14)
+        assert gauss_triangle().integrate(lambda x, y: x * y) == pytest.approx(1.0 / 24.0, abs=1e-14)
 
     def test_points_inside_reference_triangle(self):
-        for deg in (1, 4, 7, 10):
-            rule = gauss_triangle(deg)
-            x, y = rule.points[:, 0], rule.points[:, 1]
-            assert np.all(x >= -1e-14)
-            assert np.all(y >= -1e-14)
-            assert np.all(x + y <= 1.0 + 1e-14)
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            gauss_triangle(0)
-        with pytest.raises(ValueError):
-            gauss_triangle(11)
+        rule = gauss_triangle()
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        assert np.all(x >= -1e-14)
+        assert np.all(y >= -1e-14)
+        assert np.all(x + y <= 1.0 + 1e-14)
 
 
 class TestGeometricPanels:
@@ -146,19 +135,3 @@ class TestCompositeAndAdaptive:
         rule = composite_interval(np.array([0.0, 0.3, 1.0]), 3)
         for k in range(6):
             assert rule.integrate(lambda x: x**k) == pytest.approx(1.0 / (k + 1), abs=1e-14)
-
-    def test_adaptive_gauss_oscillatory(self):
-        got = adaptive_gauss(lambda x: np.sin(50.0 * x), 0.0, 1.0, 1e-12)
-        exact = (1.0 - math.cos(50.0)) / 50.0
-        assert got == pytest.approx(exact, abs=1e-11)
-
-    def test_adaptive_gauss_layer(self):
-        # integrate a Gaussian layer over an interval a few widths wide
-        # (bisection adaptivity needs the root panel to see the feature)
-        eps = 1e-8
-        upper = 50.0 * math.sqrt(eps)
-        got = adaptive_gauss(lambda x: np.exp(-(x**2) / (4.0 * eps)), 0.0, upper, 1e-13)
-        assert got == pytest.approx(math.sqrt(math.pi * eps), rel=1e-8)
-
-    def test_empty_interval(self):
-        assert adaptive_gauss(lambda x: np.ones_like(x), 2.0, 2.0, 1e-12) == 0.0
