@@ -2,12 +2,15 @@
 """Mesh-refinement study of the layered 1D benchmark, SFEM vs NFEM.
 
 Writes the error table as CSV (with one `# error:` line per level that
-failed numerically) and prints the fitted L2 slopes.
+failed numerically) and prints the fitted L2 slopes.  Exits 3 when a level
+failed.
 """
 
 import argparse
+import sys
 
 from blfem.analysis import run_convergence_study, write_convergence_csv
+from blfem.cli import EXIT_NUMERICAL
 
 
 def main():
@@ -31,6 +34,8 @@ def main():
     for scheme, (slope, resid) in sorted(table.slopes.items()):
         print(f"{scheme}: L2 slope {slope:.4f} (fit residual {resid:.3g})")
     print(f"wrote {args.output}")
+    if table.failures:  # the table is written, but the study did not complete
+        sys.exit(EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Mesh-refinement study on the unit disk, SFEM vs NFEM, written to CSV
-(with one `# error:` line per level that failed numerically)."""
+(with one `# error:` line per level that failed numerically).  Exits 3 when
+a level failed."""
 
 import argparse
+import sys
 
 from blfem.analysis import run_convergence_study, write_convergence_csv
+from blfem.cli import EXIT_NUMERICAL
 
 
 def main():
@@ -28,6 +31,8 @@ def main():
     for scheme, (slope, resid) in sorted(table.slopes.items()):
         print(f"{scheme}: L2 slope {slope:.4f} (fit residual {resid:.3g})")
     print(f"wrote {args.output}")
+    if table.failures:  # the table is written, but the study did not complete
+        sys.exit(EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,12 @@ blocks use exact element formulas or fixed-order triangle rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
+from .corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi, time_independent_xi
 from .mesh import Mesh1D, Mesh2D
 from .quadrature import (
     QuadratureLayout,
@@ -76,6 +77,28 @@ class AssembledSystem:
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     parts: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class EnrichedLevel:
+    """The enriched blocks at one time level: the couplings msl, asl (n, m),
+    the Gram blocks mee, aee (m, m), the cross Gram block cee of this level's
+    enriched functions (rows) with the previous level's (columns; mee when
+    there is none), and the profile values phi at the moving quadrature
+    points, which the load at this level reads.  The profile and its
+    derivative are evaluated once per level."""
+
+    msl: sp.csr_matrix
+    asl: sp.csr_matrix
+    mee: np.ndarray
+    aee: np.ndarray
+    cee: np.ndarray
+    phi: np.ndarray
+
+    @cached_property
+    def msl_t(self):
+        """msl^T as CSR, built once per level."""
+        return self.msl.T.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +340,10 @@ def _load_layout(space, epsilon):
     return tuple(c.ravel() for c in coords), op
 
 
+def _source_values(f, coords, t):
+    return np.broadcast_to(np.asarray(f(*coords, t), dtype=float), coords[0].shape)
+
+
 def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     """Mass, stiffness and load assembler for the plain P1 space."""
     if space.mesh.dim == 1:
@@ -328,15 +355,24 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     # the load needs the problem source; expose a factory so the same
     # assembled system serves any ProblemData
     def make_load(f):
-        def load_fn(t):
-            return op @ np.broadcast_to(np.asarray(f(*coords, t), dtype=float), coords[0].shape)
+        def load_fn(t, phi_vals=None):
+            return op @ _source_values(f, coords, t)
 
         return load_fn
 
+    # the plain space is an enriched one without enriched DOFs: one empty
+    # level, and a load that has no profile values to read
+    n = space.n_standard
+    none = np.zeros((0, 0))
+    empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0))
     sysm = AssembledSystem(mass=mass, stiffness=stiff)
-    sysm.parts["make_load"] = make_load
-    sysm.parts["Mss"] = mass
-    sysm.parts["Ass"] = stiff
+    sysm.parts.update(
+        make_load=make_load,
+        Mss=mass,
+        Ass=stiff,
+        rebuild=lambda t, previous=None: empty,
+        moving_rows=np.zeros(0, dtype=int),
+    )
     return sysm
 
 
@@ -508,6 +544,8 @@ def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout:
     dof = space.node_to_dof[mesh.triangles[tri_idx]]
     hat_grads = _hat_gradients(mesh)[tri_idx]
     g_xi, g_eta = (np.sum(hat_grads * g[:, None, :], axis=2) for g in (grad_xi, grad_eta))
+    # per-point arrays the patterns below do not need: about 12 MB at B = 104
+    del hat_grads, grad_xi, grad_eta
     wb = w[:, None]
 
     # standard-enriched coupling: (point, standard hat, angular hat)
@@ -537,37 +575,92 @@ def _check_gram(mee):
         raise AssemblyError("enriched Gram block is numerically singular")
 
 
-@dataclass(frozen=True)
-class EnrichedLevel:
-    """The enriched blocks at one time level, and the profile values phi at
-    the quadrature points they were integrated with (phi and its derivative
-    are evaluated once per level)."""
-
-    msl: sp.csr_matrix
-    asl: sp.csr_matrix
-    mee: np.ndarray
-    aee: np.ndarray
-    phi: np.ndarray
+def _symmetric(flat, m):
+    g = flat.reshape(m, m)
+    return 0.5 * (g + g.T)
 
 
-def _enriched_blocks(space, layout, epsilon, t):
+def _split_layout(space, layout, epsilon, t_max):
+    """The levels of a run that ends at t_max, with the layout's points split
+    once at xi* (corrector.time_independent_xi): past it the profile values
+    are the same at every level, so those fixed points are summed once into
+    base block data and into a load operator with the profile folded in,
+    and a level evaluates the profile and runs the mat-vecs on the moving
+    points only.  t_max None: every point of a time-dependent kind moves.
+
+    Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
+    when no point moves), the standard DOFs R whose coupling entries a moving
+    point touches (the only rows on which levels differ), and
+    enriched_load(f, t, phi) with phi the level's moving profile values."""
     spec = space.enrichment
-    m = space.n_enriched
-    phi = np.asarray(enrichment_profile(spec, layout.xi, t), dtype=float)
-    dphi = np.asarray(enrichment_profile_dxi(spec, layout.xi, t), dtype=float)
+    n, m = space.n_standard, space.n_enriched
+    xi = layout.xi
+    moving = xi < time_independent_xi(spec, t_max)
+    fixed = ~moving
+    phi, dphi = np.zeros(len(xi)), np.zeros(len(xi))
+    if fixed.any():
+        phi[fixed] = enrichment_profile(spec, xi[fixed], t_max)
+        dphi[fixed] = enrichment_profile_dxi(spec, xi[fixed], t_max)
+    base_msl = layout.sl_m @ phi
+    base_asl = layout.sl_a1 @ dphi + layout.sl_a2 @ phi
+    base_mee = layout.ee_m @ phi**2
+    base_aee = layout.ee_m @ dphi**2 + layout.ee_ang @ phi**2
+    ops = (layout.sl_m, layout.sl_a1, layout.sl_a2, layout.ee_m, layout.ee_ang)
+    if fixed.any():
+        ops = tuple(op[:, moving] for op in ops)
+    sl_m, sl_a1, sl_a2, ee_m, ee_ang = ops
+    xi_moving = xi[moving]
+    # the coupling operators share one pattern, explicit zeros included, so
+    # the entries with a moving point in sl_m are those of all three
+    block = layout.sl_block
+    entry_row = np.repeat(np.arange(n), np.diff(block.indptr))
+    moving_rows = np.unique(entry_row[np.diff(sl_m.indptr) > 0])
 
     def coupling(data):
-        block = layout.sl_block
         return sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
 
-    msl = coupling(layout.sl_m @ phi)
-    asl = coupling(epsilon * (layout.sl_a1 @ dphi + layout.sl_a2 @ phi))
-    phi2 = phi**2
-    mee = (layout.ee_m @ phi2).reshape(m, m)
-    aee = (epsilon * (layout.ee_m @ dphi**2 + layout.ee_ang @ phi2)).reshape(m, m)
-    mee = 0.5 * (mee + mee.T)
-    aee = 0.5 * (aee + aee.T)
-    return EnrichedLevel(msl, asl, mee, aee, phi)
+    def level(t, previous):
+        p = np.asarray(enrichment_profile(spec, xi_moving, t), dtype=float)
+        dp = np.asarray(enrichment_profile_dxi(spec, xi_moving, t), dtype=float)
+        p2 = p**2
+        mee = _symmetric(base_mee + ee_m @ p2, m)
+        return EnrichedLevel(
+            msl=coupling(base_msl + sl_m @ p),
+            asl=coupling(epsilon * (base_asl + (sl_a1 @ dp + sl_a2 @ p))),
+            mee=mee,
+            aee=_symmetric(epsilon * (base_aee + (ee_m @ dp**2 + ee_ang @ p2)), m),
+            cee=mee if previous is None else _symmetric(base_mee + ee_m @ (p * previous.phi), m),
+            phi=p,
+        )
+
+    if not moving.any():
+        static = level(t_max, None)
+
+        def rebuild(t, previous=None):
+            return static
+
+    else:
+
+        def rebuild(t, previous=None):
+            if t_max is not None and t > t_max:
+                raise ValueError(f"level t = {t} lies past the split time t_max = {t_max}")
+            return level(t, previous)
+
+    # load columns, one per point and enriched copy (two copies in 1D),
+    # reordered so that the k columns of fixed points come first
+    col_point = np.broadcast_to(np.arange(len(xi)), layout.coords[0].shape).ravel()
+    order = np.argsort(moving[col_point], kind="stable")
+    k = np.count_nonzero(fixed[col_point])
+    coords = tuple(c.ravel()[order] for c in layout.coords)
+    le_fixed, le_moving = layout.le[:, order[:k]], layout.le[:, order[k:]]
+    le_fixed.data *= phi[col_point[order[:k]]][le_fixed.indices]
+    moving_col_point = np.searchsorted(np.flatnonzero(moving), col_point[order[k:]])
+
+    def enriched_load(f, t, phi_moving):
+        fv = _source_values(f, coords, t)
+        return le_fixed @ fv[:k] + le_moving @ (phi_moving[moving_col_point] * fv[k:])
+
+    return rebuild, moving_rows, enriched_load
 
 
 def _stack_blocks(mss, ass, msl, asl, mee, aee):
@@ -579,39 +672,31 @@ def _stack_blocks(mss, ass, msl, asl, mee, aee):
     return mass, stiff
 
 
-def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> AssembledSystem:
+def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0, t_max: float = None) -> AssembledSystem:
     """Full block system for the enriched space at enrichment time t.
 
     In both dimensions the enriched blocks of a level are sparse mat-vecs of
     the profile values at fixed quadrature points (see _CouplingLayout); only
-    the layout builder depends on the dimension.  A time-dependent profile
-    changes the blocks at every time level:
-    parts['rebuild'](t) returns the EnrichedLevel at t, parts['restack'](level)
-    its (mass, stiffness) pair, and parts['cross_mass'](new, old) the mixed
-    mass matrix between two levels.  parts['make_load'](f) returns
-    load(t, phi_vals), where phi_vals are the profile values of the level the
-    load is taken at (default: the level assembled at t);
+    the layout builder depends on the dimension.  t_max is the last time a
+    level is taken at (default: none given, so no point is taken as fixed);
+    see _split_layout.  parts['rebuild'](t, previous) returns the
+    EnrichedLevel at t, its cross Gram block taken against the level
+    `previous`; parts['moving_rows'] are the standard DOFs on which the
+    coupling blocks of two levels differ; parts['restack'](level) gives the
+    level's stacked (mass, stiffness).  parts['make_load'](f) returns
+    load(t, phi_vals), where phi_vals are the moving profile values of the
+    level the load is taken at (default: the level assembled at t);
     parts['make_standard_load'](f) the load of the standard block alone.
     """
     if space.enrichment is None:
         raise AssemblyError("space carries no enrichment")
     base = assemble_standard(space, epsilon)
     mss, ass = base.parts["Mss"], base.parts["Ass"]
-    m = space.n_enriched
     layout = (_coupling_layout_1d if space.mesh.dim == 1 else _coupling_layout_2d)(space)
-
-    def rebuild(tt):
-        return _enriched_blocks(space, layout, epsilon, tt)
+    rebuild, moving_rows, enriched_load = _split_layout(space, layout, epsilon, t_max)
 
     def restack(level):
         return _stack_blocks(mss, ass, level.msl, level.asl, level.mee, level.aee)
-
-    def cross_mass(new, old):
-        """Mass-type matrix <Phi_i(t_new), Phi_j(t_old)> for the Rothe step
-        with a time-dependent profile: rows at the new level, columns at the old."""
-        cee = (layout.ee_m @ (new.phi * old.phi)).reshape(m, m)
-        cee = 0.5 * (cee + cee.T)
-        return sp.bmat([[mss, old.msl], [new.msl.T, sp.csr_matrix(cee)]], format="csr")
 
     level = rebuild(t)
     _check_gram(level.mee)
@@ -621,8 +706,7 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
         std = base.parts["make_load"](f)
 
         def load_fn(tt, phi_vals=level.phi):
-            fv = np.broadcast_to(np.asarray(f(*layout.coords, tt), dtype=float), layout.coords[0].shape)
-            return np.concatenate([std(tt), layout.le @ (phi_vals * fv).ravel()])
+            return np.concatenate([std(tt), enriched_load(f, tt, phi_vals)])
 
         return load_fn
 
@@ -637,7 +721,7 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0) -> Asse
         make_load=make_load,
         make_standard_load=base.parts["make_load"],
         rebuild=rebuild,
-        cross_mass=cross_mass,
+        moving_rows=moving_rows,
         restack=restack,
     )
     return sysm
@@ -681,9 +765,12 @@ def _enriched_point_terms(space, points, t):
     alive at eta; points is (points, 2)."""
     spec = space.enrichment
     if space.mesh.dim == 1:
+        # each column is evaluated only within its own support, xi <= support
         xi = np.stack([points, 1.0 - points])
-        phi = np.asarray(enrichment_profile(spec, xi, t), dtype=float)
-        dphi = np.asarray(enrichment_profile_dxi(spec, xi, t), dtype=float)
+        near = xi <= spec.support + 1e-12
+        phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
+        phi[near] = enrichment_profile(spec, xi[near], t)
+        dphi[near] = enrichment_profile_dxi(spec, xi[near], t)
         cols = np.broadcast_to(np.arange(2), phi.T.shape)
         return cols, phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
     xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, points[:, 0], points[:, 1])

@@ -179,7 +179,6 @@ def cmd_solve(args):
     print(f"osc_index   : {report.oscillation_index:.10g}")
     if timing:
         print(f"runtime_s   : {report.runtime:.3f}")
-    print(f"T*epsilon   : {cfg['T'] * cfg['epsilon']:.3g}  (time-independent profile heuristic window)")
 
     if cfg["output"]:
         table = ConvergenceTable(epsilon=cfg["epsilon"], T=cfg["T"])

@@ -193,11 +193,32 @@ _ERFC_GAUSS_ZERO = 37.68
 _EXP_ZERO = 745.14
 
 
+def time_independent_xi(spec: EnrichmentSpec, t_max: float = None) -> float:
+    """xi* such that at every xi >= xi* and every t in [0, t_max] the
+    profile and its xi-derivative equal cutoff_delta and cutoff_delta_dxi
+    exactly.  The heat-layer factor of phi0_tilde is exp(-xi^2 / (4 eps t)),
+    that of phi0 the erfc and exp rows of the kernel at the largest time node
+    sqrt(t) * max node; both widen with t, so the bounds at t_max hold for
+    every earlier time, and past them the factors underflow to 0.0.
+    0 for a time-independent kind (every point qualifies); inf for a
+    time-dependent one without t_max (no point does)."""
+    if not spec.time_dependent:
+        return 0.0
+    if t_max is None:
+        return math.inf
+    width = math.sqrt(t_max)
+    if spec.kind == "phi0":
+        width *= float(gauss_interval(TIME_QUADRATURE_POINTS).points.max())
+    eps = spec.epsilon
+    return max(math.sqrt(4.0 * eps * _EXP_ZERO), _ERFC_GAUSS_ZERO * math.sqrt(2.0 * eps)) * width
+
+
 def _kernel_time_integral(spec, xi, t):
     # int_0^t I(xi, tau) dtau via tau = v^2, removing the sqrt scale at 0.
     # z falls as v grows, so a point whose z at the largest node is past the
-    # erfc underflow sums a row of exact zeros; only the other rows are
-    # evaluated, each over all nodes, so every sum is unchanged
+    # erfc underflow sums a row of exact zeros and is skipped; in the other
+    # rows only the (point, node) pairs below the underflow are evaluated and
+    # the rest hold that exact 0.0, so every sum is unchanged
     xi = np.asarray(xi, dtype=float)
     out = np.zeros_like(xi)
     if t == 0.0:
@@ -207,20 +228,33 @@ def _kernel_time_integral(spec, xi, t):
     w = np.sqrt(t) * rule.weights * 2.0 * v
     scaled = xi / np.sqrt(2.0 * spec.epsilon)
     live = scaled / v.max() < _ERFC_GAUSS_ZERO
-    out[live] = np.sum(erfc_gauss(scaled[live][:, None] / v) * w, axis=-1)
+    z = scaled[live][:, None] / v  # overwritten with erfc_gauss(z) * w
+    below = z < _ERFC_GAUSS_ZERO
+    vals = z[below]
+    z[~below] = 0.0
+    z[below] = erfc_gauss(vals, out=vals)
+    z *= w
+    out[live] = np.sum(z, axis=-1)
     return out
 
 
 def _kernel_time_integral_dxi(spec, xi, t):
     # d/dxi int_0^t I dtau = -(2/sqrt(pi eps)) int_0^sqrt(t) exp(-xi^2/(4 eps v^2)) dv,
-    # skipping the rows whose exponent underflows at the largest node
+    # skipping the rows whose exponent underflows at the largest node and,
+    # in the other rows, the nodes where it underflows
     rule = gauss_interval(TIME_QUADRATURE_POINTS)
     v = np.sqrt(t) * rule.points
     w = np.sqrt(t) * rule.weights
     xi2 = np.asarray(xi, dtype=float) ** 2
     live = xi2 / (4.0 * spec.epsilon * v.max() ** 2) < _EXP_ZERO
     out = np.zeros_like(xi2)
-    out[live] = np.sum(np.exp(-xi2[live][:, None] / (4.0 * spec.epsilon * v**2)) * w, axis=-1)
+    a = xi2[live][:, None] / (4.0 * spec.epsilon * v**2)
+    np.negative(a, out=a)  # overwritten with exp(a) * w
+    below = a > -_EXP_ZERO
+    np.exp(a, out=a, where=below)
+    a[~below] = 0.0
+    a *= w
+    out[live] = np.sum(a, axis=-1)
     return -2.0 / np.sqrt(np.pi * spec.epsilon) * out
 
 

@@ -1,11 +1,18 @@
 """Implicit Euler time stepping for the assembled systems.
 
-With a time-independent enrichment (or none) the matrix M + dt*A is
-factorized once.  Time-dependent profiles change the trial space between
-levels, so each step builds the enriched blocks of the new level once (one
-profile evaluation), refactors, and uses the mixed mass matrix
-<Phi_i(t_{n+1}), Phi_j(t_n)> between the new and the previous level on the
-right-hand side.
+Every space runs one loop.  Each step takes the enriched level at the new
+time from parts['rebuild'] (the plain space has one empty level, a
+time-independent profile one fixed level) and solves
+    [[K_ss, K_se], [K_se^T, K_ee]] u_new = C u_old + dt * load,
+with K = M + dt * A at the new level.  K_ss = Mss + dt * Ass never changes,
+and two levels' couplings differ only on the standard rows R that the
+moving quadrature points touch (parts['moving_rows']).  When R is small
+against the enriched DOFs and the level count (linsolve.schur_pays),
+linsolve.BlockSolver factors K_ss once per run and each new level only a
+dense Schur complement of the enriched DOFs; otherwise, and for a single
+level, it factors each level's stacked matrix.  C is the mass matrix between
+the new level (rows) and the previous one (columns), built from the
+blocks: [[Mss, Msl_old], [Msl_new^T, Cee]].
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .assembly import AssembledSystem, BasisSpace, project_initial
 from .corrector import ProblemData
-from .linsolve import NoConvergence, NotPositiveDefinite, SolverConfig, SpdSolver
+from .linsolve import BlockSolver, NoConvergence, NotPositiveDefinite, SolverConfig
 
 _GRID_TOL = 1e-12
 
@@ -67,6 +74,14 @@ class SolutionField:
         return self.history[-1]
 
 
+def cross_level_product(mss, new, old, u):
+    """C u for the mass matrix C = [[Mss, Msl_old], [Msl_new^T, Cee]] between
+    the enriched functions of level new (rows) and level old (columns)."""
+    n = mss.shape[0]
+    us, ue = u[:n], u[n:]
+    return np.concatenate([mss @ us + old.msl @ ue, new.msl_t @ us + new.cee @ ue])
+
+
 def advance(
     space: BasisSpace,
     system: AssembledSystem,
@@ -77,35 +92,29 @@ def advance(
     """March the semi-discrete problem from the projected initial state."""
     cfg = solver_config or SolverConfig()
     dt = grid.dt
-    load_fn = system.parts["make_load"](data.f)
+    parts = system.parts
+    mss, rebuild = parts["Mss"], parts["rebuild"]
+    load_fn = parts["make_load"](data.f)
     u = project_initial(space, system, data.u0_initial, cfg)
     history = np.empty((grid.n_steps + 1, len(u)))
     history[0] = u
 
-    time_dep = space.enrichment is not None and space.enrichment.time_dependent
-    if not time_dep:
-        solver = SpdSolver(system.mass + dt * system.stiffness, cfg)
-        for n, t_new in enumerate(grid.times[1:], start=1):
-            rhs = system.mass @ u + dt * load_fn(t_new)
-            try:
-                u = solver.solve(rhs)
-            except (NotPositiveDefinite, NoConvergence) as exc:
-                _reraise_with_step(exc, n)
-            history[n] = u
-        return SolutionField(space=space, grid=grid, history=history)
-
-    restack = system.parts["restack"]
-    rebuild = system.parts["rebuild"]
-    cross_mass = system.parts["cross_mass"]
     old = rebuild(grid.times[0])
-    for n, t_new in enumerate(grid.times[1:], start=1):
-        new = rebuild(t_new)
-        mass_new, stiff_new = restack(new)
-        rhs = cross_mass(new, old) @ u + dt * load_fn(t_new, phi_vals=new.phi)
-        try:
-            u = SpdSolver(mass_new + dt * stiff_new, cfg).solve(rhs)
-        except (NotPositiveDefinite, NoConvergence) as exc:
-            _reraise_with_step(exc, n)
-        history[n] = u
-        old = new
+    solver, step = None, 1
+    try:
+        for step, t_new in enumerate(grid.times[1:], start=1):
+            new = rebuild(t_new, old)
+            if solver is None or new is not old:
+                kse = new.msl + dt * new.asl
+                if solver is None:
+                    rows = parts["moving_rows"]
+                    levels = grid.n_steps if len(rows) else 1
+                    solver = BlockSolver(mss + dt * parts["Ass"], kse, rows, cfg, levels)
+                solver.factor(kse, new.mee + dt * new.aee)
+            rhs = cross_level_product(mss, new, old, u) + dt * load_fn(t_new, phi_vals=new.phi)
+            u = solver.solve(rhs)
+            history[step] = u
+            old = new
+    except (NotPositiveDefinite, NoConvergence) as exc:
+        _reraise_with_step(exc, step)
     return SolutionField(space=space, grid=grid, history=history)

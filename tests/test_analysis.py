@@ -96,6 +96,8 @@ class TestManufacturedSolution1DFused:
             want = _unfused_1d(eps, x, t)
             for got, ref in zip((exact.u(x, t), exact.grad(x, t)[:, 0], exact.f(x, t)), want):
                 assert got.tobytes() == ref.tobytes()
+            u, g = exact.value_and_grad(x, t)
+            assert u.tobytes() == want[0].tobytes() and g[:, 0].tobytes() == want[1].tobytes()
         # scalar input
         for got, ref in zip((exact.u(0.25, 0.5), exact.grad(0.25, 0.5)[0], exact.f(0.25, 0.5)), _unfused_1d(eps, 0.25, 0.5)):
             assert float(got) == float(ref)
@@ -211,6 +213,10 @@ class TestErrorReportFieldOnce:
                 sizes.append(np.size(args[0]))
                 return exact.u(*args)
 
+            def value_and_grad(self, *args):
+                sizes.append(np.size(args[0]))
+                return exact.value_and_grad(*args)
+
         report = compute_error_report(space, coeffs, CountingExact(), 1.0, eps)
         assert len(calls) == 1
         assert sizes.count(layout.weights.size) == 1  # the exact solution too
@@ -246,9 +252,12 @@ class TestErrorReportFieldOnce:
         counting = lambda spec, xi, t=None: sizes.append(np.size(xi)) or profile(spec, xi, t)
         monkeypatch.setattr(assembly, "enrichment_profile", counting)
         compute_error_report(space, sol.final, exact, 1.0, eps)
-        assert sizes == [2 * np.count_nonzero(inside)]  # (x, 1 - x) at each point within the support
-        if kind == "phi_m1_lin":  # sigma = h: 48 of the 896 points, not all 896
-            assert sizes == [96] and x.size == 896
+        # x for the left column and 1 - x for the right one, each only within
+        # its own support
+        support = space.enrichment.support
+        assert sizes == [np.count_nonzero(x <= support) + np.count_nonzero(1.0 - x <= support)]
+        if kind == "phi_m1_lin":  # sigma = h: 48 of the 896 points, each near one end only
+            assert sizes == [48] and np.count_nonzero(inside) == 48 and x.size == 896
 
 
 class TestOscillationIndex:

@@ -33,6 +33,7 @@ from blfem.assembly import (
 from blfem.corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
+from blfem.timestep import cross_level_product
 
 
 def _space_1d(n=10, spec=None):
@@ -364,6 +365,13 @@ def _max_diff(a, b):
     return abs(a - b).max() if (a - b).nnz else 0.0
 
 
+def _cross_mass(parts, new, old):
+    """The dense mass matrix between levels new (rows) and old (columns), as
+    the march's block right-hand side applies it."""
+    eye = np.eye(parts["Mss"].shape[0] + len(new.mee))
+    return np.column_stack([cross_level_product(parts["Mss"], new, old, e) for e in eye])
+
+
 class TestTimeLevels:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", ["phi0_tilde", "phi0"])
@@ -378,7 +386,8 @@ class TestTimeLevels:
             scale = abs(fresh.mass).max()
             assert _max_diff(mass, fresh.mass) <= 1e-14 * scale
             assert _max_diff(stiff, fresh.stiffness) <= 1e-14 * abs(fresh.stiffness).max()
-            assert _max_diff(parts["cross_mass"](level, level), fresh.mass) <= 1e-14 * scale
+            cross = _cross_mass(parts, parts["rebuild"](t, level), level)
+            assert np.max(np.abs(cross - fresh.mass.toarray())) <= 1e-14 * scale
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cross_mass_rows_at_new_level_columns_at_old(self, dim):
@@ -386,14 +395,15 @@ class TestTimeLevels:
         space = _moving_space(dim, "phi0", eps)
         parts = assemble_enriched(space, eps, t=0.0).parts
         n = space.n_standard
-        new, old = parts["rebuild"](0.5), parts["rebuild"](0.3)
-        cross = parts["cross_mass"](new, old).toarray()
+        old = parts["rebuild"](0.3)
+        new = parts["rebuild"](0.5, old)
+        cross = _cross_mass(parts, new, old)
         mass_new = assemble_enriched(space, eps, t=0.5).mass.toarray()
         mass_old = assemble_enriched(space, eps, t=0.3).mass.toarray()
         assert np.array_equal(cross[:n, :n], mass_new[:n, :n])
         assert np.allclose(cross[:n, n:], mass_old[:n, n:], rtol=0.0, atol=1e-16)
         assert np.allclose(cross[n:, :n], mass_new[n:, :n], rtol=0.0, atol=1e-16)
-        swapped = parts["cross_mass"](old, new).toarray()
+        swapped = _cross_mass(parts, parts["rebuild"](0.3, new), new)
         assert np.allclose(cross[n:, n:], swapped[n:, n:].T, rtol=0.0, atol=1e-16)
         if dim == 1:
             spec = space.enrichment
@@ -502,9 +512,10 @@ def _source_1d(x, t):
 def _assert_level_matches(space, eps, reference, source):
     parts = assemble_enriched(space, eps, t=0.0).parts
     n = space.n_standard
-    new, old = parts["rebuild"](0.5), parts["rebuild"](0.3)
+    old = parts["rebuild"](0.3)
+    new = parts["rebuild"](0.5, old)
     ref = reference(space, eps, 0.5, 0.3, source)
-    cross = parts["cross_mass"](new, old).toarray()
+    cross = _cross_mass(parts, new, old)
     got = dict(
         msl=new.msl.toarray(),
         asl=new.asl.toarray(),
@@ -519,6 +530,62 @@ def _assert_level_matches(space, eps, reference, source):
         assert np.max(np.abs(got[name] - want)) <= 1e-14 * scale, name
     assert np.array_equal(new.msl.indices, old.msl.indices)
     assert np.array_equal(new.msl.indptr, old.msl.indptr)
+
+
+class TestSplitLayout:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    def test_split_levels_match_unsplit(self, dim, kind):
+        # summing the fixed points once moves no block by more than rounding,
+        # and two levels differ only on the moving rows
+        eps = 1e-5
+        space = _moving_space(dim, kind, eps)
+        n = space.n_standard
+        whole = assemble_enriched(space, eps, t=0.0).parts
+        split = assemble_enriched(space, eps, t=0.0, t_max=1.0).parts
+        rows = split["moving_rows"]
+        assert 0 < len(rows) < n
+        levels = {}
+        for t in (0.0, 0.25, 1.0):
+            want, got = whole["rebuild"](t), split["rebuild"](t)
+            levels[t] = got
+            assert len(got.phi) < len(want.phi)
+            for name in ("msl", "asl", "mee", "aee"):
+                a, b = getattr(want, name), getattr(got, name)
+                a, b = (a.toarray(), b.toarray()) if sp.issparse(a) else (a, b)
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a)), (name, t)
+            prev_want, prev_got = whole["rebuild"](0.5 * t), split["rebuild"](0.5 * t)
+            cee_want = whole["rebuild"](t, prev_want).cee
+            assert np.max(np.abs(split["rebuild"](t, prev_got).cee - cee_want)) <= 1e-14 * np.max(np.abs(cee_want))
+            load_want = whole["make_load"](_source if dim == 2 else _source_1d)(t, phi_vals=want.phi)
+            load_got = split["make_load"](_source if dim == 2 else _source_1d)(t, phi_vals=got.phi)
+            assert np.max(np.abs(load_got - load_want)) <= 1e-14 * np.max(np.abs(load_want))
+        off = np.setdiff1d(np.arange(n), rows)
+        for name in ("msl", "asl"):
+            a, b = getattr(levels[0.25], name), getattr(levels[1.0], name)
+            assert np.array_equal(a[off].toarray(), b[off].toarray())
+            assert not np.array_equal(a[rows].toarray(), b[rows].toarray())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["phi_m1", "phi_m1_lin"])
+    def test_time_independent_kind_has_one_level(self, dim, kind):
+        eps = 1e-5
+        mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
+        sigma = None
+        if kind == "phi_m1_lin":
+            sigma = 0.1 if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+        system = assemble_enriched(space, eps, t=1.0, t_max=1.0)
+        parts = system.parts
+        assert len(parts["moving_rows"]) == 0
+        level = parts["rebuild"](0.0)
+        assert parts["rebuild"](1.0, level) is level
+        assert np.array_equal(level.cee, level.mee)
+        assert len(level.phi) == 0
+        mass, _ = parts["restack"](level)
+        # every point fixed: the one full sum per block, as without a split
+        whole = assemble_enriched(space, eps, t=1.0)
+        assert (mass != whole.mass).nnz == 0
 
 
 class TestOperatorAssembly2D:

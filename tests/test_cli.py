@@ -138,6 +138,35 @@ class TestSolveCommand:
         assert "CG did not reach 1e-300 in 204 iterations" in err
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("problem, n", [("exact1d", "20"), ("exact2d", "16")])
+    def test_failed_schur_cholesky_exit_3(self, tmp_path, monkeypatch, capsys, problem, n):
+        # levels past t = 0.5 get negated enriched Gram blocks: K_ss stays
+        # positive definite, the enriched Schur complement does not
+        import dataclasses
+
+        import blfem.assembly as assembly
+
+        split = assembly._split_layout
+
+        def negated_after_half(*args):
+            rebuild, rows, load = split(*args)
+
+            def negated(t, previous=None):
+                level = rebuild(t, previous)
+                return dataclasses.replace(level, mee=-level.mee, aee=-level.aee) if t > 0.5 else level
+
+            return negated, rows, load
+
+        monkeypatch.setattr(assembly, "_split_layout", negated_after_half)
+        code = run_cli(
+            ["solve", "--problem", problem, "--epsilon", "1e-4", "--n", n, "--dt", "0.25",
+             "--T", "1.0", "--scheme", "nfem", "--kind", "phi0_tilde"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: time step 3: enriched Schur complement" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("problem, n", [("exact1d", "50"), ("exact2d", "16")])
     def test_cg_solve_matches_direct(self, tmp_path, monkeypatch, capsys, problem, n):
         rel = {}
@@ -438,3 +467,30 @@ class TestStudyScripts:
         text = (tmp_path / "out.csv").read_text() if "output" in expected else capsys.readouterr().out
         header = [ln for ln in text.splitlines() if ln.startswith("# ")]
         assert header == [f"# {key} = {value}" for key, value in sorted(expected.items())]
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("script, dim", [("run_1d_convergence.py", 1), ("run_2d_convergence.py", 2)])
+    def test_failed_level_exits_3(self, tmp_path, monkeypatch, capsys, script, dim):
+        # the table is still written, without the failed level
+        import runpy
+        import sys
+
+        import blfem.analysis as analysis
+
+        real = analysis.solve_scenario
+
+        def flaky(dim, epsilon, level, *args, **kwargs):
+            if level == 10:
+                raise NotPositiveDefinite("pivot 3 is not positive")
+            return real(dim, epsilon, level, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_scenario", flaky)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+        argv = [script, "--epsilon", "1e-3", "--dt", "0.25", "--T", "0.5", "--levels", "8,10,12", "-o", "out.csv"]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc_info:
+            runpy.run_path(path, run_name="__main__")
+        assert exc_info.value.code == EXIT_NUMERICAL
+        assert "failed: scheme=sfem level=10: pivot 3 is not positive" in capsys.readouterr().out
+        assert "# error: scheme=nfem level=10: pivot 3 is not positive" in (tmp_path / "out.csv").read_text()

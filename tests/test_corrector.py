@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from blfem.assembly import element_rules_2d, fitted_arrays
@@ -24,6 +26,7 @@ from blfem.corrector import (
     heat_kernel_I,
     limit_solution,
     theta0,
+    time_independent_xi,
 )
 from blfem.mesh import build_disk_mesh
 from blfem.quadrature import gauss_interval
@@ -404,3 +407,38 @@ class TestKernelRowSkip:
             assert np.asarray(val).tobytes() == np.asarray(_ref_cutoff_delta(x)).tobytes()
         grid = xi.reshape(-1, 1)
         assert np.asarray(cutoff_delta(grid)).tobytes() == _ref_cutoff_delta(grid).tobytes()
+
+
+class TestTimeIndependentXi:
+    @given(
+        kind=st.sampled_from(["phi0", "phi0_tilde"]),
+        log_eps=st.floats(min_value=-9.0, max_value=-2.0),
+        T=st.floats(min_value=1e-3, max_value=10.0),
+        n_steps=st.integers(min_value=1, max_value=200),
+    )
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    def test_profiles_are_the_cutoff_past_xi_star(self, kind, log_eps, T, n_steps):
+        # at and past xi*(T) both profiles equal the cutoff and its slope
+        # exactly, at every time of the run
+        spec = EnrichmentSpec(kind=kind, epsilon=10.0**log_eps)
+        star = time_independent_xi(spec, T)
+        assert 0.0 < star < math.inf
+        xi = np.concatenate([[star], star * (1.0 + np.geomspace(1e-12, 1.0, 40)), star + np.linspace(0.0, 0.6, 60)])
+        for t in (0.0, T / n_steps, T / 2.0, T):
+            assert np.array_equal(enrichment_profile(spec, xi, t), cutoff_delta(xi)), t
+            assert np.array_equal(enrichment_profile_dxi(spec, xi, t), cutoff_delta_dxi(xi)), t
+
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-5])
+    def test_bound_is_not_loose(self, kind, eps):
+        # a tenth inside xi*, the layer still shows in the slope at t = T
+        spec = EnrichmentSpec(kind=kind, epsilon=eps)
+        xi = 0.9 * time_independent_xi(spec, 1.0)
+        assert xi < CUTOFF_INNER
+        assert enrichment_profile_dxi(spec, xi, 1.0) != cutoff_delta_dxi(xi)
+
+    def test_time_independent_kinds_and_no_split(self):
+        for kind, sigma in (("phi_m1", None), ("phi_m1_lin", 0.1)):
+            assert time_independent_xi(EnrichmentSpec(kind=kind, epsilon=1e-5, sigma=sigma), 1.0) == 0.0
+        assert time_independent_xi(EnrichmentSpec(kind="phi0", epsilon=1e-5)) == math.inf

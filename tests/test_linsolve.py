@@ -9,10 +9,12 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from blfem.linsolve import (
+    BlockSolver,
     NoConvergence,
     NotPositiveDefinite,
     SolverConfig,
     SpdSolver,
+    schur_pays,
     solve_spd,
 )
 
@@ -179,3 +181,101 @@ class TestSparseFactorAgainstDense:
             want = _dense_cholesky_solve(a, b)
             got = SpdSolver(a).solve(b)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _block_levels(rng, n=40, m=6, rows=(3, 7, 8, 20), levels=3):
+    """A fixed SPD K_ss and SPD block matrices whose couplings differ from
+    level to level only on `rows`."""
+    kss = _poisson_fd(n + 1) + sp.eye(n)
+    base = sp.random(n, m, density=0.2, random_state=rng, format="csr") * 0.1
+    out = []
+    for _ in range(levels):
+        kse = base.toarray()
+        kse[list(rows)] = 0.1 * rng.standard_normal((len(rows), m))
+        kse = sp.csr_matrix(kse)
+        # K_ee = K_se^T K_ss^-1 K_se + an SPD shift keeps the block matrix SPD
+        schur = kse.T @ np.linalg.solve(kss.toarray(), kse.toarray())
+        q = rng.standard_normal((m, m))
+        out.append((kse, schur + q @ q.T + np.eye(m)))
+    return kss, out
+
+
+class TestBlockSolver:
+    @pytest.mark.parametrize("method, n_levels", [("direct_cholesky", 3), ("direct_cholesky", 1), ("cg_jacobi", 3)])
+    def test_levels_agree_with_dense_solve(self, method, n_levels):
+        # three levels: the Schur path; one: each level's stacked matrix
+        rng = np.random.default_rng(3)
+        kss, levels = _block_levels(rng)
+        cfg = SolverConfig(method=method, rel_tolerance=1e-12)
+        solver = BlockSolver(kss, levels[0][0], [3, 7, 8, 20], cfg, n_levels)
+        assert solver.uses_schur == (method == "direct_cholesky" and n_levels == 3)
+        for kse, kee in levels:
+            solver.factor(kse, kee)
+            full = np.block([[kss.toarray(), kse.toarray()], [kse.toarray().T, kee]])
+            b = rng.standard_normal(len(full))
+            want = np.linalg.solve(full, b)
+            got = solver.solve(b)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_one_standard_factor_per_run(self, monkeypatch):
+        import blfem.linsolve as linsolve
+
+        factors = []
+        real = linsolve.SpdSolver
+
+        class Counting(real):
+            def __init__(self, matrix, *args, **kwargs):
+                factors.append(matrix.shape)
+                super().__init__(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linsolve, "SpdSolver", Counting)
+        kss, levels = _block_levels(np.random.default_rng(4), levels=4)
+        solver = BlockSolver(kss, levels[0][0], [3, 7, 8, 20], levels=4)
+        for kse, kee in levels:
+            solver.factor(kse, kee)
+            solver.solve(np.ones(46))
+        assert factors == [(40, 40)]
+
+    def test_no_enriched_dofs(self):
+        kss = _poisson_fd(16)
+        solver = BlockSolver(kss, sp.csr_matrix((15, 0)), [])
+        solver.factor(sp.csr_matrix((15, 0)), np.zeros((0, 0)))
+        b = np.sin(np.arange(15.0))
+        assert np.array_equal(solver.solve(b), SpdSolver(kss).solve(b))
+
+    def test_indefinite_schur_complement(self):
+        kss, [(kse, kee)] = _block_levels(np.random.default_rng(5), levels=1)
+        solver = BlockSolver(kss, kse, [3, 7, 8, 20], levels=2)
+        with pytest.raises(NotPositiveDefinite, match="enriched Schur complement"):
+            solver.factor(kse, kee - 100.0 * np.eye(len(kee)))
+
+    def test_indefinite_stacked_level(self):
+        kss, [(kse, kee)] = _block_levels(np.random.default_rng(5), levels=1)
+        solver = BlockSolver(kss, kse, [3, 7, 8, 20])
+        with pytest.raises(NotPositiveDefinite):
+            solver.factor(kse, kee - 100.0 * np.eye(len(kee)))
+
+    def test_indefinite_standard_block(self):
+        kss, [(kse, _)] = _block_levels(np.random.default_rng(6), levels=1)
+        with pytest.raises(NotPositiveDefinite):
+            BlockSolver(-kss, kse, [], levels=2)
+
+    def test_schur_pays_only_for_few_moving_rows(self):
+        # n, m, |R| of phi0_tilde runs with 20 levels: disk B = 104 and 208 at
+        # eps = 1e-8 (the heat layer inside the outer ring) take the Schur
+        # path; B = 208 at eps = 1e-6 and 1e-4 and B = 104 at 3e-5, where a
+        # stacked factorization per level measured faster, do not
+        assert schur_pays(1737, 104, 101, 20) and schur_pays(7061, 208, 205, 20)
+        assert not schur_pays(7061, 208, 802, 20) and not schur_pays(7061, 208, 5386, 20)
+        assert not schur_pays(1737, 104, 946, 20)
+        # the set-up solves pay off over enough levels only, never over one
+        assert schur_pays(7061, 208, 205, 14) and not schur_pays(7061, 208, 205, 13)
+        assert not schur_pays(799, 2, 0, 1)
+
+    def test_cg_cap_counts_every_dof(self):
+        kss, [(kse, kee)] = _block_levels(np.random.default_rng(7), levels=1)
+        solver = BlockSolver(kss, kse, [], SolverConfig(method="cg_jacobi", rel_tolerance=1e-300))
+        solver.factor(kse, kee)
+        with pytest.raises(NoConvergence, match="CG did not reach 1e-300 in 184 iterations") as exc_info:
+            solver.solve(np.sin(np.arange(46.0)))  # 4 (n + m)
+        assert exc_info.value.residual is not None

@@ -1,14 +1,18 @@
 """Implicit Euler time stepping: grid validation, scalar oracle, stability,
 temporal order, determinism, and tagged solver failures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 import blfem.assembly
 from blfem.analysis import ExactSolution1D, ExactSolution2D
-from blfem.assembly import assemble_enriched, assemble_standard, build_space
+from blfem.assembly import assemble_enriched, assemble_standard, build_space, project_initial
 from blfem.corrector import EnrichmentSpec, ProblemData
-from blfem.linsolve import NoConvergence, SolverConfig
+from blfem.linsolve import NoConvergence, NotPositiveDefinite, SolverConfig, schur_pays
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import SolutionField, TimeGrid, advance
 
@@ -173,3 +177,139 @@ class TestTimeDependentEnrichment:
         advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
         assert 0 < calls["enrichment_profile"] <= n_steps + 2
         assert 0 < calls["enrichment_profile_dxi"] <= n_steps + 2
+
+
+def _reference_march(space, eps, data, grid):
+    """Implicit Euler as it was before the block solver: every level's
+    stacked system and cross mass matrix (sparse bmat) from an assembly
+    without a split time, each solved by a fresh dense Cholesky."""
+    system = assemble_enriched(space, eps, t=0.0)
+    parts = system.parts
+    load = parts["make_load"](data.f)
+    u = project_initial(space, system, data.u0_initial)
+    history = [u]
+    old = parts["rebuild"](grid.times[0])
+    for t in grid.times[1:]:
+        new = parts["rebuild"](t, old)
+        mass, stiff = parts["restack"](new)
+        cross = sp.bmat([[parts["Mss"], old.msl], [new.msl.T, sp.csr_matrix(new.cee)]], format="csr")
+        rhs = cross @ u + grid.dt * load(t, phi_vals=new.phi)
+        u = sla.cho_solve(sla.cho_factor((mass + grid.dt * stiff).toarray()), rhs)
+        history.append(u)
+        old = new
+    return np.array(history)
+
+
+class TestBlockMarch:
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde", "phi_m1", "phi_m1_lin"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_refactored_reference(self, dim, kind, eps):
+        # the march with the fixed quadrature points summed once (on one K_ss
+        # factor and a Schur complement per level for the moving kinds, on
+        # one stacked factor for the fixed ones), against each level
+        # restacked and factored anew
+        T, grid = 1.0, TimeGrid(T=1.0, n_steps=4)
+        mesh = build_interval_mesh(50) if dim == 1 else build_disk_mesh(26)
+        sigma = None
+        if kind == "phi_m1_lin":
+            sigma = mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)
+        spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma)
+        space = build_space(mesh, spec)
+        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(T)
+        system = assemble_enriched(space, eps, t=0.0 if spec.time_dependent else T, t_max=T)
+        rows = system.parts["moving_rows"]
+        if not spec.time_dependent:
+            assert len(rows) == 0
+        else:
+            assert schur_pays(space.n_standard, space.n_enriched, len(rows), grid.n_steps)
+            if dim == 2 and eps == 1e-5:
+                # the heat layer reaches past the outermost interior ring
+                radii = np.hypot(*mesh.nodes[space.interior_nodes[rows]].T)
+                assert len(np.unique(np.round(radii, 9))) >= 2
+        got = advance(space, system, data, grid).history
+        want = _reference_march(space, eps, data, grid)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    def test_wide_layer_steps_on_stacked_levels(self, kind):
+        # the heat layer covers every ring: too many moving rows for the
+        # Schur path to pay over two levels, so each level's stacked matrix
+        # is factored
+        eps, T, grid = 1e-3, 1.0, TimeGrid(T=1.0, n_steps=2)
+        space = build_space(build_disk_mesh(26), EnrichmentSpec(kind=kind, epsilon=eps))
+        data = ExactSolution2D(eps).problem(T)
+        system = assemble_enriched(space, eps, t=0.0, t_max=T)
+        rows = system.parts["moving_rows"]
+        assert len(rows) > 0.8 * space.n_standard
+        assert not schur_pays(space.n_standard, space.n_enriched, len(rows), grid.n_steps)
+        got = advance(space, system, data, grid).history
+        want = _reference_march(space, eps, data, grid)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_fixed_profile_steps_on_one_stacked_factor(self, dim, monkeypatch):
+        # one level: a single factorization of the stacked matrix, no K_ss
+        # factor and no Schur complement
+        import blfem.linsolve as linsolve
+
+        factors = []
+        real = linsolve.SpdSolver
+
+        class Counting(real):
+            def __init__(self, matrix, *args, **kwargs):
+                factors.append(matrix.shape[0])
+                super().__init__(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linsolve, "SpdSolver", Counting)
+        eps = 1e-5
+        space = build_space(build_interval_mesh(50) if dim == 1 else build_disk_mesh(16), EnrichmentSpec("phi_m1", eps))
+        system = assemble_enriched(space, eps, t=1.0, t_max=1.0)
+        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(1.0)
+        advance(space, system, data, TimeGrid(T=1.0, n_steps=4))
+        assert factors == [space.total_dofs] * 2  # the projection, then the march
+
+    def test_standard_space_bit_identical_to_one_factor(self):
+        # without enrichment the block solver is the K_ss factor alone
+        eps, grid = 1e-3, TimeGrid(T=1.0, n_steps=5)
+        space = build_space(build_interval_mesh(30))
+        system = assemble_standard(space, eps)
+        data = ExactSolution1D(eps).problem(1.0)
+        load = system.parts["make_load"](data.f)
+        k = (system.mass + grid.dt * system.stiffness).toarray()
+        u = project_initial(space, system, data.u0_initial)
+        got = advance(space, system, data, grid).history
+        for n, t in enumerate(grid.times[1:], start=1):
+            u = np.linalg.solve(k, system.mass @ u + grid.dt * load(t))
+            assert np.allclose(got[n], u, rtol=0.0, atol=1e-14 * np.max(np.abs(u)))
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_failed_schur_cholesky_tagged_with_step(self, dim):
+        # negated enriched Gram blocks from the second level on leave K_ss
+        # positive definite but not the Schur complement
+        eps = 1e-4
+        spec = EnrichmentSpec(kind="phi0_tilde", epsilon=eps)
+        space = build_space(build_interval_mesh(20) if dim == 1 else build_disk_mesh(16), spec)
+        system = assemble_enriched(space, eps, t=0.0, t_max=1.0)
+        rebuild = system.parts["rebuild"]
+
+        def negated(t, previous=None):
+            level = rebuild(t, previous)
+            return dataclasses.replace(level, mee=-level.mee, aee=-level.aee) if t > 0.5 else level
+
+        system.parts["rebuild"] = negated
+        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(1.0)
+        with pytest.raises(NotPositiveDefinite, match="time step 3: enriched Schur complement"):
+            advance(space, system, data, TimeGrid(T=1.0, n_steps=4))
+
+    def test_level_past_split_time_rejected(self):
+        spec = EnrichmentSpec(kind="phi0", epsilon=1e-4)
+        space = build_space(build_interval_mesh(20), spec)
+        rebuild = assemble_enriched(space, 1e-4, t=0.0, t_max=0.5).parts["rebuild"]
+        rebuild(0.5)
+        with pytest.raises(ValueError, match="past the split time"):
+            rebuild(0.75)
