@@ -38,9 +38,17 @@ BOUNDARY_STRIP = 0.25
 
 
 class _Solution:
+    """A data set with a known solution on the domain of dimension `dim` (a
+    class attribute, not a dataclass field)."""
+
+    dim = 1
+
     def value_and_grad(self, *coords_t):
         """u and grad u at the same points (coordinates, then t)."""
         return self.u(*coords_t), self.grad(*coords_t)
+
+    def problem(self, T):
+        return ProblemData(dim=self.dim, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
 
 
 @dataclass(frozen=True)
@@ -80,14 +88,13 @@ class ExactSolution1D(_Solution):
     def u0(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def problem(self, T):
-        return ProblemData(dim=1, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
-
 
 @dataclass(frozen=True)
 class ExactSolution2D(_Solution):
     """u = exp(t) (1 - I0(r/sqrt(eps)) / I0(1/sqrt(eps))) on the unit disk,
     with source f = exp(t); evaluated through scaled Bessel ratios."""
+
+    dim = 2
 
     epsilon: float
 
@@ -134,9 +141,6 @@ class ExactSolution2D(_Solution):
     def u0(self, x, y):
         return self.u(x, y, 0.0)
 
-    def problem(self, T):
-        return ProblemData(dim=2, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
-
 
 @dataclass(frozen=True)
 class ZeroSolution1D(_Solution):
@@ -156,13 +160,12 @@ class ZeroSolution1D(_Solution):
     def u0(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def problem(self, T):
-        return ProblemData(dim=1, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
-
 
 @dataclass(frozen=True)
 class ZeroSolution2D(_Solution):
     """f = 0, u0 = 0 on the disk: the solution is identically zero."""
+
+    dim = 2
 
     epsilon: float
 
@@ -178,9 +181,6 @@ class ZeroSolution2D(_Solution):
 
     def u0(self, x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def problem(self, T):
-        return ProblemData(dim=2, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,6 @@ class SmoothSolution1D(_Solution):
 
     def u0(self, x):
         return np.sin(np.pi * np.asarray(x, dtype=float))
-
-    def problem(self, T):
-        return ProblemData(dim=1, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +466,7 @@ def solve_scenario(
     if spec is None:
         system = assemble_standard(space, epsilon)
     else:
-        system = assemble_enriched(space, epsilon, t=T if not spec.time_dependent else 0.0, t_max=T)
+        system = assemble_enriched(space, epsilon, t_max=T)
     fieldsol = advance(space, system, data, grid, solver_config)
     runtime = time.perf_counter() - t0
     report = compute_error_report(space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime)

@@ -2,6 +2,9 @@
 plus the coupling and Gram blocks for spaces enriched with boundary-layer
 profiles.
 
+A system is kept as blocks (AssembledSystem): the fixed standard blocks,
+and per time level the enriched blocks (EnrichedLevel).  Nothing here
+stacks them into one matrix; linsolve.stack does, where a caller needs it.
 Dirichlet boundary DOFs are eliminated at assembly, so all matrices are
 reduced (interior + enriched DOFs) and symmetric positive definite.
 Integrals involving an enrichment profile are evaluated over the same
@@ -12,7 +15,7 @@ blocks use exact element formulas or fixed-order triangle rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -72,11 +75,31 @@ def build_space(mesh, enrichment: EnrichmentSpec = None) -> BasisSpace:
     return BasisSpace(mesh=mesh, enrichment=enrichment, interior_nodes=interior, node_to_dof=node_to_dof)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssembledSystem:
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    parts: dict = field(default_factory=dict)
+    """A Galerkin system kept as blocks: the fixed standard mass and
+    stiffness mss, ass (n, n); the standard DOFs on which the coupling
+    blocks of two enriched levels differ (moving_rows, empty when every
+    level is the same); and the standard load as the linear map load_op
+    from source values at the points load_coords.
+
+    parts holds the two callables a run reads at call time:
+    rebuild(t, previous=None) -> EnrichedLevel, the enriched blocks at t with
+    the cross Gram block taken against level `previous` (the plain space has
+    one empty level), and make_load(f) -> load(t, phi_vals), the whole load
+    at t of the level whose moving profile values are phi_vals."""
+
+    mss: sp.csr_matrix
+    ass: sp.csr_matrix
+    moving_rows: np.ndarray
+    load_coords: tuple
+    load_op: sp.csr_matrix
+    parts: dict
+
+    def standard_load(self, f, t):
+        """The load of the standard block alone, from f at the standard load
+        points only."""
+        return self.load_op @ _source_values(f, self.load_coords, t)
 
 
 @dataclass(frozen=True)
@@ -308,7 +331,7 @@ def _p1_matrices(space, dofs, local_m, local_a):
     return mass, stiff
 
 
-def _load_layout(space, epsilon):
+def _load_layout(space):
     """The standard load vector as a linear map from source values: returns
     the quadrature points, each stored once as flat (elements * points,)
     coordinate arrays, and the CSR operator (DOFs, points) with entries
@@ -345,35 +368,24 @@ def _source_values(f, coords, t):
 
 
 def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
-    """Mass, stiffness and load assembler for the plain P1 space."""
+    """The system of the plain P1 space: an enriched one without enriched
+    DOFs, with one empty level and a load that has no profile values to
+    read.  The load takes the problem source at call time, so the same
+    system serves any ProblemData."""
     if space.mesh.dim == 1:
         mass, stiff = _assemble_standard_1d(space, epsilon)
     else:
         mass, stiff = _assemble_standard_2d(space, epsilon)
-    coords, op = _load_layout(space, epsilon)
-
-    # the load needs the problem source; expose a factory so the same
-    # assembled system serves any ProblemData
-    def make_load(f):
-        def load_fn(t, phi_vals=None):
-            return op @ _source_values(f, coords, t)
-
-        return load_fn
-
-    # the plain space is an enriched one without enriched DOFs: one empty
-    # level, and a load that has no profile values to read
     n = space.n_standard
     none = np.zeros((0, 0))
     empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0))
-    sysm = AssembledSystem(mass=mass, stiffness=stiff)
-    sysm.parts.update(
-        make_load=make_load,
-        Mss=mass,
-        Ass=stiff,
-        rebuild=lambda t, previous=None: empty,
-        moving_rows=np.zeros(0, dtype=int),
-    )
-    return sysm
+
+    def make_load(f):
+        return lambda t, phi_vals=None: system.standard_load(f, t)
+
+    parts = dict(rebuild=lambda t, previous=None: empty, make_load=make_load)
+    system = AssembledSystem(mass, stiff, np.zeros(0, dtype=int), *_load_layout(space), parts)
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +603,9 @@ def _split_layout(space, layout, epsilon, t_max):
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
     point touches (the only rows on which levels differ), and
-    enriched_load(f, t, phi) with phi the level's moving profile values."""
+    enriched_load(f, t, phi) with phi the level's moving profile values.
+    The Gram block of a level taken without a previous one (the first of a
+    march, the fixed level, a dump's level) is checked for singularity."""
     spec = space.enrichment
     n, m = space.n_standard, space.n_enriched
     xi = layout.xi
@@ -624,6 +638,8 @@ def _split_layout(space, layout, epsilon, t_max):
         dp = np.asarray(enrichment_profile_dxi(spec, xi_moving, t), dtype=float)
         p2 = p**2
         mee = _symmetric(base_mee + ee_m @ p2, m)
+        if previous is None:
+            _check_gram(mee)
         return EnrichedLevel(
             msl=coupling(base_msl + sl_m @ p),
             asl=coupling(epsilon * (base_asl + (sl_a1 @ dp + sl_a2 @ p))),
@@ -663,68 +679,29 @@ def _split_layout(space, layout, epsilon, t_max):
     return rebuild, moving_rows, enriched_load
 
 
-def _stack_blocks(mss, ass, msl, asl, mee, aee):
-    mass = sp.bmat([[mss, msl], [msl.T, sp.csr_matrix(mee)]], format="csr")
-    stiff = sp.bmat([[ass, asl], [asl.T, sp.csr_matrix(aee)]], format="csr")
-    # coupling entries whose profile values all underflowed are stored zeros
-    mass.eliminate_zeros()
-    stiff.eliminate_zeros()
-    return mass, stiff
-
-
-def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0, t_max: float = None) -> AssembledSystem:
-    """Full block system for the enriched space at enrichment time t.
+def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None) -> AssembledSystem:
+    """The system of the enriched space: the standard blocks, and the levels
+    of the enriched blocks.
 
     In both dimensions the enriched blocks of a level are sparse mat-vecs of
     the profile values at fixed quadrature points (see _CouplingLayout); only
     the layout builder depends on the dimension.  t_max is the last time a
     level is taken at (default: none given, so no point is taken as fixed);
-    see _split_layout.  parts['rebuild'](t, previous) returns the
-    EnrichedLevel at t, its cross Gram block taken against the level
-    `previous`; parts['moving_rows'] are the standard DOFs on which the
-    coupling blocks of two levels differ; parts['restack'](level) gives the
-    level's stacked (mass, stiffness).  parts['make_load'](f) returns
-    load(t, phi_vals), where phi_vals are the moving profile values of the
-    level the load is taken at (default: the level assembled at t);
-    parts['make_standard_load'](f) the load of the standard block alone.
+    see _split_layout.  No level is built here unless every point is fixed.
     """
     if space.enrichment is None:
         raise AssemblyError("space carries no enrichment")
-    base = assemble_standard(space, epsilon)
-    mss, ass = base.parts["Mss"], base.parts["Ass"]
+    system = assemble_standard(space, epsilon)
     layout = (_coupling_layout_1d if space.mesh.dim == 1 else _coupling_layout_2d)(space)
     rebuild, moving_rows, enriched_load = _split_layout(space, layout, epsilon, t_max)
 
-    def restack(level):
-        return _stack_blocks(mss, ass, level.msl, level.asl, level.mee, level.aee)
-
-    level = rebuild(t)
-    _check_gram(level.mee)
-    mass, stiff = restack(level)
-
     def make_load(f):
-        std = base.parts["make_load"](f)
-
-        def load_fn(tt, phi_vals=level.phi):
-            return np.concatenate([std(tt), enriched_load(f, tt, phi_vals)])
+        def load_fn(t, phi_vals):
+            return np.concatenate([system.standard_load(f, t), enriched_load(f, t, phi_vals)])
 
         return load_fn
 
-    sysm = AssembledSystem(mass=mass, stiffness=stiff)
-    sysm.parts.update(
-        Mss=mss,
-        Ass=ass,
-        Msl=level.msl,
-        Asl=level.asl,
-        Mee=level.mee,
-        Aee=level.aee,
-        make_load=make_load,
-        make_standard_load=base.parts["make_load"],
-        rebuild=rebuild,
-        moving_rows=moving_rows,
-        restack=restack,
-    )
-    return sysm
+    return replace(system, moving_rows=moving_rows, parts=dict(rebuild=rebuild, make_load=make_load))
 
 
 # ---------------------------------------------------------------------------
@@ -732,11 +709,13 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t: float = 0.0, t_max: 
 
 
 def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_config=None):
-    """L2 projection of the initial condition onto the discrete space.
+    """L2 projection of the initial condition onto the discrete space at the
+    level t = 0.
 
     With a time-dependent profile the layer part is absent at t = 0, so the
-    projection is taken in the standard block only."""
-    from .linsolve import SolverConfig, solve_spd
+    projection is taken in the standard block only, and u0 is evaluated at
+    the standard load points alone."""
+    from .linsolve import SolverConfig, solve_spd, stack
 
     cfg = solver_config or SolverConfig()
 
@@ -745,10 +724,11 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
 
     if space.enrichment is not None and space.enrichment.time_dependent:
         coeffs = np.zeros(space.total_dofs)
-        rhs = system.parts["make_standard_load"](f_like)(0.0)
-        coeffs[: space.n_standard] = solve_spd(system.parts["Mss"], rhs, cfg)
+        coeffs[: space.n_standard] = solve_spd(system.mss, system.standard_load(f_like, 0.0), cfg)
         return coeffs
-    return solve_spd(system.mass, system.parts["make_load"](f_like)(0.0), cfg)
+    level = system.parts["rebuild"](0.0)
+    rhs = system.parts["make_load"](f_like)(0.0, level.phi)
+    return solve_spd(stack(system.mss, level.msl, level.mee), rhs, cfg)
 
 
 def _nodal_values(space, coeffs):

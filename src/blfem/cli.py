@@ -34,11 +34,13 @@ def _apply_thread_cap():
     if not cap:
         return
     try:
-        n = str(int(cap))
+        n = int(cap)
+        if n < 1:  # OpenBLAS reads 0 and below as no cap
+            raise ValueError
     except ValueError:
-        raise CliError(f"BLFEM_THREADS must be an integer, got {cap!r}")
+        raise CliError(f"BLFEM_THREADS must be an integer >= 1, got {cap!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = n
+        os.environ[var] = str(n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +194,15 @@ def cmd_solve(args):
 
     if cfg["dump_matrices"]:
         from .assembly import assemble_enriched, assemble_standard
+        from .linsolve import stack
 
-        system = (
-            assemble_standard(space, cfg["epsilon"])
-            if space.enrichment is None
-            else assemble_enriched(space, cfg["epsilon"], t=cfg["T"])
-        )
-        _dump_matrix(system.mass, cfg["dump_matrices"] + ".mass")
-        _dump_matrix(system.stiffness, cfg["dump_matrices"] + ".stiffness")
+        # the blocks of the level at T, stacked for the dump alone; its Gram
+        # block is checked as the level is built
+        assemble = assemble_standard if space.enrichment is None else assemble_enriched
+        system = assemble(space, cfg["epsilon"])
+        level = system.parts["rebuild"](cfg["T"])
+        _dump_matrix(stack(system.mss, level.msl, level.mee), cfg["dump_matrices"] + ".mass")
+        _dump_matrix(stack(system.ass, level.asl, level.aee), cfg["dump_matrices"] + ".stiffness")
         print(f"wrote {cfg['dump_matrices']}.mass / .stiffness")
     return EXIT_OK
 

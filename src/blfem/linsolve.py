@@ -10,7 +10,7 @@ of an enriched implicit-Euler march, [[K_ss, K_se], [K_se^T, K_ee]], whose
 standard block K_ss never changes: where the levels differ on few standard
 rows, the direct path factors K_ss once and each level only a dense Schur
 complement of the enriched DOFs; otherwise it factors each level's stacked
-matrix.
+matrix.  `stack` is the one routine that stacks such blocks into one matrix.
 """
 
 from __future__ import annotations
@@ -169,10 +169,7 @@ class BlockSolver:
         if self.config.method != "direct_cholesky":
             return
         if not self.uses_schur:
-            whole = self.kss
-            if self.m:
-                whole = sp.bmat([[self.kss, self.kse], [self.kse_t, sp.csr_matrix(self.kee)]], format="csr")
-            self._whole = SpdSolver(whole, self.config)
+            self._whole = SpdSolver(stack(self.kss, self.kse, self.kee), self.config)
             return
         self._dc = (self.kse[self.rows] - self.c0[self.rows]).toarray()
         dc, zr = self._dc, self._z0_rows
@@ -209,6 +206,15 @@ class BlockSolver:
         op = LinearOperator((len(rhs), len(rhs)), matvec=apply, dtype=float)
         diagonal = np.concatenate([self.kss.diagonal(), np.diag(self.kee)])
         return _cg(op, diagonal, rhs, self.config.rel_tolerance)
+
+
+def stack(kss, kse, kee):
+    """The symmetric block matrix [[kss, kse], [kse^T, kee]] as CSR, for
+    kse (n, m) sparse and kee (m, m) dense, m possibly 0.  Coupling entries
+    whose profile values all underflowed are not stored."""
+    whole = sp.bmat([[kss, kse], [kse.T, sp.csr_matrix(kee)]], format="csr")
+    whole.eliminate_zeros()
+    return whole
 
 
 def solve_spd(matrix, rhs, config: SolverConfig = SolverConfig()):

@@ -1,18 +1,19 @@
 """Implicit Euler time stepping for the assembled systems.
 
-Every space runs one loop.  Each step takes the enriched level at the new
-time from parts['rebuild'] (the plain space has one empty level, a
-time-independent profile one fixed level) and solves
+Every space runs one loop on the blocks of an AssembledSystem.  Each step
+takes the enriched level at the new time from parts['rebuild'] (the plain
+space has one empty level, a time-independent profile one fixed level) and
+solves
     [[K_ss, K_se], [K_se^T, K_ee]] u_new = C u_old + dt * load,
-with K = M + dt * A at the new level.  K_ss = Mss + dt * Ass never changes,
+with K = M + dt * A at the new level.  K_ss = mss + dt * ass never changes,
 and two levels' couplings differ only on the standard rows R that the
-moving quadrature points touch (parts['moving_rows']).  When R is small
+moving quadrature points touch (the system's moving_rows).  When R is small
 against the enriched DOFs and the level count (linsolve.schur_pays),
 linsolve.BlockSolver factors K_ss once per run and each new level only a
 dense Schur complement of the enriched DOFs; otherwise, and for a single
 level, it factors each level's stacked matrix.  C is the mass matrix between
-the new level (rows) and the previous one (columns), built from the
-blocks: [[Mss, Msl_old], [Msl_new^T, Cee]].
+the new level (rows) and the previous one (columns), applied block by
+block: [[Mss, Msl_old], [Msl_new^T, Cee]].  No matrix is stacked here.
 """
 
 from __future__ import annotations
@@ -92,9 +93,8 @@ def advance(
     """March the semi-discrete problem from the projected initial state."""
     cfg = solver_config or SolverConfig()
     dt = grid.dt
-    parts = system.parts
-    mss, rebuild = parts["Mss"], parts["rebuild"]
-    load_fn = parts["make_load"](data.f)
+    mss, rebuild = system.mss, system.parts["rebuild"]
+    load_fn = system.parts["make_load"](data.f)
     u = project_initial(space, system, data.u0_initial, cfg)
     history = np.empty((grid.n_steps + 1, len(u)))
     history[0] = u
@@ -107,11 +107,11 @@ def advance(
             if solver is None or new is not old:
                 kse = new.msl + dt * new.asl
                 if solver is None:
-                    rows = parts["moving_rows"]
+                    rows = system.moving_rows
                     levels = grid.n_steps if len(rows) else 1
-                    solver = BlockSolver(mss + dt * parts["Ass"], kse, rows, cfg, levels)
+                    solver = BlockSolver(mss + dt * system.ass, kse, rows, cfg, levels)
                 solver.factor(kse, new.mee + dt * new.aee)
-            rhs = cross_level_product(mss, new, old, u) + dt * load_fn(t_new, phi_vals=new.phi)
+            rhs = cross_level_product(mss, new, old, u) + dt * load_fn(t_new, new.phi)
             u = solver.solve(rhs)
             history[step] = u
             old = new

@@ -263,7 +263,7 @@ def test_criterion_8_exactness_residuals_determinism(tmp_path, monkeypatch):
 
     from blfem.assembly import assemble_enriched, assemble_standard, build_space
     from blfem.corrector import EnrichmentSpec
-    from blfem.linsolve import solve_spd
+    from blfem.linsolve import solve_spd, stack
     from blfem.mesh import build_interval_mesh
     from blfem.quadrature import gauss_interval, gauss_triangle
 
@@ -273,8 +273,8 @@ def test_criterion_8_exactness_residuals_determinism(tmp_path, monkeypatch):
     h = 1.0 / n
     space = build_space(build_interval_mesh(n))
     system = assemble_standard(space, eps)
-    mass = system.mass.toarray()
-    stiff = system.stiffness.toarray()
+    mass = system.mss.toarray()
+    stiff = system.ass.toarray()
     mat_err = 0.0
     for i in range(n - 1):
         mat_err = max(mat_err, abs(mass[i, i] - 2 * h / 3), abs(stiff[i, i] - 2 * eps / h))
@@ -294,7 +294,8 @@ def test_criterion_8_exactness_residuals_determinism(tmp_path, monkeypatch):
     spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=1e-8, sigma=0.02)
     es = build_space(build_interval_mesh(50), spec)
     esys = assemble_enriched(es, 1e-8)
-    a = sp.csr_matrix(esys.mass + 0.01 * esys.stiffness)
+    level = esys.parts["rebuild"](0.0)
+    a = sp.csr_matrix(stack(esys.mss, level.msl, level.mee) + 0.01 * stack(esys.ass, level.asl, level.aee))
     rng = np.random.default_rng(1)
     b = rng.standard_normal(a.shape[0])
     x = solve_spd(a, b)

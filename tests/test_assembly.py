@@ -31,6 +31,7 @@ from blfem.assembly import (
     triangle_rule_points,
 )
 from blfem.corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
+from blfem.linsolve import stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 from blfem.timestep import cross_level_product
@@ -40,14 +41,20 @@ def _space_1d(n=10, spec=None):
     return build_space(build_interval_mesh(n), spec)
 
 
+def _stacked(system, t):
+    """The stacked (mass, stiffness) of the system's level at t."""
+    level = system.parts["rebuild"](t)
+    return stack(system.mss, level.msl, level.mee), stack(system.ass, level.asl, level.aee)
+
+
 class TestStandard1D:
     def test_tridiagonal_closed_form(self):
         n, eps = 8, 1e-3
         h = 1.0 / n
         space = _space_1d(n)
         system = assemble_standard(space, eps)
-        mass = system.mass.toarray()
-        stiff = system.stiffness.toarray()
+        mass = system.mss.toarray()
+        stiff = system.ass.toarray()
         m = n - 1
         mass_exact = np.zeros((m, m))
         stiff_exact = np.zeros((m, m))
@@ -68,16 +75,16 @@ class TestStandard1D:
         system = assemble_standard(space, 0.7)
         nodes = space.mesh.nodes[space.interior_nodes]
         vals = 2.0 * nodes + 1.0
-        resid = system.stiffness @ vals
+        resid = system.ass @ vals
         assert np.max(np.abs(resid[1:-1])) < 1e-12
 
     def test_epsilon_linearity(self):
         space = _space_1d(10)
-        a1 = assemble_standard(space, 1e-3).stiffness.toarray()
-        a2 = assemble_standard(space, 2e-3).stiffness.toarray()
+        a1 = assemble_standard(space, 1e-3).ass.toarray()
+        a2 = assemble_standard(space, 2e-3).ass.toarray()
         assert np.allclose(a2, 2.0 * a1, atol=1e-15)
-        m1 = assemble_standard(space, 1e-3).mass.toarray()
-        m2 = assemble_standard(space, 2e-3).mass.toarray()
+        m1 = assemble_standard(space, 1e-3).mss.toarray()
+        m2 = assemble_standard(space, 2e-3).mss.toarray()
         assert np.allclose(m1, m2, atol=1e-16)
 
     def test_load_vector_oracle(self):
@@ -98,7 +105,7 @@ class TestStandard1D:
         # away from the boundary the row sum of M is int hat_i = h
         n = 10
         space = _space_1d(n)
-        mass = assemble_standard(space, 1.0).mass.toarray()
+        mass = assemble_standard(space, 1.0).mss.toarray()
         sums = mass.sum(axis=1)
         assert np.allclose(sums[1:-1], 1.0 / n, atol=1e-14)
 
@@ -107,8 +114,8 @@ class TestStandard2D:
     def test_symmetry_and_spd(self):
         space = build_space(build_disk_mesh(26))
         system = assemble_standard(space, 1e-2)
-        mass = system.mass.toarray()
-        stiff = system.stiffness.toarray()
+        mass = system.mss.toarray()
+        stiff = system.ass.toarray()
         assert np.max(np.abs(mass - mass.T)) < 1e-14
         assert np.max(np.abs(stiff - stiff.T)) < 1e-14
         assert np.linalg.eigvalsh(mass).min() > 0.0
@@ -120,7 +127,7 @@ class TestStandard2D:
         system = assemble_standard(space, 0.3)
         nodes = mesh.nodes[space.interior_nodes]
         vals = 0.4 * nodes[:, 0] - 1.1 * nodes[:, 1]
-        resid = system.stiffness @ vals
+        resid = system.ass @ vals
         # rows of nodes not adjacent to the boundary must vanish
         bset = set(int(b) for b in mesh.boundary_nodes)
         adjacent = set()
@@ -137,7 +144,7 @@ class TestStandard2D:
         space = build_space(build_disk_mesh(26))
         system = assemble_standard(space, 1.0)
         ones = np.ones(space.n_standard)
-        total = float(ones @ (system.mass @ ones))
+        total = float(ones @ (system.mss @ ones))
         # oracle through the independent error-report quadrature, which is
         # exact for the piecewise quadratic (sum_i hat_i)^2
         layout = element_rules_2d(space.mesh, 1e-4)
@@ -196,8 +203,8 @@ class TestEnriched1D:
         eps, sigma = 1e-4, 0.1
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=sigma)
         space = _space_1d(20, spec)
-        system = assemble_enriched(space, eps)
-        mee, aee = system.parts["Mee"], system.parts["Aee"]
+        level = assemble_enriched(space, eps).parts["rebuild"](0.0)
+        mee, aee = level.mee, level.aee
         phi2, _ = sp_integrate.quad(
             lambda x: float(enrichment_profile(spec, x)) ** 2, 0.0, sigma,
             epsabs=1e-14, limit=200,
@@ -215,8 +222,7 @@ class TestEnriched1D:
         eps, sigma, n = 1e-4, 0.1, 20
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=sigma)
         space = _space_1d(n, spec)
-        system = assemble_enriched(space, eps)
-        msl = system.parts["Msl"].toarray()
+        msl = assemble_enriched(space, eps).parts["rebuild"](0.0).msl.toarray()
         nodes = space.mesh.nodes
         for k in (0, 1):  # first two interior hats, near the left layer
             i = space.interior_nodes[k]
@@ -231,14 +237,14 @@ class TestEnriched1D:
         eps, sigma = 1e-4, 0.1
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=sigma)
         space = _space_1d(20, spec)
-        msl = assemble_enriched(space, eps).parts["Msl"].toarray()
+        msl = assemble_enriched(space, eps).parts["rebuild"](0.0).msl.toarray()
         assert np.allclose(msl[:, 1], msl[::-1, 0], atol=1e-14)
 
     def test_coupling_vanishes_away_from_layers(self):
         eps, sigma = 1e-6, 0.05
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=sigma)
         space = _space_1d(40, spec)
-        msl = assemble_enriched(space, eps).parts["Msl"].toarray()
+        msl = assemble_enriched(space, eps).parts["rebuild"](0.0).msl.toarray()
         nodes = space.mesh.nodes[space.interior_nodes]
         far = (nodes > sigma + 0.025) & (nodes < 1.0 - sigma - 0.025)
         assert np.max(np.abs(msl[far])) == 0.0
@@ -247,8 +253,7 @@ class TestEnriched1D:
         eps = 1e-5
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=0.02)
         space = _space_1d(50, spec)
-        system = assemble_enriched(space, eps)
-        mass = system.mass.toarray()
+        mass = _stacked(assemble_enriched(space, eps), 0.0)[0].toarray()
         assert np.max(np.abs(mass - mass.T)) < 1e-14
         assert np.linalg.eigvalsh(mass).min() > 0.0
 
@@ -266,7 +271,7 @@ def enriched():
     sigma = min(3.0 * mesh.outer_ring_width, 0.5)
     spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=sigma)
     space = build_space(mesh, spec)
-    system = assemble_enriched(space, eps, t=1.0)
+    system = assemble_enriched(space, eps)
     return space, system, eps
 
 
@@ -274,7 +279,7 @@ class TestEnriched2D:
     def test_dof_layout(self, enriched):
         space, system, _ = enriched
         assert space.n_enriched == 26
-        assert system.mass.shape == (space.total_dofs,) * 2
+        assert _stacked(system, 1.0)[0].shape == (space.total_dofs,) * 2
 
     def test_gram_matches_independent_quadrature(self, enriched):
         # re-integrate Mee with a finer rule and freshly written code
@@ -300,27 +305,26 @@ class TestEnriched2D:
                     np.add.at(mee, (jj, kk), wts * phi**2 * psi_j * psi_k)
         # tolerance set by the angular hat kinks cutting through triangles:
         # neither rule aligns panels with them, capping agreement near 0.5%
-        assert np.allclose(system.parts["Mee"], mee, rtol=1e-2, atol=1e-10)
+        assert np.allclose(system.parts["rebuild"](1.0).mee, mee, rtol=1e-2, atol=1e-10)
 
     def test_gram_near_uniform_diagonal(self, enriched):
         # the profile is rotation invariant; the triangulation is only nearly
         # so (ring node counts vary), so diagonal entries agree to a few %
         _, system, _ = enriched
-        diag = np.diag(system.parts["Mee"])
+        diag = np.diag(system.parts["rebuild"](1.0).mee)
         assert np.all(diag > 0.0)
         assert np.ptp(diag) / diag.mean() < 0.05
 
     def test_coupling_vanishes_for_inner_nodes(self, enriched):
         space, system, _ = enriched
-        msl = system.parts["Msl"].toarray()
+        msl = system.parts["rebuild"](1.0).msl.toarray()
         vert_r = np.hypot(*space.mesh.nodes[space.interior_nodes].T)
         inner = vert_r < 1.0 - space.enrichment.support - space.mesh.h
         assert np.max(np.abs(msl[inner])) == 0.0
 
     def test_full_system_spd(self, enriched):
         _, system, _ = enriched
-        mass = system.mass.toarray()
-        stiff = system.stiffness.toarray()
+        mass, stiff = (a.toarray() for a in _stacked(system, 1.0))
         assert np.max(np.abs(mass - mass.T)) < 1e-13
         assert np.linalg.eigvalsh(mass).min() > 0.0
         assert np.linalg.eigvalsh(stiff).min() > 0.0
@@ -365,45 +369,70 @@ def _max_diff(a, b):
     return abs(a - b).max() if (a - b).nnz else 0.0
 
 
-def _cross_mass(parts, new, old):
+def _cross_mass(system, new, old):
     """The dense mass matrix between levels new (rows) and old (columns), as
     the march's block right-hand side applies it."""
-    eye = np.eye(parts["Mss"].shape[0] + len(new.mee))
-    return np.column_stack([cross_level_product(parts["Mss"], new, old, e) for e in eye])
+    eye = np.eye(system.mss.shape[0] + len(new.mee))
+    return np.column_stack([cross_level_product(system.mss, new, old, e) for e in eye])
 
 
 class TestTimeLevels:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", ["phi0_tilde", "phi0"])
     def test_restacked_level_matches_fresh_assembly(self, dim, kind):
+        # a level rebuilt after others matches one of a fresh assembly, and
+        # its cross mass matrix against itself is its stacked mass matrix
         eps = 1e-4
         space = _moving_space(dim, kind, eps)
-        parts = assemble_enriched(space, eps, t=0.0).parts
+        system = assemble_enriched(space, eps)
+        system.parts["rebuild"](0.0)
         for t in (0.3, 0.5):
-            fresh = assemble_enriched(space, eps, t=t)
-            level = parts["rebuild"](t)
-            mass, stiff = parts["restack"](level)
-            scale = abs(fresh.mass).max()
-            assert _max_diff(mass, fresh.mass) <= 1e-14 * scale
-            assert _max_diff(stiff, fresh.stiffness) <= 1e-14 * abs(fresh.stiffness).max()
-            cross = _cross_mass(parts, parts["rebuild"](t, level), level)
-            assert np.max(np.abs(cross - fresh.mass.toarray())) <= 1e-14 * scale
+            fresh_mass, fresh_stiff = _stacked(assemble_enriched(space, eps), t)
+            level = system.parts["rebuild"](t)
+            mass, stiff = stack(system.mss, level.msl, level.mee), stack(system.ass, level.asl, level.aee)
+            scale = abs(fresh_mass).max()
+            assert _max_diff(mass, fresh_mass) <= 1e-14 * scale
+            assert _max_diff(stiff, fresh_stiff) <= 1e-14 * abs(fresh_stiff).max()
+            cross = _cross_mass(system, system.parts["rebuild"](t, level), level)
+            assert np.max(np.abs(cross - fresh_mass.toarray())) <= 1e-14 * scale
+
+    def test_gram_checked_on_levels_without_previous(self, monkeypatch):
+        # the first level of a march (and a projection's or a dump's level)
+        # is checked; a level taken after another one is not checked again
+        import blfem.assembly as assembly
+
+        eps = 1e-4
+        space = _moving_space(1, "phi0", eps)
+        rebuild = assemble_enriched(space, eps, t_max=1.0).parts["rebuild"]
+        checked = []
+        monkeypatch.setattr(assembly, "_check_gram", lambda mee: checked.append(mee.copy()))
+        first = rebuild(0.25)
+        rebuild(0.5, first)
+        assert len(checked) == 1 and np.array_equal(checked[0], first.mee)
+        monkeypatch.undo()
+        # every point moves without a split time: a vanishing profile leaves
+        # a zero Gram block
+        rebuild = assemble_enriched(space, eps).parts["rebuild"]
+        monkeypatch.setattr(assembly, "enrichment_profile", lambda spec, xi, t=None: np.zeros(np.shape(xi)))
+        with pytest.raises(AssemblyError, match="numerically singular"):
+            rebuild(0.75)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cross_mass_rows_at_new_level_columns_at_old(self, dim):
         eps = 1e-4
         space = _moving_space(dim, "phi0", eps)
-        parts = assemble_enriched(space, eps, t=0.0).parts
+        system = assemble_enriched(space, eps)
+        parts = system.parts
         n = space.n_standard
         old = parts["rebuild"](0.3)
         new = parts["rebuild"](0.5, old)
-        cross = _cross_mass(parts, new, old)
-        mass_new = assemble_enriched(space, eps, t=0.5).mass.toarray()
-        mass_old = assemble_enriched(space, eps, t=0.3).mass.toarray()
+        cross = _cross_mass(system, new, old)
+        mass_new = _stacked(assemble_enriched(space, eps), 0.5)[0].toarray()
+        mass_old = _stacked(assemble_enriched(space, eps), 0.3)[0].toarray()
         assert np.array_equal(cross[:n, :n], mass_new[:n, :n])
         assert np.allclose(cross[:n, n:], mass_old[:n, n:], rtol=0.0, atol=1e-16)
         assert np.allclose(cross[n:, :n], mass_new[n:, :n], rtol=0.0, atol=1e-16)
-        swapped = _cross_mass(parts, parts["rebuild"](0.3, new), new)
+        swapped = _cross_mass(system, parts["rebuild"](0.3, new), new)
         assert np.allclose(cross[n:, n:], swapped[n:, n:].T, rtol=0.0, atol=1e-16)
         if dim == 1:
             spec = space.enrichment
@@ -510,12 +539,13 @@ def _source_1d(x, t):
 
 
 def _assert_level_matches(space, eps, reference, source):
-    parts = assemble_enriched(space, eps, t=0.0).parts
+    system = assemble_enriched(space, eps)
+    parts = system.parts
     n = space.n_standard
     old = parts["rebuild"](0.3)
     new = parts["rebuild"](0.5, old)
     ref = reference(space, eps, 0.5, 0.3, source)
-    cross = _cross_mass(parts, new, old)
+    cross = _cross_mass(system, new, old)
     got = dict(
         msl=new.msl.toarray(),
         asl=new.asl.toarray(),
@@ -541,9 +571,9 @@ class TestSplitLayout:
         eps = 1e-5
         space = _moving_space(dim, kind, eps)
         n = space.n_standard
-        whole = assemble_enriched(space, eps, t=0.0).parts
-        split = assemble_enriched(space, eps, t=0.0, t_max=1.0).parts
-        rows = split["moving_rows"]
+        whole = assemble_enriched(space, eps).parts
+        split_system = assemble_enriched(space, eps, t_max=1.0)
+        split, rows = split_system.parts, split_system.moving_rows
         assert 0 < len(rows) < n
         levels = {}
         for t in (0.0, 0.25, 1.0):
@@ -575,17 +605,17 @@ class TestSplitLayout:
         if kind == "phi_m1_lin":
             sigma = 0.1 if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
-        system = assemble_enriched(space, eps, t=1.0, t_max=1.0)
+        system = assemble_enriched(space, eps, t_max=1.0)
         parts = system.parts
-        assert len(parts["moving_rows"]) == 0
+        assert len(system.moving_rows) == 0
         level = parts["rebuild"](0.0)
         assert parts["rebuild"](1.0, level) is level
         assert np.array_equal(level.cee, level.mee)
         assert len(level.phi) == 0
-        mass, _ = parts["restack"](level)
+        mass = stack(system.mss, level.msl, level.mee)
         # every point fixed: the one full sum per block, as without a split
-        whole = assemble_enriched(space, eps, t=1.0)
-        assert (mass != whole.mass).nnz == 0
+        whole = assemble_enriched(space, eps)
+        assert (mass != _stacked(whole, 1.0)[0]).nnz == 0
 
 
 class TestOperatorAssembly2D:
@@ -628,16 +658,37 @@ class TestProjectionAndEvaluation:
         system = assemble_enriched(space, eps)
         u0 = lambda x: np.sin(np.pi * np.asarray(x))
         got = project_initial(space, system, u0)
-        rhs = system.parts["make_load"](lambda x, t: u0(x))(0.0)
-        resid = np.linalg.norm(system.mass @ got - rhs) / np.linalg.norm(rhs)
+        level = system.parts["rebuild"](0.0)
+        rhs = system.parts["make_load"](lambda x, t: u0(x))(0.0, level.phi)
+        resid = np.linalg.norm(stack(system.mss, level.msl, level.mee) @ got - rhs) / np.linalg.norm(rhs)
         assert resid < 1e-10
 
     def test_time_dependent_projection_uses_standard_block_only(self):
         eps = 1e-4
         spec = EnrichmentSpec(kind="phi0_tilde", epsilon=eps)
         space = _space_1d(20, spec)
-        system = assemble_enriched(space, eps, t=0.0)
+        system = assemble_enriched(space, eps)
         got = project_initial(space, system, lambda x: np.sin(np.pi * np.asarray(x)))
+        assert np.all(got[space.n_standard :] == 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    def test_time_dependent_projection_reads_u0_at_standard_load_points_only(self, dim, kind):
+        # u0 is evaluated once, at the points of the standard load rule (4
+        # Gauss points per interval, the triangle rule per triangle), never
+        # at the enriched layout's points
+        eps = 1e-4
+        space = _moving_space(dim, kind, eps)
+        system = assemble_enriched(space, eps, t_max=1.0)
+        sizes = []
+
+        def u0(*coords):
+            sizes.append(np.size(coords[0]))
+            return np.ones(np.shape(coords[0]))
+
+        got = project_initial(space, system, u0)
+        rule = gauss_interval(4) if dim == 1 else gauss_triangle()
+        assert sizes == [len(space.mesh.elements) * len(rule.weights)]
         assert np.all(got[space.n_standard :] == 0.0)
 
     def test_field_evaluation_reproduces_linear_2d(self):
@@ -853,10 +904,10 @@ class TestEnrichedMass1D:
     @pytest.mark.parametrize("n", [50, 200])
     def test_symmetric_positive_definite(self, kind, eps, n):
         space = _space_1d(n, _spec_1d(kind, eps, n))
-        parts = assemble_enriched(space, eps, t=1.0).parts
+        system = assemble_enriched(space, eps)
         times = (0.1, 0.5, 1.0) if space.enrichment.time_dependent else (1.0,)
         for t in times:
-            mass = parts["restack"](parts["rebuild"](t))[0].toarray()
+            mass = _stacked(system, t)[0].toarray()
             assert np.array_equal(mass, mass.T)
             assert np.linalg.eigvalsh(mass)[0] > 0.0, (kind, eps, n, t)
 
@@ -865,8 +916,9 @@ class TestEnrichedMass1D:
     @pytest.mark.parametrize("n", [10, 50])
     def test_matches_element_aligned_reference(self, kind, eps, n):
         space = _space_1d(n, _spec_1d(kind, eps, n))
+        system = assemble_enriched(space, eps)
         for t in (0.5, 1.0):
-            mass = assemble_enriched(space, eps, t=t).mass.toarray()
+            mass = _stacked(system, t)[0].toarray()
             want = _aligned_mass_1d(space, t)
             assert np.max(np.abs(mass - want)) <= 1e-12 * np.max(np.abs(want)), (kind, eps, n, t)
 
@@ -881,7 +933,7 @@ class TestEnrichedMass1D:
         seen = []
         monkeypatch.setattr(assembly, "composite_interval", lambda b, g: seen.append(b) or composite_interval(b, g))
         space = _space_1d(n, _spec_1d("phi_m1", eps, n))
-        assemble_enriched(space, eps, t=1.0)
+        assemble_enriched(space, eps)
         (breaks,) = seen
         assert breaks[0] == 0.0 and breaks[-1] == space.enrichment.support
         assert np.diff(breaks).min() > 1e-12
@@ -899,10 +951,10 @@ class TestEnrichedSpd2D:
         # the solver's default taper width for phi_m1_lin: three ring widths
         sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
-        parts = assemble_enriched(space, eps, t=1.0).parts
+        system = assemble_enriched(space, eps)
         times = (0.1, 0.5, 1.0) if space.enrichment.time_dependent else (1.0,)
         for t in times:
-            for matrix in parts["restack"](parts["rebuild"](t)):
+            for matrix in _stacked(system, t):
                 dense = matrix.toarray()
                 assert np.array_equal(dense, dense.T)
                 assert np.linalg.eigvalsh(dense)[0] > 0.0, (kind, eps, b, t)

@@ -434,11 +434,13 @@ class TestThreadCap:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
     def test_invalid_thread_count(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BLFEM_THREADS", "many")
-        code = run_cli(["corrector", "--points", "4", "-o", "p.csv"], tmp_path, monkeypatch)
-        assert code == EXIT_INVALID
-        assert "BLFEM_THREADS must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "p.csv").exists()
+        # OpenBLAS reads a count below 1 as no cap at all
+        for cap in ("many", "0", "-2"):
+            monkeypatch.setenv("BLFEM_THREADS", cap)
+            code = run_cli(["corrector", "--points", "4", "-o", "p.csv"], tmp_path, monkeypatch)
+            assert code == EXIT_INVALID, cap
+            assert "BLFEM_THREADS must be an integer" in capsys.readouterr().err
+            assert not (tmp_path / "p.csv").exists()
 
 
 class TestStudyScripts:

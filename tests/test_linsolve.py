@@ -16,6 +16,7 @@ from blfem.linsolve import (
     SpdSolver,
     schur_pays,
     solve_spd,
+    stack,
 )
 
 
@@ -127,6 +128,24 @@ class TestConjugateGradients:
         assert 0.0 < exc_info.value.residual < 1e-10
 
 
+class TestStack:
+    def test_blocks_without_stored_zeros(self):
+        kss = _poisson_fd(5)
+        kse = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 0.0]]))
+        kse.data[0] = 0.0  # an entry stored as zero
+        kee = np.array([[3.0, 0.0], [0.0, 4.0]])
+        whole = stack(kss, kse, kee)
+        assert whole.format == "csr"
+        assert np.all(whole.data != 0.0)
+        dense = np.block([[kss.toarray(), kse.toarray()], [kse.toarray().T, kee]])
+        assert np.array_equal(whole.toarray(), dense)
+
+    def test_no_enriched_block_gives_the_standard_one(self):
+        kss = sp.csr_matrix(_poisson_fd(5))
+        whole = stack(kss, sp.csr_matrix((4, 0)), np.zeros((0, 0)))
+        assert (whole != kss).nnz == 0
+
+
 class TestEnrichedSystems:
     def test_tiny_epsilon_system_residual(self):
         # the ill-conditioned Gram coupling at eps = 1e-8 must still solve to
@@ -138,8 +157,8 @@ class TestEnrichedSystems:
         eps = 1e-8
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=0.02)
         space = build_space(build_interval_mesh(50), spec)
-        system = assemble_enriched(space, eps)
-        a = system.mass + 0.01 * system.stiffness
+        mass, stiff = _stacked(assemble_enriched(space, eps), 0.0)
+        a = mass + 0.01 * stiff
         rng = np.random.default_rng(5)
         b = rng.standard_normal(a.shape[0])
         x = solve_spd(a, b)
@@ -151,8 +170,14 @@ def _dense_cholesky_solve(a, b):
     return sla.cho_solve(sla.cho_factor(a.toarray(), lower=True), b)
 
 
+def _stacked(system, t):
+    """The stacked (mass, stiffness) of the system's level at t."""
+    level = system.parts["rebuild"](t)
+    return stack(system.mss, level.msl, level.mee), stack(system.ass, level.asl, level.aee)
+
+
 def _scenario_system(name):
-    """M and dt of a real implicit-Euler system, by scenario name."""
+    """M, A and dt of a real implicit-Euler system, by scenario name."""
     from blfem.assembly import assemble_enriched, assemble_standard, build_space
     from blfem.corrector import EnrichmentSpec
     from blfem.mesh import build_disk_mesh, build_interval_mesh
@@ -160,23 +185,23 @@ def _scenario_system(name):
     eps = 1e-8
     if name == "1d-phi_m1_lin":
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=0.02)
-        return assemble_enriched(build_space(build_interval_mesh(50), spec), eps), 0.01
+        return (*_stacked(assemble_enriched(build_space(build_interval_mesh(50), spec), eps), 0.0), 0.01)
     mesh = build_disk_mesh(16)
     kind = name.split("-", 1)[1]
     if kind == "sfem":
-        return assemble_standard(build_space(mesh), eps), 0.05
+        return (*_stacked(assemble_standard(build_space(mesh), eps), 0.0), 0.05)
     sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
     spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma)
     t = 0.5 if spec.time_dependent else 1.0
-    return assemble_enriched(build_space(mesh, spec), eps, t=t), 0.05
+    return (*_stacked(assemble_enriched(build_space(mesh, spec), eps), t), 0.05)
 
 
 class TestSparseFactorAgainstDense:
     @pytest.mark.parametrize("name", ["2d-sfem", "2d-phi_m1_lin", "2d-phi0_tilde", "2d-phi0", "1d-phi_m1_lin"])
     def test_agrees_with_dense_cholesky(self, name):
-        system, dt = _scenario_system(name)
+        mass, stiff, dt = _scenario_system(name)
         rng = np.random.default_rng(11)
-        for a in (system.mass, system.mass + dt * system.stiffness):
+        for a in (mass, mass + dt * stiff):
             b = rng.standard_normal(a.shape[0])
             want = _dense_cholesky_solve(a, b)
             got = SpdSolver(a).solve(b)

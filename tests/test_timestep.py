@@ -12,7 +12,7 @@ import blfem.assembly
 from blfem.analysis import ExactSolution1D, ExactSolution2D
 from blfem.assembly import assemble_enriched, assemble_standard, build_space, project_initial
 from blfem.corrector import EnrichmentSpec, ProblemData
-from blfem.linsolve import NoConvergence, NotPositiveDefinite, SolverConfig, schur_pays
+from blfem.linsolve import NoConvergence, NotPositiveDefinite, SolverConfig, schur_pays, stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import SolutionField, TimeGrid, advance
 
@@ -89,7 +89,7 @@ class TestAdvance:
         )
         for n_steps in (2, 100):
             sol = advance(space, system, data, TimeGrid(T=10.0, n_steps=n_steps))
-            energies = [float(u @ (system.mass @ u)) for u in sol.history]
+            energies = [float(u @ (system.mss @ u)) for u in sol.history]
             assert np.all(np.diff(energies) <= 1e-14)
 
     def test_first_order_in_time(self):
@@ -142,7 +142,7 @@ class TestTimeDependentEnrichment:
         eps = 1e-4
         spec = EnrichmentSpec(kind="phi0_tilde", epsilon=eps)
         space = build_space(build_interval_mesh(20), spec)
-        system = assemble_enriched(space, eps, t=0.0)
+        system = assemble_enriched(space, eps)
         exact = ExactSolution1D(eps)
         sol = advance(space, system, exact.problem(0.5), TimeGrid(T=0.5, n_steps=5))
         assert np.all(np.isfinite(sol.history))
@@ -152,7 +152,7 @@ class TestTimeDependentEnrichment:
         eps = 1e-4
         spec = EnrichmentSpec(kind="phi0", epsilon=eps)
         space = build_space(build_interval_mesh(20), spec)
-        system = assemble_enriched(space, eps, t=0.0)
+        system = assemble_enriched(space, eps)
         exact = ExactSolution1D(eps)
         sol = advance(space, system, exact.problem(0.2), TimeGrid(T=0.2, n_steps=2))
         assert np.all(sol.history[0, space.n_standard :] == 0.0)
@@ -165,7 +165,7 @@ class TestTimeDependentEnrichment:
         spec = EnrichmentSpec(kind=kind, epsilon=eps)
         mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
         space = build_space(mesh, spec)
-        system = assemble_enriched(space, eps, t=0.0)
+        system = assemble_enriched(space, eps)
         data = ExactSolution1D(eps).problem(1.0) if dim == 1 else ExactSolution2D(eps).problem(1.0)
         calls = {}
         for name in ("enrichment_profile", "enrichment_profile_dxi"):
@@ -183,7 +183,7 @@ def _reference_march(space, eps, data, grid):
     """Implicit Euler as it was before the block solver: every level's
     stacked system and cross mass matrix (sparse bmat) from an assembly
     without a split time, each solved by a fresh dense Cholesky."""
-    system = assemble_enriched(space, eps, t=0.0)
+    system = assemble_enriched(space, eps)
     parts = system.parts
     load = parts["make_load"](data.f)
     u = project_initial(space, system, data.u0_initial)
@@ -191,8 +191,8 @@ def _reference_march(space, eps, data, grid):
     old = parts["rebuild"](grid.times[0])
     for t in grid.times[1:]:
         new = parts["rebuild"](t, old)
-        mass, stiff = parts["restack"](new)
-        cross = sp.bmat([[parts["Mss"], old.msl], [new.msl.T, sp.csr_matrix(new.cee)]], format="csr")
+        mass, stiff = stack(system.mss, new.msl, new.mee), stack(system.ass, new.asl, new.aee)
+        cross = sp.bmat([[system.mss, old.msl], [new.msl.T, sp.csr_matrix(new.cee)]], format="csr")
         rhs = cross @ u + grid.dt * load(t, phi_vals=new.phi)
         u = sla.cho_solve(sla.cho_factor((mass + grid.dt * stiff).toarray()), rhs)
         history.append(u)
@@ -218,8 +218,8 @@ class TestBlockMarch:
         spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma)
         space = build_space(mesh, spec)
         data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(T)
-        system = assemble_enriched(space, eps, t=0.0 if spec.time_dependent else T, t_max=T)
-        rows = system.parts["moving_rows"]
+        system = assemble_enriched(space, eps, t_max=T)
+        rows = system.moving_rows
         if not spec.time_dependent:
             assert len(rows) == 0
         else:
@@ -241,8 +241,8 @@ class TestBlockMarch:
         eps, T, grid = 1e-3, 1.0, TimeGrid(T=1.0, n_steps=2)
         space = build_space(build_disk_mesh(26), EnrichmentSpec(kind=kind, epsilon=eps))
         data = ExactSolution2D(eps).problem(T)
-        system = assemble_enriched(space, eps, t=0.0, t_max=T)
-        rows = system.parts["moving_rows"]
+        system = assemble_enriched(space, eps, t_max=T)
+        rows = system.moving_rows
         assert len(rows) > 0.8 * space.n_standard
         assert not schur_pays(space.n_standard, space.n_enriched, len(rows), grid.n_steps)
         got = advance(space, system, data, grid).history
@@ -267,7 +267,7 @@ class TestBlockMarch:
         monkeypatch.setattr(linsolve, "SpdSolver", Counting)
         eps = 1e-5
         space = build_space(build_interval_mesh(50) if dim == 1 else build_disk_mesh(16), EnrichmentSpec("phi_m1", eps))
-        system = assemble_enriched(space, eps, t=1.0, t_max=1.0)
+        system = assemble_enriched(space, eps, t_max=1.0)
         data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(1.0)
         advance(space, system, data, TimeGrid(T=1.0, n_steps=4))
         assert factors == [space.total_dofs] * 2  # the projection, then the march
@@ -279,11 +279,11 @@ class TestBlockMarch:
         system = assemble_standard(space, eps)
         data = ExactSolution1D(eps).problem(1.0)
         load = system.parts["make_load"](data.f)
-        k = (system.mass + grid.dt * system.stiffness).toarray()
+        k = (system.mss + grid.dt * system.ass).toarray()
         u = project_initial(space, system, data.u0_initial)
         got = advance(space, system, data, grid).history
         for n, t in enumerate(grid.times[1:], start=1):
-            u = np.linalg.solve(k, system.mass @ u + grid.dt * load(t))
+            u = np.linalg.solve(k, system.mss @ u + grid.dt * load(t))
             assert np.allclose(got[n], u, rtol=0.0, atol=1e-14 * np.max(np.abs(u)))
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
@@ -294,7 +294,7 @@ class TestBlockMarch:
         eps = 1e-4
         spec = EnrichmentSpec(kind="phi0_tilde", epsilon=eps)
         space = build_space(build_interval_mesh(20) if dim == 1 else build_disk_mesh(16), spec)
-        system = assemble_enriched(space, eps, t=0.0, t_max=1.0)
+        system = assemble_enriched(space, eps, t_max=1.0)
         rebuild = system.parts["rebuild"]
 
         def negated(t, previous=None):
@@ -309,7 +309,7 @@ class TestBlockMarch:
     def test_level_past_split_time_rejected(self):
         spec = EnrichmentSpec(kind="phi0", epsilon=1e-4)
         space = build_space(build_interval_mesh(20), spec)
-        rebuild = assemble_enriched(space, 1e-4, t=0.0, t_max=0.5).parts["rebuild"]
+        rebuild = assemble_enriched(space, 1e-4, t_max=0.5).parts["rebuild"]
         rebuild(0.5)
         with pytest.raises(ValueError, match="past the split time"):
             rebuild(0.75)
