@@ -276,18 +276,24 @@ def oscillation_index(
     return max(0.0, float(over[in_strip].max(initial=0.0))) / global_max
 
 
-def compute_error_report(space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0) -> ErrorReport:
+def compute_error_report(
+    space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0, layout=None
+) -> ErrorReport:
     """Errors of the discrete solution against the exact one at time t;
-    rel_l2 is NaN when the exact solution vanishes in L2."""
-    layout = _element_rules(space.mesh, epsilon, refine)
-    field = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t)
-    err2, ex2, h12, ue = _error_integrals(exact, t, layout, field)
+    rel_l2 is NaN when the exact solution vanishes in L2.  `layout` is the
+    unrefined layout over every element of the mesh, built here if not
+    given; the oscillation index always reads it, and the norms do too
+    unless refine > 1 asks for a refined one."""
+    if layout is None:
+        layout = _element_rules(space.mesh, epsilon)
+    fine = layout if refine == 1 else _element_rules(space.mesh, epsilon, refine)
+    field = _discrete_field(space, coeffs, fine.points, fine.element, fine.bary, t)
+    err2, ex2, h12, ue = _error_integrals(exact, t, fine, field)
     vanishes = np.sqrt(ex2) < 1e-300
-    # the oscillation index always reads the unrefined layout
-    if refine == 1:
+    if fine is layout:
         osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout, uh=field[0], ue=ue)
     else:
-        osc = oscillation_index(space, coeffs, exact, t, epsilon)
+        osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout)
     return ErrorReport(
         rel_l2=float("nan") if vanishes else float(np.sqrt(err2 / ex2)),
         abs_l2=float(np.sqrt(err2)),
@@ -460,16 +466,21 @@ def solve_scenario(
 
     grid = TimeGrid(T=T, n_steps=n_steps)
     data = exact.problem(T)
+    # the run's one layer-resolving layout: the error report reads it, and
+    # in 2D so do the enriched blocks
+    layout = _element_rules(mesh, epsilon)
 
     t0 = time.perf_counter()
     space = build_space(mesh, spec)
     if spec is None:
         system = assemble_standard(space, epsilon)
     else:
-        system = assemble_enriched(space, epsilon, t_max=T)
+        system = assemble_enriched(space, epsilon, t_max=T, layout=layout)
     fieldsol = advance(space, system, data, grid, solver_config)
     runtime = time.perf_counter() - t0
-    report = compute_error_report(space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime)
+    report = compute_error_report(
+        space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime, layout=layout
+    )
     return report, fieldsol, space, exact
 
 

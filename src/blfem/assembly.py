@@ -10,7 +10,10 @@ reduced (interior + enriched DOFs) and symmetric positive definite.
 Integrals involving an enrichment profile are evaluated over the same
 triangulated domain as the standard blocks, with per-triangle rules graded
 toward the boundary so the sqrt(eps) layer scale is resolved; standard P1
-blocks use exact element formulas or fixed-order triangle rules.
+blocks use exact element formulas or fixed-order triangle rules.  The graded
+rules of all boundary triangles are built in one batch, and a 2D run builds
+its layout once: the enriched blocks read the leading slice of it that
+covers the profile support, the error report all of it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .mesh import Mesh1D, Mesh2D
 from .quadrature import (
     QuadratureLayout,
     composite_interval,
+    composite_points,
     gauss_interval,
     gauss_triangle,
     geometric_panels,
@@ -157,11 +161,12 @@ def element_rules_1d(mesh: Mesh1D, eps: float, refine: int = 1) -> QuadratureLay
         else:
             breaks = np.linspace(0.0, length, 3)
         rule = composite_interval(breaks, n_gauss)
-        at = starts[:, None] + np.arange(len(rule.weights))
         sel = (inverse == k) & ~right
-        points[at[sel]], weights[at[sel]] = a[sel, None] + rule.points, rule.weights
+        at = starts[sel, None] + np.arange(len(rule.weights))
+        points[at], weights[at] = a[sel, None] + rule.points, rule.weights
         sel = (inverse == k) & right
-        points[at[sel]], weights[at[sel]] = b[sel, None] - rule.points[::-1], rule.weights[::-1]
+        at = starts[sel, None] + np.arange(len(rule.weights))
+        points[at], weights[at] = b[sel, None] - rule.points[::-1], rule.weights[::-1]
     element = np.repeat(np.arange(len(mesh.elements)), counts)
     a, b = a[element], b[element]
     lam = (points - a) / (b - a)
@@ -170,96 +175,135 @@ def element_rules_1d(mesh: Mesh1D, eps: float, refine: int = 1) -> QuadratureLay
 
 def _sym_geometric_panels(n_half, first_width):
     half = geometric_panels(0.5, n_half, first_width)
-    return np.concatenate([half, (1.0 - half[::-1])[1:]])
+    return np.concatenate([half, (1.0 - half[..., ::-1])[..., 1:]], axis=-1)
 
 
-def triangle_rule_points(tri_xy, bdy_mask, eps, n_sub=6, n_gauss=4):
-    """Quadrature points, weights, and barycentric coordinates on a physical
-    triangle, graded toward its boundary feature so integrands varying on
-    the sqrt(eps) scale near the unit circle are resolved.
+def _graded_rule(v, mask, eps, n_sub, n_gauss):
+    """The graded rules of triangles v (k, 3, 2) whose vertices on the
+    boundary are those of mask (3,), one or two of them: the barycentric
+    coordinates (k, q, 3) of the points with respect to the vertices
+    reordered A, B, C (boundary ones first), those vertices (k, 3, 2), the
+    weights (k, q), and the barycentric coordinates in vertex order.
 
-    bdy_mask marks which of the three vertices lie on the domain boundary.
-    """
-    p0, p1, p2 = np.asarray(tri_xy, dtype=float)
-    area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
-    nb = int(np.sum(bdy_mask))
+    s runs from the boundary feature (edge AB, or vertex A) toward the rest
+    of the triangle on geometric panels whose first width is 4 sqrt(eps)
+    over the height, and u across it, graded toward both ends of an edge AB."""
+    edge = np.count_nonzero(mask) == 2
+    order = np.argsort(~mask, kind="stable")
+    abc = v[:, order]
+    A, B, C = abc[:, 0], abc[:, 1], abc[:, 2]
+    area = 0.5 * _doubled_areas(v)
     ell = 4.0 * np.sqrt(eps)
-    if nb in (1, 2):
-        # order vertices: boundary ones first
-        order = list(np.argsort(~np.asarray(bdy_mask)))
-        A, B, C = (p0, p1, p2)[order[0]], (p0, p1, p2)[order[1]], (p0, p1, p2)[order[2]]
-        if nb == 2:
-            # A, B on the boundary, C interior
-            L = np.linalg.norm(B - A)
-            height = 2.0 * area / L
-            s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
-            u_breaks = _sym_geometric_panels(n_sub, max(2.0 * ell / L**2, 1e-8))
+    # each edge length from one BLAS dot, so it rounds as np.linalg.norm's
+    d = B - A if edge else C - B
+    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    height = 2.0 * area / length
+    s, ws = composite_points(geometric_panels(1.0, n_sub, np.maximum(ell / height, 1e-8)), n_gauss)
+    if edge:
+        sq = np.array([x**2 for x in length.tolist()])  # the C library's pow, as on floats
+        u, wu = composite_points(_sym_geometric_panels(n_sub, np.maximum(2.0 * ell / sq, 1e-8)), n_gauss)
+    else:
+        u, wu = composite_points(np.broadcast_to(np.linspace(0.0, 1.0, 3), (len(v), 3)), n_gauss)
+    # (triangle, s point, u point)
+    s, ws, u, wu = s[:, :, None], ws[:, :, None], u[:, None, :], wu[:, None, :]
+    wts = ws * wu
+    wts *= (1 - s) if edge else s
+    wts *= 2.0 * area[:, None, None]
+    # the coordinates of A, B, C go to their vertices' columns
+    bary = np.empty(wts.shape + (3,))
+    a, b, c = (bary[..., j] for j in order)
+    if edge:
+        np.multiply(1 - s, 1 - u, out=a)
+        np.multiply(1 - s, u, out=b)
+        c[...] = s
+    else:
+        a[...] = 1 - s
+        np.multiply(s, 1 - u, out=b)
+        np.multiply(s, u, out=c)
+    bary = bary.reshape(len(v), -1, 3)
+    # the disk mesh lists the boundary vertices first, so A, B, C is the
+    # vertex order there and no copy is needed
+    lam = bary if np.array_equal(order, np.arange(3)) else bary[..., order]
+    return lam, abc, wts.reshape(len(v), -1), bary
+
+
+def triangle_rule_points(verts, masks, eps, n_sub=6, n_gauss=4):
+    """Quadrature on the physical triangles verts (t, 3, 2), the points of
+    one triangle contiguous and triangles in the given order: points (n, 2),
+    weights (n,), barycentric coordinates (n, 3), and the point count of
+    each triangle (t,).
+
+    masks (t, 3) marks the vertices on the domain boundary.  A triangle with
+    one or two of them gets a rule graded toward them, so that integrands
+    varying on the sqrt(eps) scale near the unit circle are resolved; the
+    others get the fixed smooth rule.  The rules of all triangles with the
+    same boundary vertices are built in one batch."""
+    verts = np.asarray(verts, dtype=float)
+    masks = np.asarray(masks, dtype=bool)
+    pattern = masks @ np.array([1, 2, 4])
+    if np.any(pattern == 7):
+        raise AssemblyError("a triangle with three boundary vertices has no graded rule")
+    batches = {}
+    for c in np.unique(pattern).tolist():
+        v = verts[pattern == c]
+        if c == 0:
+            wts, lam = _smooth_triangle_rule(v)
+            lam = np.broadcast_to(lam, (len(v),) + lam.shape)
+            batches[c] = lam, v, wts, lam
         else:
-            height = 2.0 * area / np.linalg.norm(C - B)
-            s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
-            u_breaks = np.linspace(0.0, 1.0, 3)
-        rs = composite_interval(s_breaks, n_gauss)
-        ru = composite_interval(u_breaks, n_gauss)
-        s, u = np.meshgrid(rs.points, ru.points, indexing="ij")
-        ws, wu = np.meshgrid(rs.weights, ru.weights, indexing="ij")
-        if nb == 2:
-            lam = np.stack([((1 - s) * (1 - u)).ravel(), ((1 - s) * u).ravel(), s.ravel()], axis=1)
-            wts = (ws * wu * (1 - s)).ravel() * 2.0 * area
-        else:
-            lam = np.stack([(1 - s).ravel(), (s * (1 - u)).ravel(), (s * u).ravel()], axis=1)
-            wts = (ws * wu * s).ravel() * 2.0 * area
-        pts = lam @ np.vstack([A, B, C])
-        bary = np.empty_like(lam)
-        bary[:, order] = lam
-        return pts, wts, bary
-    pts, wts, lam = _smooth_triangle_rule(np.vstack([p0, p1, p2])[None])
-    return pts[0], wts[0], lam
+            batches[c] = _graded_rule(v, masks[pattern == c][0], eps, n_sub, n_gauss)
+    size = {c: batch[2].shape[1] for c, batch in batches.items()}
+    counts = np.array([size[c] for c in pattern.tolist()], dtype=int)
+    starts = _starts(counts)
+    total = int(counts.sum())
+    points, weights, bary = np.empty((total, 2)), np.empty(total), np.empty((total, 3))
+    # each run of consecutive triangles with one pattern is one block of its
+    # batch and of the output
+    rank = np.empty(len(pattern), dtype=int)
+    for c in batches:
+        rank[pattern == c] = np.arange(np.count_nonzero(pattern == c))
+    heads = np.flatnonzero(np.diff(pattern, prepend=-1))
+    ends = np.append(heads[1:], len(pattern))
+    for c, h, e in zip(pattern[heads].tolist(), heads.tolist(), ends.tolist()):
+        lam, abc, wts, lam_v = batches[c]
+        k = slice(rank[h], rank[h] + e - h)
+        at = slice(starts[h], starts[h] + (e - h) * size[c])
+        # the points: each triangle's coordinates times its vertices, one BLAS product per triangle
+        np.matmul(lam[k], abc[k], out=points[at].reshape(e - h, -1, 2))
+        weights[at] = wts[k].ravel()
+        bary[at].reshape(e - h, -1, 3)[...] = lam_v[k]
+    return points, weights, bary, counts
 
 
 def _smooth_triangle_rule(v):
-    """The fixed smooth rule on each triangle of v (t, 3, 2): points
-    (t, q, 2), weights (t, q), and the shared barycentric coordinates (q, 3)."""
+    """The fixed smooth rule on each triangle of v (t, 3, 2): weights (t, q)
+    and the barycentric coordinates (q, 3) of its points, shared by all
+    triangles; the points are lam @ v."""
     rule = gauss_triangle()
     x, y = rule.points[:, 0], rule.points[:, 1]
     lam = np.stack([1.0 - x - y, x, y], axis=1)
-    area2 = np.abs(
+    return rule.weights * _doubled_areas(v)[:, None], lam
+
+
+def _doubled_areas(v):
+    """Twice the area of each triangle of v (t, 3, 2)."""
+    return np.abs(
         (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
         - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
     )
-    return lam @ v, rule.weights * area2[:, None], lam
 
 
 def element_rules_2d(mesh: Mesh2D, eps: float, refine: int = 1, triangles=None) -> QuadratureLayout:
     """triangle_rule_points over the listed triangles (default: all) as one
-    flat layout.  Triangles without a boundary vertex all take the fixed
-    smooth rule and are mapped in one batch; the graded ones, about two per
-    boundary node, are built one by one."""
+    flat layout, built in one batch."""
     tri_ids = np.arange(len(mesh.triangles)) if triangles is None else np.asarray(triangles)
     tris = mesh.triangles[tri_ids]
-    verts = mesh.nodes[tris]
     on_bdy = np.zeros(len(mesh.nodes), dtype=bool)
     on_bdy[mesh.boundary_nodes] = True
-    masks = on_bdy[tris]
-    graded = masks.any(axis=1)
-    rules = {
-        k: triangle_rule_points(verts[k], masks[k], eps, n_sub=6 * refine, n_gauss=4 * refine)
-        for k in np.nonzero(graded)[0]
-    }
-    smooth = np.nonzero(~graded)[0]
-    smooth_pts, smooth_wts, lam = _smooth_triangle_rule(verts[smooth])
-    counts = np.full(len(tri_ids), len(lam))
-    counts[graded] = [len(w) for _, w, _ in rules.values()]
-    starts = _starts(counts)
-    n = int(counts.sum())
-    points, weights, bary = np.empty((n, 2)), np.empty(n), np.empty((n, 3))
-    at = (starts[smooth, None] + np.arange(len(lam))).ravel()
-    points[at] = smooth_pts.reshape(-1, 2)
-    weights[at] = smooth_wts.ravel()
-    bary[at] = np.tile(lam, (len(smooth), 1))
-    for k, (p, w, b) in rules.items():
-        sl = slice(starts[k], starts[k] + counts[k])
-        points[sl], weights[sl], bary[sl] = p, w, b
-    return QuadratureLayout(points, weights, bary, np.repeat(tri_ids, counts), starts)
+    points, weights, bary, counts = triangle_rule_points(
+        mesh.nodes[tris], on_bdy[tris], eps, n_sub=6 * refine, n_gauss=4 * refine
+    )
+    return QuadratureLayout(points, weights, bary, np.repeat(tri_ids, counts), _starts(counts))
 
 
 def triangle_geometry(nodes, tris):
@@ -349,7 +393,9 @@ def _load_layout(space):
         wts = (b - a)[:, None] * base.weights
         hats = np.stack([1.0 - base.points, base.points])
     else:
-        pts, wts, lam = _smooth_triangle_rule(mesh.nodes[mesh.triangles])
+        verts = mesh.nodes[mesh.triangles]
+        wts, lam = _smooth_triangle_rule(verts)
+        pts = lam @ verts
         coords = (pts[..., 0], pts[..., 1])
         hats = lam.T
     dofs = space.node_to_dof[mesh.elements]
@@ -533,31 +579,37 @@ def _coupling_layout_1d(space: BasisSpace) -> _CouplingLayout:
     )
 
 
-def _coupling_layout_2d(space: BasisSpace) -> _CouplingLayout:
+def _coupling_layout_2d(space: BasisSpace, layout: QuadratureLayout) -> _CouplingLayout:
+    """The coupling layout on the triangles that meet the profile support,
+    read from `layout`, the layout over every triangle of the mesh.  The
+    disk mesh lists its triangles ring band by ring band from the boundary
+    inward, so those triangles are a leading run of it and their points are
+    a leading slice of the layout's arrays."""
     mesh = space.mesh
     spec = space.enrichment
     m = space.n_enriched
 
-    # quadrature over every triangle meeting the profile support: graded
-    # rules on boundary triangles (the profile varies on the sqrt(eps) scale
-    # near the circle), the smooth rule elsewhere
+    # the layout's points on the triangles meeting the profile support:
+    # graded rules on boundary triangles (the profile varies on the sqrt(eps)
+    # scale near the circle), the smooth rule elsewhere
     vert_r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
     tri_r_max = vert_r[mesh.triangles].max(axis=1)
-    support_tris = np.nonzero(tri_r_max > 1.0 - spec.support + 1e-12)[0]
-
-    quad = element_rules_2d(mesh, spec.epsilon, triangles=support_tris)
-    w, bary, tri_idx = quad.weights, quad.bary, quad.element
-    x, y = quad.points[:, 0], quad.points[:, 1]
+    support = tri_r_max > 1.0 - spec.support + 1e-12
+    k = np.count_nonzero(support)
+    if not support[:k].all() or len(layout.starts) != len(support):
+        raise AssemblyError("the triangles meeting the profile support do not lead the mesh")
+    end = layout.starts[k] if k < len(support) else len(layout.weights)
+    w, bary, tri_idx = layout.weights[:end], layout.bary[:end], layout.element[:end]
+    x, y = layout.points[:end, 0], layout.points[:end, 1]
     xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, x, y)
     n_pts = len(xi)
 
     # the three standard hats of each point's triangle: dofs, values (bary)
     # and the components of their gradients along grad(xi) and grad(eta)
     dof = space.node_to_dof[mesh.triangles[tri_idx]]
-    hat_grads = _hat_gradients(mesh)[tri_idx]
-    g_xi, g_eta = (np.sum(hat_grads * g[:, None, :], axis=2) for g in (grad_xi, grad_eta))
-    # per-point arrays the patterns below do not need: about 12 MB at B = 104
-    del hat_grads, grad_xi, grad_eta
+    _, bx, by = triangle_geometry(mesh.nodes, mesh.triangles)
+    g_xi, g_eta = (bx[tri_idx] * g[:, 0, None] + by[tri_idx] * g[:, 1, None] for g in (grad_xi, grad_eta))
+    del grad_xi, grad_eta  # per-point arrays the patterns below do not need
     wb = w[:, None]
 
     # standard-enriched coupling: (point, standard hat, angular hat)
@@ -679,7 +731,7 @@ def _split_layout(space, layout, epsilon, t_max):
     return rebuild, moving_rows, enriched_load
 
 
-def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None) -> AssembledSystem:
+def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, layout=None) -> AssembledSystem:
     """The system of the enriched space: the standard blocks, and the levels
     of the enriched blocks.
 
@@ -688,12 +740,19 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None) ->
     the layout builder depends on the dimension.  t_max is the last time a
     level is taken at (default: none given, so no point is taken as fixed);
     see _split_layout.  No level is built here unless every point is fixed.
+    In 2D the points are read from `layout`, element_rules_2d over the whole
+    mesh at the profile's eps, built here if not given.
     """
     if space.enrichment is None:
         raise AssemblyError("space carries no enrichment")
     system = assemble_standard(space, epsilon)
-    layout = (_coupling_layout_1d if space.mesh.dim == 1 else _coupling_layout_2d)(space)
-    rebuild, moving_rows, enriched_load = _split_layout(space, layout, epsilon, t_max)
+    if space.mesh.dim == 1:
+        coupling = _coupling_layout_1d(space)
+    else:
+        if layout is None:
+            layout = element_rules_2d(space.mesh, space.enrichment.epsilon)
+        coupling = _coupling_layout_2d(space, layout)
+    rebuild, moving_rows, enriched_load = _split_layout(space, coupling, epsilon, t_max)
 
     def make_load(f):
         def load_fn(t, phi_vals):
@@ -770,9 +829,10 @@ def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t):
     points within its support of the boundary: min(x, 1 - x) <= support in
     1D, 1 - r <= support in 2D."""
     mesh = space.mesh
-    c = _nodal_values(space, coeffs)[mesh.elements[element]]
-    vals = np.sum(bary * c, axis=1)
-    grads = np.einsum("pk,pkd->pd", c, _hat_gradients(mesh)[element])
+    c = _nodal_values(space, coeffs)[mesh.elements]
+    vals = np.sum(bary * c[element], axis=1)
+    # the P1 gradient is constant on each element
+    grads = np.einsum("tk,tkd->td", c, _hat_gradients(mesh))[element]
     if space.enrichment is not None:
         support = space.enrichment.support + 1e-12
         if mesh.dim == 1:

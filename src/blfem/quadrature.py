@@ -74,15 +74,11 @@ def gauss_triangle() -> QuadratureRule:
     return QuadratureRule(points, weights, 4)
 
 
-def geometric_panels(length: float, n_sub: int, first_width: float) -> np.ndarray:
-    """Breakpoints 0 = b_0 < ... < b_n = length with geometrically growing
-    panel widths, the first one equal to first_width."""
-    if n_sub < 1:
-        raise ValueError("n_sub must be >= 1")
-    w0 = min(first_width, length / n_sub)
-    if n_sub == 1 or w0 * n_sub >= length * (1.0 - 1e-12):
-        return np.linspace(0.0, length, n_sub + 1)
-    # solve w0 (q^n - 1)/(q - 1) = length for q > 1
+def _geometric_ratio(length, n_sub, w0):
+    """q > 1 with w0 (q^n - 1)/(q - 1) = length, bisected on Python floats
+    down to adjacent floats.  Their pow is the C library's: numpy's SIMD
+    power differs from it in the last bit for some arguments, which moves
+    the last bisection steps."""
     lo, hi = 1.0 + 1e-12, 2.0
     while w0 * (hi**n_sub - 1.0) / (hi - 1.0) < length:
         hi *= 2.0
@@ -94,17 +90,43 @@ def geometric_panels(length: float, n_sub: int, first_width: float) -> np.ndarra
             lo = mid
         else:
             hi = mid
-    q = 0.5 * (lo + hi)
-    widths = w0 * q ** np.arange(n_sub)
-    pts = np.concatenate([[0.0], np.cumsum(widths)])
-    pts[-1] = length
+    return 0.5 * (lo + hi)
+
+
+def geometric_panels(length: float, n_sub: int, first_width) -> np.ndarray:
+    """Breakpoints 0 = b_0 < ... < b_n = length with geometrically growing
+    panel widths, the first one equal to first_width.  An array of first
+    widths (k,) gives one row of breakpoints per width, (k, n_sub + 1)."""
+    if n_sub < 1:
+        raise ValueError("n_sub must be >= 1")
+    w0 = np.minimum(np.asarray(first_width, dtype=float), length / n_sub)
+    graded = (w0 * n_sub < length * (1.0 - 1e-12)) & (n_sub > 1)
+    pts = np.empty(w0.shape + (n_sub + 1,))
+    if not graded.all():
+        pts[~graded] = np.linspace(0.0, length, n_sub + 1)
+    if graded.any():
+        w0 = w0[graded]
+        # the bisection runs faster on floats row by row than as numpy
+        # operations on all rows, whose call overhead dominates at this size
+        q = np.array([_geometric_ratio(length, n_sub, w) for w in w0.tolist()])
+        widths = w0[:, None] * q[:, None] ** np.arange(n_sub)
+        rows = np.concatenate([np.zeros((len(q), 1)), np.cumsum(widths, axis=1)], axis=1)
+        rows[:, -1] = length
+        pts[graded] = rows
     return pts
+
+
+def composite_points(breaks, n_gauss: int):
+    """Points and weights of the Gauss rule of n_gauss points on each panel
+    of `breaks` (..., panels + 1), each (..., panels * n_gauss)."""
+    base = gauss_interval(n_gauss)
+    breaks = np.asarray(breaks, dtype=float)
+    widths = np.diff(breaks, axis=-1)[..., None]
+    pts = breaks[..., :-1, None] + widths * base.points
+    shape = breaks.shape[:-1] + (-1,)
+    return pts.reshape(shape), (widths * base.weights).reshape(shape)
 
 
 def composite_interval(breaks: np.ndarray, n_gauss: int) -> QuadratureRule:
     """Gauss rule of n_gauss points on each panel of `breaks`."""
-    base = gauss_interval(n_gauss)
-    breaks = np.asarray(breaks, dtype=float)
-    widths = np.diff(breaks)[:, None]
-    pts = breaks[:-1, None] + widths * base.points
-    return QuadratureRule(pts.ravel(), (widths * base.weights).ravel(), 2 * n_gauss - 1)
+    return QuadratureRule(*composite_points(breaks, n_gauss), 2 * n_gauss - 1)

@@ -177,7 +177,8 @@ class TestTriangleRulePoints:
             - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1])
         )
         for mask in ([True, True, False], [True, False, False], [False, False, False]):
-            pts, wts, bary = triangle_rule_points(tri, mask, 1e-6)
+            pts, wts, bary, counts = triangle_rule_points(tri[None], [mask], 1e-6)
+            assert counts.tolist() == [len(wts)]
             assert np.sum(wts) == pytest.approx(area, rel=1e-12)
             assert np.all(wts > 0.0)
             assert np.allclose(bary.sum(axis=1), 1.0, atol=1e-12)
@@ -194,8 +195,35 @@ class TestTriangleRulePoints:
         )
         exact = area * f(*centroid)
         for mask in ([True, True, False], [True, False, False], [False, False, False]):
-            pts, wts, _ = triangle_rule_points(tri, mask, 1e-4)
+            pts, wts, _, _ = triangle_rule_points(tri[None], [mask], 1e-4)
             assert np.dot(wts, f(pts[:, 0], pts[:, 1])) == pytest.approx(exact, rel=1e-10)
+
+    def test_batch_matches_single_triangles(self):
+        # a mixed batch, in an order that interleaves the boundary patterns,
+        # gives each triangle the rule it gets on its own
+        tri = np.array([[1.0, 0.0], [0.9, 0.3], [0.7, 0.05]])
+        masks = [
+            [True, True, False],
+            [False, False, False],
+            [False, True, False],
+            [True, False, True],
+            [False, False, False],
+        ]
+        verts = np.stack([tri + 0.01 * k for k in range(len(masks))])
+        pts, wts, bary, counts = triangle_rule_points(verts, masks, 1e-6)
+        at = np.concatenate([[0], np.cumsum(counts)])
+        for k, mask in enumerate(masks):
+            one = triangle_rule_points(verts[k : k + 1], [mask], 1e-6)
+            for got, want in zip((pts, wts, bary), one):
+                assert np.array_equal(got[at[k] : at[k + 1]], want)
+
+    def test_three_boundary_vertices_rejected(self):
+        # a graded rule resolves the layer along one edge or at one vertex;
+        # a triangle inscribed in the circle has neither, and no disk mesh
+        # makes one
+        tri = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(AssemblyError):
+            triangle_rule_points(tri[None], [[True, True, True]], 1e-6)
 
 
 class TestEnriched1D:
@@ -291,18 +319,16 @@ class TestEnriched2D:
         bset = set(int(b) for b in mesh.boundary_nodes)
         vert_r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
         mee = np.zeros((m, m))
-        for tri in mesh.triangles:
-            if vert_r[tri].max() <= 1.0 - spec.support + 1e-12:
-                continue
-            mask = [int(v) in bset for v in tri]
-            pts, wts, _ = triangle_rule_points(mesh.nodes[tri], mask, eps, n_sub=10, n_gauss=6)
-            eta, xi, _ = fitted_arrays(pts[:, 0], pts[:, 1])
-            phi = np.asarray(enrichment_profile(spec, xi, 1.0))
-            panel = np.minimum((eta / deta).astype(int), m - 1)
-            frac = eta / deta - panel
-            for jj, psi_j in ((panel, 1.0 - frac), ((panel + 1) % m, frac)):
-                for kk, psi_k in ((panel, 1.0 - frac), ((panel + 1) % m, frac)):
-                    np.add.at(mee, (jj, kk), wts * phi**2 * psi_j * psi_k)
+        tris = np.array([tri for tri in mesh.triangles if vert_r[tri].max() > 1.0 - spec.support + 1e-12])
+        masks = [[int(v) in bset for v in tri] for tri in tris]
+        pts, wts, _, _ = triangle_rule_points(mesh.nodes[tris], masks, eps, n_sub=10, n_gauss=6)
+        eta, xi, _ = fitted_arrays(pts[:, 0], pts[:, 1])
+        phi = np.asarray(enrichment_profile(spec, xi, 1.0))
+        panel = np.minimum((eta / deta).astype(int), m - 1)
+        frac = eta / deta - panel
+        for jj, psi_j in ((panel, 1.0 - frac), ((panel + 1) % m, frac)):
+            for kk, psi_k in ((panel, 1.0 - frac), ((panel + 1) % m, frac)):
+                np.add.at(mee, (jj, kk), wts * phi**2 * psi_j * psi_k)
         # tolerance set by the angular hat kinks cutting through triangles:
         # neither rule aligns panels with them, capping agreement near 0.5%
         assert np.allclose(system.parts["rebuild"](1.0).mee, mee, rtol=1e-2, atol=1e-10)

@@ -1,19 +1,24 @@
 """Flat quadrature layouts: the batched builders against per-element rules,
 and the vectorized error report against a per-element reference loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from blfem import assembly
 from blfem.analysis import compute_error_report, solve_scenario
 from blfem.assembly import (
+    AssemblyError,
     _enriched_point_terms,
+    build_space,
     element_rules_1d,
     element_rules_2d,
     triangle_rule_points,
 )
-from blfem.corrector import enrichment_profile, enrichment_profile_dxi
+from blfem.corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
 from blfem.mesh import build_disk_mesh, build_interval_mesh
-from blfem.quadrature import composite_interval, gauss_interval, geometric_panels
+from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 
 
 def _boundary_masks(mesh):
@@ -22,12 +27,59 @@ def _boundary_masks(mesh):
     return on_bdy[mesh.triangles]
 
 
+def _sym_panels(n_half, first_width):
+    half = geometric_panels(0.5, n_half, first_width)
+    return np.concatenate([half, (1.0 - half[::-1])[1:]])
+
+
+def _triangle_rule(tri_xy, bdy_mask, eps, n_sub=6, n_gauss=4):
+    """The rule of one triangle, built on its own: points, weights
+    and barycentric coordinates.  The reference for the batched
+    triangle_rule_points."""
+    p0, p1, p2 = np.asarray(tri_xy, dtype=float)
+    area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
+    nb = int(np.sum(bdy_mask))
+    ell = 4.0 * np.sqrt(eps)
+    if nb == 0:
+        rule = gauss_triangle()
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        lam = np.stack([1.0 - x - y, x, y], axis=1)
+        return lam @ np.vstack([p0, p1, p2]), rule.weights * 2.0 * area, lam
+    # order vertices: boundary ones first
+    order = list(np.argsort(~np.asarray(bdy_mask)))
+    A, B, C = (p0, p1, p2)[order[0]], (p0, p1, p2)[order[1]], (p0, p1, p2)[order[2]]
+    if nb == 2:
+        # A, B on the boundary, C interior
+        L = np.linalg.norm(B - A)
+        height = 2.0 * area / L
+        s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
+        u_breaks = _sym_panels(n_sub, max(2.0 * ell / L**2, 1e-8))
+    else:
+        height = 2.0 * area / np.linalg.norm(C - B)
+        s_breaks = geometric_panels(1.0, n_sub, max(ell / height, 1e-8))
+        u_breaks = np.linspace(0.0, 1.0, 3)
+    rs = composite_interval(s_breaks, n_gauss)
+    ru = composite_interval(u_breaks, n_gauss)
+    s, u = np.meshgrid(rs.points, ru.points, indexing="ij")
+    ws, wu = np.meshgrid(rs.weights, ru.weights, indexing="ij")
+    if nb == 2:
+        lam = np.stack([((1 - s) * (1 - u)).ravel(), ((1 - s) * u).ravel(), s.ravel()], axis=1)
+        wts = (ws * wu * (1 - s)).ravel() * 2.0 * area
+    else:
+        lam = np.stack([(1 - s).ravel(), (s * (1 - u)).ravel(), (s * u).ravel()], axis=1)
+        wts = (ws * wu * s).ravel() * 2.0 * area
+    pts = lam @ np.vstack([A, B, C])
+    bary = np.empty_like(lam)
+    bary[:, order] = lam
+    return pts, wts, bary
+
+
 def _triangle_rules(mesh, eps, refine=1, triangles=None):
-    """Per-triangle triangle_rule_points, in triangle order."""
+    """Per-triangle _triangle_rule, in triangle order."""
     masks = _boundary_masks(mesh)
     ids = range(len(mesh.triangles)) if triangles is None else triangles
     return [
-        (k, *triangle_rule_points(mesh.nodes[mesh.triangles[k]], masks[k], eps, n_sub=6 * refine, n_gauss=4 * refine))
+        (k, *_triangle_rule(mesh.nodes[mesh.triangles[k]], masks[k], eps, n_sub=6 * refine, n_gauss=4 * refine))
         for k in ids
     ]
 
@@ -56,9 +108,9 @@ def _element_rules_1d(mesh, eps, refine=1):
 
 
 class TestLayout2D:
-    @pytest.mark.parametrize("b", [16, 52])
+    @pytest.mark.parametrize("b", [8, 16, 26, 52, 104])
     @pytest.mark.parametrize("refine", [1, 2])
-    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
     def test_matches_per_triangle_rules(self, b, refine, eps):
         mesh = build_disk_mesh(b)
         layout = element_rules_2d(mesh, eps, refine=refine)
@@ -77,6 +129,18 @@ class TestLayout2D:
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=rtol, atol=atol)
 
+    @pytest.mark.parametrize("mask", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    def test_every_boundary_pattern_matches_its_own_rule(self, mask):
+        # the disk mesh lists boundary vertices first; any other order is
+        # taken back to vertex order
+        tri = np.array([[1.0, 0.0], [0.93, 0.35], [0.8, 0.1]])
+        pts, wts, bary, counts = triangle_rule_points(tri[None], [mask], 1e-6)
+        want = _triangle_rule(tri, np.array(mask, dtype=bool), 1e-6)
+        assert counts.tolist() == [len(want[1])]
+        assert np.allclose(pts, want[0], rtol=0.0, atol=1e-15)
+        assert np.allclose(wts, want[1], rtol=1e-15, atol=0.0)
+        assert np.allclose(bary, want[2], rtol=0.0, atol=1e-15)
+
     def test_triangle_subset(self):
         mesh = build_disk_mesh(16)
         subset = np.array([3, 0, len(mesh.triangles) - 1, 7])
@@ -92,6 +156,47 @@ class TestLayout2D:
         layout = element_rules_2d(mesh, 1e-8)
         b = len(mesh.boundary_nodes)
         assert layout.weights.sum() == pytest.approx(0.5 * b * np.sin(2.0 * np.pi / b), rel=1e-12)
+
+
+class TestSharedLayout:
+    """A 2D run builds its layer-resolving layout once; the coupling blocks
+    read the leading slice of it on the profile-support triangles."""
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("scheme, refine, builds", [("sfem", 1, 1), ("nfem", 1, 1), ("nfem", 2, 2)])
+    def test_one_rule_batch_per_run(self, monkeypatch, scheme, refine, builds):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return triangle_rule_points(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "triangle_rule_points", counted)
+        solve_scenario(2, 1e-5, 16, 0.5, 0.25, scheme, enrichment_kind="phi0_tilde", refine=refine)
+        mesh = build_disk_mesh(16)
+        assert calls == [len(mesh.triangles)] * builds
+
+    @pytest.mark.parametrize("kind, sigma", [("phi_m1_lin", 0.15), ("phi0_tilde", None)])
+    def test_coupling_layout_is_the_support_prefix(self, kind, sigma):
+        eps = 1e-5
+        mesh = build_disk_mesh(26)
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+        layout = element_rules_2d(mesh, eps)
+        coupling = assembly._coupling_layout_2d(space, layout)
+        r_max = np.hypot(*mesh.nodes.T)[mesh.triangles].max(axis=1)
+        support = np.nonzero(r_max > 1.0 - space.enrichment.support + 1e-12)[0]
+        assert 0 < len(support) < len(mesh.triangles)
+        own = element_rules_2d(mesh, eps, triangles=support)
+        for got, want in zip(coupling.coords, own.points.T):
+            assert got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, layout.points)
+
+    def test_support_not_leading_the_mesh_rejected(self):
+        mesh = build_disk_mesh(16)
+        flipped = dataclasses.replace(mesh, triangles=mesh.triangles[::-1].copy())
+        space = build_space(flipped, EnrichmentSpec(kind="phi_m1_lin", epsilon=1e-5, sigma=0.15))
+        with pytest.raises(AssemblyError):
+            assembly._coupling_layout_2d(space, element_rules_2d(flipped, 1e-5))
 
 
 class TestLayout1D:
