@@ -47,8 +47,12 @@ class _Solution:
         """u and grad u at the same points (coordinates, then t)."""
         return self.u(*coords_t), self.grad(*coords_t)
 
+    def f(self, *coords_t):
+        """The source at the points (coordinates, then t), from f_at."""
+        return self.f_at(*coords_t[:-1])(coords_t[-1])
+
     def problem(self, T):
-        return ProblemData(dim=self.dim, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T)
+        return ProblemData(dim=self.dim, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T, f_at=self.f_at)
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,12 @@ class ExactSolution1D(_Solution):
         (ga, g1a, _), (gb, g1b, _) = self._layers(x)
         return t * ga * gb, (t / np.sqrt(self.epsilon) * (g1a * gb - ga * g1b))[..., None]
 
-    def f(self, x, t):
+    def f_at(self, x):
         """Source u_t - eps * u_xx from the closed-form derivatives."""
         (ga, g1a, g2a), (gb, g1b, g2b) = self._layers(x)
         lap = (g2a * gb - 2.0 * g1a * g1b + ga * g2b) / self.epsilon
-        return ga * gb - t * self.epsilon * lap
+        steady, eps = ga * gb, self.epsilon
+        return lambda t: steady - t * eps * lap
 
     def u0(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -135,8 +140,9 @@ class ExactSolution2D(_Solution):
         g[r < 1e-12] = 0.0
         return g
 
-    def f(self, x, y, t):
-        return np.exp(t) * np.ones_like(np.asarray(x, dtype=float))
+    def f_at(self, x, y):
+        ones = np.ones_like(np.asarray(x, dtype=float))
+        return lambda t: np.exp(t) * ones
 
     def u0(self, x, y):
         return self.u(x, y, 0.0)
@@ -144,43 +150,30 @@ class ExactSolution2D(_Solution):
 
 @dataclass(frozen=True)
 class ZeroSolution1D(_Solution):
-    """f = 0, u0 = 0: the solution is identically zero (degenerate guard)."""
+    """f = 0, u0 = 0: the solution is identically zero (degenerate guard).
+    Every method takes the coordinates of its dimension (then t)."""
 
     epsilon: float
 
-    def u(self, x, t):
+    def u(self, x, *_):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def grad(self, x, t):
-        return np.zeros(np.shape(x) + (1,))
+    def grad(self, x, *_):
+        return np.zeros(np.shape(x) + (self.dim,))
 
-    def f(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def f_at(self, x, *_):
+        zeros = self.u(x)
+        return lambda t: zeros
 
-    def u0(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def u0(self, x, *_):
+        return self.u(x)
 
 
 @dataclass(frozen=True)
-class ZeroSolution2D(_Solution):
+class ZeroSolution2D(ZeroSolution1D):
     """f = 0, u0 = 0 on the disk: the solution is identically zero."""
 
     dim = 2
-
-    epsilon: float
-
-    def u(self, x, y, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def grad(self, x, y, t):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(np.shape(x) + (2,))
-
-    def f(self, x, y, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def u0(self, x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -196,9 +189,9 @@ class SmoothSolution1D(_Solution):
     def grad(self, x, t):
         return ((1.0 + t) * np.pi * np.cos(np.pi * np.asarray(x, dtype=float)))[..., None]
 
-    def f(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return np.sin(np.pi * x) * (1.0 + self.epsilon * np.pi**2 * (1.0 + t))
+    def f_at(self, x):
+        s, c = np.sin(np.pi * np.asarray(x, dtype=float)), self.epsilon * np.pi**2
+        return lambda t: s * (1.0 + c * (1.0 + t))
 
     def u0(self, x):
         return np.sin(np.pi * np.asarray(x, dtype=float))

@@ -90,8 +90,9 @@ class AssembledSystem:
     parts holds the two callables a run reads at call time:
     rebuild(t, previous=None) -> EnrichedLevel, the enriched blocks at t with
     the cross Gram block taken against level `previous` (the plain space has
-    one empty level), and make_load(f) -> load(t, phi_vals), the whole load
-    at t of the level whose moving profile values are phi_vals."""
+    one empty level), and make_load(source_at) -> load(t, phi_vals), the
+    whole load at t of the level whose moving profile values are phi_vals,
+    with the source bound to each point set once (ProblemData.source_at)."""
 
     mss: sp.csr_matrix
     ass: sp.csr_matrix
@@ -99,11 +100,6 @@ class AssembledSystem:
     load_coords: tuple
     load_op: sp.csr_matrix
     parts: dict
-
-    def standard_load(self, f, t):
-        """The load of the standard block alone, from f at the standard load
-        points only."""
-        return self.load_op @ _source_values(f, self.load_coords, t)
 
 
 @dataclass(frozen=True)
@@ -409,15 +405,23 @@ def _load_layout(space):
     return tuple(c.ravel() for c in coords), op
 
 
-def _source_values(f, coords, t):
-    return np.broadcast_to(np.asarray(f(*coords, t), dtype=float), coords[0].shape)
+def _bind_source(source_at, coords):
+    """The source values at the fixed points coords as a function of t."""
+    g, shape = source_at(*coords), coords[0].shape
+    return lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), shape)
+
+
+def _standard_load(system, source_at):
+    """The standard block's load alone, from the source at its load points only."""
+    values, op = _bind_source(source_at, system.load_coords), system.load_op
+    return lambda t, phi_vals=None: op @ values(t)
 
 
 def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     """The system of the plain P1 space: an enriched one without enriched
     DOFs, with one empty level and a load that has no profile values to
-    read.  The load takes the problem source at call time, so the same
-    system serves any ProblemData."""
+    read.  The load takes the problem source when a march binds it, so the
+    same system serves any ProblemData."""
     if space.mesh.dim == 1:
         mass, stiff = _assemble_standard_1d(space, epsilon)
     else:
@@ -426,10 +430,8 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     none = np.zeros((0, 0))
     empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0))
 
-    def make_load(f):
-        return lambda t, phi_vals=None: system.standard_load(f, t)
-
-    parts = dict(rebuild=lambda t, previous=None: empty, make_load=make_load)
+    parts = dict(rebuild=lambda t, previous=None: empty)
+    parts["make_load"] = lambda source_at: _standard_load(system, source_at)
     system = AssembledSystem(mass, stiff, np.zeros(0, dtype=int), *_load_layout(space), parts)
     return system
 
@@ -655,7 +657,8 @@ def _split_layout(space, layout, epsilon, t_max):
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
     point touches (the only rows on which levels differ), and
-    enriched_load(f, t, phi) with phi the level's moving profile values.
+    make_enriched_load(source_at) -> load(t, phi), with phi the level's
+    moving profile values.
     The Gram block of a level taken without a previous one (the first of a
     march, the fixed level, a dump's level) is checked for singularity."""
     spec = space.enrichment
@@ -724,11 +727,16 @@ def _split_layout(space, layout, epsilon, t_max):
     le_fixed.data *= phi[col_point[order[:k]]][le_fixed.indices]
     moving_col_point = np.searchsorted(np.flatnonzero(moving), col_point[order[k:]])
 
-    def enriched_load(f, t, phi_moving):
-        fv = _source_values(f, coords, t)
-        return le_fixed @ fv[:k] + le_moving @ (phi_moving[moving_col_point] * fv[k:])
+    def make_enriched_load(source_at):
+        values = _bind_source(source_at, coords)
 
-    return rebuild, moving_rows, enriched_load
+        def load(t, phi_moving):
+            fv = values(t)
+            return le_fixed @ fv[:k] + le_moving @ (phi_moving[moving_col_point] * fv[k:])
+
+        return load
+
+    return rebuild, moving_rows, make_enriched_load
 
 
 def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, layout=None) -> AssembledSystem:
@@ -752,13 +760,13 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
         if layout is None:
             layout = element_rules_2d(space.mesh, space.enrichment.epsilon)
         coupling = _coupling_layout_2d(space, layout)
-    rebuild, moving_rows, enriched_load = _split_layout(space, coupling, epsilon, t_max)
+    rebuild, moving_rows, make_enriched_load = _split_layout(space, coupling, epsilon, t_max)
 
-    def make_load(f):
-        def load_fn(t, phi_vals):
-            return np.concatenate([system.standard_load(f, t), enriched_load(f, t, phi_vals)])
-
-        return load_fn
+    def make_load(source_at):
+        # the standard load is bound here, not through system.parts, whose
+        # make_load a caller may have wrapped
+        standard, enriched = _standard_load(system, source_at), make_enriched_load(source_at)
+        return lambda t, phi_vals: np.concatenate([standard(t), enriched(t, phi_vals)])
 
     return replace(system, moving_rows=moving_rows, parts=dict(rebuild=rebuild, make_load=make_load))
 
@@ -778,15 +786,16 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
 
     cfg = solver_config or SolverConfig()
 
-    def f_like(*coords_t):
-        return u0(*coords_t[:-1])
+    def u0_at(*coords):
+        vals = u0(*coords)
+        return lambda t: vals
 
     if space.enrichment is not None and space.enrichment.time_dependent:
         coeffs = np.zeros(space.total_dofs)
-        coeffs[: space.n_standard] = solve_spd(system.mss, system.standard_load(f_like, 0.0), cfg)
+        coeffs[: space.n_standard] = solve_spd(system.mss, _standard_load(system, u0_at)(0.0), cfg)
         return coeffs
     level = system.parts["rebuild"](0.0)
-    rhs = system.parts["make_load"](f_like)(0.0, level.phi)
+    rhs = system.parts["make_load"](u0_at)(0.0, level.phi)
     return solve_spd(stack(system.mss, level.msl, level.mee), rhs, cfg)
 
 

@@ -28,7 +28,9 @@ class ProblemData:
     1D: f(x, t), u0_initial(x) on [0, 1].
     2D: f(x, y, t), u0_initial(x, y) on the unit disk.
     All callables must accept numpy arrays.  f_antiderivative, if given, is
-    F with F(.., t) = int_0^t f ds.
+    F with F(.., t) = int_0^t f ds.  f_at, if given, binds f to fixed
+    points: f_at(*coords) -> g with g(t) = f(*coords, t), its spatial part
+    formed once (see source_at).
     """
 
     dim: int
@@ -37,6 +39,7 @@ class ProblemData:
     epsilon: float
     T: float
     f_antiderivative: callable = None
+    f_at: callable = None
     warnings_issued: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -44,29 +47,24 @@ class ProblemData:
             raise ValueError("dim must be 1 or 2")
         if self.epsilon <= 0.0 or self.T <= 0.0:
             raise ValueError("epsilon and T must be positive")
-        bpts = self._boundary_points()
-        u0b = np.array([self._eval_space(self.u0_initial, p) for p in bpts])
-        if np.max(np.abs(u0b)) > 1e-10:
+        if self.dim == 1:
+            bpts = (np.array([0.0, 1.0]),)
+        else:
+            ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+            bpts = (np.cos(ang), np.sin(ang))
+        if np.max(np.abs(self.u0_initial(*bpts))) > 1e-10:
             raise ValueError("initial condition must vanish on the boundary")
-        f0b = np.array([self._eval_spacetime(self.f, p, 0.0) for p in bpts])
-        if np.max(np.abs(f0b)) > 1e-10:
+        if np.max(np.abs(self.source_at(*bpts)(0.0))) > 1e-10:
             msg = "source does not vanish on the boundary at t=0; layer estimates may degrade"
             self.warnings_issued.append(msg)
             warnings.warn(msg, stacklevel=2)
 
-    def _boundary_points(self):
-        if self.dim == 1:
-            return [(0.0,), (1.0,)]
-        ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        return list(zip(np.cos(ang), np.sin(ang)))
-
-    @staticmethod
-    def _eval_space(fn, p):
-        return float(fn(*p))
-
-    @staticmethod
-    def _eval_spacetime(fn, p, t):
-        return float(fn(*p, t))
+    def source_at(self, *coords):
+        """The source at the fixed points coords as a function of t alone:
+        f_at(*coords) when given, else a closure over f."""
+        if self.f_at is not None:
+            return self.f_at(*coords)
+        return lambda t: self.f(*coords, t)
 
     def boundary_point(self, eta):
         """Boundary point addressed by the layer coordinate: the polar angle

@@ -94,7 +94,7 @@ def advance(
     cfg = solver_config or SolverConfig()
     dt = grid.dt
     mss, rebuild = system.mss, system.parts["rebuild"]
-    load_fn = system.parts["make_load"](data.f)
+    load_fn = system.parts["make_load"](data.source_at)
     u = project_initial(space, system, data.u0_initial, cfg)
     history = np.empty((grid.n_steps + 1, len(u)))
     history[0] = u

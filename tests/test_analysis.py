@@ -13,6 +13,7 @@ from blfem.analysis import (
     ExactSolution2D,
     SmoothSolution1D,
     ZeroSolution1D,
+    ZeroSolution2D,
     _graded_grid,
     compute_error_report,
     epsilon_rate_study,
@@ -101,6 +102,41 @@ class TestManufacturedSolution1DFused:
         # scalar input
         for got, ref in zip((exact.u(0.25, 0.5), exact.grad(0.25, 0.5)[0], exact.f(0.25, 0.5)), _unfused_1d(eps, 0.25, 0.5)):
             assert float(got) == float(ref)
+
+
+# each built-in source as the one closed form in (coordinates, t) that its
+# class evaluated before the spatial part was bound once per point set
+_PLAIN_SOURCES = {
+    "exact1d": (ExactSolution1D, lambda eps, x, t: _unfused_1d(eps, x, t)[2]),
+    "zero1d": (ZeroSolution1D, lambda eps, x, t: np.zeros_like(x)),
+    "smooth1d": (SmoothSolution1D, lambda eps, x, t: np.sin(np.pi * x) * (1.0 + eps * np.pi**2 * (1.0 + t))),
+    "exact2d": (ExactSolution2D, lambda eps, x, y, t: np.exp(t) * np.ones_like(x)),
+    "zero2d": (ZeroSolution2D, lambda eps, x, y, t: np.zeros_like(x)),
+}
+
+
+class TestBoundSources:
+    @pytest.mark.parametrize("name", list(_PLAIN_SOURCES))
+    def test_bound_source_bit_identical_to_pointwise(self, name):
+        eps = 1e-5
+        cls, plain = _PLAIN_SOURCES[name]
+        exact = cls(eps)
+        rng = np.random.default_rng(5)
+        near = np.sqrt(eps) * rng.uniform(0.0, 40.0, 100)
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300), near, 1.0 - near])
+        coords = (x,) if exact.dim == 1 else (0.7 * x, 0.7 * (1.0 - x))
+        g = exact.f_at(*coords)
+        for t in (0.0, 0.37, 1.0):
+            got = g(t)
+            assert got.tobytes() == exact.f(*coords, t).tobytes()
+            assert got.tobytes() == plain(eps, *coords, t).tobytes()
+
+    def test_problem_carries_the_bound_source(self):
+        exact = ExactSolution1D(1e-5)
+        data = exact.problem(1.0)
+        x = np.linspace(0.0, 1.0, 7)
+        assert data.source_at(x)(0.5).tobytes() == exact.f(x, 0.5).tobytes()
+        assert data.f_at == exact.f_at
 
 
 class TestManufacturedSolution2D:

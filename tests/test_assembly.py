@@ -37,6 +37,11 @@ from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle,
 from blfem.timestep import cross_level_product
 
 
+def _bound(f):
+    """A plain source f(*coords, t) in the bound form make_load takes."""
+    return lambda *coords: lambda t: f(*coords, t)
+
+
 def _space_1d(n=10, spec=None):
     return build_space(build_interval_mesh(n), spec)
 
@@ -92,7 +97,7 @@ class TestStandard1D:
         n = 6
         space = _space_1d(n)
         system = assemble_standard(space, 1e-2)
-        load = system.parts["make_load"](lambda x, t: x**2)(0.0)
+        load = system.parts["make_load"](_bound(lambda x, t: x**2))(0.0)
         nodes = space.mesh.nodes
         for k, i in enumerate(space.interior_nodes):
             hat = lambda x: np.clip(
@@ -578,7 +583,7 @@ def _assert_level_matches(space, eps, reference, source):
         mee=new.mee,
         aee=new.aee,
         cee=cross[n:, n:],
-        load=parts["make_load"](source)(0.5, phi_vals=new.phi)[n:],
+        load=parts["make_load"](_bound(source))(0.5, phi_vals=new.phi)[n:],
     )
     for name, want in ref.items():
         scale = np.max(np.abs(want))
@@ -613,8 +618,9 @@ class TestSplitLayout:
             prev_want, prev_got = whole["rebuild"](0.5 * t), split["rebuild"](0.5 * t)
             cee_want = whole["rebuild"](t, prev_want).cee
             assert np.max(np.abs(split["rebuild"](t, prev_got).cee - cee_want)) <= 1e-14 * np.max(np.abs(cee_want))
-            load_want = whole["make_load"](_source if dim == 2 else _source_1d)(t, phi_vals=want.phi)
-            load_got = split["make_load"](_source if dim == 2 else _source_1d)(t, phi_vals=got.phi)
+            source = _bound(_source if dim == 2 else _source_1d)
+            load_want = whole["make_load"](source)(t, phi_vals=want.phi)
+            load_got = split["make_load"](source)(t, phi_vals=got.phi)
             assert np.max(np.abs(load_got - load_want)) <= 1e-14 * np.max(np.abs(load_want))
         off = np.setdiff1d(np.arange(n), rows)
         for name in ("msl", "asl"):
@@ -685,7 +691,7 @@ class TestProjectionAndEvaluation:
         u0 = lambda x: np.sin(np.pi * np.asarray(x))
         got = project_initial(space, system, u0)
         level = system.parts["rebuild"](0.0)
-        rhs = system.parts["make_load"](lambda x, t: u0(x))(0.0, level.phi)
+        rhs = system.parts["make_load"](_bound(lambda x, t: u0(x)))(0.0, level.phi)
         resid = np.linalg.norm(stack(system.mss, level.msl, level.mee) @ got - rhs) / np.linalg.norm(rhs)
         assert resid < 1e-10
 
@@ -819,8 +825,9 @@ class TestStandardLoadOperator:
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     def test_1d_bit_identical_to_contribution_sum(self, n, eps):
         space = _space_1d(n)
-        f = ExactSolution1D(eps).f
-        load = assemble_standard(space, eps).parts["make_load"](f)
+        exact = ExactSolution1D(eps)
+        f = exact.f
+        load = assemble_standard(space, eps).parts["make_load"](exact.f_at)
         for t in (0.0, 0.37, 1.0):
             assert load(t).tobytes() == _reference_standard_load(space, f, t).tobytes()
 
@@ -830,7 +837,8 @@ class TestStandardLoadOperator:
         eps = 1e-8
         space = build_space(build_disk_mesh(b))
         f = ExactSolution2D(eps).f if source == "exact2d" else _wavy_source
-        load = assemble_standard(space, eps).parts["make_load"](f)
+        f_at = ExactSolution2D(eps).f_at if source == "exact2d" else _bound(_wavy_source)
+        load = assemble_standard(space, eps).parts["make_load"](f_at)
         for t in (0.0, 0.37, 1.0):
             got, want = load(t), _reference_standard_load(space, f, t)
             assert np.any(want != 0.0)
@@ -838,7 +846,7 @@ class TestStandardLoadOperator:
 
     def test_constant_source_broadcasts(self):
         space = _space_1d(10)
-        load = assemble_standard(space, 1e-3).parts["make_load"](lambda x, t: 2.0)
+        load = assemble_standard(space, 1e-3).parts["make_load"](_bound(lambda x, t: 2.0))
         assert np.allclose(load(0.0), 2.0 * 0.1, rtol=1e-14)
 
 

@@ -179,13 +179,56 @@ class TestTimeDependentEnrichment:
         assert 0 < calls["enrichment_profile_dxi"] <= n_steps + 2
 
 
+class TestBoundSource:
+    @pytest.mark.parametrize("kind", ["phi0_tilde", "phi_m1"])
+    def test_spatial_source_part_formed_once_per_march(self, kind, monkeypatch):
+        # the layers of exact1d are evaluated at each load point set once,
+        # whatever the number of steps
+        eps = 1e-5
+        spec = EnrichmentSpec(kind=kind, epsilon=eps)
+        space = build_space(build_interval_mesh(20), spec)
+        system = assemble_enriched(space, eps, t_max=1.0)
+        data = ExactSolution1D(eps).problem(1.0)
+        calls = []
+        real = ExactSolution1D._layers
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return real(self, x)
+
+        monkeypatch.setattr(ExactSolution1D, "_layers", counted)
+        counts = []
+        for n_steps in (10, 100):
+            calls.clear()
+            advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 2  # the standard and the enriched load points
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_plain_source_march_bit_identical_to_bound(self, dim):
+        # ProblemData without f_at binds its plain f by a closure
+        eps, T = 1e-5, 1.0
+        exact = ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)
+        space = build_space(build_interval_mesh(20) if dim == 1 else build_disk_mesh(16), EnrichmentSpec("phi0_tilde", eps))
+        system = assemble_enriched(space, eps, t_max=T)
+        bound = exact.problem(T)
+        plain = ProblemData(dim=dim, f=exact.f, u0_initial=exact.u0, epsilon=eps, T=T)
+        assert bound.f_at is not None and plain.f_at is None
+        grid = TimeGrid(T=T, n_steps=5)
+        want = advance(space, system, bound, grid).history
+        got = advance(space, system, plain, grid).history
+        assert np.any(want != 0.0)
+        assert got.tobytes() == want.tobytes()
+
+
 def _reference_march(space, eps, data, grid):
     """Implicit Euler as it was before the block solver: every level's
     stacked system and cross mass matrix (sparse bmat) from an assembly
     without a split time, each solved by a fresh dense Cholesky."""
     system = assemble_enriched(space, eps)
     parts = system.parts
-    load = parts["make_load"](data.f)
+    load = parts["make_load"](data.source_at)
     u = project_initial(space, system, data.u0_initial)
     history = [u]
     old = parts["rebuild"](grid.times[0])
@@ -278,7 +321,7 @@ class TestBlockMarch:
         space = build_space(build_interval_mesh(30))
         system = assemble_standard(space, eps)
         data = ExactSolution1D(eps).problem(1.0)
-        load = system.parts["make_load"](data.f)
+        load = system.parts["make_load"](data.source_at)
         k = (system.mss + grid.dt * system.ass).toarray()
         u = project_initial(space, system, data.u0_initial)
         got = advance(space, system, data, grid).history
