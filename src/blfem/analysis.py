@@ -48,11 +48,11 @@ class _Solution:
         return self.u(*coords_t), self.grad(*coords_t)
 
     def f(self, *coords_t):
-        """The source at the points (coordinates, then t), from f_at."""
-        return self.f_at(*coords_t[:-1])(coords_t[-1])
+        """The source at the points (coordinates, then t), from source."""
+        return self.source(*coords_t[:-1])(coords_t[-1])
 
-    def problem(self, T):
-        return ProblemData(dim=self.dim, f=self.f, u0_initial=self.u0, epsilon=self.epsilon, T=T, f_at=self.f_at)
+    def problem(self):
+        return ProblemData(dim=self.dim, source=self.source, u0_initial=self.u0, epsilon=self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class ExactSolution1D(_Solution):
         (ga, g1a, _), (gb, g1b, _) = self._layers(x)
         return t * ga * gb, (t / np.sqrt(self.epsilon) * (g1a * gb - ga * g1b))[..., None]
 
-    def f_at(self, x):
+    def source(self, x):
         """Source u_t - eps * u_xx from the closed-form derivatives."""
         (ga, g1a, g2a), (gb, g1b, g2b) = self._layers(x)
         lap = (g2a * gb - 2.0 * g1a * g1b + ga * g2b) / self.epsilon
@@ -140,7 +140,7 @@ class ExactSolution2D(_Solution):
         g[r < 1e-12] = 0.0
         return g
 
-    def f_at(self, x, y):
+    def source(self, x, y):
         ones = np.ones_like(np.asarray(x, dtype=float))
         return lambda t: np.exp(t) * ones
 
@@ -161,7 +161,7 @@ class ZeroSolution1D(_Solution):
     def grad(self, x, *_):
         return np.zeros(np.shape(x) + (self.dim,))
 
-    def f_at(self, x, *_):
+    def source(self, x, *_):
         zeros = self.u(x)
         return lambda t: zeros
 
@@ -189,7 +189,7 @@ class SmoothSolution1D(_Solution):
     def grad(self, x, t):
         return ((1.0 + t) * np.pi * np.cos(np.pi * np.asarray(x, dtype=float)))[..., None]
 
-    def f_at(self, x):
+    def source(self, x):
         s, c = np.sin(np.pi * np.asarray(x, dtype=float)), self.epsilon * np.pi**2
         return lambda t: s * (1.0 + c * (1.0 + t))
 
@@ -229,9 +229,7 @@ def _error_integrals(exact, t, layout, field):
     return float(np.dot(w, (uh - ue) ** 2)), float(np.dot(w, ue**2)), float(np.dot(w, sq_grad_err)), ue
 
 
-def oscillation_index(
-    space, coeffs, exact, t, epsilon, strip: float = BOUNDARY_STRIP, layout=None, uh=None, ue=None
-) -> float:
+def oscillation_index(space, exact, t, layout, uh, ue) -> float:
     """Maximum overshoot of the discrete solution beyond the exact
     solution's local range within the boundary strip, normalized by
     max |exact|.  Quantifies spurious boundary-layer oscillations.
@@ -241,25 +239,17 @@ def oscillation_index(
     bottom of the layer, so a discrete solution that merely descends
     through the layer at a slightly shifted position is not penalized while
     genuine over/undershoot beyond the traversed range is.  `layout` is the
-    unrefined layout over every element of the mesh, built here if not
-    given, and `uh` and `ue` the discrete field and the exact solution at
-    its points, evaluated here if not given."""
+    unrefined layout over every element of the mesh, and `uh` and `ue` the
+    discrete field and the exact solution at its points."""
     mesh = space.mesh
-    if layout is None:
-        layout = _element_rules(mesh, epsilon)
     elems = mesh.elements
     mid = mesh.nodes[elems].mean(axis=1)
     if mesh.dim == 1:
-        in_strip = (mid < strip) | (mid > 1.0 - strip)
+        in_strip = (mid < BOUNDARY_STRIP) | (mid > 1.0 - BOUNDARY_STRIP)
     else:
-        in_strip = np.hypot(*mid.T) >= 1.0 - strip
+        in_strip = np.hypot(*mid.T) >= 1.0 - BOUNDARY_STRIP
     # one coordinate array per dimension
     uev = np.asarray(exact.u(*np.atleast_2d(mesh.nodes.T), t), dtype=float)[elems]
-    if uh is None:
-        uh, _ = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t)
-    if ue is None:
-        ue = exact.u(*np.atleast_2d(layout.points.T), t)
-    uh, ue = np.asarray(uh, dtype=float), np.asarray(ue, dtype=float)
     global_max = float(np.abs(ue).max())
     if global_max < 1e-300:
         return 0.0
@@ -283,15 +273,15 @@ def compute_error_report(
     field = _discrete_field(space, coeffs, fine.points, fine.element, fine.bary, t)
     err2, ex2, h12, ue = _error_integrals(exact, t, fine, field)
     vanishes = np.sqrt(ex2) < 1e-300
-    if fine is layout:
-        osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout, uh=field[0], ue=ue)
-    else:
-        osc = oscillation_index(space, coeffs, exact, t, epsilon, layout=layout)
+    uh = field[0]
+    if fine is not layout:
+        uh, _ = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t)
+        ue = exact.u(*np.atleast_2d(layout.points.T), t)
     return ErrorReport(
         rel_l2=float("nan") if vanishes else float(np.sqrt(err2 / ex2)),
         abs_l2=float(np.sqrt(err2)),
         h1_seminorm_error=float(np.sqrt(h12)),
-        oscillation_index=osc,
+        oscillation_index=oscillation_index(space, exact, t, layout, uh, ue),
         h=float(space.mesh.h),
         dofs=int(space.total_dofs),
         runtime=runtime,
@@ -458,7 +448,7 @@ def solve_scenario(
         spec = EnrichmentSpec(kind=enrichment_kind, epsilon=epsilon, sigma=taper)
 
     grid = TimeGrid(T=T, n_steps=n_steps)
-    data = exact.problem(T)
+    data = exact.problem()
     # the run's one layer-resolving layout: the error report reads it, and
     # in 2D so do the enriched blocks
     layout = _element_rules(mesh, epsilon)

@@ -90,9 +90,9 @@ class AssembledSystem:
     parts holds the two callables a run reads at call time:
     rebuild(t, previous=None) -> EnrichedLevel, the enriched blocks at t with
     the cross Gram block taken against level `previous` (the plain space has
-    one empty level), and make_load(source_at) -> load(t, phi_vals), the
+    one empty level), and make_load(source) -> load(t, phi_vals), the
     whole load at t of the level whose moving profile values are phi_vals,
-    with the source bound to each point set once (ProblemData.source_at)."""
+    with the source bound to each point set once (ProblemData.source)."""
 
     mss: sp.csr_matrix
     ass: sp.csr_matrix
@@ -405,15 +405,15 @@ def _load_layout(space):
     return tuple(c.ravel() for c in coords), op
 
 
-def _bind_source(source_at, coords):
+def _bind_source(source, coords):
     """The source values at the fixed points coords as a function of t."""
-    g, shape = source_at(*coords), coords[0].shape
+    g, shape = source(*coords), coords[0].shape
     return lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), shape)
 
 
-def _standard_load(system, source_at):
+def _standard_load(system, source):
     """The standard block's load alone, from the source at its load points only."""
-    values, op = _bind_source(source_at, system.load_coords), system.load_op
+    values, op = _bind_source(source, system.load_coords), system.load_op
     return lambda t, phi_vals=None: op @ values(t)
 
 
@@ -431,7 +431,7 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0))
 
     parts = dict(rebuild=lambda t, previous=None: empty)
-    parts["make_load"] = lambda source_at: _standard_load(system, source_at)
+    parts["make_load"] = lambda source: _standard_load(system, source)
     system = AssembledSystem(mass, stiff, np.zeros(0, dtype=int), *_load_layout(space), parts)
     return system
 
@@ -657,7 +657,7 @@ def _split_layout(space, layout, epsilon, t_max):
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
     point touches (the only rows on which levels differ), and
-    make_enriched_load(source_at) -> load(t, phi), with phi the level's
+    make_enriched_load(source) -> load(t, phi), with phi the level's
     moving profile values.
     The Gram block of a level taken without a previous one (the first of a
     march, the fixed level, a dump's level) is checked for singularity."""
@@ -727,8 +727,8 @@ def _split_layout(space, layout, epsilon, t_max):
     le_fixed.data *= phi[col_point[order[:k]]][le_fixed.indices]
     moving_col_point = np.searchsorted(np.flatnonzero(moving), col_point[order[k:]])
 
-    def make_enriched_load(source_at):
-        values = _bind_source(source_at, coords)
+    def make_enriched_load(source):
+        values = _bind_source(source, coords)
 
         def load(t, phi_moving):
             fv = values(t)
@@ -762,10 +762,10 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
         coupling = _coupling_layout_2d(space, layout)
     rebuild, moving_rows, make_enriched_load = _split_layout(space, coupling, epsilon, t_max)
 
-    def make_load(source_at):
+    def make_load(source):
         # the standard load is bound here, not through system.parts, whose
         # make_load a caller may have wrapped
-        standard, enriched = _standard_load(system, source_at), make_enriched_load(source_at)
+        standard, enriched = _standard_load(system, source), make_enriched_load(source)
         return lambda t, phi_vals: np.concatenate([standard(t), enriched(t, phi_vals)])
 
     return replace(system, moving_rows=moving_rows, parts=dict(rebuild=rebuild, make_load=make_load))

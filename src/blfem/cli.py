@@ -20,8 +20,13 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
+# copies of the library's names, so that parsing imports no numpy before
+# BLFEM_THREADS is applied
 PROBLEMS_1D = ("exact1d", "zero1d", "smooth1d")
 PROBLEMS_2D = ("exact2d", "zero2d")
+KINDS = ("phi0", "phi0_tilde", "phi_m1", "phi_m1_lin")
+SCHEMES = ("sfem", "nfem")
+SOLVERS = ("direct_cholesky", "cg_jacobi")
 
 
 class CliError(Exception):
@@ -193,13 +198,11 @@ def cmd_solve(args):
         print(f"wrote {cfg['dump_field']}")
 
     if cfg["dump_matrices"]:
-        from .assembly import assemble_enriched, assemble_standard
         from .linsolve import stack
 
-        # the blocks of the level at T, stacked for the dump alone; its Gram
+        # the run's own blocks at T, stacked for the dump alone; its Gram
         # block is checked as the level is built
-        assemble = assemble_standard if space.enrichment is None else assemble_enriched
-        system = assemble(space, cfg["epsilon"])
+        system = fieldsol.system
         level = system.parts["rebuild"](cfg["T"])
         _dump_matrix(stack(system.mss, level.msl, level.mee), cfg["dump_matrices"] + ".mass")
         _dump_matrix(stack(system.ass, level.asl, level.aee), cfg["dump_matrices"] + ".stiffness")
@@ -346,11 +349,11 @@ def build_parser():
     p.add_argument("--n", type=int, help="elements (1D) or boundary nodes (2D)")
     p.add_argument("--dt", type=float)
     p.add_argument("--T", dest="T", type=float)
-    p.add_argument("--scheme", choices=("sfem", "nfem"))
-    p.add_argument("--kind", choices=("phi0", "phi0_tilde", "phi_m1", "phi_m1_lin"))
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--sigma", type=float, help="taper width; 0 = mesh-derived default")
     p.add_argument("--quad-refine", dest="quad_refine", type=int)
-    p.add_argument("--solver", choices=("direct_cholesky", "cg_jacobi"))
+    p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--tol", type=float)
     p.add_argument("-o", "--output", dest="output", help="write an error-report CSV row here")
     p.add_argument("--dump-field", dest="dump_field", help="write sampled solution values here")
@@ -368,7 +371,7 @@ def build_parser():
     p.add_argument("--dt", type=float)
     p.add_argument("--T", dest="T", type=float)
     p.add_argument("--schemes", help="comma list from sfem,nfem")
-    p.add_argument("--kind", choices=("phi0", "phi0_tilde", "phi_m1", "phi_m1_lin"))
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--sigma", type=float)
     p.add_argument("--dt-rule", dest="dt_rule", choices=("fixed", "h-squared"))
     p.add_argument("-o", "--output", dest="output")

@@ -23,30 +23,25 @@ TIME_DEPENDENT_KINDS = ("phi0", "phi0_tilde")
 
 @dataclass
 class ProblemData:
-    """Problem data for u_t - eps*Laplace(u) = f with zero Dirichlet data.
+    """Problem data for u_t - eps*Laplace(u) = f with zero Dirichlet data,
+    on [0, 1] (dim 1) or the unit disk (dim 2).
 
-    1D: f(x, t), u0_initial(x) on [0, 1].
-    2D: f(x, y, t), u0_initial(x, y) on the unit disk.
-    All callables must accept numpy arrays.  f_antiderivative, if given, is
-    F with F(.., t) = int_0^t f ds.  f_at, if given, binds f to fixed
-    points: f_at(*coords) -> g with g(t) = f(*coords, t), its spatial part
-    formed once (see source_at).
+    source(*coords) -> g binds f to fixed points: g(t) = f(*coords, t), its
+    spatial part formed once.  u0_initial(*coords) is the initial condition.
+    Both must accept numpy arrays.
     """
 
     dim: int
-    f: callable
+    source: callable
     u0_initial: callable
     epsilon: float
-    T: float
-    f_antiderivative: callable = None
-    f_at: callable = None
     warnings_issued: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if self.epsilon <= 0.0 or self.T <= 0.0:
-            raise ValueError("epsilon and T must be positive")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
         if self.dim == 1:
             bpts = (np.array([0.0, 1.0]),)
         else:
@@ -54,17 +49,11 @@ class ProblemData:
             bpts = (np.cos(ang), np.sin(ang))
         if np.max(np.abs(self.u0_initial(*bpts))) > 1e-10:
             raise ValueError("initial condition must vanish on the boundary")
-        if np.max(np.abs(self.source_at(*bpts)(0.0))) > 1e-10:
+        if np.max(np.abs(self.source(*bpts)(0.0))) > 1e-10:
             msg = "source does not vanish on the boundary at t=0; layer estimates may degrade"
             self.warnings_issued.append(msg)
-            warnings.warn(msg, stacklevel=2)
-
-    def source_at(self, *coords):
-        """The source at the fixed points coords as a function of t alone:
-        f_at(*coords) when given, else a closure over f."""
-        if self.f_at is not None:
-            return self.f_at(*coords)
-        return lambda t: self.f(*coords, t)
+            # past __post_init__ and the generated __init__: the constructing call
+            warnings.warn(msg, stacklevel=3)
 
     def boundary_point(self, eta):
         """Boundary point addressed by the layer coordinate: the polar angle
@@ -75,21 +64,16 @@ class ProblemData:
             return (eta,)
         return (math.cos(eta), math.sin(eta))
 
-    def f_on_boundary(self, eta, s):
-        p = self.boundary_point(eta)
-        return self.f(*p, s)
-
 
 def limit_solution(data: ProblemData, point, t: float) -> float:
     """u0 + int_0^t f ds at a spatial point (tuple) and time t."""
     u0 = float(data.u0_initial(*point))
-    if data.f_antiderivative is not None:
-        return u0 + float(data.f_antiderivative(*point, t))
     if t == 0.0:
         return u0
     from scipy.integrate import quad
 
-    return u0 + quad(lambda s: float(data.f(*point, s)), 0.0, t, epsabs=1e-12, epsrel=0.0)[0]
+    g = data.source(*point)
+    return u0 + quad(lambda s: float(g(s)), 0.0, t, epsabs=1e-12, epsrel=0.0)[0]
 
 
 def heat_kernel_I(xi, t, epsilon: float):
@@ -112,8 +96,10 @@ def theta0(data: ProblemData, eta: float, xi: float, t: float) -> float:
 
     from scipy.integrate import quad_vec
 
+    g = data.source(*data.boundary_point(eta))
+
     def integrand(s):
-        return float(heat_kernel_I(xi, t - s, data.epsilon) * data.f_on_boundary(eta, s))
+        return float(heat_kernel_I(xi, t - s, data.epsilon) * g(s))
 
     # The kernel is negligible for t - s << xi^2 / eps; split there so the
     # adaptive rule starts with panels matched to the moving scale.  quad_vec

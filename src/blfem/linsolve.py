@@ -38,13 +38,16 @@ class NoConvergence(Exception):
         self.residual = residual
 
 
+SOLVER_METHODS = ("direct_cholesky", "cg_jacobi")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "direct_cholesky"
     rel_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.method not in ("direct_cholesky", "cg_jacobi"):
+        if self.method not in SOLVER_METHODS:
             raise ValueError(f"unknown solver method {self.method!r}")
         if not 0.0 < self.rel_tolerance <= 1e-4:
             raise ValueError("rel_tolerance must be in (0, 1e-4]")

@@ -61,7 +61,8 @@ class TimeGrid:
 
 @dataclass
 class SolutionField:
-    """Coefficient history of a time-stepped Galerkin solution.
+    """Coefficient history of a time-stepped Galerkin solution, and the
+    system it was marched on.
 
     history[n] holds the coefficients at times[n]; for time-dependent
     enrichments the profile of row n is evaluated at times[n]."""
@@ -69,6 +70,7 @@ class SolutionField:
     space: BasisSpace
     grid: TimeGrid
     history: np.ndarray
+    system: AssembledSystem
 
     @property
     def final(self):
@@ -94,7 +96,7 @@ def advance(
     cfg = solver_config or SolverConfig()
     dt = grid.dt
     mss, rebuild = system.mss, system.parts["rebuild"]
-    load_fn = system.parts["make_load"](data.source_at)
+    load_fn = system.parts["make_load"](data.source)
     u = project_initial(space, system, data.u0_initial, cfg)
     history = np.empty((grid.n_steps + 1, len(u)))
     history[0] = u
@@ -117,4 +119,4 @@ def advance(
             old = new
     except (NotPositiveDefinite, NoConvergence) as exc:
         _reraise_with_step(exc, step)
-    return SolutionField(space=space, grid=grid, history=history)
+    return SolutionField(space=space, grid=grid, history=history, system=system)

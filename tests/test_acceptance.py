@@ -182,10 +182,9 @@ def test_criterion_5_corrector_identities():
     eps = 1e-5
     data = ProblemData(
         dim=1,
-        f=lambda x, t: t * np.cos(np.pi * np.asarray(x)),
+        source=lambda x: lambda t: t * np.cos(np.pi * np.asarray(x)),
         u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         epsilon=eps,
-        T=1.0,
     )
     # boundary trace cancellation
     trace_err = 0.0

@@ -125,7 +125,7 @@ class TestBoundSources:
         near = np.sqrt(eps) * rng.uniform(0.0, 40.0, 100)
         x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300), near, 1.0 - near])
         coords = (x,) if exact.dim == 1 else (0.7 * x, 0.7 * (1.0 - x))
-        g = exact.f_at(*coords)
+        g = exact.source(*coords)
         for t in (0.0, 0.37, 1.0):
             got = g(t)
             assert got.tobytes() == exact.f(*coords, t).tobytes()
@@ -133,10 +133,10 @@ class TestBoundSources:
 
     def test_problem_carries_the_bound_source(self):
         exact = ExactSolution1D(1e-5)
-        data = exact.problem(1.0)
+        data = exact.problem()
         x = np.linspace(0.0, 1.0, 7)
-        assert data.source_at(x)(0.5).tobytes() == exact.f(x, 0.5).tobytes()
-        assert data.f_at == exact.f_at
+        assert data.source(x)(0.5).tobytes() == exact.f(x, 0.5).tobytes()
+        assert data.source == exact.source
 
 
 class TestManufacturedSolution2D:
@@ -235,7 +235,8 @@ class TestErrorReportFieldOnce:
         field = analysis._discrete_field(space, coeffs, layout.points, layout.element, layout.bary, 1.0)
         err2, ex2, _, _ = analysis._error_integrals(exact, 1.0, layout, field)
         rel = float(np.sqrt(err2 / ex2))
-        osc = oscillation_index(space, coeffs, exact, 1.0, eps)
+        ue = exact.u(*np.atleast_2d(layout.points.T), 1.0)
+        osc = oscillation_index(space, exact, 1.0, layout, field[0], ue)
         calls = []
         shared = analysis._discrete_field
         monkeypatch.setattr(analysis, "_discrete_field", lambda *a, **k: calls.append(1) or shared(*a, **k))
@@ -302,7 +303,7 @@ class TestOscillationIndex:
         exact = SmoothSolution1D(eps)
         space = build_space(build_interval_mesh(16))
         coeffs = exact.u(space.mesh.nodes[space.interior_nodes], 1.0)
-        assert oscillation_index(space, coeffs, exact, 1.0, eps) == 0.0
+        assert compute_error_report(space, coeffs, exact, 1.0, eps).oscillation_index == 0.0
 
     def test_detects_overshoot(self):
         eps = 1e-2
@@ -310,7 +311,7 @@ class TestOscillationIndex:
         space = build_space(build_interval_mesh(16))
         coeffs = exact.u(space.mesh.nodes[space.interior_nodes], 1.0)
         coeffs[0] += 1.0  # spike in the left boundary strip
-        idx = oscillation_index(space, coeffs, exact, 1.0, eps)
+        idx = compute_error_report(space, coeffs, exact, 1.0, eps).oscillation_index
         assert idx > 0.2
 
     def test_interior_wiggles_ignored(self):
@@ -320,7 +321,7 @@ class TestOscillationIndex:
         coeffs = exact.u(space.mesh.nodes[space.interior_nodes], 1.0)
         mid = len(coeffs) // 2
         coeffs[mid] += 1.0  # outside the boundary strip
-        assert oscillation_index(space, coeffs, exact, 1.0, eps) == 0.0
+        assert compute_error_report(space, coeffs, exact, 1.0, eps).oscillation_index == 0.0
 
 
 class TestFitAndCsv:

@@ -827,7 +827,7 @@ class TestStandardLoadOperator:
         space = _space_1d(n)
         exact = ExactSolution1D(eps)
         f = exact.f
-        load = assemble_standard(space, eps).parts["make_load"](exact.f_at)
+        load = assemble_standard(space, eps).parts["make_load"](exact.source)
         for t in (0.0, 0.37, 1.0):
             assert load(t).tobytes() == _reference_standard_load(space, f, t).tobytes()
 
@@ -837,8 +837,8 @@ class TestStandardLoadOperator:
         eps = 1e-8
         space = build_space(build_disk_mesh(b))
         f = ExactSolution2D(eps).f if source == "exact2d" else _wavy_source
-        f_at = ExactSolution2D(eps).f_at if source == "exact2d" else _bound(_wavy_source)
-        load = assemble_standard(space, eps).parts["make_load"](f_at)
+        bound = ExactSolution2D(eps).source if source == "exact2d" else _bound(_wavy_source)
+        load = assemble_standard(space, eps).parts["make_load"](bound)
         for t in (0.0, 0.37, 1.0):
             got, want = load(t), _reference_standard_load(space, f, t)
             assert np.any(want != 0.0)

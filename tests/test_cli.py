@@ -12,6 +12,7 @@ from blfem.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     CliError,
+    build_parser,
     config_header_lines,
     main,
     merge_config,
@@ -235,6 +236,21 @@ class TestSolveCommand:
             values = [float(ln.split()[2]) for ln in (tmp_path / f"sys.{suffix}").read_text().splitlines()]
             assert values and 0.0 not in values, suffix
 
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
+    def test_dump_matrices_reads_the_runs_layout(self, tmp_path, monkeypatch, kind):
+        # the dump stacks the run's own level at T: no second system and no
+        # second whole-mesh layout
+        import blfem.assembly
+
+        calls = []
+        real = blfem.assembly.triangle_rule_points
+        monkeypatch.setattr(blfem.assembly, "triangle_rule_points", lambda *a, **k: calls.append(1) or real(*a, **k))
+        argv = ["solve", "--problem", "exact2d", "--kind", kind, "--n", "16", "--dt", "0.25", "--T", "0.5"]
+        assert run_cli(argv + ["--dump-matrices", "sys"], tmp_path, monkeypatch) == EXIT_OK
+        assert len(calls) == 1
+        assert (tmp_path / "sys.mass").stat().st_size > 0
+
     def test_dump_field(self, tmp_path, monkeypatch):
         code = run_cli(
             ["solve", "--problem", "exact1d", "--epsilon", "1e-3", "--n", "8",
@@ -283,6 +299,30 @@ class TestDumpField2D:
         assert np.array_equal(got[:, :2], np.array([[float(f"{c:.10g}") for c in xy] for xy in space.mesh.nodes]))
         assert np.allclose(got[:, 2], [float(f"{v:.10g}") for v in want], rtol=0.0, atol=1e-12)
         assert np.all(got[space.mesh.boundary_nodes, 2] == 0.0)
+
+
+class TestNameCopies:
+    def test_cli_names_match_the_library(self):
+        # the parser's choices are copies (see blfem.cli); each must equal
+        # the library's own list
+        from blfem import analysis, cli, corrector, linsolve
+
+        assert cli.PROBLEMS_1D == tuple(n for n, (dim, _) in analysis.PROBLEMS.items() if dim == 1)
+        assert cli.PROBLEMS_2D == tuple(n for n, (dim, _) in analysis.PROBLEMS.items() if dim == 2)
+        assert cli.KINDS == corrector.ENRICHMENT_KINDS
+        assert cli.SCHEMES == analysis.SCHEMES
+        assert cli.SOLVERS == linsolve.SOLVER_METHODS
+        want = {
+            "problem": cli.PROBLEMS_1D + cli.PROBLEMS_2D, "kind": cli.KINDS, "scheme": cli.SCHEMES, "solver": cli.SOLVERS
+        }
+        commands = build_parser()._subparsers._group_actions[0].choices
+        seen = set()
+        for name in ("solve", "converge"):
+            for action in commands[name]._actions:
+                if action.dest in want:
+                    assert tuple(action.choices) == want[action.dest], (name, action.dest)
+                    seen.add((name, action.dest))
+        assert seen == {("solve", d) for d in want} | {("converge", "problem"), ("converge", "kind")}
 
 
 class TestConvergeCommand:

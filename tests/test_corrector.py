@@ -33,16 +33,20 @@ from blfem.quadrature import gauss_interval
 from blfem.specfun import erfc_gauss
 
 
-def _data_1d(epsilon=1e-3, f=None, u0=None, T=1.0):
-    f = f or (lambda x, t: t * np.cos(np.pi * np.asarray(x)))
+def _data_1d(epsilon=1e-3, source=None, u0=None):
+    source = source or (lambda x: lambda t: t * np.cos(np.pi * np.asarray(x)))
     u0 = u0 or (lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    return ProblemData(dim=1, f=f, u0_initial=u0, epsilon=epsilon, T=T)
+    return ProblemData(dim=1, source=source, u0_initial=u0, epsilon=epsilon)
 
 
-def _data_2d(epsilon=1e-3, T=1.0):
-    f = lambda x, y, t: t * (1.0 + np.asarray(x) * 0.0)
+def _data_2d(epsilon=1e-3):
+    source = lambda x, y: lambda t: t * (1.0 + np.asarray(x) * 0.0)
     u0 = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    return ProblemData(dim=2, f=f, u0_initial=u0, epsilon=epsilon, T=T)
+    return ProblemData(dim=2, source=source, u0_initial=u0, epsilon=epsilon)
+
+
+def _unit_source(x):
+    return lambda t: np.ones_like(np.asarray(x, dtype=float))
 
 
 class TestProblemData:
@@ -53,9 +57,23 @@ class TestProblemData:
     def test_warns_on_nonzero_source_at_t0(self):
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            data = _data_1d(f=lambda x, t: np.ones_like(np.asarray(x, dtype=float)))
+            data = _data_1d(source=_unit_source)
         assert data.warnings_issued
         assert any("layer estimates" in str(w.message) for w in rec)
+
+    def test_warning_names_the_constructing_file(self):
+        # past __post_init__ and the generated __init__: the file whose code
+        # built the ProblemData, here and through a built-in problem
+        import blfem.analysis
+
+        for build, want in (
+            (lambda: ProblemData(dim=1, source=_unit_source, u0_initial=np.zeros_like, epsilon=1e-3), __file__),
+            (lambda: blfem.analysis.ExactSolution2D(1e-3).problem(), blfem.analysis.__file__),
+        ):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                build()
+            assert [w.filename for w in rec] == [want]
 
     def test_boundary_point_addressing(self):
         d1 = _data_1d()
@@ -69,7 +87,7 @@ class TestProblemData:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProblemData(dim=3, f=lambda x, t: 0.0, u0_initial=lambda x: 0.0, epsilon=1.0, T=1.0)
+            ProblemData(dim=3, source=lambda x: lambda t: 0.0, u0_initial=lambda x: 0.0, epsilon=1.0)
         with pytest.raises(ValueError):
             _data_1d(epsilon=-1.0)
 
@@ -80,19 +98,6 @@ class TestLimitSolution:
         # f = t cos(pi x)  =>  u0 + t^2/2 cos(pi x)
         got = limit_solution(data, (0.25,), 0.8)
         assert got == pytest.approx(0.5 * 0.8**2 * math.cos(math.pi * 0.25), abs=1e-12)
-
-    def test_uses_antiderivative_when_given(self):
-        data = ProblemData(
-            dim=1,
-            f=lambda x, t: t * np.cos(np.pi * np.asarray(x)),
-            u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            epsilon=1e-3,
-            T=1.0,
-            f_antiderivative=lambda x, t: 0.5 * t**2 * np.cos(np.pi * np.asarray(x)),
-        )
-        assert limit_solution(data, (0.3,), 0.5) == pytest.approx(
-            0.5 * 0.25 * math.cos(0.3 * math.pi), abs=1e-14
-        )
 
     def test_time_zero_returns_initial_condition(self):
         data = _data_1d(u0=lambda x: np.sin(np.pi * np.asarray(x)))
@@ -162,7 +167,7 @@ class TestTheta0:
         # For small xi the integrand behaves like 1/sqrt(t - s) down to
         # t - s ~ xi^2 / eps, which an extrapolating rule can misjudge
         for eps in (1e-2, 1e-5):
-            data = _data_1d(epsilon=eps, f=lambda x, t: np.ones_like(np.asarray(x, dtype=float)))
+            data = _data_1d(epsilon=eps, source=_unit_source)
             for xi in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
                 for t in (0.3, 1.0):
                     a = xi / (2.0 * math.sqrt(eps))

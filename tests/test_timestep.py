@@ -17,13 +17,12 @@ from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import SolutionField, TimeGrid, advance
 
 
-def _zero_data(epsilon=1e-2, T=1.0):
+def _zero_data(epsilon=1e-2):
     return ProblemData(
         dim=1,
-        f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        source=lambda x: lambda t: np.zeros_like(np.asarray(x, dtype=float)),
         u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         epsilon=epsilon,
-        T=T,
     )
 
 
@@ -60,10 +59,9 @@ class TestAdvance:
         system = assemble_standard(space, eps)
         data = ProblemData(
             dim=1,
-            f=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
+            source=lambda x: lambda t: np.ones_like(np.asarray(x, dtype=float)),
             u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             epsilon=eps,
-            T=1.0,
         )
         sol = advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
         m, a, b = 1.0 / 3.0, 4.0 * eps, 0.5
@@ -81,11 +79,10 @@ class TestAdvance:
         nodal = np.sin(np.pi * space.mesh.nodes[space.interior_nodes])
         data = ProblemData(
             dim=1,
-            f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+            source=lambda x: lambda t: np.zeros_like(np.asarray(x, dtype=float)),
             u0_initial=lambda x: np.interp(x, space.mesh.nodes,
                                            np.sin(np.pi * space.mesh.nodes)),
             epsilon=eps,
-            T=10.0,
         )
         for n_steps in (2, 100):
             sol = advance(space, system, data, TimeGrid(T=10.0, n_steps=n_steps))
@@ -101,10 +98,9 @@ class TestAdvance:
         system = assemble_standard(space, eps)
         data = ProblemData(
             dim=1,
-            f=lambda x, t: np.exp(2.0 * t) * np.asarray(x) * (1.0 - np.asarray(x)),
+            source=lambda x: lambda t: np.exp(2.0 * t) * np.asarray(x) * (1.0 - np.asarray(x)),
             u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             epsilon=eps,
-            T=1.0,
         )
         finals = []
         for n_steps in (10, 20, 40):
@@ -122,7 +118,7 @@ class TestAdvance:
         exact = ExactSolution1D(eps)
         runs = []
         for _ in range(2):
-            sol = advance(space, system, exact.problem(1.0), TimeGrid(T=1.0, n_steps=10))
+            sol = advance(space, system, exact.problem(), TimeGrid(T=1.0, n_steps=10))
             runs.append(sol.history.copy())
         assert np.array_equal(runs[0], runs[1])
 
@@ -132,7 +128,7 @@ class TestAdvance:
         exact = ExactSolution1D(1e-2)
         cfg = SolverConfig(method="cg_jacobi", rel_tolerance=1e-300)
         with pytest.raises(NoConvergence) as exc_info:
-            advance(space, system, exact.problem(1.0), TimeGrid(T=1.0, n_steps=4), cfg)
+            advance(space, system, exact.problem(), TimeGrid(T=1.0, n_steps=4), cfg)
         assert "time step 1:" in str(exc_info.value)
         assert exc_info.value.residual is not None
 
@@ -144,7 +140,7 @@ class TestTimeDependentEnrichment:
         space = build_space(build_interval_mesh(20), spec)
         system = assemble_enriched(space, eps)
         exact = ExactSolution1D(eps)
-        sol = advance(space, system, exact.problem(0.5), TimeGrid(T=0.5, n_steps=5))
+        sol = advance(space, system, exact.problem(), TimeGrid(T=0.5, n_steps=5))
         assert np.all(np.isfinite(sol.history))
         assert np.linalg.norm(sol.final) > 0.0
 
@@ -154,7 +150,7 @@ class TestTimeDependentEnrichment:
         space = build_space(build_interval_mesh(20), spec)
         system = assemble_enriched(space, eps)
         exact = ExactSolution1D(eps)
-        sol = advance(space, system, exact.problem(0.2), TimeGrid(T=0.2, n_steps=2))
+        sol = advance(space, system, exact.problem(), TimeGrid(T=0.2, n_steps=2))
         assert np.all(sol.history[0, space.n_standard :] == 0.0)
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
@@ -166,7 +162,7 @@ class TestTimeDependentEnrichment:
         mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
         space = build_space(mesh, spec)
         system = assemble_enriched(space, eps)
-        data = ExactSolution1D(eps).problem(1.0) if dim == 1 else ExactSolution2D(eps).problem(1.0)
+        data = ExactSolution1D(eps).problem() if dim == 1 else ExactSolution2D(eps).problem()
         calls = {}
         for name in ("enrichment_profile", "enrichment_profile_dxi"):
             def counted(*args, _fn=getattr(blfem.assembly, name), _name=name, **kwargs):
@@ -188,7 +184,7 @@ class TestBoundSource:
         spec = EnrichmentSpec(kind=kind, epsilon=eps)
         space = build_space(build_interval_mesh(20), spec)
         system = assemble_enriched(space, eps, t_max=1.0)
-        data = ExactSolution1D(eps).problem(1.0)
+        data = ExactSolution1D(eps).problem()
         calls = []
         real = ExactSolution1D._layers
 
@@ -204,23 +200,6 @@ class TestBoundSource:
             counts.append(len(calls))
         assert counts[0] == counts[1] == 2  # the standard and the enriched load points
 
-    @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_plain_source_march_bit_identical_to_bound(self, dim):
-        # ProblemData without f_at binds its plain f by a closure
-        eps, T = 1e-5, 1.0
-        exact = ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)
-        space = build_space(build_interval_mesh(20) if dim == 1 else build_disk_mesh(16), EnrichmentSpec("phi0_tilde", eps))
-        system = assemble_enriched(space, eps, t_max=T)
-        bound = exact.problem(T)
-        plain = ProblemData(dim=dim, f=exact.f, u0_initial=exact.u0, epsilon=eps, T=T)
-        assert bound.f_at is not None and plain.f_at is None
-        grid = TimeGrid(T=T, n_steps=5)
-        want = advance(space, system, bound, grid).history
-        got = advance(space, system, plain, grid).history
-        assert np.any(want != 0.0)
-        assert got.tobytes() == want.tobytes()
-
 
 def _reference_march(space, eps, data, grid):
     """Implicit Euler as it was before the block solver: every level's
@@ -228,7 +207,7 @@ def _reference_march(space, eps, data, grid):
     without a split time, each solved by a fresh dense Cholesky."""
     system = assemble_enriched(space, eps)
     parts = system.parts
-    load = parts["make_load"](data.source_at)
+    load = parts["make_load"](data.source)
     u = project_initial(space, system, data.u0_initial)
     history = [u]
     old = parts["rebuild"](grid.times[0])
@@ -260,7 +239,7 @@ class TestBlockMarch:
             sigma = mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)
         spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma)
         space = build_space(mesh, spec)
-        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(T)
+        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem()
         system = assemble_enriched(space, eps, t_max=T)
         rows = system.moving_rows
         if not spec.time_dependent:
@@ -283,7 +262,7 @@ class TestBlockMarch:
         # is factored
         eps, T, grid = 1e-3, 1.0, TimeGrid(T=1.0, n_steps=2)
         space = build_space(build_disk_mesh(26), EnrichmentSpec(kind=kind, epsilon=eps))
-        data = ExactSolution2D(eps).problem(T)
+        data = ExactSolution2D(eps).problem()
         system = assemble_enriched(space, eps, t_max=T)
         rows = system.moving_rows
         assert len(rows) > 0.8 * space.n_standard
@@ -311,7 +290,7 @@ class TestBlockMarch:
         eps = 1e-5
         space = build_space(build_interval_mesh(50) if dim == 1 else build_disk_mesh(16), EnrichmentSpec("phi_m1", eps))
         system = assemble_enriched(space, eps, t_max=1.0)
-        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(1.0)
+        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem()
         advance(space, system, data, TimeGrid(T=1.0, n_steps=4))
         assert factors == [space.total_dofs] * 2  # the projection, then the march
 
@@ -320,8 +299,8 @@ class TestBlockMarch:
         eps, grid = 1e-3, TimeGrid(T=1.0, n_steps=5)
         space = build_space(build_interval_mesh(30))
         system = assemble_standard(space, eps)
-        data = ExactSolution1D(eps).problem(1.0)
-        load = system.parts["make_load"](data.source_at)
+        data = ExactSolution1D(eps).problem()
+        load = system.parts["make_load"](data.source)
         k = (system.mss + grid.dt * system.ass).toarray()
         u = project_initial(space, system, data.u0_initial)
         got = advance(space, system, data, grid).history
@@ -345,7 +324,7 @@ class TestBlockMarch:
             return dataclasses.replace(level, mee=-level.mee, aee=-level.aee) if t > 0.5 else level
 
         system.parts["rebuild"] = negated
-        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem(1.0)
+        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem()
         with pytest.raises(NotPositiveDefinite, match="time step 3: enriched Schur complement"):
             advance(space, system, data, TimeGrid(T=1.0, n_steps=4))
 
