@@ -260,22 +260,27 @@ def oscillation_index(space, exact, t, layout, uh, ue) -> float:
 
 
 def compute_error_report(
-    space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0, layout=None
+    space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0, layout=None, profile=None
 ) -> ErrorReport:
     """Errors of the discrete solution against the exact one at time t;
     rel_l2 is NaN when the exact solution vanishes in L2.  `layout` is the
     unrefined layout over every element of the mesh, built here if not
     given; the oscillation index always reads it, and the norms do too
-    unless refine > 1 asks for a refined one."""
+    unless refine > 1 asks for a refined one.  `profile` is what the run
+    that built `layout` computed of the enrichment at t
+    (SolutionField.profile_at); the field on `layout` reads it, and the
+    profile is evaluated only where it is not given."""
     if layout is None:
         layout = _element_rules(space.mesh, epsilon)
     fine = layout if refine == 1 else _element_rules(space.mesh, epsilon, refine)
-    field = _discrete_field(space, coeffs, fine.points, fine.element, fine.bary, t)
+    field = _discrete_field(
+        space, coeffs, fine.points, fine.element, fine.bary, t, profile if fine is layout else None
+    )
     err2, ex2, h12, ue = _error_integrals(exact, t, fine, field)
     vanishes = np.sqrt(ex2) < 1e-300
     uh = field[0]
     if fine is not layout:
-        uh, _ = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t)
+        uh, _ = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t, profile)
         ue = exact.u(*np.atleast_2d(layout.points.T), t)
     return ErrorReport(
         rel_l2=float("nan") if vanishes else float(np.sqrt(err2 / ex2)),
@@ -462,7 +467,8 @@ def solve_scenario(
     fieldsol = advance(space, system, data, grid, solver_config)
     runtime = time.perf_counter() - t0
     report = compute_error_report(
-        space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime, layout=layout
+        space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime, layout=layout,
+        profile=fieldsol.profile_at(T),
     )
     return report, fieldsol, space, exact
 

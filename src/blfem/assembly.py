@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi, time_independent_xi
+from .corrector import EnrichmentSpec, cutoff_delta, cutoff_delta_dxi, enrichment_profile, time_independent_xi
 from .mesh import Mesh1D, Mesh2D
 from .quadrature import (
     QuadratureLayout,
@@ -92,7 +92,14 @@ class AssembledSystem:
     the cross Gram block taken against level `previous` (the plain space has
     one empty level), and make_load(source) -> load(t, phi_vals), the
     whole load at t of the level whose moving profile values are phi_vals,
-    with the source bound to each point set once (ProblemData.source)."""
+    with the source bound to each point set once (ProblemData.source).
+
+    profile_at(t, level) -> (phi, dphi) or None hands over the profile and
+    its slope that the run computed at the points of its 2D layout's leading
+    slice (the enriched blocks' points), given the level built at t: only
+    at t = t_max, the split time of the fixed points' values (see
+    _split_layout).  It is None in 1D, whose blocks read a layer rule of
+    their own, and for the plain space."""
 
     mss: sp.csr_matrix
     ass: sp.csr_matrix
@@ -100,6 +107,7 @@ class AssembledSystem:
     load_coords: tuple
     load_op: sp.csr_matrix
     parts: dict
+    profile_at: callable = lambda t, level: None
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,11 @@ class EnrichedLevel:
     """The enriched blocks at one time level: the couplings msl, asl (n, m),
     the Gram blocks mee, aee (m, m), the cross Gram block cee of this level's
     enriched functions (rows) with the previous level's (columns; mee when
-    there is none), and the profile values phi at the moving quadrature
-    points, which the load at this level reads.  The profile and its
-    derivative are evaluated once per level."""
+    there is none), and the profile values phi and slopes dphi at the moving
+    quadrature points; the load at this level reads phi, and the error
+    report the last level's both (AssembledSystem.profile_at).  The profile
+    and its slope are evaluated in one call per level, on cutoff values
+    evaluated once per run."""
 
     msl: sp.csr_matrix
     asl: sp.csr_matrix
@@ -117,6 +127,7 @@ class EnrichedLevel:
     aee: np.ndarray
     cee: np.ndarray
     phi: np.ndarray
+    dphi: np.ndarray
 
     @cached_property
     def msl_t(self):
@@ -428,7 +439,7 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
         mass, stiff = _assemble_standard_2d(space, epsilon)
     n = space.n_standard
     none = np.zeros((0, 0))
-    empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0))
+    empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0), np.zeros(0))
 
     parts = dict(rebuild=lambda t, previous=None: empty)
     parts["make_load"] = lambda source: _standard_load(system, source)
@@ -527,10 +538,13 @@ def _coupling_pattern(space, dof, col):
     key = dof * m + col
     keep = np.broadcast_to(dof >= 0, key.shape).copy()
     key = key[keep]
-    keys = np.unique(key)
-    block = sp.csr_matrix((keys, keys % m, np.searchsorted(keys // m, np.arange(n + 1))), shape=(n, m))
-    rows = np.searchsorted(keys, key)
-    return _pattern(rows, keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep)), block
+    # the keys lie in [0, n m): count(j), the stored keys below j, is the
+    # position of key j among them and, at j = i m, the start of row i
+    present = np.bincount(key, minlength=n * m) > 0
+    count = np.concatenate([[0], np.cumsum(present)])
+    keys = np.flatnonzero(present)
+    block = sp.csr_matrix((keys, keys % m, count[::m]), shape=(n, m))
+    return _pattern(count[key], keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep)), block
 
 
 def _layer_rule_1d(space: BasisSpace):
@@ -656,9 +670,10 @@ def _split_layout(space, layout, epsilon, t_max):
 
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
-    point touches (the only rows on which levels differ), and
+    point touches (the only rows on which levels differ),
     make_enriched_load(source) -> load(t, phi), with phi the level's
-    moving profile values.
+    moving profile values, and profile_at(t, level) -> (phi, dphi) at every
+    point (AssembledSystem.profile_at).
     The Gram block of a level taken without a previous one (the first of a
     march, the fixed level, a dump's level) is checked for singularity."""
     spec = space.enrichment
@@ -668,8 +683,7 @@ def _split_layout(space, layout, epsilon, t_max):
     fixed = ~moving
     phi, dphi = np.zeros(len(xi)), np.zeros(len(xi))
     if fixed.any():
-        phi[fixed] = enrichment_profile(spec, xi[fixed], t_max)
-        dphi[fixed] = enrichment_profile_dxi(spec, xi[fixed], t_max)
+        phi[fixed], dphi[fixed] = enrichment_profile(spec, xi[fixed], t_max)
     base_msl = layout.sl_m @ phi
     base_asl = layout.sl_a1 @ dphi + layout.sl_a2 @ phi
     base_mee = layout.ee_m @ phi**2
@@ -679,6 +693,7 @@ def _split_layout(space, layout, epsilon, t_max):
         ops = tuple(op[:, moving] for op in ops)
     sl_m, sl_a1, sl_a2, ee_m, ee_ang = ops
     xi_moving = xi[moving]
+    cutoff = cutoff_delta(xi_moving), cutoff_delta_dxi(xi_moving)
     # the coupling operators share one pattern, explicit zeros included, so
     # the entries with a moving point in sl_m are those of all three
     block = layout.sl_block
@@ -689,8 +704,7 @@ def _split_layout(space, layout, epsilon, t_max):
         return sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
 
     def level(t, previous):
-        p = np.asarray(enrichment_profile(spec, xi_moving, t), dtype=float)
-        dp = np.asarray(enrichment_profile_dxi(spec, xi_moving, t), dtype=float)
+        p, dp = enrichment_profile(spec, xi_moving, t, cutoff)
         p2 = p**2
         mee = _symmetric(base_mee + ee_m @ p2, m)
         if previous is None:
@@ -702,6 +716,7 @@ def _split_layout(space, layout, epsilon, t_max):
             aee=_symmetric(epsilon * (base_aee + (ee_m @ dp**2 + ee_ang @ p2)), m),
             cee=mee if previous is None else _symmetric(base_mee + ee_m @ (p * previous.phi), m),
             phi=p,
+            dphi=dp,
         )
 
     if not moving.any():
@@ -716,6 +731,13 @@ def _split_layout(space, layout, epsilon, t_max):
             if t_max is not None and t > t_max:
                 raise ValueError(f"level t = {t} lies past the split time t_max = {t_max}")
             return level(t, previous)
+
+    def profile_at(t, final):
+        if t_max is None or t != t_max:
+            return None
+        p, dp = phi.copy(), dphi.copy()
+        p[moving], dp[moving] = final.phi, final.dphi
+        return p, dp
 
     # load columns, one per point and enriched copy (two copies in 1D),
     # reordered so that the k columns of fixed points come first
@@ -736,7 +758,7 @@ def _split_layout(space, layout, epsilon, t_max):
 
         return load
 
-    return rebuild, moving_rows, make_enriched_load
+    return rebuild, moving_rows, make_enriched_load, profile_at
 
 
 def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, layout=None) -> AssembledSystem:
@@ -760,7 +782,7 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
         if layout is None:
             layout = element_rules_2d(space.mesh, space.enrichment.epsilon)
         coupling = _coupling_layout_2d(space, layout)
-    rebuild, moving_rows, make_enriched_load = _split_layout(space, coupling, epsilon, t_max)
+    rebuild, moving_rows, make_enriched_load, profile_at = _split_layout(space, coupling, epsilon, t_max)
 
     def make_load(source):
         # the standard load is bound here, not through system.parts, whose
@@ -768,7 +790,12 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
         standard, enriched = _standard_load(system, source), make_enriched_load(source)
         return lambda t, phi_vals: np.concatenate([standard(t), enriched(t, phi_vals)])
 
-    return replace(system, moving_rows=moving_rows, parts=dict(rebuild=rebuild, make_load=make_load))
+    return replace(
+        system,
+        moving_rows=moving_rows,
+        parts=dict(rebuild=rebuild, make_load=make_load),
+        profile_at=profile_at if space.mesh.dim == 2 else system.profile_at,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -805,25 +832,29 @@ def _nodal_values(space, coeffs):
     return vals
 
 
-def _enriched_point_terms(space, points, t):
+def _enriched_point_terms(space, points, t, profile=None):
     """The enriched DOF columns alive at each point, (points, 2), with the
     values phi * psi_j there, (points, 2), and their gradients, (points, 2,
     dim).  1D: columns 0 and 1 are phi(x) and phi(1 - x), so xi = (x, 1 - x)
     and d/dx = (d/dxi, -d/dxi).  2D: phi(xi) times the two angular hats
-    alive at eta; points is (points, 2)."""
+    alive at eta; points is (points, 2), and profile, if given, the profile
+    and its slope at t at the leading points, which are not evaluated again."""
     spec = space.enrichment
     if space.mesh.dim == 1:
         # each column is evaluated only within its own support, xi <= support
         xi = np.stack([points, 1.0 - points])
         near = xi <= spec.support + 1e-12
         phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
-        phi[near] = enrichment_profile(spec, xi[near], t)
-        dphi[near] = enrichment_profile_dxi(spec, xi[near], t)
+        phi[near], dphi[near] = enrichment_profile(spec, xi[near], t)
         cols = np.broadcast_to(np.arange(2), phi.T.shape)
         return cols, phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
     xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, points[:, 0], points[:, 1])
-    phi = np.asarray(enrichment_profile(spec, xi, t), dtype=float)
-    dphi = np.asarray(enrichment_profile_dxi(spec, xi, t), dtype=float)
+    k = 0 if profile is None else len(profile[0])
+    phi, dphi = np.empty_like(xi), np.empty_like(xi)
+    if k:
+        phi[:k], dphi[:k] = profile
+    if k < len(xi):
+        phi[k:], dphi[k:] = enrichment_profile(spec, xi[k:], t)
     grads = (
         dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
         + phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]
@@ -831,12 +862,14 @@ def _enriched_point_terms(space, points, t):
     return cols, phi[:, None] * psi, grads
 
 
-def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t):
+def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile=None):
     """Value (points,) and gradient (points, dim) of the discrete solution at
     points (1D: (n,), 2D: (n, 2)) lying in the given mesh elements at the
     given barycentric coordinates.  The enrichment is evaluated only at
     points within its support of the boundary: min(x, 1 - x) <= support in
-    1D, 1 - r <= support in 2D."""
+    1D, 1 - r <= support in 2D.  profile, if given, is the profile and its
+    slope at t at the leading points (AssembledSystem.profile_at), read there
+    instead of evaluated."""
     mesh = space.mesh
     c = _nodal_values(space, coeffs)[mesh.elements]
     vals = np.sum(bary * c[element], axis=1)
@@ -848,7 +881,9 @@ def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t):
             near = np.minimum(points, 1.0 - points) <= support
         else:
             near = np.hypot(points[:, 0], points[:, 1]) >= 1.0 - support
-        cols, evals, egrads = _enriched_point_terms(space, points[near], t)
+        if profile is not None:
+            profile = tuple(v[near[: len(v)]] for v in profile)
+        cols, evals, egrads = _enriched_point_terms(space, points[near], t, profile)
         ec = coeffs[space.n_standard :][cols]
         vals[near] += np.einsum("pj,pj->p", ec, evals)
         grads[near] += np.einsum("pj,pjd->pd", ec, egrads)

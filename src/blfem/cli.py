@@ -320,7 +320,7 @@ def cmd_corrector(args):
             epsilon=cfg["epsilon"],
             sigma=cfg["sigma"] if kind == "phi_m1_lin" else None,
         )
-        columns[kind] = np.asarray(enrichment_profile(spec, xi, cfg["t"]), dtype=float)
+        columns[kind] = enrichment_profile(spec, xi, cfg["t"])[0]
 
     with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(f"# {line}" for line in config_header_lines(cfg)) + "\n")

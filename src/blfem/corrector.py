@@ -4,6 +4,8 @@ boundary-layer element profiles used to enrich the Galerkin space.
 All layer formulas live in the boundary-fitted radial coordinate
 xi = 1 - r (or the distance to an endpoint in 1D) and use the
 variance-1 error-function convention of :mod:`blfem.specfun`.
+enrichment_profile gives a profile's value and xi-slope from one call; a
+caller may pass in the cutoff values it evaluated once per run.
 """
 
 from __future__ import annotations
@@ -242,62 +244,45 @@ def _kernel_time_integral_dxi(spec, xi, t):
     return -2.0 / np.sqrt(np.pi * spec.epsilon) * out
 
 
-def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None):
-    """Value of the selected layer profile at xi (vectorized)."""
+def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None, cutoff=None):
+    """Value and closed-form xi-derivative of the selected layer profile at
+    xi (vectorized), from one evaluation of each factor: the value and the
+    slope share the Gaussian, the kernel integral and the cutoff.  cutoff,
+    if given, is (cutoff_delta(xi), cutoff_delta_dxi(xi)), evaluated once by
+    a caller that asks at the same points again; phi_m1_lin, tapered
+    instead, ignores it."""
     xi = np.asarray(xi, dtype=float)
-    if spec.kind == "phi_m1":
-        val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon))) * cutoff_delta(xi)
-    elif spec.kind == "phi_m1_lin":
+    eps = spec.epsilon
+    if spec.kind == "phi_m1_lin":
         s = spec.sigma
-        ramp = (1.0 - math.exp(-(s**2) / (4.0 * spec.epsilon))) * xi / s
-        val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon)) - ramp) * (xi <= s)
-    elif spec.kind == "phi0_tilde":
-        if t is None or t < 0.0:
-            raise ValueError("phi0_tilde requires t >= 0")
+        e = np.exp(-(xi**2) / (4.0 * eps))
+        ramp = 1.0 - math.exp(-(s**2) / (4.0 * eps))
+        inside = xi <= s
+        return ((1.0 - e - ramp * xi / s) * inside)[()], (((xi / (2.0 * eps)) * e - ramp / s) * inside)[()]
+    if spec.time_dependent and (t is None or t < 0.0):
+        raise ValueError(f"{spec.kind} requires t >= 0")
+    delta, delta_dxi = (cutoff_delta(xi), cutoff_delta_dxi(xi)) if cutoff is None else cutoff
+    if spec.kind == "phi0":
+        kernel = _kernel_time_integral(spec, xi, t)  # zero at t = 0
+        val = (1.0 - kernel) * delta
         if t == 0.0:
-            # pointwise t -> 0+ limit: the Gaussian factor tends to 1 away
-            # from xi = 0 and to 0 at xi = 0
-            val = np.where(xi > 0.0, cutoff_delta(xi), 0.0)
-        else:
-            val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(xi)
-    else:  # phi0
-        if t is None or t < 0.0:
-            raise ValueError("phi0 requires t >= 0")
-        val = (1.0 - _kernel_time_integral(spec, xi, t)) * cutoff_delta(xi)
-    return val[()]
+            return val[()], np.asarray(delta_dxi)[()]
+        # the kernel integral itself only matters where the cutoff slopes
+        kernel = np.where(delta_dxi != 0.0, kernel, 0.0)
+        slope = -_kernel_time_integral_dxi(spec, xi, t) * delta + (1.0 - kernel) * delta_dxi
+        return val[()], slope[()]
+    if spec.kind == "phi0_tilde" and t == 0.0:
+        # pointwise t -> 0+ limit: the Gaussian factor tends to 1 away from
+        # xi = 0 and to 0 at xi = 0, and its xi-scaled derivative vanishes
+        # there, leaving the cutoff slope
+        return np.where(xi > 0.0, delta, 0.0)[()], np.where(xi > 0.0, delta_dxi, 0.0)[()]
+    # phi_m1 is phi0_tilde frozen at t = 1
+    t = t if spec.kind == "phi0_tilde" else 1.0
+    e = np.exp(-(xi**2) / (4.0 * eps * t))
+    val = (1.0 - e) * delta
+    return val[()], ((xi / (2.0 * eps * t)) * e * delta + (1.0 - e) * delta_dxi)[()]
 
 
 def enrichment_profile_dxi(spec: EnrichmentSpec, xi, t: float = None):
-    """Closed-form xi-derivative of the selected profile (vectorized)."""
-    xi = np.asarray(xi, dtype=float)
-    eps = spec.epsilon
-    if spec.kind == "phi_m1":
-        e = np.exp(-(xi**2) / (4.0 * eps))
-        val = (xi / (2.0 * eps)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
-    elif spec.kind == "phi_m1_lin":
-        s = spec.sigma
-        e = np.exp(-(xi**2) / (4.0 * eps))
-        slope = (1.0 - math.exp(-(s**2) / (4.0 * eps))) / s
-        val = ((xi / (2.0 * eps)) * e - slope) * (xi <= s)
-    elif spec.kind == "phi0_tilde":
-        if t is None or t < 0.0:
-            raise ValueError("phi0_tilde derivative requires t >= 0")
-        if t == 0.0:
-            # pointwise t -> 0+ limit: the Gaussian factor and its xi-scaled
-            # derivative vanish away from xi = 0, leaving the cutoff slope
-            return np.where(xi > 0.0, cutoff_delta_dxi(xi), 0.0)[()]
-        e = np.exp(-(xi**2) / (4.0 * eps * t))
-        val = (xi / (2.0 * eps * t)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
-    else:  # phi0
-        if t is None or t < 0.0:
-            raise ValueError("phi0 derivative requires t >= 0")
-        if t == 0.0:
-            # the time integral and its derivative vanish at t = 0
-            return cutoff_delta_dxi(xi)[()]
-        # the kernel integral itself only matters where the cutoff slopes
-        slope = cutoff_delta_dxi(xi)
-        ramp = slope != 0.0
-        kernel = np.zeros_like(xi)
-        kernel[ramp] = _kernel_time_integral(spec, xi[ramp], t)
-        val = -_kernel_time_integral_dxi(spec, xi, t) * cutoff_delta(xi) + (1.0 - kernel) * slope
-    return val[()]
+    """The slope that enrichment_profile returns with the value."""
+    return enrichment_profile(spec, xi, t)[1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, BasisSpace, project_initial
+from .assembly import AssembledSystem, BasisSpace, EnrichedLevel, project_initial
 from .corrector import ProblemData
 from .linsolve import BlockSolver, NoConvergence, NotPositiveDefinite, SolverConfig
 
@@ -61,8 +61,8 @@ class TimeGrid:
 
 @dataclass
 class SolutionField:
-    """Coefficient history of a time-stepped Galerkin solution, and the
-    system it was marched on.
+    """Coefficient history of a time-stepped Galerkin solution, the system
+    it was marched on, and the enriched level of its final coefficients.
 
     history[n] holds the coefficients at times[n]; for time-dependent
     enrichments the profile of row n is evaluated at times[n]."""
@@ -71,10 +71,16 @@ class SolutionField:
     grid: TimeGrid
     history: np.ndarray
     system: AssembledSystem
+    level: EnrichedLevel
 
     @property
     def final(self):
         return self.history[-1]
+
+    def profile_at(self, t):
+        """The profile and its slope that the run computed at t, at the
+        leading points of its layout (AssembledSystem.profile_at), or None."""
+        return self.system.profile_at(t, self.level) if t == self.grid.T else None
 
 
 def cross_level_product(mss, new, old, u):
@@ -119,4 +125,4 @@ def advance(
             old = new
     except (NotPositiveDefinite, NoConvergence) as exc:
         _reraise_with_step(exc, step)
-    return SolutionField(space=space, grid=grid, history=history, system=system)
+    return SolutionField(space=space, grid=grid, history=history, system=system, level=old)

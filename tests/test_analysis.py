@@ -2,6 +2,7 @@
 machinery, CSV schema, and the epsilon-rate reference solver."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from blfem.analysis import (
     solve_scenario,
     write_convergence_csv,
 )
-from blfem.assembly import build_space
-from blfem.mesh import build_interval_mesh
+from blfem.assembly import assemble_enriched, build_space, fitted_arrays
+from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
+from blfem.mesh import build_disk_mesh, build_interval_mesh
+from blfem.timestep import TimeGrid, advance
 
 
 class TestManufacturedSolution1D:
@@ -295,6 +298,94 @@ class TestErrorReportFieldOnce:
         assert sizes == [np.count_nonzero(x <= support) + np.count_nonzero(1.0 - x <= support)]
         if kind == "phi_m1_lin":  # sigma = h: 48 of the 896 points, each near one end only
             assert sizes == [48] and np.count_nonzero(inside) == 48 and x.size == 896
+
+
+def _same_report(a, b):
+    """Every field of two error reports equal to the bit."""
+    return all(np.float64(x).tobytes() == np.float64(y).tobytes() for x, y in zip(astuple(a), astuple(b)))
+
+
+class TestErrorReuse:
+    """A 2D run hands its profile values at T to the error report, which then
+    evaluates the profile nowhere on the enriched blocks' points."""
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    @pytest.mark.parametrize("scheme, kind", [("sfem", None)] + [("nfem", k) for k in ENRICHMENT_KINDS])
+    def test_report_from_run_values_equals_evaluated(self, scheme, kind, eps):
+        import blfem.analysis as analysis
+
+        report, sol, space, exact = solve_scenario(2, eps, 16, 0.5, 0.25, scheme, kind or "phi_m1_lin")
+        layout = analysis._element_rules(space.mesh, eps)
+        evaluated = compute_error_report(space, sol.final, exact, 0.5, eps, runtime=report.runtime, layout=layout)
+        assert _same_report(report, evaluated)
+        values = sol.profile_at(0.5)
+        assert (values is None) == (scheme == "sfem")
+        if values is not None:
+            # the handed-over values are the profile at T on the leading points
+            phi, dphi = values
+            xi = fitted_arrays(*layout.points[: len(phi)].T)[1]
+            want = enrichment_profile(space.enrichment, xi, 0.5)
+            assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
+            assert sol.profile_at(0.25) is None  # a report at another t evaluates
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    def test_refined_norms_equal_evaluated(self, kind):
+        import blfem.analysis as analysis
+
+        eps = 1e-5
+        report, sol, space, exact = solve_scenario(2, eps, 16, 0.5, 0.25, "nfem", kind, refine=2)
+        layout = analysis._element_rules(space.mesh, eps)
+        evaluated = compute_error_report(
+            space, sol.final, exact, 0.5, eps, refine=2, runtime=report.runtime, layout=layout
+        )
+        assert _same_report(report, evaluated)
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ["phi0", "phi_m1"])
+    def test_no_split_time_hands_over_nothing(self, kind):
+        # without t_max no value is known to hold at T; the report evaluates
+        import blfem.analysis as analysis
+
+        eps = 1e-5
+        exact = ExactSolution2D(eps)
+        space = build_space(build_disk_mesh(16), EnrichmentSpec(kind=kind, epsilon=eps))
+        layout = analysis._element_rules(space.mesh, eps)
+        sol = advance(space, assemble_enriched(space, eps, layout=layout), exact.problem(), TimeGrid(T=0.5, n_steps=2))
+        assert sol.profile_at(0.5) is None
+        with_split = advance(
+            space, assemble_enriched(space, eps, t_max=0.5, layout=layout), exact.problem(), TimeGrid(T=0.5, n_steps=2)
+        )
+        assert with_split.profile_at(0.5) is not None
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
+    def test_no_profile_call_at_T_in_the_report(self, kind, monkeypatch):
+        import blfem.analysis as analysis
+        import blfem.assembly as assembly
+
+        calls = {"report": 0, "run": 0, "reports": 0}
+        phase = ["run"]
+        profile, report = assembly.enrichment_profile, analysis.compute_error_report
+
+        def counted_profile(*args, **kwargs):
+            calls[phase[0]] += 1
+            return profile(*args, **kwargs)
+
+        def counted_report(*args, **kwargs):
+            calls["reports"] += 1
+            phase[0] = "report"
+            try:
+                return report(*args, **kwargs)
+            finally:
+                phase[0] = "run"
+
+        monkeypatch.setattr(assembly, "enrichment_profile", counted_profile)
+        monkeypatch.setattr(analysis, "compute_error_report", counted_report)
+        solve_scenario(2, 1e-5, 16, 0.5, 0.25, "nfem", kind)
+        assert calls["reports"] == 1 and calls["run"] > 0
+        assert calls["report"] == 0
 
 
 class TestOscillationIndex:

@@ -30,7 +30,7 @@ from blfem.assembly import (
     triangle_geometry,
     triangle_rule_points,
 )
-from blfem.corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
+from blfem.corrector import EnrichmentSpec, enrichment_profile
 from blfem.linsolve import stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
@@ -239,11 +239,11 @@ class TestEnriched1D:
         level = assemble_enriched(space, eps).parts["rebuild"](0.0)
         mee, aee = level.mee, level.aee
         phi2, _ = sp_integrate.quad(
-            lambda x: float(enrichment_profile(spec, x)) ** 2, 0.0, sigma,
+            lambda x: float(enrichment_profile(spec, x)[0]) ** 2, 0.0, sigma,
             epsabs=1e-14, limit=200,
         )
         dphi2, _ = sp_integrate.quad(
-            lambda x: float(enrichment_profile_dxi(spec, x)) ** 2, 0.0, sigma,
+            lambda x: float(enrichment_profile(spec, x)[1]) ** 2, 0.0, sigma,
             epsabs=1e-12, limit=200, points=[math.sqrt(eps)],
         )
         assert mee[0, 0] == pytest.approx(phi2, rel=1e-8)
@@ -261,7 +261,7 @@ class TestEnriched1D:
             i = space.interior_nodes[k]
             hat = lambda x: np.clip(1.0 - np.abs(x - nodes[i]) * n, 0.0, 1.0)
             exact, _ = sp_integrate.quad(
-                lambda x: float(enrichment_profile(spec, x)) * hat(x),
+                lambda x: float(enrichment_profile(spec, x)[0]) * hat(x),
                 0.0, sigma, epsabs=1e-14, limit=200,
             )
             assert msl[k, 0] == pytest.approx(exact, rel=1e-8)
@@ -328,7 +328,7 @@ class TestEnriched2D:
         masks = [[int(v) in bset for v in tri] for tri in tris]
         pts, wts, _, _ = triangle_rule_points(mesh.nodes[tris], masks, eps, n_sub=10, n_gauss=6)
         eta, xi, _ = fitted_arrays(pts[:, 0], pts[:, 1])
-        phi = np.asarray(enrichment_profile(spec, xi, 1.0))
+        phi = np.asarray(enrichment_profile(spec, xi, 1.0)[0])
         panel = np.minimum((eta / deta).astype(int), m - 1)
         frac = eta / deta - panel
         for jj, psi_j in ((panel, 1.0 - frac), ((panel + 1) % m, frac)):
@@ -386,7 +386,7 @@ class TestEnriched2D:
             # the standard part is zero, so the field is the enrichment alone
             cols, vals, _ = _enriched_point_terms(space, np.stack([x, y], axis=1), 1.0)
             got = np.sum(vals * coeffs[space.n_standard :][cols], axis=1)
-            want = g(eta) * float(enrichment_profile(spec, 1.0 - r, 1.0))
+            want = g(eta) * float(enrichment_profile(spec, 1.0 - r, 1.0)[0])
             errs.append(np.max(np.abs(got - want)))
         assert errs[1] < errs[0] / 2.0  # at least first order in the angle
 
@@ -444,7 +444,7 @@ class TestTimeLevels:
         # every point moves without a split time: a vanishing profile leaves
         # a zero Gram block
         rebuild = assemble_enriched(space, eps).parts["rebuild"]
-        monkeypatch.setattr(assembly, "enrichment_profile", lambda spec, xi, t=None: np.zeros(np.shape(xi)))
+        monkeypatch.setattr(assembly, "enrichment_profile", lambda spec, xi, t=None, cutoff=None: 2 * (np.zeros(np.shape(xi)),))
         with pytest.raises(AssemblyError, match="numerically singular"):
             rebuild(0.75)
 
@@ -468,7 +468,7 @@ class TestTimeLevels:
         if dim == 1:
             spec = space.enrichment
             want, _ = sp_integrate.quad(
-                lambda x: float(enrichment_profile(spec, x, 0.5)) * float(enrichment_profile(spec, x, 0.3)),
+                lambda x: float(enrichment_profile(spec, x, 0.5)[0]) * float(enrichment_profile(spec, x, 0.3)[0]),
                 0.0, spec.support, epsabs=1e-14, limit=200, points=[math.sqrt(eps)],
             )
             # the strip rule matches quad to ~4e-8 for phi0; the profiles at
@@ -489,9 +489,8 @@ def _reference_blocks_2d(space, eps, t, t_old, f):
     x, y = quad.points[:, 0], quad.points[:, 1]
     w, tri = quad.weights, quad.element
     eta, xi, r = fitted_arrays(x, y)
-    phi = enrichment_profile(spec, xi, t)
-    dphi = enrichment_profile_dxi(spec, xi, t)
-    phi_old = enrichment_profile(spec, xi, t_old)
+    phi, dphi = enrichment_profile(spec, xi, t)
+    phi_old = enrichment_profile(spec, xi, t_old)[0]
     panel = np.minimum((eta / deta).astype(int), m - 1)
     frac = eta / deta - panel
     hats = ((panel, 1.0 - frac, -1.0 / deta), ((panel + 1) % m, frac, 1.0 / deta))
@@ -535,9 +534,8 @@ def _reference_blocks_1d(space, eps, t, t_old, f):
     spec, nodes = space.enrichment, space.mesh.nodes
     rule = _layer_rule_1d(space)
     w = rule.weights
-    phi = enrichment_profile(spec, rule.points, t)
-    dphi = enrichment_profile_dxi(spec, rule.points, t)
-    phi_old = enrichment_profile(spec, rule.points, t_old)
+    phi, dphi = enrichment_profile(spec, rule.points, t)
+    phi_old = enrichment_profile(spec, rule.points, t_old)[0]
     msl = np.zeros((space.n_standard, 2))
     asl = np.zeros((space.n_standard, 2))
     # enriched dof 0 lives at the left endpoint, dof 1 mirrored at the right
@@ -746,10 +744,10 @@ class TestProjectionAndEvaluation:
         coeffs = np.zeros(space.total_dofs)
         coeffs[space.n_standard :] = 2.0, -0.5
         xs = np.array([0.0, 0.01, 0.05, 0.5, 0.97, 0.99, 1.0])
-        want = 2.0 * np.asarray(enrichment_profile(spec, xs)) - 0.5 * np.asarray(enrichment_profile(spec, 1.0 - xs))
+        want = 2.0 * np.asarray(enrichment_profile(spec, xs)[0]) - 0.5 * np.asarray(enrichment_profile(spec, 1.0 - xs)[0])
         assert np.allclose(evaluate_field_1d(space, coeffs, xs), want, atol=1e-14)
-        wantg = 2.0 * np.asarray(enrichment_profile_dxi(spec, xs)) + 0.5 * np.asarray(
-            enrichment_profile_dxi(spec, 1.0 - xs)
+        wantg = 2.0 * np.asarray(enrichment_profile(spec, xs)[1]) + 0.5 * np.asarray(
+            enrichment_profile(spec, 1.0 - xs)[1]
         )
         _, grads = _discrete_field(space, coeffs, xs, *_locate_1d(space.mesh.nodes, xs), None)
         assert grads.shape == (len(xs), 1)
@@ -919,7 +917,7 @@ def _aligned_mass_1d(space, t):
         rule = composite_interval(np.concatenate([[a], np.sort(layer[(layer > a) & (layer < b)]), [b]]), RAD_N_GAUSS)
         x, w = rule.points, rule.weights
         hats = [(b - x) / h, (x - a) / h]
-        phis = [enrichment_profile(spec, x, t), enrichment_profile(spec, 1.0 - x, t)]
+        phis = [enrichment_profile(spec, x, t)[0], enrichment_profile(spec, 1.0 - x, t)[0]]
         for r in range(2):
             for c in range(2):
                 if dofs[r] >= 0 and dofs[c] >= 0:
@@ -992,3 +990,69 @@ class TestEnrichedSpd2D:
                 dense = matrix.toarray()
                 assert np.array_equal(dense, dense.T)
                 assert np.linalg.eigvalsh(dense)[0] > 0.0, (kind, eps, b, t)
+
+
+def _unique_coupling_pattern(space, dof, col):
+    """The coupling pattern and block by np.unique over the kept keys and
+    searchsorted into them: the rule that the presence count replaced."""
+    from blfem.assembly import _pattern
+
+    n, m = space.n_standard, space.n_enriched
+    key = dof * m + col
+    keep = np.broadcast_to(dof >= 0, key.shape).copy()
+    key = key[keep]
+    keys = np.unique(key)
+    block = sp.csr_matrix((keys, keys % m, np.searchsorted(keys // m, np.arange(n + 1))), shape=(n, m))
+    rows = np.searchsorted(keys, key)
+    return _pattern(rows, keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep)), block
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+class TestCouplingPatternOracle:
+    @pytest.mark.parametrize(
+        "dim, level, kind",
+        [(1, 20, "phi0"), (1, 40, "phi_m1_lin"), (2, 16, "phi0_tilde"), (2, 16, "phi_m1_lin"), (2, 26, "phi0")],
+    )
+    def test_coupling_operators_identical_to_unique_oracle(self, dim, level, kind, monkeypatch):
+        import blfem.assembly as assembly
+
+        mesh = build_interval_mesh(level) if dim == 1 else build_disk_mesh(level)
+        sigma = (mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)) if kind == "phi_m1_lin" else None
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=1e-5, sigma=sigma))
+
+        def coupling_layout():
+            if dim == 1:
+                return assembly._coupling_layout_1d(space)
+            return assembly._coupling_layout_2d(space, element_rules_2d(mesh, 1e-5))
+
+        dropped = []
+        counted = assembly._coupling_pattern
+        monkeypatch.setattr(
+            assembly, "_coupling_pattern", lambda s, dof, col: dropped.append(np.any(dof < 0)) or counted(s, dof, col)
+        )
+        got = coupling_layout()
+        assert dropped == [True]  # contributions of boundary hats are dropped
+        monkeypatch.setattr(assembly, "_coupling_pattern", _unique_coupling_pattern)
+        want = coupling_layout()
+        for name in ("sl_block", "sl_m", "sl_a1", "sl_a2", "ee_m", "ee_ang", "le"):
+            _assert_same_csr(getattr(got, name), getattr(want, name))
+
+    def test_pattern_identical_to_unique_oracle_on_random_keys(self):
+        # rows without any entry, repeated keys and dropped contributions
+        from blfem.assembly import _coupling_pattern
+
+        rng = np.random.default_rng(3)
+        for n, m, points in ((7, 5, 40), (30, 8, 200), (4, 3, 1)):
+            space = dataclasses.make_dataclass("Space", ["n_standard", "n_enriched"])(n, m)
+            dof = rng.integers(-1, n, size=(points, 3, 1))
+            dof[dof == n // 2] = -1
+            col = rng.integers(0, m, size=(points, 1, 2))
+            got, want = _coupling_pattern(space, dof, col), _unique_coupling_pattern(space, dof, col)
+            for a, b in zip(got, want):
+                _assert_same_csr(a, b)

@@ -150,13 +150,13 @@ class TestSolveCommand:
         split = assembly._split_layout
 
         def negated_after_half(*args):
-            rebuild, rows, load = split(*args)
+            rebuild, *rest = split(*args)
 
             def negated(t, previous=None):
                 level = rebuild(t, previous)
                 return dataclasses.replace(level, mee=-level.mee, aee=-level.aee) if t > 0.5 else level
 
-            return negated, rows, load
+            return negated, *rest
 
         monkeypatch.setattr(assembly, "_split_layout", negated_after_half)
         code = run_cli(

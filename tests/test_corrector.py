@@ -212,13 +212,13 @@ class TestEnrichmentProfiles:
     def test_zero_at_boundary(self):
         for kind in ENRICHMENT_KINDS:
             spec = EnrichmentSpec(kind=kind, epsilon=1e-5, sigma=0.1)
-            assert enrichment_profile(spec, 0.0, t=1.0) == pytest.approx(0.0, abs=1e-14)
+            assert enrichment_profile(spec, 0.0, t=1.0)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_vanishing_outside_support(self):
         for kind in ENRICHMENT_KINDS:
             spec = EnrichmentSpec(kind=kind, epsilon=1e-5, sigma=0.1)
             xi = np.linspace(spec.support + 1e-9, 1.0, 20)
-            assert np.max(np.abs(enrichment_profile(spec, xi, t=1.0))) == 0.0
+            assert np.max(np.abs(enrichment_profile(spec, xi, t=1.0)[0])) == 0.0
 
     def test_layer_half_thickness(self):
         # the Gaussian profile crosses 1/2 at xi = sqrt(4 eps ln 2)
@@ -226,7 +226,7 @@ class TestEnrichmentProfiles:
             spec = EnrichmentSpec(kind="phi_m1", epsilon=eps)
             target = math.sqrt(4.0 * eps * math.log(2.0))
             xi = np.linspace(0.0, 5.0 * target, 20001)
-            v = enrichment_profile(spec, xi)
+            v = enrichment_profile(spec, xi)[0]
             crossing = xi[np.argmax(v >= 0.5)]
             assert crossing == pytest.approx(target, rel=0.01)
 
@@ -238,9 +238,9 @@ class TestEnrichmentProfiles:
         xi = rng.uniform(1e-3, 0.19, 100)
         h = 1e-7
         fd = (
-            enrichment_profile(spec, xi + h, t=0.7) - enrichment_profile(spec, xi - h, t=0.7)
+            enrichment_profile(spec, xi + h, t=0.7)[0] - enrichment_profile(spec, xi - h, t=0.7)[0]
         ) / (2.0 * h)
-        got = enrichment_profile_dxi(spec, xi, t=0.7)
+        got = enrichment_profile(spec, xi, t=0.7)[1]
         assert np.allclose(got, fd, rtol=1e-5, atol=1e-6)
 
     def test_profiles_agree_away_from_layer(self):
@@ -252,7 +252,7 @@ class TestEnrichmentProfiles:
         vals = {}
         for kind in ("phi0", "phi0_tilde", "phi_m1"):
             spec = EnrichmentSpec(kind=kind, epsilon=eps)
-            vals[kind] = np.asarray(enrichment_profile(spec, xi, t=1.0))
+            vals[kind] = np.asarray(enrichment_profile(spec, xi, t=1.0)[0])
         ref = vals["phi_m1"]
         for kind, v in vals.items():
             assert np.max(np.abs(v - ref) / np.abs(ref)) < 0.10, kind
@@ -263,7 +263,7 @@ class TestEnrichmentProfiles:
         eps = 1e-6
         spec = EnrichmentSpec(kind="phi_m1_lin", epsilon=eps, sigma=0.2)
         xi = np.linspace(0.05, 0.19, 20)
-        got = np.asarray(enrichment_profile(spec, xi))
+        got = np.asarray(enrichment_profile(spec, xi)[0])
         assert np.allclose(got, 1.0 - xi / 0.2, atol=1e-10)
 
     def test_phi0_is_one_minus_kernel_time_integral(self):
@@ -274,33 +274,132 @@ class TestEnrichmentProfiles:
             integral, _ = sp_integrate.quad(
                 lambda tau: float(heat_kernel_I(xi, tau, eps)), 0.0, 1.0, epsabs=1e-13
             )
-            got = float(enrichment_profile(spec, xi, t=1.0))
+            got = float(enrichment_profile(spec, xi, t=1.0)[0])
             assert got == pytest.approx((1.0 - integral) * cutoff_delta(xi), abs=1e-9)
 
     def test_time_dependent_profiles_need_time(self):
         spec = EnrichmentSpec(kind="phi0", epsilon=1e-4)
         with pytest.raises(ValueError):
-            enrichment_profile(spec, 0.1)
+            enrichment_profile(spec, 0.1)[0]
         with pytest.raises(ValueError):
-            enrichment_profile_dxi(spec, 0.1)
+            enrichment_profile(spec, 0.1)[1]
         # at t = 0 the derivative continues to its pointwise limit
-        assert enrichment_profile_dxi(spec, 0.1, t=0.0) == 0.0  # cutoff plateau
+        assert enrichment_profile(spec, 0.1, t=0.0)[1] == 0.0  # cutoff plateau
         spec_t = EnrichmentSpec(kind="phi0_tilde", epsilon=1e-4)
-        assert enrichment_profile_dxi(spec_t, 0.0, t=0.0) == 0.0
+        assert enrichment_profile(spec_t, 0.0, t=0.0)[1] == 0.0
 
     @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
     def test_negative_time_rejected(self, kind):
         spec = EnrichmentSpec(kind=kind, epsilon=1e-4)
         xi = np.linspace(0.0, 0.6, 7)
         with pytest.raises(ValueError, match="t >= 0"):
-            enrichment_profile(spec, xi, t=-0.1)
+            enrichment_profile(spec, xi, t=-0.1)[0]
         with pytest.raises(ValueError, match="t >= 0"):
-            enrichment_profile_dxi(spec, xi, t=-0.1)
+            enrichment_profile(spec, xi, t=-0.1)[1]
 
     def test_phi0_tilde_time_zero_limit(self):
         spec = EnrichmentSpec(kind="phi0_tilde", epsilon=1e-4)
-        assert enrichment_profile(spec, 0.0, t=0.0) == 0.0
-        assert enrichment_profile(spec, 0.1, t=0.0) == pytest.approx(1.0)
+        assert enrichment_profile(spec, 0.0, t=0.0)[0] == 0.0
+        assert enrichment_profile(spec, 0.1, t=0.0)[0] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# frozen copies of the separate value and slope formulas that the fused
+# profile replaced; it must agree with them to the bit
+
+
+def _frozen_value(spec, xi, t=None):
+    xi = np.asarray(xi, dtype=float)
+    if spec.kind == "phi_m1":
+        val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon))) * cutoff_delta(xi)
+    elif spec.kind == "phi_m1_lin":
+        s = spec.sigma
+        ramp = (1.0 - math.exp(-(s**2) / (4.0 * spec.epsilon))) * xi / s
+        val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon)) - ramp) * (xi <= s)
+    elif spec.kind == "phi0_tilde":
+        if t == 0.0:
+            val = np.where(xi > 0.0, cutoff_delta(xi), 0.0)
+        else:
+            val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(xi)
+    else:
+        val = (1.0 - _kernel_time_integral(spec, xi, t)) * cutoff_delta(xi)
+    return val[()]
+
+
+def _frozen_slope(spec, xi, t=None):
+    xi = np.asarray(xi, dtype=float)
+    eps = spec.epsilon
+    if spec.kind == "phi_m1":
+        e = np.exp(-(xi**2) / (4.0 * eps))
+        val = (xi / (2.0 * eps)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
+    elif spec.kind == "phi_m1_lin":
+        s = spec.sigma
+        e = np.exp(-(xi**2) / (4.0 * eps))
+        slope = (1.0 - math.exp(-(s**2) / (4.0 * eps))) / s
+        val = ((xi / (2.0 * eps)) * e - slope) * (xi <= s)
+    elif spec.kind == "phi0_tilde":
+        if t == 0.0:
+            return np.where(xi > 0.0, cutoff_delta_dxi(xi), 0.0)[()]
+        e = np.exp(-(xi**2) / (4.0 * eps * t))
+        val = (xi / (2.0 * eps * t)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
+    else:
+        if t == 0.0:
+            return cutoff_delta_dxi(xi)[()]
+        slope = cutoff_delta_dxi(xi)
+        ramp = slope != 0.0
+        kernel = np.zeros_like(xi)
+        kernel[ramp] = _kernel_time_integral(spec, xi[ramp], t)
+        val = -_kernel_time_integral_dxi(spec, xi, t) * cutoff_delta(xi) + (1.0 - kernel) * slope
+    return val[()]
+
+
+def _same_bits(got, want):
+    return np.ndim(got) == np.ndim(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestFusedProfile:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 1.0])
+    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
+    def test_bit_identical_to_separate_formulas(self, kind, t, eps):
+        spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=0.1 if kind == "phi_m1_lin" else None)
+        # the layer, the cutoff plateau, its ramp and ends, and past the support
+        ends = [CUTOFF_INNER, CUTOFF_OUTER, np.nextafter(CUTOFF_INNER, 1.0), np.nextafter(CUTOFF_OUTER, 0.0)]
+        xi = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 1500), np.linspace(0.0, 0.7, 701), ends])
+        assert np.any(xi < CUTOFF_INNER) and np.any((xi > CUTOFF_INNER) & (xi < CUTOFF_OUTER))
+        assert np.any(xi > CUTOFF_OUTER)
+        for x in (xi, xi.reshape(-1, 1), 0.0, 1e-4, 0.1, 0.3, CUTOFF_OUTER, 0.6):
+            want = _frozen_value(spec, x, t), _frozen_slope(spec, x, t)
+            for cutoff in (None, (cutoff_delta(x), cutoff_delta_dxi(x))):
+                got = enrichment_profile(spec, x, t, cutoff)
+                assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), (np.ndim(x), cutoff is None)
+
+    def test_ramp_kernel_is_live_where_compared(self):
+        # at eps = 1e-3 the phi0 slope reads the kernel integral on the ramp
+        spec = EnrichmentSpec(kind="phi0", epsilon=1e-3)
+        xi = np.linspace(CUTOFF_INNER, CUTOFF_OUTER, 50)[1:-1]
+        assert np.all(_kernel_time_integral(spec, xi, 1.0) > 0.0)
+
+    def test_passed_cutoff_is_used(self, monkeypatch):
+        # a caller's cutoff replaces the profile's own evaluation of it
+        import blfem.corrector as corrector
+
+        xi = np.linspace(0.0, 0.6, 61)
+        cutoff = cutoff_delta(xi), cutoff_delta_dxi(xi)
+        specs = [EnrichmentSpec(kind=kind, epsilon=1e-4) for kind in ("phi0", "phi0_tilde", "phi_m1")]
+        monkeypatch.setattr(corrector, "cutoff_delta", None)
+        monkeypatch.setattr(corrector, "cutoff_delta_dxi", None)
+        got = [enrichment_profile(spec, xi, 0.5, cutoff) for spec in specs]
+        monkeypatch.undo()
+        for spec, (value, slope) in zip(specs, got):
+            assert _same_bits(value, _frozen_value(spec, xi, 0.5))
+            assert _same_bits(slope, _frozen_slope(spec, xi, 0.5))
+
+    def test_slope_accessor(self):
+        for kind in ENRICHMENT_KINDS:
+            spec = EnrichmentSpec(kind=kind, epsilon=1e-4, sigma=0.1)
+            xi = np.linspace(0.0, 0.6, 31)
+            assert _same_bits(enrichment_profile_dxi(spec, xi, 0.5), enrichment_profile(spec, xi, 0.5)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +461,7 @@ class TestKernelRowSkip:
     def test_phi0_profile_bit_identical_to_dense_reference(self, layer_xi, t):
         eps, xi = layer_xi
         spec = EnrichmentSpec(kind="phi0", epsilon=eps)
-        got = np.asarray(enrichment_profile(spec, xi, t=t))
+        got = np.asarray(enrichment_profile(spec, xi, t=t)[0])
         want = _ref_phi0(spec, xi, t)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -372,7 +471,7 @@ class TestKernelRowSkip:
         # skipped rows may carry +0.0 where the reference has -0.0
         eps, xi = layer_xi
         spec = EnrichmentSpec(kind="phi0", epsilon=eps)
-        assert np.array_equal(enrichment_profile_dxi(spec, xi, t=t), _ref_phi0_dxi(spec, xi, t))
+        assert np.array_equal(enrichment_profile(spec, xi, t=t)[1], _ref_phi0_dxi(spec, xi, t))
 
     @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0])
     def test_kernel_integrals_bit_identical_to_dense_reference(self, layer_xi, t):
@@ -396,10 +495,10 @@ class TestKernelRowSkip:
     def test_phi0_scalar_input(self):
         spec = EnrichmentSpec(kind="phi0", epsilon=1e-5)
         for xi in (0.0, 1e-3, 0.3, 0.6):
-            got = enrichment_profile(spec, xi, t=0.2)
+            got = enrichment_profile(spec, xi, t=0.2)[0]
             assert np.ndim(got) == 0
             assert np.asarray(got).tobytes() == np.asarray(_ref_phi0(spec, xi, 0.2)).tobytes()
-            assert enrichment_profile_dxi(spec, xi, t=0.2) == _ref_phi0_dxi(spec, xi, 0.2)
+            assert enrichment_profile(spec, xi, t=0.2)[1] == _ref_phi0_dxi(spec, xi, 0.2)
 
     def test_cutoff_bit_identical_to_clipped_polynomial(self):
         ends = [CUTOFF_INNER, CUTOFF_OUTER, np.nextafter(CUTOFF_INNER, 1.0), np.nextafter(CUTOFF_OUTER, 0.0)]
@@ -431,8 +530,8 @@ class TestTimeIndependentXi:
         assert 0.0 < star < math.inf
         xi = np.concatenate([[star], star * (1.0 + np.geomspace(1e-12, 1.0, 40)), star + np.linspace(0.0, 0.6, 60)])
         for t in (0.0, T / n_steps, T / 2.0, T):
-            assert np.array_equal(enrichment_profile(spec, xi, t), cutoff_delta(xi)), t
-            assert np.array_equal(enrichment_profile_dxi(spec, xi, t), cutoff_delta_dxi(xi)), t
+            assert np.array_equal(enrichment_profile(spec, xi, t)[0], cutoff_delta(xi)), t
+            assert np.array_equal(enrichment_profile(spec, xi, t)[1], cutoff_delta_dxi(xi)), t
 
     @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
     @pytest.mark.parametrize("eps", [1e-8, 1e-5])
@@ -441,7 +540,7 @@ class TestTimeIndependentXi:
         spec = EnrichmentSpec(kind=kind, epsilon=eps)
         xi = 0.9 * time_independent_xi(spec, 1.0)
         assert xi < CUTOFF_INNER
-        assert enrichment_profile_dxi(spec, xi, 1.0) != cutoff_delta_dxi(xi)
+        assert enrichment_profile(spec, xi, 1.0)[1] != cutoff_delta_dxi(xi)
 
     def test_time_independent_kinds_and_no_split(self):
         for kind, sigma in (("phi_m1", None), ("phi_m1_lin", 0.1)):

@@ -16,7 +16,7 @@ from blfem.assembly import (
     element_rules_2d,
     triangle_rule_points,
 )
-from blfem.corrector import EnrichmentSpec, enrichment_profile, enrichment_profile_dxi
+from blfem.corrector import EnrichmentSpec, enrichment_profile
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 
@@ -283,8 +283,8 @@ def _reference_field_1d(space, coeffs, k, x, t):
     spec = space.enrichment
     if spec is not None:
         cl, cr = coeffs[space.n_standard :]
-        uh = uh + cl * enrichment_profile(spec, x, t) + cr * enrichment_profile(spec, 1.0 - x, t)
-        guh = guh + cl * enrichment_profile_dxi(spec, x, t) - cr * enrichment_profile_dxi(spec, 1.0 - x, t)
+        uh = uh + cl * enrichment_profile(spec, x, t)[0] + cr * enrichment_profile(spec, 1.0 - x, t)[0]
+        guh = guh + cl * enrichment_profile(spec, x, t)[1] - cr * enrichment_profile(spec, 1.0 - x, t)[1]
     return uh, guh
 
 

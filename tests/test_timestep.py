@@ -9,6 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import blfem.assembly
+import blfem.corrector
 from blfem.analysis import ExactSolution1D, ExactSolution2D
 from blfem.assembly import assemble_enriched, assemble_standard, build_space, project_initial
 from blfem.corrector import EnrichmentSpec, ProblemData
@@ -163,16 +164,42 @@ class TestTimeDependentEnrichment:
         space = build_space(mesh, spec)
         system = assemble_enriched(space, eps)
         data = ExactSolution1D(eps).problem() if dim == 1 else ExactSolution2D(eps).problem()
-        calls = {}
-        for name in ("enrichment_profile", "enrichment_profile_dxi"):
-            def counted(*args, _fn=getattr(blfem.assembly, name), _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+        # the value and the slope come from one call; the slope accessor is
+        # not called, and assembly does not import it
+        assert not hasattr(blfem.assembly, "enrichment_profile_dxi")
+        calls = {"enrichment_profile": 0, "enrichment_profile_dxi": 0}
+        for module, name in ((blfem.assembly, "enrichment_profile"), (blfem.corrector, "enrichment_profile_dxi")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(blfem.assembly, name, counted)
+            monkeypatch.setattr(module, name, counted)
         advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
         assert 0 < calls["enrichment_profile"] <= n_steps + 2
-        assert 0 < calls["enrichment_profile_dxi"] <= n_steps + 2
+        assert calls["enrichment_profile_dxi"] == 0
+
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["phi0_tilde", "phi0"])
+    def test_cutoff_evaluated_once_per_run(self, kind, dim, monkeypatch):
+        # once at the fixed points and once at the moving ones, whatever the
+        # number of levels (at eps = 1e-5 both sets are nonempty)
+        eps, n_steps = 1e-5, 8
+        mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps))
+        data = ExactSolution1D(eps).problem() if dim == 1 else ExactSolution2D(eps).problem()
+        calls = {"cutoff_delta": 0, "cutoff_delta_dxi": 0}
+        for module in (blfem.assembly, blfem.corrector):
+            for name in calls:
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        system = assemble_enriched(space, eps, t_max=1.0)
+        advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
+        assert calls == {"cutoff_delta": 2, "cutoff_delta_dxi": 2}
 
 
 class TestBoundSource:
