@@ -98,8 +98,8 @@ class AssembledSystem:
     its slope that the run computed at the points of its 2D layout's leading
     slice (the enriched blocks' points), given the level built at t: only
     at t = t_max, the split time of the fixed points' values (see
-    _split_layout).  It is None in 1D, whose blocks read a layer rule of
-    their own, and for the plain space."""
+    _split_layout).  It returns None in 1D, whose blocks read a layer rule
+    of their own, and for the plain space."""
 
     mss: sp.csr_matrix
     ass: sp.csr_matrix
