@@ -266,10 +266,10 @@ def compute_error_report(
     rel_l2 is NaN when the exact solution vanishes in L2.  `layout` is the
     unrefined layout over every element of the mesh, built here if not
     given; the oscillation index always reads it, and the norms do too
-    unless refine > 1 asks for a refined one.  `profile` is what the run
-    that built `layout` computed of the enrichment at t
-    (SolutionField.profile_at); the field on `layout` reads it, and the
-    profile is evaluated only where it is not given."""
+    unless refine > 1 asks for a refined one.  `profile` is the profile and
+    its slope that the run that built `layout` computed at t on its enriched
+    blocks' points (AssembledSystem.profile_at of its last level); the field
+    on `layout` reads it there, and the profile is evaluated elsewhere."""
     if layout is None:
         layout = _element_rules(space.mesh, epsilon)
     fine = layout if refine == 1 else _element_rules(space.mesh, epsilon, refine)
@@ -468,7 +468,7 @@ def solve_scenario(
     runtime = time.perf_counter() - t0
     report = compute_error_report(
         space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime, layout=layout,
-        profile=fieldsol.profile_at(T),
+        profile=system.profile_at(fieldsol.level),
     )
     return report, fieldsol, space, exact
 

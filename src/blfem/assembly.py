@@ -94,12 +94,12 @@ class AssembledSystem:
     whole load at t of the level whose moving profile values are phi_vals,
     with the source bound to each point set once (ProblemData.source).
 
-    profile_at(t, level) -> (phi, dphi) or None hands over the profile and
-    its slope that the run computed at the points of its 2D layout's leading
-    slice (the enriched blocks' points), given the level built at t: only
-    at t = t_max, the split time of the fixed points' values (see
-    _split_layout).  It returns None in 1D, whose blocks read a layer rule
-    of their own, and for the plain space."""
+    profile_at(level) -> (phi, dphi) or None hands over the profile and its
+    slope that the run computed at the points of its 2D layout's leading
+    slice (the enriched blocks' points), at the time `level` was built at;
+    the fixed points' values hold at every level (see _split_layout).  It
+    returns None in 1D, whose blocks read a layer rule of their own, and
+    for the plain space."""
 
     mss: sp.csr_matrix
     ass: sp.csr_matrix
@@ -107,7 +107,7 @@ class AssembledSystem:
     load_coords: tuple
     load_op: sp.csr_matrix
     parts: dict
-    profile_at: callable = lambda t, level: None
+    profile_at: callable = lambda level: None
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,9 @@ class EnrichedLevel:
     enriched functions (rows) with the previous level's (columns; mee when
     there is none), and the profile values phi and slopes dphi at the moving
     quadrature points; the load at this level reads phi, and the error
-    report the last level's both (AssembledSystem.profile_at).  The profile
-    and its slope are evaluated in one call per level, on cutoff values
-    evaluated once per run."""
+    report both of the run's last level (AssembledSystem.profile_at).  The
+    profile and its slope are evaluated in one call per level, on cutoff
+    values evaluated once per run."""
 
     msl: sp.csr_matrix
     asl: sp.csr_matrix
@@ -300,17 +300,16 @@ def _doubled_areas(v):
     )
 
 
-def element_rules_2d(mesh: Mesh2D, eps: float, refine: int = 1, triangles=None) -> QuadratureLayout:
-    """triangle_rule_points over the listed triangles (default: all) as one
-    flat layout, built in one batch."""
-    tri_ids = np.arange(len(mesh.triangles)) if triangles is None else np.asarray(triangles)
-    tris = mesh.triangles[tri_ids]
+def element_rules_2d(mesh: Mesh2D, eps: float, refine: int = 1) -> QuadratureLayout:
+    """triangle_rule_points over every triangle as one flat layout, built
+    in one batch."""
+    tris = mesh.triangles
     on_bdy = np.zeros(len(mesh.nodes), dtype=bool)
     on_bdy[mesh.boundary_nodes] = True
     points, weights, bary, counts = triangle_rule_points(
         mesh.nodes[tris], on_bdy[tris], eps, n_sub=6 * refine, n_gauss=4 * refine
     )
-    return QuadratureLayout(points, weights, bary, np.repeat(tri_ids, counts), _starts(counts))
+    return QuadratureLayout(points, weights, bary, np.repeat(np.arange(len(tris)), counts), _starts(counts))
 
 
 def triangle_geometry(nodes, tris):
@@ -595,22 +594,27 @@ def _coupling_layout_1d(space: BasisSpace) -> _CouplingLayout:
     )
 
 
+def _support_triangles(space: BasisSpace):
+    """The disk mesh triangles that meet the profile support (a vertex
+    farther than 1 - support from the center), as a mask: the enrichment is
+    integrated and read out on their points only."""
+    r = np.hypot(space.mesh.nodes[:, 0], space.mesh.nodes[:, 1])
+    return r[space.mesh.triangles].max(axis=1) > 1.0 - space.enrichment.support + 1e-12
+
+
 def _coupling_layout_2d(space: BasisSpace, layout: QuadratureLayout) -> _CouplingLayout:
-    """The coupling layout on the triangles that meet the profile support,
+    """The coupling layout on the support triangles (_support_triangles),
     read from `layout`, the layout over every triangle of the mesh.  The
     disk mesh lists its triangles ring band by ring band from the boundary
     inward, so those triangles are a leading run of it and their points are
-    a leading slice of the layout's arrays."""
+    a leading slice of the layout's arrays, kept as views of it."""
     mesh = space.mesh
-    spec = space.enrichment
     m = space.n_enriched
 
-    # the layout's points on the triangles meeting the profile support:
-    # graded rules on boundary triangles (the profile varies on the sqrt(eps)
-    # scale near the circle), the smooth rule elsewhere
-    vert_r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    tri_r_max = vert_r[mesh.triangles].max(axis=1)
-    support = tri_r_max > 1.0 - spec.support + 1e-12
+    # the layout's points on the support triangles: graded rules on boundary
+    # triangles (the profile varies on the sqrt(eps) scale near the circle),
+    # the smooth rule elsewhere
+    support = _support_triangles(space)
     k = np.count_nonzero(support)
     if not support[:k].all() or len(layout.starts) != len(support):
         raise AssemblyError("the triangles meeting the profile support do not lead the mesh")
@@ -623,9 +627,9 @@ def _coupling_layout_2d(space: BasisSpace, layout: QuadratureLayout) -> _Couplin
     # the three standard hats of each point's triangle: dofs, values (bary)
     # and the components of their gradients along grad(xi) and grad(eta)
     dof = space.node_to_dof[mesh.triangles[tri_idx]]
-    _, bx, by = triangle_geometry(mesh.nodes, mesh.triangles)
-    g_xi, g_eta = (bx[tri_idx] * g[:, 0, None] + by[tri_idx] * g[:, 1, None] for g in (grad_xi, grad_eta))
-    del grad_xi, grad_eta  # per-point arrays the patterns below do not need
+    grads = _hat_gradients(mesh)[tri_idx]
+    g_xi, g_eta = (grads[..., 0] * g[:, 0, None] + grads[..., 1] * g[:, 1, None] for g in (grad_xi, grad_eta))
+    del grads, grad_xi, grad_eta  # per-point arrays the patterns below do not need
     wb = w[:, None]
 
     # standard-enriched coupling: (point, standard hat, angular hat)
@@ -672,7 +676,7 @@ def _split_layout(space, layout, epsilon, t_max):
     when no point moves), the standard DOFs R whose coupling entries a moving
     point touches (the only rows on which levels differ),
     make_enriched_load(source) -> load(t, phi), with phi the level's
-    moving profile values, and profile_at(t, level) -> (phi, dphi) at every
+    moving profile values, and profile_at(level) -> (phi, dphi) at every
     point (AssembledSystem.profile_at).
     The Gram block of a level taken without a previous one (the first of a
     march, the fixed level, a dump's level) is checked for singularity."""
@@ -732,9 +736,7 @@ def _split_layout(space, layout, epsilon, t_max):
                 raise ValueError(f"level t = {t} lies past the split time t_max = {t_max}")
             return level(t, previous)
 
-    def profile_at(t, final):
-        if t_max is None or t != t_max:
-            return None
+    def profile_at(final):
         p, dp = phi.copy(), dphi.copy()
         p[moving], dp[moving] = final.phi, final.dphi
         return p, dp
@@ -826,67 +828,49 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
     return solve_spd(stack(system.mss, level.msl, level.mee), rhs, cfg)
 
 
-def _nodal_values(space, coeffs):
-    vals = np.zeros(len(space.mesh.nodes))
-    vals[space.interior_nodes] = coeffs[: space.n_standard]
-    return vals
-
-
-def _enriched_point_terms(space, points, t, profile=None):
-    """The enriched DOF columns alive at each point, (points, 2), with the
-    values phi * psi_j there, (points, 2), and their gradients, (points, 2,
-    dim).  1D: columns 0 and 1 are phi(x) and phi(1 - x), so xi = (x, 1 - x)
-    and d/dx = (d/dxi, -d/dxi).  2D: phi(xi) times the two angular hats
-    alive at eta; points is (points, 2), and profile, if given, the profile
-    and its slope at t at the leading points, which are not evaluated again."""
-    spec = space.enrichment
-    if space.mesh.dim == 1:
-        # each column is evaluated only within its own support, xi <= support
-        xi = np.stack([points, 1.0 - points])
-        near = xi <= spec.support + 1e-12
-        phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
-        phi[near], dphi[near] = enrichment_profile(spec, xi[near], t)
-        cols = np.broadcast_to(np.arange(2), phi.T.shape)
-        return cols, phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
-    xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, points[:, 0], points[:, 1])
-    k = 0 if profile is None else len(profile[0])
-    phi, dphi = np.empty_like(xi), np.empty_like(xi)
-    if k:
-        phi[:k], dphi[:k] = profile
-    if k < len(xi):
-        phi[k:], dphi[k:] = enrichment_profile(spec, xi[k:], t)
-    grads = (
-        dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
-        + phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]
-    )
-    return cols, phi[:, None] * psi, grads
-
-
 def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile=None):
     """Value (points,) and gradient (points, dim) of the discrete solution at
     points (1D: (n,), 2D: (n, 2)) lying in the given mesh elements at the
-    given barycentric coordinates.  The enrichment is evaluated only at
-    points within its support of the boundary: min(x, 1 - x) <= support in
-    1D, 1 - r <= support in 2D.  profile, if given, is the profile and its
-    slope at t at the leading points (AssembledSystem.profile_at), read there
-    instead of evaluated."""
-    mesh = space.mesh
-    c = _nodal_values(space, coeffs)[mesh.elements]
+    given barycentric coordinates; the one read-out of a solution.
+
+    The enrichment is read only where it can be nonzero.  1D: columns 0 and
+    1 are phi(x) and phi(1 - x), so xi = (x, 1 - x) and d/dx = (d/dxi,
+    -d/dxi), each evaluated only within its own support.  2D: phi(xi) times
+    the two angular hats alive at eta, at the points of the support
+    triangles (_support_triangles): on the run's layout, the enriched
+    blocks' points, where profile, if given, is the profile and its slope
+    (AssembledSystem.profile_at), read instead of evaluated."""
+    mesh, spec = space.mesh, space.enrichment
+    c = np.zeros(len(mesh.nodes))
+    c[space.interior_nodes] = coeffs[: space.n_standard]
+    c = c[mesh.elements]
     vals = np.sum(bary * c[element], axis=1)
     # the P1 gradient is constant on each element
     grads = np.einsum("tk,tkd->td", c, _hat_gradients(mesh))[element]
-    if space.enrichment is not None:
-        support = space.enrichment.support + 1e-12
-        if mesh.dim == 1:
-            near = np.minimum(points, 1.0 - points) <= support
-        else:
-            near = np.hypot(points[:, 0], points[:, 1]) >= 1.0 - support
-        if profile is not None:
-            profile = tuple(v[near[: len(v)]] for v in profile)
-        cols, evals, egrads = _enriched_point_terms(space, points[near], t, profile)
-        ec = coeffs[space.n_standard :][cols]
-        vals[near] += np.einsum("pj,pj->p", ec, evals)
-        grads[near] += np.einsum("pj,pjd->pd", ec, egrads)
+    if spec is None:
+        return vals, grads
+    if mesh.dim == 1:
+        near = np.minimum(points, 1.0 - points) <= spec.support + 1e-12
+        xi = np.stack([points[near], 1.0 - points[near]])
+        inside = xi <= spec.support + 1e-12
+        phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
+        phi[inside], dphi[inside] = enrichment_profile(spec, xi[inside], t)
+        cols = np.broadcast_to(np.arange(2), phi.T.shape)
+        evals, egrads = phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
+    else:
+        near = _support_triangles(space)[element]
+        xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, *points[near].T)
+        phi, dphi = enrichment_profile(spec, xi, t) if profile is None else profile
+        if len(phi) != len(xi):
+            raise AssemblyError(f"a profile of {len(phi)} values for {len(xi)} enriched points")
+        evals = phi[:, None] * psi
+        egrads = (
+            dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
+            + phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]
+        )
+    ec = coeffs[space.n_standard :][cols]
+    vals[near] += np.einsum("pj,pj->p", ec, evals)
+    grads[near] += np.einsum("pj,pjd->pd", ec, egrads)
     return vals, grads
 
 

@@ -20,14 +20,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-# copies of the library's names, so that parsing imports no numpy before
-# BLFEM_THREADS is applied
-PROBLEMS_1D = ("exact1d", "zero1d", "smooth1d")
-PROBLEMS_2D = ("exact2d", "zero2d")
-KINDS = ("phi0", "phi0_tilde", "phi_m1", "phi_m1_lin")
-SCHEMES = ("sfem", "nfem")
-SOLVERS = ("direct_cholesky", "cg_jacobi")
-
 
 class CliError(Exception):
     """Invalid user input (maps to exit code 2)."""
@@ -153,12 +145,14 @@ def _dump_matrix(matrix, path):
 def cmd_solve(args):
     import math
 
-    from .analysis import ConvergenceTable, report_row, solve_scenario, write_convergence_csv
+    from .analysis import PROBLEMS, ConvergenceTable, report_row, solve_scenario, write_convergence_csv
     from .linsolve import SolverConfig
 
     cfg = _collect(args, SOLVE_DEFAULTS)
+    if cfg["problem"] not in PROBLEMS:
+        raise CliError(f"unknown problem {cfg['problem']!r}")
     report, fieldsol, space, _ = solve_scenario(
-        1 if cfg["problem"] in PROBLEMS_1D else 2,
+        PROBLEMS[cfg["problem"]][0],
         cfg["epsilon"],
         cfg["n"],
         cfg["T"],
@@ -212,10 +206,12 @@ def cmd_solve(args):
 
 def _dump_field(space, coeffs, cfg):
     """1D: the field at 4n + 1 equispaced points.  2D: the field at the mesh
-    nodes, i.e. the P1 coefficient (0 on the boundary) plus the enrichment."""
+    nodes, i.e. the P1 coefficient (0 on the boundary) plus the enrichment,
+    each node read as a vertex of its first, outermost, triangle (so a node
+    on the support's inner ring takes the enrichment)."""
     import numpy as np
 
-    from .assembly import _enriched_point_terms, _nodal_values, evaluate_field_1d
+    from .assembly import _discrete_field, evaluate_field_1d
 
     with open(cfg["dump_field"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(f"# {line}" for line in config_header_lines(cfg)) + "\n")
@@ -227,10 +223,8 @@ def _dump_field(space, coeffs, cfg):
                 fh.write(f"{x:.10g},{v:.10g}\n")
         else:
             nodes = space.mesh.nodes
-            vals = _nodal_values(space, coeffs)
-            if space.enrichment is not None:
-                cols, evals, _ = _enriched_point_terms(space, nodes, cfg["T"])
-                vals += np.sum(evals * coeffs[space.n_standard :][cols], axis=1)
+            _, first = np.unique(space.mesh.triangles, return_index=True)
+            vals, _ = _discrete_field(space, coeffs, nodes, first // 3, np.eye(3)[first % 3], cfg["T"])
             fh.write("x,y,u\n")
             for (x, y), v in zip(nodes, vals):
                 fh.write(f"{x:.10g},{y:.10g},{v:.10g}\n")
@@ -337,6 +331,11 @@ def cmd_corrector(args):
 
 
 def build_parser():
+    # the library's names; main applies BLFEM_THREADS before numpy is imported here
+    from .analysis import PROBLEMS, SCHEMES
+    from .corrector import ENRICHMENT_KINDS
+    from .linsolve import SOLVER_METHODS
+
     parser = argparse.ArgumentParser(
         prog="blfem",
         description="Boundary-layer-enriched P1 finite elements for u_t - eps*Lap(u) = f",
@@ -344,16 +343,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one scenario and report errors")
-    p.add_argument("--problem", choices=PROBLEMS_1D + PROBLEMS_2D)
+    p.add_argument("--problem", choices=tuple(PROBLEMS))
     p.add_argument("--epsilon", type=float)
     p.add_argument("--n", type=int, help="elements (1D) or boundary nodes (2D)")
     p.add_argument("--dt", type=float)
     p.add_argument("--T", dest="T", type=float)
     p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--kind", choices=KINDS)
+    p.add_argument("--kind", choices=ENRICHMENT_KINDS)
     p.add_argument("--sigma", type=float, help="taper width; 0 = mesh-derived default")
     p.add_argument("--quad-refine", dest="quad_refine", type=int)
-    p.add_argument("--solver", choices=SOLVERS)
+    p.add_argument("--solver", choices=SOLVER_METHODS)
     p.add_argument("--tol", type=float)
     p.add_argument("-o", "--output", dest="output", help="write an error-report CSV row here")
     p.add_argument("--dump-field", dest="dump_field", help="write sampled solution values here")
@@ -365,13 +364,13 @@ def build_parser():
 
     p = sub.add_parser("converge", help="mesh-refinement study, writes the error CSV")
     p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--problem", choices=PROBLEMS_1D + PROBLEMS_2D)
+    p.add_argument("--problem", choices=tuple(PROBLEMS))
     p.add_argument("--epsilon", type=float)
     p.add_argument("--levels", help="comma-separated mesh levels")
     p.add_argument("--dt", type=float)
     p.add_argument("--T", dest="T", type=float)
     p.add_argument("--schemes", help="comma list from sfem,nfem")
-    p.add_argument("--kind", choices=KINDS)
+    p.add_argument("--kind", choices=ENRICHMENT_KINDS)
     p.add_argument("--sigma", type=float)
     p.add_argument("--dt-rule", dest="dt_rule", choices=("fixed", "h-squared"))
     p.add_argument("-o", "--output", dest="output")

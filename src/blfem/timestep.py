@@ -77,11 +77,6 @@ class SolutionField:
     def final(self):
         return self.history[-1]
 
-    def profile_at(self, t):
-        """The profile and its slope that the run computed at t, at the
-        leading points of its layout (AssembledSystem.profile_at), or None."""
-        return self.system.profile_at(t, self.level) if t == self.grid.T else None
-
 
 def cross_level_product(mss, new, old, u):
     """C u for the mass matrix C = [[Mss, Msl_old], [Msl_new^T, Cee]] between

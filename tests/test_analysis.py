@@ -26,10 +26,11 @@ from blfem.analysis import (
     solve_scenario,
     write_convergence_csv,
 )
-from blfem.assembly import assemble_enriched, build_space, fitted_arrays
+from blfem.assembly import _coupling_layout_2d, assemble_enriched, build_space, fitted_arrays
 from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import TimeGrid, advance
+from helpers import enriched_terms
 
 
 class TestManufacturedSolution1D:
@@ -278,8 +279,10 @@ class TestErrorReportFieldOnce:
         x = layout.points
         inside = np.minimum(x, 1.0 - x) <= space.enrichment.support
         # reference: the enriched terms at every point, masked or not
-        c = assembly._nodal_values(space, sol.final)[space.mesh.elements[layout.element]]
-        cols, evals, egrads = assembly._enriched_point_terms(space, x, 1.0)
+        nodal = np.zeros(len(space.mesh.nodes))
+        nodal[space.interior_nodes] = sol.final[: space.n_standard]
+        c = nodal[space.mesh.elements[layout.element]]
+        cols, evals, egrads = enriched_terms(space, x, 1.0)
         ec = sol.final[space.n_standard :][cols]
         ref_vals = np.sum(layout.bary * c, axis=1) + np.einsum("pj,pj->p", ec, evals)
         ref_grads = np.einsum("pk,pkd->pd", c, assembly._hat_gradients(space.mesh)[layout.element])
@@ -319,7 +322,7 @@ class TestErrorReuse:
         layout = analysis._element_rules(space.mesh, eps)
         evaluated = compute_error_report(space, sol.final, exact, 0.5, eps, runtime=report.runtime, layout=layout)
         assert _same_report(report, evaluated)
-        values = sol.profile_at(0.5)
+        values = sol.system.profile_at(sol.level)
         assert (values is None) == (scheme == "sfem")
         if values is not None:
             # the handed-over values are the profile at T on the leading points
@@ -327,7 +330,6 @@ class TestErrorReuse:
             xi = fitted_arrays(*layout.points[: len(phi)].T)[1]
             want = enrichment_profile(space.enrichment, xi, 0.5)
             assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
-            assert sol.profile_at(0.25) is None  # a report at another t evaluates
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
@@ -344,8 +346,9 @@ class TestErrorReuse:
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("kind", ["phi0", "phi_m1"])
-    def test_no_split_time_hands_over_nothing(self, kind):
-        # without t_max no value is known to hold at T; the report evaluates
+    def test_no_split_time_hands_over_the_run_values(self, kind):
+        # without t_max every point of a time-dependent kind moves, and the
+        # final level's values are the profile at T all the same
         import blfem.analysis as analysis
 
         eps = 1e-5
@@ -353,11 +356,36 @@ class TestErrorReuse:
         space = build_space(build_disk_mesh(16), EnrichmentSpec(kind=kind, epsilon=eps))
         layout = analysis._element_rules(space.mesh, eps)
         sol = advance(space, assemble_enriched(space, eps, layout=layout), exact.problem(), TimeGrid(T=0.5, n_steps=2))
-        assert sol.profile_at(0.5) is None
-        with_split = advance(
-            space, assemble_enriched(space, eps, t_max=0.5, layout=layout), exact.problem(), TimeGrid(T=0.5, n_steps=2)
-        )
-        assert with_split.profile_at(0.5) is not None
+        phi, dphi = sol.system.profile_at(sol.level)
+        want = enrichment_profile(space.enrichment, _coupling_layout_2d(space, layout).xi, 0.5)
+        assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("b", [16, 52])
+    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+    def test_every_level_hands_over_the_profile_at_its_time(self, b, kind, eps):
+        # what lets profile_at take a level alone: the fixed points' values
+        # past xi* equal the profile at every t in [0, t_max], and with no
+        # t_max every point moves; to the bit for t > 0, as values at t = 0
+        # (the t = 0 limits of phi0 and phi0_tilde differ there in the sign
+        # of zeros)
+        import blfem.analysis as analysis
+
+        mesh = build_disk_mesh(b)
+        sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+        layout = analysis._element_rules(mesh, eps)
+        xi = _coupling_layout_2d(space, layout).xi
+        grid = TimeGrid(T=0.5, n_steps=4)
+        for t_max in (grid.T, None):
+            system = assemble_enriched(space, eps, t_max=t_max, layout=layout)
+            for t in grid.times:
+                phi, dphi = system.profile_at(system.parts["rebuild"](t))
+                want = enrichment_profile(space.enrichment, xi, t)
+                if t > 0.0:
+                    assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
+                else:
+                    assert np.array_equal(phi, want[0]) and np.array_equal(dphi, want[1])
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)

@@ -17,7 +17,6 @@ from blfem.assembly import (
     _assemble_standard_1d,
     _check_gram,
     _discrete_field,
-    _enriched_point_terms,
     _layer_rule_1d,
     _locate_1d,
     assemble_enriched,
@@ -35,6 +34,7 @@ from blfem.linsolve import stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 from blfem.timestep import cross_level_product
+from helpers import locate_disk, subset_layout
 
 
 def _bound(f):
@@ -384,8 +384,8 @@ class TestEnriched2D:
             eta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
             x, y = r * np.cos(eta), r * np.sin(eta)
             # the standard part is zero, so the field is the enrichment alone
-            cols, vals, _ = _enriched_point_terms(space, np.stack([x, y], axis=1), 1.0)
-            got = np.sum(vals * coeffs[space.n_standard :][cols], axis=1)
+            points = np.stack([x, y], axis=1)
+            got, _ = _discrete_field(space, coeffs, points, *locate_disk(mesh, points), 1.0)
             want = g(eta) * float(enrichment_profile(spec, 1.0 - r, 1.0)[0])
             errs.append(np.max(np.abs(got - want)))
         assert errs[1] < errs[0] / 2.0  # at least first order in the angle
@@ -485,7 +485,7 @@ def _reference_blocks_2d(space, eps, t, t_old, f):
     n, m = space.n_standard, space.n_enriched
     deta = 2.0 * np.pi / m
     r_max = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])[mesh.triangles].max(axis=1)
-    quad = element_rules_2d(mesh, spec.epsilon, triangles=np.nonzero(r_max > 1.0 - spec.support + 1e-12)[0])
+    quad = subset_layout(mesh, spec.epsilon, np.nonzero(r_max > 1.0 - spec.support + 1e-12)[0])
     x, y = quad.points[:, 0], quad.points[:, 1]
     w, tri = quad.weights, quad.element
     eta, xi, r = fitted_arrays(x, y)
@@ -729,7 +729,7 @@ class TestProjectionAndEvaluation:
         nodes = mesh.nodes[space.interior_nodes]
         coeffs = 0.3 * nodes[:, 0] + 0.9 * nodes[:, 1]
         on_bdy = np.isin(mesh.triangles, mesh.boundary_nodes).any(axis=1)
-        layout = element_rules_2d(mesh, 1e-6, triangles=np.nonzero(~on_bdy)[0])
+        layout = subset_layout(mesh, 1e-6, np.nonzero(~on_bdy)[0])
         got, grads = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, 0.0)
         x, y = layout.points.T
         assert np.allclose(got, 0.3 * x + 0.9 * y, atol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blfem.analysis import solve_scenario
-from blfem.assembly import _enriched_point_terms
+from blfem.corrector import ENRICHMENT_KINDS
 from blfem.cli import (
     EXIT_INVALID,
     EXIT_NUMERICAL,
@@ -19,6 +19,7 @@ from blfem.cli import (
     read_config_file,
 )
 from blfem.linsolve import NotPositiveDefinite
+from helpers import enriched_terms
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -276,7 +277,18 @@ def _disk_field_reference(space, coeffs, t):
         dof = space.node_to_dof[tri]
         vals[node] = np.dot(lam, np.where(dof >= 0, coeffs[np.clip(dof, 0, None)], 0.0))
     if space.enrichment is not None:
-        cols, evals, _ = _enriched_point_terms(space, mesh.nodes, t)
+        cols, evals, _ = enriched_terms(space, mesh.nodes, t)
+        vals += np.sum(evals * coeffs[space.n_standard :][cols], axis=1)
+    return vals
+
+
+def _nodal_formula(space, coeffs, t):
+    """The field at the disk mesh nodes as the nodal coefficient (0 on the
+    boundary) plus sum_j phi psi_j c_j evaluated at every node."""
+    vals = np.zeros(len(space.mesh.nodes))
+    vals[space.interior_nodes] = coeffs[: space.n_standard]
+    if space.enrichment is not None:
+        cols, evals, _ = enriched_terms(space, space.mesh.nodes, t)
         vals += np.sum(evals * coeffs[space.n_standard :][cols], axis=1)
     return vals
 
@@ -300,20 +312,41 @@ class TestDumpField2D:
         assert np.allclose(got[:, 2], [float(f"{v:.10g}") for v in want], rtol=0.0, atol=1e-12)
         assert np.all(got[space.mesh.boundary_nodes, 2] == 0.0)
 
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("scheme, kind", [("sfem", "phi_m1_lin")] + [("nfem", k) for k in ENRICHMENT_KINDS])
+    @pytest.mark.parametrize("eps", ["1e-3", "1e-8"])
+    def test_dump_equals_the_nodal_formula(self, tmp_path, monkeypatch, scheme, kind, eps):
+        # the dump reads each node through _discrete_field as a vertex of its
+        # outermost triangle; that equals the nodal coefficient plus the
+        # enrichment evaluated at every node, to the bit
+        from blfem import assembly
+
+        seen = []
+        read_out = assembly._discrete_field
+        monkeypatch.setattr(assembly, "_discrete_field", lambda *a: seen.append((a, read_out(*a))) or seen[-1][1])
+        code = run_cli(
+            ["solve", "--problem", "exact2d", "--epsilon", eps, "--n", "16", "--dt", "0.25", "--T", "0.5",
+             "--scheme", scheme, "--kind", kind, "--dump-field", "f.csv"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK and len(seen) == 1
+        (space, coeffs, *_), (vals, _) = seen[0]
+        want = _nodal_formula(space, coeffs, 0.5)
+        assert vals.tobytes() == want.tobytes()
+        lines = [ln for ln in (tmp_path / "f.csv").read_text().splitlines() if not ln.startswith("#")]
+        assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == [f"{v:.10g}" for v in want]
+
 
 class TestNameCopies:
     def test_cli_names_match_the_library(self):
-        # the parser's choices are copies (see blfem.cli); each must equal
-        # the library's own list
-        from blfem import analysis, cli, corrector, linsolve
+        # the parser takes its choices from the library, in the library's order
+        from blfem import analysis, corrector, linsolve
 
-        assert cli.PROBLEMS_1D == tuple(n for n, (dim, _) in analysis.PROBLEMS.items() if dim == 1)
-        assert cli.PROBLEMS_2D == tuple(n for n, (dim, _) in analysis.PROBLEMS.items() if dim == 2)
-        assert cli.KINDS == corrector.ENRICHMENT_KINDS
-        assert cli.SCHEMES == analysis.SCHEMES
-        assert cli.SOLVERS == linsolve.SOLVER_METHODS
         want = {
-            "problem": cli.PROBLEMS_1D + cli.PROBLEMS_2D, "kind": cli.KINDS, "scheme": cli.SCHEMES, "solver": cli.SOLVERS
+            "problem": tuple(analysis.PROBLEMS),
+            "kind": corrector.ENRICHMENT_KINDS,
+            "scheme": analysis.SCHEMES,
+            "solver": linsolve.SOLVER_METHODS,
         }
         commands = build_parser()._subparsers._group_actions[0].choices
         seen = set()

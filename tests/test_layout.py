@@ -10,7 +10,8 @@ from blfem import assembly
 from blfem.analysis import compute_error_report, solve_scenario
 from blfem.assembly import (
     AssemblyError,
-    _enriched_point_terms,
+    _discrete_field,
+    _support_triangles,
     build_space,
     element_rules_1d,
     element_rules_2d,
@@ -19,6 +20,7 @@ from blfem.assembly import (
 from blfem.corrector import EnrichmentSpec, enrichment_profile
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
+from helpers import enriched_terms, subset_layout
 
 
 def _boundary_masks(mesh):
@@ -74,13 +76,12 @@ def _triangle_rule(tri_xy, bdy_mask, eps, n_sub=6, n_gauss=4):
     return pts, wts, bary
 
 
-def _triangle_rules(mesh, eps, refine=1, triangles=None):
+def _triangle_rules(mesh, eps, refine=1):
     """Per-triangle _triangle_rule, in triangle order."""
     masks = _boundary_masks(mesh)
-    ids = range(len(mesh.triangles)) if triangles is None else triangles
     return [
         (k, *_triangle_rule(mesh.nodes[mesh.triangles[k]], masks[k], eps, n_sub=6 * refine, n_gauss=4 * refine))
-        for k in ids
+        for k in range(len(mesh.triangles))
     ]
 
 
@@ -141,16 +142,6 @@ class TestLayout2D:
         assert np.allclose(wts, want[1], rtol=1e-15, atol=0.0)
         assert np.allclose(bary, want[2], rtol=0.0, atol=1e-15)
 
-    def test_triangle_subset(self):
-        mesh = build_disk_mesh(16)
-        subset = np.array([3, 0, len(mesh.triangles) - 1, 7])
-        subset.sort()
-        layout = element_rules_2d(mesh, 1e-6, triangles=subset)
-        ref = _triangle_rules(mesh, 1e-6, triangles=subset)
-        assert np.array_equal(np.unique(layout.element), subset)
-        assert np.allclose(layout.points, np.concatenate([r[1] for r in ref]), rtol=0.0, atol=1e-15)
-        assert np.allclose(layout.weights, np.concatenate([r[2] for r in ref]), rtol=1e-15, atol=0.0)
-
     def test_weights_sum_to_polygon_area(self):
         mesh = build_disk_mesh(52)
         layout = element_rules_2d(mesh, 1e-8)
@@ -186,10 +177,23 @@ class TestSharedLayout:
         r_max = np.hypot(*mesh.nodes.T)[mesh.triangles].max(axis=1)
         support = np.nonzero(r_max > 1.0 - space.enrichment.support + 1e-12)[0]
         assert 0 < len(support) < len(mesh.triangles)
-        own = element_rules_2d(mesh, eps, triangles=support)
+        own = subset_layout(mesh, eps, support)
         for got, want in zip(coupling.coords, own.points.T):
             assert got.tobytes() == want.tobytes()
             assert np.shares_memory(got, layout.points)
+        # the read-out takes the enrichment on the same support triangles, so
+        # its points there are exactly this slice: a handed-over profile is
+        # read whole, and one of another length raises
+        near = _support_triangles(space)[layout.element]
+        k = len(coupling.xi)
+        assert near[:k].all() and not near[k:].any()
+        args = (space, np.ones(space.total_dofs), layout.points, layout.element, layout.bary, 0.5)
+        phi, dphi = enrichment_profile(space.enrichment, coupling.xi, 0.5)
+        evaluated, given = _discrete_field(*args), _discrete_field(*args, profile=(phi, dphi))
+        assert all(e.tobytes() == g.tobytes() for e, g in zip(evaluated, given))
+        for cut in (phi[:-1], dphi[:-1]), (np.append(phi, 0.0), np.append(dphi, 0.0)):
+            with pytest.raises(AssemblyError):
+                _discrete_field(*args, profile=cut)
 
     def test_support_not_leading_the_mesh_rejected(self):
         mesh = build_disk_mesh(16)
@@ -242,7 +246,7 @@ def _reference_field_2d(space, coeffs, k, x, y, t):
     uh = c @ (inv @ np.vstack([np.ones_like(x), x, y]))
     guh = np.tile(c @ inv[:, 1:], (len(x), 1))
     if space.enrichment is not None:
-        cols, vals, grads = _enriched_point_terms(space, np.stack([x, y], axis=1), t)
+        cols, vals, grads = enriched_terms(space, np.stack([x, y], axis=1), t)
         ec = coeffs[space.n_standard :][cols]
         uh = uh + np.sum(vals * ec, axis=1)
         guh = guh + np.sum(grads * ec[:, :, None], axis=1)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blfem.assembly import _enriched_point_terms, build_space, fitted_arrays
+from blfem.assembly import _discrete_field, _locate_1d, build_space, fitted_arrays
 from blfem.corrector import EnrichmentSpec
 from blfem.mesh import build_disk_mesh, build_interval_mesh
+from helpers import locate_disk
 
 
 class TestIntervalMesh:
@@ -111,6 +112,16 @@ def _enriched_disk(b=16, eps=1e-3):
     return build_space(build_disk_mesh(b), EnrichmentSpec(kind="phi_m1", epsilon=eps))
 
 
+def _enriched_columns(space, points, t):
+    """The value (points, m) and gradient (points, m, dim) of each enriched
+    basis function, read by _discrete_field from the coefficients that are
+    one on that function alone."""
+    mesh = space.mesh
+    where = _locate_1d(mesh.nodes, points) if mesh.dim == 1 else locate_disk(mesh, points)
+    fields = [_discrete_field(space, c, points, *where, t) for c in np.eye(space.total_dofs)[space.n_standard :]]
+    return np.stack([v for v, _ in fields], axis=1), np.stack([g for _, g in fields], axis=1)
+
+
 class TestFittedCoordinates:
     def test_examples(self):
         eta, xi, r = fitted_arrays([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
@@ -154,26 +165,26 @@ class TestFittedCoordinates:
         return space, np.stack([r * np.cos(eta), r * np.sin(eta)], axis=1)
 
     def test_gradient_transform_chain_rule(self):
-        # the gradients of the enriched terms that _enriched_point_terms maps
-        # to x against central differences of its values, in both
-        # dimensions.  1D: phi(x) and phi(1 - x), whose x-derivative is
-        # -phi'(1 - x); 2D: phi(xi) psi_j(eta)
+        # the gradients of the enriched terms that _discrete_field maps to x
+        # against central differences of its values, in both dimensions.
+        # 1D: phi(x) and phi(1 - x), whose x-derivative is -phi'(1 - x);
+        # 2D: phi(xi) psi_j(eta)
         rng = np.random.default_rng(5)
         h = 1e-6
         for dim in (1, 2):
             space, points = self._chain_rule_points(dim, rng)
-            cols, _, grads = _enriched_point_terms(space, points, 1.0)
-            assert grads.shape == (40, 2, dim)
+            vals, grads = _enriched_columns(space, points, 1.0)
+            assert grads.shape == (40, space.n_enriched, dim)
             for axis in range(dim):
                 step = h * np.eye(dim)[axis] if dim == 2 else h
-                cp, vp, _ = _enriched_point_terms(space, points + step, 1.0)
-                cm, vm, _ = _enriched_point_terms(space, points - step, 1.0)
-                assert np.array_equal(cp, cols) and np.array_equal(cm, cols)
+                vp, _ = _enriched_columns(space, points + step, 1.0)
+                vm, _ = _enriched_columns(space, points - step, 1.0)
+                assert np.array_equal(vp != 0.0, vals != 0.0) and np.array_equal(vm != 0.0, vals != 0.0)
                 fd = (vp - vm) / (2.0 * h)
                 assert np.allclose(grads[:, :, axis], fd, rtol=1e-6, atol=1e-6 * np.abs(grads).max())
         # 1D: phi rises into the plateau, and the mirror term falls
         space, points = self._chain_rule_points(1, rng)
-        _, _, grads = _enriched_point_terms(space, points, 1.0)
+        _, grads = _enriched_columns(space, points, 1.0)
         assert np.all(grads[:20, 0, 0] > 0.0) and np.all(grads[:20, 1, 0] == -grads[20:, 0, 0])
 
     def test_gradient_transform_angular(self):
@@ -183,14 +194,15 @@ class TestFittedCoordinates:
         space = _enriched_disk(eps=1e-8)
         deta = 2.0 * np.pi / space.n_enriched
         x, y = 0.8, -0.4  # xi = 0.106, inside the plateau [0, 0.25]
-        _, vals, grads = _enriched_point_terms(space, np.array([[x, y]]), 1.0)
+        vals, grads = _enriched_columns(space, np.array([[x, y]]), 1.0)
         r2 = x * x + y * y
         assert vals[0].sum() == pytest.approx(1.0, abs=1e-15)
-        for k, sign in enumerate((-1.0, 1.0)):
+        panel = int(fitted_arrays(x, y)[0] // deta)
+        for k, sign in ((panel, -1.0), ((panel + 1) % space.n_enriched, 1.0)):
             assert grads[0, k] == pytest.approx(sign / deta * np.array([-y / r2, x / r2]), abs=1e-12)
 
     def test_gradient_transform_singular_center(self):
-        # 1/r in grad(eta) is guarded: the center lies outside every profile
-        # support, so values and gradients there are exactly zero
-        _, vals, grads = _enriched_point_terms(_enriched_disk(), np.zeros((1, 2)), 1.0)
+        # 1/r in grad(eta) is never formed there: the center lies outside
+        # every profile support, so values and gradients are exactly zero
+        vals, grads = _enriched_columns(_enriched_disk(), np.zeros((1, 2)), 1.0)
         assert np.all(vals == 0.0) and np.all(grads == 0.0)
