@@ -435,7 +435,7 @@ def solve_scenario(
     if sigma is not None and not sigma > 0.0:
         raise ValueError("sigma must be positive")
     n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-12 or n_steps < 1:
+    if abs(n_steps * dt - T) > 1e-12 * T or n_steps < 1:
         raise ValueError(f"dt = {dt} does not tile [0, T = {T}]")
 
     if dim == 1:

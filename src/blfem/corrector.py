@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_interval
 from .specfun import erfc_gauss
 
 ENRICHMENT_KINDS = ("phi0", "phi0_tilde", "phi_m1", "phi_m1_lin")
@@ -113,10 +112,8 @@ def theta0(data: ProblemData, eta: float, xi: float, t: float) -> float:
 
 
 # the quintic (C2) smoothstep cutoff is 1 on [0, CUTOFF_INNER] and 0 on
-# [CUTOFF_OUTER, 1]; the inner time integral of phi0 takes
-# TIME_QUADRATURE_POINTS Gauss points
+# [CUTOFF_OUTER, 1]
 CUTOFF_INNER, CUTOFF_OUTER = 0.25, 0.5
-TIME_QUADRATURE_POINTS = 48
 
 
 def cutoff_delta(xi):
@@ -182,66 +179,27 @@ _EXP_ZERO = 745.14
 def time_independent_xi(spec: EnrichmentSpec, t_max: float = None) -> float:
     """xi* such that at every xi >= xi* and every t in [0, t_max] the
     profile and its xi-derivative equal cutoff_delta and cutoff_delta_dxi
-    exactly.  The heat-layer factor of phi0_tilde is exp(-xi^2 / (4 eps t)),
-    that of phi0 the erfc and exp rows of the kernel at the largest time node
-    sqrt(t) * max node; both widen with t, so the bounds at t_max hold for
-    every earlier time, and past them the factors underflow to 0.0.
-    0 for a time-independent kind (every point qualifies); inf for a
-    time-dependent one without t_max (no point does)."""
+    exactly.  The heat-layer factors, exp(-xi^2 / (4 eps t)) of phi0_tilde
+    and the erfc and exp terms of phi0's kernel integral, widen with t, so
+    the bound at t_max holds for every earlier time, and past it the factors
+    underflow to 0.0.  0 for a time-independent kind (every point
+    qualifies); inf for a time-dependent one without t_max (no point does)."""
     if not spec.time_dependent:
         return 0.0
     if t_max is None:
         return math.inf
-    width = math.sqrt(t_max)
-    if spec.kind == "phi0":
-        width *= float(gauss_interval(TIME_QUADRATURE_POINTS).points.max())
     eps = spec.epsilon
-    return max(math.sqrt(4.0 * eps * _EXP_ZERO), _ERFC_GAUSS_ZERO * math.sqrt(2.0 * eps)) * width
+    return max(math.sqrt(4.0 * eps * _EXP_ZERO), _ERFC_GAUSS_ZERO * math.sqrt(2.0 * eps)) * math.sqrt(t_max)
 
 
 def _kernel_time_integral(spec, xi, t):
-    # int_0^t I(xi, tau) dtau via tau = v^2, removing the sqrt scale at 0.
-    # z falls as v grows, so a point whose z at the largest node is past the
-    # erfc underflow sums a row of exact zeros and is skipped; in the other
-    # rows only the (point, node) pairs below the underflow are evaluated and
-    # the rest hold that exact 0.0, so every sum is unchanged
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
-    if t == 0.0:
-        return out
-    rule = gauss_interval(TIME_QUADRATURE_POINTS)
-    v = np.sqrt(t) * rule.points
-    w = np.sqrt(t) * rule.weights * 2.0 * v
-    scaled = xi / np.sqrt(2.0 * spec.epsilon)
-    live = scaled / v.max() < _ERFC_GAUSS_ZERO
-    z = scaled[live][:, None] / v  # overwritten with erfc_gauss(z) * w
-    below = z < _ERFC_GAUSS_ZERO
-    vals = z[below]
-    z[~below] = 0.0
-    z[below] = erfc_gauss(vals, out=vals)
-    z *= w
-    out[live] = np.sum(z, axis=-1)
-    return out
-
-
-def _kernel_time_integral_dxi(spec, xi, t):
-    # d/dxi int_0^t I dtau = -(2/sqrt(pi eps)) int_0^sqrt(t) exp(-xi^2/(4 eps v^2)) dv,
-    # skipping the rows whose exponent underflows at the largest node and,
-    # in the other rows, the nodes where it underflows
-    rule = gauss_interval(TIME_QUADRATURE_POINTS)
-    v = np.sqrt(t) * rule.points
-    w = np.sqrt(t) * rule.weights
-    xi2 = np.asarray(xi, dtype=float) ** 2
-    live = xi2 / (4.0 * spec.epsilon * v.max() ** 2) < _EXP_ZERO
-    out = np.zeros_like(xi2)
-    a = xi2[live][:, None] / (4.0 * spec.epsilon * v**2)
-    np.negative(a, out=a)  # overwritten with exp(a) * w
-    below = a > -_EXP_ZERO
-    np.exp(a, out=a, where=below)
-    a[~below] = 0.0
-    a *= w
-    out[live] = np.sum(a, axis=-1)
-    return -2.0 / np.sqrt(np.pi * spec.epsilon) * out
+    # K = int_0^t I(xi, tau) dtau = 4 t i2erfc(q) with q = xi / (2 sqrt(eps t)),
+    # and dK/dxi = -2 sqrt(t / eps) ierfc(q) (Carslaw & Jaeger, sec. 2.5),
+    # written in z = sqrt(2) q; (K, dK/dxi) for t > 0
+    z = xi / math.sqrt(2.0 * spec.epsilon * t)
+    tail = erfc_gauss(z)
+    gauss = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * z * z)
+    return t * ((1.0 + z * z) * tail - z * gauss), math.sqrt(2.0 * t / spec.epsilon) * (z * tail - gauss)
 
 
 def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None, cutoff=None):
@@ -263,14 +221,9 @@ def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None, cutoff=None):
         raise ValueError(f"{spec.kind} requires t >= 0")
     delta, delta_dxi = (cutoff_delta(xi), cutoff_delta_dxi(xi)) if cutoff is None else cutoff
     if spec.kind == "phi0":
-        kernel = _kernel_time_integral(spec, xi, t)  # zero at t = 0
+        kernel, kernel_dxi = _kernel_time_integral(spec, xi, t) if t > 0.0 else (0.0, 0.0)
         val = (1.0 - kernel) * delta
-        if t == 0.0:
-            return val[()], np.asarray(delta_dxi)[()]
-        # the kernel integral itself only matters where the cutoff slopes
-        kernel = np.where(delta_dxi != 0.0, kernel, 0.0)
-        slope = -_kernel_time_integral_dxi(spec, xi, t) * delta + (1.0 - kernel) * delta_dxi
-        return val[()], slope[()]
+        return val[()], (-kernel_dxi * delta + (1.0 - kernel) * delta_dxi)[()]
     if spec.kind == "phi0_tilde" and t == 0.0:
         # pointwise t -> 0+ limit: the Gaussian factor tends to 1 away from
         # xi = 0 and to 0 at xi = 0, and its xi-scaled derivative vanishes

@@ -29,13 +29,9 @@ def erf_gauss(z):
     return _sp.erf(np.asarray(z, dtype=float) / _SQRT2)[()]
 
 
-def erfc_gauss(z, out=None):
-    """1 - erf_gauss(z), computed without cancellation in the tail; written
-    into the float array `out` (z itself allowed) if given."""
-    if out is None:
-        return _sp.erfc(np.asarray(z, dtype=float) / _SQRT2)[()]
-    np.divide(z, _SQRT2, out=out)
-    return _sp.erfc(out, out=out)
+def erfc_gauss(z):
+    """1 - erf_gauss(z), computed without cancellation in the tail."""
+    return _sp.erfc(np.asarray(z, dtype=float) / _SQRT2)[()]
 
 
 def _nonnegative(x):

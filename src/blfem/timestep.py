@@ -26,8 +26,6 @@ from .assembly import AssembledSystem, BasisSpace, EnrichedLevel, project_initia
 from .corrector import ProblemData
 from .linsolve import BlockSolver, NoConvergence, NotPositiveDefinite, SolverConfig
 
-_GRID_TOL = 1e-12
-
 
 def _reraise_with_step(exc, step):
     """Re-raise a solver failure tagged with the time level that hit it."""
@@ -47,8 +45,6 @@ class TimeGrid:
             raise ValueError("T must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if abs(self.n_steps * self.dt - self.T) > _GRID_TOL:
-            raise ValueError("time grid does not tile [0, T]")
 
     @property
     def dt(self):

@@ -512,6 +512,21 @@ class TestSolveScenario:
         with pytest.raises(ValueError):
             solve_scenario(1, 1e-2, 8, 1.0, 0.3, "sfem")
 
+    def test_dt_tiling_is_relative_to_T(self, monkeypatch):
+        # dt = T / n tiles [0, T] for every n however long the run, though
+        # n * dt may miss T by rounding alone (by 1.8e-12 at T = 1e4, n = 139);
+        # a dt off by more than rounding still does not
+        import blfem.analysis as analysis
+
+        assert abs(139 * (1e4 / 139) - 1e4) > 1e-12
+        monkeypatch.setattr(analysis, "build_interval_mesh", None)  # reached past the checks
+        for T in (1e4, 1e5):
+            for n in range(1, 200):
+                with pytest.raises(TypeError):
+                    solve_scenario(1, 1e-2, 8, T, T / n, "sfem")
+            with pytest.raises(ValueError, match="does not tile"):
+                solve_scenario(1, 1e-2, 8, T, T / 139 * (1.0 + 1e-9), "sfem")
+
     def test_smooth_problem_nfem_matches_sfem(self):
         # on a layer-free problem the enrichment must not hurt: the layer
         # coefficients stay tiny and both schemes agree closely
@@ -608,3 +623,11 @@ class TestEpsilonRateMachinery:
             epsilon_rate_study(epsilons=(1e-3, 1e-4))
         with pytest.raises(ValueError):
             epsilon_rate_study(g=lambda x: x)  # missing g_xx
+
+    def test_zero_source_is_degenerate(self):
+        # g = 0 leaves no remainder at any eps, so there is no rate to fit
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        result = epsilon_rate_study(epsilons=(1e-2, 1e-3, 1e-4), g=zero, g_xx=zero, n_steps=10)
+        assert result.degenerate
+        assert math.isnan(result.l2_slope) and math.isnan(result.h1_slope)
+        assert result.l2_errors == result.h1_errors == (0.0, 0.0, 0.0)

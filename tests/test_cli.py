@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blfem.analysis import solve_scenario
-from blfem.corrector import ENRICHMENT_KINDS
+from blfem.corrector import CUTOFF_INNER, ENRICHMENT_KINDS
 from blfem.cli import (
     EXIT_INVALID,
     EXIT_NUMERICAL,
@@ -98,6 +98,48 @@ class TestSolveCommand:
             tmp_path, monkeypatch,
         )
         assert code == EXIT_INVALID
+
+    def test_dt_that_tiles_a_long_horizon(self, tmp_path, monkeypatch, capsys):
+        # dt = T / 139 exactly; 139 * dt misses T = 1e4 by rounding alone
+        code = run_cli(
+            ["solve", "--problem", "exact1d", "--n", "4", "--T", "10000", "--dt", repr(1e4 / 139), "--no-timing"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        assert "rel_l2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, timed", [("yes", False), ("no", True)])
+    def test_no_timing_from_config(self, tmp_path, monkeypatch, capsys, text, timed):
+        (tmp_path / "run.cfg").write_text(f"no_timing = {text}\n")
+        code = run_cli(
+            ["solve", "--config", "run.cfg", "--problem", "exact1d", "--n", "8", "--dt", "0.1", "--T", "0.5",
+             "--scheme", "sfem"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"# no_timing = {not timed}" in out.splitlines()
+        assert ("runtime_s" in out) == timed
+
+    def test_unparsable_no_timing_in_config_exit_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "run.cfg").write_text("no_timing = maybe\n")
+        code = run_cli(["solve", "--config", "run.cfg", "--n", "8", "--T", "0.5"], tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "no_timing" in captured.err and "'maybe'" in captured.err
+        assert captured.out == ""
+
+    def test_foreign_exception_is_reraised(self, tmp_path, monkeypatch):
+        # only blfem's own failures map to exit codes; anything else is a bug
+        # and keeps its traceback
+        import blfem.analysis
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("not a blfem failure")
+
+        monkeypatch.setattr(blfem.analysis, "solve_scenario", fail)
+        with pytest.raises(RuntimeError, match="not a blfem failure"):
+            run_cli(["solve", "--n", "8", "--T", "0.5"], tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(
         "flags",
@@ -388,6 +430,20 @@ class TestConvergeCommand:
         )
         assert code == EXIT_INVALID
 
+    def test_unparsable_levels_exit_2(self, tmp_path, monkeypatch, capsys):
+        code = run_cli(["converge", "--dim", "1", "--levels", "4,x"], tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        assert "cannot parse levels '4,x'" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
+    def test_unknown_dt_rule_in_config_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the flag's choices stop a bad rule at parsing; a config file's reaches the command
+        (tmp_path / "conv.cfg").write_text("dt_rule = daily\n")
+        code = run_cli(["converge", "--config", "conv.cfg", "--dim", "1", "--levels", "4,8,16"], tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        assert "dt-rule must be" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_bad_scheme_list(self, tmp_path, monkeypatch):
         code = run_cli(
             ["converge", "--dim", "1", "--levels", "4,8,16", "--schemes", "sfem,magic"],
@@ -494,6 +550,29 @@ class TestCorrectorCommand:
     def test_bad_sigma_rejected(self, tmp_path, monkeypatch):
         code = run_cli(["corrector", "--sigma", "0.7"], tmp_path, monkeypatch)
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--epsilon", "0"], "epsilon must be positive"), (["--points", "1"], "at least 2 sample points"),
+         (["--xi-max", "0"], "xi-max must lie in")],
+    )
+    def test_bad_sampling_rejected(self, tmp_path, monkeypatch, capsys, flags, message):
+        code = run_cli(["corrector", "-o", "p.csv"] + flags, tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_far_tail_and_late_time(self, tmp_path, monkeypatch):
+        # past t = 1 phi0's kernel integral exceeds 1 at the wall, and at
+        # eps = 1e-8 most samples lie where its terms underflow
+        code = run_cli(
+            ["corrector", "--epsilon", "1e-8", "--t", "2", "--points", "50", "-o", "p.csv"], tmp_path, monkeypatch
+        )
+        assert code == EXIT_OK
+        rows = [ln.split(",") for ln in (tmp_path / "p.csv").read_text().splitlines() if ln[:1].isdigit()]
+        assert float(rows[0][1]) == -1.0  # phi0(0, 2) = 1 - 2
+        plateau = [float(row[1]) for row in rows if 1e-2 < float(row[0]) <= CUTOFF_INNER]
+        assert len(plateau) > 10 and set(plateau) == {1.0}
 
 
 class TestThreadCap:

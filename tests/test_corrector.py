@@ -9,16 +9,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from blfem.assembly import element_rules_2d, fitted_arrays
 from blfem.corrector import (
     CUTOFF_INNER,
     CUTOFF_OUTER,
     ENRICHMENT_KINDS,
-    TIME_QUADRATURE_POINTS,
     EnrichmentSpec,
     ProblemData,
     _kernel_time_integral,
-    _kernel_time_integral_dxi,
     cutoff_delta,
     cutoff_delta_dxi,
     enrichment_profile,
@@ -28,8 +25,6 @@ from blfem.corrector import (
     theta0,
     time_independent_xi,
 )
-from blfem.mesh import build_disk_mesh
-from blfem.quadrature import gauss_interval
 from blfem.specfun import erfc_gauss
 
 
@@ -195,6 +190,23 @@ class TestCutoff:
         fd = (cutoff_delta(xs + h) - cutoff_delta(xs - h)) / (2.0 * h)
         assert np.allclose(cutoff_delta_dxi(xs), fd, atol=1e-7)
 
+    def test_bit_identical_to_clipped_polynomial(self):
+        # the library skips the polynomial off the ramp; a clipped copy
+        # evaluates it everywhere
+        def clipped(xi):
+            s = np.clip((np.asarray(xi, dtype=float) - CUTOFF_INNER) / (CUTOFF_OUTER - CUTOFF_INNER), 0.0, 1.0)
+            return (1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s))[()]
+
+        ends = [CUTOFF_INNER, CUTOFF_OUTER, np.nextafter(CUTOFF_INNER, 1.0), np.nextafter(CUTOFF_OUTER, 0.0)]
+        xi = np.concatenate([np.linspace(-0.1, 1.0, 4001), ends])
+        assert np.asarray(cutoff_delta(xi)).tobytes() == clipped(xi).tobytes()
+        for x in (0.0, CUTOFF_INNER, 0.3, CUTOFF_OUTER, 0.9):
+            val = cutoff_delta(x)
+            assert np.ndim(val) == 0
+            assert np.asarray(val).tobytes() == np.asarray(clipped(x)).tobytes()
+        grid = xi.reshape(-1, 1)
+        assert np.asarray(cutoff_delta(grid)).tobytes() == clipped(grid).tobytes()
+
 
 class TestEnrichmentProfiles:
     def test_spec_validation(self):
@@ -275,7 +287,7 @@ class TestEnrichmentProfiles:
                 lambda tau: float(heat_kernel_I(xi, tau, eps)), 0.0, 1.0, epsabs=1e-13
             )
             got = float(enrichment_profile(spec, xi, t=1.0)[0])
-            assert got == pytest.approx((1.0 - integral) * cutoff_delta(xi), abs=1e-9)
+            assert got == pytest.approx((1.0 - integral) * cutoff_delta(xi), abs=1e-12)
 
     def test_time_dependent_profiles_need_time(self):
         spec = EnrichmentSpec(kind="phi0", epsilon=1e-4)
@@ -316,13 +328,10 @@ def _frozen_value(spec, xi, t=None):
         s = spec.sigma
         ramp = (1.0 - math.exp(-(s**2) / (4.0 * spec.epsilon))) * xi / s
         val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon)) - ramp) * (xi <= s)
-    elif spec.kind == "phi0_tilde":
-        if t == 0.0:
-            val = np.where(xi > 0.0, cutoff_delta(xi), 0.0)
-        else:
-            val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(xi)
+    elif t == 0.0:  # phi0_tilde from here on
+        val = np.where(xi > 0.0, cutoff_delta(xi), 0.0)
     else:
-        val = (1.0 - _kernel_time_integral(spec, xi, t)) * cutoff_delta(xi)
+        val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(xi)
     return val[()]
 
 
@@ -337,19 +346,11 @@ def _frozen_slope(spec, xi, t=None):
         e = np.exp(-(xi**2) / (4.0 * eps))
         slope = (1.0 - math.exp(-(s**2) / (4.0 * eps))) / s
         val = ((xi / (2.0 * eps)) * e - slope) * (xi <= s)
-    elif spec.kind == "phi0_tilde":
-        if t == 0.0:
-            return np.where(xi > 0.0, cutoff_delta_dxi(xi), 0.0)[()]
+    elif t == 0.0:  # phi0_tilde from here on
+        return np.where(xi > 0.0, cutoff_delta_dxi(xi), 0.0)[()]
+    else:
         e = np.exp(-(xi**2) / (4.0 * eps * t))
         val = (xi / (2.0 * eps * t)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
-    else:
-        if t == 0.0:
-            return cutoff_delta_dxi(xi)[()]
-        slope = cutoff_delta_dxi(xi)
-        ramp = slope != 0.0
-        kernel = np.zeros_like(xi)
-        kernel[ramp] = _kernel_time_integral(spec, xi[ramp], t)
-        val = -_kernel_time_integral_dxi(spec, xi, t) * cutoff_delta(xi) + (1.0 - kernel) * slope
     return val[()]
 
 
@@ -357,43 +358,41 @@ def _same_bits(got, want):
     return np.ndim(got) == np.ndim(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+# the layer, the cutoff plateau, its ramp and ends, and past the support
+_ENDS = [CUTOFF_INNER, CUTOFF_OUTER, np.nextafter(CUTOFF_INNER, 1.0), np.nextafter(CUTOFF_OUTER, 0.0)]
+_XI = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 1500), np.linspace(0.0, 0.7, 701), _ENDS])
+_SHAPES = (_XI, _XI.reshape(-1, 1), 0.0, 1e-4, 0.1, 0.3, CUTOFF_OUTER, 0.6)
+
+
 class TestFusedProfile:
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 1.0])
-    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
+    @pytest.mark.parametrize("kind", ["phi0_tilde", "phi_m1", "phi_m1_lin"])
     def test_bit_identical_to_separate_formulas(self, kind, t, eps):
         spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=0.1 if kind == "phi_m1_lin" else None)
-        # the layer, the cutoff plateau, its ramp and ends, and past the support
-        ends = [CUTOFF_INNER, CUTOFF_OUTER, np.nextafter(CUTOFF_INNER, 1.0), np.nextafter(CUTOFF_OUTER, 0.0)]
-        xi = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 1500), np.linspace(0.0, 0.7, 701), ends])
-        assert np.any(xi < CUTOFF_INNER) and np.any((xi > CUTOFF_INNER) & (xi < CUTOFF_OUTER))
-        assert np.any(xi > CUTOFF_OUTER)
-        for x in (xi, xi.reshape(-1, 1), 0.0, 1e-4, 0.1, 0.3, CUTOFF_OUTER, 0.6):
+        assert np.any(_XI < CUTOFF_INNER) and np.any((_XI > CUTOFF_INNER) & (_XI < CUTOFF_OUTER))
+        assert np.any(_XI > CUTOFF_OUTER)
+        for x in _SHAPES:
             want = _frozen_value(spec, x, t), _frozen_slope(spec, x, t)
             for cutoff in (None, (cutoff_delta(x), cutoff_delta_dxi(x))):
                 got = enrichment_profile(spec, x, t, cutoff)
                 assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), (np.ndim(x), cutoff is None)
 
-    def test_ramp_kernel_is_live_where_compared(self):
-        # at eps = 1e-3 the phi0 slope reads the kernel integral on the ramp
-        spec = EnrichmentSpec(kind="phi0", epsilon=1e-3)
-        xi = np.linspace(CUTOFF_INNER, CUTOFF_OUTER, 50)[1:-1]
-        assert np.all(_kernel_time_integral(spec, xi, 1.0) > 0.0)
-
     def test_passed_cutoff_is_used(self, monkeypatch):
-        # a caller's cutoff replaces the profile's own evaluation of it
+        # a caller's cutoff replaces the profile's own evaluation of it, to the bit
         import blfem.corrector as corrector
 
         xi = np.linspace(0.0, 0.6, 61)
         cutoff = cutoff_delta(xi), cutoff_delta_dxi(xi)
-        specs = [EnrichmentSpec(kind=kind, epsilon=1e-4) for kind in ("phi0", "phi0_tilde", "phi_m1")]
+        kinds = ("phi0", "phi0_tilde", "phi_m1")
+        specs = [EnrichmentSpec(kind=kind, epsilon=eps) for kind in kinds for eps in (1e-3, 1e-4)]
+        want = [enrichment_profile(spec, xi, t) for spec in specs for t in (0.0, 0.5, 2.0)]
         monkeypatch.setattr(corrector, "cutoff_delta", None)
         monkeypatch.setattr(corrector, "cutoff_delta_dxi", None)
-        got = [enrichment_profile(spec, xi, 0.5, cutoff) for spec in specs]
+        got = [enrichment_profile(spec, xi, t, cutoff) for spec in specs for t in (0.0, 0.5, 2.0)]
         monkeypatch.undo()
-        for spec, (value, slope) in zip(specs, got):
-            assert _same_bits(value, _frozen_value(spec, xi, 0.5))
-            assert _same_bits(slope, _frozen_slope(spec, xi, 0.5))
+        for (value, slope), (want_value, want_slope) in zip(got, want):
+            assert _same_bits(value, want_value) and _same_bits(slope, want_slope)
 
     def test_slope_accessor(self):
         for kind in ENRICHMENT_KINDS:
@@ -403,114 +402,106 @@ class TestFusedProfile:
 
 
 # ---------------------------------------------------------------------------
-# dense all-pairs references for the phi0 kernel integrals and the cutoff: the
-# library skips rows and points whose terms are exactly zero, and must agree
-# with these to the bit
+# phi0's kernel integral K = int_0^t I(xi, tau) dtau in closed form, against
+# adaptive quadrature of its integrals
 
 
-def _ref_cutoff_delta(xi):
-    s = np.clip((np.asarray(xi, dtype=float) - CUTOFF_INNER) / (CUTOFF_OUTER - CUTOFF_INNER), 0.0, 1.0)
-    return (1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s))[()]
+def _quad_kernel(xi, t, eps):
+    # over tau = v^2, which takes the 1/sqrt(tau) scale out of the integrand
+    # past its rise at tau = xi^2 / eps; split there
+    rise = [xi / math.sqrt(eps)] if 0.0 < xi * xi / eps < t else None
+    return sp_integrate.quad(
+        lambda v: 2.0 * v * float(heat_kernel_I(xi, v * v, eps)),
+        0.0,
+        math.sqrt(t),
+        epsabs=3e-14 * t,
+        epsrel=0.0,
+        limit=200,
+        points=rise,
+    )[0]
 
 
-def _ref_kernel_time_integral(spec, xi, t):
-    rule = gauss_interval(TIME_QUADRATURE_POINTS)
-    v = np.sqrt(t) * rule.points
-    w = np.sqrt(t) * rule.weights * 2.0 * v
-    z = np.asarray(xi, dtype=float)[..., None] / np.sqrt(2.0 * spec.epsilon) / v
-    return np.sum(erfc_gauss(z) * w, axis=-1)
+def _quad_kernel_dxi(xi, t, eps):
+    # dK/dxi = -(2 / sqrt(pi eps)) int_0^sqrt(t) exp(-xi^2 / (4 eps v^2)) dv,
+    # split where the integrand rises
+    a = xi * xi / (4.0 * eps)
+    integral = sp_integrate.quad(
+        lambda v: math.exp(-a / (v * v)) if v > 0.0 else 0.0,
+        0.0,
+        math.sqrt(t),
+        epsabs=1e-13 * math.sqrt(t),
+        epsrel=0.0,
+        limit=200,
+        points=[math.sqrt(a)] if 0.0 < a < t else None,
+    )[0]
+    return -2.0 / math.sqrt(math.pi * eps) * integral
 
 
-def _ref_kernel_time_integral_dxi(spec, xi, t):
-    rule = gauss_interval(TIME_QUADRATURE_POINTS)
-    v = np.sqrt(t) * rule.points
-    w = np.sqrt(t) * rule.weights
-    g = np.exp(-(np.asarray(xi, dtype=float)[..., None] ** 2) / (4.0 * spec.epsilon * v**2))
-    return -2.0 / np.sqrt(np.pi * spec.epsilon) * np.sum(g * w, axis=-1)
+class TestPhi0KernelIntegral:
+    @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0, 2.0])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+    def test_matches_quadrature(self, eps, t):
+        # near the wall, where a time rule misses the slope, across the layer
+        # and into the far tail; past 55 sqrt(eps t) both terms underflow
+        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
+        xi = np.concatenate([np.geomspace(1e-4, 0.1, 7), np.linspace(0.0, 40.0, 81), [55.0]]) * math.sqrt(eps * t)
+        kernel, kernel_dxi = _kernel_time_integral(spec, xi, t)
+        want = np.array([_quad_kernel(x, t, eps) for x in xi])
+        want_dxi = np.array([_quad_kernel_dxi(x, t, eps) for x in xi])
+        assert np.max(np.abs(kernel - want)) <= 1e-13 * t
+        assert np.max(np.abs(kernel_dxi - want_dxi)) <= 1e-12 * math.sqrt(t / eps)
+        assert kernel[-1] == 0.0 and kernel_dxi[-1] == 0.0
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+    def test_profile_on_the_cutoff_ramp(self, eps):
+        # (1 - K) * delta and its slope where the cutoff slopes; at eps = 1e-3
+        # the kernel integral is live there, at the smaller eps it is zero
+        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
+        xi = np.linspace(CUTOFF_INNER, CUTOFF_OUTER, 26)[1:-1]
+        value, slope = enrichment_profile(spec, xi, 1.0)
+        kernel = np.array([_quad_kernel(x, 1.0, eps) for x in xi])
+        kernel_dxi = np.array([_quad_kernel_dxi(x, 1.0, eps) for x in xi])
+        assert np.all(kernel > 0.0) == (eps == 1e-3)
+        assert np.allclose(value, (1.0 - kernel) * cutoff_delta(xi), rtol=0.0, atol=1e-13)
+        want = -kernel_dxi * cutoff_delta(xi) + (1.0 - kernel) * cutoff_delta_dxi(xi)
+        assert np.allclose(slope, want, rtol=0.0, atol=1e-12 / math.sqrt(eps))
 
-def _ref_phi0(spec, xi, t):
-    return (1.0 - _ref_kernel_time_integral(spec, xi, t)) * _ref_cutoff_delta(xi)
+    @pytest.mark.parametrize("t", [0.01, 0.1, 0.5, 1.0, 2.0, 7.3])
+    def test_trace_is_one_minus_t(self, t):
+        # K(0, t) = t, so phi0(0, t) = 1 - t exactly (the boundary value of
+        # the (1 - K) * delta formula; it vanishes only at t = 1)
+        for eps in (1e-3, 1e-8):
+            spec = EnrichmentSpec(kind="phi0", epsilon=eps)
+            assert enrichment_profile(spec, 0.0, t)[0] == 1.0 - t
+            assert enrichment_profile(spec, np.zeros(3), t)[0].tolist() == [1.0 - t] * 3
 
+    def test_time_zero_is_the_cutoff(self):
+        spec = EnrichmentSpec(kind="phi0", epsilon=1e-5)
+        for x in _SHAPES:
+            value, slope = enrichment_profile(spec, x, 0.0)
+            assert _same_bits(value, cutoff_delta(x))
+            assert np.array_equal(slope, cutoff_delta_dxi(x)) and np.ndim(slope) == np.ndim(x)
 
-def _ref_phi0_dxi(spec, xi, t):
-    return -_ref_kernel_time_integral_dxi(spec, xi, t) * _ref_cutoff_delta(xi) + (
-        1.0 - _ref_kernel_time_integral(spec, xi, t)
-    ) * cutoff_delta_dxi(xi)
+    def test_shapes_follow_the_input(self):
+        # a scalar gives 0-d values, a column its own shape, each entry as in
+        # the flat evaluation
+        spec = EnrichmentSpec(kind="phi0", epsilon=1e-5)
+        flat = enrichment_profile(spec, _XI, 0.2)
+        column = enrichment_profile(spec, _XI.reshape(-1, 1), 0.2)
+        for got, want in zip(column, flat):
+            assert got.shape == (len(_XI), 1) and got.ravel().tobytes() == want.tobytes()
+        for x in (0.0, 1e-3, 0.3, 0.6):
+            got = enrichment_profile(spec, x, 0.2)
+            want = enrichment_profile(spec, np.array([x]), 0.2)
+            assert np.ndim(got[0]) == 0 and np.ndim(got[1]) == 0
+            assert got[0] == want[0][0] and got[1] == want[1][0]
 
-
-@pytest.fixture(scope="module", params=[1e-3, 1e-5, 1e-8])
-def layer_xi(request):
-    """eps, and xi on [0, 0.6] plus at every quadrature point of a B = 52 disk
-    layout.  At eps = 1e-3 the kernel integral is still nonzero on the cutoff
-    ramp; at the smaller eps it vanishes there."""
-    eps = request.param
-    pts = element_rules_2d(build_disk_mesh(52), eps).points
-    return eps, np.concatenate([np.linspace(0.0, 0.6, 3001), fitted_arrays(pts[:, 0], pts[:, 1])[1]])
-
-
-class TestKernelRowSkip:
     def test_underflow_facts(self):
-        # the row skip relies on these values being exact zeros
+        # time_independent_xi relies on these values being exact zeros
         assert erfc_gauss(38.0) == 0.0
         assert erfc_gauss(37.68) == 0.0
         assert np.exp(-746.0) == 0.0
         assert np.exp(-745.14) == 0.0
-
-    @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0])
-    def test_phi0_profile_bit_identical_to_dense_reference(self, layer_xi, t):
-        eps, xi = layer_xi
-        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
-        got = np.asarray(enrichment_profile(spec, xi, t=t)[0])
-        want = _ref_phi0(spec, xi, t)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0])
-    def test_phi0_derivative_equal_to_dense_reference(self, layer_xi, t):
-        # skipped rows may carry +0.0 where the reference has -0.0
-        eps, xi = layer_xi
-        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
-        assert np.array_equal(enrichment_profile(spec, xi, t=t)[1], _ref_phi0_dxi(spec, xi, t))
-
-    @pytest.mark.parametrize("t", [1e-6, 0.2, 1.0])
-    def test_kernel_integrals_bit_identical_to_dense_reference(self, layer_xi, t):
-        # the profile hides rows whose integral is tiny but not zero (1 - K
-        # rounds to 1), so the integrals are compared on their own
-        eps, xi = layer_xi
-        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
-        for got, ref in (
-            (_kernel_time_integral, _ref_kernel_time_integral),
-            (_kernel_time_integral_dxi, _ref_kernel_time_integral_dxi),
-        ):
-            assert got(spec, xi, t).tobytes() == ref(spec, xi, t).tobytes()
-
-    def test_inputs_have_live_and_skipped_rows(self, layer_xi):
-        # both sides of each skip are exercised by the comparisons above
-        eps, xi = layer_xi
-        spec = EnrichmentSpec(kind="phi0", epsilon=eps)
-        for kernel in (_ref_kernel_time_integral, _ref_kernel_time_integral_dxi):
-            assert 0 < np.count_nonzero(kernel(spec, xi, 0.2)) < len(xi)
-
-    def test_phi0_scalar_input(self):
-        spec = EnrichmentSpec(kind="phi0", epsilon=1e-5)
-        for xi in (0.0, 1e-3, 0.3, 0.6):
-            got = enrichment_profile(spec, xi, t=0.2)[0]
-            assert np.ndim(got) == 0
-            assert np.asarray(got).tobytes() == np.asarray(_ref_phi0(spec, xi, 0.2)).tobytes()
-            assert enrichment_profile(spec, xi, t=0.2)[1] == _ref_phi0_dxi(spec, xi, 0.2)
-
-    def test_cutoff_bit_identical_to_clipped_polynomial(self):
-        ends = [CUTOFF_INNER, CUTOFF_OUTER, np.nextafter(CUTOFF_INNER, 1.0), np.nextafter(CUTOFF_OUTER, 0.0)]
-        xi = np.concatenate([np.linspace(-0.1, 1.0, 4001), ends])
-        got = np.asarray(cutoff_delta(xi))
-        assert got.tobytes() == _ref_cutoff_delta(xi).tobytes()
-        for x in (0.0, CUTOFF_INNER, 0.3, CUTOFF_OUTER, 0.9):
-            val = cutoff_delta(x)
-            assert np.ndim(val) == 0
-            assert np.asarray(val).tobytes() == np.asarray(_ref_cutoff_delta(x)).tobytes()
-        grid = xi.reshape(-1, 1)
-        assert np.asarray(cutoff_delta(grid)).tobytes() == _ref_cutoff_delta(grid).tobytes()
 
 
 class TestTimeIndependentXi:

@@ -41,6 +41,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, n_steps=0)
 
+    def test_long_horizons(self):
+        # dt = T / n_steps by construction, so every step count gives a grid;
+        # n_steps * dt may miss T by rounding (by 1.8e-12 at T = 1e4, n = 139)
+        for T in (1e4, 1e5):
+            for n in range(1, 200):
+                grid = TimeGrid(T=T, n_steps=n)
+                assert grid.times[-1] == T
+                assert grid.n_steps * grid.dt == pytest.approx(T, rel=1e-15, abs=0.0)
+
 
 class TestAdvance:
     def test_zero_data_stays_zero(self):
