@@ -317,7 +317,8 @@ class TestEnrichmentProfiles:
 
 # ---------------------------------------------------------------------------
 # frozen copies of the separate value and slope formulas that the fused
-# profile replaced; it must agree with them to the bit
+# profile replaced (phi0's read the closed-form kernel integral); it must
+# agree with them to the bit
 
 
 def _frozen_value(spec, xi, t=None):
@@ -328,6 +329,9 @@ def _frozen_value(spec, xi, t=None):
         s = spec.sigma
         ramp = (1.0 - math.exp(-(s**2) / (4.0 * spec.epsilon))) * xi / s
         val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon)) - ramp) * (xi <= s)
+    elif spec.kind == "phi0":
+        kernel = _kernel_time_integral(spec, xi, t)[0] if t > 0.0 else 0.0
+        val = (1.0 - kernel) * cutoff_delta(xi)
     elif t == 0.0:  # phi0_tilde from here on
         val = np.where(xi > 0.0, cutoff_delta(xi), 0.0)
     else:
@@ -346,6 +350,11 @@ def _frozen_slope(spec, xi, t=None):
         e = np.exp(-(xi**2) / (4.0 * eps))
         slope = (1.0 - math.exp(-(s**2) / (4.0 * eps))) / s
         val = ((xi / (2.0 * eps)) * e - slope) * (xi <= s)
+    elif spec.kind == "phi0":
+        if t == 0.0:
+            return cutoff_delta_dxi(xi)[()]
+        kernel, kernel_dxi = _kernel_time_integral(spec, xi, t)
+        val = -kernel_dxi * cutoff_delta(xi) + (1.0 - kernel) * cutoff_delta_dxi(xi)
     elif t == 0.0:  # phi0_tilde from here on
         return np.where(xi > 0.0, cutoff_delta_dxi(xi), 0.0)[()]
     else:
@@ -367,7 +376,7 @@ _SHAPES = (_XI, _XI.reshape(-1, 1), 0.0, 1e-4, 0.1, 0.3, CUTOFF_OUTER, 0.6)
 class TestFusedProfile:
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 1.0])
-    @pytest.mark.parametrize("kind", ["phi0_tilde", "phi_m1", "phi_m1_lin"])
+    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
     def test_bit_identical_to_separate_formulas(self, kind, t, eps):
         spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=0.1 if kind == "phi_m1_lin" else None)
         assert np.any(_XI < CUTOFF_INNER) and np.any((_XI > CUTOFF_INNER) & (_XI < CUTOFF_OUTER))
