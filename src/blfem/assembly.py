@@ -92,7 +92,8 @@ class AssembledSystem:
     the cross Gram block taken against level `previous` (the plain space has
     one empty level), and make_load(source) -> load(t, phi_vals), the
     whole load at t of the level whose moving profile values are phi_vals,
-    with the source bound to each point set once (ProblemData.source).
+    with the source bound once to every load point (ProblemData.source) and
+    one operator for the standard and the fixed enriched points.
 
     profile_at(level) -> (phi, dphi) or None hands over the profile and its
     slope that the run computed at the points of its 2D layout's leading
@@ -112,14 +113,14 @@ class AssembledSystem:
 
 @dataclass(frozen=True)
 class EnrichedLevel:
-    """The enriched blocks at one time level: the couplings msl, asl (n, m),
-    the Gram blocks mee, aee (m, m), the cross Gram block cee of this level's
-    enriched functions (rows) with the previous level's (columns; mee when
-    there is none), and the profile values phi and slopes dphi at the moving
-    quadrature points; the load at this level reads phi, and the error
-    report both of the run's last level (AssembledSystem.profile_at).  The
-    profile and its slope are evaluated in one call per level, on cutoff
-    values evaluated once per run."""
+    """The enriched blocks at one time level: the couplings msl, asl (n, m)
+    on one CSR pattern, the Gram blocks mee, aee (m, m), the cross Gram
+    block cee of this level's enriched functions (rows) with the previous
+    level's (columns; mee when there is none), and the profile values phi
+    and slopes dphi at the moving quadrature points; the load at this level
+    reads phi, and the error report both of the run's last level
+    (AssembledSystem.profile_at).  The profile and its slope are evaluated
+    in one call per level, on cutoff values evaluated once per run."""
 
     msl: sp.csr_matrix
     asl: sp.csr_matrix
@@ -131,8 +132,15 @@ class EnrichedLevel:
 
     @cached_property
     def msl_t(self):
-        """msl^T as CSR, built once per level."""
-        return self.msl.T.tocsr()
+        """msl^T as a CSC view of msl's arrays, made once per level; its
+        mat-vec sums each entry in the order a CSR transpose's would."""
+        return self.msl.T
+
+    def coupling(self, dt):
+        """K_se = msl + dt * asl as CSR, by one array operation on the
+        pattern the two blocks share; zero sums stay stored."""
+        msl = self.msl
+        return sp.csr_matrix((msl.data + dt * self.asl.data, msl.indices, msl.indptr), shape=msl.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +423,34 @@ def _load_layout(space):
     return tuple(c.ravel() for c in coords), op
 
 
-def _bind_source(source, coords):
-    """The source values at the fixed points coords as a function of t."""
-    g, shape = source(*coords), coords[0].shape
-    return lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), shape)
+def _load_maker(coords, op, le_moving=None, moving_points=None):
+    """make_load(source) -> load(t, phi_vals), the source bound once to the
+    points coords (flat arrays): op @ f(*coords, t) at the leading
+    op.shape[1] points, plus, where points move, le_moving @ (phi * f) at
+    the others, phi = phi_vals[moving_points], on the last (enriched) rows."""
+    k = op.shape[1]
+
+    def make_load(source):
+        g, shape = source(*coords), coords[0].shape
+
+        def load(t, phi_vals=None):
+            fv = np.asarray(g(t), dtype=float)
+            fv = fv if fv.shape == shape else np.broadcast_to(fv, shape)
+            out = op @ fv[:k]
+            if le_moving is not None:
+                out[-le_moving.shape[0] :] += le_moving @ (phi_vals[moving_points] * fv[k:])
+            return out
+
+        return load
+
+    return make_load
 
 
-def _standard_load(system, source):
-    """The standard block's load alone, from the source at its load points only."""
-    values, op = _bind_source(source, system.load_coords), system.load_op
-    return lambda t, phi_vals=None: op @ values(t)
+def _block_diagonal(a, b):
+    """[[a, 0], [0, b]] for CSR a and b, each row's entries in their order."""
+    data, indices = np.concatenate([a.data, b.data]), np.concatenate([a.indices, b.indices + a.shape[1]])
+    shape = (a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
+    return sp.csr_matrix((data, indices, np.concatenate([a.indptr, b.indptr[1:] + a.nnz])), shape=shape)
 
 
 def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
@@ -440,10 +466,9 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     none = np.zeros((0, 0))
     empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0), np.zeros(0))
 
-    parts = dict(rebuild=lambda t, previous=None: empty)
-    parts["make_load"] = lambda source: _standard_load(system, source)
-    system = AssembledSystem(mass, stiff, np.zeros(0, dtype=int), *_load_layout(space), parts)
-    return system
+    coords, op = _load_layout(space)
+    parts = dict(rebuild=lambda t, previous=None: empty, make_load=_load_maker(coords, op))
+    return AssembledSystem(mass, stiff, np.zeros(0, dtype=int), coords, op, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +689,7 @@ def _symmetric(flat, m):
     return 0.5 * (g + g.T)
 
 
-def _split_layout(space, layout, epsilon, t_max):
+def _split_layout(space, layout, epsilon, t_max, standard_load):
     """The levels of a run that ends at t_max, with the layout's points split
     once at xi* (corrector.time_independent_xi): past it the profile values
     are the same at every level, so those fixed points are summed once into
@@ -674,10 +699,10 @@ def _split_layout(space, layout, epsilon, t_max):
 
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
-    point touches (the only rows on which levels differ),
-    make_enriched_load(source) -> load(t, phi), with phi the level's
-    moving profile values, and profile_at(level) -> (phi, dphi) at every
-    point (AssembledSystem.profile_at).
+    point touches (the only rows on which levels differ), the system's
+    make_load (standard_load: the standard load points and operator), and
+    profile_at(level) -> (phi, dphi) at every point
+    (AssembledSystem.profile_at).
     The Gram block of a level taken without a previous one (the first of a
     march, the fixed level, a dump's level) is checked for singularity."""
     spec = space.enrichment
@@ -742,25 +767,19 @@ def _split_layout(space, layout, epsilon, t_max):
         return p, dp
 
     # load columns, one per point and enriched copy (two copies in 1D),
-    # reordered so that the k columns of fixed points come first
+    # reordered so that the k columns of fixed points come first; the source
+    # is bound once to the standard load points and these, and one
+    # block-diagonal operator sums the standard and the fixed columns
     col_point = np.broadcast_to(np.arange(len(xi)), layout.coords[0].shape).ravel()
     order = np.argsort(moving[col_point], kind="stable")
     k = np.count_nonzero(fixed[col_point])
-    coords = tuple(c.ravel()[order] for c in layout.coords)
+    coords = tuple(np.concatenate([s, c.ravel()[order]]) for s, c in zip(standard_load[0], layout.coords))
     le_fixed, le_moving = layout.le[:, order[:k]], layout.le[:, order[k:]]
     le_fixed.data *= phi[col_point[order[:k]]][le_fixed.indices]
     moving_col_point = np.searchsorted(np.flatnonzero(moving), col_point[order[k:]])
-
-    def make_enriched_load(source):
-        values = _bind_source(source, coords)
-
-        def load(t, phi_moving):
-            fv = values(t)
-            return le_fixed @ fv[:k] + le_moving @ (phi_moving[moving_col_point] * fv[k:])
-
-        return load
-
-    return rebuild, moving_rows, make_enriched_load, profile_at
+    op = _block_diagonal(standard_load[1], le_fixed)
+    make_load = _load_maker(coords, op, le_moving if moving.any() else None, moving_col_point)
+    return rebuild, moving_rows, make_load, profile_at
 
 
 def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, layout=None) -> AssembledSystem:
@@ -784,14 +803,8 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
         if layout is None:
             layout = element_rules_2d(space.mesh, space.enrichment.epsilon)
         coupling = _coupling_layout_2d(space, layout)
-    rebuild, moving_rows, make_enriched_load, profile_at = _split_layout(space, coupling, epsilon, t_max)
-
-    def make_load(source):
-        # the standard load is bound here, not through system.parts, whose
-        # make_load a caller may have wrapped
-        standard, enriched = _standard_load(system, source), make_enriched_load(source)
-        return lambda t, phi_vals: np.concatenate([standard(t), enriched(t, phi_vals)])
-
+    standard_load = system.load_coords, system.load_op
+    rebuild, moving_rows, make_load, profile_at = _split_layout(space, coupling, epsilon, t_max, standard_load)
     return replace(
         system,
         moving_rows=moving_rows,
@@ -821,7 +834,8 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
 
     if space.enrichment is not None and space.enrichment.time_dependent:
         coeffs = np.zeros(space.total_dofs)
-        coeffs[: space.n_standard] = solve_spd(system.mss, _standard_load(system, u0_at)(0.0), cfg)
+        rhs = _load_maker(system.load_coords, system.load_op)(u0_at)(0.0)
+        coeffs[: space.n_standard] = solve_spd(system.mss, rhs, cfg)
         return coeffs
     level = system.parts["rebuild"](0.0)
     rhs = system.parts["make_load"](u0_at)(0.0, level.phi)

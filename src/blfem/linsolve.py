@@ -144,6 +144,8 @@ class BlockSolver:
     x_s = y - Z0 x_e - W dC_R x_e.  Otherwise each level's stacked matrix is
     factored with SpdSolver.  `cg_jacobi` runs CG on the block operator.  A
     nonpositive pivot or a failed S Cholesky raises NotPositiveDefinite.
+    `factor` returns the level's solve, bound once per factorization: the
+    SuperLU solve of the stacked matrix, the Schur solve, or CG.
     """
 
     def __init__(self, kss, kse, rows, config: SolverConfig = SolverConfig(), levels: int = 1):
@@ -163,59 +165,79 @@ class BlockSolver:
             unit[self.rows, np.arange(len(self.rows))] = 1.0
             self._w = self._ss.solve(unit)
             self._z0_rows, self._g = self._z0[self.rows], self._w[self.rows]
+            self._c0_rows = self.c0[self.rows].toarray()
 
     def factor(self, kse, kee):
-        """Take the level with coupling kse (n, m) and enriched block kee (m, m)."""
+        """Take the level with coupling kse (n, m) and enriched block kee
+        (m, m); returns the solve of this factorization, rhs (n + m,) ->
+        solution, which skips the checks of `solve`."""
         self.kse = sp.csr_matrix(kse)
-        self.kse_t = self.kse.T.tocsr()
+        # a CSC view: its mat-vec sums each entry as the CSR transpose's does
+        self.kse_t = self.kse.T
         self.kee = np.asarray(kee, dtype=float)
+        # no bound method of self is kept on self: that cycle would keep the factors alive after the march
+        self._solve = None
         if self.config.method != "direct_cholesky":
-            return
-        if not self.uses_schur:
-            self._whole = SpdSolver(stack(self.kss, self.kse, self.kee), self.config)
-            return
-        self._dc = (self.kse[self.rows] - self.c0[self.rows]).toarray()
-        dc, zr = self._dc, self._z0_rows
-        s = self.kee - self._s0 - zr.T @ dc - dc.T @ zr - dc.T @ (self._g @ dc)
-        try:
-            self._schur = sla.cho_factor(0.5 * (s + s.T), lower=True)
-        except sla.LinAlgError as exc:
-            raise NotPositiveDefinite(f"enriched Schur complement: {exc}") from exc
+            self._solve = _block_cg(self.kss, self.kse, self.kse_t, self.kee, self.config.rel_tolerance)
+        elif not self.uses_schur:
+            self._solve = SpdSolver(stack(self.kss, self.kse, self.kee), self.config)._lu.solve
+        else:
+            self._dc = self.kse[self.rows].toarray() - self._c0_rows
+            dc, zr = self._dc, self._z0_rows
+            s = self.kee - self._s0 - zr.T @ dc - dc.T @ zr - dc.T @ (self._g @ dc)
+            try:
+                self._schur = sla.cho_factor(0.5 * (s + s.T), lower=True)
+            except sla.LinAlgError as exc:
+                raise NotPositiveDefinite(f"enriched Schur complement: {exc}") from exc
+        return self._solve or self._schur_solve
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        n = self.n
-        if rhs.shape != (n + self.m,):
+        if rhs.shape != (self.n + self.m,):
             raise ValueError("rhs dimension mismatch")
-        if self.config.method != "direct_cholesky":
-            return self._cg(rhs)
-        if not self.uses_schur:
-            return self._whole.solve(rhs)
-        y = self._ss.solve(rhs[:n])
+        return (self._solve or self._schur_solve)(rhs)
+
+    def _schur_solve(self, rhs):
+        n = self.n
+        y = self._ss._lu.solve(rhs[:n])
         xe = sla.cho_solve(self._schur, rhs[n:] - self.kse_t @ y, check_finite=False)
         return np.concatenate([y - self._z0 @ xe - self._w @ (self._dc @ xe), xe])
 
-    def _cg(self, rhs):
-        from scipy.sparse.linalg import LinearOperator
 
-        n = self.n
-        if not np.any(rhs):
-            return np.zeros_like(rhs)
+def _block_cg(kss, kse, kse_t, kee, tol):
+    """CG on [[kss, kse], [kse_t, kee]], its operator built once for one level's solves."""
+    from scipy.sparse.linalg import LinearOperator
 
-        def apply(x):
-            xs, xe = x[:n], x[n:]
-            return np.concatenate([self.kss @ xs + self.kse @ xe, self.kse_t @ xs + self.kee @ xe])
+    n, size = kss.shape[0], kss.shape[0] + len(kee)
 
-        op = LinearOperator((len(rhs), len(rhs)), matvec=apply, dtype=float)
-        diagonal = np.concatenate([self.kss.diagonal(), np.diag(self.kee)])
-        return _cg(op, diagonal, rhs, self.config.rel_tolerance)
+    def apply(x):
+        xs, xe = x[:n], x[n:]
+        return np.concatenate([kss @ xs + kse @ xe, kse_t @ xs + kee @ xe])
+
+    op = LinearOperator((size, size), matvec=apply, dtype=float)
+    diagonal = np.concatenate([kss.diagonal(), np.diag(kee)])
+    return lambda rhs: _cg(op, diagonal, rhs, tol) if np.any(rhs) else np.zeros_like(rhs)
 
 
 def stack(kss, kse, kee):
     """The symmetric block matrix [[kss, kse], [kse^T, kee]] as CSR, for
-    kse (n, m) sparse and kee (m, m) dense, m possibly 0.  Coupling entries
-    whose profile values all underflowed are not stored."""
-    whole = sp.bmat([[kss, kse], [kse.T, sp.csr_matrix(kee)]], format="csr")
+    kss (n, n) and kse (n, m) canonical CSR (as assembly builds them) and
+    kee (m, m) dense, m possibly 0, placed directly: each standard row's kss
+    entries, then its kse entries; each enriched row's kse^T entries, then
+    its kee row.  Stored zeros (coupling entries whose profile values all
+    underflowed) are dropped."""
+    kss, kse = sp.csr_matrix(kss), sp.csr_matrix(kse)
+    n, m = kse.shape
+    se_rows = np.repeat(np.arange(n), np.diff(kse.indptr))
+    t = np.argsort(kse.indices, kind="stable")  # kse^T: column by column, rows in order
+    ee_rows, ee_cols = np.divmod(np.arange(m * m), m)
+    rows = np.concatenate([np.repeat(np.arange(n), np.diff(kss.indptr)), se_rows, n + kse.indices[t], n + ee_rows])
+    cols = np.concatenate([kss.indices, n + kse.indices, se_rows[t], n + ee_cols])
+    vals = np.concatenate([kss.data, kse.data, kse.data[t], np.ravel(kee)])
+    # four runs of increasing rows, merged in one stable pass
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n + m))])
+    whole = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n + m, n + m))
     whole.eliminate_zeros()
     return whole
 

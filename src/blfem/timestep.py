@@ -11,9 +11,11 @@ moving quadrature points touch (the system's moving_rows).  When R is small
 against the enriched DOFs and the level count (linsolve.schur_pays),
 linsolve.BlockSolver factors K_ss once per run and each new level only a
 dense Schur complement of the enriched DOFs; otherwise, and for a single
-level, it factors each level's stacked matrix.  C is the mass matrix between
-the new level (rows) and the previous one (columns), applied block by
-block: [[Mss, Msl_old], [Msl_new^T, Cee]].  No matrix is stacked here.
+level, it factors each level's stacked matrix.  Each factorization hands
+back its solve, which the steps on that level call directly.  C is the mass
+matrix between the new level (rows) and the previous one (columns), applied
+block by block: [[Mss, Msl_old], [Msl_new^T, Cee]].  No matrix is stacked
+here.
 """
 
 from __future__ import annotations
@@ -76,8 +78,11 @@ class SolutionField:
 
 def cross_level_product(mss, new, old, u):
     """C u for the mass matrix C = [[Mss, Msl_old], [Msl_new^T, Cee]] between
-    the enriched functions of level new (rows) and level old (columns)."""
+    the enriched functions of level new (rows) and level old (columns);
+    Mss u for the plain space."""
     n = mss.shape[0]
+    if len(u) == n:
+        return mss @ u
     us, ue = u[:n], u[n:]
     return np.concatenate([mss @ us + old.msl @ ue, new.msl_t @ us + new.cee @ ue])
 
@@ -93,7 +98,7 @@ def advance(
     cfg = solver_config or SolverConfig()
     dt = grid.dt
     mss, rebuild = system.mss, system.parts["rebuild"]
-    load_fn = system.parts["make_load"](data.source)
+    load = system.parts["make_load"](data.source)
     u = project_initial(space, system, data.u0_initial, cfg)
     history = np.empty((grid.n_steps + 1, len(u)))
     history[0] = u
@@ -104,14 +109,13 @@ def advance(
         for step, t_new in enumerate(grid.times[1:], start=1):
             new = rebuild(t_new, old)
             if solver is None or new is not old:
-                kse = new.msl + dt * new.asl
+                kse = new.coupling(dt)
                 if solver is None:
                     rows = system.moving_rows
                     levels = grid.n_steps if len(rows) else 1
                     solver = BlockSolver(mss + dt * system.ass, kse, rows, cfg, levels)
-                solver.factor(kse, new.mee + dt * new.aee)
-            rhs = cross_level_product(mss, new, old, u) + dt * load_fn(t_new, new.phi)
-            u = solver.solve(rhs)
+                solve = solver.factor(kse, new.mee + dt * new.aee)
+            u = solve(cross_level_product(mss, new, old, u) + dt * load(t_new, new.phi))
             history[step] = u
             old = new
     except (NotPositiveDefinite, NoConvergence) as exc:

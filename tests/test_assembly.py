@@ -34,7 +34,7 @@ from blfem.linsolve import stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 from blfem.timestep import cross_level_product
-from helpers import locate_disk, subset_layout
+from helpers import locate_disk, separate_load, subset_layout
 
 
 def _bound(f):
@@ -846,6 +846,35 @@ class TestStandardLoadOperator:
         space = _space_1d(10)
         load = assemble_standard(space, 1e-3).parts["make_load"](_bound(lambda x, t: 2.0))
         assert np.allclose(load(0.0), 2.0 * 0.1, rtol=1e-14)
+
+
+class TestOneLoadOperator:
+    """make_load binds the source once to every load point and applies one
+    block-diagonal operator to the standard and the fixed enriched points;
+    the load bound per point set and concatenated (helpers.separate_load) is
+    the oracle."""
+
+    @pytest.mark.parametrize("kind, t_max", [(None, 1.0), ("phi_m1_lin", 1.0), ("phi0_tilde", 1.0), ("phi0_tilde", None)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bit_identical_to_separate_bindings(self, dim, kind, t_max):
+        eps, dt, T = 1e-5, 0.1, 1.0
+        mesh = build_interval_mesh(50) if dim == 1 else build_disk_mesh(26)
+        if kind is None:
+            space = build_space(mesh)
+            system = assemble_standard(space, eps)
+        else:
+            sigma = (mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)) if kind == "phi_m1_lin" else None
+            space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+            system = assemble_enriched(space, eps, t_max=t_max)
+        # the fixed kind has no moving point; phi0_tilde split at T has both
+        assert (len(system.moving_rows) > 0) == (kind == "phi0_tilde")
+        source = ExactSolution1D(eps).source if dim == 1 else _bound(_wavy_source)
+        got, want = system.parts["make_load"](source), separate_load(space, system, t_max)(source)
+        for t in (0.0, dt, T):
+            phi = system.parts["rebuild"](t).phi
+            a, b = got(t, phi), want(t, phi)
+            assert len(a) == space.total_dofs and np.any(b[space.n_standard :] != 0.0) == (kind is not None)
+            assert a.tobytes() == b.tobytes()
 
 
 def _reference_standard_1d(space, epsilon):

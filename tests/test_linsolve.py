@@ -18,6 +18,7 @@ from blfem.linsolve import (
     solve_spd,
     stack,
 )
+from helpers import bmat_stack
 
 
 def _poisson_fd(n):
@@ -146,6 +147,65 @@ class TestStack:
         assert (whole != kss).nnz == 0
 
 
+def _same_csr(a, b):
+    """The same shape and, bit for bit, the same data, indices and indptr."""
+    return a.shape == b.shape and all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in ("data", "indices", "indptr"))
+
+
+def _level_blocks(dim, kind, t, dt=0.01):
+    """(kss, kse, kee) of the mass, the stiffness and K = M + dt A at the
+    level at t of a real system; kind None: the plain space (m = 0)."""
+    from blfem.assembly import assemble_enriched, assemble_standard, build_space
+    from blfem.corrector import EnrichmentSpec
+    from blfem.mesh import build_disk_mesh, build_interval_mesh
+
+    eps = 1e-5
+    mesh = build_interval_mesh(50) if dim == 1 else build_disk_mesh(26)
+    if kind is None:
+        system = assemble_standard(build_space(mesh), eps)
+    else:
+        sigma = (mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)) if kind == "phi_m1_lin" else None
+        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+        system = assemble_enriched(space, eps, t_max=1.0)
+    level = system.parts["rebuild"](t)
+    return [
+        (system.mss, level.msl, level.mee),
+        (system.ass, level.asl, level.aee),
+        (system.mss + dt * system.ass, level.coupling(dt), level.mee + dt * level.aee),
+    ]
+
+
+class TestStackAgainstBmat:
+    """linsolve.stack places each block's entries directly; the bmat
+    formulation it replaced is the oracle."""
+
+    @pytest.mark.parametrize("kind", [None, "phi_m1_lin", "phi0_tilde"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bit_identical_on_real_levels(self, dim, kind):
+        for t in (0.0, 0.5):
+            for kss, kse, kee in _level_blocks(dim, kind, t):
+                assert kse.shape[1] == (0 if kind is None else 2 if dim == 1 else 26)
+                assert _same_csr(stack(kss, kse, kee), bmat_stack(kss, kse, kee))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_underflowed_coupling_entry_not_stored(self, dim):
+        kss, kse, kee = _level_blocks(dim, "phi0_tilde", 0.5)[2]
+        before = stack(kss, kse, kee).nnz
+        kse = kse.copy()
+        # two coupling entries whose profile values all underflowed
+        kse.data[np.flatnonzero(kse.data)[[0, -1]]] = 0.0
+        whole = stack(kss, kse, kee)
+        assert _same_csr(whole, bmat_stack(kss, kse, kee))
+        assert np.all(whole.data != 0.0)
+        assert whole.nnz == before - 4  # each entry and its transpose
+
+    def test_zero_enriched_entries_not_stored(self):
+        kss, kse = _poisson_fd(5), sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.0, 0.0]]))
+        kee = np.array([[3.0, 0.0], [0.0, 4.0]])
+        assert _same_csr(stack(kss, kse, kee), bmat_stack(kss, kse, kee))
+        assert _same_csr(stack(kss, sp.csr_matrix((4, 0)), np.zeros((0, 0))), bmat_stack(kss, sp.csr_matrix((4, 0)), np.zeros((0, 0))))
+
+
 class TestEnrichedSystems:
     def test_tiny_epsilon_system_residual(self):
         # the ill-conditioned Gram coupling at eps = 1e-8 must still solve to
@@ -241,6 +301,25 @@ class TestBlockSolver:
             want = np.linalg.solve(full, b)
             got = solver.solve(b)
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("method, n_levels", [("direct_cholesky", 3), ("direct_cholesky", 1), ("cg_jacobi", 3)])
+    def test_released_without_the_garbage_collector(self, method, n_levels):
+        # the factors go as soon as the march drops the solver and its bound
+        # solve: no reference cycle keeps them alive into the error report
+        import gc
+        import weakref
+
+        kss, levels = _block_levels(np.random.default_rng(8))
+        solver = BlockSolver(kss, levels[0][0], [3, 7, 8, 20], SolverConfig(method=method), n_levels)
+        solve = solver.factor(*levels[0])
+        assert np.all(np.isfinite(solve(np.ones(46))))
+        ref = weakref.ref(solver)
+        gc.disable()
+        try:
+            del solver, solve
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_one_standard_factor_per_run(self, monkeypatch):
         import blfem.linsolve as linsolve

@@ -10,12 +10,22 @@ import scipy.sparse as sp
 
 import blfem.assembly
 import blfem.corrector
-from blfem.analysis import ExactSolution1D, ExactSolution2D
+from blfem.analysis import ExactSolution1D, ExactSolution2D, ZeroSolution1D, ZeroSolution2D
 from blfem.assembly import assemble_enriched, assemble_standard, build_space, project_initial
 from blfem.corrector import EnrichmentSpec, ProblemData
-from blfem.linsolve import NoConvergence, NotPositiveDefinite, SolverConfig, schur_pays, stack
+from blfem.linsolve import (
+    BlockSolver,
+    NoConvergence,
+    NotPositiveDefinite,
+    SolverConfig,
+    SpdSolver,
+    _block_cg,
+    schur_pays,
+    stack,
+)
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import SolutionField, TimeGrid, advance
+from helpers import bmat_stack, separate_load
 
 
 def _zero_data(epsilon=1e-2):
@@ -214,8 +224,8 @@ class TestTimeDependentEnrichment:
 class TestBoundSource:
     @pytest.mark.parametrize("kind", ["phi0_tilde", "phi_m1"])
     def test_spatial_source_part_formed_once_per_march(self, kind, monkeypatch):
-        # the layers of exact1d are evaluated at each load point set once,
-        # whatever the number of steps
+        # the layers of exact1d are evaluated once, at the standard and the
+        # enriched load points together, whatever the number of steps
         eps = 1e-5
         spec = EnrichmentSpec(kind=kind, epsilon=eps)
         space = build_space(build_interval_mesh(20), spec)
@@ -229,12 +239,142 @@ class TestBoundSource:
             return real(self, x)
 
         monkeypatch.setattr(ExactSolution1D, "_layers", counted)
-        counts = []
+        sizes = []
         for n_steps in (10, 100):
             calls.clear()
             advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 2  # the standard and the enriched load points
+            sizes.append(list(calls))
+        assert sizes[0] == sizes[1] and len(sizes[0]) == 1
+        assert sizes[0][0] > len(system.load_coords[0])
+
+
+class _PreChangeBlockSolver(BlockSolver):
+    """BlockSolver as the march used it before it stepped on fixed
+    operators: each level's coupling transposed to CSR, its moving rows
+    differenced as sparse matrices, its stacked matrix built by bmat, and
+    every solve through the checked SpdSolver.solve."""
+
+    def factor(self, kse, kee):
+        self.kse = sp.csr_matrix(kse)
+        self.kse_t = self.kse.T.tocsr()
+        self.kee = np.asarray(kee, dtype=float)
+        if self.config.method != "direct_cholesky":
+            return
+        if not self.uses_schur:
+            self._whole = SpdSolver(bmat_stack(self.kss, self.kse, self.kee), self.config)
+            return
+        self._dc = (self.kse[self.rows] - self.c0[self.rows]).toarray()
+        dc, zr = self._dc, self._z0_rows
+        s = self.kee - self._s0 - zr.T @ dc - dc.T @ zr - dc.T @ (self._g @ dc)
+        self._schur = sla.cho_factor(0.5 * (s + s.T), lower=True)
+
+    def solve(self, rhs):
+        n = self.n
+        if self.config.method != "direct_cholesky":
+            return _block_cg(self.kss, self.kse, self.kse_t, self.kee, self.config.rel_tolerance)(rhs)
+        if not self.uses_schur:
+            return self._whole.solve(rhs)
+        y = self._ss.solve(rhs[:n])
+        xe = sla.cho_solve(self._schur, rhs[n:] - self.kse_t @ y, check_finite=False)
+        return np.concatenate([y - self._z0 @ xe - self._w @ (self._dc @ xe), xe])
+
+
+def _pre_change_march(space, system, data, grid, cfg, t_max):
+    """The march loop as it was before it stepped on fixed operators: the
+    load bound per point set and concatenated, the coupling K_se by a sparse
+    add, the cross-level product block by block for every space, and each
+    level's solve looked up and checked at every step."""
+    mss, rebuild, dt = system.mss, system.parts["rebuild"], grid.dt
+    make_load = separate_load(space, system, t_max)
+    load = make_load(data.source)
+
+    def u0_at(*coords):
+        vals = data.u0_initial(*coords)
+        return lambda t: vals
+
+    level = rebuild(0.0)
+    if space.enrichment is not None and space.enrichment.time_dependent:
+        u = np.zeros(space.total_dofs)
+        u[: space.n_standard] = SpdSolver(mss, cfg).solve(system.load_op @ data.u0_initial(*system.load_coords))
+    else:
+        u = SpdSolver(bmat_stack(mss, level.msl, level.mee), cfg).solve(make_load(u0_at)(0.0, level.phi))
+    history = [u]
+    old, solver, n = level, None, space.n_standard
+    for t_new in grid.times[1:]:
+        new = rebuild(t_new, old)
+        if solver is None or new is not old:
+            kse = new.msl + dt * new.asl
+            if solver is None:
+                rows = system.moving_rows
+                levels = grid.n_steps if len(rows) else 1
+                solver = _PreChangeBlockSolver(mss + dt * system.ass, kse, rows, cfg, levels)
+            solver.factor(kse, new.mee + dt * new.aee)
+        us, ue = u[:n], u[n:]
+        cross = np.concatenate([mss @ us + old.msl @ ue, new.msl.T.tocsr() @ us + new.cee @ ue])
+        u = solver.solve(cross + dt * load(t_new, new.phi))
+        history.append(u)
+        old = new
+    return np.array(history)
+
+
+class TestMarchBitIdenticalToPreChangeLoop:
+    """The march on fixed operators (one load operator, a directly stacked
+    block matrix, the solve bound per factorization) against the loop it
+    replaced, bit for bit over the whole history."""
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize(
+        "dim, kind, eps, n_steps, method, path",
+        [
+            (1, None, 1e-5, 6, "direct_cholesky", "plain"),
+            (2, None, 1e-5, 5, "direct_cholesky", "plain"),
+            (1, "phi_m1_lin", 1e-5, 6, "direct_cholesky", "stacked"),
+            (2, "phi_m1_lin", 1e-8, 5, "direct_cholesky", "stacked"),
+            (2, "phi_m1", 1e-5, 5, "direct_cholesky", "stacked"),
+            (1, "phi0_tilde", 1e-5, 6, "direct_cholesky", "schur"),
+            (2, "phi0_tilde", 1e-5, 5, "direct_cholesky", "schur"),
+            (2, "phi0", 1e-8, 5, "direct_cholesky", "schur"),
+            (2, "phi0_tilde", 1e-3, 3, "direct_cholesky", "stacked"),
+            (1, None, 1e-5, 5, "cg_jacobi", "cg"),
+            (1, "phi_m1_lin", 1e-5, 5, "cg_jacobi", "cg"),
+            (2, "phi0_tilde", 1e-5, 5, "cg_jacobi", "cg"),
+        ],
+    )
+    def test_history_bit_identical(self, dim, kind, eps, n_steps, method, path):
+        T = 1.0
+        grid, cfg = TimeGrid(T=T, n_steps=n_steps), SolverConfig(method=method)
+        mesh = build_interval_mesh(50) if dim == 1 else build_disk_mesh(26)
+        if kind is None:
+            space = build_space(mesh)
+            system = assemble_standard(space, eps)
+        else:
+            sigma = (mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)) if kind == "phi_m1_lin" else None
+            space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+            system = assemble_enriched(space, eps, t_max=T)
+        rows = system.moving_rows
+        levels = n_steps if len(rows) else 1
+        pays = space.n_enriched > 0 and schur_pays(space.n_standard, space.n_enriched, len(rows), levels)
+        assert pays == (path == "schur" or (path == "cg" and len(rows) > 0))
+        assert (len(rows) > 0) == (kind in ("phi0", "phi0_tilde"))
+        data = (ExactSolution1D(eps) if dim == 1 else ExactSolution2D(eps)).problem()
+        got = advance(space, system, data, grid, cfg).history
+        want = _pre_change_march(space, system, data, grid, cfg, T)
+        assert np.any(want[-1] != 0.0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", [None, "phi_m1_lin", "phi0_tilde"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_problems_march_to_exact_zeros(self, dim, kind):
+        # the bound direct solves have no zero-right-hand-side shortcut
+        eps, grid = 1e-3, TimeGrid(T=0.5, n_steps=5)
+        mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
+        spec = None if kind is None else EnrichmentSpec(kind=kind, epsilon=eps, sigma=0.2 if kind == "phi_m1_lin" else None)
+        space = build_space(mesh, spec)
+        system = assemble_standard(space, eps) if spec is None else assemble_enriched(space, eps, t_max=grid.T)
+        data = (ZeroSolution1D if dim == 1 else ZeroSolution2D)(eps).problem()
+        history = advance(space, system, data, grid).history
+        assert history.shape == (6, space.total_dofs)
+        assert np.all(history == 0.0)
 
 
 def _reference_march(space, eps, data, grid):
