@@ -18,6 +18,7 @@ covers the profile support, the error report all of it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -505,39 +506,28 @@ def _angular_hats(m, x, y):
 
 RAD_N_SUB = 10
 RAD_N_GAUSS = 5
+# support points per chunk of the enriched assembly and of the 2D read-out,
+# which bounds the per-point arrays they make
+CHUNK = 8192
 
 
-@dataclass
-class _CouplingLayout:
-    """The enriched-space integrals as linear maps from values at the
-    quadrature points, so a time level only needs new radial profile values,
-    not new geometry.
+def _chunks(n):
+    return [slice(a, min(a + CHUNK, n)) for a in range(0, n, CHUNK)]
 
-    Each operator is a CSR matrix with one column per quadrature point that
-    holds the geometry (weights, hats, angular hats, gradients), so one
-    mat-vec sums the point values into the stored entries of a block:
-    - sl_m @ phi and sl_a1 @ dphi + sl_a2 @ phi (times eps) are the data of
-      the coupling blocks msl and asl on the fixed (n, m) CSR pattern of
-      sl_block;
-    - ee_m and ee_ang map phi**2, dphi**2 or phi_new * phi_old to the
-      flattened (m, m) enriched blocks;
-    - le @ (phi * f(*coords, t)).ravel() is the enriched load, with one
-      row of load points in coords per enriched copy of the points.
 
-    In 2D, integrating over the same polygon as the standard blocks is
-    essential: extending them to the curved annulus would make the layer
-    functions answer for the sliver between the chords and the circle, where
-    no hat function lives, and bias the enriched coefficients upward."""
-
-    xi: np.ndarray
-    coords: tuple
-    sl_block: sp.csr_matrix
-    sl_m: sp.csr_matrix
-    sl_a1: sp.csr_matrix
-    sl_a2: sp.csr_matrix
-    ee_m: sp.csr_matrix
-    ee_ang: sp.csr_matrix
-    le: sp.csr_matrix
+# A run's profile support points, read by chunks (so a level needs only new
+# profile values): `size` points, their load coordinates `coords` (2D: x, y;
+# 1D: a (2, points) array, p for enriched DOF 0, 1 - p for its mirror DOF 1)
+# and the slices `chunks` over them.  terms(idx) -> (sl, ee, le) lists what
+# the points idx add to each block, point by point, as (rows, points,
+# coefficients), a block entry summing coefficient * value: sl to the keys
+# dof * m + col of the (n, m) coupling blocks, from phi (mass), dphi and phi
+# (stiffness); ee to the flattened (m, m) Gram blocks, from phi**2, dphi**2
+# or phi_new * phi_old (mass) and phi**2 (angular); le to the enriched DOFs,
+# `width` per load column (one per load point), from phi * f.  A coefficient
+# None is zero; ee and le have `per_point` entries a point.  keys_only: (xi,
+# dof, col), the standard (-1: boundary) and enriched DOFs of sl, broadcast.
+_Support = namedtuple("_Support", "size coords width per_point chunks terms")
 
 
 def _pattern(rows, per_point, n_rows, positions):
@@ -553,22 +543,22 @@ def _operator(pat, coeff):
     return sp.csr_matrix((coeff.ravel()[pat.data], pat.indices, pat.indptr), shape=pat.shape)
 
 
-def _coupling_pattern(space, dof, col):
-    """The pattern that sums the contributions (point, a, b) of standard DOF
-    dof (-1: boundary, dropped) to enriched DOF col (broadcast together)
-    into the stored entries of the (n, m) coupling blocks, and a block with
-    those entries (its data are their keys)."""
-    n, m = space.n_standard, space.n_enriched
+def _coupling_keys(m, dof, col, *coeffs):
+    """Of the contributions (point, a, b) of standard DOF dof (-1: dropped) to
+    enriched DOF col (0 <= col < m, so a dropped one's key dof * m + col is
+    negative): the kept ones' keys, points and coefficients coeffs."""
     key = dof * m + col
-    keep = np.broadcast_to(dof >= 0, key.shape).copy()
-    key = key[keep]
-    # the keys lie in [0, n m): count(j), the stored keys below j, is the
-    # position of key j among them and, at j = i m, the start of row i
-    present = np.bincount(key, minlength=n * m) > 0
-    count = np.concatenate([[0], np.cumsum(present)])
+    kept = np.flatnonzero(key >= 0)
+    return key.ravel()[kept], kept // (key.size // len(key)), tuple(c if c is None else c.ravel()[kept] for c in coeffs)
+
+
+def _coupling_block(present, n, m):
+    """From the stored ones of the n m coupling keys: the position count[key]
+    of each among them, and a block with those entries (data: their keys)."""
+    count = np.zeros(n * m + 1, dtype=np.int32)
+    np.cumsum(present, dtype=np.int32, out=count[1:])
     keys = np.flatnonzero(present)
-    block = sp.csr_matrix((keys, keys % m, count[::m]), shape=(n, m))
-    return _pattern(count[key], keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep)), block
+    return count, sp.csr_matrix((keys, keys % m, count[::m].copy()), shape=(n, m))  # a view would keep count
 
 
 def _layer_rule_1d(space: BasisSpace):
@@ -584,39 +574,29 @@ def _layer_rule_1d(space: BasisSpace):
     return composite_interval(breaks[np.append(np.diff(breaks) > 1e-12, True)], RAD_N_GAUSS)
 
 
-def _coupling_layout_1d(space: BasisSpace) -> _CouplingLayout:
+def _support_1d(space: BasisSpace) -> _Support:
     """Enriched DOF 0 is phi(x) and DOF 1 its mirror phi(1 - x), so each
     point p of the layer rule carries DOF 0 at x = p and DOF 1 at x = 1 - p,
-    where d/dx = -d/dxi."""
+    where d/dx = -d/dxi; contributions (point, enriched DOF, standard hat)."""
     rule = _layer_rule_1d(space)
     p, w = rule.points, rule.weights
-    n_pts = len(p)
+    x, col = np.stack([p, 1.0 - p], axis=1), np.arange(2)[:, None]
 
-    # (point, enriched DOF, standard hat): the two hats of the element
-    # holding x, their values and x-slopes, the latter signed by dxi/dx
-    x = np.stack([p, 1.0 - p], axis=1)
-    elem, hat = _locate_1d(space.mesh.nodes, x)
-    dof = space.node_to_dof[space.mesh.elements[elem]]
-    slope = _hat_gradients(space.mesh)[elem][..., 0] * np.array([1.0, -1.0])[:, None]
-    wb = w[:, None, None]
-    sl, sl_block = _coupling_pattern(space, dof, np.arange(2)[:, None])
+    def terms(idx, keys_only=False):
+        elem, hat = _locate_1d(space.mesh.nodes, x[idx])
+        dof = space.node_to_dof[space.mesh.elements[elem]]
+        if keys_only:
+            return p[idx], dof, col
+        # the hats' values and x-slopes, the latter signed by dxi/dx
+        slope = _hat_gradients(space.mesh)[elem][..., 0] * np.array([1.0, -1.0])[:, None]
+        wb, n_pts, point = w[idx, None, None], len(idx), np.arange(len(idx))
+        sl = _coupling_keys(2, dof, col, wb * hat, wb * slope, None)
+        # each point adds to both diagonal entries (0 and 3) of the flattened
+        # (2, 2) blocks; the load points are p for DOF 0, then 1 - p for DOF 1
+        ee = np.tile([0, 3], n_pts), np.repeat(point, 2), (np.repeat(w[idx], 2), None)
+        return sl, ee, (np.repeat([0, 1], n_pts), np.tile(point, 2), (np.tile(w[idx], 2),))
 
-    # each point adds to both diagonal entries (0 and 3) of the flattened
-    # (2, 2) blocks; the load points are p for DOF 0, then 1 - p for DOF 1
-    two = np.arange(2 * n_pts)
-    ee = _pattern(np.tile([0, 3], n_pts), np.full(n_pts, 2), 4, two)
-    le = _pattern(np.repeat([0, 1], n_pts), np.ones(2 * n_pts, int), 2, two)
-    return _CouplingLayout(
-        xi=p,
-        coords=(x.T,),
-        sl_block=sl_block,
-        sl_m=_operator(sl, wb * hat),
-        sl_a1=_operator(sl, wb * slope),
-        sl_a2=sp.csr_matrix(sl.shape),
-        ee_m=_operator(ee, np.repeat(w, 2)),
-        ee_ang=sp.csr_matrix(ee.shape),
-        le=_operator(le, np.tile(w, 2)),
-    )
+    return _Support(len(p), (x.T,), 1, (2, 2), [slice(0, len(p))], terms)
 
 
 def _support_triangles(space: BasisSpace):
@@ -627,55 +607,118 @@ def _support_triangles(space: BasisSpace):
     return r[space.mesh.triangles].max(axis=1) > 1.0 - space.enrichment.support + 1e-12
 
 
-def _coupling_layout_2d(space: BasisSpace, layout: QuadratureLayout) -> _CouplingLayout:
-    """The coupling layout on the support triangles (_support_triangles),
-    read from `layout`, the layout over every triangle of the mesh.  The
-    disk mesh lists its triangles ring band by ring band from the boundary
-    inward, so those triangles are a leading run of it and their points are
-    a leading slice of the layout's arrays, kept as views of it."""
+def _support_2d(space: BasisSpace, layout: QuadratureLayout) -> _Support:
+    """The points of the support triangles (_support_triangles) in `layout`
+    (every triangle's); contributions (point, standard hat, angular hat).
+    The disk mesh lists its triangles ring band by ring band from the
+    boundary inward, so their points are a leading slice of the layout.
+
+    In 2D, integrating over the same polygon as the standard blocks is
+    essential: extending them to the curved annulus would make the layer
+    functions answer for the sliver between the chords and the circle, where
+    no hat function lives, and bias the enriched coefficients upward."""
     mesh = space.mesh
     m = space.n_enriched
-
-    # the layout's points on the support triangles: graded rules on boundary
-    # triangles (the profile varies on the sqrt(eps) scale near the circle),
-    # the smooth rule elsewhere
     support = _support_triangles(space)
     k = np.count_nonzero(support)
     if not support[:k].all() or len(layout.starts) != len(support):
         raise AssemblyError("the triangles meeting the profile support do not lead the mesh")
     end = layout.starts[k] if k < len(support) else len(layout.weights)
-    w, bary, tri_idx = layout.weights[:end], layout.bary[:end], layout.element[:end]
-    x, y = layout.points[:end, 0], layout.points[:end, 1]
-    xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, x, y)
-    n_pts = len(xi)
+    hat_grads = _hat_gradients(mesh)
 
-    # the three standard hats of each point's triangle: dofs, values (bary)
-    # and the components of their gradients along grad(xi) and grad(eta)
-    dof = space.node_to_dof[mesh.triangles[tri_idx]]
-    grads = _hat_gradients(mesh)[tri_idx]
-    g_xi, g_eta = (grads[..., 0] * g[:, 0, None] + grads[..., 1] * g[:, 1, None] for g in (grad_xi, grad_eta))
-    del grads, grad_xi, grad_eta  # per-point arrays the patterns below do not need
-    wb = w[:, None]
+    def terms(idx, keys_only=False):
+        w, bary, tri = layout.weights[idx], layout.bary[idx], layout.element[idx]
+        xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, layout.points[idx, 0], layout.points[idx, 1])
+        dof = space.node_to_dof[mesh.triangles[tri]][:, :, None]
+        if keys_only:
+            return xi, dof, cols[:, None, :]
+        # the standard hats' values (bary) and gradients along grad(xi) and grad(eta)
+        grads = hat_grads[tri]
+        g_xi, g_eta = (grads[..., 0] * g[:, 0, None] + grads[..., 1] * g[:, 1, None] for g in (grad_xi, grad_eta))
+        wb, point = w[:, None], np.arange(len(idx))
+        sl = [(wb * c)[:, :, None] * psi[:, None, :] for c in (bary, g_xi)] + [(wb * g_eta)[:, :, None] * dpsi]
+        sl = _coupling_keys(m, dof, cols[:, None, :], *sl)
+        # enriched-enriched products: each point couples its panel's two hats
+        ang = (w[:, None, None] * dpsi[:, None] * dpsi) / (r**2)[:, None, None]
+        ee = ((wb * psi)[:, :, None] * psi[:, None, :]).ravel(), ang.ravel()
+        ee = (cols[:, :, None] * m + cols[:, None, :]).ravel(), np.repeat(point, 4), ee
+        return sl, ee, (cols.ravel(), np.repeat(point, 2), ((wb * psi).ravel(),))
 
-    # standard-enriched coupling: (point, standard hat, angular hat)
-    sl, sl_block = _coupling_pattern(space, dof[:, :, None], cols[:, None, :])
+    return _Support(end, (layout.points[:end, 0], layout.points[:end, 1]), 2, (4, 2), _chunks(end), terms)
 
-    # enriched-enriched products: each point couples its panel's two hats
-    ee_rows = (cols[:, :, None] * m + cols[:, None, :]).ravel()
-    ee = _pattern(ee_rows, np.full(n_pts, 4), m * m, np.arange(4 * n_pts))
-    ang = (w[:, None, None] * dpsi[:, None] * dpsi) / (r**2)[:, None, None]
 
-    return _CouplingLayout(
-        xi=xi,
-        coords=(x, y),
-        sl_block=sl_block,
-        sl_m=_operator(sl, (wb * bary)[:, :, None] * psi[:, None, :]),
-        sl_a1=_operator(sl, (wb * g_xi)[:, :, None] * psi[:, None, :]),
-        sl_a2=_operator(sl, (wb * g_eta)[:, :, None] * dpsi),
-        ee_m=_operator(ee, (wb * psi)[:, :, None] * psi[:, None, :]),
-        ee_ang=_operator(ee, ang),
-        le=_operator(_pattern(cols.ravel(), np.full(n_pts, 2), m, np.arange(2 * n_pts)), wb * psi),
-    )
+class _Kept:
+    """Entries of CSR operators on one pattern, added column by column (n_cols
+    new ones, cols counted from the first) into arrays sized beforehand."""
+
+    def __init__(self, size, n_coeffs):
+        self.end, self.n_cols, self.coeffs = 0, 0, [np.empty(size) for _ in range(n_coeffs)]
+        self.rows, self.cols = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+
+    def add(self, rows, cols, n_cols, coeffs):
+        at = slice(self.end, self.end + len(rows))
+        self.end, self.n_cols, self.rows[at], self.cols[at] = at.stop, self.n_cols + n_cols, rows, self.n_cols + cols
+        self.coeffs = [None if c is None else kept for kept, c in zip(self.coeffs, coeffs)]
+        for kept, c in zip(self.coeffs, coeffs):
+            if c is not None:
+                kept[at] = c
+
+    def operators(self, n_rows):
+        pat = _pattern(self.rows, np.bincount(self.cols, minlength=self.n_cols), n_rows, np.arange(self.end))
+        return [sp.csr_matrix(pat.shape) if c is None else _operator(pat, c) for c in self.coeffs]
+
+
+_Split = namedtuple("_Split", "xi moving phi dphi block base ops le_fixed le_moving")
+# (coefficient, value) of each base sum: msl, asl from phi, dphi; mee, aee from their squares
+_READS = ((0, 0), (1, 1), (2, 0)), ((0, 0), (0, 1), (1, 0))
+
+
+def _split(space, support: _Support, t_max) -> _Split:
+    """The support split at xi* (time_independent_xi at t_max), past which the
+    profile is the same at every level: per point xi, the moving mask, phi
+    and dphi at t_max (0 where moving); the coupling pattern; the fixed
+    points' base data (msl, asl, mee, aee, without eps) and load operator
+    (phi folded in); the moving points' operators (sl_m, sl_a1, sl_a2, ee_m,
+    ee_ang) and load operator.  np.add.at sums the fixed points' terms in
+    point order, one by one as a CSR mat-vec would (moving points add 0)."""
+    n, m = space.n_standard, space.n_enriched
+    xi_star = time_independent_xi(space.enrichment, t_max)
+    xi, present, n_sl = np.empty(support.size), np.zeros(n * m, dtype=bool), 0
+    for sel in support.chunks:
+        xi[sel], dof, col = support.terms(sel, keys_only=True)
+        keys, point, _ = _coupling_keys(m, dof, col)
+        present[keys] = True
+        n_sl += np.count_nonzero(xi[sel][point] < xi_star)
+    moving = xi < xi_star
+    n_moving, n_fixed = np.count_nonzero(moving), np.count_nonzero(~moving)
+    phi, dphi = np.zeros(len(xi)), np.zeros(len(xi))
+    if n_fixed:
+        phi[~moving], dphi[~moving] = enrichment_profile(space.enrichment, xi[~moving], t_max)
+    count, block = _coupling_block(present, n, m)
+    base = np.zeros((3, block.nnz)), np.zeros((3, m * m))
+    (ee_size, le_size), width = support.per_point, support.width
+    kept = [_Kept(n_sl, 3), _Kept(ee_size * n_moving, 2), _Kept(le_size * n_moving, 1), _Kept(le_size * n_fixed, 1)]
+    for sel in support.chunks:
+        for part in np.flatnonzero(~moving[sel]) + sel.start, np.flatnonzero(moving[sel]) + sel.start:
+            if len(part) == 0:
+                continue
+            (keys, sl_point, sl), ee, (le_rows, le_point, le) = support.terms(part)
+            le_cols = np.arange(len(le_rows)) // width
+            entries = [(count[keys], sl_point, len(part), sl), (*ee[:2], len(part), ee[2])]
+            if moving[part[0]]:
+                for k, entry in zip(kept, entries + [(le_rows, le_cols, le_cols[-1] + 1, le)]):
+                    k.add(*entry)
+                continue
+            for sums, reads, power, (rows, point, _, coeffs) in zip(base, _READS, (1, 2), entries):
+                vals = phi[part[point]] ** power, dphi[part[point]] ** power
+                for acc, (c, v) in zip(sums, reads):
+                    if coeffs[c] is not None:
+                        np.add.at(acc, rows, coeffs[c] * vals[v])
+            kept[3].add(le_rows, le_cols, le_cols[-1] + 1, (le[0] * phi[part[le_point]],))
+    sl_ops, ee_ops, (le_moving,), (le_fixed,) = (kept.pop(0).operators(k) for k in (block.nnz, m * m, m, m))
+    (msl, asl_r, asl_a), (mee, aee_r, aee_a) = base
+    base = msl, asl_r + asl_a, mee, aee_r + aee_a
+    return _Split(xi, moving, phi, dphi, block, base, (*sl_ops, *ee_ops), le_fixed, le_moving)
 
 
 def _check_gram(mee):
@@ -689,13 +732,11 @@ def _symmetric(flat, m):
     return 0.5 * (g + g.T)
 
 
-def _split_layout(space, layout, epsilon, t_max, standard_load):
-    """The levels of a run that ends at t_max, with the layout's points split
-    once at xi* (corrector.time_independent_xi): past it the profile values
-    are the same at every level, so those fixed points are summed once into
-    base block data and into a load operator with the profile folded in,
-    and a level evaluates the profile and runs the mat-vecs on the moving
-    points only.  t_max None: every point of a time-dependent kind moves.
+def _split_layout(space, support, epsilon, t_max, standard_load):
+    """The levels of a run that ends at t_max, on the support's points split
+    once (_split): a level evaluates the profile and runs the mat-vecs on the
+    moving points only.  t_max None: every point of a time-dependent kind
+    moves.
 
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
@@ -707,25 +748,12 @@ def _split_layout(space, layout, epsilon, t_max, standard_load):
     march, the fixed level, a dump's level) is checked for singularity."""
     spec = space.enrichment
     n, m = space.n_standard, space.n_enriched
-    xi = layout.xi
-    moving = xi < time_independent_xi(spec, t_max)
-    fixed = ~moving
-    phi, dphi = np.zeros(len(xi)), np.zeros(len(xi))
-    if fixed.any():
-        phi[fixed], dphi[fixed] = enrichment_profile(spec, xi[fixed], t_max)
-    base_msl = layout.sl_m @ phi
-    base_asl = layout.sl_a1 @ dphi + layout.sl_a2 @ phi
-    base_mee = layout.ee_m @ phi**2
-    base_aee = layout.ee_m @ dphi**2 + layout.ee_ang @ phi**2
-    ops = (layout.sl_m, layout.sl_a1, layout.sl_a2, layout.ee_m, layout.ee_ang)
-    if fixed.any():
-        ops = tuple(op[:, moving] for op in ops)
-    sl_m, sl_a1, sl_a2, ee_m, ee_ang = ops
+    xi, moving, phi, dphi, block, base, ops, le_fixed, le_moving = _split(space, support, t_max)
+    (base_msl, base_asl, base_mee, base_aee), (sl_m, sl_a1, sl_a2, ee_m, ee_ang) = base, ops
     xi_moving = xi[moving]
     cutoff = cutoff_delta(xi_moving), cutoff_delta_dxi(xi_moving)
     # the coupling operators share one pattern, explicit zeros included, so
     # the entries with a moving point in sl_m are those of all three
-    block = layout.sl_block
     entry_row = np.repeat(np.arange(n), np.diff(block.indptr))
     moving_rows = np.unique(entry_row[np.diff(sl_m.indptr) > 0])
 
@@ -766,19 +794,13 @@ def _split_layout(space, layout, epsilon, t_max, standard_load):
         p[moving], dp[moving] = final.phi, final.dphi
         return p, dp
 
-    # load columns, one per point and enriched copy (two copies in 1D),
-    # reordered so that the k columns of fixed points come first; the source
-    # is bound once to the standard load points and these, and one
-    # block-diagonal operator sums the standard and the fixed columns
-    col_point = np.broadcast_to(np.arange(len(xi)), layout.coords[0].shape).ravel()
-    order = np.argsort(moving[col_point], kind="stable")
-    k = np.count_nonzero(fixed[col_point])
-    coords = tuple(np.concatenate([s, c.ravel()[order]]) for s, c in zip(standard_load[0], layout.coords))
-    le_fixed, le_moving = layout.le[:, order[:k]], layout.le[:, order[k:]]
-    le_fixed.data *= phi[col_point[order[:k]]][le_fixed.indices]
-    moving_col_point = np.searchsorted(np.flatnonzero(moving), col_point[order[k:]])
+    # the source is bound once to the standard load points, then the fixed
+    # and the moving load columns' points, and one block-diagonal operator
+    # sums the standard and the fixed columns
+    coords = [(s, c[..., ~moving].ravel(), c[..., moving].ravel()) for s, c in zip(standard_load[0], support.coords)]
+    moving_points = np.broadcast_to(np.arange(len(xi_moving)), support.coords[0].shape[:-1] + xi_moving.shape).ravel()
     op = _block_diagonal(standard_load[1], le_fixed)
-    make_load = _load_maker(coords, op, le_moving if moving.any() else None, moving_col_point)
+    make_load = _load_maker(tuple(map(np.concatenate, coords)), op, le_moving if moving.any() else None, moving_points)
     return rebuild, moving_rows, make_load, profile_at
 
 
@@ -787,10 +809,10 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
     of the enriched blocks.
 
     In both dimensions the enriched blocks of a level are sparse mat-vecs of
-    the profile values at fixed quadrature points (see _CouplingLayout); only
-    the layout builder depends on the dimension.  t_max is the last time a
+    the profile values at fixed quadrature points (see _Support); only the
+    support builder depends on the dimension.  t_max is the last time a
     level is taken at (default: none given, so no point is taken as fixed);
-    see _split_layout.  No level is built here unless every point is fixed.
+    see _split.  No level is built here unless every point is fixed.
     In 2D the points are read from `layout`, element_rules_2d over the whole
     mesh at the profile's eps, built here if not given.
     """
@@ -798,13 +820,13 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
         raise AssemblyError("space carries no enrichment")
     system = assemble_standard(space, epsilon)
     if space.mesh.dim == 1:
-        coupling = _coupling_layout_1d(space)
+        support = _support_1d(space)
     else:
         if layout is None:
             layout = element_rules_2d(space.mesh, space.enrichment.epsilon)
-        coupling = _coupling_layout_2d(space, layout)
+        support = _support_2d(space, layout)
     standard_load = system.load_coords, system.load_op
-    rebuild, moving_rows, make_load, profile_at = _split_layout(space, coupling, epsilon, t_max, standard_load)
+    rebuild, moving_rows, make_load, profile_at = _split_layout(space, support, epsilon, t_max, standard_load)
     return replace(
         system,
         moving_rows=moving_rows,
@@ -863,28 +885,29 @@ def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile
     grads = np.einsum("tk,tkd->td", c, _hat_gradients(mesh))[element]
     if spec is None:
         return vals, grads
-    if mesh.dim == 1:
-        near = np.minimum(points, 1.0 - points) <= spec.support + 1e-12
-        xi = np.stack([points[near], 1.0 - points[near]])
-        inside = xi <= spec.support + 1e-12
-        phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
-        phi[inside], dphi[inside] = enrichment_profile(spec, xi[inside], t)
-        cols = np.broadcast_to(np.arange(2), phi.T.shape)
-        evals, egrads = phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
-    else:
-        near = _support_triangles(space)[element]
-        xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, *points[near].T)
-        phi, dphi = enrichment_profile(spec, xi, t) if profile is None else profile
-        if len(phi) != len(xi):
-            raise AssemblyError(f"a profile of {len(phi)} values for {len(xi)} enriched points")
-        evals = phi[:, None] * psi
-        egrads = (
-            dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
-            + phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]
-        )
-    ec = coeffs[space.n_standard :][cols]
-    vals[near] += np.einsum("pj,pj->p", ec, evals)
-    grads[near] += np.einsum("pj,pjd->pd", ec, egrads)
+    one_d = mesh.dim == 1
+    near = np.minimum(points, 1.0 - points) <= spec.support + 1e-12 if one_d else _support_triangles(space)[element]
+    near = np.flatnonzero(near)
+    if profile is not None and len(profile[0]) != len(near):
+        raise AssemblyError(f"a profile of {len(profile[0])} values for {len(near)} enriched points")
+    for sel in [slice(0, len(near))] if one_d else _chunks(len(near)):
+        at = near[sel]
+        if one_d:
+            xi = np.stack([points[at], 1.0 - points[at]])
+            inside = xi <= spec.support + 1e-12
+            phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
+            phi[inside], dphi[inside] = enrichment_profile(spec, xi[inside], t)
+            cols = np.broadcast_to(np.arange(2), phi.T.shape)
+            evals, egrads = phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
+        else:
+            xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, *points[at].T)
+            phi, dphi = enrichment_profile(spec, xi, t) if profile is None else (profile[0][sel], profile[1][sel])
+            evals = phi[:, None] * psi
+            egrads = dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
+            egrads += phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]
+        ec = coeffs[space.n_standard :][cols]
+        vals[at] += np.einsum("pj,pj->p", ec, evals)
+        grads[at] += np.einsum("pj,pjd->pd", ec, egrads)
     return vals, grads
 
 

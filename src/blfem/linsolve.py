@@ -130,9 +130,9 @@ def schur_pays(n, m, n_rows, levels):
 
 class BlockSolver:
     """Solves K x = b for the time levels K = [[K_ss, K_se], [K_se^T, K_ee]]
-    of an enriched march: K_ss is fixed, and K_se differs from level to
-    level only on the standard rows R (`rows`).  `levels` is the number of
-    levels the march will factor.
+    of an enriched march: K_ss is fixed, and K_se, on the CSR pattern of the
+    first level's, differs from level to level only on the standard rows R
+    (`rows`).  `levels` is the number of levels the march will factor.
 
     When schur_pays, the direct path factors K_ss once (SpdSolver) and
     takes the first level's coupling as C0, so that K_se = C0 + dC with dC
@@ -166,6 +166,9 @@ class BlockSolver:
             self._w = self._ss.solve(unit)
             self._z0_rows, self._g = self._z0[self.rows], self._w[self.rows]
             self._c0_rows = self.c0[self.rows].toarray()
+            # each entry of the rows R: its place (+ 1) in every level's kse.data and in the dense (|R|, m) block
+            at = sp.csr_matrix((np.arange(1, self.c0.nnz + 1), self.c0.indices, self.c0.indptr), kse.shape)[self.rows]
+            self._at, self._to = at.data - 1, np.ravel_multi_index(at.nonzero(), at.shape)
 
     def factor(self, kse, kee):
         """Take the level with coupling kse (n, m) and enriched block kee
@@ -182,7 +185,9 @@ class BlockSolver:
         elif not self.uses_schur:
             self._solve = SpdSolver(stack(self.kss, self.kse, self.kee), self.config)._lu.solve
         else:
-            self._dc = self.kse[self.rows].toarray() - self._c0_rows
+            dc = np.zeros(self._c0_rows.shape)
+            dc.flat[self._to] = self.kse.data[self._at]
+            self._dc = dc - self._c0_rows
             dc, zr = self._dc, self._z0_rows
             s = self.kee - self._s0 - zr.T @ dc - dc.T @ zr - dc.T @ (self._g @ dc)
             try:

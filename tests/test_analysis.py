@@ -26,11 +26,11 @@ from blfem.analysis import (
     solve_scenario,
     write_convergence_csv,
 )
-from blfem.assembly import _coupling_layout_2d, assemble_enriched, build_space, fitted_arrays
+from blfem.assembly import assemble_enriched, build_space, fitted_arrays
 from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import TimeGrid, advance
-from helpers import enriched_terms
+from helpers import coupling_layout_2d, enriched_terms
 
 
 class TestManufacturedSolution1D:
@@ -357,7 +357,7 @@ class TestErrorReuse:
         layout = analysis._element_rules(space.mesh, eps)
         sol = advance(space, assemble_enriched(space, eps, layout=layout), exact.problem(), TimeGrid(T=0.5, n_steps=2))
         phi, dphi = sol.system.profile_at(sol.level)
-        want = enrichment_profile(space.enrichment, _coupling_layout_2d(space, layout).xi, 0.5)
+        want = enrichment_profile(space.enrichment, coupling_layout_2d(space, layout).xi, 0.5)
         assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("b", [16, 52])
@@ -375,7 +375,7 @@ class TestErrorReuse:
         sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
         layout = analysis._element_rules(mesh, eps)
-        xi = _coupling_layout_2d(space, layout).xi
+        xi = coupling_layout_2d(space, layout).xi
         grid = TimeGrid(T=0.5, n_steps=4)
         for t_max in (grid.T, None):
             system = assemble_enriched(space, eps, t_max=t_max, layout=layout)

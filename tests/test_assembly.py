@@ -34,7 +34,7 @@ from blfem.linsolve import stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 from blfem.timestep import cross_level_product
-from helpers import locate_disk, separate_load, subset_layout
+from helpers import locate_disk, operator_split, point_pattern, separate_load, subset_layout
 
 
 def _bound(f):
@@ -1024,8 +1024,6 @@ class TestEnrichedSpd2D:
 def _unique_coupling_pattern(space, dof, col):
     """The coupling pattern and block by np.unique over the kept keys and
     searchsorted into them: the rule that the presence count replaced."""
-    from blfem.assembly import _pattern
-
     n, m = space.n_standard, space.n_enriched
     key = dof * m + col
     keep = np.broadcast_to(dof >= 0, key.shape).copy()
@@ -1033,7 +1031,7 @@ def _unique_coupling_pattern(space, dof, col):
     keys = np.unique(key)
     block = sp.csr_matrix((keys, keys % m, np.searchsorted(keys // m, np.arange(n + 1))), shape=(n, m))
     rows = np.searchsorted(keys, key)
-    return _pattern(rows, keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep)), block
+    return point_pattern(rows, keep.sum(axis=(1, 2)), len(keys), np.flatnonzero(keep)), block
 
 
 def _assert_same_csr(a, b):
@@ -1049,32 +1047,34 @@ class TestCouplingPatternOracle:
         [(1, 20, "phi0"), (1, 40, "phi_m1_lin"), (2, 16, "phi0_tilde"), (2, 16, "phi_m1_lin"), (2, 26, "phi0")],
     )
     def test_coupling_operators_identical_to_unique_oracle(self, dim, level, kind, monkeypatch):
+        # with no split time every point of phi0 and phi0_tilde moves, so
+        # their moving operators are the operators over every point
         import blfem.assembly as assembly
 
         mesh = build_interval_mesh(level) if dim == 1 else build_disk_mesh(level)
         sigma = (mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)) if kind == "phi_m1_lin" else None
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=1e-5, sigma=sigma))
-
-        def coupling_layout():
-            if dim == 1:
-                return assembly._coupling_layout_1d(space)
-            return assembly._coupling_layout_2d(space, element_rules_2d(mesh, 1e-5))
+        layout = None if dim == 1 else element_rules_2d(mesh, 1e-5)
+        support = assembly._support_1d(space) if dim == 1 else assembly._support_2d(space, layout)
 
         dropped = []
-        counted = assembly._coupling_pattern
+        counted = assembly._coupling_keys
         monkeypatch.setattr(
-            assembly, "_coupling_pattern", lambda s, dof, col: dropped.append(np.any(dof < 0)) or counted(s, dof, col)
+            assembly, "_coupling_keys", lambda m, dof, *args: dropped.append(np.any(dof < 0)) or counted(m, dof, *args)
         )
-        got = coupling_layout()
-        assert dropped == [True]  # contributions of boundary hats are dropped
-        monkeypatch.setattr(assembly, "_coupling_pattern", _unique_coupling_pattern)
-        want = coupling_layout()
-        for name in ("sl_block", "sl_m", "sl_a1", "sl_a2", "ee_m", "ee_ang", "le"):
+        got = assembly._split(space, support, None)
+        assert dropped and any(dropped)  # contributions of boundary hats are dropped
+        want = operator_split(space, None, layout, pattern=_unique_coupling_pattern)
+        for name in ("block", "le_fixed", "le_moving"):
             _assert_same_csr(getattr(got, name), getattr(want, name))
+        for a, b in zip(got.ops, want.ops):
+            _assert_same_csr(a, b)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.base, want.base))
 
     def test_pattern_identical_to_unique_oracle_on_random_keys(self):
-        # rows without any entry, repeated keys and dropped contributions
-        from blfem.assembly import _coupling_pattern
+        # rows without any entry, repeated keys and dropped contributions:
+        # the presence count's block and entry positions against np.unique's
+        from blfem.assembly import _coupling_block, _coupling_keys
 
         rng = np.random.default_rng(3)
         for n, m, points in ((7, 5, 40), (30, 8, 200), (4, 3, 1)):
@@ -1082,6 +1082,9 @@ class TestCouplingPatternOracle:
             dof = rng.integers(-1, n, size=(points, 3, 1))
             dof[dof == n // 2] = -1
             col = rng.integers(0, m, size=(points, 1, 2))
-            got, want = _coupling_pattern(space, dof, col), _unique_coupling_pattern(space, dof, col)
-            for a, b in zip(got, want):
-                _assert_same_csr(a, b)
+            keys = _coupling_keys(m, dof, col)[0]
+            present = np.zeros(n * m, dtype=bool)
+            present[keys] = True
+            count, block = _coupling_block(present, n, m)
+            _assert_same_csr(block, _unique_coupling_pattern(space, dof, col)[1])
+            assert np.array_equal(count[keys], np.searchsorted(np.unique(keys), keys))

@@ -1,0 +1,118 @@
+"""The enriched assembly and the 2D read-out stream the support points in
+chunks of assembly.CHUNK points.  The formulation with one operator column
+per support point and the read-out on whole arrays (tests/helpers.py) are
+their oracles, bit for bit at any chunk size, and the memory they allocate
+beyond their results is bounded by the chunk, not by the point count."""
+
+import numpy as np
+import pytest
+
+from blfem import assembly
+from blfem.assembly import _block_diagonal, _discrete_field, _load_maker, assemble_enriched, build_space, element_rules_2d
+from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec
+from blfem.mesh import build_disk_mesh, build_interval_mesh
+from helpers import operator_split, traced_transient, whole_field
+
+# one chunk, a prime that cuts the point runs of triangles, and the default
+CHUNKS = [10**9, 997, assembly.CHUNK]
+
+
+def _space(dim, kind, level, eps):
+    mesh = build_interval_mesh(level) if dim == 1 else build_disk_mesh(level)
+    sigma = (mesh.h if dim == 1 else min(3.0 * mesh.outer_ring_width, 0.5)) if kind == "phi_m1_lin" else None
+    return build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
+
+
+def _same(got, want):
+    """Bit for bit the same array, or CSR data, indices and indptr."""
+    if hasattr(want, "indptr"):
+        return got.shape == want.shape and all(_same(getattr(got, k), getattr(want, k)) for k in ("data", "indices", "indptr"))
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _source(*coords):
+    values = sum(np.sin((i + 2.0) * c) for i, c in enumerate(coords))
+    return lambda t: (1.0 + t) * values
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("t_max", [0.5, None])
+@pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
+@pytest.mark.parametrize("dim, level", [(1, 50), (2, 16)])
+class TestChunkedAssemblyAgainstOperators:
+    def test_split_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
+        # the fixed points' base block data, the moving points' operators
+        # and the load operators, with each point's xi and fixed profile
+        monkeypatch.setattr(assembly, "CHUNK", chunk)
+        space = _space(dim, kind, level, 1e-5)
+        layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None
+        support = assembly._support_1d(space) if dim == 1 else assembly._support_2d(space, layout)
+        got, want = assembly._split(space, support, t_max), operator_split(space, t_max, layout)
+        for name in ("xi", "moving", "phi", "dphi", "block", "le_fixed", "le_moving"):
+            assert _same(getattr(got, name), getattr(want, name)), name
+        assert len(got.base) == len(want.base) == 4 and all(map(_same, got.base, want.base))
+        assert len(got.ops) == len(want.ops) == 5 and all(map(_same, got.ops, want.ops))
+
+    def test_system_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
+        # the moving rows, the load and the handed-over profile of each level
+        monkeypatch.setattr(assembly, "CHUNK", chunk)
+        space = _space(dim, kind, level, 1e-5)
+        layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None
+        system = assemble_enriched(space, 1e-5, t_max=t_max, layout=layout)
+        want = operator_split(space, t_max, layout)
+        assert _same(system.moving_rows, want.moving_rows)
+        coords = tuple(np.concatenate([s, c]) for s, c in zip(system.load_coords, want.coords))
+        moving = want.le_moving if want.moving.any() else None
+        load = system.parts["make_load"](_source)
+        want_load = _load_maker(coords, _block_diagonal(system.load_op, want.le_fixed), moving, want.moving_points)(_source)
+        for t in (0.25, 0.5):
+            level = system.parts["rebuild"](t)
+            assert _same(load(t, level.phi), want_load(t, level.phi))
+            if dim == 2:
+                phi, dphi = want.phi.copy(), want.dphi.copy()
+                phi[want.moving], dphi[want.moving] = level.phi, level.dphi
+                assert all(map(_same, system.profile_at(level), (phi, dphi)))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
+def test_read_out_identical_to_whole_arrays(kind, chunk, monkeypatch):
+    # on the run's layout with its profile handed over and evaluated, and at
+    # points in any order
+    monkeypatch.setattr(assembly, "CHUNK", chunk)
+    space = _space(2, kind, 16, 1e-5)
+    layout = element_rules_2d(space.mesh, 1e-5)
+    system = assemble_enriched(space, 1e-5, t_max=0.5, layout=layout)
+    profile = system.profile_at(system.parts["rebuild"](0.5))
+    coeffs = np.random.default_rng(5).standard_normal(space.total_dofs)
+    order = np.random.default_rng(6).permutation(len(layout.weights))
+    reads = [(layout.points, layout.element, layout.bary), (layout.points[order], layout.element[order], layout.bary[order])]
+    for points, element, bary in reads:
+        for given in (profile, None) if points is layout.points else (None,):
+            got = _discrete_field(space, coeffs, points, element, bary, 0.5, given)
+            assert all(map(_same, got, whole_field(space, coeffs, points, element, bary, 0.5, given)))
+
+
+class TestMemoryBoundedByTheChunk:
+    """tracemalloc's count of what a call allocates beyond its result, at
+    B = 52 and eps = 1e-8 (72,864 support points): the chunked code keeps
+    below 35 % of its whole-array oracle's."""
+
+    @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
+    def test_enriched_assembly(self, kind):
+        space = _space(2, kind, 52, 1e-8)
+        layout = element_rules_2d(space.mesh, 1e-8)
+        _, oracle = traced_transient(lambda: operator_split(space, 1.0, layout))
+        _, chunked = traced_transient(lambda: assemble_enriched(space, 1e-8, t_max=1.0, layout=layout))
+        assert chunked < 0.35 * oracle, (chunked, oracle)
+
+    def test_read_out(self):
+        space = _space(2, "phi_m1_lin", 52, 1e-8)
+        layout = element_rules_2d(space.mesh, 1e-8)
+        system = assemble_enriched(space, 1e-8, t_max=1.0, layout=layout)
+        args = space, np.ones(space.total_dofs), layout.points, layout.element, layout.bary, 1.0
+        profile = system.profile_at(system.parts["rebuild"](1.0))
+        _, oracle = traced_transient(lambda: whole_field(*args, profile))
+        _, chunked = traced_transient(lambda: _discrete_field(*args, profile))
+        assert chunked < 0.35 * oracle, (chunked, oracle)

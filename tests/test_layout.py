@@ -173,22 +173,23 @@ class TestSharedLayout:
         mesh = build_disk_mesh(26)
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
         layout = element_rules_2d(mesh, eps)
-        coupling = assembly._coupling_layout_2d(space, layout)
+        support_points = assembly._support_2d(space, layout)
+        xi = support_points.terms(slice(0, support_points.size), keys_only=True)[0]
         r_max = np.hypot(*mesh.nodes.T)[mesh.triangles].max(axis=1)
         support = np.nonzero(r_max > 1.0 - space.enrichment.support + 1e-12)[0]
         assert 0 < len(support) < len(mesh.triangles)
         own = subset_layout(mesh, eps, support)
-        for got, want in zip(coupling.coords, own.points.T):
+        for got, want in zip(support_points.coords, own.points.T):
             assert got.tobytes() == want.tobytes()
             assert np.shares_memory(got, layout.points)
         # the read-out takes the enrichment on the same support triangles, so
         # its points there are exactly this slice: a handed-over profile is
         # read whole, and one of another length raises
         near = _support_triangles(space)[layout.element]
-        k = len(coupling.xi)
+        k = len(xi)
         assert near[:k].all() and not near[k:].any()
         args = (space, np.ones(space.total_dofs), layout.points, layout.element, layout.bary, 0.5)
-        phi, dphi = enrichment_profile(space.enrichment, coupling.xi, 0.5)
+        phi, dphi = enrichment_profile(space.enrichment, xi, 0.5)
         evaluated, given = _discrete_field(*args), _discrete_field(*args, profile=(phi, dphi))
         assert all(e.tobytes() == g.tobytes() for e, g in zip(evaluated, given))
         for cut in (phi[:-1], dphi[:-1]), (np.append(phi, 0.0), np.append(dphi, 0.0)):
@@ -200,7 +201,7 @@ class TestSharedLayout:
         flipped = dataclasses.replace(mesh, triangles=mesh.triangles[::-1].copy())
         space = build_space(flipped, EnrichmentSpec(kind="phi_m1_lin", epsilon=1e-5, sigma=0.15))
         with pytest.raises(AssemblyError):
-            assembly._coupling_layout_2d(space, element_rules_2d(flipped, 1e-5))
+            assembly._support_2d(space, element_rules_2d(flipped, 1e-5))
 
 
 class TestLayout1D:

@@ -340,6 +340,30 @@ class TestBlockSolver:
             solver.solve(np.ones(46))
         assert factors == [(40, 40)]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_moving_rows_gathered_from_the_shared_pattern(self, dim):
+        # a real phi0_tilde march's levels: the dense moving rows dC_R read
+        # from kse.data at the places of C0's pattern are bit for bit those
+        # of sparse row indexing
+        from blfem.assembly import assemble_enriched, build_space
+        from blfem.corrector import EnrichmentSpec
+        from blfem.mesh import build_disk_mesh, build_interval_mesh
+
+        eps, dt = 1e-5, 0.05
+        mesh = build_interval_mesh(50) if dim == 1 else build_disk_mesh(26)
+        space = build_space(mesh, EnrichmentSpec(kind="phi0_tilde", epsilon=eps))
+        system = assemble_enriched(space, eps, t_max=1.0)
+        rebuild, rows = system.parts["rebuild"], system.moving_rows
+        kss, c0 = system.mss + dt * system.ass, rebuild(dt).coupling(dt)
+        solver = BlockSolver(kss, c0, rows, levels=20)
+        assert solver.uses_schur and 0 < len(rows) < space.n_standard
+        for t in (dt, 0.3, 1.0):
+            level = rebuild(t)
+            kse = level.coupling(dt)
+            solver.factor(kse, level.mee + dt * level.aee)
+            want = kse[rows].toarray() - c0[rows].toarray()
+            assert solver._dc.tobytes() == want.tobytes()
+
     def test_no_enriched_dofs(self):
         kss = _poisson_fd(16)
         solver = BlockSolver(kss, sp.csr_matrix((15, 0)), [])
