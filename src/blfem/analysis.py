@@ -24,7 +24,7 @@ from .assembly import (
     assemble_enriched,
 )
 from .corrector import EnrichmentSpec, ProblemData
-from .linsolve import NoConvergence, NotPositiveDefinite
+from .linsolve import NotPositiveDefinite
 from .mesh import build_disk_mesh, build_interval_mesh
 from .quadrature import geometric_panels
 from .specfun import bessel_i0_scaled, bessel_i1_scaled
@@ -390,7 +390,7 @@ PROBLEMS = {
 SCHEMES = ("sfem", "nfem")
 MIN_LEVEL = {1: 2, 2: 8}  # elements (1D), boundary nodes (2D)
 # a study level that raises one of these is recorded as failed, not fatal
-LEVEL_FAILURES = (AssemblyError, NotPositiveDefinite, NoConvergence)
+LEVEL_FAILURES = (AssemblyError, NotPositiveDefinite)
 
 
 def _problem_class(dim, problem):
@@ -413,7 +413,6 @@ def solve_scenario(
     scheme,
     enrichment_kind="phi_m1_lin",
     sigma=None,
-    solver_config=None,
     refine=1,
     problem=None,
 ):
@@ -464,7 +463,7 @@ def solve_scenario(
         system = assemble_standard(space, epsilon)
     else:
         system = assemble_enriched(space, epsilon, t_max=T, layout=layout)
-    fieldsol = advance(space, system, data, grid, solver_config)
+    fieldsol = advance(space, system, data, grid)
     runtime = time.perf_counter() - t0
     report = compute_error_report(
         space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime, layout=layout,

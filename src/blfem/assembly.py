@@ -839,16 +839,14 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
 # initial data and field evaluation
 
 
-def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_config=None):
+def project_initial(space: BasisSpace, system: AssembledSystem, u0):
     """L2 projection of the initial condition onto the discrete space at the
     level t = 0.
 
     With a time-dependent profile the layer part is absent at t = 0, so the
     projection is taken in the standard block only, and u0 is evaluated at
     the standard load points alone."""
-    from .linsolve import SolverConfig, solve_spd, stack
-
-    cfg = solver_config or SolverConfig()
+    from .linsolve import solve_spd, stack
 
     def u0_at(*coords):
         vals = u0(*coords)
@@ -857,11 +855,11 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0, solver_confi
     if space.enrichment is not None and space.enrichment.time_dependent:
         coeffs = np.zeros(space.total_dofs)
         rhs = _load_maker(system.load_coords, system.load_op)(u0_at)(0.0)
-        coeffs[: space.n_standard] = solve_spd(system.mss, rhs, cfg)
+        coeffs[: space.n_standard] = solve_spd(system.mss, rhs)
         return coeffs
     level = system.parts["rebuild"](0.0)
     rhs = system.parts["make_load"](u0_at)(0.0, level.phi)
-    return solve_spd(stack(system.mss, level.msl, level.mee), rhs, cfg)
+    return solve_spd(stack(system.mss, level.msl, level.mee), rhs)
 
 
 def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile=None):

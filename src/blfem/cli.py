@@ -109,7 +109,7 @@ def _add_config_flag(p):
 
 def _collect(args, defaults):
     file_values = read_config_file(args.config) if args.config else {}
-    flag_values = {k: getattr(args, k) for k in defaults}
+    flag_values = {k: getattr(args, k, None) for k in defaults}  # a fixed key has no flag
     return merge_config(defaults, file_values, flag_values)
 
 
@@ -123,6 +123,7 @@ SOLVE_DEFAULTS = {
     "kind": "phi_m1_lin",
     "sigma": 0.0,  # 0 = mesh-derived default
     "quad_refine": 1,
+    # fixed header entries with no flag: the one solver; a config file may only restate them
     "solver": "direct_cholesky",
     "tol": 1e-10,
     "output": "",
@@ -146,9 +147,11 @@ def cmd_solve(args):
     import math
 
     from .analysis import PROBLEMS, ConvergenceTable, report_row, solve_scenario, write_convergence_csv
-    from .linsolve import SolverConfig
 
     cfg = _collect(args, SOLVE_DEFAULTS)
+    for key in ("solver", "tol"):
+        if cfg[key] != SOLVE_DEFAULTS[key]:
+            raise CliError(f"config key {key}: only {SOLVE_DEFAULTS[key]!r} is supported, got {cfg[key]!r}")
     if cfg["problem"] not in PROBLEMS:
         raise CliError(f"unknown problem {cfg['problem']!r}")
     report, fieldsol, space, _ = solve_scenario(
@@ -160,7 +163,6 @@ def cmd_solve(args):
         cfg["scheme"],
         enrichment_kind=cfg["kind"],
         sigma=cfg["sigma"] or None,
-        solver_config=SolverConfig(method=cfg["solver"], rel_tolerance=cfg["tol"]),
         refine=cfg["quad_refine"],
         problem=cfg["problem"],
     )
@@ -334,7 +336,6 @@ def build_parser():
     # the library's names; main applies BLFEM_THREADS before numpy is imported here
     from .analysis import PROBLEMS, SCHEMES
     from .corrector import ENRICHMENT_KINDS
-    from .linsolve import SOLVER_METHODS
 
     parser = argparse.ArgumentParser(
         prog="blfem",
@@ -352,8 +353,6 @@ def build_parser():
     p.add_argument("--kind", choices=ENRICHMENT_KINDS)
     p.add_argument("--sigma", type=float, help="taper width; 0 = mesh-derived default")
     p.add_argument("--quad-refine", dest="quad_refine", type=int)
-    p.add_argument("--solver", choices=SOLVER_METHODS)
-    p.add_argument("--tol", type=float)
     p.add_argument("-o", "--output", dest="output", help="write an error-report CSV row here")
     p.add_argument("--dump-field", dest="dump_field", help="write sampled solution values here")
     p.add_argument("--dump-matrices", dest="dump_matrices", help="prefix for i-j-value matrix dumps")
@@ -403,14 +402,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except Exception as exc:
         from .assembly import AssemblyError
-        from .linsolve import NoConvergence, NotPositiveDefinite
+        from .linsolve import NotPositiveDefinite
 
-        if isinstance(exc, (NotPositiveDefinite, NoConvergence, AssemblyError)):
-            detail = ""
-            residual = getattr(exc, "residual", None)
-            if residual is not None:
-                detail = f" (residual {residual:.3e})"
-            print(f"numerical failure: {exc}{detail}", file=sys.stderr)
+        if isinstance(exc, (NotPositiveDefinite, AssemblyError)):
+            print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         raise
 

@@ -26,13 +26,7 @@ import numpy as np
 
 from .assembly import AssembledSystem, BasisSpace, EnrichedLevel, project_initial
 from .corrector import ProblemData
-from .linsolve import BlockSolver, NoConvergence, NotPositiveDefinite, SolverConfig
-
-
-def _reraise_with_step(exc, step):
-    """Re-raise a solver failure tagged with the time level that hit it."""
-    residual = getattr(exc, "residual", None)
-    raise type(exc)(f"time step {step}: {exc}", residual=residual) from exc
+from .linsolve import BlockSolver, NotPositiveDefinite
 
 
 @dataclass(frozen=True)
@@ -92,14 +86,12 @@ def advance(
     system: AssembledSystem,
     data: ProblemData,
     grid: TimeGrid,
-    solver_config: SolverConfig = None,
 ) -> SolutionField:
     """March the semi-discrete problem from the projected initial state."""
-    cfg = solver_config or SolverConfig()
     dt = grid.dt
     mss, rebuild = system.mss, system.parts["rebuild"]
     load = system.parts["make_load"](data.source)
-    u = project_initial(space, system, data.u0_initial, cfg)
+    u = project_initial(space, system, data.u0_initial)
     history = np.empty((grid.n_steps + 1, len(u)))
     history[0] = u
 
@@ -113,11 +105,11 @@ def advance(
                 if solver is None:
                     rows = system.moving_rows
                     levels = grid.n_steps if len(rows) else 1
-                    solver = BlockSolver(mss + dt * system.ass, kse, rows, cfg, levels)
+                    solver = BlockSolver(mss + dt * system.ass, kse, rows, levels)
                 solve = solver.factor(kse, new.mee + dt * new.aee)
             u = solve(cross_level_product(mss, new, old, u) + dt * load(t_new, new.phi))
             history[step] = u
             old = new
-    except (NotPositiveDefinite, NoConvergence) as exc:
-        _reraise_with_step(exc, step)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"time step {step}: {exc}") from exc
     return SolutionField(space=space, grid=grid, history=history, system=system, level=old)

@@ -167,20 +167,6 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert "undefined" in capsys.readouterr().out
 
-    def test_cg_no_convergence_exit_3(self, tmp_path, monkeypatch, capsys):
-        # a relative tolerance of 1e-300 lies below what double precision can
-        # resolve, so CG exhausts its 4 * n iterations (n = 49 + 2 dofs)
-        code = run_cli(
-            ["solve", "--problem", "exact1d", "--epsilon", "1e-5", "--n", "50",
-             "--dt", "0.1", "--T", "1.0", "--scheme", "nfem", "--kind", "phi_m1",
-             "--solver", "cg_jacobi", "--tol", "1e-300"],
-            tmp_path, monkeypatch,
-        )
-        assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "numerical failure" in err
-        assert "CG did not reach 1e-300 in 204 iterations" in err
-
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("problem, n", [("exact1d", "20"), ("exact2d", "16")])
     def test_failed_schur_cholesky_exit_3(self, tmp_path, monkeypatch, capsys, problem, n):
@@ -210,22 +196,6 @@ class TestSolveCommand:
         assert code == EXIT_NUMERICAL
         assert "numerical failure: time step 3: enriched Schur complement" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize("problem, n", [("exact1d", "50"), ("exact2d", "16")])
-    def test_cg_solve_matches_direct(self, tmp_path, monkeypatch, capsys, problem, n):
-        rel = {}
-        for solver in ("direct_cholesky", "cg_jacobi"):
-            code = run_cli(
-                ["solve", "--problem", problem, "--epsilon", "1e-5", "--n", n, "--dt", "0.1",
-                 "--T", "1.0", "--scheme", "nfem", "--solver", solver],
-                tmp_path, monkeypatch,
-            )
-            out = capsys.readouterr()
-            assert code == EXIT_OK, out.err
-            line = [ln for ln in out.out.splitlines() if ln.startswith("rel_l2")]
-            rel[solver] = float(line[0].split(":")[1])
-        assert rel["cg_jacobi"] == pytest.approx(rel["direct_cholesky"], rel=1e-6)
-
     @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi_m1", "phi0", "phi0_tilde"])
     @pytest.mark.parametrize("eps", ["1e-3", "1e-5", "1e-8"])
     @pytest.mark.parametrize("n", ["50", "200"])
@@ -238,6 +208,41 @@ class TestSolveCommand:
         assert code == EXIT_OK, capsys.readouterr().err
         rel = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("rel_l2")]
         assert np.isfinite(float(rel[0].split(":")[1]))
+
+    @pytest.mark.parametrize(
+        "extra, config, key",
+        [
+            (["--solver", "cg_jacobi"], None, "--solver"),
+            (["--tol", "1e-8"], None, "--tol"),
+            ([], "solver = cg_jacobi\n", "solver"),
+            ([], "tol = 1e-8\n", "tol"),
+            ([], "solver = direct_cholesky\ntol = 1e-10\n", None),
+        ],
+        ids=["solver-flag", "tol-flag", "solver-config", "tol-config", "defaults-config"],
+    )
+    def test_solver_and_tol_are_fixed_header_entries(self, tmp_path, monkeypatch, capsys, extra, config, key):
+        # no flag sets them, and a config file may only restate the values
+        # every header records: the one direct solve
+        base = ["solve", "--problem", "exact1d", "--epsilon", "1e-3", "--n", "8", "--dt", "0.1", "--T", "0.5",
+                "--no-timing", "-o", "out.csv"]
+        argv = base + extra
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", "run.cfg"]
+        try:
+            code = run_cli(argv, tmp_path, monkeypatch)
+        except SystemExit as exc:  # argparse rejects an unknown flag
+            code = exc.code
+        err = capsys.readouterr().err
+        if key is not None:
+            assert code == EXIT_INVALID and key in err
+            assert not (tmp_path / "out.csv").exists()
+            return
+        assert code == EXIT_OK, err
+        with_file = (tmp_path / "out.csv").read_bytes()
+        assert b"# solver = direct_cholesky\n" in with_file and b"# tol = 1e-10\n" in with_file
+        assert run_cli(base, tmp_path, monkeypatch) == EXIT_OK
+        assert (tmp_path / "out.csv").read_bytes() == with_file
 
     def test_config_file_with_flag_override(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"
@@ -382,13 +387,12 @@ class TestDumpField2D:
 class TestNameCopies:
     def test_cli_names_match_the_library(self):
         # the parser takes its choices from the library, in the library's order
-        from blfem import analysis, corrector, linsolve
+        from blfem import analysis, corrector
 
         want = {
             "problem": tuple(analysis.PROBLEMS),
             "kind": corrector.ENRICHMENT_KINDS,
             "scheme": analysis.SCHEMES,
-            "solver": linsolve.SOLVER_METHODS,
         }
         commands = build_parser()._subparsers._group_actions[0].choices
         seen = set()
