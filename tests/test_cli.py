@@ -196,6 +196,44 @@ class TestSolveCommand:
         assert code == EXIT_NUMERICAL
         assert "numerical failure: time step 3: enriched Schur complement" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("problem, n", [("exact1d", "20"), ("exact2d", "16")])
+    def test_failed_standard_factorization_exit_3(self, tmp_path, monkeypatch, capsys, problem, n):
+        # a negated stiffness makes M - dt A indefinite: the plain march's
+        # stacked factorization meets a nonpositive pivot at the first step
+        import dataclasses
+
+        import blfem.analysis as analysis
+
+        assemble = analysis.assemble_standard
+
+        def negated(space, epsilon):
+            system = assemble(space, epsilon)
+            return dataclasses.replace(system, ass=-system.ass)
+
+        monkeypatch.setattr(analysis, "assemble_standard", negated)
+        code = run_cli(
+            ["solve", "--problem", problem, "--epsilon", "1e-1", "--n", n, "--dt", "0.25",
+             "--T", "1.0", "--scheme", "sfem"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: time step 1: nonpositive pivot" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("problem, dim, n", [("exact1d", 1, 50), ("exact2d", 2, 16)])
+    def test_solve_matches_library(self, tmp_path, monkeypatch, capsys, problem, dim, n):
+        code = run_cli(
+            ["solve", "--problem", problem, "--epsilon", "1e-5", "--n", str(n), "--dt", "0.1",
+             "--T", "1.0", "--scheme", "nfem"],
+            tmp_path, monkeypatch,
+        )
+        out = capsys.readouterr()
+        assert code == EXIT_OK, out.err
+        line = [ln for ln in out.out.splitlines() if ln.startswith("rel_l2")]
+        report = solve_scenario(dim, 1e-5, n, 1.0, 0.1, "nfem", problem=problem)[0]
+        assert line[0].split(":")[1].strip() == f"{report.rel_l2:.10g}"
+
     @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi_m1", "phi0", "phi0_tilde"])
     @pytest.mark.parametrize("eps", ["1e-3", "1e-5", "1e-8"])
     @pytest.mark.parametrize("n", ["50", "200"])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from blfem.linsolve import (
     BlockSolver,
@@ -77,6 +79,33 @@ class TestDirectCholesky:
         solver = SpdSolver(np.eye(3))
         with pytest.raises(ValueError):
             solver.solve(np.ones(4))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @seed(20240817)
+    def test_agrees_with_dense_cholesky_on_random_spd(self, key):
+        rng = np.random.default_rng(key)
+        n = int(rng.integers(5, 60))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q @ np.diag(rng.uniform(0.5, 50.0, n)) @ q.T
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal(n)
+        want = sla.cho_solve(sla.cho_factor(a), b)
+        assert np.linalg.norm(solve_spd(a, b) - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_residual_at_roundoff(self):
+        a = _poisson_fd(64)
+        b = np.sin(np.linspace(0.0, 3.0, 63))
+        x = solve_spd(a, b)
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_columns_solved_as_one_block(self):
+        a = _poisson_fd(32)
+        rhs = np.random.default_rng(5).standard_normal((31, 4))
+        solver = SpdSolver(a)
+        got = solver.solve(rhs)
+        assert got.shape == rhs.shape
+        for k in range(4):
+            assert np.allclose(got[:, k], solver.solve(rhs[:, k]), rtol=1e-14, atol=0.0)
 
 
 class TestStack:
@@ -249,6 +278,19 @@ class TestBlockSolver:
             b = rng.standard_normal(len(full))
             want = np.linalg.solve(full, b)
             got = solver.solve(b)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_schur_and_stacked_paths_agree(self):
+        # the same levels through both factorizations of the block matrix
+        rng = np.random.default_rng(11)
+        kss, levels = _block_levels(rng)
+        schur = BlockSolver(kss, levels[0][0], [3, 7, 8, 20], 3)
+        stacked = BlockSolver(kss, levels[0][0], [3, 7, 8, 20], 1)
+        assert schur.uses_schur and not stacked.uses_schur
+        for kse, kee in levels:
+            b = rng.standard_normal(46)
+            want = stacked.factor(kse, kee)(b)
+            got = schur.factor(kse, kee)(b)
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n_levels", [3, 1])

@@ -139,6 +139,16 @@ class TestAdvance:
             runs.append(sol.history.copy())
         assert np.array_equal(runs[0], runs[1])
 
+    def test_solver_failure_tagged_with_step(self):
+        # a negated stiffness: K = M - dt A is indefinite once dt A outweighs
+        # the mass, so the first factorization meets a nonpositive pivot
+        space = build_space(build_interval_mesh(20))
+        system = assemble_standard(space, 1e-1)
+        system = dataclasses.replace(system, ass=-system.ass)
+        exact = ExactSolution1D(1e-1)
+        with pytest.raises(NotPositiveDefinite, match="time step 1: nonpositive pivot"):
+            advance(space, system, exact.problem(), TimeGrid(T=1.0, n_steps=4))
+
 
 class TestTimeDependentEnrichment:
     def test_marches_and_stays_finite(self):
@@ -318,6 +328,9 @@ class TestMarchBitIdenticalToPreChangeLoop:
             (2, "phi0_tilde", 1e-5, 5, "schur"),
             (2, "phi0", 1e-8, 5, "schur"),
             (2, "phi0_tilde", 1e-3, 3, "stacked"),
+            (1, "phi_m1", 1e-5, 6, "stacked"),
+            (1, "phi0", 1e-8, 6, "schur"),
+            (1, "phi0_tilde", 1e-3, 1, "stacked"),
         ],
     )
     def test_history_bit_identical(self, dim, kind, eps, n_steps, path):
