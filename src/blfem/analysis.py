@@ -16,6 +16,7 @@ import scipy.linalg as sla
 
 from .assembly import (
     AssemblyError,
+    _chunks,
     _discrete_field,
     build_space,
     element_rules_1d,
@@ -220,13 +221,19 @@ def _element_rules(mesh, epsilon, refine=1):
 def _error_integrals(exact, t, layout, field):
     """Squared L2 error, squared L2 norm of the exact solution, and squared
     H1-seminorm error over the layout, given the discrete field there, and
-    the exact solution at the layout's points."""
+    the exact solution at the layout's points.  The exact solution is
+    evaluated chunk by chunk (_chunks), and the squares share one buffer,
+    which bounds the temporaries; the sums run over whole arrays."""
     uh, guh = field
     coords = np.atleast_2d(layout.points.T)  # one coordinate array per dimension
-    ue, gue = exact.value_and_grad(*coords, t)
-    sq_grad_err = np.sum((guh - gue) ** 2, axis=1)
-    w = layout.weights
-    return float(np.dot(w, (uh - ue) ** 2)), float(np.dot(w, ue**2)), float(np.dot(w, sq_grad_err)), ue
+    ue, grad_err = np.empty(len(uh)), np.empty_like(guh)
+    for sel in _chunks(len(uh)):
+        ue[sel], grad_err[sel] = exact.value_and_grad(*coords[:, sel], t)
+    np.square(np.subtract(guh, grad_err, out=grad_err), out=grad_err)
+    w, sq = layout.weights, np.subtract(uh, ue)
+    err2 = np.dot(w, np.square(sq, out=sq))
+    h12 = np.dot(w, np.sum(grad_err, axis=1, out=sq))
+    return float(err2), float(np.dot(w, np.square(ue, out=sq))), float(h12), ue
 
 
 def oscillation_index(space, exact, t, layout, uh, ue) -> float:

@@ -495,13 +495,19 @@ def _angular_hats(m, x, y):
     deta = 2.0 * np.pi / m
     eta, xi, r = fitted_arrays(x, y)
     r = np.maximum(r, 1e-12)
-    panel = np.minimum((eta / deta).astype(int), m - 1)
-    frac = eta / deta - panel
-    cols = np.stack([panel, (panel + 1) % m], axis=1)
+    frac, cols = _hat_columns(m, eta)
     psi = np.stack([1.0 - frac, frac], axis=1)
     grad_xi = np.stack([-x / r, -y / r], axis=1)
     grad_eta = np.stack([-y / r**2, x / r**2], axis=1)
     return xi, r, cols, psi, np.array([-1.0, 1.0]) / deta, grad_xi, grad_eta
+
+
+def _hat_columns(m, eta):
+    """Of the m angular hats, the two alive at each angle eta: how far eta
+    lies through its panel (0 to 1), and the two hat columns (points, 2)."""
+    scaled = eta / (2.0 * np.pi / m)
+    panel = np.minimum(scaled.astype(int), m - 1)
+    return scaled - panel, np.stack([panel, (panel + 1) % m], axis=1)
 
 
 RAD_N_SUB = 10
@@ -627,11 +633,13 @@ def _support_2d(space: BasisSpace, layout: QuadratureLayout) -> _Support:
     hat_grads = _hat_gradients(mesh)
 
     def terms(idx, keys_only=False):
-        w, bary, tri = layout.weights[idx], layout.bary[idx], layout.element[idx]
-        xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, layout.points[idx, 0], layout.points[idx, 1])
+        tri = layout.element[idx]
         dof = space.node_to_dof[mesh.triangles[tri]][:, :, None]
         if keys_only:
-            return xi, dof, cols[:, None, :]
+            eta, xi, _ = fitted_arrays(layout.points[idx, 0], layout.points[idx, 1])
+            return xi, dof, _hat_columns(m, eta)[1][:, None, :]
+        w, bary = layout.weights[idx], layout.bary[idx]
+        xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, layout.points[idx, 0], layout.points[idx, 1])
         # the standard hats' values (bary) and gradients along grad(xi) and grad(eta)
         grads = hat_grads[tri]
         g_xi, g_eta = (grads[..., 0] * g[:, 0, None] + grads[..., 1] * g[:, 1, None] for g in (grad_xi, grad_eta))

@@ -170,26 +170,50 @@ class EnrichmentSpec:
         return self.sigma if self.kind == "phi_m1_lin" else CUTOFF_OUTER
 
 
-# erfc_gauss(z) == 0 for z >= 37.68 and exp(-a) == 0 for a >= 745.14: both
-# underflow in double precision
-_ERFC_GAUSS_ZERO = 37.68
-_EXP_ZERO = 745.14
+# the heat layer's exponent a = xi^2 / (4 eps t) and erfc argument
+# z = xi / sqrt(2 eps t) (z^2 = 2 a) past which a time-dependent profile is
+# its cutoff to rounding; see time_independent_xi
+_LAYER_EXPONENT = 43.0
+_LAYER_ERFC_Z = 9.0
 
 
 def time_independent_xi(spec: EnrichmentSpec, t_max: float = None) -> float:
-    """xi* such that at every xi >= xi* and every t in [0, t_max] the
-    profile and its xi-derivative equal cutoff_delta and cutoff_delta_dxi
-    exactly.  The heat-layer factors, exp(-xi^2 / (4 eps t)) of phi0_tilde
-    and the erfc and exp terms of phi0's kernel integral, widen with t, so
-    the bound at t_max holds for every earlier time, and past it the factors
-    underflow to 0.0.  0 for a time-independent kind (every point
-    qualifies); inf for a time-dependent one without t_max (no point does)."""
+    """xi*(t_max) = max(sqrt(4 eps 43), 9 sqrt(2 eps)) sqrt(t_max): at every
+    xi >= xi* and every t in [0, t_max] the profile and its xi-derivative
+    are cutoff_delta and cutoff_delta_dxi exactly, because
+    enrichment_profile returns them there (it flushes at xi >= xi*(t), and
+    xi*(t) <= xi*(t_max)).  The flush changes the layer formulas only below
+    their rounding, as follows (a = xi^2 / (4 eps t) >= 43, so
+    z = xi / sqrt(2 eps t) = sqrt(2 a) >= 9.27; the 9 sqrt(2 eps) term is
+    phi0's own z >= 9).
+
+    Value.  phi0_tilde is (1 - e) delta with e = exp(-a) <= exp(-43) =
+    2.1e-19, and 1 - e rounds to exactly 1 once e < 2^-54 (a > 37.4).
+    phi0 is (1 - K) delta, and the Mills-ratio bounds on the Gaussian tail
+    give K = t ((1 + z^2) erfc_gauss(z) - z g(z)) <= 4 t phi(z) (1 + 1.5 /
+    z^2) / z^3, with g = 2 phi and phi the standard normal density: below
+    4.3e-22 t at a = 43, so below 2^-54 for every t < 1e5.  So the value is
+    delta.
+
+    Slope.  With 1 - e == 1 the slope of phi0_tilde differs from delta' by
+    (xi / (2 eps t)) e delta <= sqrt(a / (eps t)) e^-a, which the stiffness
+    blocks take times eps.  A level's blocks sum eps times the profile's
+    slope, which peaks in the layer at exp(-1/2) / sqrt(2 eps t) (at
+    a = 1/2).  Relative to that peak the dropped term is
+    sqrt(2 a) e^(1/2 - a) <= 3.2e-18 < 2^-52, whatever eps and t: below
+    the rounding of the blocks.  phi0's slope differs by
+    -dK/dxi delta = sqrt(2 t / eps) (g(z) - z erfc_gauss(z)) delta
+    <= sqrt(2 t / eps) g(z) / z^2, against its peak sqrt(2 t / eps) g(0) at
+    xi = 0: a ratio e^-a / (2 a) = 2.4e-21.
+
+    0 for a time-independent kind (every point qualifies); inf for a
+    time-dependent one without t_max (no point does)."""
     if not spec.time_dependent:
         return 0.0
     if t_max is None:
         return math.inf
     eps = spec.epsilon
-    return max(math.sqrt(4.0 * eps * _EXP_ZERO), _ERFC_GAUSS_ZERO * math.sqrt(2.0 * eps)) * math.sqrt(t_max)
+    return max(math.sqrt(4.0 * eps * _LAYER_EXPONENT), _LAYER_ERFC_Z * math.sqrt(2.0 * eps)) * math.sqrt(t_max)
 
 
 def _kernel_time_integral(spec, xi, t):
@@ -208,7 +232,9 @@ def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None, cutoff=None):
     slope share the Gaussian, the kernel integral and the cutoff.  cutoff,
     if given, is (cutoff_delta(xi), cutoff_delta_dxi(xi)), evaluated once by
     a caller that asks at the same points again; phi_m1_lin, tapered
-    instead, ignores it."""
+    instead, ignores it.  At t > 0, phi0 and phi0_tilde are exactly the
+    cutoff and its slope at xi >= xi*(t) (time_independent_xi), where their
+    layer factors are below rounding."""
     xi = np.asarray(xi, dtype=float)
     eps = spec.epsilon
     if spec.kind == "phi_m1_lin":
@@ -220,20 +246,34 @@ def enrichment_profile(spec: EnrichmentSpec, xi, t: float = None, cutoff=None):
     if spec.time_dependent and (t is None or t < 0.0):
         raise ValueError(f"{spec.kind} requires t >= 0")
     delta, delta_dxi = (cutoff_delta(xi), cutoff_delta_dxi(xi)) if cutoff is None else cutoff
-    if spec.kind == "phi0":
-        kernel, kernel_dxi = _kernel_time_integral(spec, xi, t) if t > 0.0 else (0.0, 0.0)
-        val = (1.0 - kernel) * delta
-        return val[()], (-kernel_dxi * delta + (1.0 - kernel) * delta_dxi)[()]
     if spec.kind == "phi0_tilde" and t == 0.0:
         # pointwise t -> 0+ limit: the Gaussian factor tends to 1 away from
         # xi = 0 and to 0 at xi = 0, and its xi-scaled derivative vanishes
         # there, leaving the cutoff slope
         return np.where(xi > 0.0, delta, 0.0)[()], np.where(xi > 0.0, delta_dxi, 0.0)[()]
+    if not spec.time_dependent or t == 0.0:
+        return _layer_profile(spec, xi, t, delta, delta_dxi)
+    # past xi*(t) the layer is below rounding: the profile is the cutoff
+    band = xi < time_independent_xi(spec, t)
+    if band.all():
+        return _layer_profile(spec, xi, t, delta, delta_dxi)
+    val, slope = np.array(delta, dtype=float), np.array(delta_dxi, dtype=float)
+    val[band], slope[band] = _layer_profile(spec, xi[band], t, val[band], slope[band])
+    return val[()], slope[()]
+
+
+def _layer_profile(spec, xi, t, delta, delta_dxi):
+    """Value and slope of phi0, phi0_tilde (t > 0) or phi_m1 from the
+    layer formulas and the cutoff values delta, delta_dxi at xi."""
+    if spec.kind == "phi0":
+        kernel, kernel_dxi = _kernel_time_integral(spec, xi, t) if t > 0.0 else (0.0, 0.0)
+        val = (1.0 - kernel) * delta
+        return val[()], (-kernel_dxi * delta + (1.0 - kernel) * delta_dxi)[()]
     # phi_m1 is phi0_tilde frozen at t = 1
     t = t if spec.kind == "phi0_tilde" else 1.0
-    e = np.exp(-(xi**2) / (4.0 * eps * t))
+    e = np.exp(-(xi**2) / (4.0 * spec.epsilon * t))
     val = (1.0 - e) * delta
-    return val[()], ((xi / (2.0 * eps * t)) * e * delta + (1.0 - e) * delta_dxi)[()]
+    return val[()], ((xi / (2.0 * spec.epsilon * t)) * e * delta + (1.0 - e) * delta_dxi)[()]
 
 
 def enrichment_profile_dxi(spec: EnrichmentSpec, xi, t: float = None):

@@ -244,23 +244,26 @@ class TestErrorReportFieldOnce:
         calls = []
         shared = analysis._discrete_field
         monkeypatch.setattr(analysis, "_discrete_field", lambda *a, **k: calls.append(1) or shared(*a, **k))
-        sizes = []
+        sizes = {"u": [], "value_and_grad": []}
 
         class CountingExact:
             def __getattr__(self, attr):
                 return getattr(exact, attr)
 
             def u(self, *args):
-                sizes.append(np.size(args[0]))
+                sizes["u"].append(np.size(args[0]))
                 return exact.u(*args)
 
             def value_and_grad(self, *args):
-                sizes.append(np.size(args[0]))
+                sizes["value_and_grad"].append(np.size(args[0]))
                 return exact.value_and_grad(*args)
 
         report = compute_error_report(space, coeffs, CountingExact(), 1.0, eps)
         assert len(calls) == 1
-        assert sizes.count(layout.weights.size) == 1  # the exact solution too
+        # the exact solution too: once at each of the layout's points, by chunks
+        assert sum(sizes["value_and_grad"]) == layout.weights.size
+        assert max(sizes["value_and_grad"]) <= analysis._chunks(layout.weights.size)[0].stop
+        assert layout.weights.size not in sizes["u"]
         assert report.rel_l2 == rel
         assert report.oscillation_index == osc
         calls.clear()

@@ -626,6 +626,20 @@ class TestSplitLayout:
             assert np.array_equal(a[off].toarray(), b[off].toarray())
             assert not np.array_equal(a[rows].toarray(), b[rows].toarray())
 
+    def test_band_ends_at_rounding(self, monkeypatch):
+        # B = 104 phi0_tilde, eps = 1e-8: at most half the moving points of a
+        # band that ended where the layer factors underflow (exp(-a) at
+        # a = 745.14, erfc_gauss at z = 37.68)
+        import blfem.assembly as assembly
+
+        eps = 1e-8
+        space = build_space(build_disk_mesh(104), EnrichmentSpec(kind="phi0_tilde", epsilon=eps))
+        support = assembly._support_2d(space, element_rules_2d(space.mesh, eps))
+        moving = np.count_nonzero(assembly._split(space, support, 1.0).moving)
+        underflow = lambda spec, t_max: max(math.sqrt(4.0 * eps * 745.14), 37.68 * math.sqrt(2.0 * eps)) * math.sqrt(t_max)
+        monkeypatch.setattr(assembly, "time_independent_xi", underflow)
+        assert 0 < 2 * moving <= np.count_nonzero(assembly._split(space, support, 1.0).moving)
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", ["phi_m1", "phi_m1_lin"])
     def test_time_independent_kind_has_one_level(self, dim, kind):

@@ -7,7 +7,8 @@ beyond their results is bounded by the chunk, not by the point count."""
 import numpy as np
 import pytest
 
-from blfem import assembly
+from blfem import analysis, assembly
+from blfem.analysis import ExactSolution1D, ExactSolution2D
 from blfem.assembly import _block_diagonal, _discrete_field, _load_maker, assemble_enriched, build_space, element_rules_2d
 from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec
 from blfem.mesh import build_disk_mesh, build_interval_mesh
@@ -94,10 +95,34 @@ def test_read_out_identical_to_whole_arrays(kind, chunk, monkeypatch):
             assert all(map(_same, got, whole_field(space, coeffs, points, element, bary, 0.5, given)))
 
 
+def _whole_error_integrals(exact, t, layout, field):
+    # the error report's sums with the exact solution at every point at once
+    uh, guh = field
+    ue, gue = exact.value_and_grad(*np.atleast_2d(layout.points.T), t)
+    w = layout.weights
+    sums = np.dot(w, (uh - ue) ** 2), np.dot(w, ue**2), np.dot(w, np.sum((guh - gue) ** 2, axis=1))
+    return (*map(float, sums), ue)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("dim, level", [(1, 50), (2, 16)])
+def test_error_integrals_identical_to_whole_arrays(dim, level, chunk, monkeypatch):
+    # the exact solution evaluated by chunks, and the three sums over it
+    monkeypatch.setattr(assembly, "CHUNK", chunk)
+    space = _space(dim, "phi0_tilde", level, 1e-5)
+    layout = analysis._element_rules(space.mesh, 1e-5)
+    exact = (ExactSolution1D if dim == 1 else ExactSolution2D)(1e-5)
+    coeffs = np.random.default_rng(7).standard_normal(space.total_dofs)
+    field = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, 0.5)
+    got, want = analysis._error_integrals(exact, 0.5, layout, field), _whole_error_integrals(exact, 0.5, layout, field)
+    assert got[:3] == want[:3] and _same(got[3], want[3])
+
+
 class TestMemoryBoundedByTheChunk:
     """tracemalloc's count of what a call allocates beyond its result, at
     B = 52 and eps = 1e-8 (72,864 support points): the chunked code keeps
-    below 35 % of its whole-array oracle's."""
+    below 35 % of its whole-array oracle's, and the error sums, whose
+    squared differences are whole arrays, below 50 %."""
 
     @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
     def test_enriched_assembly(self, kind):
@@ -116,3 +141,12 @@ class TestMemoryBoundedByTheChunk:
         _, oracle = traced_transient(lambda: whole_field(*args, profile))
         _, chunked = traced_transient(lambda: _discrete_field(*args, profile))
         assert chunked < 0.35 * oracle, (chunked, oracle)
+
+    def test_error_integrals(self):
+        space = _space(2, "phi0_tilde", 52, 1e-8)
+        layout = analysis._element_rules(space.mesh, 1e-8)
+        field = _discrete_field(space, np.ones(space.total_dofs), layout.points, layout.element, layout.bary, 1.0)
+        args = ExactSolution2D(1e-8), 1.0, layout, field
+        _, oracle = traced_transient(lambda: _whole_error_integrals(*args))
+        _, chunked = traced_transient(lambda: analysis._error_integrals(*args))
+        assert chunked < 0.5 * oracle, (chunked, oracle)

@@ -317,8 +317,16 @@ class TestEnrichmentProfiles:
 
 # ---------------------------------------------------------------------------
 # frozen copies of the separate value and slope formulas that the fused
-# profile replaced (phi0's read the closed-form kernel integral); it must
-# agree with them to the bit
+# profile replaced (phi0's read the closed-form kernel integral), with the
+# time-dependent kinds flushed to the cutoff past xi*(t); it must agree with
+# them to the bit
+
+
+def _frozen_flush(spec, xi, t, formula, cutoff):
+    if spec.kind not in ("phi0", "phi0_tilde") or t == 0.0:
+        return formula
+    star = max(math.sqrt(4.0 * spec.epsilon * 43.0), 9.0 * math.sqrt(2.0 * spec.epsilon)) * math.sqrt(t)
+    return np.where(xi >= star, cutoff, formula)
 
 
 def _frozen_value(spec, xi, t=None):
@@ -336,7 +344,7 @@ def _frozen_value(spec, xi, t=None):
         val = np.where(xi > 0.0, cutoff_delta(xi), 0.0)
     else:
         val = (1.0 - np.exp(-(xi**2) / (4.0 * spec.epsilon * t))) * cutoff_delta(xi)
-    return val[()]
+    return _frozen_flush(spec, xi, t, val, cutoff_delta(xi))[()]
 
 
 def _frozen_slope(spec, xi, t=None):
@@ -360,7 +368,7 @@ def _frozen_slope(spec, xi, t=None):
     else:
         e = np.exp(-(xi**2) / (4.0 * eps * t))
         val = (xi / (2.0 * eps * t)) * e * cutoff_delta(xi) + (1.0 - e) * cutoff_delta_dxi(xi)
-    return val[()]
+    return _frozen_flush(spec, xi, t, val, cutoff_delta_dxi(xi))[()]
 
 
 def _same_bits(got, want):
@@ -506,7 +514,7 @@ class TestPhi0KernelIntegral:
             assert got[0] == want[0][0] and got[1] == want[1][0]
 
     def test_underflow_facts(self):
-        # time_independent_xi relies on these values being exact zeros
+        # the far-tail checks above rely on these values being exact zeros
         assert erfc_gauss(38.0) == 0.0
         assert erfc_gauss(37.68) == 0.0
         assert np.exp(-746.0) == 0.0
@@ -541,6 +549,33 @@ class TestTimeIndependentXi:
         xi = 0.9 * time_independent_xi(spec, 1.0)
         assert xi < CUTOFF_INNER
         assert enrichment_profile(spec, xi, 1.0)[1] != cutoff_delta_dxi(xi)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    def test_flush_drops_only_rounding(self, kind, eps):
+        # past xi*(t) the layer formulas, unflushed, give exactly the cutoff
+        # value, and eps times their slope differs from eps delta' by at most
+        # the rounding 2^-52 of eps times the profile's largest slope at t,
+        # which a level's stiffness blocks sum
+        import blfem.corrector as corrector
+
+        spec, T, n_steps = EnrichmentSpec(kind=kind, epsilon=eps), 1.0, 100
+        for t in (T / n_steps, T / 2.0, T):
+            star = time_independent_xi(spec, t)
+            xi = np.concatenate([[star], star * (1.0 + np.geomspace(1e-12, 1.0, 40)), star + np.linspace(0.0, 0.6, 61)])
+            delta, delta_dxi = cutoff_delta(xi), cutoff_delta_dxi(xi)
+            value, slope = corrector._layer_profile(spec, xi, t, delta, delta_dxi)
+            assert np.array_equal(value, delta), t
+            # the layer's slope peaks at xi = sqrt(2 eps t) (phi0: at 0), the ramp's at 0.375
+            grid = np.concatenate([np.geomspace(1e-9, 1.0, 2001) * star, np.linspace(0.0, CUTOFF_OUTER, 501)])
+            peak = np.max(np.abs(enrichment_profile(spec, grid, t)[1]))
+            assert eps * np.max(np.abs(slope - delta_dxi)) <= 2.0**-52 * eps * peak, t
+
+    def test_rounding_facts(self):
+        # the value bound: 1 - e is exactly 1 for e at or below 2^-54, and
+        # exp(-43) is far below it
+        assert 1.0 - 2.0**-54 == 1.0 and 1.0 - 2.0**-53 < 1.0
+        assert math.exp(-43.0) < 2.0**-60
 
     def test_time_independent_kinds_and_no_split(self):
         for kind, sigma in (("phi_m1", None), ("phi_m1_lin", 0.1)):

@@ -391,11 +391,20 @@ def _reference_march(space, eps, data, grid):
     return np.array(history)
 
 
+# 1D N = 50 and disk B = 26 at eps 1e-5 and 1e-8, except that the disk's
+# moving kinds take 1e-4 for 1e-5: at B = 26 their heat layer reaches the
+# second interior ring only from there
+_MARCH_CASES = [
+    (dim, kind, 1e-4 if (dim, eps) == (2, 1e-5) and kind in ("phi0", "phi0_tilde") else eps)
+    for dim in (1, 2)
+    for kind in ("phi0", "phi0_tilde", "phi_m1", "phi_m1_lin")
+    for eps in (1e-5, 1e-8)
+]
+
+
 class TestBlockMarch:
     @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
-    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde", "phi_m1", "phi_m1_lin"])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim, kind, eps", _MARCH_CASES)
     def test_matches_refactored_reference(self, dim, kind, eps):
         # the march with the fixed quadrature points summed once (on one K_ss
         # factor and a Schur complement per level for the moving kinds, on
@@ -415,7 +424,7 @@ class TestBlockMarch:
             assert len(rows) == 0
         else:
             assert schur_pays(space.n_standard, space.n_enriched, len(rows), grid.n_steps)
-            if dim == 2 and eps == 1e-5:
+            if dim == 2 and eps == 1e-4:
                 # the heat layer reaches past the outermost interior ring
                 radii = np.hypot(*mesh.nodes[space.interior_nodes[rows]].T)
                 assert len(np.unique(np.round(radii, 9))) >= 2
@@ -429,7 +438,7 @@ class TestBlockMarch:
         # the heat layer covers every ring: too many moving rows for the
         # Schur path to pay over two levels, so each level's stacked matrix
         # is factored
-        eps, T, grid = 1e-3, 1.0, TimeGrid(T=1.0, n_steps=2)
+        eps, T, grid = 2e-3, 1.0, TimeGrid(T=1.0, n_steps=2)
         space = build_space(build_disk_mesh(26), EnrichmentSpec(kind=kind, epsilon=eps))
         data = ExactSolution2D(eps).problem()
         system = assemble_enriched(space, eps, t_max=T)
