@@ -93,8 +93,8 @@ class AssembledSystem:
     the cross Gram block taken against level `previous` (the plain space has
     one empty level), and make_load(source) -> load(t, phi_vals), the
     whole load at t of the level whose moving profile values are phi_vals,
-    with the source bound once to every load point (ProblemData.source) and
-    one operator for the standard and the fixed enriched points.
+    with the source (ProblemData.source) bound once to the standard load
+    points and once to the enriched ones.
 
     profile_at(level) -> (phi, dphi) or None hands over the profile and its
     slope that the run computed at the points of its 2D layout's leading
@@ -424,34 +424,37 @@ def _load_layout(space):
     return tuple(c.ravel() for c in coords), op
 
 
-def _load_maker(coords, op, le_moving=None, moving_points=None):
-    """make_load(source) -> load(t, phi_vals), the source bound once to the
-    points coords (flat arrays): op @ f(*coords, t) at the leading
-    op.shape[1] points, plus, where points move, le_moving @ (phi * f) at
-    the others, phi = phi_vals[moving_points], on the last (enriched) rows."""
-    k = op.shape[1]
+def _bind(source, coords):
+    """t -> the source's values at the points coords, flat; bound once."""
+    g, shape = source(*coords), coords[0].shape
+    return lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), shape).ravel()
+
+
+def _load_maker(coords, op, enriched=None):
+    """make_load(source) -> load(t, phi_vals): op @ f at the standard load
+    points coords (flat arrays), then, for an enriched space, enriched =
+    (points, le_fixed, le_moving, moving_cols, moving_points): le_fixed @ f
+    over the support's load columns, at its load points (_Support.coords),
+    plus, where points move, le_moving @ (phi * f[moving_cols]), phi =
+    phi_vals[moving_points].  The source is bound once to each point set."""
 
     def make_load(source):
-        g, shape = source(*coords), coords[0].shape
+        standard = _bind(source, coords)
+        if enriched is None:
+            return lambda t, phi_vals=None: op @ standard(t)
+        points, le_fixed, le_moving, moving_cols, moving_points = enriched
+        support = _bind(source, points)
 
         def load(t, phi_vals=None):
-            fv = np.asarray(g(t), dtype=float)
-            fv = fv if fv.shape == shape else np.broadcast_to(fv, shape)
-            out = op @ fv[:k]
+            fv = support(t)
+            out = le_fixed @ fv
             if le_moving is not None:
-                out[-le_moving.shape[0] :] += le_moving @ (phi_vals[moving_points] * fv[k:])
-            return out
+                out += le_moving @ (phi_vals[moving_points] * fv[moving_cols])
+            return np.concatenate([op @ standard(t), out])
 
         return load
 
     return make_load
-
-
-def _block_diagonal(a, b):
-    """[[a, 0], [0, b]] for CSR a and b, each row's entries in their order."""
-    data, indices = np.concatenate([a.data, b.data]), np.concatenate([a.indices, b.indices + a.shape[1]])
-    shape = (a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-    return sp.csr_matrix((data, indices, np.concatenate([a.indptr, b.indptr[1:] + a.nnz])), shape=shape)
 
 
 def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
@@ -514,7 +517,7 @@ RAD_N_SUB = 10
 RAD_N_GAUSS = 5
 # support points per chunk of the enriched assembly and of the 2D read-out,
 # which bounds the per-point arrays they make
-CHUNK = 8192
+CHUNK = 4096
 
 
 def _chunks(n):
@@ -530,9 +533,9 @@ def _chunks(n):
 # dof * m + col of the (n, m) coupling blocks, from phi (mass), dphi and phi
 # (stiffness); ee to the flattened (m, m) Gram blocks, from phi**2, dphi**2
 # or phi_new * phi_old (mass) and phi**2 (angular); le to the enriched DOFs,
-# `width` per load column (one per load point), from phi * f.  A coefficient
-# None is zero; ee and le have `per_point` entries a point.  keys_only: (xi,
-# dof, col), the standard (-1: boundary) and enriched DOFs of sl, broadcast.
+# `width` per load column (one per load point, in the order of the raveled
+# coords), from phi * f.  A coefficient None is zero; ee and le have
+# `per_point` entries a point.  keys_only: (xi, keys, points) of sl alone.
 _Support = namedtuple("_Support", "size coords width per_point chunks terms")
 
 
@@ -540,8 +543,10 @@ def _pattern(rows, per_point, n_rows, positions):
     """The CSR pattern of an operator from point values, from the rows and
     flat coefficient positions of per_point[i] contributions of each point
     i, listed point by point: the operator's CSC order, so one linear-time
-    conversion gives the pattern, with coefficient positions as its data."""
-    indptr = np.concatenate([[0], np.cumsum(per_point)])
+    conversion gives the pattern, with coefficient positions (or the
+    coefficients) as its data."""
+    indptr = np.zeros(len(per_point) + 1, dtype=np.int32)
+    np.cumsum(per_point, dtype=np.int32, out=indptr[1:])
     return sp.csc_matrix((positions, rows, indptr), shape=(n_rows, len(per_point))).tocsr()
 
 
@@ -586,13 +591,13 @@ def _support_1d(space: BasisSpace) -> _Support:
     where d/dx = -d/dxi; contributions (point, enriched DOF, standard hat)."""
     rule = _layer_rule_1d(space)
     p, w = rule.points, rule.weights
-    x, col = np.stack([p, 1.0 - p], axis=1), np.arange(2)[:, None]
+    coords, col = np.stack([p, 1.0 - p]), np.arange(2)[:, None]
 
     def terms(idx, keys_only=False):
-        elem, hat = _locate_1d(space.mesh.nodes, x[idx])
+        elem, hat = _locate_1d(space.mesh.nodes, coords[:, idx].T)
         dof = space.node_to_dof[space.mesh.elements[elem]]
         if keys_only:
-            return p[idx], dof, col
+            return p[idx], *_coupling_keys(2, dof, col)[:2]
         # the hats' values and x-slopes, the latter signed by dxi/dx
         slope = _hat_gradients(space.mesh)[elem][..., 0] * np.array([1.0, -1.0])[:, None]
         wb, n_pts, point = w[idx, None, None], len(idx), np.arange(len(idx))
@@ -602,7 +607,7 @@ def _support_1d(space: BasisSpace) -> _Support:
         ee = np.tile([0, 3], n_pts), np.repeat(point, 2), (np.repeat(w[idx], 2), None)
         return sl, ee, (np.repeat([0, 1], n_pts), np.tile(point, 2), (np.tile(w[idx], 2),))
 
-    return _Support(len(p), (x.T,), 1, (2, 2), [slice(0, len(p))], terms)
+    return _Support(len(p), (coords,), 1, (2, 2), [slice(0, len(p))], terms)
 
 
 def _support_triangles(space: BasisSpace):
@@ -634,18 +639,22 @@ def _support_2d(space: BasisSpace, layout: QuadratureLayout) -> _Support:
 
     def terms(idx, keys_only=False):
         tri = layout.element[idx]
-        dof = space.node_to_dof[mesh.triangles[tri]][:, :, None]
+        # the (point, vertex) pairs whose vertex is interior: only they couple
+        dof = space.node_to_dof[mesh.triangles[tri]].ravel()
+        pair = np.flatnonzero(dof >= 0)
+        p, v = np.divmod(pair, 3)
         if keys_only:
             eta, xi, _ = fitted_arrays(layout.points[idx, 0], layout.points[idx, 1])
-            return xi, dof, _hat_columns(m, eta)[1][:, None, :]
+            return xi, (dof[pair, None] * m + _hat_columns(m, eta)[1][p]).ravel(), np.repeat(p, 2)
         w, bary = layout.weights[idx], layout.bary[idx]
         xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, layout.points[idx, 0], layout.points[idx, 1])
-        # the standard hats' values (bary) and gradients along grad(xi) and grad(eta)
-        grads = hat_grads[tri]
-        g_xi, g_eta = (grads[..., 0] * g[:, 0, None] + grads[..., 1] * g[:, 1, None] for g in (grad_xi, grad_eta))
+        # the standard hats' values (bary) and gradients along grad(xi) and
+        # grad(eta), each pair's two hats' products in (point, vertex, hat) order
+        grads, wp = hat_grads[tri[p], v], w[p]
+        g_xi, g_eta = (grads[:, 0] * g[p, 0] + grads[:, 1] * g[p, 1] for g in (grad_xi, grad_eta))
+        sl = [(wp * c)[:, None] * psi[p] for c in (bary[p, v], g_xi)] + [(wp * g_eta)[:, None] * dpsi]
+        sl = (dof[pair, None] * m + cols[p]).ravel(), np.repeat(p, 2), [c.ravel() for c in sl]
         wb, point = w[:, None], np.arange(len(idx))
-        sl = [(wb * c)[:, :, None] * psi[:, None, :] for c in (bary, g_xi)] + [(wb * g_eta)[:, :, None] * dpsi]
-        sl = _coupling_keys(m, dof, cols[:, None, :], *sl)
         # enriched-enriched products: each point couples its panel's two hats
         ang = (w[:, None, None] * dpsi[:, None] * dpsi) / (r**2)[:, None, None]
         ee = ((wb * psi)[:, :, None] * psi[:, None, :]).ravel(), ang.ravel()
@@ -686,15 +695,16 @@ def _split(space, support: _Support, t_max) -> _Split:
     profile is the same at every level: per point xi, the moving mask, phi
     and dphi at t_max (0 where moving); the coupling pattern; the fixed
     points' base data (msl, asl, mee, aee, without eps) and load operator
-    (phi folded in); the moving points' operators (sl_m, sl_a1, sl_a2, ee_m,
-    ee_ang) and load operator.  np.add.at sums the fixed points' terms in
-    point order, one by one as a CSR mat-vec would (moving points add 0)."""
+    (phi folded in) over every load column of the support, with none in a
+    moving point's; the moving points' operators (sl_m, sl_a1, sl_a2, ee_m,
+    ee_ang) and load operator over their load columns.  np.add.at sums the
+    fixed points' terms in point order, one by one as a CSR mat-vec would
+    (moving points add 0)."""
     n, m = space.n_standard, space.n_enriched
     xi_star = time_independent_xi(space.enrichment, t_max)
     xi, present, n_sl = np.empty(support.size), np.zeros(n * m, dtype=bool), 0
     for sel in support.chunks:
-        xi[sel], dof, col = support.terms(sel, keys_only=True)
-        keys, point, _ = _coupling_keys(m, dof, col)
+        xi[sel], keys, point = support.terms(sel, keys_only=True)
         present[keys] = True
         n_sl += np.count_nonzero(xi[sel][point] < xi_star)
     moving = xi < xi_star
@@ -705,15 +715,17 @@ def _split(space, support: _Support, t_max) -> _Split:
     count, block = _coupling_block(present, n, m)
     base = np.zeros((3, block.nnz)), np.zeros((3, m * m))
     (ee_size, le_size), width = support.per_point, support.width
-    kept = [_Kept(n_sl, 3), _Kept(ee_size * n_moving, 2), _Kept(le_size * n_moving, 1), _Kept(le_size * n_fixed, 1)]
+    kept = [_Kept(n_sl, 3), _Kept(ee_size * n_moving, 2), _Kept(le_size * n_moving, 1)]
+    # the fixed points' load entries, met in the order of their load columns
+    fixed_rows, fixed_data, end = np.empty(le_size * n_fixed, dtype=np.int32), np.empty(le_size * n_fixed), 0
     for sel in support.chunks:
         for part in np.flatnonzero(~moving[sel]) + sel.start, np.flatnonzero(moving[sel]) + sel.start:
             if len(part) == 0:
                 continue
             (keys, sl_point, sl), ee, (le_rows, le_point, le) = support.terms(part)
-            le_cols = np.arange(len(le_rows)) // width
             entries = [(count[keys], sl_point, len(part), sl), (*ee[:2], len(part), ee[2])]
             if moving[part[0]]:
+                le_cols = np.arange(len(le_rows)) // width
                 for k, entry in zip(kept, entries + [(le_rows, le_cols, le_cols[-1] + 1, le)]):
                     k.add(*entry)
                 continue
@@ -722,8 +734,10 @@ def _split(space, support: _Support, t_max) -> _Split:
                 for acc, (c, v) in zip(sums, reads):
                     if coeffs[c] is not None:
                         np.add.at(acc, rows, coeffs[c] * vals[v])
-            kept[3].add(le_rows, le_cols, le_cols[-1] + 1, (le[0] * phi[part[le_point]],))
-    sl_ops, ee_ops, (le_moving,), (le_fixed,) = (kept.pop(0).operators(k) for k in (block.nnz, m * m, m, m))
+            at = slice(end, end + len(le_rows))
+            fixed_rows[at], fixed_data[at], end = le_rows, le[0] * phi[part[le_point]], at.stop
+    sl_ops, ee_ops, (le_moving,) = (kept.pop(0).operators(k) for k in (block.nnz, m * m, m))
+    le_fixed = _pattern(fixed_rows, width * ~np.broadcast_to(moving, support.coords[0].shape).ravel(), m, fixed_data)
     (msl, asl_r, asl_a), (mee, aee_r, aee_a) = base
     base = msl, asl_r + asl_a, mee, aee_r + aee_a
     return _Split(xi, moving, phi, dphi, block, base, (*sl_ops, *ee_ops), le_fixed, le_moving)
@@ -749,7 +763,8 @@ def _split_layout(space, support, epsilon, t_max, standard_load):
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
     point touches (the only rows on which levels differ), the system's
-    make_load (standard_load: the standard load points and operator), and
+    make_load (standard_load: the standard load points and operator; the
+    enriched load reads the support's own load points), and
     profile_at(level) -> (phi, dphi) at every point
     (AssembledSystem.profile_at).
     The Gram block of a level taken without a previous one (the first of a
@@ -802,14 +817,12 @@ def _split_layout(space, support, epsilon, t_max, standard_load):
         p[moving], dp[moving] = final.phi, final.dphi
         return p, dp
 
-    # the source is bound once to the standard load points, then the fixed
-    # and the moving load columns' points, and one block-diagonal operator
-    # sums the standard and the fixed columns
-    coords = [(s, c[..., ~moving].ravel(), c[..., moving].ravel()) for s, c in zip(standard_load[0], support.coords)]
-    moving_points = np.broadcast_to(np.arange(len(xi_moving)), support.coords[0].shape[:-1] + xi_moving.shape).ravel()
-    op = _block_diagonal(standard_load[1], le_fixed)
-    make_load = _load_maker(tuple(map(np.concatenate, coords)), op, le_moving if moving.any() else None, moving_points)
-    return rebuild, moving_rows, make_load, profile_at
+    # the moving load columns, and the moving point of each
+    shape = support.coords[0].shape
+    moving_cols = np.flatnonzero(np.broadcast_to(moving, shape))
+    moving_points = np.broadcast_to(np.arange(len(xi_moving)), shape[:-1] + xi_moving.shape).ravel()
+    enriched = support.coords, le_fixed, le_moving if moving.any() else None, moving_cols, moving_points
+    return rebuild, moving_rows, _load_maker(*standard_load, enriched), profile_at
 
 
 def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, layout=None) -> AssembledSystem:

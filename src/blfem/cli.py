@@ -194,12 +194,14 @@ def cmd_solve(args):
         print(f"wrote {cfg['dump_field']}")
 
     if cfg["dump_matrices"]:
+        from .assembly import _check_gram
         from .linsolve import stack
 
-        # the run's own blocks at T, stacked for the dump alone; its Gram
-        # block is checked as the level is built
-        system = fieldsol.system
-        level = system.parts["rebuild"](cfg["T"])
+        # the march's own level at T, stacked for the dump alone; its Gram
+        # block is checked as a level built without a previous one is
+        system, level = fieldsol.system, fieldsol.level
+        if space.n_enriched:
+            _check_gram(level.mee)
         _dump_matrix(stack(system.mss, level.msl, level.mee), cfg["dump_matrices"] + ".mass")
         _dump_matrix(stack(system.ass, level.asl, level.aee), cfg["dump_matrices"] + ".stiffness")
         print(f"wrote {cfg['dump_matrices']}.mass / .stiffness")

@@ -2,9 +2,10 @@
 the disk mesh triangles, the triangle that holds a point, the enriched
 terms at every point, oracles for the library's read-out, the block
 stacking and the load as they were formulated before the march ran on
-fixed operators, oracles for linsolve.stack and make_load, and the enriched
-blocks as linear maps with one column per support point, the oracle for the
-chunked assembly."""
+fixed operators, oracles for linsolve.stack and make_load (among them the
+load of one block-diagonal operator over the standard and the fixed
+enriched points), and the enriched blocks as linear maps with one column
+per support point, the oracle for the chunked assembly."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -81,6 +82,43 @@ def bmat_stack(kss, kse, kee):
 def _bind(source, coords):
     g, shape = source(*coords), coords[0].shape
     return lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), shape)
+
+
+def block_diagonal(a, b):
+    """[[a, 0], [0, b]] for CSR a and b, each row's entries in their order."""
+    data, indices = np.concatenate([a.data, b.data]), np.concatenate([a.indices, b.indices + a.shape[1]])
+    shape = (a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
+    return sp.csr_matrix((data, indices, np.concatenate([a.indptr, b.indptr[1:] + a.nnz])), shape=shape)
+
+
+def block_diagonal_load(coords, op, le_moving=None, moving_points=None):
+    """make_load(source) -> load(t, phi_vals) with the source bound once to
+    the points coords (flat arrays): op @ f(*coords, t) at the leading
+    op.shape[1] points, plus, where points move, le_moving @ (phi * f) at
+    the others, phi = phi_vals[moving_points], on the last (enriched) rows."""
+    k = op.shape[1]
+
+    def make_load(source):
+        values = _bind(source, coords)
+
+        def load(t, phi_vals=None):
+            fv = values(t)
+            out = op @ fv[:k]
+            if le_moving is not None:
+                out[-le_moving.shape[0] :] += le_moving @ (phi_vals[moving_points] * fv[k:])
+            return out
+
+        return load
+
+    return make_load
+
+
+def on_every_column(le_fixed, moving):
+    """The fixed points' load operator, whose columns are the fixed load
+    columns, over every load column (moving: a mask of them), with the
+    moving ones empty."""
+    fixed, shape = np.flatnonzero(~moving), (le_fixed.shape[0], len(moving))
+    return sp.csr_matrix((le_fixed.data, fixed[le_fixed.indices], le_fixed.indptr), shape=shape)
 
 
 def separate_load(space, system, t_max=None):

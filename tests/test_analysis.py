@@ -318,14 +318,17 @@ class TestErrorReuse:
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     @pytest.mark.parametrize("scheme, kind", [("sfem", None)] + [("nfem", k) for k in ENRICHMENT_KINDS])
-    def test_report_from_run_values_equals_evaluated(self, scheme, kind, eps):
+    def test_report_from_run_values_equals_evaluated(self, scheme, kind, eps, monkeypatch):
         import blfem.analysis as analysis
 
+        handed, real = [], analysis.compute_error_report
+        monkeypatch.setattr(analysis, "compute_error_report", lambda *a, **k: handed.append(k["profile"]) or real(*a, **k))
         report, sol, space, exact = solve_scenario(2, eps, 16, 0.5, 0.25, scheme, kind or "phi_m1_lin")
+        monkeypatch.undo()
         layout = analysis._element_rules(space.mesh, eps)
         evaluated = compute_error_report(space, sol.final, exact, 0.5, eps, runtime=report.runtime, layout=layout)
         assert _same_report(report, evaluated)
-        values = sol.system.profile_at(sol.level)
+        (values,) = handed
         assert (values is None) == (scheme == "sfem")
         if values is not None:
             # the handed-over values are the profile at T on the leading points
@@ -333,6 +336,33 @@ class TestErrorReuse:
             xi = fitted_arrays(*layout.points[: len(phi)].T)[1]
             want = enrichment_profile(space.enrichment, xi, 0.5)
             assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
+    def test_march_freed_before_the_report(self, kind, monkeypatch):
+        # the run's rebuild and make_load, and the operators they hold, are
+        # gone when the report starts; the system keeps the standard blocks
+        import weakref
+
+        import blfem.analysis as analysis
+
+        refs, alive = [], []
+        assemble, report = analysis.assemble_enriched, analysis.compute_error_report
+
+        def assemble_and_watch(*args, **kwargs):
+            system = assemble(*args, **kwargs)
+            refs.extend(weakref.ref(system.parts[key]) for key in ("make_load", "rebuild"))
+            return system
+
+        def report_and_look(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "assemble_enriched", assemble_and_watch)
+        monkeypatch.setattr(analysis, "compute_error_report", report_and_look)
+        _, sol, _, _ = solve_scenario(2, 1e-5, 16, 0.5, 0.25, "nfem", kind)
+        assert len(refs) == 2 and alive == [False, False]
+        assert sol.system.parts == {} and sol.system.load_op is None
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])

@@ -9,10 +9,10 @@ import pytest
 
 from blfem import analysis, assembly
 from blfem.analysis import ExactSolution1D, ExactSolution2D
-from blfem.assembly import _block_diagonal, _discrete_field, _load_maker, assemble_enriched, build_space, element_rules_2d
+from blfem.assembly import _discrete_field, assemble_enriched, build_space, element_rules_2d
 from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec
 from blfem.mesh import build_disk_mesh, build_interval_mesh
-from helpers import operator_split, traced_transient, whole_field
+from helpers import block_diagonal, block_diagonal_load, on_every_column, operator_split, traced_transient, whole_field
 
 # one chunk, a prime that cuts the point runs of triangles, and the default
 CHUNKS = [10**9, 997, assembly.CHUNK]
@@ -44,19 +44,23 @@ def _source(*coords):
 class TestChunkedAssemblyAgainstOperators:
     def test_split_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
         # the fixed points' base block data, the moving points' operators
-        # and the load operators, with each point's xi and fixed profile
+        # and the load operators, with each point's xi and fixed profile; the
+        # fixed load over every load column of the support (1D: p, then 1 - p)
         monkeypatch.setattr(assembly, "CHUNK", chunk)
         space = _space(dim, kind, level, 1e-5)
         layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None
         support = assembly._support_1d(space) if dim == 1 else assembly._support_2d(space, layout)
         got, want = assembly._split(space, support, t_max), operator_split(space, t_max, layout)
-        for name in ("xi", "moving", "phi", "dphi", "block", "le_fixed", "le_moving"):
+        for name in ("xi", "moving", "phi", "dphi", "block", "le_moving"):
             assert _same(getattr(got, name), getattr(want, name)), name
+        assert _same(got.le_fixed, on_every_column(want.le_fixed, np.tile(want.moving, 3 - dim)))
         assert len(got.base) == len(want.base) == 4 and all(map(_same, got.base, want.base))
         assert len(got.ops) == len(want.ops) == 5 and all(map(_same, got.ops, want.ops))
 
     def test_system_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
-        # the moving rows, the load and the handed-over profile of each level
+        # the moving rows, the load and the handed-over profile of each
+        # level; the load against one block-diagonal operator over the
+        # standard and the fixed points, the source bound to all at once
         monkeypatch.setattr(assembly, "CHUNK", chunk)
         space = _space(dim, kind, level, 1e-5)
         layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None
@@ -66,7 +70,8 @@ class TestChunkedAssemblyAgainstOperators:
         coords = tuple(np.concatenate([s, c]) for s, c in zip(system.load_coords, want.coords))
         moving = want.le_moving if want.moving.any() else None
         load = system.parts["make_load"](_source)
-        want_load = _load_maker(coords, _block_diagonal(system.load_op, want.le_fixed), moving, want.moving_points)(_source)
+        op = block_diagonal(system.load_op, want.le_fixed)
+        want_load = block_diagonal_load(coords, op, moving, want.moving_points)(_source)
         for t in (0.25, 0.5):
             level = system.parts["rebuild"](t)
             assert _same(load(t, level.phi), want_load(t, level.phi))

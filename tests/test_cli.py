@@ -337,6 +337,57 @@ class TestSolveCommand:
         assert len(calls) == 1
         assert (tmp_path / "sys.mass").stat().st_size > 0
 
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
+    def test_dump_matrices_equal_a_fresh_level_at_T(self, tmp_path, monkeypatch, kind):
+        # the dump stacks the march's own last level: byte for byte the level
+        # at T of a system assembled afresh, the fixed one for phi_m1_lin
+        import blfem.analysis as analysis
+        from blfem.assembly import assemble_enriched, element_rules_2d
+        from blfem.cli import _dump_matrix
+        from blfem.linsolve import stack
+
+        spaces, real = [], analysis.solve_scenario
+
+        def solve(*args, **kwargs):
+            out = real(*args, **kwargs)
+            spaces.append(out[2])
+            return out
+
+        monkeypatch.setattr(analysis, "solve_scenario", solve)
+        argv = ["solve", "--problem", "exact2d", "--kind", kind, "--n", "16", "--dt", "0.25", "--T", "0.5"]
+        argv += ["--no-timing"]
+        assert run_cli(argv + ["--dump-matrices", "sys"], tmp_path, monkeypatch) == EXIT_OK
+        (space,) = spaces
+        eps = space.enrichment.epsilon
+        system = assemble_enriched(space, eps, t_max=0.5, layout=element_rules_2d(space.mesh, eps))
+        level = system.parts["rebuild"](0.5)
+        _dump_matrix(stack(system.mss, level.msl, level.mee), "want.mass")
+        _dump_matrix(stack(system.ass, level.asl, level.aee), "want.stiffness")
+        for suffix in ("mass", "stiffness"):
+            assert (tmp_path / f"sys.{suffix}").read_bytes() == (tmp_path / f"want.{suffix}").read_bytes(), suffix
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    def test_dump_matrices_check_the_gram_block(self, tmp_path, monkeypatch, capsys):
+        # a numerically singular Gram block in the level the dump reads
+        # exits 3 before a file is written
+        import dataclasses
+
+        import blfem.analysis as analysis
+
+        real = analysis.solve_scenario
+
+        def singular(*args, **kwargs):
+            report, fieldsol, space, exact = real(*args, **kwargs)
+            fieldsol.level = dataclasses.replace(fieldsol.level, mee=np.zeros_like(fieldsol.level.mee))
+            return report, fieldsol, space, exact
+
+        monkeypatch.setattr(analysis, "solve_scenario", singular)
+        argv = ["solve", "--problem", "exact2d", "--kind", "phi_m1_lin", "--n", "16", "--dt", "0.25", "--T", "0.5"]
+        assert run_cli(argv + ["--dump-matrices", "sys"], tmp_path, monkeypatch) == EXIT_NUMERICAL
+        assert "enriched Gram block is numerically singular" in capsys.readouterr().err
+        assert not (tmp_path / "sys.mass").exists()
+
     def test_dump_field(self, tmp_path, monkeypatch):
         code = run_cli(
             ["solve", "--problem", "exact1d", "--epsilon", "1e-3", "--n", "8",

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import blfem.assembly
 import blfem.corrector
 from blfem.analysis import ExactSolution1D, ExactSolution2D, ZeroSolution1D, ZeroSolution2D
-from blfem.assembly import assemble_enriched, assemble_standard, build_space, project_initial
+from blfem.assembly import _layer_rule_1d, assemble_enriched, assemble_standard, build_space, project_initial
 from blfem.corrector import EnrichmentSpec, ProblemData
 from blfem.linsolve import (
     BlockSolver,
@@ -221,8 +221,8 @@ class TestTimeDependentEnrichment:
 class TestBoundSource:
     @pytest.mark.parametrize("kind", ["phi0_tilde", "phi_m1"])
     def test_spatial_source_part_formed_once_per_march(self, kind, monkeypatch):
-        # the layers of exact1d are evaluated once, at the standard and the
-        # enriched load points together, whatever the number of steps
+        # the layers of exact1d are evaluated once at the standard load
+        # points and once at the enriched ones, whatever the number of steps
         eps = 1e-5
         spec = EnrichmentSpec(kind=kind, epsilon=eps)
         space = build_space(build_interval_mesh(20), spec)
@@ -241,8 +241,8 @@ class TestBoundSource:
             calls.clear()
             advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
             sizes.append(list(calls))
-        assert sizes[0] == sizes[1] and len(sizes[0]) == 1
-        assert sizes[0][0] > len(system.load_coords[0])
+        enriched = 2 * len(_layer_rule_1d(space).points)  # p for phi(x), 1 - p for phi(1 - x)
+        assert sizes[0] == sizes[1] == [len(system.load_coords[0]), enriched]
 
 
 class _PreChangeBlockSolver(BlockSolver):
