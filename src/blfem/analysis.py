@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import (
-    AssembledSystem,
     AssemblyError,
     _chunks,
     _discrete_field,
@@ -264,27 +263,22 @@ def oscillation_index(space, exact, t, layout, uh, ue) -> float:
 
 
 def compute_error_report(
-    space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0, layout=None, profile=None
+    space, coeffs, exact, t, epsilon, refine: int = 1, runtime: float = 0.0, layout=None
 ) -> ErrorReport:
     """Errors of the discrete solution against the exact one at time t;
     rel_l2 is NaN when the exact solution vanishes in L2.  `layout` is the
     unrefined layout over every element of the mesh, built here if not
     given; the oscillation index always reads it, and the norms do too
-    unless refine > 1 asks for a refined one.  `profile` is the profile and
-    its slope that the run that built `layout` computed at t on its enriched
-    blocks' points (AssembledSystem.profile_at of its last level); the field
-    on `layout` reads it there, and the profile is evaluated elsewhere."""
+    unless refine > 1 asks for a refined one."""
     if layout is None:
         layout = _element_rules(space.mesh, epsilon)
     fine = layout if refine == 1 else _element_rules(space.mesh, epsilon, refine)
-    field = _discrete_field(
-        space, coeffs, fine.points, fine.element, fine.bary, t, profile if fine is layout else None
-    )
+    field = _discrete_field(space, coeffs, fine.points, fine.element, fine.bary, t)
     err2, ex2, h12, ue = _error_integrals(exact, t, fine, field)
     vanishes = np.sqrt(ex2) < 1e-300
     uh = field[0]
     if fine is not layout:
-        uh, _ = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t, profile)
+        uh, _ = _discrete_field(space, coeffs, layout.points, layout.element, layout.bary, t)
         ue = exact.u(*np.atleast_2d(layout.points.T), t)
     return ErrorReport(
         rel_l2=float("nan") if vanishes else float(np.sqrt(err2 / ex2)),
@@ -426,8 +420,7 @@ def solve_scenario(
     selects a named built-in data set (default: the dimension's layered
     benchmark); sigma (default: mesh-derived) is the phi_m1_lin taper width.
     Every input is checked before the mesh is built; a bad one raises
-    ValueError.  Returns (ErrorReport, SolutionField, BasisSpace, exact); the
-    field's system keeps only its standard blocks."""
+    ValueError.  Returns (ErrorReport, SolutionField, BasisSpace, exact)."""
     for name, value in (("epsilon", epsilon), ("T", T), ("dt", dt)):
         if not value > 0.0:
             raise ValueError(f"{name} must be positive")
@@ -470,12 +463,10 @@ def solve_scenario(
         system = assemble_enriched(space, epsilon, t_max=T, layout=layout)
     fieldsol = advance(space, system, data, grid)
     runtime = time.perf_counter() - t0
-    # the report runs without the march's operators and load; the system keeps
-    # the standard blocks, which a dump of the last level (fieldsol.level) reads
-    profile = system.profile_at(fieldsol.level)
-    fieldsol.system = system = AssembledSystem(system.mss, system.ass, system.moving_rows, (), None, {})
+    # the report runs without the march's blocks, operators and load
+    del system
     report = compute_error_report(
-        space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime, layout=layout, profile=profile
+        space, fieldsol.final, exact, T, epsilon, refine=refine, runtime=runtime, layout=layout
     )
     return report, fieldsol, space, exact
 

@@ -94,14 +94,7 @@ class AssembledSystem:
     one empty level), and make_load(source) -> load(t, phi_vals), the
     whole load at t of the level whose moving profile values are phi_vals,
     with the source (ProblemData.source) bound once to the standard load
-    points and once to the enriched ones.
-
-    profile_at(level) -> (phi, dphi) or None hands over the profile and its
-    slope that the run computed at the points of its 2D layout's leading
-    slice (the enriched blocks' points), at the time `level` was built at;
-    the fixed points' values hold at every level (see _split_layout).  It
-    returns None in 1D, whose blocks read a layer rule of their own, and
-    for the plain space."""
+    points and once to the enriched ones."""
 
     mss: sp.csr_matrix
     ass: sp.csr_matrix
@@ -109,7 +102,6 @@ class AssembledSystem:
     load_coords: tuple
     load_op: sp.csr_matrix
     parts: dict
-    profile_at: callable = lambda level: None
 
 
 @dataclass(frozen=True)
@@ -118,10 +110,9 @@ class EnrichedLevel:
     on one CSR pattern, the Gram blocks mee, aee (m, m), the cross Gram
     block cee of this level's enriched functions (rows) with the previous
     level's (columns; mee when there is none), and the profile values phi
-    and slopes dphi at the moving quadrature points; the load at this level
-    reads phi, and the error report both of the run's last level
-    (AssembledSystem.profile_at).  The profile and its slope are evaluated
-    in one call per level, on cutoff values evaluated once per run."""
+    at the moving quadrature points, which the load at this level and the
+    next level's cee read.  The profile and its slope are evaluated in one
+    call per level, on cutoff values evaluated once per run."""
 
     msl: sp.csr_matrix
     asl: sp.csr_matrix
@@ -129,7 +120,6 @@ class EnrichedLevel:
     aee: np.ndarray
     cee: np.ndarray
     phi: np.ndarray
-    dphi: np.ndarray
 
     @cached_property
     def msl_t(self):
@@ -468,7 +458,7 @@ def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
         mass, stiff = _assemble_standard_2d(space, epsilon)
     n = space.n_standard
     none = np.zeros((0, 0))
-    empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0), np.zeros(0))
+    empty = EnrichedLevel(sp.csr_matrix((n, 0)), sp.csr_matrix((n, 0)), none, none, none, np.zeros(0))
 
     coords, op = _load_layout(space)
     parts = dict(rebuild=lambda t, previous=None: empty, make_load=_load_maker(coords, op))
@@ -685,21 +675,21 @@ class _Kept:
         return [sp.csr_matrix(pat.shape) if c is None else _operator(pat, c) for c in self.coeffs]
 
 
-_Split = namedtuple("_Split", "xi moving phi dphi block base ops le_fixed le_moving")
+_Split = namedtuple("_Split", "xi moving block base ops le_fixed le_moving")
 # (coefficient, value) of each base sum: msl, asl from phi, dphi; mee, aee from their squares
 _READS = ((0, 0), (1, 1), (2, 0)), ((0, 0), (0, 1), (1, 0))
 
 
 def _split(space, support: _Support, t_max) -> _Split:
     """The support split at xi* (time_independent_xi at t_max), past which the
-    profile is the same at every level: per point xi, the moving mask, phi
-    and dphi at t_max (0 where moving); the coupling pattern; the fixed
-    points' base data (msl, asl, mee, aee, without eps) and load operator
-    (phi folded in) over every load column of the support, with none in a
-    moving point's; the moving points' operators (sl_m, sl_a1, sl_a2, ee_m,
-    ee_ang) and load operator over their load columns.  np.add.at sums the
-    fixed points' terms in point order, one by one as a CSR mat-vec would
-    (moving points add 0)."""
+    profile is the same at every level: the moving points' xi, the moving
+    mask over every point; the coupling pattern; the fixed points' base data
+    (msl, asl, mee, aee, without eps, from phi and dphi at t_max) and load
+    operator (phi folded in) over every load column of the support, with
+    none in a moving point's; the moving points' operators (sl_m, sl_a1,
+    sl_a2, ee_m, ee_ang) and load operator over their load columns.
+    np.add.at sums the fixed points' terms in point order, one by one as a
+    CSR mat-vec would (moving points add 0)."""
     n, m = space.n_standard, space.n_enriched
     xi_star = time_independent_xi(space.enrichment, t_max)
     xi, present, n_sl = np.empty(support.size), np.zeros(n * m, dtype=bool), 0
@@ -740,7 +730,7 @@ def _split(space, support: _Support, t_max) -> _Split:
     le_fixed = _pattern(fixed_rows, width * ~np.broadcast_to(moving, support.coords[0].shape).ravel(), m, fixed_data)
     (msl, asl_r, asl_a), (mee, aee_r, aee_a) = base
     base = msl, asl_r + asl_a, mee, aee_r + aee_a
-    return _Split(xi, moving, phi, dphi, block, base, (*sl_ops, *ee_ops), le_fixed, le_moving)
+    return _Split(xi[moving], moving, block, base, (*sl_ops, *ee_ops), le_fixed, le_moving)
 
 
 def _check_gram(mee):
@@ -762,18 +752,15 @@ def _split_layout(space, support, epsilon, t_max, standard_load):
 
     Returns rebuild(t, previous=None) -> EnrichedLevel (the one fixed level
     when no point moves), the standard DOFs R whose coupling entries a moving
-    point touches (the only rows on which levels differ), the system's
+    point touches (the only rows on which levels differ), and the system's
     make_load (standard_load: the standard load points and operator; the
-    enriched load reads the support's own load points), and
-    profile_at(level) -> (phi, dphi) at every point
-    (AssembledSystem.profile_at).
+    enriched load reads the support's own load points).
     The Gram block of a level taken without a previous one (the first of a
     march, the fixed level, a dump's level) is checked for singularity."""
     spec = space.enrichment
     n, m = space.n_standard, space.n_enriched
-    xi, moving, phi, dphi, block, base, ops, le_fixed, le_moving = _split(space, support, t_max)
+    xi_moving, moving, block, base, ops, le_fixed, le_moving = _split(space, support, t_max)
     (base_msl, base_asl, base_mee, base_aee), (sl_m, sl_a1, sl_a2, ee_m, ee_ang) = base, ops
-    xi_moving = xi[moving]
     cutoff = cutoff_delta(xi_moving), cutoff_delta_dxi(xi_moving)
     # the coupling operators share one pattern, explicit zeros included, so
     # the entries with a moving point in sl_m are those of all three
@@ -796,7 +783,6 @@ def _split_layout(space, support, epsilon, t_max, standard_load):
             aee=_symmetric(epsilon * (base_aee + (ee_m @ dp**2 + ee_ang @ p2)), m),
             cee=mee if previous is None else _symmetric(base_mee + ee_m @ (p * previous.phi), m),
             phi=p,
-            dphi=dp,
         )
 
     if not moving.any():
@@ -812,17 +798,12 @@ def _split_layout(space, support, epsilon, t_max, standard_load):
                 raise ValueError(f"level t = {t} lies past the split time t_max = {t_max}")
             return level(t, previous)
 
-    def profile_at(final):
-        p, dp = phi.copy(), dphi.copy()
-        p[moving], dp[moving] = final.phi, final.dphi
-        return p, dp
-
     # the moving load columns, and the moving point of each
     shape = support.coords[0].shape
     moving_cols = np.flatnonzero(np.broadcast_to(moving, shape))
     moving_points = np.broadcast_to(np.arange(len(xi_moving)), shape[:-1] + xi_moving.shape).ravel()
     enriched = support.coords, le_fixed, le_moving if moving.any() else None, moving_cols, moving_points
-    return rebuild, moving_rows, _load_maker(*standard_load, enriched), profile_at
+    return rebuild, moving_rows, _load_maker(*standard_load, enriched)
 
 
 def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, layout=None) -> AssembledSystem:
@@ -847,13 +828,8 @@ def assemble_enriched(space: BasisSpace, epsilon: float, t_max: float = None, la
             layout = element_rules_2d(space.mesh, space.enrichment.epsilon)
         support = _support_2d(space, layout)
     standard_load = system.load_coords, system.load_op
-    rebuild, moving_rows, make_load, profile_at = _split_layout(space, support, epsilon, t_max, standard_load)
-    return replace(
-        system,
-        moving_rows=moving_rows,
-        parts=dict(rebuild=rebuild, make_load=make_load),
-        profile_at=profile_at if space.mesh.dim == 2 else system.profile_at,
-    )
+    rebuild, moving_rows, make_load = _split_layout(space, support, epsilon, t_max, standard_load)
+    return replace(system, moving_rows=moving_rows, parts=dict(rebuild=rebuild, make_load=make_load))
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +859,7 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0):
     return solve_spd(stack(system.mss, level.msl, level.mee), rhs)
 
 
-def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile=None):
+def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t):
     """Value (points,) and gradient (points, dim) of the discrete solution at
     points (1D: (n,), 2D: (n, 2)) lying in the given mesh elements at the
     given barycentric coordinates; the one read-out of a solution.
@@ -892,9 +868,7 @@ def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile
     1 are phi(x) and phi(1 - x), so xi = (x, 1 - x) and d/dx = (d/dxi,
     -d/dxi), each evaluated only within its own support.  2D: phi(xi) times
     the two angular hats alive at eta, at the points of the support
-    triangles (_support_triangles): on the run's layout, the enriched
-    blocks' points, where profile, if given, is the profile and its slope
-    (AssembledSystem.profile_at), read instead of evaluated."""
+    triangles (_support_triangles), chunk by chunk (_chunks)."""
     mesh, spec = space.mesh, space.enrichment
     c = np.zeros(len(mesh.nodes))
     c[space.interior_nodes] = coeffs[: space.n_standard]
@@ -907,8 +881,6 @@ def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile
     one_d = mesh.dim == 1
     near = np.minimum(points, 1.0 - points) <= spec.support + 1e-12 if one_d else _support_triangles(space)[element]
     near = np.flatnonzero(near)
-    if profile is not None and len(profile[0]) != len(near):
-        raise AssemblyError(f"a profile of {len(profile[0])} values for {len(near)} enriched points")
     for sel in [slice(0, len(near))] if one_d else _chunks(len(near)):
         at = near[sel]
         if one_d:
@@ -920,7 +892,7 @@ def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t, profile
             evals, egrads = phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
         else:
             xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, *points[at].T)
-            phi, dphi = enrichment_profile(spec, xi, t) if profile is None else (profile[0][sel], profile[1][sel])
+            phi, dphi = enrichment_profile(spec, xi, t)
             evals = phi[:, None] * psi
             egrads = dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
             egrads += phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]

@@ -194,16 +194,17 @@ def cmd_solve(args):
         print(f"wrote {cfg['dump_field']}")
 
     if cfg["dump_matrices"]:
-        from .assembly import _check_gram
+        from .assembly import _check_gram, assemble_standard
         from .linsolve import stack
 
-        # the march's own level at T, stacked for the dump alone; its Gram
-        # block is checked as a level built without a previous one is
-        system, level = fieldsol.system, fieldsol.level
+        # the march's own level at T on the closed-form standard blocks,
+        # stacked for the dump alone; its Gram block is checked as a level
+        # built without a previous one is
+        standard, level = assemble_standard(space, cfg["epsilon"]), fieldsol.level
         if space.n_enriched:
             _check_gram(level.mee)
-        _dump_matrix(stack(system.mss, level.msl, level.mee), cfg["dump_matrices"] + ".mass")
-        _dump_matrix(stack(system.ass, level.asl, level.aee), cfg["dump_matrices"] + ".stiffness")
+        _dump_matrix(stack(standard.mss, level.msl, level.mee), cfg["dump_matrices"] + ".mass")
+        _dump_matrix(stack(standard.ass, level.asl, level.aee), cfg["dump_matrices"] + ".stiffness")
         print(f"wrote {cfg['dump_matrices']}.mass / .stiffness")
     return EXIT_OK
 

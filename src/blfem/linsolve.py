@@ -117,32 +117,22 @@ class BlockSolver:
     def factor(self, kse, kee):
         """Take the level with coupling kse (n, m) and enriched block kee
         (m, m); returns the solve of this factorization, rhs (n + m,) ->
-        solution, which skips the checks of `solve`."""
-        self.kse = sp.csr_matrix(kse)
-        # a CSC view: its mat-vec sums each entry as the CSR transpose's does
-        self.kse_t = self.kse.T
-        self.kee = np.asarray(kee, dtype=float)
-        # no bound method of self is kept on self: that cycle would keep the factors alive after the march
-        self._solve = None
+        solution."""
+        kse, kee = sp.csr_matrix(kse), np.asarray(kee, dtype=float)
         if not self.uses_schur:
-            self._solve = SpdSolver(stack(self.kss, self.kse, self.kee))._lu.solve
-        else:
-            dc = np.zeros(self._c0_rows.shape)
-            dc.flat[self._to] = self.kse.data[self._at]
-            self._dc = dc - self._c0_rows
-            dc, zr = self._dc, self._z0_rows
-            s = self.kee - self._s0 - zr.T @ dc - dc.T @ zr - dc.T @ (self._g @ dc)
-            try:
-                self._schur = sla.cho_factor(0.5 * (s + s.T), lower=True)
-            except sla.LinAlgError as exc:
-                raise NotPositiveDefinite(f"enriched Schur complement: {exc}") from exc
-        return self._solve or self._schur_solve
-
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.n + self.m,):
-            raise ValueError("rhs dimension mismatch")
-        return (self._solve or self._schur_solve)(rhs)
+            return SpdSolver(stack(self.kss, kse, kee))._lu.solve
+        # a CSC view: its mat-vec sums each entry as the CSR transpose's does
+        self.kse_t = kse.T
+        dc = np.zeros(self._c0_rows.shape)
+        dc.flat[self._to] = kse.data[self._at]
+        self._dc = dc - self._c0_rows
+        dc, zr = self._dc, self._z0_rows
+        s = kee - self._s0 - zr.T @ dc - dc.T @ zr - dc.T @ (self._g @ dc)
+        try:
+            self._schur = sla.cho_factor(0.5 * (s + s.T), lower=True)
+        except sla.LinAlgError as exc:
+            raise NotPositiveDefinite(f"enriched Schur complement: {exc}") from exc
+        return self._schur_solve
 
     def _schur_solve(self, rhs):
         n = self.n

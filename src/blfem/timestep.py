@@ -53,8 +53,8 @@ class TimeGrid:
 
 @dataclass
 class SolutionField:
-    """Coefficient history of a time-stepped Galerkin solution, the system
-    it was marched on, and the enriched level of its final coefficients.
+    """Coefficient history of a time-stepped Galerkin solution and the
+    enriched level of its final coefficients.
 
     history[n] holds the coefficients at times[n]; for time-dependent
     enrichments the profile of row n is evaluated at times[n]."""
@@ -62,7 +62,6 @@ class SolutionField:
     space: BasisSpace
     grid: TimeGrid
     history: np.ndarray
-    system: AssembledSystem
     level: EnrichedLevel
 
     @property
@@ -112,4 +111,4 @@ def advance(
             old = new
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"time step {step}: {exc}") from exc
-    return SolutionField(space=space, grid=grid, history=history, system=system, level=old)
+    return SolutionField(space=space, grid=grid, history=history, level=old)

@@ -319,7 +319,7 @@ def operator_split(space, t_max=None, layout=None, pattern=coupling_pattern):
     )
 
 
-def whole_field(space, coeffs, points, element, bary, t, profile=None):
+def whole_field(space, coeffs, points, element, bary, t):
     """assembly._discrete_field as it read the enrichment before it went
     chunk by chunk: on boolean-mask copies of every point it reads."""
     mesh, spec = space.mesh, space.enrichment
@@ -339,7 +339,7 @@ def whole_field(space, coeffs, points, element, bary, t, profile=None):
     else:
         near = _support_triangles(space)[element]
         xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, *points[near].T)
-        phi, dphi = enrichment_profile(spec, xi, t) if profile is None else profile
+        phi, dphi = enrichment_profile(spec, xi, t)
         evals = phi[:, None] * psi
         egrads = (
             dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]

@@ -26,7 +26,7 @@ from blfem.analysis import (
     solve_scenario,
     write_convergence_csv,
 )
-from blfem.assembly import assemble_enriched, build_space, fitted_arrays
+from blfem.assembly import assemble_enriched, build_space
 from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import TimeGrid, advance
@@ -312,36 +312,25 @@ def _same_report(a, b):
 
 
 class TestErrorReuse:
-    """A 2D run hands its profile values at T to the error report, which then
-    evaluates the profile nowhere on the enriched blocks' points."""
+    """A 2D run's error report reads the run's one layout and the final
+    coefficients, with the march freed before it starts."""
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     @pytest.mark.parametrize("scheme, kind", [("sfem", None)] + [("nfem", k) for k in ENRICHMENT_KINDS])
-    def test_report_from_run_values_equals_evaluated(self, scheme, kind, eps, monkeypatch):
+    def test_report_from_run_values_equals_evaluated(self, scheme, kind, eps):
         import blfem.analysis as analysis
 
-        handed, real = [], analysis.compute_error_report
-        monkeypatch.setattr(analysis, "compute_error_report", lambda *a, **k: handed.append(k["profile"]) or real(*a, **k))
         report, sol, space, exact = solve_scenario(2, eps, 16, 0.5, 0.25, scheme, kind or "phi_m1_lin")
-        monkeypatch.undo()
         layout = analysis._element_rules(space.mesh, eps)
         evaluated = compute_error_report(space, sol.final, exact, 0.5, eps, runtime=report.runtime, layout=layout)
         assert _same_report(report, evaluated)
-        (values,) = handed
-        assert (values is None) == (scheme == "sfem")
-        if values is not None:
-            # the handed-over values are the profile at T on the leading points
-            phi, dphi = values
-            xi = fitted_arrays(*layout.points[: len(phi)].T)[1]
-            want = enrichment_profile(space.enrichment, xi, 0.5)
-            assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
     def test_march_freed_before_the_report(self, kind, monkeypatch):
         # the run's rebuild and make_load, and the operators they hold, are
-        # gone when the report starts; the system keeps the standard blocks
+        # gone when the report starts, and the solution keeps no system
         import weakref
 
         import blfem.analysis as analysis
@@ -362,7 +351,7 @@ class TestErrorReuse:
         monkeypatch.setattr(analysis, "compute_error_report", report_and_look)
         _, sol, _, _ = solve_scenario(2, 1e-5, 16, 0.5, 0.25, "nfem", kind)
         assert len(refs) == 2 and alive == [False, False]
-        assert sol.system.parts == {} and sol.system.load_op is None
+        assert not hasattr(sol, "system")
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
@@ -378,10 +367,47 @@ class TestErrorReuse:
         assert _same_report(report, evaluated)
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize("kind", ["phi0", "phi_m1"])
-    def test_no_split_time_hands_over_the_run_values(self, kind):
+    @pytest.mark.parametrize("scheme, kind", [("sfem", None)] + [("nfem", k) for k in ENRICHMENT_KINDS])
+    def test_report_evaluates_the_profile_at_T_once_per_support_point(self, scheme, kind, monkeypatch):
+        # the report's one profile evaluation: at T, chunk by chunk, on the
+        # points of the support triangles in layout order, each once; a
+        # standard run evaluates none.  At B = 26 the support triangles are
+        # 185 (phi_m1_lin: 129) of the 212
+        import blfem.analysis as analysis
+        import blfem.assembly as assembly
+
+        calls, phase = {"run": [], "report": []}, ["run"]
+        profile, report = assembly.enrichment_profile, analysis.compute_error_report
+
+        def recorded_profile(spec, xi, t=None, *args, **kwargs):
+            calls[phase[0]].append((np.array(xi, copy=True), t))
+            return profile(spec, xi, t, *args, **kwargs)
+
+        def recorded_report(*args, **kwargs):
+            phase[0] = "report"
+            try:
+                return report(*args, **kwargs)
+            finally:
+                phase[0] = "run"
+
+        monkeypatch.setattr(assembly, "enrichment_profile", recorded_profile)
+        monkeypatch.setattr(analysis, "compute_error_report", recorded_report)
+        _, _, space, _ = solve_scenario(2, 1e-5, 26, 0.5, 0.25, scheme, kind or "phi_m1_lin")
+        if scheme == "sfem":
+            assert calls == {"run": [], "report": []}
+            return
+        assert calls["run"] and calls["report"]
+        assert all(t == 0.5 for _, t in calls["report"])
+        layout = analysis._element_rules(space.mesh, 1e-5)
+        xi = coupling_layout_2d(space, layout).xi
+        assert len(xi) < len(layout.points)
+        assert np.concatenate([x for x, _ in calls["report"]]).tobytes() == xi.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("kind", ["phi0", "phi0_tilde"])
+    def test_no_split_time_final_level_is_the_profile_at_T(self, kind):
         # without t_max every point of a time-dependent kind moves, and the
-        # final level's values are the profile at T all the same
+        # march ends on the level of the profile at T at every support point
         import blfem.analysis as analysis
 
         eps = 1e-5
@@ -389,64 +415,8 @@ class TestErrorReuse:
         space = build_space(build_disk_mesh(16), EnrichmentSpec(kind=kind, epsilon=eps))
         layout = analysis._element_rules(space.mesh, eps)
         sol = advance(space, assemble_enriched(space, eps, layout=layout), exact.problem(), TimeGrid(T=0.5, n_steps=2))
-        phi, dphi = sol.system.profile_at(sol.level)
-        want = enrichment_profile(space.enrichment, coupling_layout_2d(space, layout).xi, 0.5)
-        assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
-
-    @pytest.mark.parametrize("b", [16, 52])
-    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
-    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
-    def test_every_level_hands_over_the_profile_at_its_time(self, b, kind, eps):
-        # what lets profile_at take a level alone: the fixed points' values
-        # past xi* equal the profile at every t in [0, t_max], and with no
-        # t_max every point moves; to the bit for t > 0, as values at t = 0
-        # (the t = 0 limits of phi0 and phi0_tilde differ there in the sign
-        # of zeros)
-        import blfem.analysis as analysis
-
-        mesh = build_disk_mesh(b)
-        sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
-        space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
-        layout = analysis._element_rules(mesh, eps)
-        xi = coupling_layout_2d(space, layout).xi
-        grid = TimeGrid(T=0.5, n_steps=4)
-        for t_max in (grid.T, None):
-            system = assemble_enriched(space, eps, t_max=t_max, layout=layout)
-            for t in grid.times:
-                phi, dphi = system.profile_at(system.parts["rebuild"](t))
-                want = enrichment_profile(space.enrichment, xi, t)
-                if t > 0.0:
-                    assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
-                else:
-                    assert np.array_equal(phi, want[0]) and np.array_equal(dphi, want[1])
-
-    @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
-    def test_no_profile_call_at_T_in_the_report(self, kind, monkeypatch):
-        import blfem.analysis as analysis
-        import blfem.assembly as assembly
-
-        calls = {"report": 0, "run": 0, "reports": 0}
-        phase = ["run"]
-        profile, report = assembly.enrichment_profile, analysis.compute_error_report
-
-        def counted_profile(*args, **kwargs):
-            calls[phase[0]] += 1
-            return profile(*args, **kwargs)
-
-        def counted_report(*args, **kwargs):
-            calls["reports"] += 1
-            phase[0] = "report"
-            try:
-                return report(*args, **kwargs)
-            finally:
-                phase[0] = "run"
-
-        monkeypatch.setattr(assembly, "enrichment_profile", counted_profile)
-        monkeypatch.setattr(analysis, "compute_error_report", counted_report)
-        solve_scenario(2, 1e-5, 16, 0.5, 0.25, "nfem", kind)
-        assert calls["reports"] == 1 and calls["run"] > 0
-        assert calls["report"] == 0
+        want = enrichment_profile(space.enrichment, coupling_layout_2d(space, layout).xi, 0.5)[0]
+        assert sol.level.phi.tobytes() == want.tobytes()
 
 
 class TestOscillationIndex:

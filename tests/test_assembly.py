@@ -29,12 +29,12 @@ from blfem.assembly import (
     triangle_geometry,
     triangle_rule_points,
 )
-from blfem.corrector import EnrichmentSpec, enrichment_profile
+from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
 from blfem.linsolve import stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
-from blfem.timestep import cross_level_product
-from helpers import locate_disk, on_every_column, operator_split, point_pattern, separate_load, subset_layout
+from blfem.timestep import TimeGrid, cross_level_product
+from helpers import coupling_layout_2d, locate_disk, on_every_column, operator_split, point_pattern, separate_load, subset_layout
 
 
 def _bound(f):
@@ -639,6 +639,40 @@ class TestSplitLayout:
         underflow = lambda spec, t_max: max(math.sqrt(4.0 * eps * 745.14), 37.68 * math.sqrt(2.0 * eps)) * math.sqrt(t_max)
         monkeypatch.setattr(assembly, "time_independent_xi", underflow)
         assert 0 < 2 * moving <= np.count_nonzero(assembly._split(space, support, 1.0).moving)
+
+    @pytest.mark.parametrize("b", [16, 52])
+    @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+    def test_fixed_values_and_every_level_are_the_profile_at_its_time(self, b, kind, eps):
+        # every level's base sums take the fixed points' values at t_max,
+        # so past xi*(t_max) they must equal the profile at every t in
+        # [0, t_max], and each level's values are the profile at the moving
+        # points; with no t_max every point of a time-dependent kind moves.
+        # To the bit for t > 0, as values at t = 0 (the t = 0 limits of phi0
+        # and phi0_tilde differ there in the sign of zeros)
+        import blfem.assembly as assembly
+
+        mesh = build_disk_mesh(b)
+        sigma = min(3.0 * mesh.outer_ring_width, 0.5) if kind == "phi_m1_lin" else None
+        spec = EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma)
+        space = build_space(mesh, spec)
+        layout = element_rules_2d(mesh, eps)
+        support = assembly._support_2d(space, layout)
+        xi = coupling_layout_2d(space, layout).xi
+        grid = TimeGrid(T=0.5, n_steps=4)
+        for t_max in (grid.T, None):
+            moving = assembly._split(space, support, t_max).moving
+            assert moving.all() == (t_max is None and spec.time_dependent)
+            fixed = enrichment_profile(spec, xi[~moving], t_max) if not moving.all() else (np.zeros(0),) * 2
+            rebuild = assemble_enriched(space, eps, t_max=t_max, layout=layout).parts["rebuild"]
+            for t in grid.times:
+                want = enrichment_profile(spec, xi, t)
+                got = (*fixed, rebuild(t).phi)
+                want = want[0][~moving], want[1][~moving], want[0][moving]
+                if t > 0.0:
+                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), t
+                else:
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", ["phi_m1", "phi_m1_lin"])

@@ -10,7 +10,7 @@ import pytest
 from blfem import analysis, assembly
 from blfem.analysis import ExactSolution1D, ExactSolution2D
 from blfem.assembly import _discrete_field, assemble_enriched, build_space, element_rules_2d
-from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec
+from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from helpers import block_diagonal, block_diagonal_load, on_every_column, operator_split, traced_transient, whole_field
 
@@ -44,21 +44,22 @@ def _source(*coords):
 class TestChunkedAssemblyAgainstOperators:
     def test_split_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
         # the fixed points' base block data, the moving points' operators
-        # and the load operators, with each point's xi and fixed profile; the
-        # fixed load over every load column of the support (1D: p, then 1 - p)
+        # and xi, and the load operators; the fixed load over every load
+        # column of the support (1D: p, then 1 - p)
         monkeypatch.setattr(assembly, "CHUNK", chunk)
         space = _space(dim, kind, level, 1e-5)
         layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None
         support = assembly._support_1d(space) if dim == 1 else assembly._support_2d(space, layout)
         got, want = assembly._split(space, support, t_max), operator_split(space, t_max, layout)
-        for name in ("xi", "moving", "phi", "dphi", "block", "le_moving"):
+        assert _same(got.xi, want.xi[want.moving])
+        for name in ("moving", "block", "le_moving"):
             assert _same(getattr(got, name), getattr(want, name)), name
         assert _same(got.le_fixed, on_every_column(want.le_fixed, np.tile(want.moving, 3 - dim)))
         assert len(got.base) == len(want.base) == 4 and all(map(_same, got.base, want.base))
         assert len(got.ops) == len(want.ops) == 5 and all(map(_same, got.ops, want.ops))
 
     def test_system_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
-        # the moving rows, the load and the handed-over profile of each
+        # the moving rows, and the load and the moving profile values of each
         # level; the load against one block-diagonal operator over the
         # standard and the fixed points, the source bound to all at once
         monkeypatch.setattr(assembly, "CHUNK", chunk)
@@ -74,30 +75,23 @@ class TestChunkedAssemblyAgainstOperators:
         want_load = block_diagonal_load(coords, op, moving, want.moving_points)(_source)
         for t in (0.25, 0.5):
             level = system.parts["rebuild"](t)
+            assert _same(level.phi, enrichment_profile(space.enrichment, want.xi[want.moving], t)[0])
             assert _same(load(t, level.phi), want_load(t, level.phi))
-            if dim == 2:
-                phi, dphi = want.phi.copy(), want.dphi.copy()
-                phi[want.moving], dphi[want.moving] = level.phi, level.dphi
-                assert all(map(_same, system.profile_at(level), (phi, dphi)))
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
 def test_read_out_identical_to_whole_arrays(kind, chunk, monkeypatch):
-    # on the run's layout with its profile handed over and evaluated, and at
-    # points in any order
+    # on the run's layout, and at points in any order
     monkeypatch.setattr(assembly, "CHUNK", chunk)
     space = _space(2, kind, 16, 1e-5)
     layout = element_rules_2d(space.mesh, 1e-5)
-    system = assemble_enriched(space, 1e-5, t_max=0.5, layout=layout)
-    profile = system.profile_at(system.parts["rebuild"](0.5))
     coeffs = np.random.default_rng(5).standard_normal(space.total_dofs)
     order = np.random.default_rng(6).permutation(len(layout.weights))
     reads = [(layout.points, layout.element, layout.bary), (layout.points[order], layout.element[order], layout.bary[order])]
     for points, element, bary in reads:
-        for given in (profile, None) if points is layout.points else (None,):
-            got = _discrete_field(space, coeffs, points, element, bary, 0.5, given)
-            assert all(map(_same, got, whole_field(space, coeffs, points, element, bary, 0.5, given)))
+        got = _discrete_field(space, coeffs, points, element, bary, 0.5)
+        assert all(map(_same, got, whole_field(space, coeffs, points, element, bary, 0.5)))
 
 
 def _whole_error_integrals(exact, t, layout, field):
@@ -140,11 +134,9 @@ class TestMemoryBoundedByTheChunk:
     def test_read_out(self):
         space = _space(2, "phi_m1_lin", 52, 1e-8)
         layout = element_rules_2d(space.mesh, 1e-8)
-        system = assemble_enriched(space, 1e-8, t_max=1.0, layout=layout)
         args = space, np.ones(space.total_dofs), layout.points, layout.element, layout.bary, 1.0
-        profile = system.profile_at(system.parts["rebuild"](1.0))
-        _, oracle = traced_transient(lambda: whole_field(*args, profile))
-        _, chunked = traced_transient(lambda: _discrete_field(*args, profile))
+        _, oracle = traced_transient(lambda: whole_field(*args))
+        _, chunked = traced_transient(lambda: _discrete_field(*args))
         assert chunked < 0.35 * oracle, (chunked, oracle)
 
     def test_error_integrals(self):

@@ -325,8 +325,8 @@ class TestSolveCommand:
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
     def test_dump_matrices_reads_the_runs_layout(self, tmp_path, monkeypatch, kind):
-        # the dump stacks the run's own level at T: no second system and no
-        # second whole-mesh layout
+        # the dump stacks the run's own level at T on the closed-form
+        # standard blocks: no second whole-mesh layout
         import blfem.assembly
 
         calls = []

@@ -10,7 +10,6 @@ from blfem import assembly
 from blfem.analysis import compute_error_report, solve_scenario
 from blfem.assembly import (
     AssemblyError,
-    _discrete_field,
     _support_triangles,
     build_space,
     element_rules_1d,
@@ -174,7 +173,6 @@ class TestSharedLayout:
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps, sigma=sigma))
         layout = element_rules_2d(mesh, eps)
         support_points = assembly._support_2d(space, layout)
-        xi = support_points.terms(slice(0, support_points.size), keys_only=True)[0]
         r_max = np.hypot(*mesh.nodes.T)[mesh.triangles].max(axis=1)
         support = np.nonzero(r_max > 1.0 - space.enrichment.support + 1e-12)[0]
         assert 0 < len(support) < len(mesh.triangles)
@@ -183,18 +181,10 @@ class TestSharedLayout:
             assert got.tobytes() == want.tobytes()
             assert np.shares_memory(got, layout.points)
         # the read-out takes the enrichment on the same support triangles, so
-        # its points there are exactly this slice: a handed-over profile is
-        # read whole, and one of another length raises
+        # its points there are exactly this slice
         near = _support_triangles(space)[layout.element]
-        k = len(xi)
+        k = support_points.size
         assert near[:k].all() and not near[k:].any()
-        args = (space, np.ones(space.total_dofs), layout.points, layout.element, layout.bary, 0.5)
-        phi, dphi = enrichment_profile(space.enrichment, xi, 0.5)
-        evaluated, given = _discrete_field(*args), _discrete_field(*args, profile=(phi, dphi))
-        assert all(e.tobytes() == g.tobytes() for e, g in zip(evaluated, given))
-        for cut in (phi[:-1], dphi[:-1]), (np.append(phi, 0.0), np.append(dphi, 0.0)):
-            with pytest.raises(AssemblyError):
-                _discrete_field(*args, profile=cut)
 
     def test_support_not_leading_the_mesh_rejected(self):
         mesh = build_disk_mesh(16)
