@@ -1,37 +1,13 @@
 #!/usr/bin/env python3
 """Sample the four boundary-layer profiles on a log-spaced xi grid to CSV.
 
-Thin wrapper over `blfem corrector`; see that subcommand for the schema.
+Runs `blfem corrector` with this script's arguments (its flags and
+--config); see that subcommand for the schema.
 """
 
-import argparse
 import sys
 
-from blfem.cli import main as cli_main
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--epsilon", type=float, default=1e-5)
-    ap.add_argument("--t", type=float, default=1.0)
-    ap.add_argument("--sigma", type=float, default=0.1)
-    ap.add_argument("--xi-max", type=float, default=0.5)
-    ap.add_argument("--points", type=int, default=400)
-    ap.add_argument("-o", "--output", default="profiles.csv")
-    args = ap.parse_args()
-
-    return cli_main(
-        [
-            "corrector",
-            "--epsilon", str(args.epsilon),
-            "--t", str(args.t),
-            "--sigma", str(args.sigma),
-            "--xi-max", str(args.xi_max),
-            "--points", str(args.points),
-            "-o", args.output,
-        ]
-    )
-
+from blfem.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["corrector", *sys.argv[1:]]))

@@ -40,13 +40,20 @@ BOUNDARY_STRIP = 0.25
 
 class _Solution:
     """A data set with a known solution on the domain of dimension `dim` (a
-    class attribute, not a dataclass field)."""
+    class attribute, not a dataclass field).  A subclass defines
+    `value_and_grad` (u and grad u at the same points: coordinates, then t)
+    and `source`; u, grad u and the initial data u0 = u(t = 0) follow."""
 
     dim = 1
 
-    def value_and_grad(self, *coords_t):
-        """u and grad u at the same points (coordinates, then t)."""
-        return self.u(*coords_t), self.grad(*coords_t)
+    def u(self, *coords_t):
+        return self.value_and_grad(*coords_t)[0]
+
+    def grad(self, *coords_t):
+        return self.value_and_grad(*coords_t)[1]
+
+    def u0(self, *coords):
+        return self.u(*coords, 0.0)
 
     def f(self, *coords_t):
         """The source at the points (coordinates, then t), from source."""
@@ -73,12 +80,6 @@ class ExactSolution1D(_Solution):
             out.append((1.0 - e * c, e * (c + sn), -2.0 * e * sn))
         return out
 
-    def u(self, x, t):
-        return self.value_and_grad(x, t)[0]
-
-    def grad(self, x, t):
-        return self.value_and_grad(x, t)[1]
-
     def value_and_grad(self, x, t):
         """u and grad u from one evaluation of the layers."""
         (ga, g1a, _), (gb, g1b, _) = self._layers(x)
@@ -92,6 +93,7 @@ class ExactSolution1D(_Solution):
         return lambda t: steady - t * eps * lap
 
     def u0(self, x):
+        """Zero, as defined, without evaluating the layers."""
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -121,10 +123,8 @@ class ExactSolution2D(_Solution):
         )
 
     def u(self, x, y, t):
+        """u alone, without the I1 Bessel value of the gradient."""
         return self.u_radial(np.hypot(x, y), t)
-
-    def grad(self, x, y, t):
-        return self.value_and_grad(x, y, t)[1]
 
     def value_and_grad(self, x, y, t):
         """u and grad u, each formed as u_radial and u_r form it, from one
@@ -141,9 +141,6 @@ class ExactSolution2D(_Solution):
         ones = np.ones_like(np.asarray(x, dtype=float))
         return lambda t: np.exp(t) * ones
 
-    def u0(self, x, y):
-        return self.u(x, y, 0.0)
-
 
 @dataclass(frozen=True)
 class ZeroSolution1D(_Solution):
@@ -152,18 +149,12 @@ class ZeroSolution1D(_Solution):
 
     epsilon: float
 
-    def u(self, x, *_):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def grad(self, x, *_):
-        return np.zeros(np.shape(x) + (self.dim,))
+    def value_and_grad(self, x, *_):
+        return np.zeros_like(np.asarray(x, dtype=float)), np.zeros(np.shape(x) + (self.dim,))
 
     def source(self, x, *_):
-        zeros = self.u(x)
+        zeros = np.zeros_like(np.asarray(x, dtype=float))
         return lambda t: zeros
-
-    def u0(self, x, *_):
-        return self.u(x)
 
 
 @dataclass(frozen=True)
@@ -180,18 +171,13 @@ class SmoothSolution1D(_Solution):
 
     epsilon: float
 
-    def u(self, x, t):
-        return (1.0 + t) * np.sin(np.pi * np.asarray(x, dtype=float))
-
-    def grad(self, x, t):
-        return ((1.0 + t) * np.pi * np.cos(np.pi * np.asarray(x, dtype=float)))[..., None]
+    def value_and_grad(self, x, t):
+        px = np.pi * np.asarray(x, dtype=float)
+        return (1.0 + t) * np.sin(px), ((1.0 + t) * np.pi * np.cos(px))[..., None]
 
     def source(self, x):
         s, c = np.sin(np.pi * np.asarray(x, dtype=float)), self.epsilon * np.pi**2
         return lambda t: s * (1.0 + c * (1.0 + t))
-
-    def u0(self, x):
-        return np.sin(np.pi * np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +311,8 @@ CSV_HEADER = "scheme,epsilon,h,dofs,dt,T,rel_l2,h1_err,osc_index,runtime_s"
 
 
 def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, (str, int, np.integer)):
+        return str(x)
     return f"{float(x):.10g}"
 
 
@@ -348,21 +334,9 @@ def report_row(scheme, epsilon, dt, T, report: ErrorReport, timing=True):
 
 
 def format_csv_row(r):
-    """One data line of the documented CSV schema (10 significant digits)."""
-    return ",".join(
-        [
-            r["scheme"],
-            _fmt(r["epsilon"]),
-            _fmt(r["h"]),
-            _fmt(r["dofs"]),
-            _fmt(r["dt"]),
-            _fmt(r["T"]),
-            _fmt(r["rel_l2"]),
-            _fmt(r["h1_err"]),
-            _fmt(r["osc_index"]),
-            _fmt(r["runtime_s"]),
-        ]
-    )
+    """One data line of the documented CSV schema: the columns of CSV_HEADER
+    in its order (numbers to 10 significant digits)."""
+    return ",".join(_fmt(r[k]) for k in CSV_HEADER.split(","))
 
 
 def write_convergence_csv(table: ConvergenceTable, path, header_comments=()):
@@ -377,13 +351,13 @@ def write_convergence_csv(table: ConvergenceTable, path, header_comments=()):
         fh.write("\n".join(lines) + "\n")
 
 
-# named built-in data sets: name -> (dimension, exact solution class)
+# named built-in data sets: name -> exact solution class (its `dim` the dimension)
 PROBLEMS = {
-    "exact1d": (1, ExactSolution1D),
-    "zero1d": (1, ZeroSolution1D),
-    "smooth1d": (1, SmoothSolution1D),
-    "exact2d": (2, ExactSolution2D),
-    "zero2d": (2, ZeroSolution2D),
+    "exact1d": ExactSolution1D,
+    "zero1d": ZeroSolution1D,
+    "smooth1d": SmoothSolution1D,
+    "exact2d": ExactSolution2D,
+    "zero2d": ZeroSolution2D,
 }
 SCHEMES = ("sfem", "nfem")
 MIN_LEVEL = {1: 2, 2: 8}  # elements (1D), boundary nodes (2D)
@@ -397,9 +371,9 @@ def _problem_class(dim, problem):
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     name = ("exact1d" if dim == 1 else "exact2d") if problem is None else problem
-    if PROBLEMS.get(name, (None,))[0] != dim:
+    if getattr(PROBLEMS.get(name), "dim", None) != dim:
         raise ValueError(f"unknown {dim}D problem {problem!r}")
-    return PROBLEMS[name][1]
+    return PROBLEMS[name]
 
 
 def solve_scenario(

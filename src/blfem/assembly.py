@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corrector import EnrichmentSpec, cutoff_delta, cutoff_delta_dxi, enrichment_profile, time_independent_xi
-from .mesh import Mesh1D, Mesh2D
+from .mesh import Mesh1D, Mesh2D, doubled_signed_areas
 from .quadrature import (
     QuadratureLayout,
     composite_interval,
@@ -198,7 +198,7 @@ def _graded_rule(v, mask, eps, n_sub, n_gauss):
     order = np.argsort(~mask, kind="stable")
     abc = v[:, order]
     A, B, C = abc[:, 0], abc[:, 1], abc[:, 2]
-    area = 0.5 * _doubled_areas(v)
+    area = 0.5 * np.abs(doubled_signed_areas(v))
     ell = 4.0 * np.sqrt(eps)
     # each edge length from one BLAS dot, so it rounds as np.linalg.norm's
     d = B - A if edge else C - B
@@ -288,15 +288,7 @@ def _smooth_triangle_rule(v):
     rule = gauss_triangle()
     x, y = rule.points[:, 0], rule.points[:, 1]
     lam = np.stack([1.0 - x - y, x, y], axis=1)
-    return rule.weights * _doubled_areas(v)[:, None], lam
-
-
-def _doubled_areas(v):
-    """Twice the area of each triangle of v (t, 3, 2)."""
-    return np.abs(
-        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
-    )
+    return rule.weights * np.abs(doubled_signed_areas(v))[:, None], lam
 
 
 def element_rules_2d(mesh: Mesh2D, eps: float, refine: int = 1) -> QuadratureLayout:
@@ -314,8 +306,7 @@ def element_rules_2d(mesh: Mesh2D, eps: float, refine: int = 1) -> QuadratureLay
 def triangle_geometry(nodes, tris):
     """Areas and P1 gradient coefficients for all triangles."""
     p = nodes[tris]
-    x, y = p[..., 0], p[..., 1]
-    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    x, y, det = p[..., 0], p[..., 1], doubled_signed_areas(p)
     area = 0.5 * det  # CCW
     bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / det[:, None]
     by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / det[:, None]

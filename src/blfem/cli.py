@@ -103,10 +103,6 @@ def config_header_lines(config):
 # subcommands
 
 
-def _add_config_flag(p):
-    p.add_argument("--config", help="key = value config file; flags override its entries")
-
-
 def _collect(args, defaults):
     file_values = read_config_file(args.config) if args.config else {}
     flag_values = {k: getattr(args, k, None) for k in defaults}  # a fixed key has no flag
@@ -123,7 +119,7 @@ SOLVE_DEFAULTS = {
     "kind": "phi_m1_lin",
     "sigma": 0.0,  # 0 = mesh-derived default
     "quad_refine": 1,
-    # fixed header entries with no flag: the one solver; a config file may only restate them
+    # FIXED_KEYS: header entries with no flag, the one solver; a config file may only restate them
     "solver": "direct_cholesky",
     "tol": 1e-10,
     "output": "",
@@ -132,6 +128,7 @@ SOLVE_DEFAULTS = {
     "no_timing": False,
     "seed": 0,
 }
+FIXED_KEYS = ("solver", "tol")
 
 
 def _dump_matrix(matrix, path):
@@ -149,13 +146,13 @@ def cmd_solve(args):
     from .analysis import PROBLEMS, ConvergenceTable, report_row, solve_scenario, write_convergence_csv
 
     cfg = _collect(args, SOLVE_DEFAULTS)
-    for key in ("solver", "tol"):
+    for key in FIXED_KEYS:
         if cfg[key] != SOLVE_DEFAULTS[key]:
             raise CliError(f"config key {key}: only {SOLVE_DEFAULTS[key]!r} is supported, got {cfg[key]!r}")
     if cfg["problem"] not in PROBLEMS:
         raise CliError(f"unknown problem {cfg['problem']!r}")
     report, fieldsol, space, _ = solve_scenario(
-        PROBLEMS[cfg["problem"]][0],
+        PROBLEMS[cfg["problem"]].dim,
         cfg["epsilon"],
         cfg["n"],
         cfg["T"],
@@ -235,6 +232,8 @@ def _dump_field(space, coeffs, cfg):
                 fh.write(f"{x:.10g},{y:.10g},{v:.10g}\n")
 
 
+DT_RULES = ("fixed", "h-squared")
+
 CONVERGE_DEFAULTS = {
     "dim": 1,
     "problem": "",  # empty = the dimension's exact benchmark
@@ -259,8 +258,8 @@ def cmd_converge(args):
         levels = [int(tok) for tok in cfg["levels"].split(",") if tok.strip()]
     except ValueError:
         raise CliError(f"cannot parse levels {cfg['levels']!r}")
-    if cfg["dt_rule"] not in ("fixed", "h-squared"):
-        raise CliError("dt-rule must be 'fixed' or 'h-squared'")
+    if cfg["dt_rule"] not in DT_RULES:
+        raise CliError(f"dt-rule must be {' or '.join(map(repr, DT_RULES))}")
     table = run_convergence_study(
         cfg["dim"],
         cfg["epsilon"],
@@ -323,7 +322,7 @@ def cmd_corrector(args):
 
     with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(f"# {line}" for line in config_header_lines(cfg)) + "\n")
-        fh.write("xi,phi0,phi0_tilde,phi_m1,phi_m1_lin\n")
+        fh.write(",".join(("xi",) + ENRICHMENT_KINDS) + "\n")
         for i, xv in enumerate(xi):
             vals = ",".join(f"{columns[k][i]:.10g}" for k in ENRICHMENT_KINDS)
             fh.write(f"{xv:.10g},{vals}\n")
@@ -336,59 +335,47 @@ def cmd_corrector(args):
 
 
 def build_parser():
+    """A subcommand's flags are its defaults' keys but FIXED_KEYS, typed as
+    the default (a bool is a switch) and None unless given."""
     # the library's names; main applies BLFEM_THREADS before numpy is imported here
     from .analysis import PROBLEMS, SCHEMES
     from .corrector import ENRICHMENT_KINDS
 
+    # what the defaults cannot say: choices and help
+    extra = {
+        "problem": dict(choices=tuple(PROBLEMS)),
+        "scheme": dict(choices=SCHEMES),
+        "kind": dict(choices=ENRICHMENT_KINDS),
+        "dim": dict(choices=(1, 2)),
+        "dt_rule": dict(choices=DT_RULES),
+        "n": dict(help="elements (1D) or boundary nodes (2D)"),
+        "sigma": dict(help="phi_m1_lin taper width; in solve and converge 0 = mesh-derived default"),
+        "levels": dict(help="comma-separated mesh levels"),
+        "schemes": dict(help="comma list from sfem,nfem"),
+        "output": dict(help="write the CSV here"),
+        "dump_field": dict(help="write sampled solution values here"),
+        "dump_matrices": dict(help="prefix for i-j-value matrix dumps"),
+        "seed": dict(help="reserved"),
+    }
     parser = argparse.ArgumentParser(
         prog="blfem",
         description="Boundary-layer-enriched P1 finite elements for u_t - eps*Lap(u) = f",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="run one scenario and report errors")
-    p.add_argument("--problem", choices=tuple(PROBLEMS))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n", type=int, help="elements (1D) or boundary nodes (2D)")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", dest="T", type=float)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--kind", choices=ENRICHMENT_KINDS)
-    p.add_argument("--sigma", type=float, help="taper width; 0 = mesh-derived default")
-    p.add_argument("--quad-refine", dest="quad_refine", type=int)
-    p.add_argument("-o", "--output", dest="output", help="write an error-report CSV row here")
-    p.add_argument("--dump-field", dest="dump_field", help="write sampled solution values here")
-    p.add_argument("--dump-matrices", dest="dump_matrices", help="prefix for i-j-value matrix dumps")
-    p.add_argument("--no-timing", dest="no_timing", action="store_const", const=True)
-    p.add_argument("--seed", type=int, help="reserved")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("converge", help="mesh-refinement study, writes the error CSV")
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--problem", choices=tuple(PROBLEMS))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--levels", help="comma-separated mesh levels")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", dest="T", type=float)
-    p.add_argument("--schemes", help="comma list from sfem,nfem")
-    p.add_argument("--kind", choices=ENRICHMENT_KINDS)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--dt-rule", dest="dt_rule", choices=("fixed", "h-squared"))
-    p.add_argument("-o", "--output", dest="output")
-    p.add_argument("--no-timing", dest="no_timing", action="store_const", const=True)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("corrector", help="sample the four layer profiles to CSV")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--xi-max", dest="xi_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("-o", "--output", dest="output")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_corrector)
+    for name, defaults, func, help_ in (
+        ("solve", SOLVE_DEFAULTS, cmd_solve, "run one scenario and report errors"),
+        ("converge", CONVERGE_DEFAULTS, cmd_converge, "mesh-refinement study, writes the error CSV"),
+        ("corrector", CORRECTOR_DEFAULTS, cmd_corrector, "sample the four layer profiles to CSV"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        for key, default in defaults.items():
+            if key in FIXED_KEYS:
+                continue
+            flags = ("-o", "--output") if key == "output" else ("--" + key.replace("_", "-"),)
+            how = dict(action="store_const", const=True) if isinstance(default, bool) else dict(type=type(default))
+            p.add_argument(*flags, dest=key, **how, **extra.get(key, {}))
+        p.add_argument("--config", help="key = value config file; flags override its entries")
+        p.set_defaults(func=func)
     return parser
 
 

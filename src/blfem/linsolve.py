@@ -117,28 +117,32 @@ class BlockSolver:
     def factor(self, kse, kee):
         """Take the level with coupling kse (n, m) and enriched block kee
         (m, m); returns the solve of this factorization, rhs (n + m,) ->
-        solution."""
+        solution, bound to this level's blocks and factor, not to the solver."""
         kse, kee = sp.csr_matrix(kse), np.asarray(kee, dtype=float)
         if not self.uses_schur:
             return SpdSolver(stack(self.kss, kse, kee))._lu.solve
-        # a CSC view: its mat-vec sums each entry as the CSR transpose's does
-        self.kse_t = kse.T
-        dc = np.zeros(self._c0_rows.shape)
-        dc.flat[self._to] = kse.data[self._at]
-        self._dc = dc - self._c0_rows
-        dc, zr = self._dc, self._z0_rows
+        dc, zr = self.coupling_change(kse), self._z0_rows
         s = kee - self._s0 - zr.T @ dc - dc.T @ zr - dc.T @ (self._g @ dc)
         try:
-            self._schur = sla.cho_factor(0.5 * (s + s.T), lower=True)
+            schur = sla.cho_factor(0.5 * (s + s.T), lower=True)
         except sla.LinAlgError as exc:
             raise NotPositiveDefinite(f"enriched Schur complement: {exc}") from exc
-        return self._schur_solve
+        # kse.T is a CSC view: its mat-vec sums each entry as the CSR transpose's does
+        n, kss_solve, kse_t, z0, w = self.n, self._ss._lu.solve, kse.T, self._z0, self._w
 
-    def _schur_solve(self, rhs):
-        n = self.n
-        y = self._ss._lu.solve(rhs[:n])
-        xe = sla.cho_solve(self._schur, rhs[n:] - self.kse_t @ y, check_finite=False)
-        return np.concatenate([y - self._z0 @ xe - self._w @ (self._dc @ xe), xe])
+        def solve(rhs):
+            y = kss_solve(rhs[:n])
+            xe = sla.cho_solve(schur, rhs[n:] - kse_t @ y, check_finite=False)
+            return np.concatenate([y - z0 @ xe - w @ (dc @ xe), xe])
+
+        return solve
+
+    def coupling_change(self, kse):
+        """dC_R = (kse - C0)[R], dense (|R|, m), read from the data of kse, a
+        CSR matrix on the first level's pattern, at C0's places of the rows R."""
+        dc = np.zeros(self._c0_rows.shape)
+        dc.flat[self._to] = kse.data[self._at]
+        return dc - self._c0_rows
 
 
 def stack(kss, kse, kee):

@@ -77,15 +77,17 @@ def _zip_rings(outer_ids, inner_ids):
     return tris
 
 
+def doubled_signed_areas(v):
+    """Twice the signed area of each triangle of v (t, 3, 2), > 0 if counterclockwise."""
+    return (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
+
+
 def _triangle_stats(nodes, tris):
     p = nodes[tris]
     e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
     e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
     e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    area = 0.5 * np.abs(
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+    area = 0.5 * np.abs(doubled_signed_areas(p))
     diam = np.maximum(np.maximum(e0, e1), e2)
     incircle = 4.0 * area / (e0 + e1 + e2)  # 2 * inradius
     angles = []
@@ -141,11 +143,7 @@ def build_disk_mesh(boundary_node_count: int) -> Mesh2D:
     tris = np.array(tris, dtype=int)
 
     # enforce CCW orientation
-    p = nodes[tris]
-    signed = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
-    flip = signed < 0
+    flip = doubled_signed_areas(nodes[tris]) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
 
     h, min_angle, quality = _triangle_stats(nodes, tris)

@@ -9,6 +9,7 @@ import pytest
 
 from blfem.analysis import (
     CSV_HEADER,
+    PROBLEMS,
     ConvergenceTable,
     ExactSolution1D,
     ExactSolution2D,
@@ -634,3 +635,24 @@ class TestEpsilonRateMachinery:
         assert result.degenerate
         assert math.isnan(result.l2_slope) and math.isnan(result.h1_slope)
         assert result.l2_errors == result.h1_errors == (0.0, 0.0, 0.0)
+
+
+class TestProblemTable:
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_u_grad_and_u0_follow_value_and_grad(self, name):
+        # a problem declares value_and_grad and source; u, grad and u0 are
+        # read from them bit for bit (u0 = u at t = 0), at random points of
+        # its domain
+        cls = PROBLEMS[name]
+        rng = np.random.default_rng(17)
+        if cls.dim == 1:
+            coords = (rng.uniform(0.0, 1.0, 200),)
+        else:
+            r, theta = np.sqrt(rng.uniform(0.0, 1.0, 200)), rng.uniform(0.0, 2.0 * np.pi, 200)
+            coords = (r * np.cos(theta), r * np.sin(theta))
+        exact = cls(1e-4)
+        value, grad = exact.value_and_grad(*coords, 0.7)
+        assert grad.shape == value.shape + (cls.dim,)
+        assert exact.u(*coords, 0.7).tobytes() == value.tobytes()
+        assert exact.grad(*coords, 0.7).tobytes() == grad.tobytes()
+        assert exact.u0(*coords).tobytes() == exact.u(*coords, 0.0).tobytes()

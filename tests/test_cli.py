@@ -8,9 +8,14 @@ import pytest
 from blfem.analysis import solve_scenario
 from blfem.corrector import CUTOFF_INNER, ENRICHMENT_KINDS
 from blfem.cli import (
+    CONVERGE_DEFAULTS,
+    CORRECTOR_DEFAULTS,
+    DT_RULES,
     EXIT_INVALID,
     EXIT_NUMERICAL,
     EXIT_OK,
+    FIXED_KEYS,
+    SOLVE_DEFAULTS,
     CliError,
     build_parser,
     config_header_lines,
@@ -482,6 +487,7 @@ class TestNameCopies:
             "problem": tuple(analysis.PROBLEMS),
             "kind": corrector.ENRICHMENT_KINDS,
             "scheme": analysis.SCHEMES,
+            "dt_rule": DT_RULES,
         }
         commands = build_parser()._subparsers._group_actions[0].choices
         seen = set()
@@ -490,7 +496,96 @@ class TestNameCopies:
                 if action.dest in want:
                     assert tuple(action.choices) == want[action.dest], (name, action.dest)
                     seen.add((name, action.dest))
-        assert seen == {("solve", d) for d in want} | {("converge", "problem"), ("converge", "kind")}
+        solve = {("solve", d) for d in ("problem", "kind", "scheme")}
+        assert seen == solve | {("converge", "problem"), ("converge", "kind"), ("converge", "dt_rule")}
+
+    def test_config_check_reads_the_dt_rules(self, tmp_path, monkeypatch, capsys):
+        # a rule the tuple does not hold is refused, with the tuple's rules named
+        import blfem.cli as cli
+
+        monkeypatch.setattr(cli, "DT_RULES", ("fixed",))
+        (tmp_path / "c.cfg").write_text("dt_rule = h-squared\n")
+        code = run_cli(["converge", "--config", "c.cfg"], tmp_path, monkeypatch)
+        assert code == EXIT_INVALID
+        assert "dt-rule must be 'fixed'\n" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, defaults", [("solve", SOLVE_DEFAULTS), ("converge", CONVERGE_DEFAULTS), ("corrector", CORRECTOR_DEFAULTS)]
+    )
+    def test_flags_are_the_config_keys(self, name, defaults):
+        # one flag per key but FIXED_KEYS, in the defaults' order and typed as
+        # the default (a bool is a switch), then --config; -o is --output
+        actions = [a for a in build_parser()._subparsers._group_actions[0].choices[name]._actions if a.dest != "help"]
+        flags = [f for a in actions for f in a.option_strings]
+        want = ["--" + k.replace("_", "-") for k in defaults if k not in FIXED_KEYS] + ["--config"]
+        assert flags == [g for f in want for g in (("-o", f) if f == "--output" else (f,))]
+        assert set(FIXED_KEYS) & set(defaults) == (set(FIXED_KEYS) if name == "solve" else set())
+        for action in actions[:-1]:
+            default = defaults[action.dest]
+            if isinstance(default, bool):
+                assert (action.const, action.nargs, action.type) == (True, 0, None), action.dest
+            else:
+                assert action.type is type(default), action.dest
+            assert action.default is None, action.dest  # an unset flag leaves the config file's value
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("solve", {"problem": "exact2d", "epsilon": "0.001", "n": "10", "dt": "0.25", "T": "0.5",
+                       "scheme": "nfem", "kind": "phi0_tilde", "sigma": "0.2", "quad_refine": "2",
+                       "output": "out.csv", "dump_field": "f.csv", "dump_matrices": "m", "no_timing": "",
+                       "seed": "4"}),
+            ("converge", {"dim": "1", "problem": "smooth1d", "epsilon": "0.01", "levels": "4,8,16", "dt": "0.25",
+                          "T": "0.5", "schemes": "nfem", "kind": "phi0", "sigma": "0.2", "dt_rule": "h-squared",
+                          "output": "out.csv", "no_timing": ""}),
+            ("corrector", {"epsilon": "1e-06", "t": "0.5", "sigma": "0.2", "xi_max": "0.8", "points": "10",
+                           "output": "out.csv"}),
+        ],
+    )
+    def test_config_file_and_flags_agree(self, tmp_path, monkeypatch, capsys, name, values):
+        # every key set once by a config file and once by its flag: the same
+        # header and the same file, byte for byte
+        defaults = {"solve": SOLVE_DEFAULTS, "converge": CONVERGE_DEFAULTS, "corrector": CORRECTOR_DEFAULTS}[name]
+        assert set(values) == set(defaults) - set(FIXED_KEYS)
+        outputs = []
+        for how in ("config", "flags"):
+            (tmp_path / how).mkdir()
+            if how == "config":
+                (tmp_path / how / "c.cfg").write_text("".join(f"{k} = {v or 'yes'}\n" for k, v in values.items()))
+                argv = ["--config", "c.cfg"]
+            else:
+                argv = [tok for k, v in values.items() for tok in ("--" + k.replace("_", "-"), v) if tok]
+            assert run_cli([name] + argv, tmp_path / how, monkeypatch) == EXIT_OK
+            header = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# ")]
+            outputs.append((header, (tmp_path / how / "out.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b"# output = out.csv\n" in outputs[0][1]
+
+    @pytest.mark.parametrize("argv", [[], ["--epsilon", "1e-6", "--t", "0.5", "--sigma", "0.2", "--xi-max", "0.8",
+                                           "--points", "30", "-o", "out.csv"], ["--config", "c.cfg"]])
+    def test_layer_profile_script_is_the_corrector_command(self, tmp_path, monkeypatch, argv):
+        # the script hands its arguments to `blfem corrector`: the same file
+        import runpy
+        import sys
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_layer_profiles.py")
+        output = "out.csv" if "-o" in argv else "profiles.csv"
+        files = []
+        for how in ("script", "cli"):
+            (tmp_path / how).mkdir()
+            (tmp_path / how / "c.cfg").write_text("points = 20\n")
+            if how == "script":
+                monkeypatch.chdir(tmp_path / how)
+                monkeypatch.setattr(sys, "argv", ["run_layer_profiles.py"] + argv)
+                with pytest.raises(SystemExit) as exc_info:
+                    runpy.run_path(path, run_name="__main__")
+                assert exc_info.value.code == EXIT_OK
+            else:
+                assert run_cli(["corrector"] + argv, tmp_path / how, monkeypatch) == EXIT_OK
+            files.append((tmp_path / how / output).read_bytes())
+        assert files[0] == files[1]
 
 
 class TestConvergeCommand:

@@ -294,6 +294,21 @@ class TestBlockSolver:
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n_levels", [3, 1])
+    def test_solve_stays_bound_to_its_level(self, n_levels):
+        # factoring the next level leaves an earlier level's solve as it was:
+        # bit for bit a fresh solver's solve of that level
+        rng = np.random.default_rng(5)
+        kss, levels = _block_levels(rng)
+        b = rng.standard_normal(46)
+        solver = BlockSolver(kss, levels[0][0], [3, 7, 8, 20], n_levels)
+        first = solver.factor(*levels[0])
+        second = solver.factor(*levels[1])
+        fresh = BlockSolver(kss, levels[0][0], [3, 7, 8, 20], n_levels).factor(*levels[0])
+        assert solver.uses_schur == (n_levels == 3)
+        assert first(b).tobytes() == fresh(b).tobytes()
+        assert not np.allclose(first(b), second(b))
+
+    @pytest.mark.parametrize("n_levels", [3, 1])
     def test_released_without_the_garbage_collector(self, n_levels):
         # the factors go as soon as the march drops the solver and its bound
         # solve: no reference cycle keeps them alive into the error report
@@ -352,7 +367,7 @@ class TestBlockSolver:
             kse = level.coupling(dt)
             solver.factor(kse, level.mee + dt * level.aee)
             want = kse[rows].toarray() - c0[rows].toarray()
-            assert solver._dc.tobytes() == want.tobytes()
+            assert solver.coupling_change(kse).tobytes() == want.tobytes()
 
     def test_no_enriched_dofs(self):
         kss = _poisson_fd(16)
