@@ -17,6 +17,7 @@ def main():
     ap.add_argument("--dt", type=float, default=0.01)
     ap.add_argument("--T", type=float, default=1.0)
     ap.add_argument("--kind", default="phi_m1_lin")
+    ap.add_argument("--no-timing", action="store_true", help="runtime as 0, so a rerun writes the same bytes")
     ap.add_argument("--dump-prefix", default="", help="write <prefix>_{sfem,nfem}.csv field samples")
     args = ap.parse_args()
 
@@ -31,9 +32,10 @@ def main():
         report, fieldsol, space, exact = solve_scenario(
             1, args.epsilon, args.n, args.T, args.dt, scheme, enrichment_kind=args.kind
         )
+        runtime = 0.0 if args.no_timing else report.runtime
         print(
             f"{scheme:8s} {report.dofs:6d} {report.rel_l2:12.6g} "
-            f"{report.h1_seminorm_error:12.6g} {report.oscillation_index:12.6g} {report.runtime:10.3f}"
+            f"{report.h1_seminorm_error:12.6g} {report.oscillation_index:12.6g} {runtime:10.3f}"
         )
         if args.dump_prefix:
             xs = np.linspace(0.0, 1.0, 2001)

@@ -20,12 +20,13 @@ def main():
     ap.add_argument("--dt", type=float, default=0.01)
     ap.add_argument("--T", type=float, default=1.0)
     ap.add_argument("--kind", default="phi_m1_lin")
+    ap.add_argument("--no-timing", action="store_true", help="runtime as 0, so a rerun writes the same bytes")
     ap.add_argument("-o", "--output", default="convergence_1d.csv")
     args = ap.parse_args()
 
     levels = [int(tok) for tok in args.levels.split(",")]
     table = run_convergence_study(
-        1, args.epsilon, levels, T=args.T, dt=args.dt, enrichment_kind=args.kind
+        1, args.epsilon, levels, T=args.T, dt=args.dt, enrichment_kind=args.kind, timing=not args.no_timing
     )
     # every argument, so the file records how to reproduce itself
     write_convergence_csv(table, args.output, header_comments=[f"{k} = {v}" for k, v in sorted(vars(args).items())])

@@ -17,6 +17,7 @@ def main():
     ap.add_argument("--dt", type=float, default=0.01)
     ap.add_argument("--T", type=float, default=1.0)
     ap.add_argument("--kind", default="phi_m1_lin")
+    ap.add_argument("--no-timing", action="store_true", help="runtime as 0, so a rerun writes the same bytes")
     args = ap.parse_args()
 
     levels = [int(tok) for tok in args.levels.split(",")]
@@ -31,10 +32,11 @@ def main():
             report, _, _, _ = solve_scenario(
                 2, args.epsilon, level, args.T, args.dt, scheme, enrichment_kind=args.kind
             )
+            runtime = 0.0 if args.no_timing else report.runtime
             print(
                 f"{level:5d} {scheme:8s} {report.dofs:6d} {report.rel_l2:12.6g} "
                 f"{report.h1_seminorm_error:12.6g} {report.oscillation_index:12.6g} "
-                f"{report.runtime:10.3f}"
+                f"{runtime:10.3f}"
             )
 
 

@@ -466,24 +466,18 @@ def fitted_arrays(x, y):
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
     xi = np.clip(1.0 - r, 0.0, 1.0)
-    eta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    # the mod rounds angles a hair below 0 up to exactly 2 pi
+    # np.mod(eta, 2 pi) on [-pi, pi], -0.0 to 0.0 included, without its division
+    eta = np.arctan2(y, x)
+    eta += (eta < 0.0) * (2.0 * np.pi)
+    # that rounds angles a hair below 0 up to exactly 2 pi
     return np.where(eta == 2.0 * np.pi, 0.0, eta), xi, r
 
 
-def _angular_hats(m, x, y):
-    """Boundary-fitted coordinates of points (x, y) and the two of the m
-    angular hats alive at each: xi, r (guarded at the center), the hat
-    columns and values psi (points, 2), their slopes dpsi/deta (2,), and
-    the gradients of xi and eta (points, 2)."""
-    deta = 2.0 * np.pi / m
-    eta, xi, r = fitted_arrays(x, y)
+def _fitted_gradients(x, y, r):
+    """grad xi = -(x, y)/r and grad eta = (-y, x)/r**2 by component, r guarded at 0; and r**2."""
     r = np.maximum(r, 1e-12)
-    frac, cols = _hat_columns(m, eta)
-    psi = np.stack([1.0 - frac, frac], axis=1)
-    grad_xi = np.stack([-x / r, -y / r], axis=1)
-    grad_eta = np.stack([-y / r**2, x / r**2], axis=1)
-    return xi, r, cols, psi, np.array([-1.0, 1.0]) / deta, grad_xi, grad_eta
+    r2 = r**2
+    return (-x / r, -y / r), (-y / r2, x / r2), r2
 
 
 def _hat_columns(m, eta):
@@ -491,7 +485,7 @@ def _hat_columns(m, eta):
     lies through its panel (0 to 1), and the two hat columns (points, 2)."""
     scaled = eta / (2.0 * np.pi / m)
     panel = np.minimum(scaled.astype(int), m - 1)
-    return scaled - panel, np.stack([panel, (panel + 1) % m], axis=1)
+    return scaled - panel, np.stack([panel, np.where(panel < m - 1, panel + 1, 0)], axis=1)
 
 
 RAD_N_SUB = 10
@@ -516,23 +510,8 @@ def _chunks(n):
 # or phi_new * phi_old (mass) and phi**2 (angular); le to the enriched DOFs,
 # `width` per load column (one per load point, in the order of the raveled
 # coords), from phi * f.  A coefficient None is zero; ee and le have
-# `per_point` entries a point.  keys_only: (xi, keys, points) of sl alone.
+# `per_point` entries a point.  keys_only: xi, (keys, points) of sl, (rows, points) of le.
 _Support = namedtuple("_Support", "size coords width per_point chunks terms")
-
-
-def _pattern(rows, per_point, n_rows, positions):
-    """The CSR pattern of an operator from point values, from the rows and
-    flat coefficient positions of per_point[i] contributions of each point
-    i, listed point by point: the operator's CSC order, so one linear-time
-    conversion gives the pattern, with coefficient positions (or the
-    coefficients) as its data."""
-    indptr = np.zeros(len(per_point) + 1, dtype=np.int32)
-    np.cumsum(per_point, dtype=np.int32, out=indptr[1:])
-    return sp.csc_matrix((positions, rows, indptr), shape=(n_rows, len(per_point))).tocsr()
-
-
-def _operator(pat, coeff):
-    return sp.csr_matrix((coeff.ravel()[pat.data], pat.indices, pat.indptr), shape=pat.shape)
 
 
 def _coupling_keys(m, dof, col, *coeffs):
@@ -577,16 +556,18 @@ def _support_1d(space: BasisSpace) -> _Support:
     def terms(idx, keys_only=False):
         elem, hat = _locate_1d(space.mesh.nodes, coords[:, idx].T)
         dof = space.node_to_dof[space.mesh.elements[elem]]
+        # the load points are p for DOF 0, then 1 - p for DOF 1
+        n_pts, point = len(elem), np.arange(len(elem))
+        le = np.repeat([0, 1], n_pts), np.tile(point, 2)
         if keys_only:
-            return p[idx], *_coupling_keys(2, dof, col)[:2]
+            return p[idx], _coupling_keys(2, dof, col)[:2], le
         # the hats' values and x-slopes, the latter signed by dxi/dx
         slope = _hat_gradients(space.mesh)[elem][..., 0] * np.array([1.0, -1.0])[:, None]
-        wb, n_pts, point = w[idx, None, None], len(idx), np.arange(len(idx))
+        wb = w[idx, None, None]
         sl = _coupling_keys(2, dof, col, wb * hat, wb * slope, None)
-        # each point adds to both diagonal entries (0 and 3) of the flattened
-        # (2, 2) blocks; the load points are p for DOF 0, then 1 - p for DOF 1
+        # each point adds to both diagonal entries (0 and 3) of the flattened (2, 2) blocks
         ee = np.tile([0, 3], n_pts), np.repeat(point, 2), (np.repeat(w[idx], 2), None)
-        return sl, ee, (np.repeat([0, 1], n_pts), np.tile(point, 2), (np.tile(w[idx], 2),))
+        return sl, ee, (*le, (np.tile(w[idx], 2),))
 
     return _Support(len(p), (coords,), 1, (2, 2), [slice(0, len(p))], terms)
 
@@ -616,31 +597,44 @@ def _support_2d(space: BasisSpace, layout: QuadratureLayout) -> _Support:
     if not support[:k].all() or len(layout.starts) != len(support):
         raise AssemblyError("the triangles meeting the profile support do not lead the mesh")
     end = layout.starts[k] if k < len(support) else len(layout.weights)
-    hat_grads = _hat_gradients(mesh)
+    hat_grads, tri_dof = _hat_gradients(mesh).reshape(-1, 2), space.node_to_dof[mesh.triangles]
+    # the angular hats' slopes are -slope and slope, so each product with
+    # them is one product with slope, signed
+    slope = 1.0 / (2.0 * np.pi / m)
+    # the flattened (m, m) Gram entries of each panel's two hats, in (hat, hat) order
+    hats = np.stack([np.arange(m), np.roll(np.arange(m), -1)], axis=1)
+    ee_rows = (hats[:, :, None] * m + hats[:, None, :]).reshape(m, 4)
 
     def terms(idx, keys_only=False):
+        # (.take: numpy's fancy indexing of rows is several times slower)
         tri = layout.element[idx]
         # the (point, vertex) pairs whose vertex is interior: only they couple
-        dof = space.node_to_dof[mesh.triangles[tri]].ravel()
+        dof = tri_dof.take(tri, axis=0).ravel()
         pair = np.flatnonzero(dof >= 0)
-        p, v = np.divmod(pair, 3)
+        p = pair // 3
+        x, y = layout.points[idx, 0], layout.points[idx, 1]
+        eta, xi, r = fitted_arrays(x, y)
+        frac, cols = _hat_columns(m, eta)
+        keys, point = np.repeat(dof[pair] * m, 2) + cols.take(p, axis=0).ravel(), np.arange(len(xi))
+        le = cols.ravel(), np.repeat(point, 2)
         if keys_only:
-            eta, xi, _ = fitted_arrays(layout.points[idx, 0], layout.points[idx, 1])
-            return xi, (dof[pair, None] * m + _hat_columns(m, eta)[1][p]).ravel(), np.repeat(p, 2)
-        w, bary = layout.weights[idx], layout.bary[idx]
-        xi, r, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(m, layout.points[idx, 0], layout.points[idx, 1])
+            return xi, (keys, np.repeat(p, 2)), le
+        w, psi0 = layout.weights[idx], 1.0 - frac
+        psi = np.stack([psi0, frac], axis=1)
+        (xi_x, xi_y), (eta_x, eta_y), r2 = _fitted_gradients(x, y, r)
         # the standard hats' values (bary) and gradients along grad(xi) and
         # grad(eta), each pair's two hats' products in (point, vertex, hat) order
-        grads, wp = hat_grads[tri[p], v], w[p]
-        g_xi, g_eta = (grads[:, 0] * g[p, 0] + grads[:, 1] * g[p, 1] for g in (grad_xi, grad_eta))
-        sl = [(wp * c)[:, None] * psi[p] for c in (bary[p, v], g_xi)] + [(wp * g_eta)[:, None] * dpsi]
-        sl = (dof[pair, None] * m + cols[p]).ravel(), np.repeat(p, 2), [c.ravel() for c in sl]
-        wb, point = w[:, None], np.arange(len(idx))
-        # enriched-enriched products: each point couples its panel's two hats
-        ang = (w[:, None, None] * dpsi[:, None] * dpsi) / (r**2)[:, None, None]
-        ee = ((wb * psi)[:, :, None] * psi[:, None, :]).ravel(), ang.ravel()
-        ee = (cols[:, :, None] * m + cols[:, None, :]).ravel(), np.repeat(point, 4), ee
-        return sl, ee, (cols.ravel(), np.repeat(point, 2), ((wb * psi).ravel(),))
+        grads, wp = hat_grads.take(tri[p] * 3 + (pair - 3 * p), axis=0), w[p]
+        g_xi = grads[:, 0] * xi_x[p] + grads[:, 1] * xi_y[p]
+        g_eta = (wp * (grads[:, 0] * eta_x[p] + grads[:, 1] * eta_y[p])) * slope
+        bary, psi_p = layout.bary.take(idx, axis=0).ravel()[pair], psi.take(p, axis=0).ravel()
+        sl = [np.repeat(wp * c, 2) * psi_p for c in (bary, g_xi)] + [np.stack([-g_eta, g_eta], axis=1).ravel()]
+        # enriched-enriched products: each point couples its panel's two hats,
+        # the flattened (2, 2) products in (point, hat, hat) order
+        w0, w1, ang = w * psi0, w * frac, ((w * slope) * slope) / r2
+        ee = (w0 * psi0, w0 * frac, w1 * psi0, w1 * frac), (ang, -ang, -ang, ang)
+        ee = ee_rows.take(cols[:, 0], axis=0).ravel(), np.repeat(point, 4), [np.stack(c, axis=1).ravel() for c in ee]
+        return (keys, np.repeat(p, 2), sl), ee, (*le, (np.stack([w0, w1], axis=1).ravel(),))
 
     return _Support(end, (layout.points[:end, 0], layout.points[:end, 1]), 2, (4, 2), _chunks(end), terms)
 
@@ -662,8 +656,13 @@ class _Kept:
                 kept[at] = c
 
     def operators(self, n_rows):
-        pat = _pattern(self.rows, np.bincount(self.cols, minlength=self.n_cols), n_rows, np.arange(self.end))
-        return [sp.csr_matrix(pat.shape) if c is None else _operator(pat, c) for c in self.coeffs]
+        # the entries are in the operators' CSC order, so one linear-time
+        # conversion gives their CSR pattern, with each one's position as data
+        indptr = np.zeros(self.n_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.cols, minlength=self.n_cols), dtype=np.int32, out=indptr[1:])
+        pat = sp.csc_matrix((np.arange(self.end), self.rows, indptr), shape=(n_rows, self.n_cols)).tocsr()
+        ops = [pat.shape if c is None else (c[pat.data], pat.indices, pat.indptr) for c in self.coeffs]
+        return [sp.csr_matrix(op, shape=pat.shape) for op in ops]
 
 
 _Split = namedtuple("_Split", "xi moving block base ops le_fixed le_moving")
@@ -684,10 +683,15 @@ def _split(space, support: _Support, t_max) -> _Split:
     n, m = space.n_standard, space.n_enriched
     xi_star = time_independent_xi(space.enrichment, t_max)
     xi, present, n_sl = np.empty(support.size), np.zeros(n * m, dtype=bool), 0
+    # le_fixed is built in place: its row pointers count the fixed points' load entries
+    indptr = np.zeros(m + 1, dtype=np.int32)
     for sel in support.chunks:
-        xi[sel], keys, point = support.terms(sel, keys_only=True)
+        xi[sel], (keys, point), (le_rows, le_point) = support.terms(sel, keys_only=True)
         present[keys] = True
-        n_sl += np.count_nonzero(xi[sel][point] < xi_star)
+        moves = xi[sel] < xi_star
+        n_sl += np.count_nonzero(moves[point])
+        indptr[1:] += np.bincount(le_rows[~moves[le_point]], minlength=m)
+    np.cumsum(indptr, out=indptr)
     moving = xi < xi_star
     n_moving, n_fixed = np.count_nonzero(moving), np.count_nonzero(~moving)
     phi, dphi = np.zeros(len(xi)), np.zeros(len(xi))
@@ -697,8 +701,9 @@ def _split(space, support: _Support, t_max) -> _Split:
     base = np.zeros((3, block.nnz)), np.zeros((3, m * m))
     (ee_size, le_size), width = support.per_point, support.width
     kept = [_Kept(n_sl, 3), _Kept(ee_size * n_moving, 2), _Kept(le_size * n_moving, 1)]
-    # the fixed points' load entries, met in the order of their load columns
-    fixed_rows, fixed_data, end = np.empty(le_size * n_fixed, dtype=np.int32), np.empty(le_size * n_fixed), 0
+    fixed_cols, fixed_data, slot_end = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), indptr[:-1].copy()
+    # the load column of each point: in 1D its p column, then its 1 - p one
+    lead = np.arange(support.coords[0].size // support.size)[:, None] * support.size
     for sel in support.chunks:
         for part in np.flatnonzero(~moving[sel]) + sel.start, np.flatnonzero(moving[sel]) + sel.start:
             if len(part) == 0:
@@ -711,14 +716,19 @@ def _split(space, support: _Support, t_max) -> _Split:
                     k.add(*entry)
                 continue
             for sums, reads, power, (rows, point, _, coeffs) in zip(base, _READS, (1, 2), entries):
-                vals = phi[part[point]] ** power, dphi[part[point]] ** power
+                vals = phi[part] ** power, dphi[part] ** power
                 for acc, (c, v) in zip(sums, reads):
                     if coeffs[c] is not None:
-                        np.add.at(acc, rows, coeffs[c] * vals[v])
-            at = slice(end, end + len(le_rows))
-            fixed_rows[at], fixed_data[at], end = le_rows, le[0] * phi[part[le_point]], at.stop
+                        np.add.at(acc, rows, coeffs[c] * vals[v][point])
+            # met in column order, each load entry takes its row's next free slot (8/16-bit rows sort in linear time)
+            order = np.argsort(le_rows.astype(np.min_scalar_type(m)), kind="stable")
+            per_row = np.bincount(le_rows, minlength=m)
+            at = np.repeat(slot_end - np.cumsum(per_row) + per_row, per_row) + np.arange(len(order))
+            fixed_cols[at] = np.repeat((lead + part).ravel(), width)[order]
+            fixed_data[at] = (le[0] * phi[part][le_point])[order]
+            slot_end += per_row
     sl_ops, ee_ops, (le_moving,) = (kept.pop(0).operators(k) for k in (block.nnz, m * m, m))
-    le_fixed = _pattern(fixed_rows, width * ~np.broadcast_to(moving, support.coords[0].shape).ravel(), m, fixed_data)
+    le_fixed = sp.csr_matrix((fixed_data, fixed_cols, indptr), shape=(m, support.coords[0].size))
     (msl, asl_r, asl_a), (mee, aee_r, aee_a) = base
     base = msl, asl_r + asl_a, mee, aee_r + aee_a
     return _Split(xi[moving], moving, block, base, (*sl_ops, *ee_ops), le_fixed, le_moving)
@@ -864,32 +874,37 @@ def _discrete_field(space: BasisSpace, coeffs, points, element, bary, t):
     c = np.zeros(len(mesh.nodes))
     c[space.interior_nodes] = coeffs[: space.n_standard]
     c = c[mesh.elements]
-    vals = np.sum(bary * c[element], axis=1)
+    # the vertices' terms summed from 0 in vertex order, as np.sum(axis=1) sums them
+    vals = sum((bary * c.take(element, axis=0)).T)
     # the P1 gradient is constant on each element
-    grads = np.einsum("tk,tkd->td", c, _hat_gradients(mesh))[element]
+    grads = np.einsum("tk,tkd->td", c, _hat_gradients(mesh)).take(element, axis=0)
     if spec is None:
         return vals, grads
-    one_d = mesh.dim == 1
-    near = np.minimum(points, 1.0 - points) <= spec.support + 1e-12 if one_d else _support_triangles(space)[element]
-    near = np.flatnonzero(near)
-    for sel in [slice(0, len(near))] if one_d else _chunks(len(near)):
+    ec = coeffs[space.n_standard :]
+    if mesh.dim == 1:
+        at = np.flatnonzero(np.minimum(points, 1.0 - points) <= spec.support + 1e-12)
+        xi = np.stack([points[at], 1.0 - points[at]])
+        inside = xi <= spec.support + 1e-12
+        phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
+        phi[inside], dphi[inside] = enrichment_profile(spec, xi[inside], t)
+        ec = ec[np.broadcast_to(np.arange(2), phi.T.shape)]
+        vals[at] += np.einsum("pj,pj->p", ec, phi.T)
+        grads[at] += np.einsum("pj,pjd->pd", ec, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None])
+        return vals, grads
+    near = np.flatnonzero(_support_triangles(space)[element])
+    for sel in _chunks(len(near)):
+        # phi times the two hats alive at eta, whose slopes are -slope and slope
         at = near[sel]
-        if one_d:
-            xi = np.stack([points[at], 1.0 - points[at]])
-            inside = xi <= spec.support + 1e-12
-            phi, dphi = np.zeros_like(xi), np.zeros_like(xi)
-            phi[inside], dphi[inside] = enrichment_profile(spec, xi[inside], t)
-            cols = np.broadcast_to(np.arange(2), phi.T.shape)
-            evals, egrads = phi.T, (dphi * np.array([[1.0], [-1.0]])).T[:, :, None]
-        else:
-            xi, _, cols, psi, dpsi, grad_xi, grad_eta = _angular_hats(space.n_enriched, *points[at].T)
-            phi, dphi = enrichment_profile(spec, xi, t)
-            evals = phi[:, None] * psi
-            egrads = dphi[:, None, None] * psi[:, :, None] * grad_xi[:, None, :]
-            egrads += phi[:, None, None] * dpsi[:, None] * grad_eta[:, None, :]
-        ec = coeffs[space.n_standard :][cols]
-        vals[at] += np.einsum("pj,pj->p", ec, evals)
-        grads[at] += np.einsum("pj,pjd->pd", ec, egrads)
+        x, y = points[at, 0], points[at, 1]
+        eta, xi, r = fitted_arrays(x, y)
+        frac, cols = _hat_columns(space.n_enriched, eta)
+        phi, dphi = enrichment_profile(spec, xi, t)
+        c0, c1 = ec[cols.T]
+        vals[at] += c0 * (phi * (1.0 - frac)) + c1 * (phi * frac)
+        grad_xi, grad_eta, _ = _fitted_gradients(x, y, r)
+        d0, d1, d_eta = dphi * (1.0 - frac), dphi * frac, phi * (1.0 / (2.0 * np.pi / space.n_enriched))
+        for d, (g_xi, g_eta) in enumerate(zip(grad_xi, grad_eta)):
+            grads[at, d] += c0 * (d0 * g_xi - d_eta * g_eta) + c1 * (d1 * g_xi + d_eta * g_eta)
     return vals, grads
 
 

@@ -15,12 +15,13 @@ import scipy.sparse as sp
 
 from blfem.assembly import (
     AssemblyError,
-    _angular_hats,
+    _hat_columns,
     _hat_gradients,
     _layer_rule_1d,
     _locate_1d,
     _support_triangles,
     element_rules_2d,
+    fitted_arrays,
     triangle_rule_points,
 )
 from blfem.corrector import enrichment_profile, time_independent_xi
@@ -47,6 +48,21 @@ def locate_disk(mesh, points):
     bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam], axis=2)
     element = bary.min(axis=2).argmax(axis=1)
     return element, bary[np.arange(len(points)), element]
+
+
+def _angular_hats(m, x, y):
+    """Boundary-fitted coordinates of points (x, y) and the two of the m
+    angular hats alive at each: xi, r (guarded at the center), the hat
+    columns and values psi (points, 2), their slopes dpsi/deta (2,), and
+    the gradients of xi and eta (points, 2)."""
+    deta = 2.0 * np.pi / m
+    eta, xi, r = fitted_arrays(x, y)
+    r = np.maximum(r, 1e-12)
+    frac, cols = _hat_columns(m, eta)
+    psi = np.stack([1.0 - frac, frac], axis=1)
+    grad_xi = np.stack([-x / r, -y / r], axis=1)
+    grad_eta = np.stack([-y / r**2, x / r**2], axis=1)
+    return xi, r, cols, psi, np.array([-1.0, 1.0]) / deta, grad_xi, grad_eta
 
 
 def enriched_terms(space, points, t):

@@ -82,16 +82,47 @@ class TestChunkedAssemblyAgainstOperators:
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
 def test_read_out_identical_to_whole_arrays(kind, chunk, monkeypatch):
-    # on the run's layout, and at points in any order
+    # on the run's layout, and at points in any order; at t = 0 (the limit
+    # of the time-dependent profiles), 0.5 and 1
     monkeypatch.setattr(assembly, "CHUNK", chunk)
     space = _space(2, kind, 16, 1e-5)
     layout = element_rules_2d(space.mesh, 1e-5)
     coeffs = np.random.default_rng(5).standard_normal(space.total_dofs)
     order = np.random.default_rng(6).permutation(len(layout.weights))
     reads = [(layout.points, layout.element, layout.bary), (layout.points[order], layout.element[order], layout.bary[order])]
-    for points, element, bary in reads:
-        got = _discrete_field(space, coeffs, points, element, bary, 0.5)
-        assert all(map(_same, got, whole_field(space, coeffs, points, element, bary, 0.5)))
+    for t in (0.0, 0.5, 1.0):
+        for points, element, bary in reads:
+            got = _discrete_field(space, coeffs, points, element, bary, t)
+            assert all(map(_same, got, whole_field(space, coeffs, points, element, bary, t))), t
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("kind", ["phi_m1_lin", "phi0_tilde"])
+def test_fitted_coordinates_formed_once_per_pass(kind, chunk, monkeypatch):
+    # a 2D enriched assembly passes each support point through fitted_arrays
+    # twice (its keys pass, then its terms pass, fixed and moving points
+    # alike), and the read-out of the layout passes each one once
+    monkeypatch.setattr(assembly, "CHUNK", chunk)
+    space = _space(2, kind, 16, 1e-5)
+    layout = element_rules_2d(space.mesh, 1e-5)
+    seen, real = [], assembly.fitted_arrays
+
+    def counted(x, y):
+        seen.append(np.column_stack([x, y]))
+        return real(x, y)
+
+    def passed():  # each point met, as often as it was met, in one order
+        points = np.concatenate(seen)
+        seen.clear()
+        return points[np.lexsort(points.T)]
+
+    monkeypatch.setattr(assembly, "fitted_arrays", counted)
+    support = layout.points[: assembly._support_2d(space, layout).size]
+    passed_once = support[np.lexsort(support.T)]
+    assemble_enriched(space, 1e-5, t_max=0.5, layout=layout)
+    assert np.array_equal(passed(), np.repeat(passed_once, 2, axis=0))
+    _discrete_field(space, np.ones(space.total_dofs), layout.points, layout.element, layout.bary, 0.5)
+    assert np.array_equal(passed(), passed_once)
 
 
 def _whole_error_integrals(exact, t, layout, field):

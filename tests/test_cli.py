@@ -795,7 +795,7 @@ class TestStudyScripts:
         import sys
 
         path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
-        expected = {"T": "0.5", "dt": "0.25", "epsilon": "0.001", "kind": "phi_m1", "levels": levels}
+        expected = {"T": "0.5", "dt": "0.25", "epsilon": "0.001", "kind": "phi_m1", "levels": levels, "no_timing": "False"}
         if script == "run_1d_comparison.py":  # one mesh, and field dumps instead of a CSV
             expected.update(n=expected.pop("levels"), dump_prefix="")
         if "convergence" in script:
@@ -809,6 +809,31 @@ class TestStudyScripts:
         text = (tmp_path / "out.csv").read_text() if "output" in expected else capsys.readouterr().out
         header = [ln for ln in text.splitlines() if ln.startswith("# ")]
         assert header == [f"# {key} = {value}" for key, value in sorted(expected.items())]
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize(
+        "script, levels",
+        [("run_1d_convergence.py", "4,8,16"), ("run_2d_convergence.py", "8,10,12"),
+         ("run_1d_comparison.py", "8"), ("run_2d_comparison.py", "8")],
+    )
+    def test_no_timing_rerun_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys, script, levels):
+        # the runtime column or field reads 0, so two runs agree byte for byte
+        import runpy
+        import sys
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+        argv = [script, "--dt", "0.25", "--T", "0.5", "--no-timing", "--n" if "1d_comp" in script else "--levels", levels]
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for _ in range(2):
+            out = ["-o", "out.csv"] if "convergence" in script else []
+            monkeypatch.setattr(sys, "argv", argv + out)
+            runpy.run_path(path, run_name="__main__")
+            runs.append((tmp_path / out[1]).read_bytes() if out else capsys.readouterr().out.encode())
+        assert runs[0] == runs[1]
+        rows = [ln.replace(",", " ").split() for ln in runs[0].decode().splitlines() if not ln.startswith("#")]
+        runtimes = [row[-1] for row in rows if {"sfem", "nfem"} & set(row)]
+        assert len(runtimes) == 2 * len(levels.split(",")) and set(map(float, runtimes)) == {0.0}
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("script, dim", [("run_1d_convergence.py", 1), ("run_2d_convergence.py", 2)])
