@@ -24,7 +24,7 @@ from .assembly import (
     assemble_standard,
     assemble_enriched,
 )
-from .corrector import EnrichmentSpec, ProblemData
+from .corrector import EnrichmentSpec, ProblemData, source_values, unit_factor
 from .linsolve import NotPositiveDefinite
 from .mesh import build_disk_mesh, build_interval_mesh
 from .quadrature import geometric_panels
@@ -42,7 +42,8 @@ class _Solution:
     """A data set with a known solution on the domain of dimension `dim` (a
     class attribute, not a dataclass field).  A subclass defines
     `value_and_grad` (u and grad u at the same points: coordinates, then t)
-    and `source`; u, grad u and the initial data u0 = u(t = 0) follow."""
+    and `source` (ProblemData's terms); u, grad u, f and the initial data
+    u0 = u(t = 0) follow."""
 
     dim = 1
 
@@ -56,8 +57,8 @@ class _Solution:
         return self.u(*coords, 0.0)
 
     def f(self, *coords_t):
-        """The source at the points (coordinates, then t), from source."""
-        return self.source(*coords_t[:-1])(coords_t[-1])
+        """The source at the points (coordinates, then t), from its terms."""
+        return source_values(self.source(*coords_t[:-1]), coords_t[-1])
 
     def problem(self):
         return ProblemData(dim=self.dim, source=self.source, u0_initial=self.u0, epsilon=self.epsilon)
@@ -89,8 +90,8 @@ class ExactSolution1D(_Solution):
         """Source u_t - eps * u_xx from the closed-form derivatives."""
         (ga, g1a, g2a), (gb, g1b, g2b) = self._layers(x)
         lap = (g2a * gb - 2.0 * g1a * g1b + ga * g2b) / self.epsilon
-        steady, eps = ga * gb, self.epsilon
-        return lambda t: steady - t * eps * lap
+        eps = self.epsilon
+        return (unit_factor, ga * gb), (lambda t: -(t * eps), lap)
 
     def u0(self, x):
         """Zero, as defined, without evaluating the layers."""
@@ -138,8 +139,7 @@ class ExactSolution2D(_Solution):
         return np.exp(t) * (1.0 - bessel_i0_scaled(s) / i0 * e), g
 
     def source(self, x, y):
-        ones = np.ones_like(np.asarray(x, dtype=float))
-        return lambda t: np.exp(t) * ones
+        return ((np.exp, np.ones_like(np.asarray(x, dtype=float))),)
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ class ZeroSolution1D(_Solution):
         return np.zeros_like(np.asarray(x, dtype=float)), np.zeros(np.shape(x) + (self.dim,))
 
     def source(self, x, *_):
-        zeros = np.zeros_like(np.asarray(x, dtype=float))
-        return lambda t: zeros
+        return ((unit_factor, np.zeros_like(np.asarray(x, dtype=float))),)
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,8 @@ class SmoothSolution1D(_Solution):
         return (1.0 + t) * np.sin(px), ((1.0 + t) * np.pi * np.cos(px))[..., None]
 
     def source(self, x):
-        s, c = np.sin(np.pi * np.asarray(x, dtype=float)), self.epsilon * np.pi**2
-        return lambda t: s * (1.0 + c * (1.0 + t))
+        c = self.epsilon * np.pi**2
+        return ((lambda t: 1.0 + c * (1.0 + t), np.sin(np.pi * np.asarray(x, dtype=float))),)
 
 
 # ---------------------------------------------------------------------------

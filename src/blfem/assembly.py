@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .corrector import EnrichmentSpec, cutoff_delta, cutoff_delta_dxi, enrichment_profile, time_independent_xi
+from .corrector import EnrichmentSpec, cutoff_delta, cutoff_delta_dxi, enrichment_profile, source_values
+from .corrector import time_independent_xi, unit_factor
 from .mesh import Mesh1D, Mesh2D, doubled_signed_areas
 from .quadrature import (
     QuadratureLayout,
@@ -93,8 +94,8 @@ class AssembledSystem:
     the cross Gram block taken against level `previous` (the plain space has
     one empty level), and make_load(source) -> load(t, phi_vals), the
     whole load at t of the level whose moving profile values are phi_vals,
-    with the source (ProblemData.source) bound once to the standard load
-    points and once to the enriched ones."""
+    for the source's terms (ProblemData.source), their spatial part taken
+    once per march (_load_maker)."""
 
     mss: sp.csr_matrix
     ass: sp.csr_matrix
@@ -405,33 +406,37 @@ def _load_layout(space):
     return tuple(c.ravel() for c in coords), op
 
 
-def _bind(source, coords):
-    """t -> the source's values at the points coords, flat; bound once."""
-    g, shape = source(*coords), coords[0].shape
-    return lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), shape).ravel()
+def _spatial_values(source, points):
+    """The source's terms at the points (a tuple of coordinate arrays), each
+    v_k flat over them."""
+    shape = points[0].shape
+    return [(tau, np.broadcast_to(np.asarray(v, dtype=float), shape).ravel()) for tau, v in source(*points)]
 
 
 def _load_maker(coords, op, enriched=None):
-    """make_load(source) -> load(t, phi_vals): op @ f at the standard load
-    points coords (flat arrays), then, for an enriched space, enriched =
-    (points, le_fixed, le_moving, moving_cols, moving_points): le_fixed @ f
-    over the support's load columns, at its load points (_Support.coords),
-    plus, where points move, le_moving @ (phi * f[moving_cols]), phi =
-    phi_vals[moving_points].  The source is bound once to each point set."""
+    """make_load(source) -> load(t, phi_vals) for the source's terms
+    (tau_k, v_k), their spatial part applied once per march: L v_k stacks
+    op @ v_k, v_k at the standard load points coords (flat arrays), and for
+    an enriched space, enriched = (points, le_fixed, le_moving, moving_cols),
+    le_fixed @ v_k, v_k at the support's load points (_Support.coords), of
+    which v_k[moving_cols] is kept.  A step sums tau_k(t) * L v_k, plus, where
+    points move, le_moving @ (phi * sum_k tau_k(t) v_k[moving_cols]) on the
+    enriched rows, phi_vals's value at a moving point read by its columns."""
 
     def make_load(source):
-        standard = _bind(source, coords)
-        if enriched is None:
-            return lambda t, phi_vals=None: op @ standard(t)
-        points, le_fixed, le_moving, moving_cols, moving_points = enriched
-        support = _bind(source, points)
+        terms, moving = [(tau, op @ v) for tau, v in _spatial_values(source, coords)], []
+        if enriched is not None:
+            points, le_fixed, le_moving, moving_cols = enriched
+            support = _spatial_values(source, points)
+            terms = [(tau, np.concatenate([lv, le_fixed @ w])) for (tau, lv), (_, w) in zip(terms, support)]
+            moving = [(tau, w[moving_cols]) for tau, w in support] if le_moving is not None else []
 
         def load(t, phi_vals=None):
-            fv = support(t)
-            out = le_fixed @ fv
-            if le_moving is not None:
-                out += le_moving @ (phi_vals[moving_points] * fv[moving_cols])
-            return np.concatenate([op @ standard(t), out])
+            out = source_values(terms, t)
+            if moving:
+                phi_f = phi_vals * source_values(moving, t).reshape(-1, len(phi_vals))
+                out[op.shape[0] :] += le_moving @ phi_f.ravel()
+            return out
 
         return load
 
@@ -441,7 +446,7 @@ def _load_maker(coords, op, enriched=None):
 def assemble_standard(space: BasisSpace, epsilon: float) -> AssembledSystem:
     """The system of the plain P1 space: an enriched one without enriched
     DOFs, with one empty level and a load that has no profile values to
-    read.  The load takes the problem source when a march binds it, so the
+    read.  The load takes the problem source when a march makes it, so the
     same system serves any ProblemData."""
     if space.mesh.dim == 1:
         mass, stiff = _assemble_standard_1d(space, epsilon)
@@ -799,11 +804,9 @@ def _split_layout(space, support, epsilon, t_max, standard_load):
                 raise ValueError(f"level t = {t} lies past the split time t_max = {t_max}")
             return level(t, previous)
 
-    # the moving load columns, and the moving point of each
-    shape = support.coords[0].shape
-    moving_cols = np.flatnonzero(np.broadcast_to(moving, shape))
-    moving_points = np.broadcast_to(np.arange(len(xi_moving)), shape[:-1] + xi_moving.shape).ravel()
-    enriched = support.coords, le_fixed, le_moving if moving.any() else None, moving_cols, moving_points
+    # the moving load columns, point by point in each row of the load coordinates
+    moving_cols = np.flatnonzero(np.broadcast_to(moving, support.coords[0].shape))
+    enriched = support.coords, le_fixed, le_moving if moving.any() else None, moving_cols
     return rebuild, moving_rows, _load_maker(*standard_load, enriched)
 
 
@@ -847,8 +850,7 @@ def project_initial(space: BasisSpace, system: AssembledSystem, u0):
     from .linsolve import solve_spd, stack
 
     def u0_at(*coords):
-        vals = u0(*coords)
-        return lambda t: vals
+        return ((unit_factor, u0(*coords)),)
 
     if space.enrichment is not None and space.enrichment.time_dependent:
         coeffs = np.zeros(space.total_dofs)

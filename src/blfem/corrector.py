@@ -27,9 +27,10 @@ class ProblemData:
     """Problem data for u_t - eps*Laplace(u) = f with zero Dirichlet data,
     on [0, 1] (dim 1) or the unit disk (dim 2).
 
-    source(*coords) -> g binds f to fixed points: g(t) = f(*coords, t), its
-    spatial part formed once.  u0_initial(*coords) is the initial condition.
-    Both must accept numpy arrays.
+    source(*coords) -> ((tau_1, v_1), ...), the terms of f at fixed points:
+    f(*coords, t) = sum_k tau_k(t) * v_k (source_values), tau_k a function of
+    t alone and v_k the values at the points (or a scalar).  u0_initial(*coords)
+    is the initial condition.  Both must accept numpy arrays.
     """
 
     dim: int
@@ -50,7 +51,7 @@ class ProblemData:
             bpts = (np.cos(ang), np.sin(ang))
         if np.max(np.abs(self.u0_initial(*bpts))) > 1e-10:
             raise ValueError("initial condition must vanish on the boundary")
-        if np.max(np.abs(self.source(*bpts)(0.0))) > 1e-10:
+        if np.max(np.abs(source_values(self.source(*bpts), 0.0))) > 1e-10:
             msg = "source does not vanish on the boundary at t=0; layer estimates may degrade"
             self.warnings_issued.append(msg)
             # past __post_init__ and the generated __init__: the constructing call
@@ -66,6 +67,19 @@ class ProblemData:
         return (math.cos(eta), math.sin(eta))
 
 
+def unit_factor(t):
+    """The time factor of a term constant in time."""
+    return 1.0
+
+
+def source_values(terms, t):
+    """sum_k tau_k(t) * v_k over the terms ((tau_1, v_1), ...) in declared
+    order: the source's values at t (ProblemData.source), or the same sum of
+    any vectors formed linearly from its v_k."""
+    (tau, v), *rest = terms
+    return sum((tau(t) * v for tau, v in rest), tau(t) * v)
+
+
 def limit_solution(data: ProblemData, point, t: float) -> float:
     """u0 + int_0^t f ds at a spatial point (tuple) and time t."""
     u0 = float(data.u0_initial(*point))
@@ -73,8 +87,8 @@ def limit_solution(data: ProblemData, point, t: float) -> float:
         return u0
     from scipy.integrate import quad
 
-    g = data.source(*point)
-    return u0 + quad(lambda s: float(g(s)), 0.0, t, epsabs=1e-12, epsrel=0.0)[0]
+    terms = data.source(*point)
+    return u0 + quad(lambda s: float(source_values(terms, s)), 0.0, t, epsabs=1e-12, epsrel=0.0)[0]
 
 
 def heat_kernel_I(xi, t, epsilon: float):
@@ -97,10 +111,10 @@ def theta0(data: ProblemData, eta: float, xi: float, t: float) -> float:
 
     from scipy.integrate import quad_vec
 
-    g = data.source(*data.boundary_point(eta))
+    terms = data.source(*data.boundary_point(eta))
 
     def integrand(s):
-        return float(heat_kernel_I(xi, t - s, data.epsilon) * g(s))
+        return float(heat_kernel_I(xi, t - s, data.epsilon) * source_values(terms, s))
 
     # The kernel is negligible for t - s << xi^2 / eps; split there so the
     # adaptive rule starts with panels matched to the moving scale.  quad_vec

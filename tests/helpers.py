@@ -4,27 +4,32 @@ terms at every point, oracles for the library's read-out, the block
 stacking and the load as they were formulated before the march ran on
 fixed operators, oracles for linsolve.stack and make_load (among them the
 load of one block-diagonal operator over the standard and the fixed
-enriched points), and the enriched blocks as linear maps with one column
-per support point, the oracle for the chunked assembly."""
+enriched points, each formed from the source's terms), the built-in
+sources' closed forms and a source of three terms, and the enriched blocks
+as linear maps with one column per support point, the oracle for the
+chunked assembly."""
 
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
+from blfem.analysis import PROBLEMS
 from blfem.assembly import (
     AssemblyError,
     _hat_columns,
     _hat_gradients,
     _layer_rule_1d,
     _locate_1d,
+    _spatial_values,
     _support_triangles,
     element_rules_2d,
     fitted_arrays,
     triangle_rule_points,
 )
-from blfem.corrector import enrichment_profile, time_independent_xi
+from blfem.corrector import enrichment_profile, source_values, time_independent_xi, unit_factor
 from blfem.quadrature import QuadratureLayout
 
 
@@ -95,9 +100,64 @@ def bmat_stack(kss, kse, kee):
     return whole
 
 
-def _bind(source, coords):
-    g, shape = source(*coords), coords[0].shape
-    return lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), shape)
+def unfused_1d(eps, x, t):
+    """u, u_x and f of exact1d from separate g, g' and g'' evaluations."""
+    def g(s):
+        return 1.0 - np.exp(-s) * np.cos(s)
+
+    def g1(s):
+        return np.exp(-s) * (np.cos(s) + np.sin(s))
+
+    def g2(s):
+        return -2.0 * np.exp(-s) * np.sin(s)
+
+    rt = np.sqrt(eps)
+    a = np.asarray(x) / rt
+    b = (1.0 - np.asarray(x)) / rt
+    u = t * g(a) * g(b)
+    u_x = t / rt * (g1(a) * g(b) - g(a) * g1(b))
+    lap = (g2(a) * g(b) - 2.0 * g1(a) * g1(b) + g(a) * g2(b)) / eps
+    return u, u_x, g(a) * g(b) - t * eps * lap
+
+
+def wavy_source(x, y):
+    """sin 3x cos y cos t - sin 3x sin y sin t + x y as three terms."""
+    s = np.sin(3.0 * x)
+    return (np.cos, s * np.cos(y)), (lambda t: -np.sin(t), s * np.sin(y)), (unit_factor, x * y)
+
+
+def wavy(x, y, t):
+    """The closed form that wavy_source's terms sum to."""
+    return np.sin(3.0 * x) * np.cos(y) * np.cos(t) - np.sin(3.0 * x) * np.sin(y) * np.sin(t) + x * y
+
+
+# each built-in problem's source as the one closed form in (eps, coordinates,
+# t) that its class evaluated before it declared its terms
+CLOSED_FORMS = {
+    "exact1d": lambda eps, x, t: unfused_1d(eps, x, t)[2],
+    "zero1d": lambda eps, x, t: np.zeros_like(x),
+    "smooth1d": lambda eps, x, t: np.sin(np.pi * x) * (1.0 + eps * np.pi**2 * (1.0 + t)),
+    "exact2d": lambda eps, x, y, t: np.exp(t) * np.ones_like(x),
+    "zero2d": lambda eps, x, y, t: np.zeros_like(x),
+}
+
+
+def sources(dim, eps):
+    """(name, terms, closed form f(*coords, t)) of each built-in problem of
+    the dimension, and in 2D of wavy_source."""
+    cases = [(name, PROBLEMS[name](eps).source, partial(f, eps)) for name, f in CLOSED_FORMS.items()]
+    return [case for case in cases if PROBLEMS[case[0]].dim == dim] + [("wavy", wavy_source, wavy)] * (dim == 2)
+
+
+def frozen(f, t):
+    """The source f(*coords, t) at the one time t as a source of one term
+    with factor 1: its load is the per-point quadrature of f(., t)."""
+    return lambda *coords: ((unit_factor, f(*coords, t)),)
+
+
+def applied(op, terms, cols=slice(None)):
+    """The terms (tau_k, op @ v_k[cols]): a linear map applied to each."""
+    return [(tau, op @ v[cols]) for tau, v in terms]
 
 
 def block_diagonal(a, b):
@@ -108,20 +168,21 @@ def block_diagonal(a, b):
 
 
 def block_diagonal_load(coords, op, le_moving=None, moving_points=None):
-    """make_load(source) -> load(t, phi_vals) with the source bound once to
-    the points coords (flat arrays): op @ f(*coords, t) at the leading
-    op.shape[1] points, plus, where points move, le_moving @ (phi * f) at
-    the others, phi = phi_vals[moving_points], on the last (enriched) rows."""
+    """make_load(source) -> load(t, phi_vals) with the source's terms taken
+    once at the points coords (flat arrays): sum_k tau_k(t) * op @ v_k at
+    the leading op.shape[1] points, plus, where points move,
+    le_moving @ (phi * sum_k tau_k(t) * v_k) at the others,
+    phi = phi_vals[moving_points], on the last (enriched) rows."""
     k = op.shape[1]
 
     def make_load(source):
-        values = _bind(source, coords)
+        terms = _spatial_values(source, coords)
+        fixed = applied(op, terms, slice(k))
 
         def load(t, phi_vals=None):
-            fv = values(t)
-            out = op @ fv[:k]
+            out = source_values(fixed, t)
             if le_moving is not None:
-                out[-le_moving.shape[0] :] += le_moving @ (phi_vals[moving_points] * fv[k:])
+                out[-le_moving.shape[0] :] += le_moving @ (phi_vals[moving_points] * source_values(terms, t)[k:])
             return out
 
         return load
@@ -139,22 +200,25 @@ def on_every_column(le_fixed, moving):
 
 def separate_load(space, system, t_max=None):
     """make_load(source) -> load(t, phi_vals) of `system` (assembled with
-    split time t_max), with the source bound to the standard, the fixed and
-    the moving enriched load points apart: the standard load from its own
-    operator, concatenated with the fixed points' load (the profile folded
-    into the operator) plus the moving points' load."""
-    if space.enrichment is None:
-        return lambda source: (lambda t, phi_vals=None: system.load_op @ _bind(source, system.load_coords)(t))
-    split = operator_split(space, t_max)
-    k = split.le_fixed.shape[1]
+    split time t_max), with the source's terms taken at the standard, the
+    fixed and the moving enriched load points apart: sum_k tau_k(t) * L v_k
+    for the standard load from its own operator, concatenated with the fixed
+    points' load (the profile folded into the operator), plus the moving
+    points' load of the summed values.  Given frozen(f, t), it is the load
+    of the per-point values f(., t)."""
+    split = None if space.enrichment is None else operator_split(space, t_max)
 
     def make_load(source):
-        standard, enriched = _bind(source, system.load_coords), _bind(source, split.coords)
+        standard = applied(system.load_op, _spatial_values(source, system.load_coords))
+        if split is None:
+            return lambda t, phi_vals=None: source_values(standard, t)
+        k = split.le_fixed.shape[1]
+        enriched = _spatial_values(source, split.coords)
+        fixed = applied(split.le_fixed, enriched, slice(k))
 
         def load(t, phi_vals):
-            fv = enriched(t)
-            enriched_part = split.le_fixed @ fv[:k] + split.le_moving @ (phi_vals[split.moving_points] * fv[k:])
-            return np.concatenate([system.load_op @ standard(t), enriched_part])
+            moving = split.le_moving @ (phi_vals[split.moving_points] * source_values(enriched, t)[k:])
+            return np.concatenate([source_values(standard, t), source_values(fixed, t) + moving])
 
         return load
 

@@ -15,7 +15,6 @@ from blfem.analysis import (
     ExactSolution2D,
     SmoothSolution1D,
     ZeroSolution1D,
-    ZeroSolution2D,
     _graded_grid,
     compute_error_report,
     epsilon_rate_study,
@@ -28,10 +27,10 @@ from blfem.analysis import (
     write_convergence_csv,
 )
 from blfem.assembly import assemble_enriched, build_space
-from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
+from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile, source_values
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import TimeGrid, advance
-from helpers import coupling_layout_2d, enriched_terms
+from helpers import CLOSED_FORMS, coupling_layout_2d, enriched_terms, unfused_1d
 
 
 class TestManufacturedSolution1D:
@@ -71,26 +70,6 @@ class TestManufacturedSolution1D:
         assert np.all(exact.u0(np.linspace(0, 1, 11)) == 0.0)
 
 
-def _unfused_1d(eps, x, t):
-    """u, u_x and f of exact1d from separate g, g' and g'' evaluations."""
-    def g(s):
-        return 1.0 - np.exp(-s) * np.cos(s)
-
-    def g1(s):
-        return np.exp(-s) * (np.cos(s) + np.sin(s))
-
-    def g2(s):
-        return -2.0 * np.exp(-s) * np.sin(s)
-
-    rt = np.sqrt(eps)
-    a = np.asarray(x) / rt
-    b = (1.0 - np.asarray(x)) / rt
-    u = t * g(a) * g(b)
-    u_x = t / rt * (g1(a) * g(b) - g(a) * g1(b))
-    lap = (g2(a) * g(b) - 2.0 * g1(a) * g1(b) + g(a) * g2(b)) / eps
-    return u, u_x, g(a) * g(b) - t * eps * lap
-
-
 class TestManufacturedSolution1DFused:
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     def test_bit_identical_to_unfused_formulas(self, eps):
@@ -99,40 +78,31 @@ class TestManufacturedSolution1DFused:
         near = np.sqrt(eps) * rng.uniform(0.0, 40.0, 500)
         x = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 2000), near, 1.0 - near])
         for t in (0.0, 0.3, 1.0):
-            want = _unfused_1d(eps, x, t)
+            want = unfused_1d(eps, x, t)
             for got, ref in zip((exact.u(x, t), exact.grad(x, t)[:, 0], exact.f(x, t)), want):
                 assert got.tobytes() == ref.tobytes()
             u, g = exact.value_and_grad(x, t)
             assert u.tobytes() == want[0].tobytes() and g[:, 0].tobytes() == want[1].tobytes()
         # scalar input
-        for got, ref in zip((exact.u(0.25, 0.5), exact.grad(0.25, 0.5)[0], exact.f(0.25, 0.5)), _unfused_1d(eps, 0.25, 0.5)):
+        for got, ref in zip((exact.u(0.25, 0.5), exact.grad(0.25, 0.5)[0], exact.f(0.25, 0.5)), unfused_1d(eps, 0.25, 0.5)):
             assert float(got) == float(ref)
 
 
-# each built-in source as the one closed form in (coordinates, t) that its
-# class evaluated before the spatial part was bound once per point set
-_PLAIN_SOURCES = {
-    "exact1d": (ExactSolution1D, lambda eps, x, t: _unfused_1d(eps, x, t)[2]),
-    "zero1d": (ZeroSolution1D, lambda eps, x, t: np.zeros_like(x)),
-    "smooth1d": (SmoothSolution1D, lambda eps, x, t: np.sin(np.pi * x) * (1.0 + eps * np.pi**2 * (1.0 + t))),
-    "exact2d": (ExactSolution2D, lambda eps, x, y, t: np.exp(t) * np.ones_like(x)),
-    "zero2d": (ZeroSolution2D, lambda eps, x, y, t: np.zeros_like(x)),
-}
-
-
 class TestBoundSources:
-    @pytest.mark.parametrize("name", list(_PLAIN_SOURCES))
+    @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_bound_source_bit_identical_to_pointwise(self, name):
+        # the declared terms sum to the closed form its class evaluated
+        # before it declared them, and f sums them
         eps = 1e-5
-        cls, plain = _PLAIN_SOURCES[name]
-        exact = cls(eps)
+        exact = PROBLEMS[name](eps)
+        plain = CLOSED_FORMS[name]
         rng = np.random.default_rng(5)
         near = np.sqrt(eps) * rng.uniform(0.0, 40.0, 100)
         x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300), near, 1.0 - near])
         coords = (x,) if exact.dim == 1 else (0.7 * x, 0.7 * (1.0 - x))
-        g = exact.source(*coords)
+        terms = exact.source(*coords)
         for t in (0.0, 0.37, 1.0):
-            got = g(t)
+            got = source_values(terms, t)
             assert got.tobytes() == exact.f(*coords, t).tobytes()
             assert got.tobytes() == plain(eps, *coords, t).tobytes()
 
@@ -140,7 +110,7 @@ class TestBoundSources:
         exact = ExactSolution1D(1e-5)
         data = exact.problem()
         x = np.linspace(0.0, 1.0, 7)
-        assert data.source(x)(0.5).tobytes() == exact.f(x, 0.5).tobytes()
+        assert source_values(data.source(x), 0.5).tobytes() == unfused_1d(1e-5, x, 0.5)[2].tobytes()
         assert data.source == exact.source
 
 

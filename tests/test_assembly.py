@@ -19,6 +19,7 @@ from blfem.assembly import (
     _discrete_field,
     _layer_rule_1d,
     _locate_1d,
+    _spatial_values,
     assemble_enriched,
     assemble_standard,
     build_space,
@@ -29,17 +30,24 @@ from blfem.assembly import (
     triangle_geometry,
     triangle_rule_points,
 )
-from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile
+from blfem.corrector import ENRICHMENT_KINDS, EnrichmentSpec, enrichment_profile, source_values, unit_factor
 from blfem.linsolve import stack
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.quadrature import composite_interval, gauss_interval, gauss_triangle, geometric_panels
 from blfem.timestep import TimeGrid, cross_level_product
-from helpers import coupling_layout_2d, locate_disk, on_every_column, operator_split, point_pattern, separate_load, subset_layout
-
-
-def _bound(f):
-    """A plain source f(*coords, t) in the bound form make_load takes."""
-    return lambda *coords: lambda t: f(*coords, t)
+from helpers import (
+    applied,
+    coupling_layout_2d,
+    frozen,
+    locate_disk,
+    on_every_column,
+    operator_split,
+    point_pattern,
+    separate_load,
+    sources,
+    subset_layout,
+    wavy_source,
+)
 
 
 def _space_1d(n=10, spec=None):
@@ -97,7 +105,7 @@ class TestStandard1D:
         n = 6
         space = _space_1d(n)
         system = assemble_standard(space, 1e-2)
-        load = system.parts["make_load"](_bound(lambda x, t: x**2))(0.0)
+        load = system.parts["make_load"](lambda x: ((unit_factor, x**2),))(0.0)
         nodes = space.mesh.nodes
         for k, i in enumerate(space.interior_nodes):
             hat = lambda x: np.clip(
@@ -581,7 +589,7 @@ def _assert_level_matches(space, eps, reference, source):
         mee=new.mee,
         aee=new.aee,
         cee=cross[n:, n:],
-        load=parts["make_load"](_bound(source))(0.5, phi_vals=new.phi)[n:],
+        load=parts["make_load"](frozen(source, 0.5))(0.5, phi_vals=new.phi)[n:],
     )
     for name, want in ref.items():
         scale = np.max(np.abs(want))
@@ -616,7 +624,7 @@ class TestSplitLayout:
             prev_want, prev_got = whole["rebuild"](0.5 * t), split["rebuild"](0.5 * t)
             cee_want = whole["rebuild"](t, prev_want).cee
             assert np.max(np.abs(split["rebuild"](t, prev_got).cee - cee_want)) <= 1e-14 * np.max(np.abs(cee_want))
-            source = _bound(_source if dim == 2 else _source_1d)
+            source = frozen(_source if dim == 2 else _source_1d, t)
             load_want = whole["make_load"](source)(t, phi_vals=want.phi)
             load_got = split["make_load"](source)(t, phi_vals=got.phi)
             assert np.max(np.abs(load_got - load_want)) <= 1e-14 * np.max(np.abs(load_want))
@@ -737,7 +745,7 @@ class TestProjectionAndEvaluation:
         u0 = lambda x: np.sin(np.pi * np.asarray(x))
         got = project_initial(space, system, u0)
         level = system.parts["rebuild"](0.0)
-        rhs = system.parts["make_load"](_bound(lambda x, t: u0(x)))(0.0, level.phi)
+        rhs = system.parts["make_load"](lambda x: ((unit_factor, u0(x)),))(0.0, level.phi)
         resid = np.linalg.norm(stack(system.mss, level.msl, level.mee) @ got - rhs) / np.linalg.norm(rhs)
         assert resid < 1e-10
 
@@ -827,9 +835,10 @@ class TestTriangleGeometry:
 # references
 
 
-def _reference_standard_load(space, f, t):
+def _reference_standard_load(space, source, t):
     """The standard load from one (element, vertex, point) contribution per
-    DOF, source value and weight spread out per vertex, summed by bincount."""
+    DOF, each term's values and weight spread out per vertex, summed by
+    bincount term by term; sum_k tau_k(t) * L v_k."""
     mesh = space.mesh
     if mesh.dim == 1:
         base = gauss_interval(4)
@@ -857,13 +866,13 @@ def _reference_standard_load(space, f, t):
     def spread(vals):
         return np.broadcast_to(vals, keep.shape)[keep]
 
-    fvals = np.asarray(f(*(spread(c[:, None, :]) for c in coords), t), dtype=float)
-    weights = spread(wts[:, None, :]) * spread(hats) * fvals
-    return np.bincount(spread(dofs[:, :, None]), weights=weights, minlength=space.n_standard)
-
-
-def _wavy_source(x, y, t):
-    return np.sin(3.0 * x) * np.cos(y + t) + x * y
+    contributions = spread(wts[:, None, :]) * spread(hats)
+    terms = source(*(spread(c[:, None, :]) for c in coords))
+    loads = [
+        (tau, np.bincount(spread(dofs[:, :, None]), weights=contributions * v, minlength=space.n_standard))
+        for tau, v in terms
+    ]
+    return source_values(loads, t)
 
 
 class TestStandardLoadOperator:
@@ -871,36 +880,34 @@ class TestStandardLoadOperator:
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     def test_1d_bit_identical_to_contribution_sum(self, n, eps):
         space = _space_1d(n)
-        exact = ExactSolution1D(eps)
-        f = exact.f
-        load = assemble_standard(space, eps).parts["make_load"](exact.source)
+        source = ExactSolution1D(eps).source
+        load = assemble_standard(space, eps).parts["make_load"](source)
         for t in (0.0, 0.37, 1.0):
-            assert load(t).tobytes() == _reference_standard_load(space, f, t).tobytes()
+            assert load(t).tobytes() == _reference_standard_load(space, source, t).tobytes()
 
     @pytest.mark.parametrize("b", [16, 104])
     @pytest.mark.parametrize("source", ["exact2d", "wavy"])
     def test_2d_bit_identical_to_contribution_sum(self, b, source):
         eps = 1e-8
         space = build_space(build_disk_mesh(b))
-        f = ExactSolution2D(eps).f if source == "exact2d" else _wavy_source
-        bound = ExactSolution2D(eps).source if source == "exact2d" else _bound(_wavy_source)
-        load = assemble_standard(space, eps).parts["make_load"](bound)
+        source = ExactSolution2D(eps).source if source == "exact2d" else wavy_source
+        load = assemble_standard(space, eps).parts["make_load"](source)
         for t in (0.0, 0.37, 1.0):
-            got, want = load(t), _reference_standard_load(space, f, t)
+            got, want = load(t), _reference_standard_load(space, source, t)
             assert np.any(want != 0.0)
             assert got.tobytes() == want.tobytes()
 
     def test_constant_source_broadcasts(self):
         space = _space_1d(10)
-        load = assemble_standard(space, 1e-3).parts["make_load"](_bound(lambda x, t: 2.0))
+        load = assemble_standard(space, 1e-3).parts["make_load"](lambda x: ((unit_factor, 2.0),))
         assert np.allclose(load(0.0), 2.0 * 0.1, rtol=1e-14)
 
 
 class TestOneLoadOperator:
-    """make_load binds the source once to every load point and applies one
-    block-diagonal operator to the standard and the fixed enriched points;
-    the load bound per point set and concatenated (helpers.separate_load) is
-    the oracle."""
+    """make_load takes the source's terms once at every load point and
+    applies one block-diagonal operator to the standard and the fixed
+    enriched points; the load of the terms taken per point set and
+    concatenated (helpers.separate_load) is the oracle."""
 
     @pytest.mark.parametrize("kind, t_max", [(None, 1.0), ("phi_m1_lin", 1.0), ("phi0_tilde", 1.0), ("phi0_tilde", None)])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -916,13 +923,60 @@ class TestOneLoadOperator:
             system = assemble_enriched(space, eps, t_max=t_max)
         # the fixed kind has no moving point; phi0_tilde split at T has both
         assert (len(system.moving_rows) > 0) == (kind == "phi0_tilde")
-        source = ExactSolution1D(eps).source if dim == 1 else _bound(_wavy_source)
+        source = ExactSolution1D(eps).source if dim == 1 else wavy_source
         got, want = system.parts["make_load"](source), separate_load(space, system, t_max)(source)
         for t in (0.0, dt, T):
             phi = system.parts["rebuild"](t).phi
             a, b = got(t, phi), want(t, phi)
             assert len(a) == space.total_dofs and np.any(b[space.n_standard :] != 0.0) == (kind is not None)
             assert a.tobytes() == b.tobytes()
+
+
+class TestLoadFromTerms:
+    """make_load forms each term's L v_k once per march and a step sums
+    tau_k(t) * L v_k, against the per-point path: the load of the closed
+    form's values f(., t) (helpers.frozen), in the plain space and in the
+    phi0_tilde space split at T = 1, which has fixed and moving points."""
+
+    @pytest.mark.parametrize("dim, level", [(1, 50), (1, 800), (2, 26), (2, 104)])
+    def test_load_matches_per_point_quadrature(self, dim, level):
+        # Summing the terms after the mat-vecs instead of before them
+        # reorders a sum over points and terms, so an entry moves by rounding
+        # relative to sum_p |L_ip| sum_k |tau_k(t) v_k,p|; that is
+        # sum_p |L_ip f_p| for one term.  Measured: at most 7.8 ulps (2D,
+        # B = 104), so 16 ulps.
+        eps, ulps = 1e-5, 16 * 2.0**-52
+        mesh = build_interval_mesh(level) if dim == 1 else build_disk_mesh(level)
+        plain, space = build_space(mesh), build_space(mesh, EnrichmentSpec(kind="phi0_tilde", epsilon=eps))
+        standard, system = assemble_standard(plain, eps), assemble_enriched(space, eps, t_max=1.0)
+        per_point, split = separate_load(space, system, 1.0), operator_split(space, 1.0)
+        k, n = split.le_fixed.shape[1], space.n_standard
+        assert k > 0 and split.le_moving.shape[1] > 0
+        for name, source, f in sources(dim, eps):
+            def magnitude(*coords_t):
+                return sum(abs(tau(coords_t[-1])) * np.abs(v) for tau, v in source(*coords_t[:-1]))
+
+            plain_load, load = standard.parts["make_load"](source), system.parts["make_load"](source)
+            for t in (0.0, 0.37, 1.0):
+                phi = system.parts["rebuild"](t).phi
+                # the terms sum to the closed form bit for bit at every load point
+                for coords in (standard.load_coords, split.coords):
+                    assert source_values(source(*coords), t).tobytes() == f(*coords, t).tobytes(), name
+                # each load entry within a few ulps of the per-point one
+                for got, want, scale in (
+                    (plain_load(t), *(_reference_standard_load(plain, frozen(g, t), t) for g in (f, magnitude))),
+                    (load(t, phi), *(per_point(frozen(g, t))(t, phi) for g in (f, magnitude))),
+                ):
+                    assert np.all(np.abs(got - want) <= ulps * scale), (name, t)
+                # one term of factor 1, as the projection binds u0, loads bit
+                # for bit as the per-point path
+                once = frozen(f, t)
+                assert standard.parts["make_load"](once)(t).tobytes() == _reference_standard_load(plain, once, t).tobytes()
+                assert system.parts["make_load"](once)(t, phi).tobytes() == per_point(once)(t, phi).tobytes()
+                # the moving points' part reads the per-point values f(., t)
+                moving = split.le_moving @ (phi[split.moving_points] * f(*(c[k:] for c in split.coords), t))
+                fixed = source_values(applied(split.le_fixed, _spatial_values(source, split.coords), slice(k)), t)
+                assert load(t, phi)[n:].tobytes() == (fixed + moving).tobytes(), (name, t)
 
 
 def _reference_standard_1d(space, epsilon):

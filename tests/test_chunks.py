@@ -33,8 +33,7 @@ def _same(got, want):
 
 
 def _source(*coords):
-    values = sum(np.sin((i + 2.0) * c) for i, c in enumerate(coords))
-    return lambda t: (1.0 + t) * values
+    return ((lambda t: 1.0 + t, sum(np.sin((i + 2.0) * c) for i, c in enumerate(coords))),)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -61,7 +60,7 @@ class TestChunkedAssemblyAgainstOperators:
     def test_system_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
         # the moving rows, and the load and the moving profile values of each
         # level; the load against one block-diagonal operator over the
-        # standard and the fixed points, the source bound to all at once
+        # standard and the fixed points, the source's terms taken at all of them at once
         monkeypatch.setattr(assembly, "CHUNK", chunk)
         space = _space(dim, kind, level, 1e-5)
         layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None

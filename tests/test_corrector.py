@@ -24,24 +24,25 @@ from blfem.corrector import (
     limit_solution,
     theta0,
     time_independent_xi,
+    unit_factor,
 )
 from blfem.specfun import erfc_gauss
 
 
 def _data_1d(epsilon=1e-3, source=None, u0=None):
-    source = source or (lambda x: lambda t: t * np.cos(np.pi * np.asarray(x)))
+    source = source or (lambda x: ((lambda t: t, np.cos(np.pi * np.asarray(x))),))
     u0 = u0 or (lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     return ProblemData(dim=1, source=source, u0_initial=u0, epsilon=epsilon)
 
 
 def _data_2d(epsilon=1e-3):
-    source = lambda x, y: lambda t: t * (1.0 + np.asarray(x) * 0.0)
+    source = lambda x, y: ((lambda t: t, 1.0 + np.asarray(x) * 0.0),)
     u0 = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     return ProblemData(dim=2, source=source, u0_initial=u0, epsilon=epsilon)
 
 
 def _unit_source(x):
-    return lambda t: np.ones_like(np.asarray(x, dtype=float))
+    return ((unit_factor, np.ones_like(np.asarray(x, dtype=float))),)
 
 
 class TestProblemData:
@@ -82,7 +83,7 @@ class TestProblemData:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProblemData(dim=3, source=lambda x: lambda t: 0.0, u0_initial=lambda x: 0.0, epsilon=1.0)
+            ProblemData(dim=3, source=lambda x: ((unit_factor, 0.0),), u0_initial=lambda x: 0.0, epsilon=1.0)
         with pytest.raises(ValueError):
             _data_1d(epsilon=-1.0)
 

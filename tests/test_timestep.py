@@ -12,7 +12,7 @@ import blfem.assembly
 import blfem.corrector
 from blfem.analysis import ExactSolution1D, ExactSolution2D, ZeroSolution1D, ZeroSolution2D
 from blfem.assembly import _layer_rule_1d, assemble_enriched, assemble_standard, build_space, project_initial
-from blfem.corrector import EnrichmentSpec, ProblemData
+from blfem.corrector import EnrichmentSpec, ProblemData, unit_factor
 from blfem.linsolve import (
     BlockSolver,
     NotPositiveDefinite,
@@ -22,13 +22,13 @@ from blfem.linsolve import (
 )
 from blfem.mesh import build_disk_mesh, build_interval_mesh
 from blfem.timestep import SolutionField, TimeGrid, advance
-from helpers import bmat_stack, separate_load
+from helpers import bmat_stack, separate_load, wavy_source
 
 
 def _zero_data(epsilon=1e-2):
     return ProblemData(
         dim=1,
-        source=lambda x: lambda t: np.zeros_like(np.asarray(x, dtype=float)),
+        source=lambda x: ((unit_factor, np.zeros_like(np.asarray(x, dtype=float))),),
         u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         epsilon=epsilon,
     )
@@ -76,7 +76,7 @@ class TestAdvance:
         system = assemble_standard(space, eps)
         data = ProblemData(
             dim=1,
-            source=lambda x: lambda t: np.ones_like(np.asarray(x, dtype=float)),
+            source=lambda x: ((unit_factor, np.ones_like(np.asarray(x, dtype=float))),),
             u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             epsilon=eps,
         )
@@ -96,7 +96,7 @@ class TestAdvance:
         nodal = np.sin(np.pi * space.mesh.nodes[space.interior_nodes])
         data = ProblemData(
             dim=1,
-            source=lambda x: lambda t: np.zeros_like(np.asarray(x, dtype=float)),
+            source=lambda x: ((unit_factor, np.zeros_like(np.asarray(x, dtype=float))),),
             u0_initial=lambda x: np.interp(x, space.mesh.nodes,
                                            np.sin(np.pi * space.mesh.nodes)),
             epsilon=eps,
@@ -115,7 +115,7 @@ class TestAdvance:
         system = assemble_standard(space, eps)
         data = ProblemData(
             dim=1,
-            source=lambda x: lambda t: np.exp(2.0 * t) * np.asarray(x) * (1.0 - np.asarray(x)),
+            source=lambda x: ((lambda t: np.exp(2.0 * t), np.asarray(x) * (1.0 - np.asarray(x))),),
             u0_initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             epsilon=eps,
         )
@@ -244,6 +244,39 @@ class TestBoundSource:
         enriched = 2 * len(_layer_rule_1d(space).points)  # p for phi(x), 1 - p for phi(1 - x)
         assert sizes[0] == sizes[1] == [len(system.load_coords[0]), enriched]
 
+    @pytest.mark.parametrize("kind", [None, "phi_m1_lin", "phi0_tilde"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_step_load_sums_vectors_formed_once(self, dim, kind, monkeypatch):
+        # a step's load evaluates no spatial term, and it makes no sparse
+        # product on a fixed level and one (le_moving) where points move
+        eps = 1e-5
+        mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
+        spec = None if kind is None else EnrichmentSpec(kind=kind, epsilon=eps, sigma=0.2 if kind == "phi_m1_lin" else None)
+        space = build_space(mesh, spec)
+        system = assemble_standard(space, eps) if spec is None else assemble_enriched(space, eps, t_max=1.0)
+        assert (len(system.moving_rows) > 0) == (kind == "phi0_tilde")
+        spatial = []
+
+        def source(*coords):
+            spatial.append(coords[0].size)
+            return ExactSolution1D(eps).source(*coords) if dim == 1 else wavy_source(*coords)
+
+        load = system.parts["make_load"](source)
+        assert len(spatial) == (1 if spec is None else 2)
+        products, matmul = [], sp.csr_matrix.__matmul__
+
+        def counted(op, other):
+            products.append(op.shape)
+            return matmul(op, other)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+        for t in (0.25, 0.5, 1.0):
+            phi = system.parts["rebuild"](t).phi
+            products.clear()
+            load(t, phi)
+            assert [rows for rows, _ in products] == [space.n_enriched] * (kind == "phi0_tilde")
+        assert len(spatial) == (1 if spec is None else 2)
+
 
 class _PreChangeBlockSolver(BlockSolver):
     """BlockSolver as the march used it before it stepped on fixed
@@ -282,8 +315,7 @@ def _pre_change_march(space, system, data, grid, t_max):
     load = make_load(data.source)
 
     def u0_at(*coords):
-        vals = data.u0_initial(*coords)
-        return lambda t: vals
+        return ((unit_factor, data.u0_initial(*coords)),)
 
     level = rebuild(0.0)
     if space.enrichment is not None and space.enrichment.time_dependent:
