@@ -72,8 +72,7 @@ class BasisSpace:
 
 def build_space(mesh, enrichment: EnrichmentSpec = None) -> BasisSpace:
     n = len(mesh.nodes)
-    boundary = set(int(i) for i in mesh.boundary_nodes)
-    interior = np.array([i for i in range(n) if i not in boundary], dtype=int)
+    interior = np.setdiff1d(np.arange(n), mesh.boundary_nodes)
     node_to_dof = -np.ones(n, dtype=int)
     node_to_dof[interior] = np.arange(len(interior))
     if enrichment is not None and mesh.dim == 2 and len(mesh.rings) == 0:
@@ -515,7 +514,7 @@ def _chunks(n):
 # or phi_new * phi_old (mass) and phi**2 (angular); le to the enriched DOFs,
 # `width` per load column (one per load point, in the order of the raveled
 # coords), from phi * f.  A coefficient None is zero; ee and le have
-# `per_point` entries a point.  keys_only: xi, (keys, points) of sl, (rows, points) of le.
+# `per_point` entries a point.  keys_only: xi, and (keys, points) of sl.
 _Support = namedtuple("_Support", "size coords width per_point chunks terms")
 
 
@@ -561,18 +560,17 @@ def _support_1d(space: BasisSpace) -> _Support:
     def terms(idx, keys_only=False):
         elem, hat = _locate_1d(space.mesh.nodes, coords[:, idx].T)
         dof = space.node_to_dof[space.mesh.elements[elem]]
-        # the load points are p for DOF 0, then 1 - p for DOF 1
-        n_pts, point = len(elem), np.arange(len(elem))
-        le = np.repeat([0, 1], n_pts), np.tile(point, 2)
         if keys_only:
-            return p[idx], _coupling_keys(2, dof, col)[:2], le
+            return p[idx], _coupling_keys(2, dof, col)[:2]
         # the hats' values and x-slopes, the latter signed by dxi/dx
         slope = _hat_gradients(space.mesh)[elem][..., 0] * np.array([1.0, -1.0])[:, None]
         wb = w[idx, None, None]
         sl = _coupling_keys(2, dof, col, wb * hat, wb * slope, None)
+        n_pts, point = len(elem), np.arange(len(elem))
         # each point adds to both diagonal entries (0 and 3) of the flattened (2, 2) blocks
         ee = np.tile([0, 3], n_pts), np.repeat(point, 2), (np.repeat(w[idx], 2), None)
-        return sl, ee, (*le, (np.tile(w[idx], 2),))
+        # the load points are p for DOF 0, then 1 - p for DOF 1
+        return sl, ee, (np.repeat([0, 1], n_pts), np.tile(point, 2), (np.tile(w[idx], 2),))
 
     return _Support(len(p), (coords,), 1, (2, 2), [slice(0, len(p))], terms)
 
@@ -620,10 +618,9 @@ def _support_2d(space: BasisSpace, layout: QuadratureLayout) -> _Support:
         x, y = layout.points[idx, 0], layout.points[idx, 1]
         eta, xi, r = fitted_arrays(x, y)
         frac, cols = _hat_columns(m, eta)
-        keys, point = np.repeat(dof[pair] * m, 2) + cols.take(p, axis=0).ravel(), np.arange(len(xi))
-        le = cols.ravel(), np.repeat(point, 2)
+        keys = np.repeat(dof[pair] * m, 2) + cols.take(p, axis=0).ravel()
         if keys_only:
-            return xi, (keys, np.repeat(p, 2)), le
+            return xi, (keys, np.repeat(p, 2))
         w, psi0 = layout.weights[idx], 1.0 - frac
         psi = np.stack([psi0, frac], axis=1)
         (xi_x, xi_y), (eta_x, eta_y), r2 = _fitted_gradients(x, y, r)
@@ -636,17 +633,18 @@ def _support_2d(space: BasisSpace, layout: QuadratureLayout) -> _Support:
         sl = [np.repeat(wp * c, 2) * psi_p for c in (bary, g_xi)] + [np.stack([-g_eta, g_eta], axis=1).ravel()]
         # enriched-enriched products: each point couples its panel's two hats,
         # the flattened (2, 2) products in (point, hat, hat) order
-        w0, w1, ang = w * psi0, w * frac, ((w * slope) * slope) / r2
+        w0, w1, ang, point = w * psi0, w * frac, ((w * slope) * slope) / r2, np.arange(len(xi))
         ee = (w0 * psi0, w0 * frac, w1 * psi0, w1 * frac), (ang, -ang, -ang, ang)
         ee = ee_rows.take(cols[:, 0], axis=0).ravel(), np.repeat(point, 4), [np.stack(c, axis=1).ravel() for c in ee]
-        return (keys, np.repeat(p, 2), sl), ee, (*le, (np.stack([w0, w1], axis=1).ravel(),))
+        return (keys, np.repeat(p, 2), sl), ee, (cols.ravel(), np.repeat(point, 2), (np.stack([w0, w1], axis=1).ravel(),))
 
     return _Support(end, (layout.points[:end, 0], layout.points[:end, 1]), 2, (4, 2), _chunks(end), terms)
 
 
 class _Kept:
-    """Entries of CSR operators on one pattern, added column by column (n_cols
-    new ones, cols counted from the first) into arrays sized beforehand."""
+    """Entries of CSR operators on one pattern, added part by part (cols
+    counted from the part's first column, n_cols new ones) into arrays sized
+    beforehand."""
 
     def __init__(self, size, n_coeffs):
         self.end, self.n_cols, self.coeffs = 0, 0, [np.empty(size) for _ in range(n_coeffs)]
@@ -661,11 +659,10 @@ class _Kept:
                 kept[at] = c
 
     def operators(self, n_rows):
-        # the entries are in the operators' CSC order, so one linear-time
-        # conversion gives their CSR pattern, with each one's position as data
-        indptr = np.zeros(self.n_cols + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.cols, minlength=self.n_cols), dtype=np.int32, out=indptr[1:])
-        pat = sp.csc_matrix((np.arange(self.end), self.rows, indptr), shape=(n_rows, self.n_cols)).tocsr()
+        # the entries are in column order and scipy's coo -> csr is a stable
+        # counting sort, so it keeps each row's in column order: their CSR
+        # pattern, with each one's position as data
+        pat = sp.csr_matrix((np.arange(self.end), (self.rows, self.cols)), shape=(n_rows, self.n_cols))
         ops = [pat.shape if c is None else (c[pat.data], pat.indices, pat.indptr) for c in self.coeffs]
         return [sp.csr_matrix(op, shape=pat.shape) for op in ops]
 
@@ -688,25 +685,18 @@ def _split(space, support: _Support, t_max) -> _Split:
     n, m = space.n_standard, space.n_enriched
     xi_star = time_independent_xi(space.enrichment, t_max)
     xi, present, n_sl = np.empty(support.size), np.zeros(n * m, dtype=bool), 0
-    # le_fixed is built in place: its row pointers count the fixed points' load entries
-    indptr = np.zeros(m + 1, dtype=np.int32)
     for sel in support.chunks:
-        xi[sel], (keys, point), (le_rows, le_point) = support.terms(sel, keys_only=True)
+        xi[sel], (keys, point) = support.terms(sel, keys_only=True)
         present[keys] = True
-        moves = xi[sel] < xi_star
-        n_sl += np.count_nonzero(moves[point])
-        indptr[1:] += np.bincount(le_rows[~moves[le_point]], minlength=m)
-    np.cumsum(indptr, out=indptr)
+        n_sl += np.count_nonzero(xi[sel][point] < xi_star)
     moving = xi < xi_star
-    n_moving, n_fixed = np.count_nonzero(moving), np.count_nonzero(~moving)
-    phi, dphi = np.zeros(len(xi)), np.zeros(len(xi))
-    if n_fixed:
-        phi[~moving], dphi[~moving] = enrichment_profile(space.enrichment, xi[~moving], t_max)
+    n_moving = np.count_nonzero(moving)
     count, block = _coupling_block(present, n, m)
     base = np.zeros((3, block.nnz)), np.zeros((3, m * m))
     (ee_size, le_size), width = support.per_point, support.width
     kept = [_Kept(n_sl, 3), _Kept(ee_size * n_moving, 2), _Kept(le_size * n_moving, 1)]
-    fixed_cols, fixed_data, slot_end = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), indptr[:-1].copy()
+    # the fixed load's entries, met in point order, at their absolute load columns
+    fixed = _Kept(le_size * (support.size - n_moving), 1)
     # the load column of each point: in 1D its p column, then its 1 - p one
     lead = np.arange(support.coords[0].size // support.size)[:, None] * support.size
     for sel in support.chunks:
@@ -720,20 +710,15 @@ def _split(space, support: _Support, t_max) -> _Split:
                 for k, entry in zip(kept, entries + [(le_rows, le_cols, le_cols[-1] + 1, le)]):
                     k.add(*entry)
                 continue
+            phi, dphi = enrichment_profile(space.enrichment, xi[part], t_max)
             for sums, reads, power, (rows, point, _, coeffs) in zip(base, _READS, (1, 2), entries):
-                vals = phi[part] ** power, dphi[part] ** power
+                vals = phi**power, dphi**power
                 for acc, (c, v) in zip(sums, reads):
                     if coeffs[c] is not None:
                         np.add.at(acc, rows, coeffs[c] * vals[v][point])
-            # met in column order, each load entry takes its row's next free slot (8/16-bit rows sort in linear time)
-            order = np.argsort(le_rows.astype(np.min_scalar_type(m)), kind="stable")
-            per_row = np.bincount(le_rows, minlength=m)
-            at = np.repeat(slot_end - np.cumsum(per_row) + per_row, per_row) + np.arange(len(order))
-            fixed_cols[at] = np.repeat((lead + part).ravel(), width)[order]
-            fixed_data[at] = (le[0] * phi[part][le_point])[order]
-            slot_end += per_row
+            fixed.add(le_rows, np.repeat((lead + part).ravel(), width), 0, (le[0] * phi[le_point],))
     sl_ops, ee_ops, (le_moving,) = (kept.pop(0).operators(k) for k in (block.nnz, m * m, m))
-    le_fixed = sp.csr_matrix((fixed_data, fixed_cols, indptr), shape=(m, support.coords[0].size))
+    le_fixed = sp.csr_matrix((fixed.coeffs[0], (fixed.rows, fixed.cols)), shape=(m, support.coords[0].size))
     (msl, asl_r, asl_a), (mee, aee_r, aee_a) = base
     base = msl, asl_r + asl_a, mee, aee_r + aee_a
     return _Split(xi[moving], moving, block, base, (*sl_ops, *ee_ops), le_fixed, le_moving)

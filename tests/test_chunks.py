@@ -36,18 +36,23 @@ def _source(*coords):
     return ((lambda t: 1.0 + t, sum(np.sin((i + 2.0) * c) for i, c in enumerate(coords))),)
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+# eps = 1e-5 at every chunk size; at the benchmark's eps = 1e-8 nearly every
+# support point is fixed, so the fixed parts carry the whole split
+EPS_CHUNKS = [(1e-5, c) for c in CHUNKS] + [(1e-8, 997), (1e-8, assembly.CHUNK)]
+
+
+@pytest.mark.parametrize("eps, chunk", EPS_CHUNKS, ids=[str(c) if e == 1e-5 else f"{e}-{c}" for e, c in EPS_CHUNKS])
 @pytest.mark.parametrize("t_max", [0.5, None])
 @pytest.mark.parametrize("kind", ENRICHMENT_KINDS)
 @pytest.mark.parametrize("dim, level", [(1, 50), (2, 16)])
 class TestChunkedAssemblyAgainstOperators:
-    def test_split_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
+    def test_split_identical(self, dim, level, kind, t_max, eps, chunk, monkeypatch):
         # the fixed points' base block data, the moving points' operators
         # and xi, and the load operators; the fixed load over every load
         # column of the support (1D: p, then 1 - p)
         monkeypatch.setattr(assembly, "CHUNK", chunk)
-        space = _space(dim, kind, level, 1e-5)
-        layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None
+        space = _space(dim, kind, level, eps)
+        layout = element_rules_2d(space.mesh, eps) if dim == 2 else None
         support = assembly._support_1d(space) if dim == 1 else assembly._support_2d(space, layout)
         got, want = assembly._split(space, support, t_max), operator_split(space, t_max, layout)
         assert _same(got.xi, want.xi[want.moving])
@@ -57,14 +62,14 @@ class TestChunkedAssemblyAgainstOperators:
         assert len(got.base) == len(want.base) == 4 and all(map(_same, got.base, want.base))
         assert len(got.ops) == len(want.ops) == 5 and all(map(_same, got.ops, want.ops))
 
-    def test_system_identical(self, dim, level, kind, t_max, chunk, monkeypatch):
+    def test_system_identical(self, dim, level, kind, t_max, eps, chunk, monkeypatch):
         # the moving rows, and the load and the moving profile values of each
         # level; the load against one block-diagonal operator over the
         # standard and the fixed points, the source's terms taken at all of them at once
         monkeypatch.setattr(assembly, "CHUNK", chunk)
-        space = _space(dim, kind, level, 1e-5)
-        layout = element_rules_2d(space.mesh, 1e-5) if dim == 2 else None
-        system = assemble_enriched(space, 1e-5, t_max=t_max, layout=layout)
+        space = _space(dim, kind, level, eps)
+        layout = element_rules_2d(space.mesh, eps) if dim == 2 else None
+        system = assemble_enriched(space, eps, t_max=t_max, layout=layout)
         want = operator_split(space, t_max, layout)
         assert _same(system.moving_rows, want.moving_rows)
         coords = tuple(np.concatenate([s, c]) for s, c in zip(system.load_coords, want.coords))

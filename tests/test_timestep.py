@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import blfem.assembly
 import blfem.corrector
 from blfem.analysis import ExactSolution1D, ExactSolution2D, ZeroSolution1D, ZeroSolution2D
-from blfem.assembly import _layer_rule_1d, assemble_enriched, assemble_standard, build_space, project_initial
+from blfem.assembly import _layer_rule_1d, assemble_enriched, assemble_standard, build_space, element_rules_2d, project_initial
 from blfem.corrector import EnrichmentSpec, ProblemData, unit_factor
 from blfem.linsolve import (
     BlockSolver,
@@ -199,23 +199,25 @@ class TestTimeDependentEnrichment:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", ["phi0_tilde", "phi0"])
     def test_cutoff_evaluated_once_per_run(self, kind, dim, monkeypatch):
-        # once at the fixed points and once at the moving ones, whatever the
-        # number of levels (at eps = 1e-5 both sets are nonempty)
+        # once at each support point, fixed (part by part) or moving,
+        # whatever the number of levels (at eps = 1e-5 both sets are nonempty)
         eps, n_steps = 1e-5, 8
         mesh = build_interval_mesh(20) if dim == 1 else build_disk_mesh(16)
         space = build_space(mesh, EnrichmentSpec(kind=kind, epsilon=eps))
         data = ExactSolution1D(eps).problem() if dim == 1 else ExactSolution2D(eps).problem()
-        calls = {"cutoff_delta": 0, "cutoff_delta_dxi": 0}
+        layout = None if dim == 1 else element_rules_2d(mesh, eps)
+        support = blfem.assembly._support_1d(space) if dim == 1 else blfem.assembly._support_2d(space, layout)
+        points = {"cutoff_delta": 0, "cutoff_delta_dxi": 0}
         for module in (blfem.assembly, blfem.corrector):
-            for name in calls:
+            for name in points:
                 def counted(*args, _fn=getattr(module, name), _name=name):
-                    calls[_name] += 1
+                    points[_name] += np.size(args[0])
                     return _fn(*args)
 
                 monkeypatch.setattr(module, name, counted)
-        system = assemble_enriched(space, eps, t_max=1.0)
+        system = assemble_enriched(space, eps, t_max=1.0, layout=layout)
         advance(space, system, data, TimeGrid(T=1.0, n_steps=n_steps))
-        assert calls == {"cutoff_delta": 2, "cutoff_delta_dxi": 2}
+        assert points == {"cutoff_delta": support.size, "cutoff_delta_dxi": support.size}
 
 
 class TestBoundSource:
