@@ -4,12 +4,14 @@
 For sources f(x, t) = t g(x) on the unit interval the remainder
 u_eps - u0 - corrector shrinks with epsilon; this script measures the
 observed L2 and H1 rates against an independent layer-refined reference
-solver.
+solver.  Exits 2 on invalid input.
 """
 
 import argparse
+import sys
 
 from blfem.analysis import epsilon_rate_study
+from blfem.cli import EXIT_INVALID
 
 
 def main():
@@ -21,8 +23,12 @@ def main():
     ap.add_argument("--n-steps", type=int, default=1000)
     args = ap.parse_args()
 
-    eps = [float(tok) for tok in args.epsilons.split(",")]
-    result = epsilon_rate_study(epsilons=eps, T=args.T, n_steps=args.n_steps)
+    try:
+        eps = [float(tok) for tok in args.epsilons.split(",")]
+        result = epsilon_rate_study(epsilons=eps, T=args.T, n_steps=args.n_steps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(f"{'epsilon':>10s} {'L2 remainder':>14s} {'H1 remainder':>14s}")
     for e, l2, h1 in zip(result.epsilons, result.l2_errors, result.h1_errors):
         print(f"{e:10.1e} {l2:14.6g} {h1:14.6g}")
@@ -32,4 +38,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -296,8 +296,6 @@ class ConvergenceTable:
     """Error rows (by scheme, then decreasing h), fitted slopes, and the
     levels that failed numerically."""
 
-    epsilon: float
-    T: float
     rows: list = field(default_factory=list)  # dicts following the CSV schema
     slopes: dict = field(default_factory=dict)  # scheme -> (slope, residual)
     failures: list = field(default_factory=list)  # "scheme=<s> level=<n>: <message>"
@@ -457,7 +455,8 @@ def run_convergence_study(
     dt_per_level=None,
     problem=None,
 ) -> ConvergenceTable:
-    """Error tables over mesh levels for the requested schemes.
+    """Error tables over one or more mesh levels for the requested schemes;
+    a scheme's slope is fitted when it has at least 3 rows.
 
     Level counts and sizes, scheme names and the problem (whose exact
     solution must not vanish) are checked before the first solve
@@ -469,13 +468,13 @@ def run_convergence_study(
     """
     if _problem_class(dim, problem) in (ZeroSolution1D, ZeroSolution2D):
         raise ValueError(f"problem {problem!r} has a zero exact solution, so relative errors are undefined")
-    if len(levels) < 3:
-        raise ValueError("need at least 3 mesh levels")
+    if not levels:
+        raise ValueError("need at least one mesh level")
     if min(levels) < MIN_LEVEL[dim]:
         raise ValueError(f"{dim}D mesh levels must be >= {MIN_LEVEL[dim]}")
     if not schemes or any(s not in SCHEMES for s in schemes):
         raise ValueError(f"schemes must be drawn from sfem,nfem, got {','.join(schemes)!r}")
-    table = ConvergenceTable(epsilon=epsilon, T=T)
+    table = ConvergenceTable()
     for scheme in schemes:
         for level in levels:
             dt_l = dt_per_level(level) if dt_per_level else dt
@@ -594,7 +593,8 @@ def epsilon_rate_study(
 
     Defaults to g(x) = cos(pi x), which has nonzero boundary traces and so
     excites genuine boundary layers.  The reference is an independent
-    finite-difference Crank-Nicolson solve on a layer-graded grid.
+    finite-difference Crank-Nicolson solve on a layer-graded grid.  Every
+    input is checked before the first reference solve (ValueError).
     """
     if g is None:
         g = lambda x: np.cos(np.pi * x)
@@ -603,6 +603,12 @@ def epsilon_rate_study(
         raise ValueError("g_xx must accompany a custom g")
     if len(epsilons) < 3:
         raise ValueError("need at least 3 epsilon values")
+    if not all(eps > 0.0 for eps in epsilons):
+        raise ValueError("every epsilon must be positive")
+    if not T > 0.0:
+        raise ValueError("T must be positive")
+    if not n_steps >= 1:
+        raise ValueError("n_steps must be >= 1")
     l2s, h1s = [], []
     for eps in epsilons:
         _, l2, h1 = remainder_reference_1d(eps, g_xx, T=T, n_steps=n_steps, min_layer_points=min_layer_points)

@@ -151,7 +151,7 @@ def cmd_solve(args):
             raise CliError(f"config key {key}: only {SOLVE_DEFAULTS[key]!r} is supported, got {cfg[key]!r}")
     if cfg["problem"] not in PROBLEMS:
         raise CliError(f"unknown problem {cfg['problem']!r}")
-    report, fieldsol, space, _ = solve_scenario(
+    report, fieldsol, space, exact = solve_scenario(
         PROBLEMS[cfg["problem"]].dim,
         cfg["epsilon"],
         cfg["n"],
@@ -181,13 +181,13 @@ def cmd_solve(args):
         print(f"runtime_s   : {report.runtime:.3f}")
 
     if cfg["output"]:
-        table = ConvergenceTable(epsilon=cfg["epsilon"], T=cfg["T"])
+        table = ConvergenceTable()
         table.rows.append(report_row(cfg["scheme"], cfg["epsilon"], cfg["dt"], cfg["T"], report, timing))
         write_convergence_csv(table, cfg["output"], header_comments=config_header_lines(cfg))
         print(f"wrote {cfg['output']}")
 
     if cfg["dump_field"]:
-        _dump_field(space, fieldsol.final, cfg)
+        _dump_field(space, fieldsol.final, exact, cfg)
         print(f"wrote {cfg['dump_field']}")
 
     if cfg["dump_matrices"]:
@@ -206,30 +206,28 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _dump_field(space, coeffs, cfg):
-    """1D: the field at 4n + 1 equispaced points.  2D: the field at the mesh
-    nodes, i.e. the P1 coefficient (0 on the boundary) plus the enrichment,
-    each node read as a vertex of its first, outermost, triangle (so a node
-    on the support's inner ring takes the enrichment)."""
+def _dump_field(space, coeffs, exact, cfg):
+    """The field u and the exact solution u_exact at T.  1D: at 4n + 1
+    equispaced points.  2D: at the mesh nodes, i.e. the P1 coefficient (0 on
+    the boundary) plus the enrichment, each node read as a vertex of its
+    first, outermost, triangle (so a node on the support's inner ring takes
+    the enrichment)."""
     import numpy as np
 
     from .assembly import _discrete_field, evaluate_field_1d
 
+    if space.mesh.dim == 1:
+        points = (np.linspace(0.0, 1.0, 4 * cfg["n"] + 1),)
+        vals = evaluate_field_1d(space, coeffs, *points, t=cfg["T"])
+    else:
+        points = tuple(space.mesh.nodes.T)
+        _, first = np.unique(space.mesh.triangles, return_index=True)
+        vals, _ = _discrete_field(space, coeffs, space.mesh.nodes, first // 3, np.eye(3)[first % 3], cfg["T"])
     with open(cfg["dump_field"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(f"# {line}" for line in config_header_lines(cfg)) + "\n")
-        if space.mesh.dim == 1:
-            xs = np.linspace(0.0, 1.0, 4 * cfg["n"] + 1)
-            vals = evaluate_field_1d(space, coeffs, xs, t=cfg["T"])
-            fh.write("x,u\n")
-            for x, v in zip(xs, vals):
-                fh.write(f"{x:.10g},{v:.10g}\n")
-        else:
-            nodes = space.mesh.nodes
-            _, first = np.unique(space.mesh.triangles, return_index=True)
-            vals, _ = _discrete_field(space, coeffs, nodes, first // 3, np.eye(3)[first % 3], cfg["T"])
-            fh.write("x,y,u\n")
-            for (x, y), v in zip(nodes, vals):
-                fh.write(f"{x:.10g},{y:.10g},{v:.10g}\n")
+        fh.write(",".join(("x", "y")[: len(points)] + ("u", "u_exact")) + "\n")
+        for row in zip(*points, vals, exact.u(*points, cfg["T"])):
+            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
 DT_RULES = ("fixed", "h-squared")
@@ -278,6 +276,8 @@ def cmd_converge(args):
     write_convergence_csv(table, cfg["output"], header_comments=header)
     for failure in table.failures:
         print(f"# error: {failure}", file=sys.stderr)
+    for scheme, (slope, resid) in sorted(table.slopes.items()):
+        print(f"{scheme}: L2 slope {slope:.4f} (fit residual {resid:.3g})")
     print(f"wrote {cfg['output']} ({len(table.rows)} rows)")
     return EXIT_NUMERICAL if table.failures and not table.rows else EXIT_OK
 
@@ -353,7 +353,7 @@ def build_parser():
         "levels": dict(help="comma-separated mesh levels"),
         "schemes": dict(help="comma list from sfem,nfem"),
         "output": dict(help="write the CSV here"),
-        "dump_field": dict(help="write sampled solution values here"),
+        "dump_field": dict(help="write sampled solution and exact values here"),
         "dump_matrices": dict(help="prefix for i-j-value matrix dumps"),
         "seed": dict(help="reserved"),
     }

@@ -451,7 +451,7 @@ class TestFitAndCsv:
         assert fields[6] == "0.123456789"
 
     def test_write_convergence_csv(self, tmp_path):
-        table = ConvergenceTable(epsilon=1e-5, T=1.0)
+        table = ConvergenceTable()
         table.rows.append(
             {
                 "scheme": "sfem", "epsilon": 1e-5, "h": 0.02, "dofs": 49,
@@ -532,7 +532,7 @@ class TestSolveScenario:
 
         monkeypatch.setattr(analysis, "solve_scenario", None)  # never reached
         for kwargs in (
-            dict(dim=1, levels=[4, 8]),
+            dict(dim=1, levels=[]),
             dict(dim=1, levels=[4, 8, 1]),
             dict(dim=2, levels=[16, 7, 26]),
             dict(dim=1, levels=[4, 8, 16], schemes=("sfem", "magic")),
@@ -597,6 +597,16 @@ class TestEpsilonRateMachinery:
             epsilon_rate_study(epsilons=(1e-3, 1e-4))
         with pytest.raises(ValueError):
             epsilon_rate_study(g=lambda x: x)  # missing g_xx
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(T=-1.0), dict(n_steps=0), dict(epsilons=(1e-3, 0.0, 1e-5)), dict(epsilons=(1e-3, -1e-4, 1e-5))]
+    )
+    def test_rate_study_rejects_bad_input_before_solving(self, monkeypatch, kwargs):
+        import blfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "remainder_reference_1d", None)  # never reached
+        with pytest.raises(ValueError, match="must be"):
+            epsilon_rate_study(**(dict(n_steps=10) | kwargs))
 
     def test_zero_source_is_degenerate(self):
         # g = 0 leaves no remainder at any eps, so there is no rate to fit

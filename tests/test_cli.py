@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from blfem.analysis import solve_scenario
+from blfem.analysis import PROBLEMS, solve_scenario
 from blfem.corrector import CUTOFF_INNER, ENRICHMENT_KINDS
 from blfem.cli import (
     CONVERGE_DEFAULTS,
@@ -24,6 +24,7 @@ from blfem.cli import (
     read_config_file,
 )
 from blfem.linsolve import NotPositiveDefinite
+from blfem.mesh import build_disk_mesh
 from helpers import enriched_terms
 
 
@@ -402,8 +403,29 @@ class TestSolveCommand:
         assert code == EXIT_OK
         lines = [ln for ln in (tmp_path / "f.csv").read_text().splitlines()
                  if not ln.startswith("#")]
-        assert lines[0] == "x,u"
+        assert lines[0] == "x,u,u_exact"
         assert len(lines) == 1 + 33  # 4n + 1 samples
+
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("problem, n", [("exact1d", "8"), ("smooth1d", "8"), ("exact2d", "16")])
+    def test_dump_field_exact_column(self, tmp_path, monkeypatch, problem, n):
+        # u_exact is exact.u at the written points and T, in 1D and 2D
+        code = run_cli(
+            ["solve", "--problem", problem, "--epsilon", "1e-3", "--n", n, "--dt", "0.25", "--T", "0.5",
+             "--dump-field", "f.csv"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        exact = PROBLEMS[problem](1e-3)
+        if exact.dim == 1:
+            points = (np.linspace(0.0, 1.0, 4 * int(n) + 1),)
+        else:
+            points = tuple(build_disk_mesh(int(n)).nodes.T)
+        rows = [ln.split(",") for ln in (tmp_path / "f.csv").read_text().splitlines() if not ln.startswith("#")]
+        assert rows[0] == ["x", "y"][: exact.dim] + ["u", "u_exact"]
+        columns = [list(column) for column in zip(*rows[1:])]
+        want = (*points, exact.u(*points, 0.5))
+        assert columns[: exact.dim] + columns[-1:] == [[f"{v:.10g}" for v in column] for column in want]
 
 
 def _disk_field_reference(space, coeffs, t):
@@ -445,7 +467,7 @@ class TestDumpField2D:
         )
         assert code == EXIT_OK
         lines = [ln for ln in (tmp_path / "f.csv").read_text().splitlines() if not ln.startswith("#")]
-        assert lines[0] == "x,y,u"
+        assert lines[0] == "x,y,u,u_exact"
         got = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         _, fieldsol, space, _ = solve_scenario(2, 1e-3, 16, 0.5, 0.25, scheme)
         want = _disk_field_reference(space, fieldsol.final, 0.5)
@@ -475,7 +497,7 @@ class TestDumpField2D:
         want = _nodal_formula(space, coeffs, 0.5)
         assert vals.tobytes() == want.tobytes()
         lines = [ln for ln in (tmp_path / "f.csv").read_text().splitlines() if not ln.startswith("#")]
-        assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == [f"{v:.10g}" for v in want]
+        assert [ln.split(",")[2] for ln in lines[1:]] == [f"{v:.10g}" for v in want]
 
 
 class TestNameCopies:
@@ -563,30 +585,6 @@ class TestNameCopies:
         assert outputs[0] == outputs[1]
         assert b"# output = out.csv\n" in outputs[0][1]
 
-    @pytest.mark.parametrize("argv", [[], ["--epsilon", "1e-6", "--t", "0.5", "--sigma", "0.2", "--xi-max", "0.8",
-                                           "--points", "30", "-o", "out.csv"], ["--config", "c.cfg"]])
-    def test_layer_profile_script_is_the_corrector_command(self, tmp_path, monkeypatch, argv):
-        # the script hands its arguments to `blfem corrector`: the same file
-        import runpy
-        import sys
-
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_layer_profiles.py")
-        output = "out.csv" if "-o" in argv else "profiles.csv"
-        files = []
-        for how in ("script", "cli"):
-            (tmp_path / how).mkdir()
-            (tmp_path / how / "c.cfg").write_text("points = 20\n")
-            if how == "script":
-                monkeypatch.chdir(tmp_path / how)
-                monkeypatch.setattr(sys, "argv", ["run_layer_profiles.py"] + argv)
-                with pytest.raises(SystemExit) as exc_info:
-                    runpy.run_path(path, run_name="__main__")
-                assert exc_info.value.code == EXIT_OK
-            else:
-                assert run_cli(["corrector"] + argv, tmp_path / how, monkeypatch) == EXIT_OK
-            files.append((tmp_path / how / output).read_bytes())
-        assert files[0] == files[1]
-
 
 class TestConvergeCommand:
     def test_csv_rows_and_slopes(self, tmp_path, monkeypatch, capsys):
@@ -600,23 +598,45 @@ class TestConvergeCommand:
         lines = (tmp_path / "conv.csv").read_text().splitlines()
         data = [ln for ln in lines if not ln.startswith("#")]
         assert len(data) == 1 + 6  # header + 2 schemes x 3 levels
-        assert any("slope[sfem]" in ln for ln in lines)
-        assert any("slope[nfem]" in ln for ln in lines)
+        slopes = [ln for ln in lines if ln.startswith("# slope[")]
+        assert [ln.split("]")[0] for ln in slopes] == ["# slope[nfem", "# slope[sfem"]
+        # stdout prints each slope with its fit residual
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if "L2 slope" in ln]
+        assert [ln.split(":")[0] for ln in printed] == ["nfem", "sfem"]
+        for ln, slope in zip(printed, slopes):
+            assert float(ln.split()[3]) == pytest.approx(float(slope.split("=")[1]), abs=1e-4)
+            assert "(fit residual " in ln
 
-    def test_rerun_byte_identical(self, tmp_path, monkeypatch):
-        args = ["converge", "--dim", "1", "--epsilon", "1e-2", "--levels", "4,8,16",
-                "--dt", "0.1", "--T", "0.5", "--schemes", "sfem", "--no-timing",
-                "-o", "conv.csv"]
+    @pytest.mark.filterwarnings("ignore:source does not vanish")
+    @pytest.mark.parametrize("dim, levels", [("1", "4,8,16"), ("2", "8,10,12")])
+    def test_rerun_byte_identical(self, tmp_path, monkeypatch, dim, levels):
+        args = ["converge", "--dim", dim, "--epsilon", "1e-2", "--levels", levels,
+                "--dt", "0.25", "--T", "0.5", "--no-timing", "-o", "conv.csv"]
         assert run_cli(args, tmp_path, monkeypatch) == EXIT_OK
         first = (tmp_path / "conv.csv").read_bytes()
         assert run_cli(args, tmp_path, monkeypatch) == EXIT_OK
         assert (tmp_path / "conv.csv").read_bytes() == first
+        rows = [ln.split(",") for ln in first.decode().splitlines() if ln.startswith(("sfem,", "nfem,"))]
+        assert len(rows) == 2 * 3 and {row[-1] for row in rows} == {"0"}  # the runtime column
 
-    def test_too_few_levels(self, tmp_path, monkeypatch):
+    def test_one_level_writes_both_schemes_and_no_slope(self, tmp_path, monkeypatch, capsys):
         code = run_cli(
-            ["converge", "--dim", "1", "--levels", "4,8"], tmp_path, monkeypatch
+            ["converge", "--dim", "1", "--epsilon", "1e-2", "--levels", "8", "--dt", "0.1", "--T", "0.5",
+             "--no-timing", "-o", "conv.csv"],
+            tmp_path, monkeypatch,
         )
+        assert code == EXIT_OK
+        lines = (tmp_path / "conv.csv").read_text().splitlines()
+        data = [ln for ln in lines if not ln.startswith("#")][1:]
+        assert [ln.split(",")[:3] for ln in data] == [["nfem", "0.01", "0.125"], ["sfem", "0.01", "0.125"]]
+        assert not any("slope" in ln for ln in lines)
+        assert "L2 slope" not in capsys.readouterr().out
+
+    def test_no_levels_exit_2(self, tmp_path, monkeypatch, capsys):
+        code = run_cli(["converge", "--dim", "1", "--levels", ""], tmp_path, monkeypatch)
         assert code == EXIT_INVALID
+        assert "need at least one mesh level" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
 
     def test_unparsable_levels_exit_2(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["converge", "--dim", "1", "--levels", "4,x"], tmp_path, monkeypatch)
@@ -696,6 +716,23 @@ class TestConvergeCommand:
         ]
         assert "slope[nfem]" not in "\n".join(lines)  # two rows fit no slope
         assert "level=8" in capsys.readouterr().err
+
+    def test_no_level_succeeded_exit_3(self, tmp_path, monkeypatch):
+        # the table is still written, with one `# error:` line per level
+        import blfem.analysis as analysis
+
+        def singular(*args, **kwargs):
+            raise NotPositiveDefinite("pivot 3 is not positive")
+
+        monkeypatch.setattr(analysis, "solve_scenario", singular)
+        code = run_cli(["converge", "--dim", "1", "--levels", "4,8", "--schemes", "sfem", "-o", "conv.csv"],
+                       tmp_path, monkeypatch)
+        assert code == EXIT_NUMERICAL
+        lines = (tmp_path / "conv.csv").read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("# error:")] == [
+            f"# error: scheme=sfem level={n}: pivot 3 is not positive" for n in (4, 8)
+        ]
+        assert lines[-1].startswith("scheme,")  # the header, and no row
 
 
 class TestCorrectorCommand:
@@ -783,81 +820,21 @@ class TestThreadCap:
             assert not (tmp_path / "p.csv").exists()
 
 
-class TestStudyScripts:
-    @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize(
-        "script, levels",
-        [("run_1d_convergence.py", "4,8,16"), ("run_2d_convergence.py", "8,10,12"),
-         ("run_1d_comparison.py", "8"), ("run_2d_comparison.py", "8")],
-    )
-    def test_header_echoes_every_argument(self, tmp_path, monkeypatch, capsys, script, levels):
-        import runpy
-        import sys
-
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
-        expected = {"T": "0.5", "dt": "0.25", "epsilon": "0.001", "kind": "phi_m1", "levels": levels, "no_timing": "False"}
-        if script == "run_1d_comparison.py":  # one mesh, and field dumps instead of a CSV
-            expected.update(n=expected.pop("levels"), dump_prefix="")
-        if "convergence" in script:
-            expected["output"] = "out.csv"
-        argv = [script, "--epsilon", "1e-3", "--dt", "0.25", "--T", "0.5", "--kind", "phi_m1"]
-        argv += ["--n", levels] if "n" in expected else ["--levels", levels]
-        argv += ["-o", "out.csv"] if "output" in expected else []
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sys, "argv", argv)
-        runpy.run_path(path, run_name="__main__")
-        text = (tmp_path / "out.csv").read_text() if "output" in expected else capsys.readouterr().out
-        header = [ln for ln in text.splitlines() if ln.startswith("# ")]
-        assert header == [f"# {key} = {value}" for key, value in sorted(expected.items())]
-
-    @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize(
-        "script, levels",
-        [("run_1d_convergence.py", "4,8,16"), ("run_2d_convergence.py", "8,10,12"),
-         ("run_1d_comparison.py", "8"), ("run_2d_comparison.py", "8")],
-    )
-    def test_no_timing_rerun_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys, script, levels):
-        # the runtime column or field reads 0, so two runs agree byte for byte
-        import runpy
-        import sys
-
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
-        argv = [script, "--dt", "0.25", "--T", "0.5", "--no-timing", "--n" if "1d_comp" in script else "--levels", levels]
-        monkeypatch.chdir(tmp_path)
-        runs = []
-        for _ in range(2):
-            out = ["-o", "out.csv"] if "convergence" in script else []
-            monkeypatch.setattr(sys, "argv", argv + out)
-            runpy.run_path(path, run_name="__main__")
-            runs.append((tmp_path / out[1]).read_bytes() if out else capsys.readouterr().out.encode())
-        assert runs[0] == runs[1]
-        rows = [ln.replace(",", " ").split() for ln in runs[0].decode().splitlines() if not ln.startswith("#")]
-        runtimes = [row[-1] for row in rows if {"sfem", "nfem"} & set(row)]
-        assert len(runtimes) == 2 * len(levels.split(",")) and set(map(float, runtimes)) == {0.0}
-
-    @pytest.mark.filterwarnings("ignore:source does not vanish")
-    @pytest.mark.parametrize("script, dim", [("run_1d_convergence.py", 1), ("run_2d_convergence.py", 2)])
-    def test_failed_level_exits_3(self, tmp_path, monkeypatch, capsys, script, dim):
-        # the table is still written, without the failed level
+class TestEpsilonRatesScript:
+    @pytest.mark.parametrize("argv", [["--epsilons", "1e-3,x"], ["--epsilons", "1e-3,0,1e-5"], ["--T", "-1"],
+                                      ["--n-steps", "0"]])
+    def test_invalid_input_exit_2(self, monkeypatch, capsys, argv):
+        # a message on stderr and no traceback, as the subcommands do
         import runpy
         import sys
 
         import blfem.analysis as analysis
 
-        real = analysis.solve_scenario
-
-        def flaky(dim, epsilon, level, *args, **kwargs):
-            if level == 10:
-                raise NotPositiveDefinite("pivot 3 is not positive")
-            return real(dim, epsilon, level, *args, **kwargs)
-
-        monkeypatch.setattr(analysis, "solve_scenario", flaky)
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
-        argv = [script, "--epsilon", "1e-3", "--dt", "0.25", "--T", "0.5", "--levels", "8,10,12", "-o", "out.csv"]
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.setattr(analysis, "remainder_reference_1d", None)  # never reached
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_epsilon_rates.py")
+        monkeypatch.setattr(sys, "argv", ["run_epsilon_rates.py"] + argv)
         with pytest.raises(SystemExit) as exc_info:
             runpy.run_path(path, run_name="__main__")
-        assert exc_info.value.code == EXIT_NUMERICAL
-        assert "failed: scheme=sfem level=10: pivot 3 is not positive" in capsys.readouterr().out
-        assert "# error: scheme=nfem level=10: pivot 3 is not positive" in (tmp_path / "out.csv").read_text()
+        assert exc_info.value.code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
