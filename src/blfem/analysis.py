@@ -107,28 +107,14 @@ class ExactSolution2D(_Solution):
 
     epsilon: float
 
-    def u_radial(self, r, t):
-        # I0(r/sqrt(eps)) / I0(1/sqrt(eps)), stable for tiny eps
-        rt, r = np.sqrt(self.epsilon), np.asarray(r, dtype=float)
-        return np.exp(t) * (1.0 - bessel_i0_scaled(r / rt) / bessel_i0_scaled(1.0 / rt) * np.exp((r - 1.0) / rt))
-
-    def u_r(self, r, t):
-        rt = np.sqrt(self.epsilon)
-        r = np.asarray(r, dtype=float)
-        return (
-            -np.exp(t)
-            / rt
-            * bessel_i1_scaled(r / rt)
-            / bessel_i0_scaled(1.0 / rt)
-            * np.exp((r - 1.0) / rt)
-        )
-
     def u(self, x, y, t):
         """u alone, without the I1 Bessel value of the gradient."""
-        return self.u_radial(np.hypot(x, y), t)
+        # I0(r/sqrt(eps)) / I0(1/sqrt(eps)), stable for tiny eps
+        rt, r = np.sqrt(self.epsilon), np.hypot(x, y)
+        return np.exp(t) * (1.0 - bessel_i0_scaled(r / rt) / bessel_i0_scaled(1.0 / rt) * np.exp((r - 1.0) / rt))
 
     def value_and_grad(self, x, y, t):
-        """u and grad u, each formed as u_radial and u_r form it, from one
+        """u, formed as `u` forms it, and grad u = u_r (x, y) / r, from one
         radius, one exponential and one Bessel value at the boundary."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         r, rt = np.hypot(x, y), np.sqrt(self.epsilon)
@@ -510,14 +496,18 @@ class RateStudyResult:
     degenerate: bool = False
 
 
-def _graded_grid(epsilon, min_layer_points=10):
+# the fewest reference-grid nodes in each sqrt(eps) layer
+MIN_LAYER_POINTS = 10
+
+
+def _graded_grid(epsilon):
     """Symmetric grid on [0,1] geometrically refined into both sqrt(eps)
-    boundary layers, guaranteeing >= min_layer_points nodes per layer."""
+    boundary layers, guaranteeing >= MIN_LAYER_POINTS nodes per layer."""
     width = np.sqrt(epsilon)
     n_sub = 24
     while True:
-        half = geometric_panels(0.5, n_sub, width / (min_layer_points + 2))
-        if np.sum(half <= width) >= min_layer_points or n_sub > 400:
+        half = geometric_panels(0.5, n_sub, width / (MIN_LAYER_POINTS + 2))
+        if np.sum(half <= width) >= MIN_LAYER_POINTS or n_sub > 400:
             break
         n_sub += 8
     return np.concatenate([half, (1.0 - half[::-1])[1:]])
@@ -544,7 +534,7 @@ def _p1_h1_seminorm(x, v):
     return float(np.sqrt(np.sum((np.diff(v) ** 2) / h)))
 
 
-def remainder_reference_1d(epsilon, g_xx, T=1.0, n_steps=1000, min_layer_points=10):
+def remainder_reference_1d(epsilon, g_xx, T=1.0, n_steps=1000):
     """Crank-Nicolson reference for the expansion remainder
     w = u_eps - u0 - corrector, for sources of the form f(x,t) = t g(x).
 
@@ -552,9 +542,9 @@ def remainder_reference_1d(epsilon, g_xx, T=1.0, n_steps=1000, min_layer_points=
     small cutoff commutator the remainder solves
         w_t - eps w_xx = eps (t^2/2) g''(x),  w = 0 on the boundary and at t=0,
     because the corrector solves the layer heat equation exactly and cancels
-    the boundary trace of u0.  Returns (grid, L2 history max, H1 history max).
+    the boundary trace of u0.  Returns (L2 history max, H1 history max).
     """
-    x = _graded_grid(epsilon, min_layer_points)
+    x = _graded_grid(epsilon)
     n = len(x)
     lower, diag, upper = _nonuniform_laplacian(x)
     dt = T / n_steps
@@ -577,30 +567,25 @@ def remainder_reference_1d(epsilon, g_xx, T=1.0, n_steps=1000, min_layer_points=
         w[1:-1] = sla.solve_banded((1, 1), ab, rhs, check_finite=False)
         l2_max = max(l2_max, _p1_l2_norm(x, w))
         h1_max = max(h1_max, _p1_h1_seminorm(x, w))
-    return x, l2_max, h1_max
+    return l2_max, h1_max
 
 
-def epsilon_rate_study(
-    epsilons=(1e-3, 1e-4, 1e-5, 1e-6),
-    g=None,
-    g_xx=None,
-    T=1.0,
-    n_steps=1000,
-    min_layer_points=10,
-) -> RateStudyResult:
+def _cos_pi_xx(x):
+    """g'' of the default source profile g(x) = cos(pi x)."""
+    return -np.pi**2 * np.cos(np.pi * x)
+
+
+def epsilon_rate_study(epsilons=(1e-3, 1e-4, 1e-5, 1e-6), g_xx=_cos_pi_xx, T=1.0, n_steps=1000) -> RateStudyResult:
     """Fitted rate of || u_eps - u0 - corrector || against eps for the
-    source family f(x, t) = t g(x) on the unit interval.
+    source family f(x, t) = t g(x) on the unit interval, given g''.
 
     Defaults to g(x) = cos(pi x), which has nonzero boundary traces and so
     excites genuine boundary layers.  The reference is an independent
-    finite-difference Crank-Nicolson solve on a layer-graded grid.  Every
-    input is checked before the first reference solve (ValueError).
+    finite-difference Crank-Nicolson solve on a layer-graded grid, one per
+    epsilon, in decreasing order.  Every input is checked before the first
+    reference solve (ValueError).  When no remainder is left at any eps
+    the result is degenerate, with NaN slopes.
     """
-    if g is None:
-        g = lambda x: np.cos(np.pi * x)
-        g_xx = lambda x: -np.pi**2 * np.cos(np.pi * x)
-    if g_xx is None:
-        raise ValueError("g_xx must accompany a custom g")
     if len(epsilons) < 3:
         raise ValueError("need at least 3 epsilon values")
     if not all(eps > 0.0 for eps in epsilons):
@@ -609,33 +594,16 @@ def epsilon_rate_study(
         raise ValueError("T must be positive")
     if not n_steps >= 1:
         raise ValueError("n_steps must be >= 1")
-    l2s, h1s = [], []
-    for eps in epsilons:
-        _, l2, h1 = remainder_reference_1d(eps, g_xx, T=T, n_steps=n_steps, min_layer_points=min_layer_points)
-        l2s.append(l2)
-        h1s.append(h1)
-    if max(l2s) < 1e-14:
-        return RateStudyResult(
-            epsilons=tuple(epsilons),
-            l2_errors=tuple(l2s),
-            h1_errors=tuple(h1s),
-            l2_slope=float("nan"),
-            h1_slope=float("nan"),
-            monotone=True,
-            degenerate=True,
-        )
-    order = np.argsort(epsilons)[::-1]
-    eps_sorted = np.asarray(epsilons, dtype=float)[order]
-    l2_sorted = np.asarray(l2s)[order]
-    h1_sorted = np.asarray(h1s)[order]
-    l2_slope, _ = fit_loglog(eps_sorted, l2_sorted)
-    h1_slope, _ = fit_loglog(eps_sorted, h1_sorted)
-    monotone = bool(np.all(np.diff(l2_sorted) < 0.0))
+    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
+    l2s, h1s = np.array([remainder_reference_1d(e, g_xx, T=T, n_steps=n_steps) for e in eps]).T
+    degenerate = bool(l2s.max() < 1e-14)
+    slopes = [float("nan")] * 2 if degenerate else [fit_loglog(eps, errs)[0] for errs in (l2s, h1s)]
     return RateStudyResult(
-        epsilons=tuple(eps_sorted),
-        l2_errors=tuple(l2_sorted),
-        h1_errors=tuple(h1_sorted),
-        l2_slope=l2_slope,
-        h1_slope=h1_slope,
-        monotone=monotone,
+        epsilons=tuple(eps),
+        l2_errors=tuple(l2s),
+        h1_errors=tuple(h1s),
+        l2_slope=slopes[0],
+        h1_slope=slopes[1],
+        monotone=degenerate or bool(np.all(np.diff(l2s) < 0.0)),
+        degenerate=degenerate,
     )

@@ -186,18 +186,17 @@ def _sym_geometric_panels(n_half, first_width):
 
 def _graded_rule(v, mask, eps, n_sub, n_gauss):
     """The graded rules of triangles v (k, 3, 2) whose vertices on the
-    boundary are those of mask (3,), one or two of them: the barycentric
-    coordinates (k, q, 3) of the points with respect to the vertices
-    reordered A, B, C (boundary ones first), those vertices (k, 3, 2), the
-    weights (k, q), and the barycentric coordinates in vertex order.
+    boundary are those of mask (3,), one or two of them: the weights (k, q)
+    and the barycentric coordinates (k, q, 3) of the points, in vertex
+    order.
 
-    s runs from the boundary feature (edge AB, or vertex A) toward the rest
-    of the triangle on geometric panels whose first width is 4 sqrt(eps)
-    over the height, and u across it, graded toward both ends of an edge AB."""
+    With the vertices taken as A, B, C (boundary ones first), s runs from
+    the boundary feature (edge AB, or vertex A) toward the rest of the
+    triangle on geometric panels whose first width is 4 sqrt(eps) over the
+    height, and u across it, graded toward both ends of an edge AB."""
     edge = np.count_nonzero(mask) == 2
     order = np.argsort(~mask, kind="stable")
-    abc = v[:, order]
-    A, B, C = abc[:, 0], abc[:, 1], abc[:, 2]
+    A, B, C = (v[:, j] for j in order)
     area = 0.5 * np.abs(doubled_signed_areas(v))
     ell = 4.0 * np.sqrt(eps)
     # each edge length from one BLAS dot, so it rounds as np.linalg.norm's
@@ -226,11 +225,7 @@ def _graded_rule(v, mask, eps, n_sub, n_gauss):
         a[...] = 1 - s
         np.multiply(s, 1 - u, out=b)
         np.multiply(s, u, out=c)
-    bary = bary.reshape(len(v), -1, 3)
-    # the disk mesh lists the boundary vertices first, so A, B, C is the
-    # vertex order there and no copy is needed
-    lam = bary if np.array_equal(order, np.arange(3)) else bary[..., order]
-    return lam, abc, wts.reshape(len(v), -1), bary
+    return wts.reshape(len(v), -1), bary.reshape(len(v), -1, 3)
 
 
 def triangle_rule_points(verts, masks, eps, n_sub=6, n_gauss=4):
@@ -254,11 +249,10 @@ def triangle_rule_points(verts, masks, eps, n_sub=6, n_gauss=4):
         v = verts[pattern == c]
         if c == 0:
             wts, lam = _smooth_triangle_rule(v)
-            lam = np.broadcast_to(lam, (len(v),) + lam.shape)
-            batches[c] = lam, v, wts, lam
+            batches[c] = wts, np.broadcast_to(lam, (len(v),) + lam.shape)
         else:
             batches[c] = _graded_rule(v, masks[pattern == c][0], eps, n_sub, n_gauss)
-    size = {c: batch[2].shape[1] for c, batch in batches.items()}
+    size = {c: batch[0].shape[1] for c, batch in batches.items()}
     counts = np.array([size[c] for c in pattern.tolist()], dtype=int)
     starts = _starts(counts)
     total = int(counts.sum())
@@ -271,13 +265,13 @@ def triangle_rule_points(verts, masks, eps, n_sub=6, n_gauss=4):
     heads = np.flatnonzero(np.diff(pattern, prepend=-1))
     ends = np.append(heads[1:], len(pattern))
     for c, h, e in zip(pattern[heads].tolist(), heads.tolist(), ends.tolist()):
-        lam, abc, wts, lam_v = batches[c]
+        wts, lam = batches[c]
         k = slice(rank[h], rank[h] + e - h)
         at = slice(starts[h], starts[h] + (e - h) * size[c])
         # the points: each triangle's coordinates times its vertices, one BLAS product per triangle
-        np.matmul(lam[k], abc[k], out=points[at].reshape(e - h, -1, 2))
+        np.matmul(lam[k], verts[h:e], out=points[at].reshape(e - h, -1, 2))
         weights[at] = wts[k].ravel()
-        bary[at].reshape(e - h, -1, 3)[...] = lam_v[k]
+        bary[at].reshape(e - h, -1, 3)[...] = lam[k]
     return points, weights, bary, counts
 
 

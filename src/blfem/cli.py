@@ -207,17 +207,18 @@ def cmd_solve(args):
 
 
 def _dump_field(space, coeffs, exact, cfg):
-    """The field u and the exact solution u_exact at T.  1D: at 4n + 1
-    equispaced points.  2D: at the mesh nodes, i.e. the P1 coefficient (0 on
+    """The field u and the exact solution u_exact at T.  1D: at the mesh
+    nodes and the points of the error report's layout, which resolve the
+    sqrt(eps) layers.  2D: at the mesh nodes, i.e. the P1 coefficient (0 on
     the boundary) plus the enrichment, each node read as a vertex of its
     first, outermost, triangle (so a node on the support's inner ring takes
     the enrichment)."""
     import numpy as np
 
-    from .assembly import _discrete_field, evaluate_field_1d
+    from .assembly import _discrete_field, element_rules_1d, evaluate_field_1d
 
     if space.mesh.dim == 1:
-        points = (np.linspace(0.0, 1.0, 4 * cfg["n"] + 1),)
+        points = (np.union1d(space.mesh.nodes, element_rules_1d(space.mesh, cfg["epsilon"]).points),)
         vals = evaluate_field_1d(space, coeffs, *points, t=cfg["T"])
     else:
         points = tuple(space.mesh.nodes.T)

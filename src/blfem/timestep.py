@@ -59,8 +59,6 @@ class SolutionField:
     history[n] holds the coefficients at times[n]; for time-dependent
     enrichments the profile of row n is evaluated at times[n]."""
 
-    space: BasisSpace
-    grid: TimeGrid
     history: np.ndarray
     level: EnrichedLevel
 
@@ -111,4 +109,4 @@ def advance(
             old = new
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"time step {step}: {exc}") from exc
-    return SolutionField(space=space, grid=grid, history=history, level=old)
+    return SolutionField(history=history, level=old)

@@ -116,23 +116,24 @@ class TestBoundSources:
 
 class TestManufacturedSolution2D:
     def test_pde_residual_radial(self):
-        # u_t - eps (u_rr + u_r / r) = f via finite differences on the
-        # radial section
+        # u_t - eps (u_rr + u_r / r) = f via finite differences of u on the
+        # radial section (r, 0), with u_r the x-slope of grad there
         eps = 1e-4
         exact = ExactSolution2D(eps)
         rng = np.random.default_rng(3)
         r = rng.uniform(0.3, 0.995, 200)
         t = rng.uniform(0.2, 1.0, 200)
         h = math.sqrt(eps) / 50.0
-        ut = (exact.u_radial(r, t + h) - exact.u_radial(r, t - h)) / (2.0 * h)
+        u = lambda r, t: exact.u(r, 0.0, t)
+        ut = (u(r, t + h) - u(r, t - h)) / (2.0 * h)
         urr = (
-            -exact.u_radial(r + 2 * h, t)
-            + 16.0 * exact.u_radial(r + h, t)
-            - 30.0 * exact.u_radial(r, t)
-            + 16.0 * exact.u_radial(r - h, t)
-            - exact.u_radial(r - 2 * h, t)
+            -u(r + 2 * h, t)
+            + 16.0 * u(r + h, t)
+            - 30.0 * u(r, t)
+            + 16.0 * u(r - h, t)
+            - u(r - 2 * h, t)
         ) / (12.0 * h**2)
-        ur = exact.u_r(r, t)
+        ur = exact.grad(r, 0.0, t)[:, 0]
         resid = ut - eps * (urr + ur / r) - np.exp(t)
         assert np.max(np.abs(resid)) < 1e-5 * math.e
 
@@ -578,7 +579,7 @@ class TestSolveScenario:
 class TestEpsilonRateMachinery:
     def test_graded_grid_resolves_layer(self):
         for eps in (1e-4, 1e-6):
-            x = _graded_grid(eps, min_layer_points=10)
+            x = _graded_grid(eps)
             width = math.sqrt(eps)
             assert np.sum(x <= width) >= 10
             assert np.sum(x >= 1.0 - width) >= 10
@@ -587,16 +588,14 @@ class TestEpsilonRateMachinery:
 
     def test_remainder_decreases_with_epsilon(self):
         g_xx = lambda x: -np.pi**2 * np.cos(np.pi * x)
-        _, l2_a, h1_a = remainder_reference_1d(1e-3, g_xx, n_steps=200)
-        _, l2_b, h1_b = remainder_reference_1d(1e-5, g_xx, n_steps=200)
+        l2_a, h1_a = remainder_reference_1d(1e-3, g_xx, n_steps=200)
+        l2_b, h1_b = remainder_reference_1d(1e-5, g_xx, n_steps=200)
         assert l2_b < l2_a
         assert l2_a > 0.0
 
     def test_rate_study_validation(self):
         with pytest.raises(ValueError):
             epsilon_rate_study(epsilons=(1e-3, 1e-4))
-        with pytest.raises(ValueError):
-            epsilon_rate_study(g=lambda x: x)  # missing g_xx
 
     @pytest.mark.parametrize(
         "kwargs", [dict(T=-1.0), dict(n_steps=0), dict(epsilons=(1e-3, 0.0, 1e-5)), dict(epsilons=(1e-3, -1e-4, 1e-5))]
@@ -611,10 +610,33 @@ class TestEpsilonRateMachinery:
     def test_zero_source_is_degenerate(self):
         # g = 0 leaves no remainder at any eps, so there is no rate to fit
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        result = epsilon_rate_study(epsilons=(1e-2, 1e-3, 1e-4), g=zero, g_xx=zero, n_steps=10)
+        result = epsilon_rate_study(epsilons=(1e-2, 1e-3, 1e-4), g_xx=zero, n_steps=10)
         assert result.degenerate
         assert math.isnan(result.l2_slope) and math.isnan(result.h1_slope)
         assert result.l2_errors == result.h1_errors == (0.0, 0.0, 0.0)
+
+    def test_given_g_xx_alone_is_solved_for(self):
+        # g'' = 0 (g linear) is the source that is solved for, at the
+        # default epsilons: no remainder, so the study is degenerate
+        result = epsilon_rate_study(g_xx=lambda x: np.zeros_like(x), n_steps=10)
+        assert result.degenerate and result.monotone
+        assert result.l2_errors == result.h1_errors == (0.0,) * 4
+
+    def test_degenerate_study_lists_epsilons_decreasing(self):
+        # the degenerate result comes from the fitted one's path: epsilons
+        # sorted once, decreasing, as float64
+        zero = lambda x: np.zeros_like(x)
+        result = epsilon_rate_study(epsilons=(1e-4, 1e-2, 1e-3), g_xx=zero, n_steps=10)
+        assert result.degenerate
+        assert result.epsilons == (1e-2, 1e-3, 1e-4)
+        assert all(type(e) is np.float64 for e in result.epsilons)
+
+    def test_unsorted_epsilons_give_the_sorted_study(self):
+        # every solve is independent, so the input order changes no bit
+        fitted = epsilon_rate_study(epsilons=(1e-2, 1e-3, 1e-4), n_steps=20)
+        shuffled = epsilon_rate_study(epsilons=(1e-4, 1e-2, 1e-3), n_steps=20)
+        assert shuffled == fitted
+        assert fitted.epsilons == (1e-2, 1e-3, 1e-4) and not fitted.degenerate
 
 
 class TestProblemTable:

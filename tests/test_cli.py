@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blfem.analysis import PROBLEMS, solve_scenario
+from blfem.assembly import element_rules_1d
 from blfem.corrector import CUTOFF_INNER, ENRICHMENT_KINDS
 from blfem.cli import (
     CONVERGE_DEFAULTS,
@@ -24,7 +25,7 @@ from blfem.cli import (
     read_config_file,
 )
 from blfem.linsolve import NotPositiveDefinite
-from blfem.mesh import build_disk_mesh
+from blfem.mesh import build_disk_mesh, build_interval_mesh
 from helpers import enriched_terms
 
 
@@ -404,7 +405,22 @@ class TestSolveCommand:
         lines = [ln for ln in (tmp_path / "f.csv").read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "x,u,u_exact"
-        assert len(lines) == 1 + 33  # 4n + 1 samples
+        assert len(lines) == 1 + 169  # the 9 nodes and the 160 points of the error layout
+
+    @pytest.mark.parametrize("n, eps", [("20", 1e-5), ("50", 1e-8)])
+    def test_dump_field_resolves_the_layer(self, tmp_path, monkeypatch, n, eps):
+        # the 1D dump samples the error layout's graded points, so the
+        # sqrt(eps) layer at x = 0 holds several rows, not one
+        code = run_cli(
+            ["solve", "--problem", "exact1d", "--epsilon", str(eps), "--n", n,
+             "--dt", "0.1", "--T", "0.5", "--dump-field", "f.csv"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        rows = [ln for ln in (tmp_path / "f.csv").read_text().splitlines() if not ln.startswith("#")]
+        xs = np.array([float(row.split(",")[0]) for row in rows[1:]])
+        assert np.all(np.diff(xs) > 0.0)
+        assert np.count_nonzero(xs <= np.sqrt(eps)) >= 3
 
     @pytest.mark.filterwarnings("ignore:source does not vanish")
     @pytest.mark.parametrize("problem, n", [("exact1d", "8"), ("smooth1d", "8"), ("exact2d", "16")])
@@ -418,7 +434,8 @@ class TestSolveCommand:
         assert code == EXIT_OK
         exact = PROBLEMS[problem](1e-3)
         if exact.dim == 1:
-            points = (np.linspace(0.0, 1.0, 4 * int(n) + 1),)
+            mesh = build_interval_mesh(int(n))
+            points = (np.union1d(mesh.nodes, element_rules_1d(mesh, 1e-3).points),)
         else:
             points = tuple(build_disk_mesh(int(n)).nodes.T)
         rows = [ln.split(",") for ln in (tmp_path / "f.csv").read_text().splitlines() if not ln.startswith("#")]
