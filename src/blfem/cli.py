@@ -1,18 +1,20 @@
-"""Command-line interface: single solves, convergence studies, and
-layer-profile sampling, all emitting plain-text artifacts.  Each subcommand
-parses its flags and config, then hands the run to the library
-(`solve_scenario`, `run_convergence_study`, `enrichment_profile`).
+"""Command-line interface: single solves, convergence studies, layer-profile
+sampling and the epsilon-rate study, all emitting plain-text artifacts.  Each
+subcommand parses its flags and config, then hands the run to the library
+(`solve_scenario`, `run_convergence_study`, `enrichment_profile`,
+`epsilon_rate_study`).
 
 Config precedence is flags > config file > defaults; the merged effective
 configuration is echoed as `# key = value` header comments into every
 output artifact so each file documents how to reproduce itself.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (a non-finite number included), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -83,7 +85,8 @@ def _convert(key, text, default):
 def merge_config(defaults, file_values, flag_values):
     """Merged effective config: flags override file values override defaults.
 
-    Unknown keys in the config file are rejected so typos fail loudly."""
+    Unknown keys in the config file are rejected so typos fail loudly, and so
+    is a float that is not finite, which no positivity check would catch."""
     merged = dict(defaults)
     for key, text in file_values.items():
         if key not in defaults:
@@ -92,6 +95,9 @@ def merge_config(defaults, file_values, flag_values):
     for key, val in flag_values.items():
         if val is not None:
             merged[key] = val
+    for key, val in merged.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise CliError(f"{key} must be finite, got {val}")
     return merged
 
 
@@ -107,6 +113,17 @@ def _collect(args, defaults):
     file_values = read_config_file(args.config) if args.config else {}
     flag_values = {k: getattr(args, k, None) for k in defaults}  # a fixed key has no flag
     return merge_config(defaults, file_values, flag_values)
+
+
+def _comma_list(cfg, key, convert):
+    """The comma list cfg[key], each token converted; blank tokens are dropped."""
+    try:
+        values = [convert(tok.strip()) for tok in cfg[key].split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(f"cannot parse {key} {cfg[key]!r}")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise CliError(f"{key} must be finite, got {cfg[key]!r}")
+    return values
 
 
 SOLVE_DEFAULTS = {
@@ -141,8 +158,6 @@ def _dump_matrix(matrix, path):
 
 
 def cmd_solve(args):
-    import math
-
     from .analysis import PROBLEMS, ConvergenceTable, report_row, solve_scenario, write_convergence_csv
 
     cfg = _collect(args, SOLVE_DEFAULTS)
@@ -253,10 +268,7 @@ def cmd_converge(args):
     from .analysis import run_convergence_study, write_convergence_csv
 
     cfg = _collect(args, CONVERGE_DEFAULTS)
-    try:
-        levels = [int(tok) for tok in cfg["levels"].split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"cannot parse levels {cfg['levels']!r}")
+    levels = _comma_list(cfg, "levels", int)
     if cfg["dt_rule"] not in DT_RULES:
         raise CliError(f"dt-rule must be {' or '.join(map(repr, DT_RULES))}")
     table = run_convergence_study(
@@ -265,7 +277,7 @@ def cmd_converge(args):
         levels,
         T=cfg["T"],
         dt=cfg["dt"],
-        schemes=[tok.strip() for tok in cfg["schemes"].split(",") if tok.strip()],
+        schemes=_comma_list(cfg, "schemes", str),
         enrichment_kind=cfg["kind"],
         sigma=cfg["sigma"] or None,
         timing=not cfg["no_timing"],
@@ -331,6 +343,25 @@ def cmd_corrector(args):
     return EXIT_OK
 
 
+RATES_DEFAULTS = {"epsilons": "1e-3,1e-4,1e-5,1e-6", "T": 1.0, "n_steps": 1000}
+
+
+def cmd_rates(args):
+    from .analysis import epsilon_rate_study
+
+    cfg = _collect(args, RATES_DEFAULTS)
+    result = epsilon_rate_study(epsilons=_comma_list(cfg, "epsilons", float), T=cfg["T"], n_steps=cfg["n_steps"])
+    for line in config_header_lines(cfg):
+        print(f"# {line}")
+    print(f"{'epsilon':>10s} {'L2 remainder':>14s} {'H1 remainder':>14s}")
+    for e, l2, h1 in zip(result.epsilons, result.l2_errors, result.h1_errors):
+        print(f"{e:10.1e} {l2:14.6g} {h1:14.6g}")
+    print(f"L2 slope: {result.l2_slope:.4f}")
+    print(f"H1 slope: {result.h1_slope:.4f}")
+    print(f"monotone decrease: {result.monotone}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -353,6 +384,7 @@ def build_parser():
         "sigma": dict(help="phi_m1_lin taper width; in solve and converge 0 = mesh-derived default"),
         "levels": dict(help="comma-separated mesh levels"),
         "schemes": dict(help="comma list from sfem,nfem"),
+        "epsilons": dict(help="comma list of epsilon values"),
         "output": dict(help="write the CSV here"),
         "dump_field": dict(help="write sampled solution and exact values here"),
         "dump_matrices": dict(help="prefix for i-j-value matrix dumps"),
@@ -367,6 +399,7 @@ def build_parser():
         ("solve", SOLVE_DEFAULTS, cmd_solve, "run one scenario and report errors"),
         ("converge", CONVERGE_DEFAULTS, cmd_converge, "mesh-refinement study, writes the error CSV"),
         ("corrector", CORRECTOR_DEFAULTS, cmd_corrector, "sample the four layer profiles to CSV"),
+        ("rates", RATES_DEFAULTS, cmd_rates, "fit the corrector-expansion remainder's rate in epsilon"),
     ):
         p = sub.add_parser(name, help=help_)
         for key, default in defaults.items():

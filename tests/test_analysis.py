@@ -598,7 +598,9 @@ class TestEpsilonRateMachinery:
             epsilon_rate_study(epsilons=(1e-3, 1e-4))
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(T=-1.0), dict(n_steps=0), dict(epsilons=(1e-3, 0.0, 1e-5)), dict(epsilons=(1e-3, -1e-4, 1e-5))]
+        "kwargs",
+        [dict(T=-1.0), dict(n_steps=0), dict(epsilons=(1e-3, 0.0, 1e-5)), dict(epsilons=(1e-3, -1e-4, 1e-5)),
+         dict(T=math.inf), dict(T=math.nan), dict(epsilons=(1e-3, math.inf, 1e-5)), dict(epsilons=(1e-3, math.nan, 1e-5))],
     )
     def test_rate_study_rejects_bad_input_before_solving(self, monkeypatch, kwargs):
         import blfem.analysis as analysis
@@ -614,6 +616,18 @@ class TestEpsilonRateMachinery:
         assert result.degenerate
         assert math.isnan(result.l2_slope) and math.isnan(result.h1_slope)
         assert result.l2_errors == result.h1_errors == (0.0, 0.0, 0.0)
+
+    def test_small_source_is_not_degenerate(self):
+        # the remainder is linear in g'', so g'' scaled by 1e-12 (remainders
+        # near 1e-15 and below) has the same rates as g'' itself
+        studies = [
+            epsilon_rate_study(epsilons=(1e-3, 1e-4, 1e-5), g_xx=lambda x, a=a: -a * np.pi**2 * np.cos(np.pi * x),
+                               n_steps=100)
+            for a in (1.0, 1e-12)
+        ]
+        assert max(studies[1].l2_errors) < 1e-14 and not studies[1].degenerate
+        assert studies[1].l2_slope == pytest.approx(studies[0].l2_slope, rel=1e-9)
+        assert studies[1].h1_slope == pytest.approx(studies[0].h1_slope, rel=1e-9)
 
     def test_given_g_xx_alone_is_solved_for(self):
         # g'' = 0 (g linear) is the source that is solved for, at the
